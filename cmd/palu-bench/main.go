@@ -4,7 +4,7 @@
 // decode, per block codec), PTRC recording and transcoding (write-side
 // codec × writer-workers matrix plus the index-driven passthrough), and
 // model fitting — and writes a machine-readable JSON record.
-// BENCH_PR10.json at the repo root is the committed perf trajectory; CI
+// BENCH_PR13.json at the repo root is the committed perf trajectory; CI
 // re-runs the suite and compares against it benchstat-style. The suite
 // runs instrumented (internal/obs) and v3+ records embed the resulting
 // metrics snapshot, so every committed record also documents the
@@ -16,14 +16,13 @@
 // at any count, so ArchiveBytes doubles as an equivalence witness) and
 // archive-to-archive transcode benchmarks, passthrough and recode. v6
 // records add the engine suite: a four-consumer scenario run over a
-// warm window cache, shared-replay against independent — the
-// ReplayedPackets column is the witness that sharing replays each
-// window once where the independent run replays it per consumer.
+// warm window cache, each consumer replaying the window itself, with
+// the cache traffic in the ReplayedPackets column.
 //
 // Usage:
 //
-//	palu-bench -out BENCH_PR10.json                   # run + record
-//	palu-bench -out /tmp/b.json -compare BENCH_PR10.json -max-regression 5
+//	palu-bench -out BENCH_PR13.json                   # run + record
+//	palu-bench -out /tmp/b.json -compare BENCH_PR13.json -max-regression 5
 //	palu-bench -packets 500000 -replay-packets 200000 # smaller workloads
 //	palu-bench -metrics - -cpuprofile cpu.pb.gz       # snapshot + profile
 //
@@ -84,8 +83,7 @@ type Bench struct {
 	Codec        string `json:"codec,omitempty"`
 	ArchiveBytes uint64 `json:"archive_bytes,omitempty"`
 	// ReplayedPackets (v6+, engine-suite entries) is the total packets the
-	// window cache replayed per op — the shared/independent pair differ by
-	// the consumer fan-out while producing byte-identical results.
+	// window cache replayed per op, summed over the consumers.
 	ReplayedPackets uint64  `json:"replayed_packets,omitempty"`
 	NsPerOp         float64 `json:"ns_per_op"`
 	MBPerS          float64 `json:"mb_per_s,omitempty"`
@@ -99,7 +97,7 @@ const (
 	schemaV2 = "palu-bench-v2" // pre-obs records: no metrics snapshot
 	schemaV3 = "palu-bench-v3" // pre-codec records: deflate-only replay
 	schemaV4 = "palu-bench-v4" // pre-write-path records: replay/fit only
-	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no shared-replay pair
+	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no engine-suite entry
 	schemaV6 = "palu-bench-v6"
 )
 
@@ -369,12 +367,10 @@ func runSuite(cfg suiteConfig) (Record, error) {
 	}
 
 	// Engine suite: four scenarios declaring one identical window
-	// sequence, run through the scenario engine over a warm PTRC cache —
-	// once with the shared-replay coordinator (one physical replay fanned
-	// out to all four consumers) and once independently (one dedicated
-	// replay each). Results are byte-identical; ReplayedPackets records
-	// the cache traffic each mode paid for them, and MPackets/s is the
-	// effective delivered-packet throughput (consumers × valid packets).
+	// sequence, run through the scenario engine over a warm PTRC cache,
+	// each replaying it through its own pipeline run. ReplayedPackets
+	// records the cache traffic, and MPackets/s is the effective
+	// delivered-packet throughput (consumers × valid packets).
 	engineDir, err := os.MkdirTemp("", "palu-bench-engine-*")
 	if err != nil {
 		return rec, err
@@ -393,47 +389,37 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		},
 		NV: engineNV, Windows: engineFanOut,
 	}
-	for _, mode := range []struct {
-		name   string
-		shared bool
-	}{
-		{"engine-suite-replay-shared", true},
-		{"engine-suite-replay-independent", false},
-	} {
-		var last scenario.CacheStats
-		b, err := measure(mode.name, cfg.minTime, cfg.maxIters, func() error {
-			reg := scenario.NewRegistry()
-			for i := 0; i < engineFanOut; i++ {
-				name := fmt.Sprintf("consumer%d", i)
-				reg.MustRegister(scenario.Scenario{
-					Name: name, Title: name, Windows: []scenario.WindowReq{engineReq},
-					Run: func(ctx *scenario.Context) (scenario.Result, error) {
-						_, err := ctx.Stream(engineReq, stream.PipelineConfig{},
-							stream.FuncSink(func(*stream.WindowResult) error { return nil }))
-						return benchResult{}, err
-					},
-				})
-			}
-			eng, err := scenario.NewEngine(reg, scenario.Config{
-				Workers: 1, CacheDir: engineDir, NoSharedReplay: !mode.shared,
+	var last scenario.CacheStats
+	b, err := measure("engine-suite-replay", cfg.minTime, cfg.maxIters, func() error {
+		reg := scenario.NewRegistry()
+		for i := 0; i < engineFanOut; i++ {
+			name := fmt.Sprintf("consumer%d", i)
+			reg.MustRegister(scenario.Scenario{
+				Name: name, Title: name, Windows: []scenario.WindowReq{engineReq},
+				Run: func(ctx *scenario.Context) (scenario.Result, error) {
+					_, err := ctx.Stream(engineReq, stream.PipelineConfig{},
+						stream.FuncSink(func(*stream.WindowResult) error { return nil }))
+					return benchResult{}, err
+				},
 			})
-			if err != nil {
-				return err
-			}
-			if _, err := eng.Run(); err != nil {
-				return err
-			}
-			last = eng.CacheStats()
-			return nil
-		})
-		if err == nil {
-			b.ReplayedPackets = uint64(last.ReplayedPackets)
-			b.MPacketsPerS = float64(engineFanOut) * float64(engineReq.ValidPackets()) /
-				(b.NsPerOp / 1e9) / 1e6
 		}
-		if err := add(b, err); err != nil {
-			return rec, err
+		eng, err := scenario.NewEngine(reg, scenario.Config{Workers: 1, CacheDir: engineDir})
+		if err != nil {
+			return err
 		}
+		if _, err := eng.Run(); err != nil {
+			return err
+		}
+		last = eng.CacheStats()
+		return nil
+	})
+	if err == nil {
+		b.ReplayedPackets = uint64(last.ReplayedPackets)
+		b.MPacketsPerS = float64(engineFanOut) * float64(engineReq.ValidPackets()) /
+			(b.NsPerOp / 1e9) / 1e6
+	}
+	if err := add(b, err); err != nil {
+		return rec, err
 	}
 
 	// Fitting: one PALU-generated observed histogram, the ZM fit and the
@@ -555,7 +541,7 @@ func readRecord(path string) (Record, error) {
 func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("palu-bench", flag.ContinueOnError)
 	var (
-		out           = fs.String("out", "BENCH_PR10.json", "output JSON path")
+		out           = fs.String("out", "BENCH_PR13.json", "output JSON path")
 		comparePath   = fs.String("compare", "", "baseline JSON to compare against (benchstat-style ratios)")
 		maxRegression = fs.Float64("max-regression", 0, "fail when any same-hardware ns/op or any allocs/op ratio vs the baseline exceeds this factor (0 = report only)")
 		packets       = fs.Int64("packets", 2_000_000, "pipeline benchmark trace length in packets")

@@ -10,7 +10,6 @@
 //	palu-figures -out ./out -parallel          # independent scenarios concurrently
 //	palu-figures -out ./out -cache-dir ./ptrc  # record windows once, replay thereafter
 //	palu-figures -only fig3 -only table1       # subsets by name or prefix
-//	palu-figures -shared-replay=false          # dedicated replay per scenario (byte-identical output)
 //	palu-figures -list                         # print the experiment index (EXPERIMENTS.md)
 //	palu-figures -metrics - -http :6060        # metrics snapshot + live /metrics + pprof
 //	palu-figures -cpuprofile cpu.pb.gz         # profile the suite run
@@ -49,7 +48,6 @@ type options struct {
 	out        string
 	seed       uint64
 	parallel   bool
-	shared     bool
 	shards     int
 	recWorkers int
 	cacheDir   string
@@ -68,7 +66,6 @@ func main() {
 	flag.StringVar(&o.out, "out", "out", "output directory")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed for the suite-seeded experiments")
 	flag.BoolVar(&o.parallel, "parallel", false, "run independent scenarios concurrently (one worker per CPU)")
-	flag.BoolVar(&o.shared, "shared-replay", true, "decode and reduce each unique traffic window once per run, fanning the windows out to every scenario that declared it (results are byte-identical either way)")
 	flag.IntVar(&o.shards, "shards", 0, "intra-window parallel-reduce width of the streaming pipeline (0 = serial reduce per window; results are identical at any value)")
 	flag.IntVar(&o.recWorkers, "record-workers", 0, "compress workers for window-cache recording (<= 1 = serial writer; archives are byte-identical at any value)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "PTRC window cache directory: traffic windows are recorded once and replayed thereafter")
@@ -128,7 +125,6 @@ func run(o options) error {
 		PipelineShards: o.shards,
 		RecordWorkers:  o.recWorkers,
 		Metrics:        obsReg,
-		NoSharedReplay: !o.shared,
 	})
 	if err != nil {
 		return err
@@ -156,14 +152,10 @@ func run(o options) error {
 		return err
 	}
 	fmt.Print(summary)
-	cs := eng.CacheStats()
 	if o.cacheDir != "" {
+		cs := eng.CacheStats()
 		log.Printf("window cache: %d hits, %d misses, %d packets recorded, %d replayed",
 			cs.Hits, cs.Misses, cs.RecordedPackets, cs.ReplayedPackets)
-	}
-	if cs.ReplaysSaved > 0 {
-		log.Printf("shared replay: %d replays saved, %d windows delivered, widest fan-out %d",
-			cs.ReplaysSaved, cs.DeliveredWindows, cs.MaxFanOut)
 	}
 	fmt.Printf("\nartifacts written to %s\n", o.out)
 	if obsReg != nil && o.metrics != "" {

@@ -28,12 +28,12 @@ type Histogram struct {
 
 // histStripe is one stripe's counts, padded to two cache lines so
 // adjacent stripes never share one (bucket count arrays are separate
-// allocations).
+// allocations). There is no separate total: the count is the sum of the
+// buckets, so no reader can see a total that disagrees with them.
 type histStripe struct {
-	count atomic.Int64
-	sum   atomic.Int64
-	cnts  []atomic.Int64
-	_     [128 - 40]byte
+	sum  atomic.Int64
+	cnts []atomic.Int64
+	_    [128 - 32]byte
 }
 
 // newHistogram builds a histogram with the given ascending boundaries.
@@ -91,18 +91,20 @@ func (h *Histogram) Observe(v int64) {
 	}
 	s := &h.str[stripeHint(h.mask)]
 	s.cnts[h.bucketOf(v)].Add(1)
-	s.count.Add(1)
 	s.sum.Add(v)
 }
 
-// Count returns the total number of observations.
+// Count returns the total number of observations: the sum of every
+// stripe's buckets.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
 	var n int64
 	for i := range h.str {
-		n += h.str[i].count.Load()
+		for j := range h.str[i].cnts {
+			n += h.str[i].cnts[j].Load()
+		}
 	}
 	return n
 }
@@ -120,13 +122,12 @@ func (h *Histogram) Sum() int64 {
 }
 
 // snapshot sums the stripes into cumulative buckets (le semantics: each
-// bucket's count includes every smaller bucket, the +Inf bucket equals
-// the total count as of its read).
+// bucket's count includes every smaller bucket). The count is the +Inf
+// bucket itself, so the two always agree.
 func (h *Histogram) snapshot() (count, sum int64, buckets []Bucket) {
 	per := make([]int64, len(h.bounds)+1)
 	for i := range h.str {
 		s := &h.str[i]
-		count += s.count.Load()
 		sum += s.sum.Load()
 		for j := range per {
 			per[j] += s.cnts[j].Load()
@@ -142,7 +143,7 @@ func (h *Histogram) snapshot() (count, sum int64, buckets []Bucket) {
 		}
 		buckets[j] = Bucket{UpperBound: ub, Count: cum}
 	}
-	return count, sum, buckets
+	return cum, sum, buckets
 }
 
 // DefaultLatencyBounds returns the standard nanosecond boundaries used

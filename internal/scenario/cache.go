@@ -25,21 +25,14 @@ type CacheStats struct {
 	RecordedPackets int64
 	// ReplayedPackets is the total packets replayed out of archives into
 	// the pipeline, as counted by PipelineStats.SourcePacketsRead.
-	// Packets are counted once per physical replay: consumers coalesced
-	// onto one shared replay do not multiply this counter.
 	ReplayedPackets int64
-	// DeliveredWindows counts windows delivered to consumers — once per
-	// consumer, so a shared replay fanning one window out to three
-	// scenarios counts three. DeliveredWindows / windows-per-replay vs
-	// Hits+Misses is the realized sharing factor.
+	// DeliveredWindows counts windows delivered to consumers, once per
+	// replay: every Stream call is one consumer's own replay.
 	DeliveredWindows int64
-	// ReplaysSaved counts dedicated replays avoided by the shared-replay
-	// coordinator: a group of N consumers served by one physical replay
-	// saves N-1. (Engine-level; zero when sharing is disabled.)
+	// ReplaysSaved is always 0: every consumer replays its own windows.
+	// It is kept because the whole-suite benchmark (perfbench) reads it
+	// from the serialized stats.
 	ReplaysSaved int64
-	// MaxFanOut is the widest consumer fan-out any single shared replay
-	// achieved in the run. (Engine-level; zero when nothing shared.)
-	MaxFanOut int64
 }
 
 // WindowCache is the content-addressed PTRC trace cache: each WindowReq
@@ -47,8 +40,12 @@ type CacheStats struct {
 // from the synthetic observatory (exactly the TakeValid prefix the
 // pipeline would consume) and replayed through stream.Run by every use —
 // including the recording one, so cached and uncached runs exercise the
-// identical replay path. Concurrent requests for one key are
-// single-flighted; distinct keys record and replay independently.
+// identical replay path. Archives are recorded in the packed-column
+// codec: every consumer replays its windows itself, so replay cost
+// counts once per consumer, and packed blocks replay without inflating
+// (DESIGN.md §12, §14). Archives of either codec replay. Concurrent
+// requests for one key are single-flighted; distinct keys record and
+// replay independently.
 type WindowCache struct {
 	dir string
 	m   *Metrics // engine's bundle (nil = stripped); mirrors the atomics
@@ -138,7 +135,7 @@ func (c *WindowCache) ensure(req WindowReq) (string, error) {
 		return "", fmt.Errorf("scenario: creating cache entry: %w", err)
 	}
 	n, err := tracestore.Record(tmp, stream.TakeValid(site.PacketSource(), req.ValidPackets()),
-		tracestore.WriterOptions{Workers: c.recordWorkers, Metrics: c.m.traceMetrics()})
+		tracestore.WriterOptions{Workers: c.recordWorkers, Codec: tracestore.CodecPacked, Metrics: c.m.traceMetrics()})
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -209,9 +206,7 @@ func (c *WindowCache) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...
 		c.replayed.Add(stats.SourcePacketsRead)
 		c.m.cacheReplayed(stats.SourcePacketsRead)
 	}
-	// One Stream call is one consumer's delivery; a shared replay passes
-	// a multicast here as its single sink and the engine adds the
-	// fan-out surplus on top.
+	// One Stream call is one consumer's delivery.
 	if stats.Windows > 0 {
 		c.delivered.Add(int64(stats.Windows))
 	}

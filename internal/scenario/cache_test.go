@@ -142,4 +142,39 @@ func TestWindowCacheConcurrentEnsure(t *testing.T) {
 	if cs.DeliveredWindows != n*int64(req.Windows) {
 		t.Errorf("delivered windows = %d, want %d", cs.DeliveredWindows, n*int64(req.Windows))
 	}
+	// Every consumer replays the archive, so it is recorded packed: no
+	// inflate on replay.
+	if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.CodecMix() != tracestore.CodecPacked.String() {
+		t.Errorf("archive codec = %q (err %v), want packed", info.CodecMix(), err)
+	}
+}
+
+// TestWindowCacheSameKeyDifferentGeometry: two requirements cutting the
+// same packet prefix into different windows share one archive — the
+// cache records the prefix once — and each consumer still gets its own
+// window cut.
+func TestWindowCacheSameKeyDifferentGeometry(t *testing.T) {
+	site := testSite(53)
+	wide := WindowReq{Site: site, NV: 2000, Windows: 1}
+	narrow := WindowReq{Site: site, NV: 1000, Windows: 2}
+	if wide.Key() != narrow.Key() {
+		t.Fatal("test premise broken: keys differ")
+	}
+	var sw, sn stream.PipelineStats
+	reg := NewRegistry()
+	reg.MustRegister(windowScenario("wide", wide, &sw))
+	reg.MustRegister(windowScenario("narrow", narrow, &sn))
+	eng, err := NewEngine(reg, Config{Workers: 2, CacheDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cs := eng.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 1/1 (one archive, two replays)", cs.Hits, cs.Misses)
+	}
+	if sw.Windows != 1 || sn.Windows != 2 {
+		t.Errorf("windows = %d/%d, want 1/2", sw.Windows, sn.Windows)
+	}
 }

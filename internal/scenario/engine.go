@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridplaw/internal/netgen"
@@ -38,14 +37,6 @@ type Config struct {
 	// leaves the pipeline default (1). Results are identical at any
 	// shard count — this is a throughput knob only.
 	PipelineShards int
-	// NoSharedReplay disables the shared-replay coordinator: every
-	// scenario streams its declared windows through a dedicated pipeline
-	// run, as if no other scenario wanted them. The zero value keeps
-	// sharing ON — one physical decode + reduce per unique window key
-	// per run, fanned out to every consumer. Results are byte-identical
-	// either way; the switch exists for A/B measurement and for tests
-	// that pin per-consumer cache counters.
-	NoSharedReplay bool
 	// RecordWorkers sets the pipelined-writer worker count
 	// (tracestore.WriterOptions.Workers) used when a window-cache miss
 	// records a fresh archive; <= 1 keeps the serial writer. Archives
@@ -81,13 +72,6 @@ type Engine struct {
 	cfg   Config
 	cache *WindowCache
 	m     *Metrics
-
-	// Shared-replay accounting, merged into CacheStats: replays the
-	// coordinator avoided, the widest fan-out it achieved, and the
-	// windows it delivered beyond what the cache counters already count.
-	replaysSaved    atomic.Int64
-	sharedMaxFanOut atomic.Int64
-	sharedDelivered atomic.Int64
 }
 
 // NewEngine validates the configuration and opens the window cache.
@@ -118,41 +102,13 @@ func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 // Metrics was nil).
 func (e *Engine) Metrics() *Metrics { return e.m }
 
-// CacheStats snapshots the window-cache counters plus the shared-replay
-// accounting. With caching disabled the cache counters are zero but the
-// sharing counters still report what the coordinator saved over direct
-// generation.
+// CacheStats snapshots the window-cache counters (zero when caching is
+// disabled).
 func (e *Engine) CacheStats() CacheStats {
-	var cs CacheStats
-	if e.cache != nil {
-		cs = e.cache.Stats()
+	if e.cache == nil {
+		return CacheStats{}
 	}
-	cs.ReplaysSaved = e.replaysSaved.Load()
-	cs.MaxFanOut = e.sharedMaxFanOut.Load()
-	cs.DeliveredWindows += e.sharedDelivered.Load()
-	return cs
-}
-
-// noteSharedReplay folds one executed shared replay into the engine's
-// accounting: saved dedicated runs, the group's fan-out, and the windows
-// delivered to consumers. With a cache, the physical run's own windows
-// were already counted by WindowCache.Stream (it saw the multicast as
-// one consumer), so only the fan-out surplus is added here.
-func (e *Engine) noteSharedReplay(saved, fanOut, delivered, physical int64) {
-	e.replaysSaved.Add(saved)
-	for {
-		cur := e.sharedMaxFanOut.Load()
-		if fanOut <= cur || e.sharedMaxFanOut.CompareAndSwap(cur, fanOut) {
-			break
-		}
-	}
-	extra := delivered
-	if e.cache != nil {
-		extra -= physical
-	}
-	if extra > 0 {
-		e.sharedDelivered.Add(extra)
-	}
+	return e.cache.Stats()
 }
 
 // pipelineBudget is the per-scenario inner worker budget for a plan of
@@ -201,19 +157,12 @@ type node struct {
 // returned (with every other report still populated); scheduling errors
 // (unknown names, unknown inputs, dependency cycles) fail the whole run.
 func (e *Engine) Run(names ...string) ([]Report, error) {
-	nodes, groups, err := e.plan(names)
+	nodes, err := e.plan(names)
 	if err != nil {
 		return nil, err
 	}
 	n := len(nodes)
 	budget := e.pipelineBudget(n)
-	var coord *coordinator
-	var slotc chan int
-	var resumec chan chan struct{}
-	if len(groups) > 0 {
-		coord = newCoordinator(e, groups)
-		slotc, resumec = coord.slotc, coord.resumec
-	}
 	var ready []int
 	for i := range nodes {
 		if nodes[i].indegree == 0 {
@@ -226,24 +175,8 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 	}
 	done := make(chan completion)
 	reports := make([]Report, n)
-	// running counts scenarios holding a worker slot; parked counts
-	// scenarios alive but waiting inside the shared-replay coordinator
-	// with their slot released; resumeQ holds woken consumers waiting to
-	// get a slot back. A nil coord leaves slotc/resumec nil, so those
-	// select branches never fire and the loop degenerates to the plain
-	// worker pool.
-	running, completed, parked := 0, 0, 0
-	var resumeQ []chan struct{}
+	running, completed := 0, 0
 	for completed < n {
-		// Woken coordinator consumers re-acquire their slot ahead of
-		// fresh launches: they hold partial results and finishing them
-		// frees memory the launches would stack on top of.
-		for len(resumeQ) > 0 && running < e.cfg.Workers {
-			close(resumeQ[0])
-			resumeQ = resumeQ[1:]
-			running++
-			parked--
-		}
 		for running < e.cfg.Workers && len(ready) > 0 {
 			i := ready[0]
 			ready = ready[1:]
@@ -253,59 +186,33 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 					done <- completion{i, Report{Scenario: nd.s, Err: nd.skip}}
 					return
 				}
-				done <- completion{i, e.runOne(nd.s, budget, coord)}
+				done <- completion{i, e.runOne(nd.s, budget)}
 			}(i, nodes[i])
 		}
-		if running == 0 && len(resumeQ) == 0 {
-			// Nothing holds a slot and nothing is launchable. With no
-			// parked consumers that is a genuine dependency cycle. With
-			// parked consumers, either a rendezvous is waiting on members
-			// that can no longer arrive (break it: force the first
-			// formable group to run with the consumers it has) or the
-			// parked consumers' groups already completed and their
-			// resume requests are in flight — breakStalemate finds
-			// nothing to force then, and the select below is about to
-			// receive the resumes; either way progress is guaranteed.
-			if parked == 0 {
-				var stuck []string
-				for i := range nodes {
-					if reports[i].Scenario.Name == "" {
-						stuck = append(stuck, nodes[i].s.Name)
-					}
+		if running == 0 {
+			var stuck []string
+			for i := range nodes {
+				if reports[i].Scenario.Name == "" {
+					stuck = append(stuck, nodes[i].s.Name)
 				}
-				return nil, fmt.Errorf("scenario: dependency cycle among %s", strings.Join(stuck, ", "))
 			}
-			coord.breakStalemate()
+			return nil, fmt.Errorf("scenario: dependency cycle among %s", strings.Join(stuck, ", "))
 		}
-		select {
-		case c := <-done:
-			running--
-			completed++
-			reports[c.i] = c.rep
-			if coord != nil {
-				// The scenario is gone; release any group still expecting
-				// it to stream (it finished — or was skipped — without
-				// touching some declared window).
-				coord.renounce(c.rep.Scenario.Name)
+		c := <-done
+		running--
+		completed++
+		reports[c.i] = c.rep
+		for _, d := range nodes[c.i].dependents {
+			nodes[d.to].indegree--
+			if c.rep.Err != nil && d.hard && nodes[d.to].skip == nil {
+				nodes[d.to].skip = fmt.Errorf("scenario: dependency %q failed: %w",
+					nodes[c.i].s.Name, c.rep.Err)
 			}
-			for _, d := range nodes[c.i].dependents {
-				nodes[d.to].indegree--
-				if c.rep.Err != nil && d.hard && nodes[d.to].skip == nil {
-					nodes[d.to].skip = fmt.Errorf("scenario: dependency %q failed: %w",
-						nodes[c.i].s.Name, c.rep.Err)
-				}
-				if nodes[d.to].indegree == 0 {
-					ready = append(ready, d.to)
-				}
+			if nodes[d.to].indegree == 0 {
+				ready = append(ready, d.to)
 			}
-			sort.Ints(ready)
-		case <-slotc:
-			// A consumer parked in the coordinator and released its slot.
-			running--
-			parked++
-		case grant := <-resumec:
-			resumeQ = append(resumeQ, grant)
 		}
+		sort.Ints(ready)
 	}
 	var firstErr error
 	for i := range reports {
@@ -318,15 +225,10 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 }
 
 // plan resolves the selection to its input closure and builds the
-// dependency graph — artifact producer → consumer edges always, plus
+// dependency graph: artifact producer → consumer edges always, plus
 // record → replay edges between scenarios sharing a cached window key
-// when the cache is enabled — and computes the shared-replay groups:
-// for each window sequence (cache key + NV×Windows geometry) declared
-// by two or more scenarios that no hard edge orders against each other,
-// one physical replay can serve all of them. Hard-ordered sharers are
-// left out of the group (they cannot rendezvous — one must complete
-// before the other starts) and keep today's per-scenario path.
-func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error) {
+// when the cache is enabled.
+func (e *Engine) plan(names []string) ([]node, error) {
 	if len(names) == 0 {
 		names = e.reg.Names()
 	}
@@ -334,7 +236,7 @@ func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error)
 	var queue []string
 	for _, name := range names {
 		if _, ok := e.reg.Get(name); !ok {
-			return nil, nil, fmt.Errorf("scenario: unknown scenario %q", name)
+			return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 		}
 		if !selected[name] {
 			selected[name] = true
@@ -350,7 +252,7 @@ func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error)
 		for _, in := range s.Inputs {
 			producer, ok := e.reg.Producer(in)
 			if !ok {
-				return nil, nil, fmt.Errorf("scenario %q: input %q has no registered producer", name, in)
+				return nil, fmt.Errorf("scenario %q: input %q has no registered producer", name, in)
 			}
 			if !selected[producer] {
 				selected[producer] = true
@@ -408,54 +310,6 @@ func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error)
 			addEdge(index[producer], i, true)
 		}
 	}
-	// Shared-replay groups, computed against the hard edges alone: a
-	// window sequence declared by >= 2 scenarios is shareable among the
-	// subset no hard edge orders (greedy in registration order — an
-	// ordered candidate is dropped, keeps its dedicated path, and the
-	// rest still share). Soft edges between members are suppressed below:
-	// a completes-before-starts hint would deadlock a rendezvous whose
-	// members must all be in flight at once.
-	groups := make(map[shareKey]*replayGroup)
-	sameGroup := make(map[edgeKey]bool)
-	if !e.cfg.NoSharedReplay {
-		declared := make(map[shareKey][]int)
-		reqOf := make(map[shareKey]WindowReq)
-		for i := range nodes {
-			for _, w := range nodes[i].s.Windows {
-				sk := reqShareKey(w)
-				if ns := declared[sk]; len(ns) == 0 || ns[len(ns)-1] != i {
-					declared[sk] = append(declared[sk], i)
-					reqOf[sk] = w
-				}
-			}
-		}
-		for sk, members := range declared {
-			var kept []int
-			for _, j := range members {
-				free := true
-				for _, i := range kept {
-					if reaches(i, j) || reaches(j, i) {
-						free = false
-						break
-					}
-				}
-				if free {
-					kept = append(kept, j)
-				}
-			}
-			if len(kept) < 2 {
-				continue
-			}
-			g := &replayGroup{req: reqOf[sk], expected: make(map[string]bool, len(kept))}
-			for _, i := range kept {
-				g.expected[nodes[i].s.Name] = true
-				for _, j := range kept {
-					sameGroup[edgeKey{i, j}] = true
-				}
-			}
-			groups[sk] = g
-		}
-	}
 	if e.cache != nil {
 		recorder := make(map[string]int) // window key -> first scenario needing it
 		for i := range nodes {
@@ -471,10 +325,8 @@ func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error)
 				// close a cycle against the artifact edges — the cache
 				// single-flights per key, so any execution order is
 				// correct; this edge only keeps worker slots from
-				// blocking on the recording lock. Also skipped between
-				// members of one shared-replay group, which rendezvous
-				// instead of taking turns.
-				if !sameGroup[edgeKey{first, i}] && !reaches(i, first) {
+				// blocking on the recording lock.
+				if !reaches(i, first) {
 					addEdge(first, i, false)
 				}
 			}
@@ -495,15 +347,14 @@ func (e *Engine) plan(names []string) ([]node, map[shareKey]*replayGroup, error)
 		nodes[k[0]].dependents = append(nodes[k[0]].dependents, edge{to: k[1], hard: hardness[k]})
 		nodes[k[1]].indegree++
 	}
-	return nodes, groups, nil
+	return nodes, nil
 }
 
 // runOne executes a single scenario with panic isolation. pipeWorkers
-// is the scenario's inner worker budget; coord (may be nil) is the
-// run's shared-replay coordinator, routed into the Context.
-func (e *Engine) runOne(s Scenario, pipeWorkers int, coord *coordinator) (rep Report) {
+// is the scenario's inner worker budget.
+func (e *Engine) runOne(s Scenario, pipeWorkers int) (rep Report) {
 	rep.Scenario = s
-	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers, coord: coord}
+	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers}
 	start := time.Now()
 	sp := e.m.runStart()
 	defer func() {
@@ -542,8 +393,7 @@ func Summarize(reports []Report) string {
 type Context struct {
 	eng         *Engine
 	scen        Scenario
-	pipeWorkers int          // inner worker budget; 0 = full width (standalone)
-	coord       *coordinator // shared-replay coordinator of this run; nil = no sharing
+	pipeWorkers int // inner worker budget; 0 = full width (standalone)
 
 	mu      sync.Mutex
 	written []string
@@ -602,17 +452,6 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 		}
 		if cfg.Metrics == nil {
 			cfg.Metrics = c.eng.m.streamMetrics()
-		}
-		// Shared replay first: when other runnable scenarios declared the
-		// same window sequence, the coordinator runs one physical replay
-		// for the whole group and fans the windows out to every
-		// consumer's sinks. Unhandled requests (single-consumer keys,
-		// hard-ordered sharers, groups that already ran) fall through to
-		// the dedicated cache or direct path, byte-identically.
-		if c.coord != nil {
-			if stats, err, handled := c.coord.stream(c.scen.Name, req, cfg, sinks); handled {
-				return stats, err
-			}
 		}
 		if c.eng.cache != nil {
 			return c.eng.cache.Stream(req, cfg, sinks...)

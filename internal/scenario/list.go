@@ -22,9 +22,9 @@ func ListMarkdown(reg *Registry) string {
 	for _, s := range reg.Scenarios() {
 		var wins []string
 		for _, w := range s.Windows {
-			// The short key prefix makes shared-replay groups visible:
-			// rows with the same key+geometry coalesce onto one physical
-			// replay per engine run (DESIGN.md §14).
+			// The short key prefix makes cache sharing visible: rows
+			// with the same key read one cached archive, recorded once
+			// per cache directory (DESIGN.md §14).
 			wins = append(wins, fmt.Sprintf("%d×%d @ %s `%.8s`", w.Windows, w.NV, w.Site.Name, w.Key()))
 		}
 		cell := func(items []string) string {

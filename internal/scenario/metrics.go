@@ -40,15 +40,6 @@ type Metrics struct {
 	CacheRecordedPackets *obs.Counter
 	CacheReplayedPackets *obs.Counter
 
-	// Shared-replay instruments: physical replays the coordinator ran
-	// for a group, dedicated replays it thereby avoided, the windows it
-	// fanned out beyond the physical run's own, and a span over each
-	// shared replay end to end (union config through fan-out delivery).
-	SharedReplays    *obs.Counter
-	ReplaysSaved     *obs.Counter
-	FannedOutWindows *obs.Counter
-	SharedReplayTime *obs.Timer
-
 	// Stream and Trace are the nested bundles the engine injects into
 	// inner pipelines and archive codecs.
 	Stream *stream.Metrics
@@ -80,14 +71,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"packets archived on cache misses"),
 		CacheReplayedPackets: reg.Counter("palu_scenario_cache_replayed_packets_total",
 			"packets replayed out of cached archives"),
-		SharedReplays: reg.Counter("palu_scenario_shared_replays_total",
-			"physical replays run once for a consumer group"),
-		ReplaysSaved: reg.Counter("palu_scenario_replays_saved_total",
-			"dedicated window replays avoided by shared-replay fan-out"),
-		FannedOutWindows: reg.Counter("palu_scenario_fanned_out_windows_total",
-			"windows delivered to coalesced consumers beyond the physical replay's own"),
-		SharedReplayTime: reg.Timer("palu_scenario_shared_replay_ns",
-			"one shared replay end to end: config union, physical run, fan-out", 0),
 		Stream: stream.NewMetrics(reg),
 		Trace:  tracestore.NewMetrics(reg),
 	}
@@ -146,27 +129,6 @@ func (m *Metrics) cacheRecorded(n int64) {
 func (m *Metrics) cacheReplayed(n int64) {
 	if m != nil {
 		m.CacheReplayedPackets.Add(n)
-	}
-}
-
-func (m *Metrics) sharedReplayStart() obs.Span {
-	if m == nil {
-		return obs.Span{}
-	}
-	return m.SharedReplayTime.Start()
-}
-
-func (m *Metrics) sharedReplayEnd(sp obs.Span, saved, fannedOut int64) {
-	if m == nil {
-		return
-	}
-	sp.Stop()
-	m.SharedReplays.Inc()
-	if saved > 0 {
-		m.ReplaysSaved.Add(saved)
-	}
-	if fannedOut > 0 {
-		m.FannedOutWindows.Add(fannedOut)
 	}
 }
 

@@ -25,12 +25,8 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		Run: func(*Context) (Result, error) { return nil, errors.New("synthetic failure") },
 	})
 	obsReg := obs.NewRegistry()
-	// NoSharedReplay: this test pins the per-consumer accounting (each
-	// scenario's own replay reflected in the cache mirror and the stream
-	// counters summing both consumers); the shared path has its own
-	// metrics pins in the coordinator tests.
 	eng, err := NewEngine(reg, Config{
-		Workers: 2, CacheDir: t.TempDir(), Metrics: obsReg, NoSharedReplay: true,
+		Workers: 2, CacheDir: t.TempDir(), Metrics: obsReg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,5 +108,14 @@ func TestTimingsCSV(t *testing.T) {
 	}
 	if !strings.HasSuffix(got, "\n") {
 		t.Error("timings must end with a newline")
+	}
+}
+
+// TestTimingsSuiteRowUnchanged guards the pinned timings.csv shape
+// against the CacheStats fields it does not print.
+func TestTimingsSuiteRowUnchanged(t *testing.T) {
+	out := Timings(nil, CacheStats{Hits: 3, Misses: 1, DeliveredWindows: 4})
+	if !strings.Contains(out, "suite,,0.000,3,1\n") {
+		t.Errorf("suite row changed: %q", out)
 	}
 }

@@ -518,11 +518,7 @@ func TestWindowCacheRecordThenReplay(t *testing.T) {
 		reg := NewRegistry()
 		reg.MustRegister(windowScenario("first", req, &s1))
 		reg.MustRegister(windowScenario("second", req, &s2))
-		// NoSharedReplay pins the per-consumer cache path: with sharing
-		// on, the two scenarios would coalesce onto one physical replay
-		// (covered by the coordinator tests) and never show the 1-hit/
-		// 1-miss per-consumer accounting this test is about.
-		eng, err := NewEngine(reg, Config{Workers: 4, CacheDir: cacheDir, NoSharedReplay: true})
+		eng, err := NewEngine(reg, Config{Workers: 4, CacheDir: cacheDir})
 		if err != nil {
 			t.Fatal(err)
 		}

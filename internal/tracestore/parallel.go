@@ -28,8 +28,8 @@ type ParallelOptions struct {
 // work overlaps the pipeline's ingest and window reduction. It requires
 // a seekable archive (io.ReaderAt plus its size): the trailing index
 // supplies every block's offset, workers fetch and inflate blocks
-// independently into pooled raw buffers, and a coordinator re-orders
-// completed blocks so the consumer observes the exact archived sequence.
+// independently into pooled raw buffers, and a reorder stage restores
+// block order so the consumer observes the exact archived sequence.
 // The cheap final stage — uvarint decode — runs on the consumer's
 // goroutine, either into one persistent packet buffer (Next/NextBlock)
 // or fused straight into the window under construction (DecodeInto), so
@@ -104,10 +104,10 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 	jobs := make(chan int)
 	results := make(chan outcome, workers)
 	// credits bounds the decoded-but-not-yet-consumed blocks: the feeder
-	// spends one per dispatched block, the coordinator refunds one per
+	// spends one per dispatched block, the reorder stage refunds one per
 	// block handed to the consumer. Without it, a single stalled worker
-	// would let the others race ahead and the coordinator's reorder
-	// buffer would grow toward the whole archive.
+	// would let the others race ahead and the reorder stage's buffer
+	// would grow toward the whole archive.
 	credits := make(chan struct{}, workers+prefetch)
 	for i := 0; i < workers+prefetch; i++ {
 		credits <- struct{}{}
