@@ -1,28 +1,26 @@
 // Command palu-bench runs the repo's pinned hot-path benchmarks —
-// streaming window reduce (a worker × shard matrix plus the legacy
-// serial/sharded pins), PTRC archive replay (sequential and parallel
-// decode, per block codec), PTRC recording and transcoding (write-side
-// codec × writer-workers matrix plus the index-driven passthrough), and
-// model fitting — and writes a machine-readable JSON record.
-// BENCH_PR13.json at the repo root is the committed perf trajectory; CI
-// re-runs the suite and compares against it benchstat-style. The suite
-// runs instrumented (internal/obs) and v3+ records embed the resulting
-// metrics snapshot, so every committed record also documents the
-// workload's exact block/window/packet accounting. v4 records add the
-// codec dimension: each replay entry names its block codec and archive
-// size, pricing the packed codec's size/speed trade against DEFLATE on
-// identical traces. v5 records add the write path: per-codec record
-// benchmarks across writer worker counts (archives are byte-identical
-// at any count, so ArchiveBytes doubles as an equivalence witness) and
-// archive-to-archive transcode benchmarks, passthrough and recode. v6
-// records add the engine suite: a four-consumer scenario run over a
-// warm window cache, each consumer replaying the window itself, with
-// the cache traffic in the ReplayedPackets column.
+// streaming window reduce across pipeline worker counts, PTRC archive
+// replay (sequential and parallel decode, per block codec), PTRC
+// recording and transcoding (write-side codec × writer-workers matrix
+// plus the index-driven passthrough), an engine suite over a warm
+// window cache, and model fitting — and writes a machine-readable JSON
+// record. BENCH_PR14.json at the repo root is the committed baseline;
+// CI re-runs the suite and compares against it benchstat-style. The
+// suite runs instrumented (internal/obs) and the record embeds the
+// resulting metrics snapshot, so every committed record also documents
+// the workload's exact block/window/packet accounting. Each replay
+// entry names its block codec and archive size, pricing the packed
+// codec's size/speed trade against DEFLATE on identical traces; record
+// entries carry the archive size too (archives are byte-identical at
+// any writer worker count, so ArchiveBytes doubles as an equivalence
+// witness); the engine-suite entry runs four consumers of one window
+// sequence, each replaying it itself, with the cache traffic in the
+// ReplayedPackets column.
 //
 // Usage:
 //
-//	palu-bench -out BENCH_PR13.json                   # run + record
-//	palu-bench -out /tmp/b.json -compare BENCH_PR13.json -max-regression 5
+//	palu-bench -out BENCH_PR14.json                   # run + record
+//	palu-bench -out /tmp/b.json -compare BENCH_PR14.json -max-regression 5
 //	palu-bench -packets 500000 -replay-packets 200000 # smaller workloads
 //	palu-bench -metrics - -cpuprofile cpu.pb.gz       # snapshot + profile
 //
@@ -56,8 +54,8 @@ import (
 	"hybridplaw/internal/zipfmand"
 )
 
-// Record is the JSON schema of a palu-bench run. Metrics (v3+) is the
-// obs snapshot of the instrumented suite: the deterministic counters
+// Record is the JSON schema of a palu-bench run. Metrics is the obs
+// snapshot of the instrumented suite: the deterministic counters
 // (packets, windows, blocks, bytes) double-check that a compared record
 // really ran the same workload.
 type Record struct {
@@ -71,18 +69,17 @@ type Record struct {
 // Bench is one pinned benchmark's measurement. CPUs is recorded per
 // entry (not just per record) so a compare against a baseline captured
 // on different hardware can skip throughput gating entry by entry;
-// Workers/Shards identify the matrix point for pipeline benchmarks.
-// Codec and ArchiveBytes (v4+) identify the PTRC block codec a replay
+// Workers identifies the pipeline or writer worker count. Codec and
+// ArchiveBytes identify the PTRC block codec a replay
 // benchmark decoded and the archive size it read, so a committed record
 // prices the codec's size/speed trade, not just its speed.
 type Bench struct {
 	Name         string `json:"name"`
 	CPUs         int    `json:"cpus,omitempty"`
 	Workers      int    `json:"workers,omitempty"`
-	Shards       int    `json:"shards,omitempty"`
 	Codec        string `json:"codec,omitempty"`
 	ArchiveBytes uint64 `json:"archive_bytes,omitempty"`
-	// ReplayedPackets (v6+, engine-suite entries) is the total packets the
+	// ReplayedPackets (engine-suite entries) is the total packets the
 	// window cache replayed per op, summed over the consumers.
 	ReplayedPackets uint64  `json:"replayed_packets,omitempty"`
 	NsPerOp         float64 `json:"ns_per_op"`
@@ -92,25 +89,16 @@ type Bench struct {
 	BytesPerOp      uint64  `json:"bytes_per_op"`
 }
 
-const (
-	schemaV1 = "palu-bench-v1" // pre-matrix records: no per-entry CPUs
-	schemaV2 = "palu-bench-v2" // pre-obs records: no metrics snapshot
-	schemaV3 = "palu-bench-v3" // pre-codec records: deflate-only replay
-	schemaV4 = "palu-bench-v4" // pre-write-path records: replay/fit only
-	schemaV5 = "palu-bench-v5" // pre-engine-suite records: no engine-suite entry
-	schemaV6 = "palu-bench-v6"
-)
+// schema names the only record format readRecord accepts. Records of
+// older schemas stay in the repo as history, not as parse targets.
+const schema = "palu-bench-v6"
 
-// matrixWorkers × matrixShards is the pipeline benchmark grid. The
-// {1,1} point doubles as the legacy pipeline-reduce-serial pin.
-// recordWorkers is the write-side matrix: each codec is recorded at
-// every worker count (w1 = the serial writer; the archives are
-// byte-identical at any count, only the wall time moves).
-var (
-	matrixWorkers = []int{1, 2, 4}
-	matrixShards  = []int{1, 4, 8}
-	recordWorkers = []int{1, 2, 4}
-)
+// benchWorkers is the worker-count axis of both matrices: each pipeline
+// entry reduces the same trace at that many workers (w1 = the fused
+// serial pipeline), and each codec is recorded at that many writer
+// workers (w1 = the serial writer). Results and archives are identical
+// at any count; only the wall time moves.
+var benchWorkers = []int{1, 2, 4}
 
 // measure runs fn repeatedly (after one warm-up) until minTime has
 // accumulated or maxIters runs completed, and reports the minimum
@@ -194,7 +182,7 @@ type suiteConfig struct {
 // the hot path as shipped (the overhead gate in the root test suite
 // separately bounds the instrumented/stripped ratio).
 func runSuite(cfg suiteConfig) (Record, error) {
-	rec := Record{Schema: schemaV6, Go: runtime.Version(), CPUs: runtime.NumCPU()}
+	rec := Record{Schema: schema, Go: runtime.Version(), CPUs: runtime.NumCPU()}
 	obsReg := cfg.obs
 	if obsReg == nil {
 		obsReg = obs.NewRegistry()
@@ -205,19 +193,8 @@ func runSuite(cfg suiteConfig) (Record, error) {
 	if nv < 1 {
 		nv = 1
 	}
-	cpuShards := runtime.NumCPU()
-	if cpuShards > stream.MaxShards {
-		cpuShards = stream.MaxShards
-	}
 	const nodes = 1 << 13
 
-	pipeline := func(workers, shards int) func() error {
-		return func() error {
-			src := newSynthTrace(2, cfg.packets, nodes)
-			_, err := stream.Run(src, stream.PipelineConfig{NV: nv, Workers: workers, Shards: shards, Metrics: sm})
-			return err
-		}
-	}
 	add := func(b Bench, err error) error {
 		if err != nil {
 			return err
@@ -225,37 +202,17 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		rec.Results = append(rec.Results, b)
 		return nil
 	}
-	pipelineEntry := func(name string, workers, shards int) (Bench, error) {
-		b, err := measure(name, cfg.minTime, cfg.maxIters, pipeline(workers, shards))
-		b.Workers, b.Shards = workers, shards
-		b.MPacketsPerS = float64(cfg.packets) / (b.NsPerOp / 1e9) / 1e6
-		return b, err
-	}
 
-	// Legacy pins first: serial is the matrix's {1,1} point measured
-	// once and recorded under both names; sharded keeps its historical
-	// geometry (one worker, one shard per CPU).
-	serial, err := pipelineEntry("pipeline-reduce-serial", 1, 1)
-	if err := add(serial, err); err != nil {
-		return rec, err
-	}
-	if err := add(pipelineEntry("pipeline-reduce-sharded", 1, cpuShards)); err != nil {
-		return rec, err
-	}
-	for _, w := range matrixWorkers {
-		for _, s := range matrixShards {
-			name := fmt.Sprintf("pipeline-w%d-s%d", w, s)
-			if w == 1 && s == 1 {
-				b := serial
-				b.Name = name
-				if err := add(b, nil); err != nil {
-					return rec, err
-				}
-				continue
-			}
-			if err := add(pipelineEntry(name, w, s)); err != nil {
-				return rec, err
-			}
+	for _, workers := range benchWorkers {
+		b, err := measure(fmt.Sprintf("pipeline-w%d", workers), cfg.minTime, cfg.maxIters, func() error {
+			src := newSynthTrace(2, cfg.packets, nodes)
+			_, err := stream.Run(src, stream.PipelineConfig{NV: nv, Workers: workers, Metrics: sm})
+			return err
+		})
+		b.Workers = workers
+		b.MPacketsPerS = float64(cfg.packets) / (b.NsPerOp / 1e9) / 1e6
+		if err := add(b, err); err != nil {
+			return rec, err
 		}
 	}
 
@@ -318,7 +275,7 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		// the tracestore test suite), so ArchiveBytes must match the replay
 		// entries' exactly — a compare that sees it move caught a codec or
 		// framing change, not a perf change.
-		for _, workers := range recordWorkers {
+		for _, workers := range benchWorkers {
 			var sink bytes.Buffer
 			b, err := measure(fmt.Sprintf("ptrc-record-w%d%s", workers, suffix),
 				cfg.minTime, cfg.maxIters, func() error {
@@ -456,15 +413,6 @@ func runSuite(cfg suiteConfig) (Record, error) {
 	return rec, nil
 }
 
-// entryCPUs resolves a benchmark entry's CPU count, falling back to the
-// record-level count for v1 baselines that predate per-entry recording.
-func entryCPUs(b Bench, rec Record) int {
-	if b.CPUs > 0 {
-		return b.CPUs
-	}
-	return rec.CPUs
-}
-
 // compare prints a benchstat-style table of cur against base and returns
 // the names that regressed beyond maxRegression (<= 0 disables the gate;
 // ratios are still printed). ns/op is gated only when both entries were
@@ -487,7 +435,7 @@ func compare(w *log.Logger, base, cur Record, maxRegression float64) []string {
 			failed = append(failed, b.Name+" (missing)")
 			continue
 		}
-		sameHW := entryCPUs(b, base) == entryCPUs(c, cur)
+		sameHW := b.CPUs == c.CPUs
 		nsRatio := c.NsPerOp / b.NsPerOp
 		nsCol := fmt.Sprintf("%.2fx", nsRatio)
 		if !sameHW {
@@ -530,10 +478,8 @@ func readRecord(path string) (Record, error) {
 	if err := json.Unmarshal(data, &rec); err != nil {
 		return Record{}, fmt.Errorf("%s: %w", path, err)
 	}
-	switch rec.Schema {
-	case schemaV1, schemaV2, schemaV3, schemaV4, schemaV5, schemaV6:
-	default:
-		return Record{}, fmt.Errorf("%s: unknown schema %q", path, rec.Schema)
+	if rec.Schema != schema {
+		return Record{}, fmt.Errorf("%s: schema %q, want %q", path, rec.Schema, schema)
 	}
 	return rec, nil
 }
@@ -541,7 +487,7 @@ func readRecord(path string) (Record, error) {
 func run(args []string, logger *log.Logger) error {
 	fs := flag.NewFlagSet("palu-bench", flag.ContinueOnError)
 	var (
-		out           = fs.String("out", "BENCH_PR13.json", "output JSON path")
+		out           = fs.String("out", "BENCH_PR14.json", "output JSON path")
 		comparePath   = fs.String("compare", "", "baseline JSON to compare against (benchstat-style ratios)")
 		maxRegression = fs.Float64("max-regression", 0, "fail when any same-hardware ns/op or any allocs/op ratio vs the baseline exceeds this factor (0 = report only)")
 		packets       = fs.Int64("packets", 2_000_000, "pipeline benchmark trace length in packets")

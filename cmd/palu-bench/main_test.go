@@ -30,15 +30,15 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Schema != schemaV6 {
-		t.Errorf("schema = %q, want %q", rec.Schema, schemaV6)
+	if rec.Schema != schema {
+		t.Errorf("schema = %q, want %q", rec.Schema, schema)
 	}
-	// v3+ embeds the instrumented suite's snapshot; the deterministic
+	// The record embeds the instrumented suite's snapshot; the deterministic
 	// counters must show the workload actually ran — including the packed
 	// codec's own read/write counters, proving the codec matrix really
 	// exercised both encodings.
 	if rec.Metrics == nil {
-		t.Fatal("v4 record has no metrics snapshot")
+		t.Fatal("record has no metrics snapshot")
 	}
 	for _, name := range []string{
 		"palu_stream_windows_total", "palu_ptrc_blocks_read_total", "palu_ptrc_blocks_written_total",
@@ -50,10 +50,7 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 		}
 	}
 	want := []string{
-		"pipeline-reduce-serial", "pipeline-reduce-sharded",
-		"pipeline-w1-s1", "pipeline-w1-s4", "pipeline-w1-s8",
-		"pipeline-w2-s1", "pipeline-w2-s4", "pipeline-w2-s8",
-		"pipeline-w4-s1", "pipeline-w4-s4", "pipeline-w4-s8",
+		"pipeline-w1", "pipeline-w2", "pipeline-w4",
 		"ptrc-replay-sequential", "ptrc-replay-parallel",
 		"ptrc-record-w1", "ptrc-record-w2", "ptrc-record-w4",
 		"ptrc-replay-sequential-packed", "ptrc-replay-parallel-packed",
@@ -77,8 +74,7 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			t.Errorf("%s: entry records no CPU count", name)
 		}
 	}
-	// Every replay entry names its codec and archive size (the v4
-	// additions); the packed archive must differ in size from deflate's
+	// Every replay entry names its codec and archive size; the packed archive must differ in size from deflate's
 	// on the same trace, or the suite silently benchmarked one codec.
 	var deflateBytes, packedBytes uint64
 	for _, b := range rec.Results {
@@ -100,7 +96,7 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			deflateBytes, packedBytes)
 	}
 
-	// v5 write-path entries: every record benchmark names its worker
+	// Write-path entries: every record benchmark names its worker
 	// count and produces an archive byte-identical to the replay
 	// archive of the same codec (the pipelined writer's equivalence
 	// guarantee showing up in the committed record); the passthrough
@@ -131,11 +127,11 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The matrix point {1,1} is the serial pin measured once: identical
-	// numbers under both names, with the matrix geometry recorded.
-	serial, w1s1 := rec.Results[0], rec.Results[2]
-	if serial.NsPerOp != w1s1.NsPerOp || serial.Workers != 1 || serial.Shards != 1 {
-		t.Errorf("serial pin and w1-s1 should be one measurement: %+v vs %+v", serial, w1s1)
+	// Pipeline entries record the worker count they ran at.
+	for i, workers := range []int{1, 2, 4} {
+		if b := rec.Results[i]; b.Workers != workers {
+			t.Errorf("%s: workers = %d, want %d", b.Name, b.Workers, workers)
+		}
 	}
 
 	// Self-compare under any gate passes (ratio 1.0 exactly).
@@ -191,34 +187,19 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadRecordAcceptsV1 pins baseline compatibility: a v1 record (no
-// per-entry CPUs) still loads, and its entries inherit the record-level
-// CPU count for comparison purposes.
-func TestReadRecordAcceptsV1(t *testing.T) {
-	dir := t.TempDir()
-	p := filepath.Join(dir, "v1.json")
-	v1 := `{"schema":"palu-bench-v1","go":"go1.0","cpus":4,"benchmarks":[
-		{"name":"pipeline-reduce-serial","ns_per_op":100,"allocs_per_op":5,"bytes_per_op":10}]}`
-	if err := os.WriteFile(p, []byte(v1), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := readRecord(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := entryCPUs(rec.Results[0], rec); got != 4 {
-		t.Fatalf("v1 entry CPUs = %d, want record-level 4", got)
-	}
-}
-
+// TestReadRecordRejectsBadSchema pins that only the current schema
+// loads: an unknown schema and an older palu-bench schema are both
+// rejected, as is a missing file.
 func TestReadRecordRejectsBadSchema(t *testing.T) {
 	dir := t.TempDir()
 	p := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(p, []byte(`{"schema":"other","benchmarks":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readRecord(p); err == nil {
-		t.Fatal("bad schema accepted")
+	for _, bad := range []string{"other", "palu-bench-v5"} {
+		if err := os.WriteFile(p, []byte(`{"schema":"`+bad+`","benchmarks":[]}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readRecord(p); err == nil {
+			t.Fatalf("schema %q accepted", bad)
+		}
 	}
 	if _, err := readRecord(filepath.Join(dir, "absent.json")); err == nil {
 		t.Fatal("absent file accepted")

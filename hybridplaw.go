@@ -372,8 +372,10 @@ func NewCSVSource(r io.Reader) *CSVSource { return stream.NewCSVSource(r) }
 type PacketCounter = stream.PacketCounter
 
 // BlockSource is the optional bulk extension of PacketSource: sources
-// holding runs of decoded packets (PTRC readers) hand them to the
-// pipeline's ingest stage whole.
+// holding runs of decoded packets (PTRC readers) hand them whole to bulk
+// consumers such as the PTRC writer and WriteTraceCSVFrom. The pipeline
+// does not use it; it ingests the PTRC readers through their fused
+// block decode.
 type BlockSource = stream.BlockSource
 
 // WriteTraceCSV archives a packet slice as a trace CSV (src,dst,valid).

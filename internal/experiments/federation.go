@@ -1,7 +1,7 @@
 package experiments
 
 // The federation scenario family: cross-site aggregation built on the
-// mergeable window partials of the sharded reduction core. K synthetic
+// mergeable window partials of the streaming reduction. K synthetic
 // observatory sites are each recorded once through the PTRC window
 // cache and replayed through the streaming pipeline with KeepPartials;
 // their per-window partials are rebased into disjoint id spaces and

@@ -20,7 +20,10 @@ import (
 // Config configures an Engine.
 type Config struct {
 	// Workers bounds how many scenarios run concurrently; <= 0 selects
-	// GOMAXPROCS, 1 runs the suite serially.
+	// GOMAXPROCS, 1 runs the suite serially. Each scenario's inner
+	// streaming pipeline gets GOMAXPROCS divided by the scenarios that
+	// can run at once, so a parallel suite does not oversubscribe the
+	// machine.
 	Workers int
 	// OutDir is where Context.WriteArtifact renders artifact files;
 	// created on demand. Empty forbids artifact writes.
@@ -28,15 +31,6 @@ type Config struct {
 	// CacheDir enables the PTRC window cache rooted there. Empty disables
 	// caching: every Context.Stream generates traffic directly.
 	CacheDir string
-	// PipelineWorkers bounds the worker pool of each scenario's inner
-	// streaming pipeline; <= 0 divides GOMAXPROCS by the scenario worker
-	// count so a parallel suite does not oversubscribe the machine.
-	PipelineWorkers int
-	// PipelineShards sets the intra-window parallel-reduce width of each
-	// scenario's inner pipeline (stream.PipelineConfig.Shards); <= 0
-	// leaves the pipeline default (1). Results are identical at any
-	// shard count — this is a throughput knob only.
-	PipelineShards int
 	// RecordWorkers sets the pipelined-writer worker count
 	// (tracestore.WriterOptions.Workers) used when a window-cache miss
 	// records a fresh archive; <= 1 keeps the serial writer. Archives
@@ -117,9 +111,6 @@ func (e *Engine) CacheStats() CacheStats {
 // small -only selection under a wide pool still gets full-width
 // pipelines.
 func (e *Engine) pipelineBudget(n int) int {
-	if e.cfg.PipelineWorkers > 0 {
-		return e.cfg.PipelineWorkers
-	}
 	concurrent := e.cfg.Workers
 	if n < concurrent {
 		concurrent = n
@@ -446,9 +437,6 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 		}
 		if cfg.Workers <= 0 {
 			cfg.Workers = c.pipeWorkers
-		}
-		if cfg.Shards <= 0 {
-			cfg.Shards = c.eng.cfg.PipelineShards
 		}
 		if cfg.Metrics == nil {
 			cfg.Metrics = c.eng.m.streamMetrics()

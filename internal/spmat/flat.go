@@ -1,7 +1,7 @@
 package spmat
 
-// Cache-friendly open-addressing flat tables: the storage behind Builder
-// since the sharded-reduction refactor. A window reduction is a
+// Cache-friendly open-addressing flat tables: the storage behind
+// Builder. A window reduction is a
 // key → count accumulation on the hot path; Go maps pay for hashing
 // flexibility, bucket indirection and per-op write barriers that a
 // fixed-shape table does not need. The tables here are linear-probing

@@ -126,8 +126,8 @@ func (b *Builder) derive() {
 }
 
 // Merge folds another builder's link counts into b. The other builder
-// remains valid; Merge is the reduction step of the parallel shard
-// builders. It is correct under any packet partitioning: per-link counts
+// remains valid; Merge is the reduction step of ParallelBuild's
+// per-worker builders. It is correct under any packet partitioning: per-link counts
 // combine by addition, and every node reduction re-derives from the
 // merged link table.
 func (b *Builder) Merge(other *Builder) {

@@ -7,40 +7,33 @@ package stream
 //
 //	PacketSource → fixed-NV windower → reduce → Sinks
 //
-// Since the fused-decode refactor the unit flowing through the pipeline
-// is the packed (src<<32 | dst) link key of a valid packet, not the
-// Packet struct: invalid packets are filtered (and counted) at ingest,
-// and everything downstream — shard routing, the spmat flat tables, the
-// handoff buffers — speaks packed keys. Sources split into three tiers:
+// The unit flowing through the pipeline is the packed (src<<32 | dst)
+// link key of a valid packet, not the Packet struct: invalid packets are
+// filtered (and counted) at ingest, and everything downstream — the
+// spmat flat tables, the handoff buffers — speaks packed keys. Every
+// source fills windows through one surface, DecodeInto. An
+// EncodedBlockSource (the PTRC readers) decodes its compressed blocks
+// directly into the window under construction, with no []Packet
+// materialization at all (see tracestore.Reader.DecodeInto). Any other
+// PacketSource is adapted by packetDecoder, which batches keys on the
+// stack so the flat tables can overlap their cache misses.
 //
-//   - PacketSource: one interface call per packet; keys are batched on
-//     the stack before entering the reduce so the flat tables can
-//     overlap their cache misses (spmat.Builder.AddPairs).
-//   - BlockSource: whole decoded runs at a time (the PTRC readers);
-//     filter, pack and batch in one tight loop.
-//   - EncodedBlockSource: the fused hot path. The source decodes its
-//     compressed blocks *directly into the window under construction* —
-//     one pass over the uvarint buffer, no []Packet materialization at
-//     all (see tracestore.Reader.DecodeInto).
-//
-// With Workers == 1 and Shards == 1 the pipeline runs fully fused on the
-// calling goroutine: valid packets accumulate straight into one pooled
+// With Workers == 1 the pipeline runs fully fused on the calling
+// goroutine: valid packets accumulate straight into one pooled
 // spmat.Builder, windows reduce and feed the sinks inline, and no
 // intermediate buffer of any kind exists between the source and the
-// flat tables. Otherwise the ingest loop routes keys by link-key hash
-// into the shard buffers of a pooled PairWindow and hands each completed
-// window to a fixed worker pool: a worker owns one spmat.Builder per
-// shard for its lifetime, replays the shard buffers concurrently
-// through Builder.AddPairs, merges in fixed shard order, converts the
-// merged state into the five Fig. 1 quantity histograms, resets the
-// builders with their tables still warm, and returns the window to the
-// pool. A consumer goroutine re-orders completed windows and feeds each
-// Sink in strict window order, so every sink observes exactly the
-// sequence a serial pass would produce — byte-identical at any
-// workers × shards combination, because every reduction is an
-// order-independent integer accumulation and shard merges happen in
-// fixed order. At no point are more than workers+1 windows resident in
-// memory, regardless of trace length.
+// flat tables. Otherwise the ingest loop fills the key buffer of a
+// pooled PairWindow and hands each completed window to a fixed worker
+// pool: a worker owns one spmat.Builder for its lifetime, replays the
+// buffer through Builder.AddPairs, converts the state into the five
+// Fig. 1 quantity histograms, resets the builder with its tables still
+// warm, and returns the window to the pool. A consumer goroutine
+// re-orders completed windows and feeds each Sink in strict window
+// order, so every sink observes exactly the sequence a serial pass
+// would produce — byte-identical at any worker count, because every
+// reduction is an order-independent integer accumulation. At no point
+// are more than workers+1 windows resident in memory, regardless of
+// trace length.
 
 import (
 	"errors"
@@ -105,12 +98,10 @@ type PacketCounter interface {
 
 // BlockSource is the optional bulk extension of PacketSource: sources
 // that naturally hold runs of decoded packets (the tracestore block
-// readers) expose them whole, and Run's ingest loop consumes the run
-// with a tight filter-and-pack loop instead of one interface call per
-// packet — the serial stage of the pipeline is then bounded by memory
-// bandwidth, not call overhead. (SliceSource deliberately stays
-// per-packet: it is the reference source, and bounded runs over it pin
-// exact packet-level consumption semantics.)
+// readers) expose them whole, so bulk consumers — the PTRC writer's
+// RecordFrom, WriteTraceCSVFrom — drain them without one interface call
+// per packet. Run does not use it: the PTRC readers are also
+// EncodedBlockSources, and every other source is read per packet.
 type BlockSource interface {
 	PacketSource
 	// NextBlock returns the next run of packets, or ok = false at end of
@@ -123,9 +114,9 @@ type BlockSource interface {
 
 // EncodedBlockSource is the fused extension of PacketSource: sources
 // whose blocks exist in an encoded on-disk form (the PTRC readers)
-// decode them directly into the window under construction, skipping the
-// []Packet materialization of the BlockSource path entirely. Run prefers
-// this path over BlockSource whenever a source offers both.
+// decode them directly into the window under construction, with no
+// []Packet materialization. DecodeInto is Run's one ingest surface: Run
+// adapts every other PacketSource to it (packetDecoder).
 type EncodedBlockSource interface {
 	PacketSource
 	// DecodeInto decodes packets from the source's current block run
@@ -136,6 +127,38 @@ type EncodedBlockSource interface {
 	// run; callers loop. DecodeInto must not be interleaved with Next or
 	// NextBlock on the same source.
 	DecodeInto(w *PairWindow) (valid, invalid int64, full, ok bool)
+}
+
+// packetDecoder adapts a per-packet PacketSource to the DecodeInto
+// ingest surface. One call fills at most one stack batch of keys and
+// reports full on exactly the packet that closes the window, so a
+// MaxWindows-bounded run never reads past its final window.
+type packetDecoder struct {
+	PacketSource
+}
+
+// DecodeInto implements EncodedBlockSource.
+func (d packetDecoder) DecodeInto(w *PairWindow) (valid, invalid int64, full, ok bool) {
+	var batch [pairBatch]uint64
+	n := int64(len(batch))
+	if rem := w.Remaining(); rem < n {
+		n = rem
+	}
+	for valid < n {
+		p, more := d.Next()
+		if !more {
+			w.AddPairs(batch[:valid])
+			return valid, invalid, false, false
+		}
+		if !p.Valid {
+			invalid++
+			continue
+		}
+		batch[valid] = uint64(p.Src)<<32 | uint64(p.Dst)
+		valid++
+	}
+	w.AddPairs(batch[:valid])
+	return valid, invalid, w.Remaining() == 0, true
 }
 
 // takeValidSource limits a source to a prefix ending at its n-th valid
@@ -240,18 +263,10 @@ type PipelineConfig struct {
 	// NV is the window size in valid packets (required, positive).
 	NV int64
 	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS. Window
-	// residency is bounded by Workers+1. Workers == 1 with Shards <= 1
-	// selects the fully fused serial pipeline: ingest, reduce and sinks
-	// share the calling goroutine and no handoff buffers exist.
+	// residency is bounded by Workers+1. Workers == 1 selects the fully
+	// fused serial pipeline: ingest, reduce and sinks share the calling
+	// goroutine and no handoff buffers exist.
 	Workers int
-	// Shards is the intra-window parallel-reduce width: each window's
-	// packets are partitioned by link-key hash into Shards builders
-	// reduced concurrently, then merged in fixed shard order, so every
-	// sink observes results identical to the serial reduce at any shard
-	// count. <= 0 selects 1 (reduce each window on its worker alone);
-	// values above MaxShards are clamped. Shards multiply Workers: a
-	// run holds up to Workers×Shards reduction goroutines.
-	Shards int
 	// MaxWindows stops the pipeline after that many complete windows;
 	// <= 0 streams until the source is exhausted. With a MaxWindows
 	// bound the source is not consumed past the closing packet of the
@@ -273,22 +288,6 @@ type PipelineConfig struct {
 	Metrics *Metrics
 }
 
-// MaxShards bounds the intra-window reduce width; beyond this, shard
-// buffers are too small to amortize the per-shard goroutine.
-const MaxShards = 64
-
-// shards returns the normalized intra-window reduce width.
-func (cfg PipelineConfig) shards() int {
-	switch {
-	case cfg.Shards <= 0:
-		return 1
-	case cfg.Shards > MaxShards:
-		return MaxShards
-	default:
-		return cfg.Shards
-	}
-}
-
 // PipelineStats summarizes a pipeline run.
 type PipelineStats struct {
 	// Windows is the number of complete windows delivered to the sinks.
@@ -303,15 +302,16 @@ type PipelineStats struct {
 	// -1 otherwise. For a fully drained counting source it equals
 	// ValidPackets + InvalidPackets; a shortfall against an expected trace
 	// length indicates a truncated archive. A MaxWindows-bounded run over
-	// a block-based source may read up to one block past the packets it
-	// counts (consumption granularity is the block).
+	// an EncodedBlockSource may read up to one block past the packets it
+	// counts (consumption granularity is the block); over any other
+	// source it stops exactly at the packet that closed the final window.
 	SourcePacketsRead int64
 }
 
-// pairBatch is the stack batch size of the per-packet and per-block
-// ingest loops: keys are collected in runs of this size before entering
-// the flat tables, so spmat's batched adds can overlap their cache
-// misses. 256 keys = 2 KiB of stack, 32 prefetch strides per flush.
+// pairBatch is the stack batch size of packetDecoder: keys are collected
+// in runs of this size before entering the flat tables, so spmat's
+// batched adds can overlap their cache misses. 256 keys = 2 KiB of
+// stack, 32 prefetch strides per flush.
 const pairBatch = 256
 
 // Run executes the streaming pipeline: it ingests packets from src on
@@ -334,13 +334,16 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	if cfg.MaxWindows > 0 && workers > cfg.MaxWindows {
 		workers = cfg.MaxWindows // never more workers than windows to reduce
 	}
-	shards := cfg.shards()
+	dec, ok := src.(EncodedBlockSource)
+	if !ok {
+		dec = packetDecoder{src}
+	}
 
 	var err error
-	if workers == 1 && shards == 1 {
-		err = runSerial(src, cfg, &stats, sinks)
+	if workers == 1 {
+		err = runSerial(dec, cfg, &stats, sinks)
 	} else {
-		err = runParallel(src, cfg, workers, shards, &stats, sinks)
+		err = runParallel(dec, cfg, workers, &stats, sinks)
 	}
 	if c, ok := src.(PacketCounter); ok {
 		stats.SourcePacketsRead = c.PacketsRead()
@@ -352,13 +355,13 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	return stats, src.Err()
 }
 
-// runSerial is the fully fused single-worker, single-shard pipeline:
-// ingest, window reduce and sink delivery share the calling goroutine,
-// and valid packets accumulate straight into one pooled builder — no
-// chunk buffers, no channels, no goroutines. For EncodedBlockSource
-// this is the one-pass hot path: compressed PTRC payloads decode
-// directly into the builder's flat tables.
-func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
+// runSerial is the fully fused single-worker pipeline: ingest, window
+// reduce and sink delivery share the calling goroutine, and valid
+// packets accumulate straight into one pooled builder — no chunk
+// buffers, no channels, no goroutines. Over the PTRC readers this is the
+// one-pass hot path: compressed payloads decode directly into the
+// builder's flat tables.
+func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
 	// are nil and every Start/Inc below is an inert branch.
 	ingestT := cfg.Metrics.ingestTimer()
@@ -368,99 +371,36 @@ func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks
 
 	b := spmat.NewBuilder()
 	bAlloc.Inc()
-	w := newDirectWindow(b, cfg.NV)
-	t := 0
-	done := false
-	closeWindow := func() error {
-		csp := closeT.Start()
-		res, err := reduceWindow(t, b, cfg)
-		csp.Stop()
-		if err != nil {
-			return err
-		}
-		ssp := sinkT.Start()
-		for _, s := range sinks {
-			if err := s.ConsumeWindow(res); err != nil {
-				ssp.Stop()
+	w := &PairWindow{direct: b, nv: cfg.NV}
+	for t := 0; cfg.MaxWindows <= 0 || t < cfg.MaxWindows; {
+		isp := ingestT.Start()
+		valid, invalid, full, ok := src.DecodeInto(w)
+		isp.Stop()
+		stats.ValidPackets += valid
+		stats.InvalidPackets += invalid
+		if full {
+			csp := closeT.Start()
+			res, err := reduceWindow(t, b, cfg)
+			csp.Stop()
+			if err != nil {
 				return err
 			}
-		}
-		ssp.Stop()
-		stats.Windows++
-		t++
-		b.Reset()
-		bReuse.Inc()
-		w.n = 0
-		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
-			done = true
-		}
-		return nil
-	}
-	switch s := src.(type) {
-	case EncodedBlockSource:
-		for !done {
-			isp := ingestT.Start()
-			valid, invalid, full, ok := s.DecodeInto(w)
-			isp.Stop()
-			stats.ValidPackets += valid
-			stats.InvalidPackets += invalid
-			if full {
-				if err := closeWindow(); err != nil {
+			ssp := sinkT.Start()
+			for _, s := range sinks {
+				if err := s.ConsumeWindow(res); err != nil {
+					ssp.Stop()
 					return err
 				}
 			}
-			if !ok {
-				break
-			}
+			ssp.Stop()
+			stats.Windows++
+			t++
+			b.Reset()
+			bReuse.Inc()
+			w.Reset()
 		}
-	case BlockSource:
-		for !done {
-			isp := ingestT.Start()
-			blk, ok := s.NextBlock()
-			isp.Stop()
-			if !ok {
-				break
-			}
-			for len(blk) > 0 && !done {
-				consumed, valid, invalid, full := w.addPackets(blk)
-				stats.ValidPackets += valid
-				stats.InvalidPackets += invalid
-				blk = blk[consumed:]
-				if full {
-					if err := closeWindow(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	default:
-		var batch [pairBatch]uint64
-		k := 0
-		for !done {
-			p, ok := src.Next()
-			if !ok {
-				break
-			}
-			if !p.Valid {
-				stats.InvalidPackets++
-				continue
-			}
-			batch[k] = uint64(p.Src)<<32 | uint64(p.Dst)
-			k++
-			stats.ValidPackets++
-			if w.n+int64(k) == cfg.NV {
-				w.AddPairs(batch[:k])
-				k = 0
-				if err := closeWindow(); err != nil {
-					return err
-				}
-			} else if k == len(batch) {
-				w.AddPairs(batch[:k])
-				k = 0
-			}
-		}
-		if k > 0 {
-			w.AddPairs(batch[:k])
+		if !ok {
+			break
 		}
 	}
 	stats.DiscardedTail = w.n
@@ -468,14 +408,13 @@ func runSerial(src PacketSource, cfg PipelineConfig, stats *PipelineStats, sinks
 }
 
 // runParallel is the worker-pool pipeline: the ingest loop (on the
-// calling goroutine) packs and routes valid packets into the shard
-// buffers of pooled PairWindows, completed windows reduce on a bounded
-// worker pool, and a consumer goroutine re-orders completions so sinks
-// observe strict window order.
-func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stats *PipelineStats, sinks []Sink) error {
+// calling goroutine) fills the key buffers of pooled PairWindows,
+// completed windows reduce on a bounded worker pool, and a consumer
+// goroutine re-orders completions so sinks observe strict window order.
+func runParallel(src EncodedBlockSource, cfg PipelineConfig, workers int, stats *PipelineStats, sinks []Sink) error {
 	type job struct {
 		t     int
-		chunk *PairWindow // exactly NV valid packets, pre-partitioned
+		chunk *PairWindow // exactly NV valid packets
 	}
 	type outcome struct {
 		t   int
@@ -493,45 +432,38 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 	wAlloc, wReuse := cfg.Metrics.windowPoolCounters()
 	bAlloc, bReuse := cfg.Metrics.builderCounters()
 
-	// The window pool is the memory bound: workers+1 window-sized
-	// pre-partitioned key buffers exist for the lifetime of the run (one
-	// filling, up to workers being reduced).
+	// The window pool is the memory bound: workers+1 window-sized key
+	// buffers exist for the lifetime of the run (one filling, up to
+	// workers being reduced).
 	free := make(chan *PairWindow, workers+1)
 	for i := 0; i < workers+1; i++ {
-		free <- newPairWindow(shards, cfg.NV)
+		free <- NewPairWindow(cfg.NV)
 	}
 	wAlloc.Add(int64(workers + 1))
 	jobs := make(chan job)
 	results := make(chan outcome, workers)
 	stop := make(chan struct{}) // closed once on the first consumer-side error
 
-	// Each worker owns one builder per shard for the whole run; Reset
-	// keeps their table storage warm across windows, killing per-window
-	// allocation churn. Shard builders reduce concurrently and merge in
-	// fixed shard order, so the merged state — and every product derived
-	// from it — is identical to a serial reduce at any shard count.
+	// Each worker owns one builder for the whole run; Reset keeps its
+	// table storage warm across windows, killing per-window allocation
+	// churn.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			builders := make([]*spmat.Builder, shards)
-			for s := range builders {
-				builders[s] = spmat.NewBuilder()
-			}
-			bAlloc.Add(int64(shards))
+			b := spmat.NewBuilder()
+			bAlloc.Inc()
 			for j := range jobs {
 				rsp := reduceT.Start()
-				root := reduceShards(builders, j.chunk)
+				b.AddPairs(j.chunk.keys)
 				rsp.Stop()
 				csp := closeT.Start()
-				res, err := reduceWindow(j.t, root, cfg)
+				res, err := reduceWindow(j.t, b, cfg)
 				csp.Stop()
-				for _, b := range builders {
-					b.Reset()
-				}
-				bReuse.Add(int64(shards))
-				j.chunk.reset()
+				b.Reset()
+				bReuse.Inc()
+				j.chunk.Reset()
 				free <- j.chunk // capacity workers+1: never blocks
 				queueG.Add(-1)
 				results <- outcome{t: j.t, res: res, err: err}
@@ -582,102 +514,38 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 		}
 	}()
 
-	// Ingest loop, on the caller's goroutine: filter, pack, route, hand
-	// off.
+	// Ingest loop, on the caller's goroutine: fill a window, hand it off
+	// to the worker pool, acquire a fresh buffer. It stops at end of
+	// stream, on a consumer-side error, or once MaxWindows are handed off.
 	chunk := <-free
-	t := 0
-	// handoff ships the full window to the worker pool and acquires a
-	// fresh buffer; it returns false when ingest must stop (consumer-side
-	// error or MaxWindows reached).
-	handoff := func() bool {
-		select {
-		case jobs <- job{t: t, chunk: chunk}:
-			queueG.Add(1)
-		case <-stop:
-			return false
-		}
-		chunk = nil
-		t++
-		if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
-			return false
-		}
-		select {
-		case chunk = <-free:
-			wReuse.Inc()
-		case <-stop:
-			return false
-		}
-		return true
-	}
-	switch s := src.(type) {
-	case EncodedBlockSource:
-		// Fused path: the source decodes compressed block runs straight
-		// into the shard buffers — one pass, no []Packet materialization.
-	ingestEncoded:
-		for {
-			isp := ingestT.Start()
-			valid, invalid, full, ok := s.DecodeInto(chunk)
-			isp.Stop()
-			stats.ValidPackets += valid
-			stats.InvalidPackets += invalid
-			if full && !handoff() {
-				break ingestEncoded
+ingest:
+	for t := 0; ; {
+		isp := ingestT.Start()
+		valid, invalid, full, ok := src.DecodeInto(chunk)
+		isp.Stop()
+		stats.ValidPackets += valid
+		stats.InvalidPackets += invalid
+		if full {
+			select {
+			case jobs <- job{t: t, chunk: chunk}:
+				queueG.Add(1)
+			case <-stop:
+				break ingest
 			}
-			if !ok {
+			chunk = nil
+			t++
+			if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
 				break
 			}
-		}
-	case BlockSource:
-		// Bulk path: whole decoded runs feed the shard buffers through
-		// addPackets — filter, pack, hash and route in one tight loop
-		// with no per-packet interface dispatch.
-	ingestBlocks:
-		for {
-			isp := ingestT.Start()
-			blk, ok := s.NextBlock()
-			isp.Stop()
-			if !ok {
-				break
-			}
-			for len(blk) > 0 {
-				consumed, valid, invalid, full := chunk.addPackets(blk)
-				stats.ValidPackets += valid
-				stats.InvalidPackets += invalid
-				blk = blk[consumed:]
-				if full && !handoff() {
-					break ingestBlocks
-				}
+			select {
+			case chunk = <-free:
+				wReuse.Inc()
+			case <-stop:
+				break ingest
 			}
 		}
-	default:
-		var batch [pairBatch]uint64
-		k := 0
-	ingestPackets:
-		for {
-			p, ok := s.Next()
-			if !ok {
-				break
-			}
-			if !p.Valid {
-				stats.InvalidPackets++
-				continue
-			}
-			batch[k] = uint64(p.Src)<<32 | uint64(p.Dst)
-			k++
-			stats.ValidPackets++
-			if chunk.n+int64(k) == cfg.NV {
-				chunk.AddPairs(batch[:k])
-				k = 0
-				if !handoff() {
-					break ingestPackets
-				}
-			} else if k == len(batch) {
-				chunk.AddPairs(batch[:k])
-				k = 0
-			}
-		}
-		if chunk != nil && k > 0 {
-			chunk.AddPairs(batch[:k])
+		if !ok {
+			break
 		}
 	}
 	if chunk != nil {
@@ -694,50 +562,23 @@ func runParallel(src PacketSource, cfg PipelineConfig, workers, shards int, stat
 
 // PairWindow is one window's valid packets as packed (src<<32 | dst)
 // link keys: the handoff unit between ingest and the reduce stage, and
-// the deposit target of fused decoders (EncodedBlockSource.DecodeInto).
-// In buffering mode the keys are partitioned by link-key hash into
-// shard buffers; in direct mode (the fully fused serial pipeline) every
-// deposit goes straight into a spmat.Builder and no buffer exists.
+// the deposit target of DecodeInto. In buffering mode the keys collect
+// in one buffer for a worker to reduce; in direct mode (the fully fused
+// serial pipeline) every deposit goes straight into a spmat.Builder and
+// no buffer exists.
 type PairWindow struct {
-	shards [][]uint64     // packed keys per shard (buffering mode)
+	keys   []uint64       // packed keys (buffering mode)
 	direct *spmat.Builder // non-nil: fused serial mode, keys bypass buffering
 	n      int64          // valid packets deposited
 	nv     int64          // window size
 }
 
-// NewPairWindow allocates a buffering window of the given shard width
-// (clamped to [1, MaxShards]) sized for nv valid packets. The pipeline
-// pools its own windows; the exported constructor exists for direct
-// consumers of EncodedBlockSource (tests, custom replay tools).
-func NewPairWindow(shards int, nv int64) *PairWindow {
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	return newPairWindow(shards, nv)
-}
-
-// newPairWindow allocates a buffering window of the given shard width
-// sized for nv valid packets.
-func newPairWindow(shards int, nv int64) *PairWindow {
-	w := &PairWindow{shards: make([][]uint64, shards), nv: nv}
-	per := int(nv)
-	if shards > 1 {
-		// Shard loads concentrate around nv/shards; leave headroom so
-		// ordinary imbalance does not re-allocate every window.
-		per = per/shards + per/(4*shards) + 16
-	}
-	for s := range w.shards {
-		w.shards[s] = make([]uint64, 0, per)
-	}
-	return w
-}
-
-// newDirectWindow returns a window depositing straight into b.
-func newDirectWindow(b *spmat.Builder, nv int64) *PairWindow {
-	return &PairWindow{direct: b, nv: nv}
+// NewPairWindow allocates a buffering window sized for nv valid packets.
+// The pipeline pools its own windows; the exported constructor exists
+// for direct consumers of EncodedBlockSource (tests, custom replay
+// tools).
+func NewPairWindow(nv int64) *PairWindow {
+	return &PairWindow{keys: make([]uint64, 0, nv), nv: nv}
 }
 
 // Remaining returns the number of valid packets the window still
@@ -748,112 +589,17 @@ func (w *PairWindow) Remaining() int64 { return w.nv - w.n }
 // len(keys) must not exceed Remaining(); the keys slice is not retained.
 func (w *PairWindow) AddPairs(keys []uint64) {
 	w.n += int64(len(keys))
-	switch {
-	case w.direct != nil:
+	if w.direct != nil {
 		w.direct.AddPairs(keys)
-	case len(w.shards) == 1:
-		w.shards[0] = append(w.shards[0], keys...)
-	default:
-		for _, k := range keys {
-			s := shardOfKey(k, len(w.shards))
-			w.shards[s] = append(w.shards[s], k)
-		}
+		return
 	}
-}
-
-// addPackets bulk-ingests a decoded packet run: valid packets are packed
-// into link keys and deposited in stack batches, invalid ones counted
-// and dropped, stopping as soon as the window fills. It reports how much
-// of blk it consumed, the valid/invalid split of the consumed prefix,
-// and whether the window is now full.
-func (w *PairWindow) addPackets(blk []Packet) (consumed int, valid, invalid int64, full bool) {
-	var batch [pairBatch]uint64
-	k := 0
-	rem := w.nv - w.n
-	for i, p := range blk {
-		if !p.Valid {
-			invalid++
-			continue
-		}
-		batch[k] = uint64(p.Src)<<32 | uint64(p.Dst)
-		k++
-		valid++
-		if int64(k) == rem {
-			w.AddPairs(batch[:k])
-			return i + 1, valid, invalid, true
-		}
-		if k == len(batch) {
-			w.AddPairs(batch[:k])
-			rem -= int64(k)
-			k = 0
-		}
-	}
-	if k > 0 {
-		w.AddPairs(batch[:k])
-	}
-	return len(blk), valid, invalid, false
+	w.keys = append(w.keys, keys...)
 }
 
 // Reset empties the window for reuse, retaining buffer capacity.
-func (w *PairWindow) Reset() { w.reset() }
-
-// reset empties the window for reuse, retaining buffer capacity.
-func (w *PairWindow) reset() {
-	for s := range w.shards {
-		w.shards[s] = w.shards[s][:0]
-	}
+func (w *PairWindow) Reset() {
+	w.keys = w.keys[:0]
 	w.n = 0
-}
-
-// shardOfKey routes a packed (src, dst) link key to a shard: a
-// splitmix64-finalized hash of the key, range-reduced by modulo over the
-// TOP 16 bits. Every packet of one link lands in one shard, which is
-// what makes the shard builders' link tables disjoint. The top bits
-// matter: spmat's flat tables index by the LOW bits of the same
-// finalizer, so selecting shards from the low bits would leave each
-// shard's keys agreeing in their table-index bits — only 1/S of the
-// slots would start probes, clustering the linear probing on the
-// hottest loop. Disjoint bit ranges keep the within-shard table
-// distribution uniform.
-func shardOfKey(key uint64, shards int) int {
-	h := key
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return int((h >> 48) % uint64(shards))
-}
-
-// reduceShards replays a window's shard buffers into per-shard builders
-// concurrently and merges them in fixed shard order into builders[0],
-// which it returns. Because each (src, dst) link lives in exactly one
-// shard and every reduction product is an order-independent integer
-// accumulation, the merged state is identical to a serial reduce of the
-// whole window at any shard count.
-func reduceShards(builders []*spmat.Builder, c *PairWindow) *spmat.Builder {
-	if len(builders) == 1 {
-		builders[0].AddPairs(c.shards[0])
-		return builders[0]
-	}
-	var wg sync.WaitGroup
-	for s := 1; s < len(builders); s++ {
-		if len(c.shards[s]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			builders[s].AddPairs(c.shards[s])
-		}(s)
-	}
-	builders[0].AddPairs(c.shards[0])
-	wg.Wait()
-	b := builders[0]
-	for s := 1; s < len(builders); s++ { // fixed shard order
-		b.Merge(builders[s])
-	}
-	return b
 }
 
 // reduceWindow converts a closed window's builder state into a

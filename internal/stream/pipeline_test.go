@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -148,23 +149,53 @@ func TestPipelineStats(t *testing.T) {
 	}
 }
 
+// TestPipelineMaxWindowsStopsReading pins the no-read-ahead contract of
+// the per-packet ingest in both run modes: a MaxWindows-bounded run
+// stops exactly at the packet that closes its final window, with
+// invalid packets interleaved so that position differs from NV ×
+// MaxWindows.
 func TestPipelineMaxWindowsStopsReading(t *testing.T) {
-	ps := mkPackets(4, 10000, 64, 0)
-	src := NewSliceSource(ps)
-	stats, err := Run(src, PipelineConfig{NV: 1000, MaxWindows: 2}, &ResultCollector{})
-	if err != nil {
-		t.Fatal(err)
+	const (
+		nv         = 1000
+		maxWindows = 2
+	)
+	ps := mkPackets(4, 10000, 64, 10) // every 10th packet invalid
+	// closing is the 1-based trace position of the valid packet that
+	// closes window maxWindows.
+	closing, valid := 0, 0
+	for valid < nv*maxWindows {
+		if ps[closing].Valid {
+			valid++
+		}
+		closing++
 	}
-	if stats.Windows != 2 {
-		t.Fatalf("windows = %d, want 2", stats.Windows)
-	}
-	// The source must not be consumed past the packet that closed the
-	// final window: bounded read-ahead, no draining.
-	if src.i != 2000 {
-		t.Errorf("source consumed %d packets, want exactly 2000", src.i)
-	}
-	if stats.DiscardedTail != 0 {
-		t.Errorf("discarded tail = %d, want 0 under MaxWindows", stats.DiscardedTail)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			src := NewSliceSource(ps)
+			stats, err := Run(src, PipelineConfig{NV: nv, MaxWindows: maxWindows, Workers: workers},
+				&ResultCollector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Windows != maxWindows {
+				t.Fatalf("windows = %d, want %d", stats.Windows, maxWindows)
+			}
+			// The source must not be consumed past the packet that closed
+			// the final window: bounded read-ahead, no draining.
+			if src.i != closing {
+				t.Errorf("source consumed %d packets, want exactly %d", src.i, closing)
+			}
+			if stats.SourcePacketsRead != int64(closing) {
+				t.Errorf("SourcePacketsRead = %d, want %d", stats.SourcePacketsRead, closing)
+			}
+			if stats.ValidPackets+stats.InvalidPackets != int64(closing) {
+				t.Errorf("ingested %d+%d packets, want %d",
+					stats.ValidPackets, stats.InvalidPackets, closing)
+			}
+			if stats.DiscardedTail != 0 {
+				t.Errorf("discarded tail = %d, want 0 under MaxWindows", stats.DiscardedTail)
+			}
+		})
 	}
 }
 

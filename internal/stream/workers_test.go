@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/model"
@@ -15,7 +13,7 @@ import (
 
 // synthSource deterministically generates a bounded random trace:
 // replaying the same seed yields the identical packet sequence, so the
-// serial reference and every worker/shard configuration consume the
+// serial reference and every worker configuration consume the
 // same trace without materializing it.
 type synthSource struct {
 	r     *xrand.RNG
@@ -155,13 +153,13 @@ func renderWindows(wins []*WindowResult) []byte {
 	return b.Bytes()
 }
 
-func collectWith(t *testing.T, seed uint64, n, nv int64, workers, shards int) []*WindowResult {
+func collectWith(t *testing.T, seed uint64, n, nv int64, workers int) []*WindowResult {
 	t.Helper()
 	src := newSynthSource(seed, n, 3000, 37)
 	var col ResultCollector
-	stats, err := Run(src, PipelineConfig{NV: nv, Workers: workers, Shards: shards}, &col)
+	stats, err := Run(src, PipelineConfig{NV: nv, Workers: workers}, &col)
 	if err != nil {
-		t.Fatalf("workers=%d shards=%d: %v", workers, shards, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	if stats.Windows != len(col.Results) {
 		t.Fatalf("stats.Windows=%d, collected %d", stats.Windows, len(col.Results))
@@ -169,12 +167,11 @@ func collectWith(t *testing.T, seed uint64, n, nv int64, workers, shards int) []
 	return col.Results
 }
 
-// TestShardedEquivalentToSerial is the sharded ≡ serial property pin:
+// TestWorkersEquivalentToSerial is the workers ≡ serial property pin:
 // for random traces, all five quantity histograms, the aggregates, and
-// the serialized sink artifact must be byte-identical across every
-// tested workers × shards combination, and identical to the
-// pre-refactor map-based reference.
-func TestShardedEquivalentToSerial(t *testing.T) {
+// the serialized sink artifact must be byte-identical at every tested
+// worker count, and identical to the pre-refactor map-based reference.
+func TestWorkersEquivalentToSerial(t *testing.T) {
 	const (
 		n  = 120000
 		nv = 10000
@@ -182,50 +179,47 @@ func TestShardedEquivalentToSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		ref := mapReduceWindows(newSynthSource(seed, n, 3000, 37), nv, 0)
 		refBytes := renderWindows(ref)
-		serial := collectWith(t, seed, n, nv, 1, 1)
+		serial := collectWith(t, seed, n, nv, 1)
 		if len(serial) != len(ref) {
 			t.Fatalf("seed %d: pipeline windows %d, reference %d", seed, len(serial), len(ref))
 		}
 		if !bytes.Equal(renderWindows(serial), refBytes) {
 			t.Fatalf("seed %d: serial pipeline diverges from map reference", seed)
 		}
-		for _, workers := range []int{1, 2, 4} {
-			for _, shards := range []int{1, 2, 8} {
-				got := collectWith(t, seed, n, nv, workers, shards)
-				if !bytes.Equal(renderWindows(got), refBytes) {
-					t.Errorf("seed %d workers=%d shards=%d: windows diverge from serial reference",
-						seed, workers, shards)
-				}
+		for _, workers := range []int{2, 4} {
+			got := collectWith(t, seed, n, nv, workers)
+			if !bytes.Equal(renderWindows(got), refBytes) {
+				t.Errorf("seed %d workers=%d: windows diverge from serial reference", seed, workers)
 			}
 		}
 	}
 }
 
-// TestShardedFitSinkIdentical pins that FitSink — the most derived sink
-// — records identical per-window fits under sharding, because it
+// TestWorkersFitSinkIdentical pins that FitSink — the most derived sink
+// — records identical per-window fits at any worker count, because it
 // observes identical histograms.
-func TestShardedFitSinkIdentical(t *testing.T) {
+func TestWorkersFitSinkIdentical(t *testing.T) {
 	const (
 		n  = 80000
 		nv = 20000
 	)
 	reg := model.Default()
-	run := func(workers, shards int) []WindowFits {
+	run := func(workers int) []WindowFits {
 		sink, err := NewFitSink(SourcePackets, reg, "zm", "csn")
 		if err != nil {
 			t.Fatal(err)
 		}
 		src := newSynthSource(11, n, 3000, 37)
-		if _, err := Run(src, PipelineConfig{NV: nv, Workers: workers, Shards: shards}, sink); err != nil {
+		if _, err := Run(src, PipelineConfig{NV: nv, Workers: workers}, sink); err != nil {
 			t.Fatal(err)
 		}
 		return sink.Windows
 	}
-	ref := run(1, 1)
-	for _, cfg := range [][2]int{{2, 2}, {4, 8}, {1, 8}} {
-		got := run(cfg[0], cfg[1])
+	ref := run(1)
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
 		if len(got) != len(ref) {
-			t.Fatalf("workers=%d shards=%d: %d windows, want %d", cfg[0], cfg[1], len(got), len(ref))
+			t.Fatalf("workers=%d: %d windows, want %d", workers, len(got), len(ref))
 		}
 		for i := range ref {
 			for j := range ref[i].Results {
@@ -237,7 +231,7 @@ func TestShardedFitSinkIdentical(t *testing.T) {
 				if refErr == nil {
 					r, g := ref[i].Results[j], got[i].Results[j]
 					if r.ParamString() != g.ParamString() || r.LogLik != g.LogLik || r.AIC != g.AIC {
-						t.Fatalf("window %d fitter %d: fit diverges under sharding", i, j)
+						t.Fatalf("workers=%d window %d fitter %d: fit diverges", workers, i, j)
 					}
 				}
 			}
@@ -246,35 +240,34 @@ func TestShardedFitSinkIdentical(t *testing.T) {
 }
 
 // TestPartialsUnderSharding pins that KeepPartials yields identical
-// canonical partials at any worker/shard count, and that ReducePartial
+// canonical partials at any worker count, and that ReducePartial
 // round-trips a window to its exact histograms.
 func TestPartialsUnderSharding(t *testing.T) {
 	const (
 		n  = 60000
 		nv = 15000
 	)
-	run := func(workers, shards int) *PartialSink {
+	run := func(workers int) *PartialSink {
 		sink := &PartialSink{}
 		src := newSynthSource(5, n, 2000, 0)
-		cfg := PipelineConfig{NV: nv, Workers: workers, Shards: shards, KeepPartials: true}
+		cfg := PipelineConfig{NV: nv, Workers: workers, KeepPartials: true}
 		if _, err := Run(src, cfg, sink); err != nil {
 			t.Fatal(err)
 		}
 		return sink
 	}
-	ref := run(1, 1)
+	ref := run(1)
 	if len(ref.Partials) == 0 {
 		t.Fatal("no partials collected")
 	}
-	for _, cfg := range [][2]int{{2, 2}, {4, 8}} {
-		got := run(cfg[0], cfg[1])
+	for _, workers := range []int{2, 4} {
+		got := run(workers)
 		if len(got.Partials) != len(ref.Partials) {
 			t.Fatalf("partial count mismatch: %d vs %d", len(got.Partials), len(ref.Partials))
 		}
 		for i := range ref.Partials {
 			if !reflect.DeepEqual(ref.Partials[i].Entries(), got.Partials[i].Entries()) {
-				t.Fatalf("window %d: partial entries diverge under workers=%d shards=%d",
-					i, cfg[0], cfg[1])
+				t.Fatalf("window %d: partial entries diverge under workers=%d", i, workers)
 			}
 		}
 	}
@@ -300,81 +293,5 @@ func TestPartialsUnderSharding(t *testing.T) {
 	// A PartialSink without KeepPartials must fail fast.
 	if _, err := Run(newSynthSource(5, nv+1, 2000, 0), PipelineConfig{NV: nv}, &PartialSink{}); err == nil {
 		t.Fatal("PartialSink without KeepPartials should error")
-	}
-}
-
-// TestShardedReduceSpeedup is the ISSUE 5 hardware-aware perf gate:
-// with >= 4 CPUs the sharded window reduce must beat the pre-refactor
-// single-worker map baseline by >= 2x on a 10M-packet trace. On fewer
-// CPUs (a laptop core, a CI sandbox) intra-window parallelism cannot
-// manifest, so the test degrades to equivalence-only at reduced scale —
-// the speedup itself is recorded by cmd/palu-bench, never asserted on
-// hardware that cannot express it.
-func TestShardedReduceSpeedup(t *testing.T) {
-	const nodes = 1 << 13
-	shardedRun := func(seed uint64, n, nv int64, shards int) []*WindowResult {
-		t.Helper()
-		var col ResultCollector
-		src := newSynthSource(seed, n, nodes, 0)
-		_, err := Run(src, PipelineConfig{NV: nv, Workers: 1, Shards: shards}, &col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return col.Results
-	}
-	cpus := runtime.NumCPU()
-	if cpus < 4 {
-		ref := mapReduceWindows(newSynthSource(21, 1_000_000, nodes, 0), 250_000, 0)
-		got := shardedRun(21, 1_000_000, 250_000, 4)
-		if !bytes.Equal(renderWindows(ref), renderWindows(got)) {
-			t.Fatal("sharded reduce diverges from map baseline")
-		}
-		t.Skipf("%d CPU(s): speedup gate needs >= 4, verified equivalence only", cpus)
-	}
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	const (
-		n  = 10_000_000
-		nv = 1_000_000
-	)
-	shards := cpus
-	if shards > MaxShards {
-		shards = MaxShards
-	}
-	// Warm all paths once at small scale (page in code, size tables).
-	mapReduceWindows(newSynthSource(1, 100_000, nodes, 0), 50_000, 0)
-	shardedRun(1, 100_000, 50_000, 1)
-	shardedRun(1, 100_000, 50_000, shards)
-
-	start := time.Now()
-	ref := mapReduceWindows(newSynthSource(2, n, nodes, 0), nv, 0)
-	baseline := time.Since(start)
-
-	start = time.Now()
-	serial := shardedRun(2, n, nv, 1)
-	fusedSerial := time.Since(start)
-
-	start = time.Now()
-	got := shardedRun(2, n, nv, shards)
-	sharded := time.Since(start)
-
-	if !bytes.Equal(renderWindows(ref), renderWindows(got)) {
-		t.Fatal("sharded reduce diverges from map baseline at benchmark scale")
-	}
-	if !bytes.Equal(renderWindows(ref), renderWindows(serial)) {
-		t.Fatal("fused serial reduce diverges from map baseline at benchmark scale")
-	}
-	speedup := baseline.Seconds() / sharded.Seconds()
-	t.Logf("10M-packet reduce: map baseline %v, fused serial %v, sharded (%d shards) %v, speedup %.2fx vs map",
-		baseline, fusedSerial, shards, sharded, speedup)
-	if speedup < 2 {
-		t.Errorf("sharded reduce speedup %.2fx < 2x over map baseline on %d CPUs", speedup, cpus)
-	}
-	// The ISSUE 6 fused-path gate: with real cores available, intra-window
-	// sharding must express as >= 2x over the fused serial pipeline —
-	// not merely over the slow map baseline.
-	if fusedSpeedup := fusedSerial.Seconds() / sharded.Seconds(); fusedSpeedup < 2 {
-		t.Errorf("sharded reduce only %.2fx over fused serial on %d CPUs, want >= 2x", fusedSpeedup, cpus)
 	}
 }

@@ -1,6 +1,6 @@
 // Root-level acceptance tests for internal/obs (DESIGN.md §11): the
 // snapshot of an instrumented replay must be identically keyed across
-// worker × shard configurations with exact equality for every
+// pipeline worker counts with exact equality for every
 // deterministic quantity, and instrumentation must not price the fused
 // serial hot path beyond a few percent.
 package hybridplaw
@@ -53,9 +53,8 @@ func buildObsTrace(t *testing.T) ([]byte, tracestore.ArchiveInfo) {
 	return buf.Bytes(), info
 }
 
-// TestObsSnapshotEquivalenceAcrossConfigs replays one archive at every
-// point of a {1,2,4} workers × {1,2,8} shards grid, each run against a
-// fresh registry, and requires (a) byte-identical snapshot key sets and
+// TestObsSnapshotEquivalenceAcrossConfigs replays one archive at
+// {1,2,4} pipeline workers, each run against a fresh registry, and requires (a) byte-identical snapshot key sets and
 // (b) exact equality for the deterministic quantities — packet counts,
 // windows, tail, blocks, bytes, and the per-window span counters. Times
 // and pool/queue traffic legitimately vary with the engine; counts of
@@ -75,16 +74,9 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 		"palu_ptrc_read_compressed_bytes_total",
 		"palu_ptrc_crc_failures_total",
 	}
-	type config struct{ workers, shards int }
-	var configs []config
-	for _, w := range []int{1, 2, 4} {
-		for _, s := range []int{1, 2, 8} {
-			configs = append(configs, config{w, s})
-		}
-	}
 	var baseNames []string
 	baseVals := map[string]int64{}
-	for i, cfg := range configs {
+	for i, workers := range []int{1, 2, 4} {
 		reg := obs.NewRegistry()
 		sm := stream.NewMetrics(reg)
 		tm := tracestore.NewMetrics(reg)
@@ -94,18 +86,18 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 		}
 		src.SetMetrics(tm)
 		stats, err := stream.Run(src, stream.PipelineConfig{
-			NV: obsTraceNV, Workers: cfg.workers, Shards: cfg.shards, Metrics: sm,
+			NV: obsTraceNV, Workers: workers, Metrics: sm,
 		}, stream.NewEnsembleSink())
 		if err != nil {
-			t.Fatalf("w=%d s=%d: %v", cfg.workers, cfg.shards, err)
+			t.Fatalf("w=%d: %v", workers, err)
 		}
 		if stats.Windows != obsTraceValid/obsTraceNV {
-			t.Fatalf("w=%d s=%d: %d windows", cfg.workers, cfg.shards, stats.Windows)
+			t.Fatalf("w=%d: %d windows", workers, stats.Windows)
 		}
 		snap := reg.Snapshot()
 		names := snap.Names()
 		if !sort.StringsAreSorted(names) {
-			t.Fatalf("w=%d s=%d: snapshot names not sorted", cfg.workers, cfg.shards)
+			t.Fatalf("w=%d: snapshot names not sorted", workers)
 		}
 		if i == 0 {
 			baseNames = names
@@ -139,18 +131,18 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(names, baseNames) {
-			t.Errorf("w=%d s=%d: snapshot key set diverges from baseline:\n%v\n%v",
-				cfg.workers, cfg.shards, names, baseNames)
+			t.Errorf("w=%d: snapshot key set diverges from baseline:\n%v\n%v",
+				workers, names, baseNames)
 		}
 		for _, name := range deterministic {
 			m, ok := snap.Get(name)
 			if !ok {
-				t.Errorf("w=%d s=%d: snapshot missing %s", cfg.workers, cfg.shards, name)
+				t.Errorf("w=%d: snapshot missing %s", workers, name)
 				continue
 			}
 			if m.Value != baseVals[name] {
-				t.Errorf("w=%d s=%d: %s = %d, baseline %d",
-					cfg.workers, cfg.shards, name, m.Value, baseVals[name])
+				t.Errorf("w=%d: %s = %d, baseline %d",
+					workers, name, m.Value, baseVals[name])
 			}
 		}
 	}
