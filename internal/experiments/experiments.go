@@ -287,14 +287,12 @@ func RunFigure4Panel(panel Figure4Panel, dmax int) (Figure4PanelResult, error) {
 	if err != nil {
 		return Figure4PanelResult{}, err
 	}
-	res := Figure4PanelResult{Panel: panel, DMax: dmax, ZM: zmD, BestSupLog10: math.Inf(1)}
-	for _, r := range panel.Rs {
-		c := palu.Curve{Alpha: panel.Alpha, Delta: panel.Delta, R: r}
-		pd, err := c.PooledD(dmax)
-		if err != nil {
-			return Figure4PanelResult{}, fmt.Errorf("r=%v: %w", r, err)
-		}
-		res.PALU = append(res.PALU, pd)
+	family, err := palu.PooledFamily(panel.Alpha, panel.Delta, panel.Rs, dmax)
+	if err != nil {
+		return Figure4PanelResult{}, err
+	}
+	res := Figure4PanelResult{Panel: panel, DMax: dmax, ZM: zmD, PALU: family, BestSupLog10: math.Inf(1)}
+	for _, pd := range family {
 		var worst float64
 		for i := range pd {
 			if i >= len(zmD) || zmD[i] <= 0 || pd[i] <= 0 {

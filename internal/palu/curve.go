@@ -50,24 +50,12 @@ func (c Curve) Eval(d int) float64 {
 
 // PMF returns the normalized PALU(d) probabilities for d = 1..dmax.
 func (c Curve) PMF(dmax int) ([]float64, error) {
-	if err := c.Validate(); err != nil {
+	if err := c.check(dmax); err != nil {
 		return nil, err
 	}
-	if dmax < 1 {
-		return nil, errors.New("palu: dmax must be >= 1")
-	}
 	out := make([]float64, dmax)
-	var z float64
-	for d := 1; d <= dmax; d++ {
-		v := c.Eval(d)
-		if v < 0 || math.IsNaN(v) {
-			return nil, fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", d, v, c.Delta)
-		}
-		out[d-1] = v
-		z += v
-	}
-	for i := range out {
-		out[i] /= z
+	if err := c.accumulate(powTable(c.Alpha, dmax), out, false); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -76,16 +64,101 @@ func (c Curve) PMF(dmax int) ([]float64, error) {
 // probabilities of the normalized curve over 1..dmax, the quantity plotted
 // in Fig. 4.
 func (c Curve) PooledD(dmax int) ([]float64, error) {
-	pmf, err := c.PMF(dmax)
-	if err != nil {
+	if err := c.check(dmax); err != nil {
 		return nil, err
 	}
-	nbins := hist.BinIndex(dmax) + 1
-	out := make([]float64, nbins)
-	for d := 1; d <= dmax; d++ {
-		out[hist.BinIndex(d)] += pmf[d-1]
+	out := make([]float64, hist.BinIndex(dmax)+1)
+	if err := c.accumulate(powTable(c.Alpha, dmax), out, true); err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// PooledFamily returns the pooled curves of one Fig. 4 panel: out[i] is
+// Curve{alpha, delta, rs[i]}.PooledD(dmax), bit for bit. The d^{−α} table
+// does not depend on r, so it is built once and shared by every curve. An
+// error names the r it came from.
+func PooledFamily(alpha, delta float64, rs []float64, dmax int) ([][]float64, error) {
+	var pow []float64
+	out := make([][]float64, len(rs))
+	for i, r := range rs {
+		c := Curve{Alpha: alpha, Delta: delta, R: r}
+		if err := c.check(dmax); err != nil {
+			return nil, fmt.Errorf("r=%v: %w", r, err)
+		}
+		if pow == nil {
+			pow = powTable(alpha, dmax)
+		}
+		out[i] = make([]float64, hist.BinIndex(dmax)+1)
+		if err := c.accumulate(pow, out[i], true); err != nil {
+			return nil, fmt.Errorf("r=%v: %w", r, err)
+		}
+	}
+	return out, nil
+}
+
+// check validates the curve and the degree range of PMF and PooledD.
+func (c Curve) check(dmax int) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
+	if dmax < 1 {
+		return errors.New("palu: dmax must be >= 1")
+	}
+	return nil
+}
+
+// powTable returns d^{−α} for d = 1..dmax (index 0 holds d=1).
+func powTable(alpha float64, dmax int) []float64 {
+	pow := make([]float64, dmax)
+	for i := range pow {
+		pow[i] = math.Pow(float64(i+1), -alpha)
+	}
+	return pow
+}
+
+// accumulate is the one evaluation of Eq. (5) behind PMF and PooledD. Over
+// d = 1..len(pow) it sums z = Σ PALU(d), then makes a second pass that
+// stores PALU(d)/z in out[d−1] (pooled false) or adds it to the
+// binary-log bin of d (pooled true), in ascending d. PALU(d) is
+// pow[d−1] + r^{(1−d)}·u/c, the same expression as Eval. The star term
+// r^{(1−d)} only shrinks with d, and once it is exactly 0 every later
+// PALU(d) is pow[d−1] + 0·u/c = pow[d−1] bit for bit (u/c finite), so Pow
+// is not called for it again.
+func (c Curve) accumulate(pow, out []float64, pooled bool) error {
+	uc := c.UOverC()
+	cut := len(pow) // star terms from index cut on are exactly 0
+	var z float64
+	for i, p := range pow {
+		v := p
+		if i < cut {
+			s := math.Pow(c.R, float64(-i))
+			v = p + s*uc
+			if s == 0 && !math.IsInf(uc, 0) {
+				cut = i + 1
+			}
+		}
+		if v < 0 || math.IsNaN(v) {
+			return fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", i+1, v, c.Delta)
+		}
+		z += v
+	}
+	bin, upper := 0, 1 // bin i of package hist covers (2^{i−1}, 2^i]
+	for i, p := range pow {
+		v := p
+		if i < cut {
+			v = p + math.Pow(c.R, float64(-i))*uc
+		}
+		if !pooled {
+			out[i] = v / z
+			continue
+		}
+		if i+1 > upper {
+			bin, upper = bin+1, upper<<1
+		}
+		out[bin] += v / z
+	}
+	return nil
 }
 
 // DeltaFromObservation inverts the Section VI parameter bridge

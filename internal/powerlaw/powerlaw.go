@@ -36,29 +36,6 @@ type Fit struct {
 	NTail int64
 }
 
-// logLikelihood returns the discrete power-law log likelihood per the CSN
-// formula: -n·ln ζ(α, xmin) − α Σ ln d_i, expressed with histogram counts.
-func logLikelihood(h *hist.Histogram, xmin int, alpha float64) float64 {
-	z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
-	if err != nil {
-		return math.Inf(-1)
-	}
-	var n int64
-	var sumLog float64
-	for _, d := range h.Support() {
-		if d < xmin {
-			continue
-		}
-		c := h.Count(d)
-		n += c
-		sumLog += float64(c) * math.Log(float64(d))
-	}
-	if n == 0 {
-		return math.Inf(-1)
-	}
-	return -float64(n)*math.Log(z) - alpha*sumLog
-}
-
 // FitAtXmin computes the MLE exponent for a fixed cutoff xmin by golden-
 // section maximization of the likelihood over α ∈ (1.01, 6).
 func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
@@ -68,41 +45,60 @@ func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
 	if xmin < 1 {
 		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
 	}
+	return fitAt(h, h.Support(), xmin)
+}
+
+// fitAt is FitAtXmin over the histogram's sorted support. The CSN log
+// likelihood −n·ln ζ(α, xmin) − α Σ c·ln d depends on α only through ζ,
+// so n and Σ c·ln d over d >= xmin are summed once, in ascending d, and
+// each golden-section step costs one Hurwitz zeta.
+func fitAt(h *hist.Histogram, support []int, xmin int) (Fit, error) {
 	var nTail int64
-	for _, d := range h.Support() {
-		if d >= xmin {
-			nTail += h.Count(d)
+	var sumLog float64
+	for _, d := range support {
+		if d < xmin {
+			continue
 		}
+		c := h.Count(d)
+		nTail += c
+		sumLog += float64(c) * math.Log(float64(d))
 	}
 	if nTail < 2 {
 		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
 	}
-	neg := func(alpha float64) float64 { return -logLikelihood(h, xmin, alpha) }
+	// neg is the negated log likelihood.
+	neg := func(alpha float64) float64 {
+		z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
+		if err != nil {
+			return math.Inf(1)
+		}
+		return -(-float64(nTail)*math.Log(z) - alpha*sumLog)
+	}
 	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
 	if err != nil {
 		return Fit{}, err
 	}
 	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
-	fit.KS, err = ksDistance(h, fit)
+	fit.KS, err = ksDistance(h, support, fit)
 	if err != nil {
 		return Fit{}, err
 	}
 	return fit, nil
 }
 
+// ksMargin bounds how far either CDF in ksDistance may exceed 1: rounding
+// in the running sums and the ~1e-12 relative error of HurwitzZeta are
+// both far below it.
+const ksMargin = 1e-6
+
 // ksDistance computes the KS statistic between the empirical tail
-// distribution (d >= xmin) and the fitted model.
-func ksDistance(h *hist.Histogram, f Fit) (float64, error) {
+// distribution (d >= xmin) and the fitted model. support is h.Support().
+func ksDistance(h *hist.Histogram, support []int, f Fit) (float64, error) {
 	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
 	if err != nil {
 		return 0, err
 	}
-	var obs []float64
-	var modelCDF []float64
-	var cum float64
-	var modelCum float64
 	var total float64
-	support := h.Support()
 	for _, d := range support {
 		if d >= f.Xmin {
 			total += float64(h.Count(d))
@@ -112,20 +108,24 @@ func ksDistance(h *hist.Histogram, f Fit) (float64, error) {
 		return 0, errors.New("powerlaw: empty tail")
 	}
 	// Walk the full integer range from xmin to the max support so the
-	// model CDF accumulates correctly across gaps.
+	// model CDF accumulates correctly across gaps. Both CDFs only grow and
+	// stay below 1 + ksMargin, so no later support point can differ by
+	// more than 1 + ksMargin − min(cum, modelCum); once maxDiff exceeds
+	// that, the walk cannot change it.
+	var cum, modelCum, maxDiff float64
 	maxD := support[len(support)-1]
 	for d := f.Xmin; d <= maxD; d++ {
 		modelCum += math.Pow(float64(d), -f.Alpha) / z
-		if c := h.Count(d); c > 0 {
-			cum += float64(c) / total
-			obs = append(obs, cum)
-			modelCDF = append(modelCDF, modelCum)
+		c := h.Count(d)
+		if c == 0 {
+			continue
 		}
-	}
-	var maxDiff float64
-	for i := range obs {
-		if diff := math.Abs(obs[i] - modelCDF[i]); diff > maxDiff {
+		cum += float64(c) / total
+		if diff := math.Abs(cum - modelCum); diff > maxDiff {
 			maxDiff = diff
+		}
+		if maxDiff > 1+ksMargin-math.Min(cum, modelCum) {
+			break
 		}
 	}
 	return maxDiff, nil
@@ -151,7 +151,7 @@ func FitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
 		if xmin > maxXmin {
 			break
 		}
-		f, err := FitAtXmin(h, xmin)
+		f, err := fitAt(h, support, xmin)
 		if err != nil {
 			continue // tails can become too thin; skip
 		}
@@ -173,18 +173,27 @@ func (f Fit) Sample(n int, rng *xrand.RNG) ([]int64, error) {
 		return nil, errors.New("powerlaw: negative sample size")
 	}
 	if f.Alpha <= 1 {
-		return nil, errors.New("powerlaw: alpha must exceed 1")
+		return nil, errAlphaRange
 	}
 	out := make([]int64, n)
 	for i := range out {
-		u := rng.Float64()
-		x := (float64(f.Xmin) - 0.5) * math.Pow(1-u, -1/(f.Alpha-1))
-		out[i] = int64(math.Floor(x + 0.5))
-		if out[i] < int64(f.Xmin) {
-			out[i] = int64(f.Xmin)
-		}
+		out[i] = f.draw(rng)
 	}
 	return out, nil
+}
+
+var errAlphaRange = errors.New("powerlaw: alpha must exceed 1")
+
+// draw is one inverse-CDF draw of Sample; it consumes one rng.Float64.
+// The caller checks f.Alpha > 1.
+func (f Fit) draw(rng *xrand.RNG) int64 {
+	u := rng.Float64()
+	x := (float64(f.Xmin) - 0.5) * math.Pow(1-u, -1/(f.Alpha-1))
+	d := int64(math.Floor(x + 0.5))
+	if d < int64(f.Xmin) {
+		d = int64(f.Xmin)
+	}
+	return d
 }
 
 // BootstrapPValue runs the CSN parametric bootstrap: synthetic datasets
@@ -240,11 +249,10 @@ func BootstrapPValueWorkers(h *hist.Histogram, f Fit, reps, workers int, rng *xr
 			synth := hist.New()
 			for i := int64(0); i < n; i++ {
 				if rng.Float64() < pTail || headAlias == nil {
-					s, err := f.Sample(1, rng)
-					if err != nil {
-						return verdict{}, err
+					if f.Alpha <= 1 {
+						return verdict{}, errAlphaRange
 					}
-					if err := synth.Add(int(s[0])); err != nil {
+					if err := synth.Add(int(f.draw(rng))); err != nil {
 						return verdict{}, err
 					}
 				} else {

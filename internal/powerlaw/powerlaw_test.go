@@ -1,11 +1,15 @@
 package powerlaw
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/palu"
+	"hybridplaw/internal/specialfn"
+	"hybridplaw/internal/stats"
 	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
@@ -247,6 +251,327 @@ func BenchmarkFitAtXmin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := FitAtXmin(h, 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// The ref* functions are the CSN scan as it was before the α-free sums
+// were hoisted and the KS walk learned to stop early. They re-sort the
+// support and re-sum Σc·ln d on every likelihood call and walk every
+// degree up to the maximum; FitScan must match them bit for bit.
+
+func refLogLikelihood(h *hist.Histogram, xmin int, alpha float64) float64 {
+	z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
+	if err != nil {
+		return math.Inf(-1)
+	}
+	var n int64
+	var sumLog float64
+	for _, d := range h.Support() {
+		if d < xmin {
+			continue
+		}
+		c := h.Count(d)
+		n += c
+		sumLog += float64(c) * math.Log(float64(d))
+	}
+	if n == 0 {
+		return math.Inf(-1)
+	}
+	return -float64(n)*math.Log(z) - alpha*sumLog
+}
+
+func refFitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
+	if h == nil || h.Total() == 0 {
+		return Fit{}, errors.New("powerlaw: empty histogram")
+	}
+	if xmin < 1 {
+		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
+	}
+	var nTail int64
+	for _, d := range h.Support() {
+		if d >= xmin {
+			nTail += h.Count(d)
+		}
+	}
+	if nTail < 2 {
+		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
+	}
+	neg := func(alpha float64) float64 { return -refLogLikelihood(h, xmin, alpha) }
+	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
+	if err != nil {
+		return Fit{}, err
+	}
+	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
+	fit.KS, err = refKSDistance(h, fit)
+	if err != nil {
+		return Fit{}, err
+	}
+	return fit, nil
+}
+
+func refKSDistance(h *hist.Histogram, f Fit) (float64, error) {
+	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
+	if err != nil {
+		return 0, err
+	}
+	var obs []float64
+	var modelCDF []float64
+	var cum float64
+	var modelCum float64
+	var total float64
+	support := h.Support()
+	for _, d := range support {
+		if d >= f.Xmin {
+			total += float64(h.Count(d))
+		}
+	}
+	if total == 0 {
+		return 0, errors.New("powerlaw: empty tail")
+	}
+	maxD := support[len(support)-1]
+	for d := f.Xmin; d <= maxD; d++ {
+		modelCum += math.Pow(float64(d), -f.Alpha) / z
+		if c := h.Count(d); c > 0 {
+			cum += float64(c) / total
+			obs = append(obs, cum)
+			modelCDF = append(modelCDF, modelCum)
+		}
+	}
+	var maxDiff float64
+	for i := range obs {
+		if diff := math.Abs(obs[i] - modelCDF[i]); diff > maxDiff {
+			maxDiff = diff
+		}
+	}
+	return maxDiff, nil
+}
+
+func refFitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
+	if h == nil || h.Total() == 0 {
+		return Fit{}, errors.New("powerlaw: empty histogram")
+	}
+	support := h.Support()
+	if maxXmin <= 0 {
+		maxXmin = support[int(0.9*float64(len(support)-1))]
+		if maxXmin < 1 {
+			maxXmin = 1
+		}
+	}
+	best := Fit{KS: math.Inf(1)}
+	found := false
+	for _, xmin := range support {
+		if xmin > maxXmin {
+			break
+		}
+		f, err := refFitAtXmin(h, xmin)
+		if err != nil {
+			continue
+		}
+		if f.KS < best.KS {
+			best = f
+			found = true
+		}
+	}
+	if !found {
+		return Fit{}, errors.New("powerlaw: no viable xmin")
+	}
+	return best, nil
+}
+
+// contaminatedHistogram is power law above 4 with a uniform head below:
+// the case where the scan's xmin matters.
+func contaminatedHistogram(t testing.TB, nHead, nTail int, seed uint64) *hist.Histogram {
+	t.Helper()
+	r := xrand.New(seed)
+	h := hist.New()
+	for i := 0; i < nHead; i++ {
+		if err := h.Add(r.Intn(4) + 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < nTail; i++ {
+		d, err := r.Zeta(2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.Add(4 * d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return h
+}
+
+// bitIdentityCases are the histograms the CSN bit-identity pins run on.
+func bitIdentityCases(t *testing.T) map[string]*hist.Histogram {
+	t.Helper()
+	cases := map[string]*hist.Histogram{}
+	for i, seed := range []uint64{21, 33} {
+		params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := palu.FastObservedHistogram(params, 20000*(i+1), 0.7, xrand.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases[fmt.Sprintf("palu-leaf-heavy-%d", seed)] = h
+	}
+	// The KS reference walks every degree up to the maximum, which at
+	// α = 1.5 grows like n²: 300 draws at seed 5 top out near 35k degrees,
+	// which keeps the reference scan quick.
+	cases["zeta-1.5"] = zetaSampleHistogram(t, 1.5, 300, 5)
+	for _, alpha := range []float64{2, 2.5, 3} {
+		cases[fmt.Sprintf("zeta-%v", alpha)] = zetaSampleHistogram(t, alpha, 5000, uint64(alpha*100))
+	}
+	cases["contaminated"] = contaminatedHistogram(t, 3000, 6000, 99)
+	gappy, err := hist.FromCounts(map[int]int64{
+		1: 400, 2: 120, 5: 31, 9: 12, 40: 5, 700: 3, 1024: 2, 1025: 2, 3000: 1, 50000: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["gaps-and-sparse"] = gappy
+	two, err := hist.FromCounts(map[int]int64{3: 7, 2000: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases["two-point"] = two
+	return cases
+}
+
+func TestFitScanBitIdentical(t *testing.T) {
+	for name, h := range bitIdentityCases(t) {
+		support := h.Support()
+		maxXmins := []int{0, 1, 2, 5, support[len(support)/2], support[len(support)-1], 1 << 30}
+		for _, maxXmin := range maxXmins {
+			got, gotErr := FitScan(h, maxXmin)
+			want, wantErr := refFitScan(h, maxXmin)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Fatalf("%s maxXmin=%d: error %v, reference %v", name, maxXmin, gotErr, wantErr)
+			}
+			if got != want {
+				t.Errorf("%s maxXmin=%d: FitScan = %+v, reference %+v", name, maxXmin, got, want)
+			}
+		}
+		for _, xmin := range []int{1, 2, 4, support[len(support)-1]} {
+			got, gotErr := FitAtXmin(h, xmin)
+			want, wantErr := refFitAtXmin(h, xmin)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
+				t.Errorf("%s xmin=%d: FitAtXmin = %+v, %v; reference %+v, %v", name, xmin, got, gotErr, want, wantErr)
+			}
+		}
+	}
+}
+
+// ksExitsEarly reports whether ksDistance's early exit fires before the
+// last support point, by replaying its walk.
+func ksExitsEarly(t *testing.T, h *hist.Histogram, f Fit) bool {
+	t.Helper()
+	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := float64(f.NTail)
+	support := h.Support()
+	maxD := support[len(support)-1]
+	var cum, modelCum, maxDiff float64
+	for d := f.Xmin; d < maxD; d++ {
+		modelCum += math.Pow(float64(d), -f.Alpha) / z
+		c := h.Count(d)
+		if c == 0 {
+			continue
+		}
+		cum += float64(c) / total
+		maxDiff = math.Max(maxDiff, math.Abs(cum-modelCum))
+		if maxDiff > 1+ksMargin-math.Min(cum, modelCum) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestKSDistanceMatchesFullWalk(t *testing.T) {
+	var fired, walked int
+	for name, h := range bitIdentityCases(t) {
+		support := h.Support()
+		for _, xmin := range []int{1, 2, 4} {
+			for _, alpha := range []float64{1.2, 2, 2.5, 4} {
+				f := Fit{Alpha: alpha, Xmin: xmin}
+				for _, d := range support {
+					if d >= xmin {
+						f.NTail += h.Count(d)
+					}
+				}
+				if f.NTail == 0 {
+					continue
+				}
+				got, err := ksDistance(h, support, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := refKSDistance(h, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%s xmin=%d alpha=%v: KS %v, full walk %v", name, xmin, alpha, got, want)
+				}
+				if ksExitsEarly(t, h, f) {
+					fired++
+				} else {
+					walked++
+				}
+			}
+		}
+	}
+	t.Logf("early exit fired in %d cases, full walk in %d", fired, walked)
+	if fired == 0 || walked == 0 {
+		t.Errorf("early exit fired in %d cases and not in %d; both must be covered", fired, walked)
+	}
+}
+
+func TestDrawMatchesSampleStream(t *testing.T) {
+	f := Fit{Alpha: 2.4, Xmin: 3}
+	a, b := xrand.New(17), xrand.New(17)
+	xs, err := f.Sample(1000, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, x := range xs {
+		if d := f.draw(b); d != x {
+			t.Fatalf("draw %d = %d, Sample gave %d", i, d, x)
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Error("draw and Sample leave the RNG in different states")
+	}
+}
+
+func TestBootstrapPValuePinned(t *testing.T) {
+	// p-values recorded from the implementation that drew each synthetic
+	// tail observation through f.Sample(1, rng).
+	cases := []struct {
+		name string
+		h    *hist.Histogram
+		want float64
+	}{
+		{"zeta-2.3", zetaSampleHistogram(t, 2.3, 2000, 11), 0.675},
+		{"contaminated", contaminatedHistogram(t, 600, 1200, 99), 0.3},
+	}
+	for _, c := range cases {
+		f, err := FitScan(c.h, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			p, err := BootstrapPValueWorkers(c.h, f, 40, workers, xrand.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p != c.want {
+				t.Errorf("%s workers=%d: p = %v, want %v", c.name, workers, p, c.want)
+			}
 		}
 	}
 }
