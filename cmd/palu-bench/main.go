@@ -179,8 +179,8 @@ type suiteConfig struct {
 // runSuite executes every pinned benchmark, instrumented, and returns
 // the record with the metrics snapshot embedded. Instrumentation stays
 // on for the measured runs on purpose: the committed record then prices
-// the hot path as shipped (the overhead gate in the root test suite
-// separately bounds the instrumented/stripped ratio).
+// the hot path as shipped (the root test suite's
+// BenchmarkMetricsOverhead records the instrumented/stripped ratio).
 func runSuite(cfg suiteConfig) (Record, error) {
 	rec := Record{Schema: schema, Go: runtime.Version(), CPUs: runtime.NumCPU()}
 	obsReg := cfg.obs

@@ -48,7 +48,6 @@ type options struct {
 	out        string
 	seed       uint64
 	parallel   bool
-	recWorkers int
 	cacheDir   string
 	list       bool
 	only       onlyFlags
@@ -65,7 +64,6 @@ func main() {
 	flag.StringVar(&o.out, "out", "out", "output directory")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed for the suite-seeded experiments")
 	flag.BoolVar(&o.parallel, "parallel", false, "run independent scenarios concurrently (one worker per CPU)")
-	flag.IntVar(&o.recWorkers, "record-workers", 0, "compress workers for window-cache recording (<= 1 = serial writer; archives are byte-identical at any value)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "PTRC window cache directory: traffic windows are recorded once and replayed thereafter")
 	flag.BoolVar(&o.list, "list", false, "print the experiment index (the content of EXPERIMENTS.md) and exit")
 	flag.StringVar(&o.metrics, "metrics", "", "write a metrics snapshot (JSON) here after the run (- = stdout)")
@@ -117,11 +115,10 @@ func run(o options) error {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	eng, err := scenario.NewEngine(reg, scenario.Config{
-		Workers:       workers,
-		OutDir:        o.out,
-		CacheDir:      o.cacheDir,
-		RecordWorkers: o.recWorkers,
-		Metrics:       obsReg,
+		Workers:  workers,
+		OutDir:   o.out,
+		CacheDir: o.cacheDir,
+		Metrics:  obsReg,
 	})
 	if err != nil {
 		return err

@@ -1,21 +1,20 @@
 // Package obs is the repo's zero-dependency observability layer
 // (DESIGN.md §11): atomic counters and gauges, fixed-boundary latency
 // histograms striped across CPUs so hot-path observations never contend
-// on one cache line, and cheap stage timers with optional 1-in-N
-// sampling. A Registry names its instruments (convention:
-// palu_<layer>_<name>, counters suffixed _total, nanosecond timers
-// suffixed _ns), hands out each instrument exactly once per name
-// (get-or-create, so several pipeline runs sharing a registry aggregate
-// into the same instruments), and renders deterministic sorted
-// snapshots through the JSON and Prometheus-style text exporters of
-// export.go.
+// on one cache line, and cheap stage timers. A Registry names its
+// instruments (convention: palu_<layer>_<name>, counters suffixed
+// _total, nanosecond timers suffixed _ns), hands out each instrument
+// exactly once per name (get-or-create, so several pipeline runs sharing
+// a registry aggregate into the same instruments), and renders
+// deterministic sorted snapshots through the JSON and Prometheus-style
+// text exporters of export.go.
 //
 // The design pressure is the streaming hot path: instrumentation is
 // attached at block/window granularity (never per packet), every
 // instrument method is nil-receiver safe so a disabled configuration
-// costs one predictable branch, and the overhead of the enabled path is
-// pinned by the root-level metrics-overhead gate (fused serial archive
-// replay within 5% of the stripped path).
+// costs one predictable branch, and the root-level
+// TestMetricsInstrumentCountPin holds every instrument of a fused serial
+// archive replay at its exact block or window count.
 package obs
 
 import (
@@ -195,18 +194,13 @@ func (r *Registry) Histogram(name, help string, bounds []int64) *Histogram {
 	return e.h
 }
 
-// Timer returns a stage timer recording nanosecond spans into the named
-// histogram (default latency boundaries), sampling one in sampleEvery
-// spans (<= 1 records every span). A companion counter <name without
-// trailing _ns>_spans_total counts every Start exactly, sampled or not.
-func (r *Registry) Timer(name, help string, sampleEvery int) *Timer {
+// Timer returns a stage timer recording every nanosecond span into the
+// named histogram (default latency boundaries). A companion counter
+// <name without trailing _ns>_spans_total counts every Start.
+func (r *Registry) Timer(name, help string) *Timer {
 	h := r.Histogram(name, help, DefaultLatencyBounds())
-	spans := r.Counter(spansName(name), "spans started for "+name+" (sampled or not)")
-	every := uint32(1)
-	if sampleEvery > 1 {
-		every = uint32(sampleEvery)
-	}
-	return &Timer{h: h, spans: spans, every: every}
+	spans := r.Counter(spansName(name), "spans started for "+name)
+	return &Timer{h: h, spans: spans}
 }
 
 // spansName derives the companion span counter name of a timer.
@@ -258,16 +252,11 @@ func (r *Registry) Snapshot() Snapshot {
 
 // Timer records the duration of repeated stages into a histogram of
 // nanoseconds. Start returns a Span; Span.Stop observes the elapsed
-// time. With sampling enabled only one in every N spans pays for the
-// clock reads and the histogram observation — the rest cost one atomic
-// add (the exact span counter) and a modular check. A nil *Timer
-// accepts Start and returns inert spans, so stripped configurations pay
-// a single branch.
+// time. A nil *Timer accepts Start and returns inert spans, so stripped
+// configurations pay a single branch.
 type Timer struct {
 	h     *Histogram
 	spans *Counter
-	every uint32
-	tick  atomic.Uint32
 }
 
 // Span is one in-flight stage timing. The zero Span is inert.
@@ -276,22 +265,18 @@ type Span struct {
 	t0 time.Time
 }
 
-// Start begins a span. Unsampled (or nil-timer) spans skip the clock
-// read entirely.
+// Start begins a span. A nil timer skips the clock read entirely.
 func (t *Timer) Start() Span {
 	if t == nil {
 		return Span{}
 	}
 	t.spans.Inc()
-	if t.every > 1 && t.tick.Add(1)%t.every != 0 {
-		return Span{}
-	}
 	return Span{t: t, t0: time.Now()}
 }
 
 // Stop observes the span's elapsed nanoseconds. Stopping an inert span
-// (zero value, unsampled, nil timer) is a no-op; stopping twice records
-// twice and is a caller bug.
+// (zero value, nil timer) is a no-op; stopping twice records twice and
+// is a caller bug.
 func (s Span) Stop() {
 	if s.t == nil {
 		return
@@ -307,8 +292,7 @@ func (t *Timer) Hist() *Histogram {
 	return t.h
 }
 
-// Spans reports how many spans have been started (exact, independent of
-// sampling).
+// Spans reports how many spans have been started.
 func (t *Timer) Spans() int64 {
 	if t == nil {
 		return 0

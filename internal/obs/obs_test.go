@@ -111,37 +111,29 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 }
 
-func TestTimerSampling(t *testing.T) {
+// TestTimerSpans: every span is counted and every span is observed, and
+// the companion span counter is a registered metric.
+func TestTimerSpans(t *testing.T) {
 	r := NewRegistry()
-	tm := r.Timer("palu_test_stage_ns", "", 3)
-	for i := 0; i < 9; i++ {
-		sp := tm.Start()
-		sp.Stop()
-	}
-	if got := tm.Spans(); got != 9 {
-		t.Fatalf("spans = %d, want 9 (exact regardless of sampling)", got)
-	}
-	if got := tm.Hist().Count(); got != 3 {
-		t.Fatalf("sampled observations = %d, want 3 (1 in 3 of 9)", got)
-	}
-	// The companion span counter is a registered metric.
-	snap := r.Snapshot()
-	m, ok := snap.Get("palu_test_stage_spans_total")
-	if !ok || m.Value != 9 {
-		t.Fatalf("span counter metric = %+v (ok=%v), want value 9", m, ok)
-	}
-
-	always := r.Timer("palu_test_all_ns", "", 0)
+	tm := r.Timer("palu_test_stage_ns", "")
 	for i := 0; i < 4; i++ {
-		sp := always.Start()
+		sp := tm.Start()
 		time.Sleep(time.Microsecond)
 		sp.Stop()
 	}
-	if got := always.Hist().Count(); got != 4 {
-		t.Fatalf("unsampled timer observed %d spans, want 4", got)
+	if got := tm.Spans(); got != 4 {
+		t.Fatalf("spans = %d, want 4", got)
 	}
-	if always.Hist().Sum() <= 0 {
+	if got := tm.Hist().Count(); got != 4 {
+		t.Fatalf("observations = %d, want 4 (one per span)", got)
+	}
+	if tm.Hist().Sum() <= 0 {
 		t.Fatal("timer sum should be positive after sleeping spans")
+	}
+	snap := r.Snapshot()
+	m, ok := snap.Get("palu_test_stage_spans_total")
+	if !ok || m.Value != 4 {
+		t.Fatalf("span counter metric = %+v (ok=%v), want value 4", m, ok)
 	}
 }
 
@@ -155,7 +147,7 @@ func TestConcurrentRegistryUse(t *testing.T) {
 	c := r.Counter("palu_race_total", "")
 	g := r.Gauge("palu_race_depth", "")
 	h := r.Histogram("palu_race_hist", "", DefaultLatencyBounds())
-	tm := r.Timer("palu_race_stage_ns", "", 2)
+	tm := r.Timer("palu_race_stage_ns", "")
 
 	const (
 		goroutines = 8
@@ -222,8 +214,8 @@ func TestConcurrentRegistryUse(t *testing.T) {
 	if got := tm.Spans(); got != want {
 		t.Errorf("timer spans = %d, want %d", got, want)
 	}
-	if got := tm.Hist().Count(); got != want/2 {
-		t.Errorf("sampled timer observations = %d, want %d", got, want/2)
+	if got := tm.Hist().Count(); got != want {
+		t.Errorf("timer observations = %d, want %d", got, want)
 	}
 }
 

@@ -40,21 +40,16 @@ type CacheStats struct {
 // from the synthetic observatory (exactly the TakeValid prefix the
 // pipeline would consume) and replayed through stream.Run by every use —
 // including the recording one, so cached and uncached runs exercise the
-// identical replay path. Archives are recorded in the packed-column
-// codec: every consumer replays its windows itself, so replay cost
-// counts once per consumer, and packed blocks replay without inflating
-// (DESIGN.md §12, §14). Archives of either codec replay. Concurrent
+// identical replay path. Archives are recorded by the serial writer in
+// the packed-column codec: every consumer replays its windows itself, so
+// replay cost counts once per consumer, and packed blocks replay without
+// inflating (DESIGN.md §12, §14). Replay always goes through the
+// sequential reader; archives of either codec replay. Concurrent
 // requests for one key are single-flighted; distinct keys record and
 // replay independently.
 type WindowCache struct {
 	dir string
 	m   *Metrics // engine's bundle (nil = stripped); mirrors the atomics
-
-	// recordWorkers is the tracestore.WriterOptions.Workers value for
-	// cache-miss recording (Config.RecordWorkers); archives are
-	// byte-identical at any value, so the content addressing is
-	// unaffected.
-	recordWorkers int
 
 	mu    sync.Mutex
 	locks map[string]*sync.Mutex
@@ -135,7 +130,7 @@ func (c *WindowCache) ensure(req WindowReq) (string, error) {
 		return "", fmt.Errorf("scenario: creating cache entry: %w", err)
 	}
 	n, err := tracestore.Record(tmp, stream.TakeValid(site.PacketSource(), req.ValidPackets()),
-		tracestore.WriterOptions{Workers: c.recordWorkers, Codec: tracestore.CodecPacked, Metrics: c.m.traceMetrics()})
+		tracestore.WriterOptions{Codec: tracestore.CodecPacked, Metrics: c.m.traceMetrics()})
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}
@@ -155,14 +150,11 @@ func (c *WindowCache) ensure(req WindowReq) (string, error) {
 // (recording on first use) and replays it through the streaming
 // pipeline. cfg.NV and cfg.MaxWindows must already carry the
 // requirement's window geometry. cfg.Workers is the scenario's whole
-// inner budget and is split between block decode and window reduction:
-// a budget of one replays through the sequential reader (decode inline
-// on the ingest goroutine, no extra pool), wider budgets give half to a
-// parallel decode pool — either way the replay stays inside the budget
-// instead of stacking a decode pool on top of it. Both readers implement
-// stream.EncodedBlockSource, so either way the pipeline replays the
-// archive over the fused one-pass decode path, and both deliver the
-// identical packet sequence — the split never changes results.
+// inner budget (<= 0 selects GOMAXPROCS). Replay goes through the
+// sequential reader, whose blocks the ingest goroutine decodes inline —
+// that goroutine is the decode half of the budget, and the pipeline gets
+// the other half (budget − budget/2 reduce workers), so the replay stays
+// inside the budget. The width never changes results.
 func (c *WindowCache) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stream.Sink) (stream.PipelineStats, error) {
 	path, err := c.ensure(req)
 	if err != nil {
@@ -177,30 +169,12 @@ func (c *WindowCache) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...
 	if budget <= 0 {
 		budget = runtime.GOMAXPROCS(0)
 	}
-	var src stream.PacketSource
-	if budget <= 1 {
-		cfg.Workers = 1
-		seq, err := tracestore.NewReader(f)
-		if err != nil {
-			return stream.PipelineStats{}, err
-		}
-		seq.SetMetrics(c.m.traceMetrics())
-		src = seq
-	} else {
-		fi, err := f.Stat()
-		if err != nil {
-			return stream.PipelineStats{}, err
-		}
-		decodeWorkers := budget / 2
-		cfg.Workers = budget - decodeWorkers
-		par, err := tracestore.NewParallelReader(f, fi.Size(),
-			tracestore.ParallelOptions{Workers: decodeWorkers, Metrics: c.m.traceMetrics()})
-		if err != nil {
-			return stream.PipelineStats{}, err
-		}
-		defer par.Close()
-		src = par
+	cfg.Workers = budget - budget/2
+	src, err := tracestore.NewReader(f)
+	if err != nil {
+		return stream.PipelineStats{}, err
 	}
+	src.SetMetrics(c.m.traceMetrics())
 	stats, err := stream.Run(src, cfg, sinks...)
 	if stats.SourcePacketsRead > 0 {
 		c.replayed.Add(stats.SourcePacketsRead)

@@ -2,10 +2,12 @@ package scenario
 
 import (
 	"os"
+	"reflect"
 	"sync"
 	"testing"
 
 	"hybridplaw/internal/netgen"
+	"hybridplaw/internal/spmat"
 	"hybridplaw/internal/stream"
 	"hybridplaw/internal/tracestore"
 )
@@ -176,5 +178,92 @@ func TestWindowCacheSameKeyDifferentGeometry(t *testing.T) {
 	}
 	if sw.Windows != 1 || sn.Windows != 2 {
 		t.Errorf("windows = %d/%d, want 1/2", sw.Windows, sn.Windows)
+	}
+}
+
+// TestWindowCacheStreamBudgets pins the cache's one replay path: a cached
+// window replayed at inner budgets 1, 2 and 4 delivers window aggregates
+// and ensemble histograms identical to uncached generation through
+// Context.Stream. A DEFLATE-recorded archive at the key's path must
+// replay identically too (DESIGN.md §14: archives of either codec
+// replay).
+func TestWindowCacheStreamBudgets(t *testing.T) {
+	req := WindowReq{Site: testSite(59), NV: 1500, Windows: 3}
+	type replay struct {
+		aggs []spmat.Aggregates
+		ens  *stream.EnsembleSink
+	}
+	collect := func(run func(...stream.Sink) (stream.PipelineStats, error)) replay {
+		t.Helper()
+		r := replay{ens: stream.NewEnsembleSink()}
+		aggs := stream.FuncSink(func(res *stream.WindowResult) error {
+			r.aggs = append(r.aggs, res.Aggregates)
+			return nil
+		})
+		stats, err := run(aggs, r.ens)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Windows != req.Windows {
+			t.Fatalf("windows = %d, want %d", stats.Windows, req.Windows)
+		}
+		return r
+	}
+	direct := collect(func(sinks ...stream.Sink) (stream.PipelineStats, error) {
+		return Standalone().Stream(req, stream.PipelineConfig{}, sinks...)
+	})
+	check := func(c *WindowCache, codec tracestore.Codec) {
+		t.Helper()
+		for _, budget := range []int{1, 2, 4} {
+			cfg := cacheCfg(req)
+			cfg.Workers = budget
+			got := collect(func(sinks ...stream.Sink) (stream.PipelineStats, error) {
+				return c.Stream(req, cfg, sinks...)
+			})
+			if !reflect.DeepEqual(got.aggs, direct.aggs) {
+				t.Errorf("%v archive, budget %d: aggregates %v, uncached %v", codec, budget, got.aggs, direct.aggs)
+			}
+			if !reflect.DeepEqual(got.ens, direct.ens) {
+				t.Errorf("%v archive, budget %d: ensemble histograms diverge from uncached", codec, budget)
+			}
+		}
+		if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.CodecMix() != codec.String() {
+			t.Errorf("archive codec = %q (err %v), want %v", info.CodecMix(), err, codec)
+		}
+	}
+
+	packed, err := NewWindowCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(packed, tracestore.CodecPacked)
+	if cs := packed.Stats(); cs.Misses != 1 || cs.Hits != 2 {
+		t.Errorf("packed cache: hits=%d misses=%d, want 2/1", cs.Hits, cs.Misses)
+	}
+
+	// A cache directory holding a DEFLATE archive for the key (recorded
+	// by an older writer setting) replays it as is.
+	deflate, err := NewWindowCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	site, err := netgen.NewSite(req.Site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(deflate.path(req.Key()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tracestore.Record(f, stream.TakeValid(site.PacketSource(), req.ValidPackets()),
+		tracestore.WriterOptions{Codec: tracestore.CodecDeflate}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(deflate, tracestore.CodecDeflate)
+	if cs := deflate.Stats(); cs.Misses != 0 || cs.Hits != 3 {
+		t.Errorf("deflate cache: hits=%d misses=%d, want 3/0 (archive replayed, not re-recorded)", cs.Hits, cs.Misses)
 	}
 }

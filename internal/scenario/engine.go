@@ -31,11 +31,6 @@ type Config struct {
 	// CacheDir enables the PTRC window cache rooted there. Empty disables
 	// caching: every Context.Stream generates traffic directly.
 	CacheDir string
-	// RecordWorkers sets the pipelined-writer worker count
-	// (tracestore.WriterOptions.Workers) used when a window-cache miss
-	// records a fresh archive; <= 1 keeps the serial writer. Archives
-	// are byte-identical at any value — a throughput knob only.
-	RecordWorkers int
 	// Metrics, when non-nil, instruments the whole suite against that
 	// registry: scheduler spans and occupancy, window-cache counters,
 	// and the stream/PTRC bundles injected into every inner pipeline
@@ -86,7 +81,6 @@ func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		cache.m = e.m
-		cache.recordWorkers = cfg.RecordWorkers
 		e.cache = cache
 	}
 	return e, nil

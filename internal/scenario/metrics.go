@@ -60,7 +60,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Failures: reg.Counter("palu_scenario_failures_total",
 			"scenarios that failed or panicked"),
 		RunTime: reg.Timer("palu_scenario_run_ns",
-			"scenario execution time", 0),
+			"scenario execution time"),
 		WorkersBusy: reg.Gauge("palu_scenario_workers_busy",
 			"scenario workers currently running"),
 		CacheHits: reg.Counter("palu_scenario_cache_hits_total",

@@ -5,8 +5,8 @@ package stream
 // instrumentation to nil-receiver branches. Instrumentation is attached
 // at block and window granularity only — the per-packet inner loops are
 // untouched, and the packet counters are settled once per run from
-// PipelineStats, so the enabled path stays within the metrics-overhead
-// gate (see metrics_overhead_test.go at the repo root).
+// PipelineStats (TestMetricsInstrumentCountPin in the repo root's
+// obs_test.go pins this).
 //
 // Every instrument is registered eagerly by NewMetrics, so the metric
 // key set of a snapshot is identical across worker counts
@@ -82,13 +82,13 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		QueueWindows: reg.Gauge("palu_stream_queue_windows",
 			"windows handed off and not yet reduced"),
 		IngestTime: reg.Timer("palu_stream_ingest_ns",
-			"source block read/decode time", 0),
+			"source block read/decode time"),
 		ReduceTime: reg.Timer("palu_stream_reduce_ns",
-			"window key-buffer replay time (parallel engine)", 0),
+			"window key-buffer replay time (parallel engine)"),
 		WindowCloseTime: reg.Timer("palu_stream_window_close_ns",
-			"window close (builder state to WindowResult) time", 0),
+			"window close (builder state to WindowResult) time"),
 		SinkTime: reg.Timer("palu_stream_sink_ns",
-			"in-order sink delivery time per window", 0),
+			"in-order sink delivery time per window"),
 	}
 }
 

@@ -99,9 +99,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		RawBufAlloc: reg.Counter("palu_ptrc_rawbuf_alloc_total",
 			"decompress target buffers allocated or grown"),
 		InflateTime: reg.Timer("palu_ptrc_inflate_ns",
-			"DEFLATE block CRC check + decompression time", 0),
+			"DEFLATE block CRC check + decompression time"),
 		DeflateTime: reg.Timer("palu_ptrc_deflate_ns",
-			"DEFLATE block compression time", 0),
+			"DEFLATE block compression time"),
 		PackedBlocksRead: reg.Counter("palu_ptrc_packed_blocks_read_total",
 			"packed-column blocks CRC-checked and staged"),
 		PackedBlocksWritten: reg.Counter("palu_ptrc_packed_blocks_written_total",
@@ -111,15 +111,15 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PackedWrittenBytes: reg.Counter("palu_ptrc_packed_written_bytes_total",
 			"stored packed-column payload bytes written"),
 		UnpackTime: reg.Timer("palu_ptrc_unpack_ns",
-			"packed block CRC check + staging time", 0),
+			"packed block CRC check + staging time"),
 		PackTime: reg.Timer("palu_ptrc_pack_ns",
-			"packed block encode time", 0),
+			"packed block encode time"),
 		CompressQueueDepth: reg.Gauge("palu_ptrc_compress_queue_depth",
 			"blocks sealed for the write pipeline and not yet committed"),
 		CompressWorkersBusy: reg.Gauge("palu_ptrc_compress_workers_busy",
 			"write-pipeline workers currently encoding a block"),
 		CommitStallTime: reg.Timer("palu_ptrc_commit_stall_ns",
-			"ordered-commit waits for the next in-order block", 0),
+			"ordered-commit waits for the next in-order block"),
 		PassthroughBlocks: reg.Counter("palu_ptrc_passthrough_blocks_total",
 			"blocks re-framed verbatim by the transcode passthrough"),
 	}

@@ -8,14 +8,15 @@ import (
 	"hybridplaw/internal/stream"
 )
 
+// parallelPrefetch bounds how many decoded blocks may wait, in order,
+// ahead of a ParallelReader's consumer: double buffering, one block being
+// consumed and one ready.
+const parallelPrefetch = 2
+
 // ParallelOptions configures a ParallelReader.
 type ParallelOptions struct {
 	// Workers is the decode pool size; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Prefetch bounds how many decoded blocks may wait, in order, ahead
-	// of the consumer; <= 0 selects 2 (double buffering: one block being
-	// consumed, one ready).
-	Prefetch int
 	// Metrics, when non-nil, instruments every worker's block decoder
 	// (blocks read, inflate time, bytes, CRC failures, buffer reuse).
 	// It must be set at construction: workers start inside
@@ -34,7 +35,7 @@ type ParallelOptions struct {
 // goroutine, either into one persistent packet buffer (Next/NextBlock)
 // or fused straight into the window under construction (DecodeInto), so
 // steady-state replay allocates nothing per block. Memory is
-// O(Workers + Prefetch) blocks regardless of archive length.
+// O(Workers) blocks regardless of archive length.
 //
 // ParallelReader implements stream.PacketSource, stream.BlockSource and
 // stream.EncodedBlockSource. Callers that abandon the source early
@@ -82,14 +83,10 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 	if workers > len(idx.blocks) && len(idx.blocks) > 0 {
 		workers = len(idx.blocks)
 	}
-	prefetch := opts.Prefetch
-	if prefetch <= 0 {
-		prefetch = 2
-	}
 	p := &ParallelReader{
 		idx:     idx,
-		ordered: make(chan parallelBlock, prefetch),
-		rawPool: make(chan []byte, workers+prefetch+1),
+		ordered: make(chan parallelBlock, parallelPrefetch),
+		rawPool: make(chan []byte, workers+parallelPrefetch+1),
 		stop:    make(chan struct{}),
 	}
 	if len(idx.blocks) == 0 {
@@ -108,8 +105,8 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 	// block handed to the consumer. Without it, a single stalled worker
 	// would let the others race ahead and the reorder stage's buffer
 	// would grow toward the whole archive.
-	credits := make(chan struct{}, workers+prefetch)
-	for i := 0; i < workers+prefetch; i++ {
+	credits := make(chan struct{}, workers+parallelPrefetch)
+	for i := 0; i < workers+parallelPrefetch; i++ {
 		credits <- struct{}{}
 	}
 
@@ -135,8 +132,8 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 	// Workers: fetch + CRC-check + decompress one block at a time, each
 	// with its own decoder state and ReadAt (safe for concurrent use by
 	// contract). Raw output buffers come from the shared pool, so a
-	// steady-state replay recycles the same workers+prefetch+1 buffers
-	// instead of allocating per block.
+	// steady-state replay recycles the same workers+parallelPrefetch+1
+	// buffers instead of allocating per block.
 	var workerWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		workerWG.Add(1)
@@ -205,7 +202,7 @@ func NewParallelReader(r io.ReaderAt, size int64, opts ParallelOptions) (*Parall
 				if b.err != nil {
 					return // error ends the stream; stop draining in order
 				}
-				credits <- struct{}{} // cap workers+prefetch: never blocks
+				credits <- struct{}{} // cap workers+parallelPrefetch: never blocks
 			}
 		}
 	}()

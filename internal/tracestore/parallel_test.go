@@ -87,7 +87,7 @@ func TestParallelManyBlocksOrder(t *testing.T) {
 	}
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 64})
 	r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-		ParallelOptions{Workers: 8, Prefetch: 1})
+		ParallelOptions{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -421,10 +421,10 @@ func BenchmarkTranscodeArchivePassthrough(b *testing.B) {
 	}
 }
 
-// BenchmarkRecordWorkers is the record-path worker matrix in miniature
+// BenchmarkWriterWorkers is the record-path worker matrix in miniature
 // (palu-bench carries the full version): serial vs pipelined writes of
 // one synthetic trace.
-func BenchmarkRecordWorkers(b *testing.B) {
+func BenchmarkWriterWorkers(b *testing.B) {
 	ps := synthPacketsBench(11, 1<<16, 600, 7)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("w%d", workers), func(b *testing.B) {
