@@ -204,10 +204,9 @@ func BenchmarkWeightedExtension(b *testing.B) {
 }
 
 // BenchmarkTraceReplay contrasts replaying the same archived 1M-packet
-// trace through the full measurement pipeline from the trace CSV, a
-// sequential PTRC reader, and the parallel PTRC reader (the ISSUE 2
-// acceptance record: exact sizes and throughputs behind the bounds
-// asserted by TestPTRCSizeBound and TestPTRCReplaySpeedup).
+// trace through the full measurement pipeline from the trace CSV and
+// from the PTRC reader: the exact sizes and throughputs behind the
+// bounds asserted by TestPTRCSizeBound and TestPTRCReplaySpeedup.
 func BenchmarkTraceReplay(b *testing.B) {
 	if err := buildReplayTrace(); err != nil {
 		b.Fatal(err)
@@ -237,22 +236,6 @@ func BenchmarkTraceReplay(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, err := replayPipeline(src); err != nil {
-				b.Fatal(err)
-			}
-		}
-		report(b, len(replayTrace.ptrc))
-	})
-	b.Run("ptrc-parallel", func(b *testing.B) {
-		b.SetBytes(int64(len(replayTrace.ptrc)))
-		for i := 0; i < b.N; i++ {
-			src, err := tracestore.NewParallelReader(bytes.NewReader(replayTrace.ptrc),
-				int64(len(replayTrace.ptrc)), tracestore.ParallelOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			_, err = replayPipeline(src)
-			src.Close()
-			if err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,9 +1,8 @@
 // Command palu-bench runs the repo's pinned hot-path benchmarks —
 // streaming window reduce across pipeline worker counts, PTRC archive
-// replay (sequential and parallel decode, per block codec), PTRC
-// recording and transcoding (write-side codec × writer-workers matrix
-// plus the index-driven passthrough), an engine suite over a warm
-// window cache, and model fitting — and writes a machine-readable JSON
+// replay, recording and transcoding (per block codec), an engine suite
+// over a warm window cache, and model fitting — and writes a
+// machine-readable JSON
 // record. BENCH_PR14.json at the repo root is the committed baseline;
 // CI re-runs the suite and compares against it benchstat-style. The
 // suite runs instrumented (internal/obs) and the record embeds the
@@ -11,9 +10,9 @@
 // the workload's exact block/window/packet accounting. Each replay
 // entry names its block codec and archive size, pricing the packed
 // codec's size/speed trade against DEFLATE on identical traces; record
-// entries carry the archive size too (archives are byte-identical at
-// any writer worker count, so ArchiveBytes doubles as an equivalence
-// witness); the engine-suite entry runs four consumers of one window
+// and transcode entries carry the archive size too (it must equal the
+// replay archive of the same codec, so ArchiveBytes doubles as an
+// equivalence witness); the engine-suite entry runs four consumers of one window
 // sequence, each replaying it itself, with the cache traffic in the
 // ReplayedPackets column.
 //
@@ -69,7 +68,7 @@ type Record struct {
 // Bench is one pinned benchmark's measurement. CPUs is recorded per
 // entry (not just per record) so a compare against a baseline captured
 // on different hardware can skip throughput gating entry by entry;
-// Workers identifies the pipeline or writer worker count. Codec and
+// Workers identifies the pipeline worker count. Codec and
 // ArchiveBytes identify the PTRC block codec a replay
 // benchmark decoded and the archive size it read, so a committed record
 // prices the codec's size/speed trade, not just its speed.
@@ -93,11 +92,10 @@ type Bench struct {
 // older schemas stay in the repo as history, not as parse targets.
 const schema = "palu-bench-v6"
 
-// benchWorkers is the worker-count axis of both matrices: each pipeline
+// benchWorkers is the worker-count axis of the pipeline matrix: each
 // entry reduces the same trace at that many workers (w1 = the fused
-// serial pipeline), and each codec is recorded at that many writer
-// workers (w1 = the serial writer). Results and archives are identical
-// at any count; only the wall time moves.
+// serial pipeline). Results are identical at any count; only the wall
+// time moves.
 var benchWorkers = []int{1, 2, 4}
 
 // measure runs fn repeatedly (after one warm-up) until minTime has
@@ -216,13 +214,13 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		}
 	}
 
-	// PTRC replay: the same synthetic trace archived once per codec,
-	// each archive replayed through the pipeline both sequentially and
-	// in parallel. The deflate entries keep their pre-codec names so the
-	// perf trajectory across committed records stays continuous; packed
-	// entries get a -packed suffix. ArchiveBytes on each entry is what
-	// prices the codec trade: packed must buy its decode speed without
-	// blowing up the bytes the benchmark had to read.
+	// PTRC replay and record: the same synthetic trace archived once per
+	// codec and replayed through the pipeline. The deflate entries keep
+	// their pre-codec names so the perf trajectory across committed
+	// records stays continuous; packed entries get a -packed suffix.
+	// ArchiveBytes on each entry is what prices the codec trade: packed
+	// must buy its decode speed without blowing up the bytes the
+	// benchmark had to read.
 	replayNV := cfg.replayPackets / 8
 	if replayNV < 1 {
 		replayNV = 1
@@ -254,68 +252,39 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		if err := add(b, err); err != nil {
 			return rec, err
 		}
-		b, err = measure("ptrc-replay-parallel"+suffix, cfg.minTime, cfg.maxIters, func() error {
-			src, err := tracestore.NewParallelReader(bytes.NewReader(raw), int64(len(raw)),
-				tracestore.ParallelOptions{Metrics: tm})
-			if err != nil {
-				return err
-			}
-			defer src.Close()
-			_, err = stream.Run(src, stream.PipelineConfig{NV: replayNV, Metrics: sm})
+		// Record: the same trace through the serial writer. The archive
+		// must match the replay archive byte for byte, so a compare that
+		// sees ArchiveBytes move caught a codec or framing change, not a
+		// perf change. The name keeps its -w1 suffix for continuity with
+		// the committed records.
+		var sink bytes.Buffer
+		b, err = measure("ptrc-record-w1"+suffix, cfg.minTime, cfg.maxIters, func() error {
+			sink.Reset()
+			_, err := tracestore.Record(&sink, newSynthTrace(3, cfg.replayPackets, nodes),
+				tracestore.WriterOptions{Metrics: tm, Codec: codec})
 			return err
 		})
-		b.Codec, b.ArchiveBytes = codec.String(), uint64(len(raw))
-		b.MBPerS = float64(len(raw)) / (b.NsPerOp / 1e9) / 1e6
+		b.Codec, b.ArchiveBytes = codec.String(), uint64(sink.Len())
+		b.MPacketsPerS = float64(cfg.replayPackets) / (b.NsPerOp / 1e9) / 1e6
 		if err := add(b, err); err != nil {
 			return rec, err
-		}
-
-		// Record matrix: the same trace archived at each writer worker
-		// count. The archives are byte-identical at every count (pinned by
-		// the tracestore test suite), so ArchiveBytes must match the replay
-		// entries' exactly — a compare that sees it move caught a codec or
-		// framing change, not a perf change.
-		for _, workers := range benchWorkers {
-			var sink bytes.Buffer
-			b, err := measure(fmt.Sprintf("ptrc-record-w%d%s", workers, suffix),
-				cfg.minTime, cfg.maxIters, func() error {
-					sink.Reset()
-					_, err := tracestore.Record(&sink, newSynthTrace(3, cfg.replayPackets, nodes),
-						tracestore.WriterOptions{Metrics: tm, Codec: codec, Workers: workers})
-					return err
-				})
-			b.Codec, b.Workers, b.ArchiveBytes = codec.String(), workers, uint64(sink.Len())
-			b.MPacketsPerS = float64(cfg.replayPackets) / (b.NsPerOp / 1e9) / 1e6
-			if err := add(b, err); err != nil {
-				return rec, err
-			}
 		}
 	}
 
-	// Transcode: archive-to-archive rewrites of the deflate archive. The
-	// passthrough entry re-frames compressed blocks straight off the
-	// index (same codec and geometry, no inflate); the recode entry pays
-	// the full decode + packed re-encode through the bulk block path.
+	// Transcode: the deflate archive rewritten as packed, paying the full
+	// decode + packed re-encode through the bulk block path.
 	srcRaw := archives[tracestore.CodecDeflate]
-	for _, tc := range []struct {
-		name  string
-		codec tracestore.Codec
-	}{
-		{"ptrc-transcode-passthrough", tracestore.CodecDeflate},
-		{"ptrc-transcode-recode", tracestore.CodecPacked},
-	} {
-		var sink bytes.Buffer
-		b, err := measure(tc.name, cfg.minTime, cfg.maxIters, func() error {
-			sink.Reset()
-			_, err := tracestore.TranscodeArchive(bytes.NewReader(srcRaw), int64(len(srcRaw)),
-				&sink, tracestore.WriterOptions{Metrics: tm, Codec: tc.codec})
-			return err
-		})
-		b.Codec, b.ArchiveBytes = tc.codec.String(), uint64(sink.Len())
-		b.MBPerS = float64(len(srcRaw)) / (b.NsPerOp / 1e9) / 1e6
-		if err := add(b, err); err != nil {
-			return rec, err
-		}
+	var sink bytes.Buffer
+	b, err := measure("ptrc-transcode-recode", cfg.minTime, cfg.maxIters, func() error {
+		sink.Reset()
+		_, err := tracestore.TranscodePTRC(bytes.NewReader(srcRaw), &sink,
+			tracestore.WriterOptions{Metrics: tm, Codec: tracestore.CodecPacked})
+		return err
+	})
+	b.Codec, b.ArchiveBytes = tracestore.CodecPacked.String(), uint64(sink.Len())
+	b.MBPerS = float64(len(srcRaw)) / (b.NsPerOp / 1e9) / 1e6
+	if err := add(b, err); err != nil {
+		return rec, err
 	}
 
 	params, err := palu.FromWeights(2, 2, 1.5, 2.5, 2.0)
@@ -347,7 +316,7 @@ func runSuite(cfg suiteConfig) (Record, error) {
 		NV: engineNV, Windows: engineFanOut,
 	}
 	var last scenario.CacheStats
-	b, err := measure("engine-suite-replay", cfg.minTime, cfg.maxIters, func() error {
+	b, err = measure("engine-suite-replay", cfg.minTime, cfg.maxIters, func() error {
 		reg := scenario.NewRegistry()
 		for i := 0; i < engineFanOut; i++ {
 			name := fmt.Sprintf("consumer%d", i)

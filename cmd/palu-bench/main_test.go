@@ -13,8 +13,11 @@ import (
 func quiet() *log.Logger { return log.New(io.Discard, "", 0) }
 
 // TestSuiteAndCompareRoundTrip runs the pinned suite at tiny scale,
-// records it, and verifies the compare path: identical records pass any
-// gate, inflated baselines trip it, and missing benchmarks fail.
+// records it, and pins its entry list: three pipeline widths, one
+// sequential replay and one serial record per codec, one packed
+// recode transcode, the engine suite and the fits. It then verifies the
+// compare path: identical records pass any gate, inflated baselines
+// trip it, and missing benchmarks fail.
 func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "bench.json")
@@ -51,11 +54,9 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 	}
 	want := []string{
 		"pipeline-w1", "pipeline-w2", "pipeline-w4",
-		"ptrc-replay-sequential", "ptrc-replay-parallel",
-		"ptrc-record-w1", "ptrc-record-w2", "ptrc-record-w4",
-		"ptrc-replay-sequential-packed", "ptrc-replay-parallel-packed",
-		"ptrc-record-w1-packed", "ptrc-record-w2-packed", "ptrc-record-w4-packed",
-		"ptrc-transcode-passthrough", "ptrc-transcode-recode",
+		"ptrc-replay-sequential", "ptrc-record-w1",
+		"ptrc-replay-sequential-packed", "ptrc-record-w1-packed",
+		"ptrc-transcode-recode",
 		"engine-suite-replay",
 		"fit-zm", "fit-registry",
 	}
@@ -96,29 +97,19 @@ func TestSuiteAndCompareRoundTrip(t *testing.T) {
 			deflateBytes, packedBytes)
 	}
 
-	// Write-path entries: every record benchmark names its worker
-	// count and produces an archive byte-identical to the replay
-	// archive of the same codec (the pipelined writer's equivalence
-	// guarantee showing up in the committed record); the passthrough
-	// transcode reproduces the deflate archive byte count exactly, and
-	// the recode transcode lands on the packed one.
+	// Write-path entries: every record benchmark produces an archive
+	// byte-identical to the replay archive of the same codec, and the
+	// recode transcode lands on the packed one.
 	for _, b := range rec.Results {
 		switch {
 		case strings.HasPrefix(b.Name, "ptrc-record"):
-			if b.Workers < 1 {
-				t.Errorf("%s: writer worker count %d not recorded", b.Name, b.Workers)
-			}
 			want := deflateBytes
 			if b.Codec == "packed" {
 				want = packedBytes
 			}
 			if b.ArchiveBytes != want {
-				t.Errorf("%s: archive bytes %d, want %d (serial/parallel equivalence)",
+				t.Errorf("%s: archive bytes %d, want %d (record/replay archive equivalence)",
 					b.Name, b.ArchiveBytes, want)
-			}
-		case b.Name == "ptrc-transcode-passthrough":
-			if b.ArchiveBytes != deflateBytes {
-				t.Errorf("%s: archive bytes %d, want deflate %d", b.Name, b.ArchiveBytes, deflateBytes)
 			}
 		case b.Name == "ptrc-transcode-recode":
 			if b.ArchiveBytes != packedBytes {

@@ -19,7 +19,7 @@
 // magic); with -codec on a PTRC input it transcodes between block codecs
 // instead. info prints the archive summary from its index without
 // decoding any block. replay streams an archive through the Section II
-// measurement pipeline with parallel block decode.
+// measurement pipeline.
 package main
 
 import (
@@ -127,7 +127,6 @@ func cmdRecord(args []string) error {
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
 		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
 		codec   = fs.String("codec", "deflate", "block codec: deflate|packed")
-		workers = fs.Int("workers", 1, "parallel compress workers (<= 1 = serial; output is byte-identical at any value)")
 	)
 	fs.Parse(args)
 	if *out == "" {
@@ -154,7 +153,7 @@ func cmdRecord(args []string) error {
 	}
 	defer f.Close()
 	n, err := recordSite(f, site, *windows, *nv,
-		tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c, Workers: *workers})
+		tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c})
 	if err != nil {
 		return err
 	}
@@ -187,12 +186,11 @@ func isPTRC(path string) (bool, error) {
 func cmdConvert(args []string) error {
 	fs := flag.NewFlagSet("convert", flag.ExitOnError)
 	var (
-		in      = fs.String("in", "", "input trace (CSV or PTRC, sniffed; required)")
-		out     = fs.String("out", "", "output trace (opposite format; required)")
-		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
-		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "", "block codec for PTRC output: deflate|packed; on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
-		workers = fs.Int("workers", 1, "parallel compress workers for PTRC output (<= 1 = serial; output is byte-identical at any value)")
+		in    = fs.String("in", "", "input trace (CSV or PTRC, sniffed; required)")
+		out   = fs.String("out", "", "output trace (opposite format; required)")
+		block = fs.Int("block", 0, "packets per PTRC block (0 = default)")
+		level = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
+		codec = fs.String("codec", "", "block codec for PTRC output: deflate|packed; on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
@@ -219,18 +217,11 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer dst.Close()
-	opts := tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c, Workers: *workers}
+	opts := tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c}
 	var n int64
 	switch {
 	case ptrc && *codec != "":
-		// A PTRC input file is seekable: the index-driven transcode can
-		// re-frame blocks that need no re-encoding (same codec and block
-		// geometry) without ever inflating them.
-		st, serr := src.Stat()
-		if serr != nil {
-			return serr
-		}
-		n, err = tracestore.TranscodeArchive(src, st.Size(), dst, opts)
+		n, err = tracestore.TranscodePTRC(src, dst, opts)
 	case ptrc:
 		n, err = tracestore.PTRCToCSV(src, dst)
 	default:
@@ -377,7 +368,6 @@ func cmdReplay(args []string) error {
 		nv       = fs.Int64("nv", 100000, "valid packets per window NV")
 		windows  = fs.Int("windows", 0, "max windows (0 = replay the whole archive)")
 		workers  = fs.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS)")
-		decoders = fs.Int("decoders", 0, "PTRC decode pool size (0 = GOMAXPROCS)")
 		quantity = fs.String("quantity", "fan-out", "quantity: source-packets|fan-out|link-packets|fan-in|dest-packets")
 		metrics  = fs.String("metrics", "", "write a metrics snapshot (JSON) here after the replay (- = stdout)")
 	)
@@ -404,16 +394,11 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	defer f.Close()
-	st, err := f.Stat()
+	src, err := tracestore.NewReader(f)
 	if err != nil {
 		return err
 	}
-	src, err := tracestore.NewParallelReader(f, st.Size(),
-		tracestore.ParallelOptions{Workers: *decoders, Metrics: tm})
-	if err != nil {
-		return err
-	}
-	defer src.Close()
+	src.SetMetrics(tm)
 
 	sink, stats, err := replayEnsemble(src, *nv, *windows, *workers, q, sm)
 	if err != nil {

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,14 +66,12 @@ func TestRecordReplayMatchesDirectGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// replay: the archive through the parallel reader.
-		src, err := tracestore.NewParallelReader(bytes.NewReader(archive.Bytes()),
-			int64(archive.Len()), tracestore.ParallelOptions{Workers: 2})
+		// replay: the archive through the sequential reader.
+		src, err := tracestore.NewReader(bytes.NewReader(archive.Bytes()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		replayed, replayStats, err := replayEnsemble(src, testNV, testWindows, 2, q, nil)
-		src.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,6 +181,40 @@ func TestRecordPackedCodecReplayIdentical(t *testing.T) {
 	}
 	if a.Err() != nil || b.Err() != nil {
 		t.Fatalf("reader errors: %v, %v", a.Err(), b.Err())
+	}
+}
+
+// TestConvertHonoursLevel pins that convert -codec deflate -level 9 on
+// a level-1 DEFLATE archive re-encodes every block at level 9: the
+// output equals recording the same packets at level 9, byte for byte.
+// The trace spans a full default-size block, the case a codec- and
+// geometry-matched re-frame would have copied unchanged.
+func TestConvertHonoursLevel(t *testing.T) {
+	dir := t.TempDir()
+	in := filepath.Join(dir, "l1.ptrc")
+	out := filepath.Join(dir, "l9.ptrc")
+	var l1, l9 bytes.Buffer
+	if _, err := recordSite(&l1, testSite(t), 2, 40000, tracestore.WriterOptions{Level: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := recordSite(&l9, testSite(t), 2, 40000, tracestore.WriterOptions{Level: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(l1.Bytes(), l9.Bytes()) {
+		t.Fatal("level 1 and level 9 archives are identical; the fixture cannot tell them apart")
+	}
+	if err := os.WriteFile(in, l1.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmdConvert([]string{"-in", in, "-out", out, "-codec", "deflate", "-level", "9"}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, l9.Bytes()) {
+		t.Errorf("convert -level 9 wrote %d bytes, want the %d-byte level-9 recording", len(got), l9.Len())
 	}
 }
 

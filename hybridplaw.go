@@ -372,10 +372,10 @@ func NewCSVSource(r io.Reader) *CSVSource { return stream.NewCSVSource(r) }
 type PacketCounter = stream.PacketCounter
 
 // BlockSource is the optional bulk extension of PacketSource: sources
-// holding runs of decoded packets (PTRC readers) hand them whole to bulk
-// consumers such as the PTRC writer and WriteTraceCSVFrom. The pipeline
-// does not use it; it ingests the PTRC readers through their fused
-// block decode.
+// holding runs of decoded packets (the PTRC reader) hand them whole to
+// bulk consumers such as the PTRC writer and WriteTraceCSVFrom. The
+// pipeline does not use it; it ingests the PTRC reader through its
+// fused block decode.
 type BlockSource = stream.BlockSource
 
 // WriteTraceCSV archives a packet slice as a trace CSV (src,dst,valid).
@@ -401,13 +401,6 @@ type TraceWriterOptions = tracestore.WriterOptions
 // PacketSource and BlockSource.
 type TraceReader = tracestore.Reader
 
-// ParallelTraceReader replays a PTRC archive with blocks decoded on a
-// worker pool ahead of the pipeline, preserving strict packet order.
-type ParallelTraceReader = tracestore.ParallelReader
-
-// ParallelTraceOptions configures the parallel decode pool.
-type ParallelTraceOptions = tracestore.ParallelOptions
-
 // TraceArchiveInfo summarizes a PTRC archive from its index.
 type TraceArchiveInfo = tracestore.ArchiveInfo
 
@@ -430,12 +423,6 @@ func RecordTrace(w io.Writer, src PacketSource, opts TraceWriterOptions) (int64,
 // NewTraceReader returns a sequential PTRC reader over r.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	return tracestore.NewReader(r)
-}
-
-// NewParallelTraceReader returns a PTRC reader decoding blocks on a
-// worker pool; size is the archive length in bytes.
-func NewParallelTraceReader(r io.ReaderAt, size int64, opts ParallelTraceOptions) (*ParallelTraceReader, error) {
-	return tracestore.NewParallelReader(r, size, opts)
 }
 
 // TraceInfo summarizes a PTRC archive from its index without decoding

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hybridplaw/internal/hist"
+	"hybridplaw/internal/testenv"
 	"hybridplaw/internal/xrand"
 )
 
@@ -94,15 +95,22 @@ func TestRunArgumentErrors(t *testing.T) {
 	}
 }
 
-// TestRunParallelSpeedup asserts wall-clock speedup only on machines with
-// enough cores (the PR 3 convention: single-core CI containers degrade to
-// the replicate-identity checks above, which hold everywhere).
+// TestRunParallelSpeedup asserts a wall-clock speedup wherever there is
+// a second core to overlap on; a single-core machine skips it, and the
+// replicate-identity checks above cover correctness everywhere. The
+// median of five serial/4-worker pairs that no other process slowed
+// (testenv.MedianSpeedup) must clear 1.15x, above timing noise and below
+// the 1.26–2.04x measured at 2 CPUs, so a Run that ignored its worker
+// count fails. Each pair is short (~0.2 s) and its ratio swings widely
+// on a shared host, hence five pairs, not three. A machine that stays
+// busy for the whole wait skips the gate below 4 CPUs and is judged on
+// every pair measured from 4 up.
 func TestRunParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	if runtime.NumCPU() < 4 {
-		t.Skipf("NumCPU=%d < 4: speedup not expected; equivalence tests cover correctness", runtime.NumCPU())
+	if runtime.NumCPU() < 2 {
+		t.Skipf("NumCPU=%d: speedup not expected; equivalence tests cover correctness", runtime.NumCPU())
 	}
 	work := func(rep int, rng *xrand.RNG) (float64, error) {
 		var s float64
@@ -111,19 +119,23 @@ func TestRunParallelSpeedup(t *testing.T) {
 		}
 		return s, nil
 	}
-	const reps = 16
-	start := time.Now()
-	if _, _, err := Run(reps, 1, xrand.New(3), work); err != nil {
-		t.Fatal(err)
+	const reps, workers = 16, 4
+	timed := func(workers int) time.Duration {
+		start := time.Now()
+		if _, _, err := Run(reps, workers, xrand.New(3), work); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
 	}
-	serial := time.Since(start)
-	start = time.Now()
-	if _, _, err := Run(reps, 4, xrand.New(3), work); err != nil {
-		t.Fatal(err)
+	const want = 1.15
+	speedup, uncontended := testenv.MedianSpeedup(t, 5, func() float64 {
+		return float64(timed(1)) / float64(timed(workers))
+	})
+	if !uncontended && runtime.NumCPU() < 4 {
+		t.Skipf("other processes held the CPUs throughout; median %.2fx not judged", speedup)
 	}
-	parallel := time.Since(start)
-	if parallel >= serial {
-		t.Errorf("no parallel speedup: serial %v, 4 workers %v", serial, parallel)
+	if speedup < want {
+		t.Errorf("median parallel speedup %.2fx below the %.2fx floor", speedup, want)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 )
 
 // textResult is a trivial Result for synthetic scenarios.
@@ -319,10 +320,14 @@ func TestParallelOverlap(t *testing.T) {
 // TestEngineParallelSpeedup is the hardware-aware acceptance check for
 // the scheduler: a suite of CPU-bound scenarios must produce identical
 // results serial and parallel on any machine, and must actually go
-// faster only where there are cores to go faster on — the floor scales
-// with runtime.NumCPU() and degrades to the correctness check alone on
-// small containers (1–3 CPUs cannot promise wall-clock overlap of
-// CPU-bound work, so asserting one would make CI flaky).
+// faster wherever there are cores to go faster on — the floor scales
+// with runtime.NumCPU() (1.3x at 2–3 CPUs, where it measured
+// 1.65–2.04x) and degrades to the correctness check alone on one CPU,
+// which cannot overlap CPU-bound work. The floor is asserted on the
+// median of three serial/parallel pairs that no other process slowed
+// (testenv.MedianSpeedup). A machine that stays busy for the whole wait
+// gets the correctness check alone below 4 CPUs and is judged on every
+// pair measured from 4 CPUs up.
 func TestEngineParallelSpeedup(t *testing.T) {
 	const scenarios = 4
 	build := func() (*Registry, *[scenarios]string) {
@@ -358,26 +363,37 @@ func TestEngineParallelSpeedup(t *testing.T) {
 		}
 		return time.Since(start), *results
 	}
-	serialTime, serialRes := timed(1)
-	parallelTime, parallelRes := timed(scenarios)
-	if serialRes != parallelRes {
-		t.Errorf("parallel results diverge from serial: %v vs %v", parallelRes, serialRes)
-	}
-	speedup := float64(serialTime) / float64(parallelTime)
 	cpus := runtime.NumCPU()
-	t.Logf("serial %v, parallel %v: %.2fx on %d CPUs", serialTime, parallelTime, speedup, cpus)
 	var want float64
 	switch {
 	case cpus >= 8:
 		want = 2.5
 	case cpus >= 4:
 		want = 1.8
-	default:
-		t.Logf("%d CPUs: no overlap possible for CPU-bound scenarios; serial-correctness check only", cpus)
+	case cpus >= 2:
+		want = 1.3
+	}
+	// Every pair checks that parallel results equal serial ones.
+	pair := func() float64 {
+		serialTime, serialRes := timed(1)
+		parallelTime, parallelRes := timed(scenarios)
+		if serialRes != parallelRes {
+			t.Fatalf("parallel results diverge from serial: %v vs %v", parallelRes, serialRes)
+		}
+		return float64(serialTime) / float64(parallelTime)
+	}
+	if want == 0 {
+		pair()
+		t.Logf("%d CPU: no overlap possible for CPU-bound scenarios; serial-correctness check only", cpus)
+		return
+	}
+	speedup, uncontended := testenv.MedianSpeedup(t, 3, pair)
+	if !uncontended && cpus < 4 {
+		t.Logf("other processes held the CPUs throughout; median %.2fx not judged, serial-correctness check only", speedup)
 		return
 	}
 	if speedup < want {
-		t.Errorf("parallel suite speedup %.2fx below the %.1fx floor for %d CPUs", speedup, want, cpus)
+		t.Errorf("median parallel suite speedup %.2fx below the %.1fx floor for %d CPUs", speedup, want, cpus)
 	}
 }
 

@@ -12,7 +12,7 @@ package stream
 // filtered (and counted) at ingest, and everything downstream — the
 // spmat flat tables, the handoff buffers — speaks packed keys. Every
 // source fills windows through one surface, DecodeInto. An
-// EncodedBlockSource (the PTRC readers) decodes its compressed blocks
+// EncodedBlockSource (the PTRC reader) decodes its compressed blocks
 // directly into the window under construction, with no []Packet
 // materialization at all (see tracestore.Reader.DecodeInto). Any other
 // PacketSource is adapted by packetDecoder, which batches keys on the
@@ -98,10 +98,10 @@ type PacketCounter interface {
 
 // BlockSource is the optional bulk extension of PacketSource: sources
 // that naturally hold runs of decoded packets (the tracestore block
-// readers) expose them whole, so bulk consumers — the PTRC writer's
+// reader) expose them whole, so bulk consumers — the PTRC writer's
 // RecordFrom, WriteTraceCSVFrom — drain them without one interface call
-// per packet. Run does not use it: the PTRC readers are also
-// EncodedBlockSources, and every other source is read per packet.
+// per packet. Run does not use it: the PTRC reader is also an
+// EncodedBlockSource, and every other source is read per packet.
 type BlockSource interface {
 	PacketSource
 	// NextBlock returns the next run of packets, or ok = false at end of
@@ -113,7 +113,7 @@ type BlockSource interface {
 }
 
 // EncodedBlockSource is the fused extension of PacketSource: sources
-// whose blocks exist in an encoded on-disk form (the PTRC readers)
+// whose blocks exist in an encoded on-disk form (the PTRC reader)
 // decode them directly into the window under construction, with no
 // []Packet materialization. DecodeInto is Run's one ingest surface: Run
 // adapts every other PacketSource to it (packetDecoder).
@@ -358,7 +358,7 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 // runSerial is the fully fused single-worker pipeline: ingest, window
 // reduce and sink delivery share the calling goroutine, and valid
 // packets accumulate straight into one pooled builder — no chunk
-// buffers, no channels, no goroutines. Over the PTRC readers this is the
+// buffers, no channels, no goroutines. Over the PTRC reader this is the
 // one-pass hot path: compressed payloads decode directly into the
 // builder's flat tables.
 func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {

@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"hash/crc32"
 	"io"
 
 	"hybridplaw/internal/stream"
@@ -34,113 +33,13 @@ func PTRCToCSV(ptrc io.Reader, csv io.Writer) (int64, error) {
 // is preserved exactly (replay is float-identical by construction: the
 // codec changes the bytes on disk, never the decoded packets); only the
 // block encoding and block-size boundaries follow opts. It returns the
-// packet count. The reader is a stream.BlockSource, so the writer's
-// bulk ingest path applies; for a seekable source, TranscodeArchive
-// additionally skips decode+re-encode for blocks the target writer
-// would store unchanged.
+// packet count. Every block is decoded and re-encoded, so opts.Level
+// and opts.BlockSize always take effect. The reader is a
+// stream.BlockSource, so the writer's bulk ingest path applies.
 func TranscodePTRC(in io.Reader, out io.Writer, opts WriterOptions) (int64, error) {
 	r, err := NewReader(in)
 	if err != nil {
 		return 0, err
 	}
 	return Record(out, r, opts)
-}
-
-// TranscodeArchive re-archives a seekable PTRC archive under opts,
-// walking the source index block by block. Blocks the target writer
-// would store byte-identically — same codec, a packet count equal to
-// the target block size, and no partial batch buffered — are re-framed
-// verbatim through the encoded-block passthrough (CRC-verified first,
-// never inflated); everything else decodes and replays through the
-// normal bulk write path. For archives produced by this package the
-// output is byte-identical to TranscodePTRC over the same input. It
-// returns the packet count.
-func TranscodeArchive(r io.ReaderAt, size int64, out io.Writer, opts WriterOptions) (int64, error) {
-	norm, err := opts.normalize()
-	if err != nil {
-		return 0, err
-	}
-	idx, err := readIndex(r, size)
-	if err != nil {
-		return 0, err
-	}
-	w, err := NewWriter(out, opts)
-	if err != nil {
-		return 0, err
-	}
-	dec := blockDecoder{m: norm.Metrics}
-	var rec []byte
-	var pkts []stream.Packet
-	var n int64
-	for i, bl := range idx.blocks {
-		recLen := 1 + blockHeaderLen + bl.compLen
-		if cap(rec) < recLen {
-			rec = make([]byte, recLen)
-		}
-		rec = rec[:recLen]
-		if _, err := r.ReadAt(rec, idx.offsets[i]); err != nil {
-			w.Close()
-			return n, corruptf("reading block %d: %v", i, err)
-		}
-		if rec[0] != tagForCodec(bl.codec) {
-			w.Close()
-			return n, corruptf("block %d: expected %s block tag, found 0x%02x", i, bl.codec, rec[0])
-		}
-		h, err := parseBlockHeader(rec[1:], bl.codec)
-		if err != nil {
-			w.Close()
-			return n, err
-		}
-		if h.packets != bl.packets || h.compLen != bl.compLen {
-			w.Close()
-			return n, corruptf("block %d header disagrees with index", i)
-		}
-		payload := rec[1+blockHeaderLen:]
-		if bl.codec == norm.Codec && bl.packets == norm.BlockSize {
-			// Passthrough candidate: the CRC must be verified against the
-			// *source* header here, because the writer re-signs the
-			// payload with a freshly computed checksum.
-			if crc := crc32.Checksum(payload, crcTable); crc != h.crc {
-				norm.Metrics.crcFailure()
-				w.Close()
-				return n, corruptf("block %d CRC mismatch: stored %08x, computed %08x", i, h.crc, crc)
-			}
-			wrote, err := w.WriteEncodedBlock(EncodedBlock{
-				Codec:   bl.codec,
-				Packets: bl.packets,
-				Valid:   bl.valid,
-				RawLen:  bl.rawLen,
-				Payload: payload,
-			})
-			if err != nil {
-				w.Close()
-				return n, err
-			}
-			if wrote {
-				n += int64(bl.packets)
-				continue
-			}
-		}
-		raw, err := dec.decompress(bl.codec, h, payload, dec.raw)
-		if err != nil {
-			w.Close()
-			return n, err
-		}
-		dec.raw = raw
-		if bl.codec == CodecPacked {
-			pkts, err = decodeBlockPacked(raw, h.packets, pkts[:0])
-		} else {
-			pkts, err = decodeBlockRaw(raw, h.packets, pkts[:0])
-		}
-		if err != nil {
-			w.Close()
-			return n, err
-		}
-		if err := w.writePackets(pkts); err != nil {
-			w.Close()
-			return n, err
-		}
-		n += int64(len(pkts))
-	}
-	return n, w.Close()
 }

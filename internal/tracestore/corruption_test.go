@@ -45,15 +45,12 @@ func sequentialErr(data []byte) error {
 	return drainUntilErr(r)
 }
 
-// parallelErr replays a (possibly damaged) archive through the parallel
-// reader and returns the terminating error.
-func parallelErr(data []byte) error {
-	r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 2})
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	return drainUntilErr(r)
+// infoErr reads a (possibly damaged) archive's footer and index through
+// Info — the seekable path, which never decodes a block — and returns
+// its error.
+func infoErr(data []byte) error {
+	_, err := Info(bytes.NewReader(data), int64(len(data)))
+	return err
 }
 
 func TestCorruptionTruncated(t *testing.T) {
@@ -74,28 +71,33 @@ func TestCorruptionTruncated(t *testing.T) {
 	for _, c := range cuts {
 		trunc := data[:c.keep]
 		expectCorrupt(t, "sequential/"+c.name, sequentialErr(trunc))
-		expectCorrupt(t, "parallel/"+c.name, parallelErr(trunc))
+		expectCorrupt(t, "info/"+c.name, infoErr(trunc))
 	}
 }
 
 func TestCorruptionBitFlips(t *testing.T) {
 	ps := synthPackets(6, 3000, 500, 8)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
+	// index marks the flips the footer/index path can see: Info never
+	// reads a block, so block damage is the readers' to catch.
 	flips := []struct {
-		name string
-		at   int
+		name  string
+		at    int
+		index bool
 	}{
-		{"file magic", 2},
-		{"first block payload", len(fileMagic) + 1 + blockHeaderLen + 5},
-		{"block header CRC field", len(fileMagic) + 1 + 12},
-		{"footer magic", len(data) - 3},
-		{"footer index offset", len(data) - footerLen + 1},
+		{"file magic", 2, true},
+		{"first block payload", len(fileMagic) + 1 + blockHeaderLen + 5, false},
+		{"block header CRC field", len(fileMagic) + 1 + 12, false},
+		{"footer magic", len(data) - 3, true},
+		{"footer index offset", len(data) - footerLen + 1, true},
 	}
 	for _, f := range flips {
 		mutated := append([]byte(nil), data...)
 		mutated[f.at] ^= 0xFF
 		expectCorrupt(t, "sequential/"+f.name, sequentialErr(mutated))
-		expectCorrupt(t, "parallel/"+f.name, parallelErr(mutated))
+		if f.index {
+			expectCorrupt(t, "info/"+f.name, infoErr(mutated))
+		}
 	}
 }
 
@@ -106,18 +108,15 @@ func TestCorruptionGarbageFooter(t *testing.T) {
 	for i := len(garbage) - footerLen; i < len(garbage); i++ {
 		garbage[i] = 0xA5
 	}
-	expectCorrupt(t, "parallel", parallelErr(garbage))
-	if _, err := Info(bytes.NewReader(garbage), int64(len(garbage))); err == nil {
-		t.Error("Info accepted a garbage footer")
-	}
+	expectCorrupt(t, "info", infoErr(garbage))
 }
 
 func TestCorruptionIndexPayload(t *testing.T) {
 	ps := synthPackets(8, 2000, 500, 5)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
 	// The index payload sits between the index record header and the
-	// footer; flip a byte in its middle. Both the CRC check (sequential
-	// and via footer) must reject it.
+	// footer; flip a byte in its middle. The CRC check must reject it on
+	// both paths: the sequential reader and Info via the footer.
 	idxPayloadStart := len(data) - footerLen
 	// Walk back: footer, then payload of length read from footer.
 	n := int(uint32(data[len(data)-16]) | uint32(data[len(data)-15])<<8 |
@@ -126,12 +125,13 @@ func TestCorruptionIndexPayload(t *testing.T) {
 	mutated := append([]byte(nil), data...)
 	mutated[idxPayloadStart+n/2] ^= 0x55
 	expectCorrupt(t, "sequential", sequentialErr(mutated))
-	expectCorrupt(t, "parallel", parallelErr(mutated))
+	expectCorrupt(t, "info", infoErr(mutated))
 }
 
 // TestCorruptionIndexDroppedBlock rewrites the archive with the last
 // block record removed but the original index intact: the sequential
-// reader must notice the index totals disagree with the stream.
+// reader must notice the index totals disagree with the stream, and Info
+// that the footer no longer points at the index record.
 func TestCorruptionIndexDroppedBlock(t *testing.T) {
 	ps := synthPackets(9, 2000, 500, 5)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
@@ -151,9 +151,7 @@ func TestCorruptionIndexDroppedBlock(t *testing.T) {
 	}
 	mutated := append(append([]byte(nil), data[:lastBlock]...), data[off:]...)
 	expectCorrupt(t, "sequential", sequentialErr(mutated))
-	// The parallel reader trusts the index for offsets, so the dropped
-	// block misaligns every subsequent read; it must fail, not misread.
-	expectCorrupt(t, "parallel", parallelErr(mutated))
+	expectCorrupt(t, "info", infoErr(mutated))
 }
 
 // TestCorruptionHugeBlockCount pins that a tiny index payload claiming
@@ -173,7 +171,5 @@ func TestNewReaderRejectsGarbage(t *testing.T) {
 	if _, err := NewReader(strings.NewReader("definitely not a PTRC file")); err == nil {
 		t.Error("NewReader accepted garbage")
 	}
-	if _, err := NewParallelReader(bytes.NewReader([]byte("tiny")), 4, ParallelOptions{}); err == nil {
-		t.Error("NewParallelReader accepted a tiny file")
-	}
+	expectCorrupt(t, "info/tiny file", infoErr([]byte("tiny")))
 }

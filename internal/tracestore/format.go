@@ -22,10 +22,11 @@
 // (Castagnoli) is over the stored payload, so corruption is detected
 // before any decode work. The trailing index lists every block's packet
 // count, byte length and (for archives with any non-DEFLATE block)
-// codec, which lets readers derive block offsets, seek, slice, and fan
-// blocks out to a decode worker pool; the footer makes the index
-// discoverable from the end of a seekable file, while the in-stream
-// index record keeps purely sequential readers (pipes) self-contained.
+// codec, so a seekable archive can be summarized (Info) without
+// decoding any block; the footer makes the index discoverable from the
+// end of the file, while the in-stream index record keeps the
+// sequential Reader (which needs only an io.Reader, so a pipe works)
+// self-contained.
 //
 // The format deliberately carries no payloads or timestamps — the
 // paper's analysis uses only the (source, destination, valid) sequence.
@@ -63,8 +64,8 @@ const (
 	footerLen = 8 + 4 + 4 + 8
 
 	// DefaultBlockSize is the default number of packets per block: large
-	// enough to amortize DEFLATE framing, small enough that a worker
-	// pool's in-flight blocks stay a few megabytes.
+	// enough to amortize DEFLATE framing, small enough that a reader's
+	// block buffers stay a few megabytes.
 	DefaultBlockSize = 1 << 16
 
 	// maxBlockPackets and maxBlockBytes bound what a reader will accept
@@ -410,25 +411,23 @@ func maxStoredRatio(codec Codec) int {
 func minRawLen(n int) int { return (n+7)/8 + 2*n }
 
 // blockDecoder holds the reusable state for decompressing and decoding
-// blocks: one per sequential reader, one per parallel worker. An
+// blocks, one per reader. An
 // attached Metrics bundle (nil = stripped) makes decompress the single
 // read-side instrumentation point.
 type blockDecoder struct {
 	fr  io.ReadCloser
 	src bytes.Reader
-	raw []byte
+	raw []byte // inflate target, reused across DEFLATE blocks
 	m   *Metrics
 }
 
 // decompress verifies the stored payload against the header CRC and
-// stages it into buf (grown as needed, contents overwritten), returning
-// the block's working payload: the inflated raw encoding for DEFLATE
-// blocks, or a copy of the packed payload for packed blocks (whose
-// bit-unpack is deferred to the consumer's decode walk). Either way the
-// returned buffer is independent of comp, so callers that hand payloads
-// across goroutines can pass pooled buffers and recycle comp
-// immediately; the decoder itself stays single-goroutine.
-func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp, buf []byte) ([]byte, error) {
+// returns the block's working payload: the raw encoding inflated into
+// the decoder's reused buffer for DEFLATE blocks, or comp itself for
+// packed blocks (whose bit-unpack is deferred to the consumer's decode
+// walk). A packed payload aliases comp, so the caller must finish with
+// it before reading the next record into comp.
+func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp []byte) ([]byte, error) {
 	if len(comp) != h.compLen {
 		return nil, corruptf("block payload truncated: %d of %d bytes", len(comp), h.compLen)
 	}
@@ -438,15 +437,9 @@ func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp, buf []byte) 
 		return nil, corruptf("block CRC mismatch: stored %08x, computed %08x", h.crc, crc)
 	}
 	if codec == CodecPacked {
-		reused := cap(buf) >= h.compLen
-		if !reused {
-			buf = make([]byte, h.compLen)
-		}
-		buf = buf[:h.compLen]
-		copy(buf, comp)
 		sp.Stop()
-		d.m.blockRead(codec, h.compLen, h.rawLen, reused)
-		return buf, nil
+		d.m.blockRead(codec, h.compLen, h.rawLen)
+		return comp, nil
 	}
 	d.src.Reset(comp)
 	if d.fr == nil {
@@ -454,12 +447,12 @@ func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp, buf []byte) 
 	} else if err := d.fr.(flate.Resetter).Reset(&d.src, nil); err != nil {
 		return nil, err
 	}
-	reused := cap(buf) >= h.rawLen
+	reused := cap(d.raw) >= h.rawLen
 	if !reused {
-		buf = make([]byte, h.rawLen)
+		d.raw = make([]byte, h.rawLen)
 	}
-	buf = buf[:h.rawLen]
-	if _, err := io.ReadFull(d.fr, buf); err != nil {
+	d.raw = d.raw[:h.rawLen]
+	if _, err := io.ReadFull(d.fr, d.raw); err != nil {
 		return nil, corruptf("block decompression: %v", err)
 	}
 	var extra [1]byte
@@ -467,18 +460,18 @@ func (d *blockDecoder) decompress(codec Codec, h blockHeader, comp, buf []byte) 
 		return nil, corruptf("block decompresses past its declared raw length %d", h.rawLen)
 	}
 	sp.Stop()
-	d.m.blockRead(codec, h.compLen, h.rawLen, reused)
-	return buf, nil
+	d.m.blockRead(codec, h.compLen, h.rawLen)
+	d.m.rawBuf(reused)
+	return d.raw, nil
 }
 
 // decode verifies the stored payload against the header CRC, stages it,
 // and decodes the packets into out (appended).
 func (d *blockDecoder) decode(codec Codec, h blockHeader, comp []byte, out []stream.Packet) ([]stream.Packet, error) {
-	raw, err := d.decompress(codec, h, comp, d.raw)
+	raw, err := d.decompress(codec, h, comp)
 	if err != nil {
 		return out, err
 	}
-	d.raw = raw
 	if codec == CodecPacked {
 		return decodeBlockPacked(raw, h.packets, out)
 	}
@@ -519,13 +512,12 @@ func (w *blockWalker) decodeInto(pw *stream.PairWindow) (valid, invalid int64, e
 	return w.enc.decodeInto(pw)
 }
 
-// archiveIndex is the decoded trailing index: per-block metadata plus the
-// derived file offset of each block's tag byte.
+// archiveIndex is the decoded trailing index: per-block metadata and
+// the archive totals.
 type archiveIndex struct {
-	blocks  []blockInfo
-	offsets []int64
-	total   int64 // packets in the archive
-	valid   int64 // valid packets in the archive
+	blocks []blockInfo
+	total  int64 // packets in the archive
+	valid  int64 // valid packets in the archive
 }
 
 // encodeIndexPayload serializes the block table as uvarints. When every
@@ -569,10 +561,10 @@ func encodeIndexPayload(blocks []blockInfo, total, valid int64) []byte {
 	return b
 }
 
-// parseIndexPayload decodes the block table and derives block offsets,
-// verifying internal consistency (blocks must tile the file exactly from
-// the end of the magic to the start of the index record; indexOffset < 0
-// skips that check for sequential readers that never learn offsets).
+// parseIndexPayload decodes the block table, verifying internal
+// consistency (blocks must tile the file exactly from the end of the
+// magic to the start of the index record; indexOffset < 0 skips that
+// check for the sequential Reader, which never learns the offset).
 func parseIndexPayload(payload []byte, indexOffset int64) (*archiveIndex, error) {
 	next := func() (uint64, error) {
 		v, k := binary.Uvarint(payload)
@@ -601,10 +593,9 @@ func parseIndexPayload(payload []byte, indexOffset int64) (*archiveIndex, error)
 		return nil, err
 	}
 	idx := &archiveIndex{
-		blocks:  make([]blockInfo, nBlocks),
-		offsets: make([]int64, nBlocks),
-		total:   int64(total),
-		valid:   int64(valid),
+		blocks: make([]blockInfo, nBlocks),
+		total:  int64(total),
+		valid:  int64(valid),
 	}
 	offset := int64(len(fileMagic))
 	var sumPackets, sumValid int64
@@ -628,7 +619,6 @@ func parseIndexPayload(payload []byte, indexOffset int64) (*archiveIndex, error)
 			return nil, corruptf("index: block %d entry out of range", i)
 		}
 		idx.blocks[i] = bl
-		idx.offsets[i] = offset
 		offset += 1 + blockHeaderLen + int64(bl.compLen)
 		sumPackets += int64(bl.packets)
 		sumValid += bl.valid

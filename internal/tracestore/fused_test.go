@@ -2,7 +2,7 @@ package tracestore
 
 // The fused-replay property pin: the one-pass DecodeInto path must be
 // byte-identical to the per-packet decode→reduce path at every worker
-// count, for both readers, including the KeepPartials/PartialSink
+// count, including the KeepPartials/PartialSink
 // products. The unfused reference is obtained by wrapping a reader so
 // the pipeline cannot see its EncodedBlockSource implementation and
 // reads it one packet at a time through Next.
@@ -54,7 +54,7 @@ func renderResults(wins []*stream.WindowResult) []byte {
 }
 
 // TestFusedReplayEquivalence pins the fused decode→reduce path against
-// the unfused per-packet path at {1,2,4} workers for both readers. Every configuration must yield
+// the unfused per-packet path at {1,2,4} workers. Every configuration must yield
 // byte-identical window artifacts, identical pipeline stats, and (via
 // PartialSink) identical canonical partials.
 func TestFusedReplayEquivalence(t *testing.T) {
@@ -113,14 +113,6 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		}
 		return unfusedSource{src: r}
 	}
-	newPar := func() stream.PacketSource {
-		r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
 
 	ref := run(newSeqUnfused(), 1)
 	if ref.stats.Windows == 0 {
@@ -130,7 +122,6 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		for name, mk := range map[string]func() stream.PacketSource{
 			"seq-fused":   newSeq,
 			"seq-unfused": newSeqUnfused,
-			"par-fused":   newPar,
 		} {
 			got := run(mk(), workers)
 			if got.stats != ref.stats {

@@ -37,10 +37,11 @@ func fuzzCodecArchive(tb testing.TB, packets, blockSize int, codec Codec) []byte
 }
 
 // FuzzReader feeds arbitrary (seeded with valid, truncated and
-// bit-flipped archives) bytes to both PTRC readers. The invariant under
-// fuzzing: a reader either replays packets and finishes cleanly, or
-// fails with a descriptive error wrapping ErrCorrupt (or a plain I/O
-// error) — it must never panic, hang, or allocate unboundedly. The
+// bit-flipped archives) bytes to the PTRC Reader, over both its
+// per-packet and fused paths, and to Info's footer/index path. The
+// invariant under fuzzing: each either succeeds or fails with a
+// descriptive error wrapping ErrCorrupt (or a plain I/O error) — it
+// must never panic, hang, or allocate unboundedly. The
 // allocation bound comes from the header plausibility checks in
 // format.go: every decode-side allocation is proportional to bytes
 // actually present in the input.
@@ -104,25 +105,16 @@ func FuzzReader(f *testing.F) {
 			checkFuzzErr(t, r.Err())
 		}
 
-		// Parallel reader: footer/index path.
-		p, err := NewParallelReader(bytes.NewReader(data), int64(len(data)), ParallelOptions{Workers: 2})
+		// Info: footer/index path. An accepted index tiles the file with
+		// its blocks, so it cannot claim more blocks than the bytes hold.
+		info, err := Info(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			checkFuzzErr(t, err)
 			return
 		}
-		var n int64
-		for {
-			blk, ok := p.NextBlock()
-			if !ok {
-				break
-			}
-			n += int64(len(blk))
-			if n > int64(len(data))*maxDeflateRatio {
-				t.Fatalf("parallel reader delivered %d packets from %d input bytes", n, len(data))
-			}
+		if minRec := int64(1 + blockHeaderLen + 1); int64(info.Blocks)*minRec > int64(len(data)) {
+			t.Fatalf("Info claims %d blocks in %d input bytes", info.Blocks, len(data))
 		}
-		checkFuzzErr(t, p.Err())
-		p.Close()
 	})
 }
 

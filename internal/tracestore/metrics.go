@@ -2,10 +2,9 @@ package tracestore
 
 // PTRC observability (DESIGN.md §11). A Metrics bundle instruments the
 // archive codecs at block granularity: the single choke point on the
-// read side is blockDecoder.decompress (every sequential and parallel
-// block passes through it), and on the write side
-// blockEncoder.encodeRecord (shared by the serial writer and every
-// pipeline worker). A nil *Metrics strips everything to inert branches.
+// read side is blockDecoder.decompress (every block the Reader stages
+// passes through it), and on the write side blockEncoder.encodeRecord.
+// A nil *Metrics strips everything to inert branches.
 
 import "hybridplaw/internal/obs"
 
@@ -29,8 +28,9 @@ type Metrics struct {
 	// CRCFailures counts blocks rejected by the Castagnoli check.
 	CRCFailures *obs.Counter
 
-	// RawBufReuse / RawBufAlloc split decompress target buffers into
-	// warm reuses and fresh (or grown) allocations.
+	// RawBufReuse / RawBufAlloc split DEFLATE inflate target buffers
+	// into warm reuses and fresh (or grown) allocations. Packed blocks
+	// decode straight from the read buffer and count in neither.
 	RawBufReuse *obs.Counter
 	RawBufAlloc *obs.Counter
 
@@ -53,22 +53,6 @@ type Metrics struct {
 	// PackTime spans one packed block encode.
 	UnpackTime *obs.Timer
 	PackTime   *obs.Timer
-
-	// CompressQueueDepth gauges blocks sealed by the pipelined writer's
-	// ingest side and not yet committed; CompressWorkersBusy gauges
-	// workers currently inside an encode. Both settle to zero when the
-	// writer closes cleanly.
-	CompressQueueDepth  *obs.Gauge
-	CompressWorkersBusy *obs.Gauge
-
-	// CommitStallTime spans the ordered-commit stage's waits for the
-	// next-in-order block while later blocks are already parked.
-	CommitStallTime *obs.Timer
-
-	// PassthroughBlocks counts blocks re-framed verbatim by the
-	// transcode passthrough (WriteEncodedBlock), which skip the encode
-	// stage entirely; they still count under BlocksWritten.
-	PassthroughBlocks *obs.Counter
 }
 
 // NewMetrics registers the PTRC instrument set against reg (the process
@@ -95,9 +79,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CRCFailures: reg.Counter("palu_ptrc_crc_failures_total",
 			"blocks rejected by the CRC check"),
 		RawBufReuse: reg.Counter("palu_ptrc_rawbuf_reuse_total",
-			"decompress target buffers reused warm"),
+			"DEFLATE inflate target buffers reused warm"),
 		RawBufAlloc: reg.Counter("palu_ptrc_rawbuf_alloc_total",
-			"decompress target buffers allocated or grown"),
+			"DEFLATE inflate target buffers allocated or grown"),
 		InflateTime: reg.Timer("palu_ptrc_inflate_ns",
 			"DEFLATE block CRC check + decompression time"),
 		DeflateTime: reg.Timer("palu_ptrc_deflate_ns",
@@ -114,14 +98,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"packed block CRC check + staging time"),
 		PackTime: reg.Timer("palu_ptrc_pack_ns",
 			"packed block encode time"),
-		CompressQueueDepth: reg.Gauge("palu_ptrc_compress_queue_depth",
-			"blocks sealed for the write pipeline and not yet committed"),
-		CompressWorkersBusy: reg.Gauge("palu_ptrc_compress_workers_busy",
-			"write-pipeline workers currently encoding a block"),
-		CommitStallTime: reg.Timer("palu_ptrc_commit_stall_ns",
-			"ordered-commit waits for the next in-order block"),
-		PassthroughBlocks: reg.Counter("palu_ptrc_passthrough_blocks_total",
-			"blocks re-framed verbatim by the transcode passthrough"),
 	}
 }
 
@@ -167,7 +143,7 @@ func (m *Metrics) encodeStart(codec Codec) obs.Span {
 	return m.DeflateTime.Start()
 }
 
-func (m *Metrics) blockRead(codec Codec, compLen, rawLen int, reused bool) {
+func (m *Metrics) blockRead(codec Codec, compLen, rawLen int) {
 	if m == nil {
 		return
 	}
@@ -178,40 +154,17 @@ func (m *Metrics) blockRead(codec Codec, compLen, rawLen int, reused bool) {
 		m.PackedBlocksRead.Inc()
 		m.PackedReadBytes.Add(int64(compLen))
 	}
+}
+
+// rawBuf counts one DEFLATE inflate target, warm or freshly allocated.
+func (m *Metrics) rawBuf(reused bool) {
+	if m == nil {
+		return
+	}
 	if reused {
 		m.RawBufReuse.Inc()
 	} else {
 		m.RawBufAlloc.Inc()
-	}
-}
-
-// queueDepth moves the write-pipeline depth gauge: +1 per sealed batch
-// at ingest, -1 per ordered commit.
-func (m *Metrics) queueDepth(d int64) {
-	if m != nil {
-		m.CompressQueueDepth.Add(d)
-	}
-}
-
-// workerBusy moves the worker-occupancy gauge around one encode.
-func (m *Metrics) workerBusy(d int64) {
-	if m != nil {
-		m.CompressWorkersBusy.Add(d)
-	}
-}
-
-// commitStallStart opens a span over one ordered-commit wait.
-func (m *Metrics) commitStallStart() obs.Span {
-	if m == nil {
-		return obs.Span{}
-	}
-	return m.CommitStallTime.Start()
-}
-
-// passthroughBlock counts one verbatim re-framed block.
-func (m *Metrics) passthroughBlock() {
-	if m != nil {
-		m.PassthroughBlocks.Inc()
 	}
 }
 

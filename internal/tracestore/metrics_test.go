@@ -76,107 +76,10 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.CRCFailures.Value(); got != 0 {
 		t.Errorf("CRC failures = %d on a clean archive", got)
 	}
-	// The sequential reader reuses one raw buffer: first block (or a
-	// growth) allocates, the rest reuse.
+	// The sequential reader inflates every DEFLATE block into one reused
+	// raw buffer: first block (or a growth) allocates, the rest reuse.
 	if alloc, reuse := m.RawBufAlloc.Value(), m.RawBufReuse.Value(); alloc+reuse != int64(info.Blocks) || alloc < 1 {
 		t.Errorf("rawbuf alloc=%d reuse=%d, want alloc+reuse=%d with alloc>=1", alloc, reuse, info.Blocks)
-	}
-}
-
-// TestMetricsParallelReader pins that the parallel reader's per-worker
-// decoders aggregate into one bundle and the block counters still sum
-// exactly when the archive is fully drained.
-func TestMetricsParallelReader(t *testing.T) {
-	ps := synthPackets(13, 4000, 150, 0)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: 256})
-	info, err := Info(bytes.NewReader(data), int64(len(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMetrics(obs.NewRegistry())
-	p, err := NewParallelReader(bytes.NewReader(data), int64(len(data)), ParallelOptions{
-		Workers: 3, Metrics: m,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	n := 0
-	for {
-		if _, ok := p.Next(); !ok {
-			break
-		}
-		n++
-	}
-	if p.Err() != nil {
-		t.Fatal(p.Err())
-	}
-	if n != len(ps) {
-		t.Fatalf("replayed %d packets, want %d", n, len(ps))
-	}
-	if got := m.BlocksRead.Value(); got != int64(info.Blocks) {
-		t.Errorf("blocks read counter = %d, want %d", got, info.Blocks)
-	}
-	if got := m.ReadRawBytes.Value(); got != info.RawBytes {
-		t.Errorf("read raw bytes = %d, want %d", got, info.RawBytes)
-	}
-}
-
-// TestMetricsParallelWriter pins that the pipelined writer's accounting
-// is exact at any worker count: block/byte counters and encode-timer
-// span counts match the serial writer's one for one (the pipeline moves
-// where encoding happens, not how much of it happens), and the
-// queue-depth and worker-occupancy gauges settle back to zero once
-// Close drains the pipeline.
-func TestMetricsParallelWriter(t *testing.T) {
-	ps := synthPackets(29, 257*11+63, 300, 7)
-	flips := map[int]Codec{500: CodecPacked, 1500: CodecDeflate, 2200: CodecPacked}
-	type counts struct {
-		blocks, raw, comp, deflate, pack int64
-	}
-	measure := func(workers int) counts {
-		t.Helper()
-		m := NewMetrics(obs.NewRegistry())
-		w, err := NewWriter(&bytes.Buffer{}, WriterOptions{BlockSize: 257, Workers: workers, Metrics: m})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range ps {
-			if c, ok := flips[i]; ok {
-				w.SetCodec(c)
-			}
-			if err := w.Write(p); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if d := m.CompressQueueDepth.Value(); d != 0 {
-			t.Errorf("workers=%d: compress queue depth = %d after Close, want 0", workers, d)
-		}
-		if b := m.CompressWorkersBusy.Value(); b != 0 {
-			t.Errorf("workers=%d: busy workers = %d after Close, want 0", workers, b)
-		}
-		return counts{
-			blocks:  m.BlocksWritten.Value(),
-			raw:     m.WriteRawBytes.Value(),
-			comp:    m.WriteCompressedBytes.Value(),
-			deflate: m.DeflateTime.Spans(),
-			pack:    m.PackTime.Spans(),
-		}
-	}
-	serial := measure(1)
-	if serial.blocks == 0 || serial.deflate == 0 || serial.pack == 0 {
-		t.Fatalf("serial baseline did not exercise both codecs: %+v", serial)
-	}
-	if serial.deflate+serial.pack != serial.blocks {
-		t.Fatalf("serial encode spans %d+%d != blocks %d", serial.deflate, serial.pack, serial.blocks)
-	}
-	for _, workers := range []int{2, 4} {
-		if got := measure(workers); got != serial {
-			t.Errorf("workers=%d counters %+v != serial %+v", workers, got, serial)
-		}
 	}
 }
 

@@ -57,26 +57,10 @@ func TestPackedRoundTripSequential(t *testing.T) {
 	}
 }
 
-func TestPackedRoundTripParallel(t *testing.T) {
-	const block = 300 // deliberately misaligned with the 256-packet group
-	ps := synthPackets(3, 10*block+99, 5000, 11)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: block, Codec: CodecPacked})
-	for _, workers := range []int{1, 2, 4, 7} {
-		r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertSameTrace(t, drain(t, r), ps)
-		r.Close()
-	}
-}
-
 // TestPackedRoundTripProperty is the randomized property test over the
 // packed and mixed codecs: random lengths, block sizes, node ranges,
 // invalid densities, and occasional extreme IDs (forcing wide miniblock
-// widths and the overflow-checked unpack path) must round-trip exactly
-// through both readers.
+// widths and the overflow-checked unpack path) must round-trip exactly.
 func TestPackedRoundTripProperty(t *testing.T) {
 	rng := xrand.New(20260808)
 	for trial := 0; trial < 25; trial++ {
@@ -105,14 +89,6 @@ func TestPackedRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d (n=%d block=%d): %v", trial, n, block, err)
 		}
 		assertSameTrace(t, drain(t, seq), ps)
-
-		par, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: 1 + rng.Intn(4)})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		assertSameTrace(t, drain(t, par), ps)
-		par.Close()
 	}
 }
 
@@ -214,8 +190,8 @@ func TestMiniblockProperty(t *testing.T) {
 // TestMixedCodecReplayEquivalence is the codec counterpart of
 // TestFusedReplayEquivalence: the packed and mixed-codec archives must
 // produce byte-identical window artifacts and identical stats to the
-// DEFLATE archive of the same trace, at {1,2,4} workers, for the
-// sequential fused, sequential unfused and parallel fused paths.
+// DEFLATE archive of the same trace, at {1,2,4} workers, for the fused
+// and unfused paths.
 func TestMixedCodecReplayEquivalence(t *testing.T) {
 	const (
 		n     = 60000
@@ -264,14 +240,6 @@ func TestMixedCodecReplayEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					return unfusedSource{src: r}
-				},
-				"par-fused": func() stream.PacketSource {
-					r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-						ParallelOptions{Workers: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					return r
 				},
 			}
 			for path, mk := range sources {
@@ -351,23 +319,20 @@ func TestPackedInfo(t *testing.T) {
 			t.Errorf("mixed archive block %d codec = %v, want %v", i, b.Codec, want)
 		}
 	}
-	// The parallel reader's Info must agree with the footer path.
+	// Info over the bytes must agree with the file path.
 	data, _ := os.ReadFile(mixedPath)
-	pr, err := NewParallelReader(bytes.NewReader(data), int64(len(data)), ParallelOptions{})
+	got, err := Info(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pr.Close()
-	got := pr.Info()
-	if got.DeflateBlocks != mi.DeflateBlocks || got.PackedBlocks != mi.PackedBlocks {
-		t.Errorf("ParallelReader.Info codec counts %d/%d, want %d/%d",
-			got.DeflateBlocks, got.PackedBlocks, mi.DeflateBlocks, mi.PackedBlocks)
+	if got != mi {
+		t.Errorf("Info %+v, want InfoFileBlocks %+v", got, mi)
 	}
 }
 
 // TestTranscodePTRC pins the migration path: deflate → packed → deflate
-// preserves the exact packet sequence, and the transcoded archive
-// reports the expected codec.
+// preserves the exact packet sequence, the transcoded archive reports
+// the expected codec, and a transcode honours the target level.
 func TestTranscodePTRC(t *testing.T) {
 	ps := synthPackets(23, 5000, 2000, 6)
 	orig := writeArchive(t, ps, WriterOptions{BlockSize: 512})
@@ -404,11 +369,30 @@ func TestTranscodePTRC(t *testing.T) {
 	if !bytes.Equal(back.Bytes(), orig) {
 		t.Error("deflate → packed → deflate transcode is not byte-identical")
 	}
+
+	// A level change re-encodes every block: a level-1 archive of full
+	// default-size blocks transcoded at level 9 equals recording the same
+	// packets at level 9.
+	big := synthPackets(24, 2*DefaultBlockSize+1000, 50000, 6)
+	l1 := writeArchive(t, big, WriterOptions{Level: 1})
+	l9 := writeArchive(t, big, WriterOptions{Level: 9})
+	if bytes.Equal(l1, l9) {
+		t.Fatal("level 1 and level 9 archives are identical; the fixture cannot tell them apart")
+	}
+	var relevel bytes.Buffer
+	if _, err := TranscodePTRC(bytes.NewReader(l1), &relevel, WriterOptions{Level: 9}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(relevel.Bytes(), l9) {
+		t.Errorf("level 1 → 9 transcode wrote %d bytes, want the %d-byte level-9 recording",
+			relevel.Len(), len(l9))
+	}
 }
 
 // TestPackedCorruption runs the damaged-archive invariants over packed
 // and mixed archives: truncations and bit flips must surface as
-// ErrCorrupt from both readers, never a panic or silent misread.
+// ErrCorrupt from the reader, never a panic or silent misread, and
+// truncations as ErrCorrupt from Info too.
 func TestPackedCorruption(t *testing.T) {
 	ps := synthPackets(31, 3000, 500, 8)
 	for _, tc := range []struct {
@@ -422,7 +406,7 @@ func TestPackedCorruption(t *testing.T) {
 		for _, keep := range []int{40, len(data) / 2, len(data) - footerLen} {
 			trunc := data[:keep]
 			expectCorrupt(t, tc.name+"/truncated-seq", sequentialErr(trunc))
-			expectCorrupt(t, tc.name+"/truncated-par", parallelErr(trunc))
+			expectCorrupt(t, tc.name+"/truncated-info", infoErr(trunc))
 		}
 		for _, at := range []int{
 			len(fileMagic) + 1 + blockHeaderLen + 2,  // validity section
@@ -432,7 +416,6 @@ func TestPackedCorruption(t *testing.T) {
 			mutated := append([]byte(nil), data...)
 			mutated[at] ^= 0xFF
 			expectCorrupt(t, tc.name+"/flip-seq", sequentialErr(mutated))
-			expectCorrupt(t, tc.name+"/flip-par", parallelErr(mutated))
 		}
 	}
 }
@@ -460,8 +443,7 @@ func TestBlockHeaderCodecPlausibility(t *testing.T) {
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512, Codec: CodecPacked})
 	mutated := append([]byte(nil), data...)
 	mutated[len(fileMagic)] = tagBlock
-	expectCorrupt(t, "packed block retagged deflate (seq)", sequentialErr(mutated))
-	expectCorrupt(t, "packed block retagged deflate (par)", parallelErr(mutated))
+	expectCorrupt(t, "packed block retagged deflate", sequentialErr(mutated))
 }
 
 // TestMetricsPacked pins the per-codec metrics split: a packed archive
@@ -527,6 +509,10 @@ func TestMetricsPacked(t *testing.T) {
 	}
 	if got := m.PackedReadBytes.Value(); got != info.CompressedBytes {
 		t.Errorf("packed read bytes = %d, want %d", got, info.CompressedBytes)
+	}
+	// Packed payloads are walked in place: no inflate target is staged.
+	if alloc, reuse := m.RawBufAlloc.Value(), m.RawBufReuse.Value(); alloc+reuse != 0 {
+		t.Errorf("rawbuf alloc=%d reuse=%d on a packed archive, want none", alloc, reuse)
 	}
 }
 

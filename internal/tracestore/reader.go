@@ -179,12 +179,11 @@ func (r *Reader) DecodeInto(w *stream.PairWindow) (valid, invalid int64, full, o
 		if !okr {
 			return 0, 0, false, false
 		}
-		raw, err := r.dec.decompress(codec, h, r.comp, r.dec.raw)
+		raw, err := r.dec.decompress(codec, h, r.comp)
 		if err != nil {
 			r.err = err
 			return 0, 0, false, false
 		}
-		r.dec.raw = raw
 		if err := r.walk.init(codec, raw, h.packets); err != nil {
 			r.err = err
 			return 0, 0, false, false

@@ -2,6 +2,10 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"hybridplaw/internal/stream"
@@ -96,28 +100,10 @@ func TestRoundTripSequential(t *testing.T) {
 	}
 }
 
-func TestRoundTripParallel(t *testing.T) {
-	const block = 256
-	ps := synthPackets(3, 10*block+99, 5000, 11)
-	data := writeArchive(t, ps, WriterOptions{BlockSize: block})
-	for _, workers := range []int{1, 2, 4, 7} {
-		r, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertSameTrace(t, drain(t, r), ps)
-		if r.PacketsRead() != int64(len(ps)) {
-			t.Errorf("workers=%d: PacketsRead = %d", workers, r.PacketsRead())
-		}
-		r.Close()
-	}
-}
-
 // TestRoundTripProperty is the randomized property test: for random
 // lengths, block sizes, node ranges and invalid densities, PTRC
 // write→read preserves the exact packet sequence — including invalid
-// packets — through both readers.
+// packets.
 func TestRoundTripProperty(t *testing.T) {
 	rng := xrand.New(20260729)
 	for trial := 0; trial < 25; trial++ {
@@ -140,14 +126,6 @@ func TestRoundTripProperty(t *testing.T) {
 			t.Fatalf("trial %d (n=%d block=%d): %v", trial, n, block, err)
 		}
 		assertSameTrace(t, drain(t, seq), ps)
-
-		par, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-			ParallelOptions{Workers: 1 + rng.Intn(4)})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		assertSameTrace(t, drain(t, par), ps)
-		par.Close()
 	}
 }
 
@@ -215,14 +193,6 @@ func TestEmptyArchive(t *testing.T) {
 	if got := drain(t, r); len(got) != 0 {
 		t.Errorf("empty archive yielded %d packets", len(got))
 	}
-	pr, err := NewParallelReader(bytes.NewReader(data), int64(len(data)), ParallelOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := drain(t, pr); len(got) != 0 {
-		t.Errorf("empty archive yielded %d packets (parallel)", len(got))
-	}
-	pr.Close()
 	info, err := Info(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +203,8 @@ func TestEmptyArchive(t *testing.T) {
 }
 
 // TestPipelineReplayEquivalence runs the same trace through the pipeline
-// from the original slice, the sequential reader and the parallel reader,
-// and requires float-identical ensembles.
+// from the original slice and from the reader, and requires
+// float-identical ensembles.
 func TestPipelineReplayEquivalence(t *testing.T) {
 	ps := synthPackets(12, 30000, 4000, 9)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 4096})
@@ -256,31 +226,21 @@ func TestPipelineReplayEquivalence(t *testing.T) {
 	}
 	seqSink, seqStats := run(seq)
 
-	par, err := NewParallelReader(bytes.NewReader(data), int64(len(data)),
-		ParallelOptions{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	parSink, parStats := run(par)
-
-	if seqStats != refStats || parStats != refStats {
-		t.Fatalf("stats diverge: ref %+v, seq %+v, par %+v", refStats, seqStats, parStats)
+	if seqStats != refStats {
+		t.Fatalf("stats diverge: ref %+v, seq %+v", refStats, seqStats)
 	}
 	if refStats.SourcePacketsRead != int64(len(ps)) {
 		t.Errorf("SourcePacketsRead = %d, want %d", refStats.SourcePacketsRead, len(ps))
 	}
 	for _, q := range stream.Quantities {
 		refMean, refSigma := refSink.Ensemble(q).Mean(), refSink.Ensemble(q).Sigma()
-		for _, other := range []*stream.EnsembleSink{seqSink, parSink} {
-			mean, sigma := other.Ensemble(q).Mean(), other.Ensemble(q).Sigma()
-			if len(mean) != len(refMean) {
-				t.Fatalf("%v: bin counts differ", q)
-			}
-			for i := range refMean {
-				if mean[i] != refMean[i] || sigma[i] != refSigma[i] {
-					t.Fatalf("%v bin %d: replay ensemble not float-identical", q, i)
-				}
+		mean, sigma := seqSink.Ensemble(q).Mean(), seqSink.Ensemble(q).Sigma()
+		if len(mean) != len(refMean) {
+			t.Fatalf("%v: bin counts differ", q)
+		}
+		for i := range refMean {
+			if mean[i] != refMean[i] || sigma[i] != refSigma[i] {
+				t.Fatalf("%v bin %d: replay ensemble not float-identical", q, i)
 			}
 		}
 	}
@@ -323,3 +283,216 @@ func TestWriterOptionValidation(t *testing.T) {
 		t.Error("expected error for oversized block")
 	}
 }
+
+// TestWriterSetCodecMidBlock pins SetCodec's promise that packets
+// already buffered flush under the new codec: with flips in the middle
+// of blocks, each block carries the codec in effect when its last
+// packet was written, and the archive still round-trips.
+func TestWriterSetCodecMidBlock(t *testing.T) {
+	const n, block = 2000, 257
+	flips := map[int]Codec{300: CodecPacked, 1000: CodecDeflate, 1700: CodecPacked}
+	ps := synthPackets(11, n, 500, 7)
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WriterOptions{BlockSize: block})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codecAt := make([]Codec, n)
+	codec := CodecDeflate
+	for i, p := range ps {
+		if c, ok := flips[i]; ok {
+			if err := w.SetCodec(c); err != nil {
+				t.Fatal(err)
+			}
+			codec = c
+		}
+		codecAt[i] = codec
+		if err := w.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameTrace(t, drain(t, r), ps)
+
+	path := filepath.Join(t.TempDir(), "mixed.ptrc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, blocks, err := InfoFileBlocks(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (n + block - 1) / block; len(blocks) != want {
+		t.Fatalf("%d blocks, want %d", len(blocks), want)
+	}
+	// Block 1 holds packets 257..513; the flip at 300 lands inside it.
+	if blocks[1].Codec != CodecPacked {
+		t.Errorf("block 1 codec %v, want packed", blocks[1].Codec)
+	}
+	for k, bl := range blocks {
+		last := min((k+1)*block, n) - 1
+		if bl.Codec != codecAt[last] {
+			t.Errorf("block %d codec %v, want %v", k, bl.Codec, codecAt[last])
+		}
+	}
+}
+
+// TestRecordBlocksFromMatchesPerPacket pins the bulk ingest path: a
+// BlockSource drained via RecordBlocksFrom yields the identical archive
+// to writing the same packets one at a time, even when source block
+// boundaries disagree with the writer's.
+func TestRecordBlocksFromMatchesPerPacket(t *testing.T) {
+	ps := synthPackets(5, 4000, 300, 9)
+	src := writeArchive(t, ps, WriterOptions{BlockSize: 333})
+	opts := WriterOptions{BlockSize: 512, Codec: CodecPacked}
+
+	var want bytes.Buffer
+	w, err := NewWriter(&want, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range ps {
+		if err := w.Write(p); err != nil {
+			t.Fatalf("Write packet %d: %v", i, err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := NewReader(bytes.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if w, err = NewWriter(&buf, opts); err != nil {
+		t.Fatal(err)
+	}
+	n, err := w.RecordBlocksFrom(r)
+	if err != nil {
+		t.Fatalf("RecordBlocksFrom: %v", err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(ps)) {
+		t.Fatalf("bulk path wrote %d packets, want %d", n, len(ps))
+	}
+	if !bytes.Equal(want.Bytes(), buf.Bytes()) {
+		t.Fatal("bulk archive differs from per-packet archive")
+	}
+}
+
+// packetOnly hides a Reader's BlockSource interface, forcing the
+// per-packet RecordFrom drain.
+type packetOnly struct{ r *Reader }
+
+func (s packetOnly) Next() (stream.Packet, bool) { return s.r.Next() }
+func (s packetOnly) Err() error                  { return s.r.Err() }
+
+// TestRecordFromPrefersBlockDrain pins that RecordFrom routes
+// BlockSources through the bulk path and that both drains produce the
+// same archive.
+func TestRecordFromPrefersBlockDrain(t *testing.T) {
+	ps := synthPackets(17, 3000, 250, 8)
+	src := writeArchive(t, ps, WriterOptions{BlockSize: 400})
+	record := func(wrap bool) []byte {
+		r, err := NewReader(bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s stream.PacketSource = r
+		if wrap {
+			s = packetOnly{r}
+		}
+		var buf bytes.Buffer
+		if _, err := Record(&buf, s, WriterOptions{BlockSize: 512}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if !bytes.Equal(record(false), record(true)) {
+		t.Fatal("block drain and per-packet drain disagree")
+	}
+}
+
+// failAfterWriter errors once its byte budget is spent — a stand-in for
+// a full disk under the writer.
+type failAfterWriter struct {
+	budget int
+}
+
+func (w *failAfterWriter) Write(p []byte) (int, error) {
+	if w.budget -= len(p); w.budget < 0 {
+		return 0, errors.New("disk full")
+	}
+	return len(p), nil
+}
+
+// TestWriterCommitError pins the failure path: a sink error surfaces
+// from Write or Close, repeated Closes return the same error, and
+// Write after a failed Close errors.
+func TestWriterCommitError(t *testing.T) {
+	ps := synthPackets(3, 20000, 300, 6)
+	w, err := NewWriter(&failAfterWriter{budget: 4096}, WriterOptions{BlockSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var werr error
+	for _, p := range ps {
+		if werr = w.Write(p); werr != nil {
+			break
+		}
+	}
+	if werr == nil {
+		t.Fatal("sink error never surfaced from Write")
+	}
+	cerr := w.Close()
+	if cerr == nil {
+		t.Fatal("Close after a write failure must return the error")
+	}
+	if again := w.Close(); !errors.Is(again, cerr) && again.Error() != cerr.Error() {
+		t.Fatalf("second Close: %v, want %v", again, cerr)
+	}
+	if werr = w.Write(ps[0]); werr == nil {
+		t.Fatal("Write after failed Close must error")
+	}
+}
+
+// The transcode benchmark pair documents the RecordFrom fix: the bulk
+// block drain vs the same source with its BlockSource interface hidden.
+// The per-packet variant pays one interface call per packet and
+// re-buffers each one; the bulk variant appends whole blocks.
+func benchmarkTranscode(b *testing.B, perPacket bool) {
+	opts := WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked}
+	var buf bytes.Buffer
+	if _, err := Record(&buf, stream.NewSliceSource(synthPackets(9, 1<<16, 600, 7)), opts); err != nil {
+		b.Fatal(err)
+	}
+	src := buf.Bytes()
+	b.SetBytes(int64(len(src)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := NewReader(bytes.NewReader(src))
+		if err != nil {
+			b.Fatal(err)
+		}
+		var s stream.PacketSource = r
+		if perPacket {
+			s = packetOnly{r}
+		}
+		if _, err := Record(io.Discard, s, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTranscodePTRCBulk(b *testing.B)      { benchmarkTranscode(b, false) }
+func BenchmarkTranscodePTRCPerPacket(b *testing.B) { benchmarkTranscode(b, true) }

@@ -24,16 +24,8 @@ type WriterOptions struct {
 	// Codec selects the block codec. The zero value is CodecDeflate, so
 	// pre-codec configurations produce byte-identical archives.
 	Codec Codec
-	// Workers selects the number of parallel compress workers for the
-	// record path. <= 1 (the default) keeps the serial inline encode on
-	// the caller's goroutine; higher values pipeline sealed batches
-	// through a worker pool with an ordered-commit stage (see
-	// parwriter.go). The archive bytes are identical at any worker
-	// count.
-	Workers int
 	// Metrics, when non-nil, instruments the writer (blocks written,
-	// per-codec encode time, raw/compressed byte totals, and — in
-	// parallel mode — queue depth, worker occupancy and commit stalls).
+	// per-codec encode time, raw/compressed byte totals).
 	Metrics *Metrics
 }
 
@@ -53,18 +45,14 @@ func (o WriterOptions) normalize() (WriterOptions, error) {
 	if o.Codec >= numCodecs {
 		return o, fmt.Errorf("tracestore: unknown codec %d", o.Codec)
 	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
 	return o, nil
 }
 
 // blockEncoder turns one sealed batch of packets into a complete block
-// record (tag | header | payload). It is the single encode path shared
-// by the serial writer and every pipeline worker, which is what makes
-// serial and parallel archives byte-identical: DEFLATE at a fixed level
-// is deterministic per input, the packed codec is canonical, and the
-// header is a pure function of the payload.
+// record (tag | header | payload). DEFLATE at a fixed level is
+// deterministic per input, the packed codec is canonical, and the
+// header is a pure function of the payload, so an archive is a pure
+// function of its packets, block size, level and codec sequence.
 type blockEncoder struct {
 	level int
 	fw    *flate.Writer // lazily created on the first DEFLATE block
@@ -74,7 +62,7 @@ type blockEncoder struct {
 }
 
 // recWriter adapts a plain byte slice into the io.Writer flate needs,
-// so records assemble into pooled buffers without a bytes.Buffer.
+// so records assemble into a reused buffer without a bytes.Buffer.
 type recWriter struct{ b []byte }
 
 func (w *recWriter) Write(p []byte) (int, error) {
@@ -139,42 +127,10 @@ func (e *blockEncoder) encodeRecord(rec []byte, packets []stream.Packet, codec C
 	return rec, info, nil
 }
 
-// EncodedBlock is one stored block record's payload plus its index
-// entry, as carried from an existing archive without decoding — the
-// currency of the transcode passthrough (WriteEncodedBlock,
-// TranscodeArchive).
-type EncodedBlock struct {
-	Codec   Codec
-	Packets int
-	Valid   int64
-	RawLen  int    // canonical raw encoding length (header field)
-	Payload []byte // stored payload; not retained past the call
-}
-
-// encodedRecord frames an already-encoded payload as a block record in
-// rec (contents overwritten, capacity reused). The CRC is recomputed
-// from the payload rather than copied from the source archive, so a
-// passthrough can never launder corrupt bytes into a fresh archive
-// under a stale checksum — callers verify the source CRC first.
-func encodedRecord(rec []byte, b EncodedBlock) []byte {
-	rec = append(rec[:0], tagForCodec(b.Codec))
-	var hdr [blockHeaderLen]byte
-	rec = append(rec, hdr[:]...)
-	rec = append(rec, b.Payload...)
-	putBlockHeader(rec[1:], blockHeader{
-		packets: b.Packets,
-		rawLen:  b.RawLen,
-		compLen: len(b.Payload),
-		crc:     crc32.Checksum(b.Payload, crcTable),
-	})
-	return rec
-}
-
 // Writer streams packets into a PTRC archive. Packets accumulate into a
 // block buffer of BlockSize packets; each full block is encoded (see
-// encodeBlockRaw), DEFLATE-compressed and written as one record, so
-// memory stays O(block) in serial mode and O(workers × block) in
-// pipelined mode, regardless of trace length. Close flushes the final
+// encodeBlockRaw), compressed and written as one record, so memory
+// stays O(block) regardless of trace length. Close flushes the final
 // partial block and writes the index and footer; an archive without
 // them is detectably truncated.
 type Writer struct {
@@ -182,10 +138,9 @@ type Writer struct {
 	opts   WriterOptions
 	codec  Codec // codec for the next flushed block (see SetCodec)
 	buf    []stream.Packet
-	enc    blockEncoder // serial encode path
-	recBuf []byte       // serial record assembly buffer
+	enc    blockEncoder
+	recBuf []byte       // record assembly buffer
 	rec    bytes.Buffer // index/footer assembly
-	pipe   *writePipeline
 	blocks []blockInfo
 	total  int64
 	valid  int64
@@ -194,39 +149,28 @@ type Writer struct {
 }
 
 // NewWriter writes the file magic and returns a writer archiving into w.
-// The caller owns w and must call Close before relying on the archive;
-// in pipelined mode (Workers > 1) Close also reaps the worker pool, so
-// skipping it leaks goroutines as well as truncating the archive.
+// The caller owns w and must call Close before relying on the archive.
 func NewWriter(w io.Writer, opts WriterOptions) (*Writer, error) {
 	opts, err := opts.normalize()
 	if err != nil {
 		return nil, err
 	}
-	tw := &Writer{
+	if _, err := io.WriteString(w, fileMagic); err != nil {
+		return nil, err
+	}
+	return &Writer{
 		w:     w,
 		opts:  opts,
 		codec: opts.Codec,
+		buf:   make([]stream.Packet, 0, opts.BlockSize),
 		enc:   blockEncoder{level: opts.Level, m: opts.Metrics},
-	}
-	if _, err := io.WriteString(w, fileMagic); err != nil {
-		tw.err = err
-		return nil, err
-	}
-	if opts.Workers > 1 {
-		tw.pipe = newWritePipeline(w, opts)
-		tw.buf = tw.pipe.leaseBatch()
-	} else {
-		tw.buf = make([]stream.Packet, 0, opts.BlockSize)
-	}
-	return tw, nil
+	}, nil
 }
 
 // SetCodec changes the codec used for blocks flushed from now on —
 // including the currently buffered partial block — making mixed-codec
-// archives writable without reopening the writer. In pipelined mode the
-// codec is latched into each batch as it seals, so the rule is
-// identical: packets buffered at the time of the call flush under the
-// new codec. It returns an error only for an unknown codec.
+// archives writable without reopening the writer. It returns an error
+// only for an unknown codec.
 func (w *Writer) SetCodec(c Codec) error {
 	if c >= numCodecs {
 		return fmt.Errorf("tracestore: unknown codec %d", c)
@@ -329,59 +273,9 @@ func (w *Writer) RecordBlocksFrom(src stream.BlockSource) (int64, error) {
 	return n, src.Err()
 }
 
-// WriteEncodedBlock re-frames an already-encoded block into the archive
-// verbatim — the transcode passthrough. A block is eligible only when
-// no partial batch is buffered, its codec matches the writer's current
-// codec, and its packet count equals the writer's BlockSize, so the
-// record sequence stays exactly what encoding the packets would have
-// produced. It returns (false, nil) for an ineligible block — the
-// caller decodes it and replays the packets through Write instead —
-// and never retains b.Payload. The payload must already be verified
-// against its source CRC: the stored checksum is recomputed here, so
-// corrupt input would otherwise be re-signed as valid.
-func (w *Writer) WriteEncodedBlock(b EncodedBlock) (bool, error) {
-	if w.err != nil {
-		return false, w.err
-	}
-	if w.closed {
-		return false, errors.New("tracestore: write after Close")
-	}
-	if b.Codec >= numCodecs {
-		return false, fmt.Errorf("tracestore: unknown codec %d", b.Codec)
-	}
-	if len(w.buf) > 0 || b.Codec != w.codec || b.Packets != w.opts.BlockSize {
-		return false, nil
-	}
-	info := blockInfo{
-		packets: b.Packets,
-		valid:   b.Valid,
-		rawLen:  b.RawLen,
-		compLen: len(b.Payload),
-		codec:   b.Codec,
-	}
-	w.total += int64(b.Packets)
-	w.valid += b.Valid
-	w.opts.Metrics.passthroughBlock()
-	if w.pipe != nil {
-		return true, w.pipe.submitPre(w, b, info)
-	}
-	w.recBuf = encodedRecord(w.recBuf, b)
-	if _, err := w.w.Write(w.recBuf); err != nil {
-		w.err = err
-		return true, err
-	}
-	w.opts.Metrics.blockWritten(b.Codec, info.rawLen, info.compLen)
-	w.blocks = append(w.blocks, info)
-	return true, nil
-}
-
-// flushBlock seals the buffered packets as one block under the writer's
-// current codec: encoded and written inline in serial mode, handed to
-// the compress pipeline otherwise.
+// flushBlock encodes the buffered packets as one block under the
+// writer's current codec and writes the record.
 func (w *Writer) flushBlock() error {
-	if w.pipe != nil {
-		return w.pipe.submitBatch(w)
-	}
 	rec, info, err := w.enc.encodeRecord(w.recBuf, w.buf, w.codec)
 	w.recBuf = rec
 	if err != nil {
@@ -398,23 +292,9 @@ func (w *Writer) flushBlock() error {
 	return nil
 }
 
-// Close flushes the final partial block, reaps the compress pipeline if
-// one is running, and writes the trailing index and footer. It does not
-// close the underlying writer.
+// Close flushes the final partial block and writes the trailing index
+// and footer. It does not close the underlying writer.
 func (w *Writer) Close() error {
-	if w.pipe != nil {
-		// The pipeline is torn down exactly once, error or not:
-		// returning early on the error path would leak its goroutines.
-		if w.err == nil && !w.closed && len(w.buf) > 0 {
-			w.flushBlock()
-		}
-		blocks, err := w.pipe.shutdown()
-		w.pipe = nil
-		w.blocks = blocks
-		if w.err == nil {
-			w.err = err
-		}
-	}
 	if w.err != nil {
 		return w.err
 	}
@@ -466,7 +346,9 @@ func (w *Writer) Packets() int64 { return w.total }
 func (w *Writer) ValidPackets() int64 { return w.valid }
 
 // Record archives an entire packet source into w as one PTRC archive
-// (NewWriter + RecordFrom + Close) and returns the packet count.
+// (NewWriter + RecordFrom + Close) and returns the packet count. On a
+// source or write error the archive is left without its index, so it
+// reads as truncated.
 func Record(w io.Writer, src stream.PacketSource, opts WriterOptions) (int64, error) {
 	tw, err := NewWriter(w, opts)
 	if err != nil {
@@ -474,7 +356,6 @@ func Record(w io.Writer, src stream.PacketSource, opts WriterOptions) (int64, er
 	}
 	n, err := tw.RecordFrom(src)
 	if err != nil {
-		tw.Close() // reap the pipeline; the archive is already invalid
 		return n, err
 	}
 	return n, tw.Close()

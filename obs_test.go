@@ -274,11 +274,6 @@ func TestMetricsInstrumentCountPin(t *testing.T) {
 		"palu_ptrc_deflate_spans_total":          0,
 		"palu_ptrc_pack_ns":                      0,
 		"palu_ptrc_pack_spans_total":             0,
-		"palu_ptrc_compress_queue_depth":         0,
-		"palu_ptrc_compress_workers_busy":        0,
-		"palu_ptrc_commit_stall_ns":              0,
-		"palu_ptrc_commit_stall_spans_total":     0,
-		"palu_ptrc_passthrough_blocks_total":     0,
 	}
 	snap := reg.Snapshot()
 	seen := map[string]bool{}
@@ -289,8 +284,8 @@ func TestMetricsInstrumentCountPin(t *testing.T) {
 		if m.Type == "histogram" {
 			got = m.Count
 		}
-		// Which blocks need a fresh decompress buffer depends on block
-		// sizes; every block takes exactly one, fresh or reused.
+		// Which blocks need a fresh inflate buffer depends on block
+		// sizes; every DEFLATE block takes exactly one, fresh or reused.
 		if m.Name == "palu_ptrc_rawbuf_alloc_total" || m.Name == "palu_ptrc_rawbuf_reuse_total" {
 			rawbufs += got
 			continue
@@ -313,7 +308,7 @@ func TestMetricsInstrumentCountPin(t *testing.T) {
 		t.Error("snapshot missing the rawbuf counters")
 	}
 	if rawbufs != blocks {
-		t.Errorf("rawbuf alloc + reuse = %d, want %d (one per block)", rawbufs, blocks)
+		t.Errorf("rawbuf alloc + reuse = %d, want %d (one per DEFLATE block)", rawbufs, blocks)
 	}
 	t.Logf("%d blocks, %d windows, %d ingest calls over %d packets",
 		blocks, windows, ingest, info.Packets)
