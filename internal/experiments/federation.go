@@ -163,12 +163,6 @@ func runFederationSite(ctx *scenario.Context, s FederationSite) (FederationSiteR
 	return *res, nil
 }
 
-// RunFederationSite is the standalone wrapper over the
-// "federation/<id>" scenario's compute (direct generation, no cache).
-func RunFederationSite(s FederationSite) (FederationSiteResult, error) {
-	return runFederationSite(scenario.Standalone(), s)
-}
-
 // FederationWindowRow is one backbone window in the per-window table:
 // the member sites' link counts next to the merged aggregates.
 type FederationWindowRow struct {

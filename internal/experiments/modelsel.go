@@ -146,13 +146,9 @@ func selectModels(name, quantity string, h *hist.Histogram, reg *model.Registry,
 	return res, nil
 }
 
-// RunModelSelectionPanel fits every registered family to one Fig. 3
-// panel's merged cross-window histogram and ranks them. Standalone
-// wrapper over the "modelsel/<panel>" scenarios' compute.
-func RunModelSelectionPanel(spec netgen.PanelSpec) (ModelSelectionResult, error) {
-	return runModelSelectionPanel(scenario.Standalone(), spec)
-}
-
+// runModelSelectionPanel is the "modelsel/<panel>" scenario compute: it
+// fits every registered family to one Fig. 3 panel's merged
+// cross-window histogram and ranks them.
 func runModelSelectionPanel(ctx *scenario.Context, spec netgen.PanelSpec) (ModelSelectionResult, error) {
 	sink := stream.NewEnsembleSink(spec.Quantity)
 	req := scenario.WindowReq{Site: spec.Site, NV: spec.NV, Windows: spec.Windows}

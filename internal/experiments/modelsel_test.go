@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridplaw/internal/netgen"
+	"hybridplaw/internal/scenario"
 )
 
 // TestModelSelectionPALUPinsZMFamily is the acceptance pin: on
@@ -52,7 +53,7 @@ func TestModelSelectionPanel(t *testing.T) {
 	if !found {
 		t.Fatal("panel tokyo2017-source-fanout missing")
 	}
-	res, err := RunModelSelectionPanel(spec)
+	res, err := runModelSelectionPanel(scenario.Standalone(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,7 @@ import (
 
 // Snapshot is a deterministic point-in-time rendering of a registry:
 // metrics sorted by name, each carrying exactly the fields of its type.
-// It is the unit both exporters consume and the payload palu-bench v3
-// records embed.
+// It is the unit both exporters consume.
 type Snapshot struct {
 	Metrics []Metric `json:"metrics"`
 }

@@ -13,8 +13,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/spmat"
@@ -213,58 +211,6 @@ func AllQuantities(win *Window) (map[Quantity]*hist.Histogram, error) {
 			return nil, err
 		}
 		out[q] = h
-	}
-	return out, nil
-}
-
-// WindowEnsemble pools one quantity across a sequence of windows and
-// returns the cross-window ensemble (mean D(di) and sigma(di), the ±1σ
-// error bars of Fig. 3).
-func WindowEnsemble(wins []*Window, q Quantity) (*hist.Ensemble, error) {
-	if len(wins) == 0 {
-		return nil, ErrShortStream
-	}
-	e := hist.NewEnsemble()
-	for _, w := range wins {
-		h, err := QuantityHistogram(w, q)
-		if err != nil {
-			return nil, err
-		}
-		p, err := h.Pool()
-		if err != nil {
-			return nil, err
-		}
-		e.Add(p)
-	}
-	return e, nil
-}
-
-// ParallelQuantities computes the per-window quantity histograms for many
-// windows concurrently, preserving window order. workers <= 0 selects
-// GOMAXPROCS. The reduction across windows (hist.Ensemble) is cheap and
-// stays serial.
-func ParallelQuantities(wins []*Window, q Quantity, workers int) ([]*hist.Histogram, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	out := make([]*hist.Histogram, len(wins))
-	errs := make([]error, len(wins))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, w := range wins {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, w *Window) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = QuantityHistogram(w, q)
-		}(i, w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return out, nil
 }

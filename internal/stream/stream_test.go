@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"math"
 	"testing"
 
 	"hybridplaw/internal/hist"
@@ -171,57 +170,6 @@ func TestQuantityHistogramNilWindow(t *testing.T) {
 	wins, _ := Cut(ps, 100)
 	if _, err := QuantityHistogram(wins[0], Quantity(42)); err == nil {
 		t.Error("unknown quantity: expected error")
-	}
-}
-
-func TestWindowEnsemble(t *testing.T) {
-	ps := mkPackets(7, 10000, 64, 0)
-	wins, err := Cut(ps, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := WindowEnsemble(wins, SourceFanOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Windows() != len(wins) {
-		t.Errorf("ensemble windows = %d, want %d", e.Windows(), len(wins))
-	}
-	var mass float64
-	for _, m := range e.Mean() {
-		mass += m
-	}
-	if math.Abs(mass-1) > 1e-9 {
-		t.Errorf("mean pooled mass = %v", mass)
-	}
-	if _, err := WindowEnsemble(nil, SourcePackets); err == nil {
-		t.Error("empty windows: expected error")
-	}
-}
-
-func TestParallelQuantitiesMatchesSerial(t *testing.T) {
-	ps := mkPackets(8, 20000, 128, 3)
-	wins, err := Cut(ps, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range Quantities {
-		par, err := ParallelQuantities(wins, q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par) != len(wins) {
-			t.Fatalf("parallel returned %d results", len(par))
-		}
-		for i, w := range wins {
-			ser, err := QuantityHistogram(w, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !histEqual(ser, par[i]) {
-				t.Errorf("quantity %v window %d: parallel != serial", q, i)
-			}
-		}
 	}
 }
 

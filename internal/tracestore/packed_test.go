@@ -520,8 +520,8 @@ func TestMetricsPacked(t *testing.T) {
 // acceptance criteria: default options still produce byte-identical
 // pre-codec archives, and the packed archive of a replay-benchmark
 // trace shape (uniform random IDs with a hot destination subset, the
-// palu-bench synthTrace distribution the 1.25x size budget is defined
-// on) stays within 1.25x of the DEFLATE archive. Traces with heavy
+// distribution of the root hot-path benchmarks' synthTrace, on which
+// the 1.25x size budget is defined) stays within 1.25x of the DEFLATE archive. Traces with heavy
 // verbatim pair repetition compress further under DEFLATE's LZ77 than
 // any per-column FOR can — that trade is the point of the codec, and
 // the budget is pinned on the distribution the acceptance names.
