@@ -88,7 +88,7 @@ func run(o options) error {
 		return err
 	}
 
-	// One registry covers the whole stack — scheduler, pipelines, PTRC
+	// One registry covers the whole stack — engine, pipelines, PTRC
 	// codecs — when any observability surface is requested.
 	var obsReg *obs.Registry
 	if o.metrics != "" || o.httpAddr != "" {

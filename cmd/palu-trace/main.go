@@ -11,6 +11,7 @@
 //	palu-trace convert -in trace.ptrc -out packed.ptrc -codec packed
 //	palu-trace info    -in trace.ptrc
 //	palu-trace replay  -in trace.ptrc -nv 100000 -quantity fan-out
+//	palu-trace cache   -dir ptrc
 //
 // record captures a synthetic observatory trace: exactly the packet
 // prefix a windows×NV pipeline run consumes, so replaying the archive
@@ -19,7 +20,8 @@
 // magic); with -codec on a PTRC input it transcodes between block codecs
 // instead. info prints the archive summary from its index without
 // decoding any block. replay streams an archive through the Section II
-// measurement pipeline.
+// measurement pipeline. cache summarizes a scenario-engine window cache
+// (the -cache-dir of palu-figures), one line per cached window.
 package main
 
 import (
@@ -80,7 +82,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: palu-trace <record|convert|info|replay> [flags]
+	fmt.Fprintln(os.Stderr, `usage: palu-trace <record|convert|info|replay|cache> [flags]
 
   record  -out FILE -nv N -windows W   capture a synthetic site trace to PTRC
   convert -in FILE -out FILE           convert trace CSV <-> PTRC

@@ -517,7 +517,7 @@ func NewSite(cfg SiteConfig) (*Site, error) { return netgen.NewSite(cfg) }
 func Figure3Panels() []netgen.PanelSpec { return netgen.Figure3Panels() }
 
 // Scenario is one declarative experiment: a named unit of the paper
-// suite with its declared artifact inputs/outputs and traffic windows.
+// suite with its declared output artifacts and traffic windows.
 type Scenario = scenario.Scenario
 
 // ScenarioResult is the typed outcome of a scenario (its summary.txt
@@ -531,17 +531,16 @@ type ScenarioContext = scenario.Context
 // ScenarioRegistry is an ordered, name-unique scenario collection.
 type ScenarioRegistry = scenario.Registry
 
-// ScenarioEngine schedules a registry: independent scenarios run
-// concurrently on a bounded worker pool, artifact- or window-sharing
-// scenarios in topological order, with generated traffic windows
-// recorded once into a PTRC cache and replayed thereafter.
+// ScenarioEngine runs a registry's scenarios in registration order on a
+// bounded worker pool, with generated traffic windows recorded once
+// into a PTRC cache and replayed thereafter.
 type ScenarioEngine = scenario.Engine
 
 // ScenarioConfig configures a ScenarioEngine (workers, output directory,
 // window cache directory).
 type ScenarioConfig = scenario.Config
 
-// ScenarioReport is the outcome of one scheduled scenario.
+// ScenarioReport is the outcome of one scenario run.
 type ScenarioReport = scenario.Report
 
 // WindowRequirement declares one synthetic traffic window set a scenario

@@ -57,54 +57,6 @@ func ConfigurationModel(degrees []int64, rng *xrand.RNG) (*Graph, error) {
 	return g, nil
 }
 
-// BarabasiAlbert generates a preferential-attachment graph with n nodes
-// where each new node attaches m edges to existing nodes chosen with
-// probability proportional to degree (the foundational PA model the paper
-// extends; its degree distribution has power-law tail exponent 3).
-//
-// Attachment uses the standard repeated-endpoint trick: sampling a uniform
-// endpoint of a uniform existing edge is degree-proportional sampling.
-func BarabasiAlbert(n, m int, rng *xrand.RNG) (*Graph, error) {
-	if n <= 0 || m <= 0 {
-		return nil, errors.New("graph: BA requires n > 0 and m > 0")
-	}
-	if m >= n {
-		return nil, errors.New("graph: BA requires m < n")
-	}
-	g, err := New(n)
-	if err != nil {
-		return nil, err
-	}
-	// endpoints holds every edge endpoint once; uniform draws from it are
-	// degree-proportional.
-	endpoints := make([]int32, 0, 2*m*(n-m))
-	// Seed: a star on the first m+1 nodes so every seed node has degree>=1.
-	for i := 1; i <= m; i++ {
-		if err := g.AddEdge(0, int32(i)); err != nil {
-			return nil, err
-		}
-		endpoints = append(endpoints, 0, int32(i))
-	}
-	targets := make(map[int32]struct{}, m)
-	for v := m + 1; v < n; v++ {
-		for k := range targets {
-			delete(targets, k)
-		}
-		// Choose m distinct degree-proportional targets.
-		for len(targets) < m {
-			t := endpoints[rng.Intn(len(endpoints))]
-			targets[t] = struct{}{}
-		}
-		for t := range targets {
-			if err := g.AddEdge(int32(v), t); err != nil {
-				return nil, err
-			}
-			endpoints = append(endpoints, int32(v), t)
-		}
-	}
-	return g, nil
-}
-
 // ZetaDegreeSequence draws n i.i.d. degrees from the zeta(alpha)
 // distribution, optionally capped at maxD (0 means uncapped). This is the
 // PALU core's prescribed degree law d^{-alpha}/zeta(alpha).

@@ -1,9 +1,8 @@
 // Package graph provides the network-topology substrate for the PALU
 // model: undirected multigraphs with degree bookkeeping, union–find
 // connected components, the Fig. 2 topology decomposition (supernode,
-// core, supernode leaves, core leaves, unattached links), a configuration-
-// model builder for prescribed degree sequences, and a classic Barabási–
-// Albert preferential-attachment generator used as the baseline model.
+// core, supernode leaves, core leaves, unattached links), and a
+// configuration-model builder for prescribed degree sequences.
 //
 // The paper treats traffic networks as undirected ("for the sake of the
 // model we will consider this undirected", Section III); edges here are

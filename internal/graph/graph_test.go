@@ -288,48 +288,6 @@ func TestConfigurationModelErrors(t *testing.T) {
 	}
 }
 
-func TestBarabasiAlbertDegrees(t *testing.T) {
-	r := xrand.New(55)
-	n, m := 2000, 3
-	g, err := BarabasiAlbert(n, m, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumNodes() != n {
-		t.Fatalf("nodes = %d", g.NumNodes())
-	}
-	// Every non-seed node has degree >= m; edge count = m (seed star) +
-	// m*(n-m-1).
-	wantEdges := m + m*(n-m-1)
-	if g.NumEdges() != wantEdges {
-		t.Errorf("edges = %d, want %d", g.NumEdges(), wantEdges)
-	}
-	for v := m + 1; v < n; v++ {
-		if g.Degree(int32(v)) < int64(m) {
-			t.Fatalf("node %d degree %d < m", v, g.Degree(int32(v)))
-		}
-	}
-	// Heavy tail: max degree should far exceed the mean (~2m).
-	_, dmax := g.MaxDegreeNode()
-	if dmax < 5*int64(m) {
-		t.Errorf("BA max degree %d suspiciously small", dmax)
-	}
-	// Single giant component.
-	comps := g.Components()
-	if len(comps) != 1 {
-		t.Errorf("BA graph has %d components", len(comps))
-	}
-}
-
-func TestBarabasiAlbertErrors(t *testing.T) {
-	r := xrand.New(1)
-	for _, c := range []struct{ n, m int }{{0, 1}, {5, 0}, {3, 3}, {-1, 2}} {
-		if _, err := BarabasiAlbert(c.n, c.m, r); err == nil {
-			t.Errorf("BA(%d,%d): expected error", c.n, c.m)
-		}
-	}
-}
-
 func TestZetaDegreeSequence(t *testing.T) {
 	r := xrand.New(12)
 	seq, err := ZetaDegreeSequence(5000, 2.2, 0, r)
@@ -372,19 +330,13 @@ func BenchmarkConfigurationModel(b *testing.B) {
 	}
 }
 
-func BenchmarkBarabasiAlbert(b *testing.B) {
-	r := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := BarabasiAlbert(10000, 2, r); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkComponents(b *testing.B) {
 	r := xrand.New(1)
-	g, err := BarabasiAlbert(50000, 2, r)
+	degrees, err := ZetaDegreeSequence(50000, 2.1, 5000, r)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := ConfigurationModel(degrees, r)
 	if err != nil {
 		b.Fatal(err)
 	}

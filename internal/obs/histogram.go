@@ -2,9 +2,7 @@ package obs
 
 import (
 	"math"
-	"runtime"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Histogram is a fixed-boundary histogram of int64 observations (by
@@ -13,27 +11,15 @@ import (
 // overflow bucket, Prometheus `le` semantics: an observation lands in
 // the first bucket whose bound is >= the value.
 //
-// Counts are striped across cache-line-padded shards — one per CPU,
-// rounded up to a power of two — and a goroutine picks its stripe from
-// a cheap hash of its stack address, so concurrent observers on
-// different CPUs almost never contend on one cache line. Snapshots sum
-// the stripes; striping is invisible to readers.
+// Each bucket is one atomic counter, and the sum one more. There is no
+// separate total: the count is the sum of the buckets, so no reader can
+// see a total that disagrees with them.
 //
 // A nil *Histogram drops observations.
 type Histogram struct {
 	bounds []int64
-	mask   uint64 // len(stripes) - 1
-	str    []histStripe
-}
-
-// histStripe is one stripe's counts, padded to two cache lines so
-// adjacent stripes never share one (bucket count arrays are separate
-// allocations). There is no separate total: the count is the sum of the
-// buckets, so no reader can see a total that disagrees with them.
-type histStripe struct {
-	sum  atomic.Int64
-	cnts []atomic.Int64
-	_    [128 - 32]byte
+	sum    atomic.Int64
+	cnts   []atomic.Int64 // len(bounds) + 1: the last is the overflow bucket
 }
 
 // newHistogram builds a histogram with the given ascending boundaries.
@@ -43,33 +29,10 @@ func newHistogram(bounds []int64) *Histogram {
 			panic("obs: histogram boundaries must be strictly ascending")
 		}
 	}
-	n := 1
-	for n < runtime.NumCPU() && n < 64 {
-		n <<= 1
-	}
-	h := &Histogram{
+	return &Histogram{
 		bounds: append([]int64(nil), bounds...),
-		mask:   uint64(n - 1),
-		str:    make([]histStripe, n),
+		cnts:   make([]atomic.Int64, len(bounds)+1),
 	}
-	for i := range h.str {
-		h.str[i].cnts = make([]atomic.Int64, len(bounds)+1)
-	}
-	return h
-}
-
-// stripeHint picks this goroutine's stripe: a splitmix-style mix of a
-// local's stack address. Stack addresses are stable within a goroutine
-// between stack growths and distinct across goroutines, which is all a
-// contention-avoidance hint needs — correctness never depends on the
-// choice, any stripe is valid.
-func stripeHint(mask uint64) uint64 {
-	var x byte
-	h := uint64(uintptr(unsafe.Pointer(&x)))
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	return h & mask
 }
 
 // bucketOf returns the index of the bucket holding v: the first bound
@@ -89,22 +52,19 @@ func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
 	}
-	s := &h.str[stripeHint(h.mask)]
-	s.cnts[h.bucketOf(v)].Add(1)
-	s.sum.Add(v)
+	h.cnts[h.bucketOf(v)].Add(1)
+	h.sum.Add(v)
 }
 
-// Count returns the total number of observations: the sum of every
-// stripe's buckets.
+// Count returns the total number of observations: the sum of the
+// buckets.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
 	var n int64
-	for i := range h.str {
-		for j := range h.str[i].cnts {
-			n += h.str[i].cnts[j].Load()
-		}
+	for i := range h.cnts {
+		n += h.cnts[i].Load()
 	}
 	return n
 }
@@ -114,29 +74,18 @@ func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.str {
-		n += h.str[i].sum.Load()
-	}
-	return n
+	return h.sum.Load()
 }
 
-// snapshot sums the stripes into cumulative buckets (le semantics: each
-// bucket's count includes every smaller bucket). The count is the +Inf
-// bucket itself, so the two always agree.
+// snapshot returns cumulative buckets (le semantics: each bucket's
+// count includes every smaller bucket). The count is the +Inf bucket
+// itself, so the two always agree.
 func (h *Histogram) snapshot() (count, sum int64, buckets []Bucket) {
-	per := make([]int64, len(h.bounds)+1)
-	for i := range h.str {
-		s := &h.str[i]
-		sum += s.sum.Load()
-		for j := range per {
-			per[j] += s.cnts[j].Load()
-		}
-	}
-	buckets = make([]Bucket, len(per))
+	sum = h.sum.Load()
+	buckets = make([]Bucket, len(h.cnts))
 	var cum int64
-	for j, c := range per {
-		cum += c
+	for j := range h.cnts {
+		cum += h.cnts[j].Load()
 		ub := int64(math.MaxInt64)
 		if j < len(h.bounds) {
 			ub = h.bounds[j]

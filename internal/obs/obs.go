@@ -1,7 +1,7 @@
 // Package obs is the repo's zero-dependency observability layer
 // (DESIGN.md §11): atomic counters and gauges, fixed-boundary latency
-// histograms striped across CPUs so hot-path observations never contend
-// on one cache line, and cheap stage timers. A Registry names its
+// histograms with one atomic counter per bucket, and cheap stage
+// timers. A Registry names its
 // instruments (convention: palu_<layer>_<name>, counters suffixed
 // _total, nanosecond timers suffixed _ns), hands out each instrument
 // exactly once per name (get-or-create, so several pipeline runs sharing

@@ -104,8 +104,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	if got := h.Count(); got != 10 {
 		t.Errorf("count = %d, want 10", got)
 	}
-	// Sum includes extreme values; just pin that it read all stripes
-	// coherently once writes stopped: re-summing is stable.
+	// Sum includes extreme values; just pin that it reads coherently
+	// once writes stopped: re-summing is stable.
 	if h.Sum() != h.Sum() {
 		t.Error("sum not stable after writes stopped")
 	}

@@ -32,30 +32,30 @@ type Config struct {
 	// caching: every Context.Stream generates traffic directly.
 	CacheDir string
 	// Metrics, when non-nil, instruments the whole suite against that
-	// registry: scheduler spans and occupancy, window-cache counters,
-	// and the stream/PTRC bundles injected into every inner pipeline
-	// and archive codec (see NewMetrics). Nil strips instrumentation.
+	// registry: per-scenario spans and worker occupancy, window-cache
+	// counters, and the stream/PTRC bundles injected into every inner
+	// pipeline and archive codec (see NewMetrics). Nil strips
+	// instrumentation.
 	Metrics *obs.Registry
 }
 
-// Report is the outcome of one scheduled scenario.
+// Report is the outcome of one scenario run.
 type Report struct {
 	// Scenario echoes the descriptor.
 	Scenario Scenario
 	// Result is the typed result; nil when Err is set.
 	Result Result
-	// Err is the scenario failure, a dependency-failure propagation, or
+	// Err is the scenario's failure (an error or a recovered panic), or
 	// nil.
 	Err error
-	// Duration is the wall-clock run time (zero for skipped scenarios).
+	// Duration is the wall-clock run time.
 	Duration time.Duration
 	// Artifacts lists the artifact files actually written.
 	Artifacts []string
 }
 
-// Engine schedules a registry: independent scenarios run concurrently on
-// a bounded worker pool; scenarios connected by declared artifacts or by
-// a shared cached window run in topological order.
+// Engine runs a registry's scenarios in registration order on a bounded
+// worker pool.
 type Engine struct {
 	reg   *Registry
 	cfg   Config
@@ -99,7 +99,7 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.Stats()
 }
 
-// pipelineBudget is the per-scenario inner worker budget for a plan of
+// pipelineBudget is the per-scenario inner worker budget for a run of
 // n scenarios: the machine divided by the scenarios that can actually
 // run at once — min(Workers, n), not the configured pool size, so a
 // small -only selection under a wide pool still gets full-width
@@ -119,220 +119,65 @@ func (e *Engine) pipelineBudget(n int) int {
 	return w
 }
 
-// edge is one outgoing dependency: hard edges carry real data flow
-// (declared artifacts) and propagate failures; soft edges are
-// ordering-only hints (shared cached windows — the cache's single-flight
-// keeps correctness without them, they just schedule the recorder first).
-type edge struct {
-	to   int
-	hard bool
-}
-
-// node is one scheduled scenario with its dependency wiring.
-type node struct {
-	s          Scenario
-	indegree   int
-	dependents []edge
-	skip       error // set when a hard dependency failed; the node is not run
-}
-
-// Run executes the named scenarios (all, when names is empty) plus the
-// transitive producers of their declared inputs, and returns one report
-// per scenario in registration order. The first scenario error is
-// returned (with every other report still populated); scheduling errors
-// (unknown names, unknown inputs, dependency cycles) fail the whole run.
+// Run executes the named scenarios (all, when names is empty; a
+// repeated name runs once) in registration order on a pool of
+// min(Workers, n) goroutines, and returns one report per scenario in
+// registration order. The scenarios are independent: each reads only
+// its own declared windows, and scenarios sharing a window meet in the
+// cache's single-flight, so any interleaving is correct. The first
+// scenario error in registration order is returned, with every other
+// report still populated; an unknown name fails the whole run.
 func (e *Engine) Run(names ...string) ([]Report, error) {
-	nodes, err := e.plan(names)
+	scens, err := e.resolve(names)
 	if err != nil {
 		return nil, err
 	}
-	n := len(nodes)
+	n := len(scens)
 	budget := e.pipelineBudget(n)
-	var ready []int
-	for i := range nodes {
-		if nodes[i].indegree == 0 {
-			ready = append(ready, i)
-		}
-	}
-	type completion struct {
-		i   int
-		rep Report
-	}
-	done := make(chan completion)
 	reports := make([]Report, n)
-	running, completed := 0, 0
-	for completed < n {
-		for running < e.cfg.Workers && len(ready) > 0 {
-			i := ready[0]
-			ready = ready[1:]
-			running++
-			go func(i int, nd node) {
-				if nd.skip != nil {
-					done <- completion{i, Report{Scenario: nd.s, Err: nd.skip}}
-					return
-				}
-				done <- completion{i, e.runOne(nd.s, budget)}
-			}(i, nodes[i])
-		}
-		if running == 0 {
-			var stuck []string
-			for i := range nodes {
-				if reports[i].Scenario.Name == "" {
-					stuck = append(stuck, nodes[i].s.Name)
-				}
+	var wg sync.WaitGroup
+	next := make(chan int)
+	for w := 0; w < min(e.cfg.Workers, n); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				reports[i] = e.runOne(scens[i], budget)
 			}
-			return nil, fmt.Errorf("scenario: dependency cycle among %s", strings.Join(stuck, ", "))
-		}
-		c := <-done
-		running--
-		completed++
-		reports[c.i] = c.rep
-		for _, d := range nodes[c.i].dependents {
-			nodes[d.to].indegree--
-			if c.rep.Err != nil && d.hard && nodes[d.to].skip == nil {
-				nodes[d.to].skip = fmt.Errorf("scenario: dependency %q failed: %w",
-					nodes[c.i].s.Name, c.rep.Err)
-			}
-			if nodes[d.to].indegree == 0 {
-				ready = append(ready, d.to)
-			}
-		}
-		sort.Ints(ready)
+		}()
 	}
-	var firstErr error
+	for i := range scens {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 	for i := range reports {
 		if reports[i].Err != nil {
-			firstErr = fmt.Errorf("scenario %q: %w", reports[i].Scenario.Name, reports[i].Err)
-			break
+			return reports, fmt.Errorf("scenario %q: %w", reports[i].Scenario.Name, reports[i].Err)
 		}
 	}
-	return reports, firstErr
+	return reports, nil
 }
 
-// plan resolves the selection to its input closure and builds the
-// dependency graph: artifact producer → consumer edges always, plus
-// record → replay edges between scenarios sharing a cached window key
-// when the cache is enabled.
-func (e *Engine) plan(names []string) ([]node, error) {
+// resolve returns the named scenarios in registration order.
+func (e *Engine) resolve(names []string) ([]Scenario, error) {
 	if len(names) == 0 {
-		names = e.reg.Names()
+		return e.reg.Scenarios(), nil
 	}
-	selected := make(map[string]bool)
-	var queue []string
+	selected := make(map[string]bool, len(names))
 	for _, name := range names {
 		if _, ok := e.reg.Get(name); !ok {
 			return nil, fmt.Errorf("scenario: unknown scenario %q", name)
 		}
-		if !selected[name] {
-			selected[name] = true
-			queue = append(queue, name)
+		selected[name] = true
+	}
+	var out []Scenario
+	for _, s := range e.reg.Scenarios() {
+		if selected[s.Name] {
+			out = append(out, s)
 		}
 	}
-	// Close over declared inputs: selecting a consumer pulls in its
-	// producers.
-	for len(queue) > 0 {
-		name := queue[0]
-		queue = queue[1:]
-		s, _ := e.reg.Get(name)
-		for _, in := range s.Inputs {
-			producer, ok := e.reg.Producer(in)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q: input %q has no registered producer", name, in)
-			}
-			if !selected[producer] {
-				selected[producer] = true
-				queue = append(queue, producer)
-			}
-		}
-	}
-
-	var nodes []node
-	index := make(map[string]int)
-	for _, name := range e.reg.Names() {
-		if selected[name] {
-			s, _ := e.reg.Get(name)
-			index[name] = len(nodes)
-			nodes = append(nodes, node{s: s})
-		}
-	}
-	type edgeKey [2]int
-	hardness := make(map[edgeKey]bool)
-	adj := make([][]int, len(nodes))
-	addEdge := func(from, to int, hard bool) {
-		if from == to {
-			return
-		}
-		k := edgeKey{from, to}
-		if prev, seen := hardness[k]; seen {
-			hardness[k] = prev || hard
-			return
-		}
-		hardness[k] = hard
-		adj[from] = append(adj[from], to)
-	}
-	// reaches reports whether `to` is reachable from `from` over the
-	// edges added so far.
-	reaches := func(from, to int) bool {
-		seen := make([]bool, len(nodes))
-		stack := []int{from}
-		for len(stack) > 0 {
-			i := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if i == to {
-				return true
-			}
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			stack = append(stack, adj[i]...)
-		}
-		return false
-	}
-	for i := range nodes {
-		for _, in := range nodes[i].s.Inputs {
-			producer, _ := e.reg.Producer(in)
-			addEdge(index[producer], i, true)
-		}
-	}
-	if e.cache != nil {
-		recorder := make(map[string]int) // window key -> first scenario needing it
-		for i := range nodes {
-			for _, w := range nodes[i].s.Windows {
-				key := w.Key()
-				first, ok := recorder[key]
-				if !ok {
-					recorder[key] = i
-					continue
-				}
-				// Ordering-only hint: schedule the first sharer (the
-				// recorder) before its replayers. Skipped when it would
-				// close a cycle against the artifact edges — the cache
-				// single-flights per key, so any execution order is
-				// correct; this edge only keeps worker slots from
-				// blocking on the recording lock.
-				if !reaches(i, first) {
-					addEdge(first, i, false)
-				}
-			}
-		}
-	}
-	// Materialize deterministically (sorted edges, not map order).
-	keys := make([]edgeKey, 0, len(hardness))
-	for k := range hardness {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, k := range keys {
-		nodes[k[0]].dependents = append(nodes[k[0]].dependents, edge{to: k[1], hard: hardness[k]})
-		nodes[k[1]].indegree++
-	}
-	return nodes, nil
+	return out, nil
 }
 
 // runOne executes a single scenario with panic isolation. pipeWorkers
@@ -454,9 +299,9 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 }
 
 // WriteArtifact renders one declared output artifact into the engine's
-// output directory. Writing an undeclared artifact is an error: the
-// declarations are the scheduler's dependency ground truth, so they must
-// be honest.
+// output directory. Writing an undeclared artifact is an error: Register
+// rejects two scenarios declaring one artifact, and that guard holds
+// only if the declarations are honest.
 func (c *Context) WriteArtifact(name string, render func(io.Writer) error) error {
 	if c.eng == nil {
 		return errors.New("scenario: standalone context cannot write artifacts")

@@ -1,7 +1,7 @@
 package scenario
 
 // Scenario-engine observability (DESIGN.md §11). A Metrics bundle
-// instruments the suite scheduler (per-scenario spans, worker
+// instruments the suite's worker pool (per-scenario spans, worker
 // occupancy, failure counts), mirrors the window-cache counters into
 // the registry, and carries the stream and tracestore bundles the
 // engine injects into every inner pipeline and archive codec — so one
@@ -22,9 +22,8 @@ import (
 type Metrics struct {
 	reg *obs.Registry
 
-	// Runs counts scenarios actually executed (dependency-skipped ones
-	// are not); Failures counts executions that returned an error or
-	// panicked.
+	// Runs counts scenarios executed; Failures counts executions that
+	// returned an error or panicked.
 	Runs     *obs.Counter
 	Failures *obs.Counter
 

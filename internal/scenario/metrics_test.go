@@ -11,7 +11,7 @@ import (
 )
 
 // TestEngineMetricsEndToEnd runs a cached suite with an instrumented
-// engine and pins the whole-stack accounting: scheduler counters match
+// engine and pins the whole-stack accounting: engine counters match
 // the reports, cache counters mirror CacheStats exactly, and the
 // injected stream/PTRC bundles saw the inner pipeline's work.
 func TestEngineMetricsEndToEnd(t *testing.T) {

@@ -1,13 +1,11 @@
 // Package scenario is the declarative experiment engine behind the paper
 // suite (DESIGN.md §7). A Scenario bundles a named experiment with its
-// declared inputs and outputs: the artifact files it writes, the artifact
-// files it consumes from other scenarios, and the synthetic traffic
-// windows it streams. A Registry holds the suite; an Engine schedules it,
-// running independent scenarios concurrently on a bounded worker pool
-// while topologically ordering the ones that share artifacts, and a
-// content-addressed PTRC window cache records each generated traffic
-// window once so every later consumer replays it through the streaming
-// pipeline instead of regenerating it.
+// declarations: the artifact files it writes and the synthetic traffic
+// windows it streams. A Registry holds the suite; an Engine runs it in
+// registration order on a bounded worker pool, and a content-addressed
+// PTRC window cache records each generated traffic window once so every
+// later consumer replays it through the streaming pipeline instead of
+// regenerating it.
 package scenario
 
 import (
@@ -16,6 +14,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"hybridplaw/internal/netgen"
@@ -88,16 +87,12 @@ type Scenario struct {
 	Title string
 	// Description is the one-line purpose shown by the experiment index.
 	Description string
-	// Inputs names artifact files this scenario consumes. Each must be
-	// produced by another registered scenario; the scheduler orders the
-	// producer first.
-	Inputs []string
 	// Outputs names the artifact files this scenario may write through
 	// Context.WriteArtifact. Output names are unique across a registry.
 	Outputs []string
 	// Windows declares the traffic windows the scenario streams through
-	// Context.Stream. Declared windows participate in the PTRC cache and
-	// in scheduling: scenarios sharing a window key are ordered so one
+	// Context.Stream. Declared windows participate in the PTRC cache:
+	// scenarios sharing a window key meet in its single-flight, so one
 	// records and the rest replay.
 	Windows []WindowReq
 	// Run executes the experiment.
@@ -128,11 +123,6 @@ func (s Scenario) Validate() error {
 		}
 		seen[out] = true
 	}
-	for _, in := range s.Inputs {
-		if in == "" {
-			return fmt.Errorf("scenario %q: empty input name", s.Name)
-		}
-	}
 	for i, w := range s.Windows {
 		if err := w.Validate(); err != nil {
 			return fmt.Errorf("scenario %q: window %d: %w", s.Name, i, err)
@@ -142,21 +132,17 @@ func (s Scenario) Validate() error {
 }
 
 // Registry is an ordered collection of scenarios. Registration order is
-// the canonical suite order: summaries render in it and the scheduler
-// breaks ties by it. A Registry is built once at startup and read-only
-// afterwards; building is not safe for concurrent use.
+// the canonical suite order: the engine starts scenarios in it and
+// summaries render in it. A Registry is built once at startup and
+// read-only afterwards; building is not safe for concurrent use.
 type Registry struct {
-	order    []string
-	byName   map[string]Scenario
-	producer map[string]string // artifact name -> producing scenario
+	order  []string
+	byName map[string]Scenario
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName:   make(map[string]Scenario),
-		producer: make(map[string]string),
-	}
+	return &Registry{byName: make(map[string]Scenario)}
 }
 
 // Register validates and adds a scenario. Names and output artifact
@@ -168,13 +154,12 @@ func (r *Registry) Register(s Scenario) error {
 	if _, ok := r.byName[s.Name]; ok {
 		return fmt.Errorf("scenario: duplicate name %q", s.Name)
 	}
-	for _, out := range s.Outputs {
-		if prev, ok := r.producer[out]; ok {
-			return fmt.Errorf("scenario %q: output %q already produced by %q", s.Name, out, prev)
+	for _, prev := range r.order {
+		for _, out := range r.byName[prev].Outputs {
+			if slices.Contains(s.Outputs, out) {
+				return fmt.Errorf("scenario %q: output %q already produced by %q", s.Name, out, prev)
+			}
 		}
-	}
-	for _, out := range s.Outputs {
-		r.producer[out] = s.Name
 	}
 	r.byName[s.Name] = s
 	r.order = append(r.order, s.Name)
@@ -206,12 +191,6 @@ func (r *Registry) Scenarios() []Scenario {
 		out[i] = r.byName[name]
 	}
 	return out
-}
-
-// Producer returns the scenario producing the named artifact.
-func (r *Registry) Producer(artifact string) (string, bool) {
-	name, ok := r.producer[artifact]
-	return name, ok
 }
 
 // Select resolves comma-separable selection tokens against the registry:

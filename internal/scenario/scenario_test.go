@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +15,6 @@ import (
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/stream"
-	"hybridplaw/internal/testenv"
 )
 
 // textResult is a trivial Result for synthetic scenarios.
@@ -97,170 +95,6 @@ func TestRegistrySelect(t *testing.T) {
 	}
 }
 
-// TestSchedulerArtifactOrder wires a producer → consumer chain through a
-// declared artifact and asserts the scheduler orders it even at full
-// parallelism.
-func TestSchedulerArtifactOrder(t *testing.T) {
-	reg := NewRegistry()
-	var order []string
-	var mu sync.Mutex
-	mark := func(name string) {
-		mu.Lock()
-		order = append(order, name)
-		mu.Unlock()
-	}
-	producer := Scenario{
-		Name: "producer", Title: "p", Outputs: []string{"data.csv"},
-		Run: func(ctx *Context) (Result, error) {
-			time.Sleep(20 * time.Millisecond) // give a broken scheduler time to misorder
-			mark("producer")
-			err := ctx.WriteArtifact("data.csv", func(w io.Writer) error {
-				_, werr := io.WriteString(w, "x\n")
-				return werr
-			})
-			return textResult("p"), err
-		},
-	}
-	consumer := Scenario{
-		Name: "consumer", Title: "c", Inputs: []string{"data.csv"},
-		Run: func(ctx *Context) (Result, error) {
-			mark("consumer")
-			return textResult("c"), nil
-		},
-	}
-	if err := reg.Register(consumer); err != nil { // consumer first: order must still hold
-		t.Fatal(err)
-	}
-	if err := reg.Register(producer); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(reg, Config{Workers: 4, OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	if fmt.Sprint(order) != "[producer consumer]" {
-		t.Errorf("execution order = %v", order)
-	}
-	// Reports come back in registration order regardless of execution.
-	if reports[0].Scenario.Name != "consumer" || reports[1].Scenario.Name != "producer" {
-		t.Errorf("report order = %s, %s", reports[0].Scenario.Name, reports[1].Scenario.Name)
-	}
-	if len(reports[1].Artifacts) != 1 || reports[1].Artifacts[0] != "data.csv" {
-		t.Errorf("producer artifacts = %v", reports[1].Artifacts)
-	}
-}
-
-// TestSchedulerInputClosure: selecting only the consumer pulls in the
-// producer of its declared input.
-func TestSchedulerInputClosure(t *testing.T) {
-	reg := NewRegistry()
-	p := okScenario("p")
-	p.Outputs = []string{"a.csv"}
-	c := okScenario("c")
-	c.Inputs = []string{"a.csv"}
-	if err := reg.Register(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(c); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(reg, Config{Workers: 1, OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := eng.Run("c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 2 {
-		t.Fatalf("closure selected %d scenarios, want 2", len(reports))
-	}
-}
-
-func TestSchedulerUnknownInput(t *testing.T) {
-	reg := NewRegistry()
-	c := okScenario("c")
-	c.Inputs = []string{"nowhere.csv"}
-	if err := reg.Register(c); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(reg, Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err == nil {
-		t.Error("unknown input did not fail the plan")
-	}
-}
-
-func TestSchedulerCycle(t *testing.T) {
-	reg := NewRegistry()
-	a := okScenario("a")
-	a.Outputs, a.Inputs = []string{"a.csv"}, []string{"b.csv"}
-	b := okScenario("b")
-	b.Outputs, b.Inputs = []string{"b.csv"}, []string{"a.csv"}
-	if err := reg.Register(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.Register(b); err != nil {
-		t.Fatal(err)
-	}
-	eng, err := NewEngine(reg, Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("cycle not detected: %v", err)
-	}
-}
-
-// TestSchedulerDependencyFailure: a failing producer skips its consumer
-// but unrelated scenarios still run.
-func TestSchedulerDependencyFailure(t *testing.T) {
-	reg := NewRegistry()
-	boom := errors.New("boom")
-	p := Scenario{
-		Name: "p", Title: "p", Outputs: []string{"a.csv"},
-		Run: func(*Context) (Result, error) { return nil, boom },
-	}
-	c := okScenario("c")
-	c.Inputs = []string{"a.csv"}
-	other := okScenario("other")
-	for _, s := range []Scenario{p, c, other} {
-		if err := reg.Register(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng, err := NewEngine(reg, Config{Workers: 2, OutDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports, err := eng.Run()
-	if err == nil {
-		t.Fatal("suite error not reported")
-	}
-	byName := map[string]Report{}
-	for _, r := range reports {
-		byName[r.Scenario.Name] = r
-	}
-	if !errors.Is(byName["p"].Err, boom) {
-		t.Errorf("producer error = %v", byName["p"].Err)
-	}
-	if byName["c"].Err == nil || !strings.Contains(byName["c"].Err.Error(), "dependency") {
-		t.Errorf("consumer not skipped: %v", byName["c"].Err)
-	}
-	if byName["other"].Err != nil {
-		t.Errorf("unrelated scenario failed: %v", byName["other"].Err)
-	}
-}
-
 // TestSchedulerPanicIsolation: a panicking scenario becomes a report
 // error, not a crashed suite.
 func TestSchedulerPanicIsolation(t *testing.T) {
@@ -287,8 +121,8 @@ func TestSchedulerPanicIsolation(t *testing.T) {
 // concurrently using a rendezvous (two scenarios that each wait for the
 // other to start), which is deterministic even on a 1-CPU container —
 // goroutine scheduling, not core count, is what the engine provides.
-// CPU-bound speedup floors are asserted only on >= 4 CPUs by
-// TestEngineParallelSpeedup.
+// The CPU-bound speedup floor is TestEngineParallelSpeedup's, in
+// internal/testenv.
 func TestParallelOverlap(t *testing.T) {
 	reg := NewRegistry()
 	var started [2]chan struct{}
@@ -317,93 +151,20 @@ func TestParallelOverlap(t *testing.T) {
 	}
 }
 
-// TestEngineParallelSpeedup is the hardware-aware acceptance check for
-// the scheduler: a suite of CPU-bound scenarios must produce identical
-// results serial and parallel on any machine, and must actually go
-// faster wherever there are cores to go faster on — the floor scales
-// with runtime.NumCPU() (1.3x at 2–3 CPUs, where it measured
-// 1.65–2.04x) and degrades to the correctness check alone on one CPU,
-// which cannot overlap CPU-bound work. The floor is asserted on the
-// median of three serial/parallel pairs that no other process slowed
-// (testenv.MedianSpeedup). A machine that stays busy for the whole wait
-// gets the correctness check alone below 4 CPUs and is judged on every
-// pair measured from 4 CPUs up.
-func TestEngineParallelSpeedup(t *testing.T) {
-	const scenarios = 4
-	build := func() (*Registry, *[scenarios]string) {
-		var results [scenarios]string
-		reg := NewRegistry()
-		for i := 0; i < scenarios; i++ {
-			i := i
-			reg.MustRegister(Scenario{
-				Name: fmt.Sprintf("burn%d", i), Title: "burn",
-				Run: func(*Context) (Result, error) {
-					// Deterministic CPU-bound work (FNV-style mixing).
-					h := uint64(i) + 0x9e3779b97f4a7c15
-					for k := 0; k < 8_000_000; k++ {
-						h ^= h >> 33
-						h *= 0xff51afd7ed558ccd
-					}
-					results[i] = fmt.Sprintf("%016x", h)
-					return textResult(results[i]), nil
-				},
-			})
-		}
-		return reg, &results
-	}
-	timed := func(workers int) (time.Duration, [scenarios]string) {
-		reg, results := build()
-		eng, err := NewEngine(reg, Config{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		start := time.Now()
-		if _, err := eng.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return time.Since(start), *results
-	}
-	cpus := runtime.NumCPU()
-	var want float64
-	switch {
-	case cpus >= 8:
-		want = 2.5
-	case cpus >= 4:
-		want = 1.8
-	case cpus >= 2:
-		want = 1.3
-	}
-	// Every pair checks that parallel results equal serial ones.
-	pair := func() float64 {
-		serialTime, serialRes := timed(1)
-		parallelTime, parallelRes := timed(scenarios)
-		if serialRes != parallelRes {
-			t.Fatalf("parallel results diverge from serial: %v vs %v", parallelRes, serialRes)
-		}
-		return float64(serialTime) / float64(parallelTime)
-	}
-	if want == 0 {
-		pair()
-		t.Logf("%d CPU: no overlap possible for CPU-bound scenarios; serial-correctness check only", cpus)
-		return
-	}
-	speedup, uncontended := testenv.MedianSpeedup(t, 3, pair)
-	if !uncontended && cpus < 4 {
-		t.Logf("other processes held the CPUs throughout; median %.2fx not judged, serial-correctness check only", speedup)
-		return
-	}
-	if speedup < want {
-		t.Errorf("median parallel suite speedup %.2fx below the %.1fx floor for %d CPUs", speedup, want, cpus)
-	}
-}
-
-// TestSerialNoOverlap: Workers = 1 never runs two scenarios at once.
+// TestSerialNoOverlap: Workers = 1 never runs two scenarios at once and
+// runs them in registration order, whatever order they are named in; an
+// unknown name fails the run.
+// The serial suite's timings.csv and the whole-suite benchmark rely on
+// that order.
 func TestSerialNoOverlap(t *testing.T) {
 	reg := NewRegistry()
 	var inFlight, maxInFlight atomic.Int64
-	for i := 0; i < 4; i++ {
+	var mu sync.Mutex
+	var order []string
+	registered := []string{"d", "b", "a", "c"}
+	for _, name := range registered {
 		reg.MustRegister(Scenario{
-			Name: fmt.Sprintf("s%d", i), Title: "t",
+			Name: name, Title: "t",
 			Run: func(*Context) (Result, error) {
 				n := inFlight.Add(1)
 				for {
@@ -412,6 +173,9 @@ func TestSerialNoOverlap(t *testing.T) {
 						break
 					}
 				}
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
 				time.Sleep(time.Millisecond)
 				inFlight.Add(-1)
 				return textResult("x"), nil
@@ -427,6 +191,19 @@ func TestSerialNoOverlap(t *testing.T) {
 	}
 	if maxInFlight.Load() != 1 {
 		t.Errorf("max concurrent scenarios = %d with Workers=1", maxInFlight.Load())
+	}
+	if fmt.Sprint(order) != fmt.Sprint(registered) {
+		t.Errorf("execution order = %v, want registration order %v", order, registered)
+	}
+	order = nil
+	if _, err := eng.Run("c", "a", "d", "c"); err != nil {
+		t.Fatal(err)
+	}
+	if want := "[d a c]"; fmt.Sprint(order) != want {
+		t.Errorf("Run(c, a, d, c) execution order = %v, want %s (registration order, once each)", order, want)
+	}
+	if _, err := eng.Run("a", "nope"); err == nil {
+		t.Error("unknown scenario name accepted")
 	}
 }
 
@@ -610,60 +387,8 @@ func TestWindowCacheStaleArchive(t *testing.T) {
 	}
 }
 
-// TestWindowEdgeDoesNotFightArtifactEdge: when the window-share hint
-// (first registrant records) points opposite the artifact data flow, the
-// artifact edge must win and the run must proceed — no spurious cycle.
-func TestWindowEdgeDoesNotFightArtifactEdge(t *testing.T) {
-	req := WindowReq{Site: testSite(19), NV: 1000, Windows: 1}
-	var order []string
-	var mu sync.Mutex
-	streamAndMark := func(name string, outputs, inputs []string) Scenario {
-		return Scenario{
-			Name: name, Title: name, Outputs: outputs, Inputs: inputs,
-			Windows: []WindowReq{req},
-			Run: func(ctx *Context) (Result, error) {
-				if _, err := ctx.Stream(req, stream.PipelineConfig{},
-					stream.FuncSink(func(*stream.WindowResult) error { return nil })); err != nil {
-					return nil, err
-				}
-				mu.Lock()
-				order = append(order, name)
-				mu.Unlock()
-				for _, out := range outputs {
-					if err := ctx.WriteArtifact(out, func(w io.Writer) error {
-						_, werr := io.WriteString(w, name)
-						return werr
-					}); err != nil {
-						return nil, err
-					}
-				}
-				return textResult(name), nil
-			},
-		}
-	}
-	reg := NewRegistry()
-	// Consumer registered FIRST: the window hint would pick it as
-	// recorder, contradicting the artifact edge producer → consumer.
-	reg.MustRegister(streamAndMark("consumer", nil, []string{"a.csv"}))
-	reg.MustRegister(streamAndMark("producer", []string{"a.csv"}, nil))
-	eng, err := NewEngine(reg, Config{Workers: 4, OutDir: t.TempDir(), CacheDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatalf("spurious cycle? %v", err)
-	}
-	if fmt.Sprint(order) != "[producer consumer]" {
-		t.Errorf("execution order = %v, want artifact order", order)
-	}
-	cs := eng.CacheStats()
-	if cs.Misses != 1 || cs.Hits != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1 (window still recorded once)", cs.Hits, cs.Misses)
-	}
-}
-
-// TestWindowShareFailureDoesNotSkipSharers: window-share edges are
-// ordering hints, not data dependencies — a failing recorder must not
+// TestWindowShareFailureDoesNotSkipSharers: sharing a window is not a
+// data dependency — a scenario that fails before streaming must not
 // skip the scenarios that merely share its window (they record or
 // replay on demand through the cache's single-flight).
 func TestWindowShareFailureDoesNotSkipSharers(t *testing.T) {

@@ -1,6 +1,8 @@
 // Package testenv holds helpers for tests whose verdict depends on the
 // machine they run on: wall-clock speedup gates that must tell a slow
-// parallel path from CPUs held by another process.
+// parallel path from CPUs held by another process. The parallel-speedup
+// gates of internal/boot and internal/scenario live in this package's
+// tests, so they run in one binary, one after another.
 package testenv
 
 import (
@@ -24,9 +26,14 @@ import (
 // pairs down to a 1.18x median.
 const maxLost = 0.10
 
-// deadline bounds how long MedianSpeedup waits for uncontended pairs:
-// long enough to outlast the rest of a go test ./... run on 2 CPUs.
+// deadline bounds how long MedianSpeedup waits for uncontended pairs,
+// counted from the start of the test binary so every gate in it shares
+// one wait: long enough to outlast the rest of a go test ./... run on 2
+// CPUs.
 const deadline = 60 * time.Second
+
+// stop is when the shared wait ends.
+var stop = time.Now().Add(deadline)
 
 // MedianSpeedup measures the speedup of the code under test on CPUs
 // nobody else holds. pair runs it once serially and once in parallel and
@@ -35,14 +42,14 @@ const deadline = 60 * time.Second
 // a pair that lost more than maxLost of its wall time says nothing
 // either way and is not counted. Once want pairs counted, MedianSpeedup
 // returns their median and uncontended = true. If the machine stays
-// busy past the deadline it returns the median over every pair measured
-// and uncontended = false, and the caller decides whether that ratio is
-// still a verdict. Where the kernel exposes neither run delay nor steal
-// time, every pair counts.
+// busy past the deadline, which every call in the binary shares, it
+// returns the median over every pair measured and uncontended = false,
+// and the caller decides whether that ratio is still a verdict. Where
+// the kernel exposes neither run delay nor steal time, every pair
+// counts.
 func MedianSpeedup(tb testing.TB, want int, pair func() float64) (median float64, uncontended bool) {
 	tb.Helper()
 	var counted, all []float64
-	stop := time.Now().Add(deadline)
 	for len(counted) < want {
 		d0, ok := runDelay()
 		s0, okSteal := steal()

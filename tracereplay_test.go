@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/spmat"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 	"hybridplaw/internal/tracestore"
 )
 
@@ -110,8 +110,12 @@ func TestPTRCSizeBound(t *testing.T) {
 // trace. Both paths share the window reduction, so the ratio is bounded
 // near (parse+reduce)/(decode+reduce); on 2 CPUs it measured 1.7–2.9x.
 // Each path takes the best of three runs to damp scheduler noise, and
-// the floor is asserted on the median of three CSV/PTRC pairs. Exact
-// numbers live in BenchmarkTraceReplay output.
+// the floor is asserted on the median of three CSV/PTRC pairs that no
+// other process slowed (testenv.MedianSpeedup): go test runs package
+// binaries side by side, and pairs timed beside another binary read as
+// low as 1.3x. A machine that stays busy for the whole wait is judged
+// on every pair measured. Exact numbers live in BenchmarkTraceReplay
+// output.
 func TestPTRCReplaySpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison in -short mode")
@@ -149,8 +153,7 @@ func TestPTRCReplaySpeedup(t *testing.T) {
 	}
 
 	const want = 1.5
-	var ratios [3]float64
-	for i := range ratios {
+	median, _ := testenv.MedianSpeedup(t, 3, func() float64 {
 		csvTime := best(func() (stream.PipelineStats, error) {
 			return replayPipeline(stream.NewCSVSource(bytes.NewReader(replayTrace.csv)))
 		})
@@ -161,13 +164,11 @@ func TestPTRCReplaySpeedup(t *testing.T) {
 			}
 			return replayPipeline(src)
 		})
-		ratios[i] = float64(csvTime) / float64(ptrcTime)
-		t.Logf("CSV replay %v, PTRC replay %v: %.1fx (%d CPUs)",
-			csvTime, ptrcTime, ratios[i], runtime.NumCPU())
-	}
-	slices.Sort(ratios[:])
-	if ratios[1] < want {
-		t.Errorf("median PTRC replay speedup %.1fx of %.2f below the %.1fx floor", ratios[1], ratios, want)
+		t.Logf("CSV replay %v, PTRC replay %v (%d CPUs)", csvTime, ptrcTime, runtime.NumCPU())
+		return float64(csvTime) / float64(ptrcTime)
+	})
+	if median < want {
+		t.Errorf("median PTRC replay speedup %.2fx below the %.1fx floor", median, want)
 	}
 }
 
