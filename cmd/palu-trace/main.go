@@ -1,5 +1,5 @@
 // Command palu-trace manages PTRC packet trace archives: the
-// block-compressed binary format of internal/tracestore that makes every
+// packed-column binary format of internal/tracestore that makes every
 // experiment runnable from archived traces instead of regenerating
 // synthetic traffic each run.
 //
@@ -8,7 +8,6 @@
 //	palu-trace record  -out trace.ptrc -nv 100000 -windows 4 [site flags]
 //	palu-trace convert -in trace.csv  -out trace.ptrc
 //	palu-trace convert -in trace.ptrc -out trace.csv
-//	palu-trace convert -in trace.ptrc -out packed.ptrc -codec packed
 //	palu-trace info    -in trace.ptrc
 //	palu-trace replay  -in trace.ptrc -nv 100000 -quantity fan-out
 //	palu-trace cache   -dir ptrc
@@ -17,8 +16,7 @@
 // prefix a windows×NV pipeline run consumes, so replaying the archive
 // reproduces direct generation bit-identically. convert translates
 // between the trace CSV and PTRC (direction inferred from the -in file's
-// magic); with -codec on a PTRC input it transcodes between block codecs
-// instead. info prints the archive summary from its index without
+// magic). info prints the archive summary from its index without
 // decoding any block. replay streams an archive through the Section II
 // measurement pipeline. cache summarizes a scenario-engine window cache
 // (the -cache-dir of palu-figures), one line per cached window.
@@ -127,16 +125,10 @@ func cmdRecord(args []string) error {
 		p       = fs.Float64("p", 0.5, "edge observation probability")
 		seed    = fs.Uint64("seed", 1, "random seed")
 		block   = fs.Int("block", 0, "packets per PTRC block (0 = default)")
-		level   = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec   = fs.String("codec", "deflate", "block codec: deflate|packed")
 	)
 	fs.Parse(args)
 	if *out == "" {
 		return fmt.Errorf("record: -out is required")
-	}
-	c, err := tracestore.ParseCodec(*codec)
-	if err != nil {
-		return fmt.Errorf("record: %w", err)
 	}
 	if *windows <= 0 || *nv <= 0 {
 		return fmt.Errorf("record: -windows and -nv must be positive")
@@ -154,8 +146,7 @@ func cmdRecord(args []string) error {
 		return err
 	}
 	defer f.Close()
-	n, err := recordSite(f, site, *windows, *nv,
-		tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c})
+	n, err := recordSite(f, site, *windows, *nv, tracestore.WriterOptions{BlockSize: *block})
 	if err != nil {
 		return err
 	}
@@ -190,20 +181,11 @@ func cmdConvert(args []string) error {
 	var (
 		in    = fs.String("in", "", "input trace (CSV or PTRC, sniffed; required)")
 		out   = fs.String("out", "", "output trace (opposite format; required)")
-		block = fs.Int("block", 0, "packets per PTRC block (0 = default)")
-		level = fs.Int("level", 0, "DEFLATE level 1..9 (0 = default)")
-		codec = fs.String("codec", "", "block codec for PTRC output: deflate|packed; on a PTRC input, transcode PTRC -> PTRC instead of emitting CSV")
+		block = fs.Int("block", 0, "packets per PTRC block of a CSV -> PTRC conversion (0 = default)")
 	)
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("convert: -in and -out are required")
-	}
-	var c tracestore.Codec
-	if *codec != "" {
-		var err error
-		if c, err = tracestore.ParseCodec(*codec); err != nil {
-			return fmt.Errorf("convert: %w", err)
-		}
 	}
 	ptrc, err := isPTRC(*in)
 	if err != nil {
@@ -219,15 +201,11 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer dst.Close()
-	opts := tracestore.WriterOptions{BlockSize: *block, Level: *level, Codec: c}
 	var n int64
-	switch {
-	case ptrc && *codec != "":
-		n, err = tracestore.TranscodePTRC(src, dst, opts)
-	case ptrc:
+	if ptrc {
 		n, err = tracestore.PTRCToCSV(src, dst)
-	default:
-		n, err = tracestore.CSVToPTRC(src, dst, opts)
+	} else {
+		n, err = tracestore.CSVToPTRC(src, dst, tracestore.WriterOptions{BlockSize: *block})
 	}
 	if err != nil {
 		return err
@@ -281,7 +259,6 @@ func formatInfoBlocks(path string, info tracestore.ArchiveInfo, blocks []tracest
 	fmt.Fprintf(&b, "%s: PTRC archive, %d bytes\n", path, info.FileSize)
 	tw := tabwriter.NewWriter(&b, 0, 0, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintf(tw, "  blocks:\t%d\t\n", info.Blocks)
-	fmt.Fprintf(tw, "  codec:\t%s\t\n", info.CodecMix())
 	fmt.Fprintf(tw, "  packets:\t%d (%d valid, %d invalid)\t\n",
 		info.Packets, info.ValidPackets, info.Packets-info.ValidPackets)
 	if info.Packets > 0 {
@@ -296,14 +273,14 @@ func formatInfoBlocks(path string, info tracestore.ArchiveInfo, blocks []tracest
 		// A tab-free line ends the summary's column block, so the table
 		// below aligns on its own widths.
 		fmt.Fprintln(tw)
-		fmt.Fprintf(tw, "  block\tcodec\tpackets\tvalid\traw\tcompressed\tratio\t\n")
+		fmt.Fprintf(tw, "  block\tpackets\tvalid\traw\tcompressed\tratio\t\n")
 		for i, bs := range blocks {
 			ratio := 0.0
 			if bs.RawBytes > 0 {
 				ratio = 100 * float64(bs.CompressedBytes) / float64(bs.RawBytes)
 			}
-			fmt.Fprintf(tw, "  %d\t%s\t%d\t%d\t%d\t%d\t%.1f%%\t\n",
-				i, bs.Codec, bs.Packets, bs.Valid, bs.RawBytes, bs.CompressedBytes, ratio)
+			fmt.Fprintf(tw, "  %d\t%d\t%d\t%d\t%d\t%.1f%%\t\n",
+				i, bs.Packets, bs.Valid, bs.RawBytes, bs.CompressedBytes, ratio)
 		}
 	}
 	tw.Flush()

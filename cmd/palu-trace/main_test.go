@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -139,91 +137,12 @@ func TestRecordedArchiveRoundTripsThroughCSV(t *testing.T) {
 	}
 }
 
-// TestRecordPackedCodecReplayIdentical pins the -codec record path: a
-// packed-codec archive replays the identical packet sequence as the
-// deflate archive of the same site, and info reports the codec mix.
-func TestRecordPackedCodecReplayIdentical(t *testing.T) {
-	var deflated, packed bytes.Buffer
-	if _, err := recordSite(&deflated, testSite(t), 1, 500, tracestore.WriterOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recordSite(&packed, testSite(t), 1, 500,
-		tracestore.WriterOptions{Codec: tracestore.CodecPacked}); err != nil {
-		t.Fatal(err)
-	}
-	info, err := tracestore.Info(bytes.NewReader(packed.Bytes()), int64(packed.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.CodecMix() != "packed" {
-		t.Fatalf("codec mix %q, want packed", info.CodecMix())
-	}
-	a, err := tracestore.NewReader(bytes.NewReader(deflated.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tracestore.NewReader(bytes.NewReader(packed.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		pa, oka := a.Next()
-		pb, okb := b.Next()
-		if oka != okb {
-			t.Fatalf("length mismatch at packet %d", i)
-		}
-		if !oka {
-			break
-		}
-		if pa != pb {
-			t.Fatalf("packet %d: %+v != %+v", i, pa, pb)
-		}
-	}
-	if a.Err() != nil || b.Err() != nil {
-		t.Fatalf("reader errors: %v, %v", a.Err(), b.Err())
-	}
-}
-
-// TestConvertHonoursLevel pins that convert -codec deflate -level 9 on
-// a level-1 DEFLATE archive re-encodes every block at level 9: the
-// output equals recording the same packets at level 9, byte for byte.
-// The trace spans a full default-size block, the case a codec- and
-// geometry-matched re-frame would have copied unchanged.
-func TestConvertHonoursLevel(t *testing.T) {
-	dir := t.TempDir()
-	in := filepath.Join(dir, "l1.ptrc")
-	out := filepath.Join(dir, "l9.ptrc")
-	var l1, l9 bytes.Buffer
-	if _, err := recordSite(&l1, testSite(t), 2, 40000, tracestore.WriterOptions{Level: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recordSite(&l9, testSite(t), 2, 40000, tracestore.WriterOptions{Level: 9}); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(l1.Bytes(), l9.Bytes()) {
-		t.Fatal("level 1 and level 9 archives are identical; the fixture cannot tell them apart")
-	}
-	if err := os.WriteFile(in, l1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := cmdConvert([]string{"-in", in, "-out", out, "-codec", "deflate", "-level", "9"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, l9.Bytes()) {
-		t.Errorf("convert -level 9 wrote %d bytes, want the %d-byte level-9 recording", len(got), l9.Len())
-	}
-}
-
 func TestFormatInfo(t *testing.T) {
 	out := formatInfo("x.ptrc", tracestore.ArchiveInfo{
 		FileSize: 1000, Blocks: 2, Packets: 300, ValidPackets: 290,
 		RawBytes: 1800, CompressedBytes: 900,
 	})
-	for _, want := range []string{"x.ptrc", "300", "290", "10 invalid", "50.0%", "codec:", "deflate"} {
+	for _, want := range []string{"x.ptrc", "300", "290", "10 invalid", "50.0%"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info output missing %q:\n%s", want, out)
 		}
@@ -240,19 +159,19 @@ func TestFormatInfoBlocks(t *testing.T) {
 		FileSize: 1000, Blocks: 2, Packets: 300, ValidPackets: 290,
 		RawBytes: 1800, CompressedBytes: 900,
 	}, []tracestore.BlockStat{
-		{Packets: 200, Valid: 195, RawBytes: 1200, CompressedBytes: 600, Codec: tracestore.CodecDeflate},
-		{Packets: 100, Valid: 95, RawBytes: 600, CompressedBytes: 240, Codec: tracestore.CodecPacked},
+		{Packets: 200, Valid: 195, RawBytes: 1200, CompressedBytes: 600},
+		{Packets: 100, Valid: 95, RawBytes: 600, CompressedBytes: 240},
 	})
 	for _, want := range []string{
-		"10 invalid", "block", "compressed", "195", "40.0%", "packed",
+		"10 invalid", "block", "compressed", "195", "40.0%",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("verbose info output missing %q:\n%s", want, out)
 		}
 	}
-	// Summary (path line + 5 tabbed lines incl. the codec mix), a blank
-	// separator, one row per block plus the table header.
-	if got, want := strings.Count(out, "\n"), 6+1+2+1; got != want {
+	// Summary (path line + 4 tabbed lines), a blank separator, one row
+	// per block plus the table header.
+	if got, want := strings.Count(out, "\n"), 5+1+2+1; got != want {
 		t.Errorf("verbose info has %d lines, want %d:\n%s", got, want, out)
 	}
 }

@@ -1,7 +1,6 @@
 // Pinned hot-path workloads: the streaming window reduce at {1,2,4}
-// pipeline workers, PTRC replay and record per block codec, the packed
-// recode transcode, an engine suite over a warm window cache, and the
-// model fits. BenchmarkHotPath times them at full size;
+// pipeline workers, PTRC replay and record, an engine suite over a warm
+// window cache, and the model fits. BenchmarkHotPath times them at full size;
 // TestHotPathAllocs pins their allocation counts at small size, which
 // are hardware-independent and so gate on every host. Run with:
 //
@@ -56,17 +55,14 @@ var hotPath = []struct {
 	maxAllocs float64
 	prepare   func(tb testing.TB, sz hotPathSize) func() error
 }{
-	{"pipeline-w1", 339, pipelineOp(1)},                                      // 226
-	{"pipeline-w2", 399, pipelineOp(2)},                                      // 266
-	{"pipeline-w4", 471, pipelineOp(4)},                                      // 314
-	{"ptrc-replay-sequential", 377, replayOp(tracestore.CodecDeflate)},       // 251
-	{"ptrc-record-w1", 93, recordOp(tracestore.CodecDeflate)},                // 62
-	{"ptrc-replay-sequential-packed", 357, replayOp(tracestore.CodecPacked)}, // 238
-	{"ptrc-record-w1-packed", 51, recordOp(tracestore.CodecPacked)},          // 34
-	{"ptrc-transcode-recode", 116, transcodeOp},                              // 77
-	{"engine-suite-replay", 1302, engineOp},                                  // 868
-	{"fit-zm", 786, fitZMOp},                                                 // 524
-	{"fit-registry", 14727, fitRegistryOp},                                   // 9818
+	{"pipeline-w1", 339, pipelineOp(1)},              // 226
+	{"pipeline-w2", 399, pipelineOp(2)},              // 266
+	{"pipeline-w4", 471, pipelineOp(4)},              // 314
+	{"ptrc-replay-sequential-packed", 357, replayOp}, // 238
+	{"ptrc-record-w1-packed", 51, recordOp},          // 34
+	{"engine-suite-replay", 1302, engineOp},          // 868
+	{"fit-zm", 786, fitZMOp},                         // 524
+	{"fit-registry", 14727, fitRegistryOp},           // 9818
 }
 
 // synthTrace deterministically generates a hub-skewed random trace.
@@ -111,59 +107,36 @@ func pipelineOp(workers int) func(testing.TB, hotPathSize) func() error {
 	}
 }
 
-// recordArchive archives the replay trace with one codec.
-func recordArchive(tb testing.TB, sz hotPathSize, codec tracestore.Codec, tm *tracestore.Metrics) []byte {
-	tb.Helper()
+// replayOp replays an archive of the replay trace through the serial
+// pipeline.
+func replayOp(tb testing.TB, sz hotPathSize) func() error {
+	reg := obs.NewRegistry()
+	sm, tm := stream.NewMetrics(reg), tracestore.NewMetrics(reg)
 	var archive bytes.Buffer
 	if _, err := tracestore.Record(&archive, newSynthTrace(3, sz.replayPackets, hotPathNodes),
-		tracestore.WriterOptions{Metrics: tm, Codec: codec}); err != nil {
+		tracestore.WriterOptions{Metrics: tm}); err != nil {
 		tb.Fatal(err)
 	}
-	return archive.Bytes()
-}
-
-// replayOp replays an archive of one codec through the serial pipeline.
-func replayOp(codec tracestore.Codec) func(testing.TB, hotPathSize) func() error {
-	return func(tb testing.TB, sz hotPathSize) func() error {
-		reg := obs.NewRegistry()
-		sm, tm := stream.NewMetrics(reg), tracestore.NewMetrics(reg)
-		raw := recordArchive(tb, sz, codec, tm)
-		return func() error {
-			src, err := tracestore.NewReader(bytes.NewReader(raw))
-			if err != nil {
-				return err
-			}
-			src.SetMetrics(tm)
-			_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Workers: 1, Metrics: sm})
+	raw := archive.Bytes()
+	return func() error {
+		src, err := tracestore.NewReader(bytes.NewReader(raw))
+		if err != nil {
 			return err
 		}
+		src.SetMetrics(tm)
+		_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Workers: 1, Metrics: sm})
+		return err
 	}
 }
 
-// recordOp archives the replay trace with one codec through the writer.
-func recordOp(codec tracestore.Codec) func(testing.TB, hotPathSize) func() error {
-	return func(_ testing.TB, sz hotPathSize) func() error {
-		tm := tracestore.NewMetrics(obs.NewRegistry())
-		var sink bytes.Buffer
-		return func() error {
-			sink.Reset()
-			_, err := tracestore.Record(&sink, newSynthTrace(3, sz.replayPackets, hotPathNodes),
-				tracestore.WriterOptions{Metrics: tm, Codec: codec})
-			return err
-		}
-	}
-}
-
-// transcodeOp rewrites the deflate archive as packed: the full decode
-// plus packed re-encode through the bulk block path.
-func transcodeOp(tb testing.TB, sz hotPathSize) func() error {
+// recordOp archives the replay trace through the writer.
+func recordOp(_ testing.TB, sz hotPathSize) func() error {
 	tm := tracestore.NewMetrics(obs.NewRegistry())
-	raw := recordArchive(tb, sz, tracestore.CodecDeflate, tm)
 	var sink bytes.Buffer
 	return func() error {
 		sink.Reset()
-		_, err := tracestore.TranscodePTRC(bytes.NewReader(raw), &sink,
-			tracestore.WriterOptions{Metrics: tm, Codec: tracestore.CodecPacked})
+		_, err := tracestore.Record(&sink, newSynthTrace(3, sz.replayPackets, hotPathNodes),
+			tracestore.WriterOptions{Metrics: tm})
 		return err
 	}
 }

@@ -389,12 +389,12 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 	return stream.WriteTraceCSVFrom(w, src)
 }
 
-// TraceWriter streams packets into a PTRC block-compressed binary trace
+// TraceWriter streams packets into a PTRC packed-column binary trace
 // archive (see internal/tracestore for the format).
 type TraceWriter = tracestore.Writer
 
-// TraceWriterOptions configures PTRC archiving (block size, DEFLATE
-// level); the zero value selects the defaults.
+// TraceWriterOptions configures PTRC archiving (block size and
+// metrics); the zero value selects the defaults.
 type TraceWriterOptions = tracestore.WriterOptions
 
 // TraceReader replays a PTRC archive sequentially; it implements

@@ -40,13 +40,13 @@ type CacheStats struct {
 // from the synthetic observatory (exactly the TakeValid prefix the
 // pipeline would consume) and replayed through stream.Run by every use —
 // including the recording one, so cached and uncached runs exercise the
-// identical replay path. Archives are recorded by the serial writer in
-// the packed-column codec: every consumer replays its windows itself, so
-// replay cost counts once per consumer, and packed blocks replay without
-// inflating (DESIGN.md §12, §14). Replay always goes through the
-// sequential reader; archives of either codec replay. Concurrent
-// requests for one key are single-flighted; distinct keys record and
-// replay independently.
+// identical replay path. Archives are recorded by the serial writer and
+// replayed through the sequential reader; every consumer replays its
+// windows itself, so replay cost counts once per consumer (DESIGN.md
+// §14). An entry the index cannot vouch for — torn, stale, or recorded
+// with the removed DEFLATE codec — is a miss and is re-recorded.
+// Concurrent requests for one key are single-flighted; distinct keys
+// record and replay independently.
 type WindowCache struct {
 	dir string
 	m   *Metrics // engine's bundle (nil = stripped); mirrors the atomics
@@ -104,8 +104,9 @@ func (c *WindowCache) path(key string) string {
 }
 
 // ensure returns the archive path for req, recording the trace on a
-// miss. An existing archive whose index does not account for exactly the
-// required valid-packet prefix (a stale or torn file) is re-recorded.
+// miss. An existing archive whose index is unreadable (a torn file, or
+// DEFLATE blocks) or does not account for exactly the required
+// valid-packet prefix (a stale file) is re-recorded.
 func (c *WindowCache) ensure(req WindowReq) (string, error) {
 	key := req.Key()
 	lock := c.keyLock(key)
@@ -130,7 +131,7 @@ func (c *WindowCache) ensure(req WindowReq) (string, error) {
 		return "", fmt.Errorf("scenario: creating cache entry: %w", err)
 	}
 	n, err := tracestore.Record(tmp, stream.TakeValid(site.PacketSource(), req.ValidPackets()),
-		tracestore.WriterOptions{Codec: tracestore.CodecPacked, Metrics: c.m.traceMetrics()})
+		tracestore.WriterOptions{Metrics: c.m.traceMetrics()})
 	if cerr := tmp.Close(); err == nil {
 		err = cerr
 	}

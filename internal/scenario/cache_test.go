@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -144,11 +146,6 @@ func TestWindowCacheConcurrentEnsure(t *testing.T) {
 	if cs.DeliveredWindows != n*int64(req.Windows) {
 		t.Errorf("delivered windows = %d, want %d", cs.DeliveredWindows, n*int64(req.Windows))
 	}
-	// Every consumer replays the archive, so it is recorded packed: no
-	// inflate on replay.
-	if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.CodecMix() != tracestore.CodecPacked.String() {
-		t.Errorf("archive codec = %q (err %v), want packed", info.CodecMix(), err)
-	}
 }
 
 // TestWindowCacheSameKeyDifferentGeometry: two requirements cutting the
@@ -184,9 +181,9 @@ func TestWindowCacheSameKeyDifferentGeometry(t *testing.T) {
 // TestWindowCacheStreamBudgets pins the cache's one replay path: a cached
 // window replayed at inner budgets 1, 2 and 4 delivers window aggregates
 // and ensemble histograms identical to uncached generation through
-// Context.Stream. A DEFLATE-recorded archive at the key's path must
-// replay identically too (DESIGN.md §14: archives of either codec
-// replay).
+// Context.Stream. A DEFLATE archive at the key's path — recorded for
+// this very requirement by a writer that still had the codec — is a
+// miss: it is re-recorded and the replays match too.
 func TestWindowCacheStreamBudgets(t *testing.T) {
 	req := WindowReq{Site: testSite(59), NV: 1500, Windows: 3}
 	type replay struct {
@@ -212,7 +209,7 @@ func TestWindowCacheStreamBudgets(t *testing.T) {
 	direct := collect(func(sinks ...stream.Sink) (stream.PipelineStats, error) {
 		return Standalone().Stream(req, stream.PipelineConfig{}, sinks...)
 	})
-	check := func(c *WindowCache, codec tracestore.Codec) {
+	check := func(name string, c *WindowCache) {
 		t.Helper()
 		for _, budget := range []int{1, 2, 4} {
 			cfg := cacheCfg(req)
@@ -221,49 +218,39 @@ func TestWindowCacheStreamBudgets(t *testing.T) {
 				return c.Stream(req, cfg, sinks...)
 			})
 			if !reflect.DeepEqual(got.aggs, direct.aggs) {
-				t.Errorf("%v archive, budget %d: aggregates %v, uncached %v", codec, budget, got.aggs, direct.aggs)
+				t.Errorf("%s cache, budget %d: aggregates %v, uncached %v", name, budget, got.aggs, direct.aggs)
 			}
 			if !reflect.DeepEqual(got.ens, direct.ens) {
-				t.Errorf("%v archive, budget %d: ensemble histograms diverge from uncached", codec, budget)
+				t.Errorf("%s cache, budget %d: ensemble histograms diverge from uncached", name, budget)
 			}
 		}
-		if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.CodecMix() != codec.String() {
-			t.Errorf("archive codec = %q (err %v), want %v", info.CodecMix(), err, codec)
+		if cs := c.Stats(); cs.Misses != 1 || cs.Hits != 2 {
+			t.Errorf("%s cache: hits=%d misses=%d, want 2/1", name, cs.Hits, cs.Misses)
+		}
+		if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.ValidPackets != req.ValidPackets() {
+			t.Errorf("%s cache: entry holds %d valid packets (err %v), want %d", name, info.ValidPackets, err, req.ValidPackets())
 		}
 	}
 
-	packed, err := NewWindowCache(t.TempDir())
+	fresh, err := NewWindowCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(packed, tracestore.CodecPacked)
-	if cs := packed.Stats(); cs.Misses != 1 || cs.Hits != 2 {
-		t.Errorf("packed cache: hits=%d misses=%d, want 2/1", cs.Hits, cs.Misses)
-	}
+	check("fresh", fresh)
 
-	// A cache directory holding a DEFLATE archive for the key (recorded
-	// by an older writer setting) replays it as is.
-	deflate, err := NewWindowCache(t.TempDir())
+	legacy, err := NewWindowCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := netgen.NewSite(req.Site)
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-deflate-window.ptrc"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Create(deflate.path(req.Key()))
-	if err != nil {
+	if err := os.WriteFile(legacy.path(req.Key()), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tracestore.Record(f, stream.TakeValid(site.PacketSource(), req.ValidPackets()),
-		tracestore.WriterOptions{Codec: tracestore.CodecDeflate}); err != nil {
-		t.Fatal(err)
+	if _, err := tracestore.InfoFile(legacy.path(req.Key())); !errors.Is(err, tracestore.ErrCorrupt) {
+		t.Fatalf("DEFLATE entry reads as %v, want a corruption error", err)
 	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	check(deflate, tracestore.CodecDeflate)
-	if cs := deflate.Stats(); cs.Misses != 0 || cs.Hits != 3 {
-		t.Errorf("deflate cache: hits=%d misses=%d, want 3/0 (archive replayed, not re-recorded)", cs.Hits, cs.Misses)
-	}
+	check("DEFLATE", legacy)
 }

@@ -12,7 +12,7 @@ package stream
 // filtered (and counted) at ingest, and everything downstream — the
 // spmat flat tables, the handoff buffers — speaks packed keys. Every
 // source fills windows through one surface, DecodeInto. An
-// EncodedBlockSource (the PTRC reader) decodes its compressed blocks
+// EncodedBlockSource (the PTRC reader) decodes its packed blocks
 // directly into the window under construction, with no []Packet
 // materialization at all (see tracestore.Reader.DecodeInto). Any other
 // PacketSource is adapted by packetDecoder, which batches keys on the
@@ -98,10 +98,10 @@ type PacketCounter interface {
 
 // BlockSource is the optional bulk extension of PacketSource: sources
 // that naturally hold runs of decoded packets (the tracestore block
-// reader) expose them whole, so bulk consumers — the PTRC writer's
-// RecordFrom, WriteTraceCSVFrom — drain them without one interface call
-// per packet. Run does not use it: the PTRC reader is also an
-// EncodedBlockSource, and every other source is read per packet.
+// reader) expose them whole, so bulk consumers — WriteTraceCSVFrom —
+// drain them without one interface call per packet. Run does not use
+// it: the PTRC reader is also an EncodedBlockSource, and every other
+// source is read per packet.
 type BlockSource interface {
 	PacketSource
 	// NextBlock returns the next run of packets, or ok = false at end of

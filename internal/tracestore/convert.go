@@ -27,19 +27,3 @@ func PTRCToCSV(ptrc io.Reader, csv io.Writer) (int64, error) {
 	}
 	return stream.WriteTraceCSVFrom(csv, r)
 }
-
-// TranscodePTRC re-archives a PTRC stream under opts — the migration
-// path between codecs (palu-trace convert -codec). The packet sequence
-// is preserved exactly (replay is float-identical by construction: the
-// codec changes the bytes on disk, never the decoded packets); only the
-// block encoding and block-size boundaries follow opts. It returns the
-// packet count. Every block is decoded and re-encoded, so opts.Level
-// and opts.BlockSize always take effect. The reader is a
-// stream.BlockSource, so the writer's bulk ingest path applies.
-func TranscodePTRC(in io.Reader, out io.Writer, opts WriterOptions) (int64, error) {
-	r, err := NewReader(in)
-	if err != nil {
-		return 0, err
-	}
-	return Record(out, r, opts)
-}

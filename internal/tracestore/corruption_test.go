@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -140,7 +142,7 @@ func TestCorruptionIndexDroppedBlock(t *testing.T) {
 	lastBlock := -1
 	for data[off] == tagBlock {
 		lastBlock = off
-		h, err := parseBlockHeader(data[off+1:off+1+blockHeaderLen], CodecDeflate)
+		h, err := parseBlockHeader(data[off+1 : off+1+blockHeaderLen])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,4 +174,73 @@ func TestNewReaderRejectsGarbage(t *testing.T) {
 		t.Error("NewReader accepted garbage")
 	}
 	expectCorrupt(t, "info/tiny file", infoErr([]byte("tiny")))
+}
+
+// legacyDeflateArchive is an archive of the removed DEFLATE block codec,
+// written by the last writer that had it: fuzzArchive(2000, 256) at the
+// default DEFLATE level — eight tag-0x01 blocks and an index without a
+// codec section.
+func legacyDeflateArchive(tb testing.TB) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy-deflate.ptrc"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// expectDeflateRemoved asserts err is the corruption error that names
+// the removed DEFLATE codec and asks for a re-recording.
+func expectDeflateRemoved(t *testing.T, name string, err error) {
+	t.Helper()
+	expectCorrupt(t, name, err)
+	if err == nil || !strings.Contains(err.Error(), "DEFLATE") || !strings.Contains(err.Error(), "re-record") {
+		t.Errorf("%s: error does not name the removed DEFLATE codec: %v", name, err)
+	}
+}
+
+// TestLegacyDeflateRejected pins that an archive of the removed DEFLATE
+// codec fails loudly on every read path — the sequential reader, the
+// fused DecodeInto path and Info — rather than reading as some other
+// corruption or, worse, as packets.
+func TestLegacyDeflateRejected(t *testing.T) {
+	data := legacyDeflateArchive(t)
+	if data[len(fileMagic)] != tagDeflateBlock {
+		t.Fatalf("fixture's first record tag is 0x%02x, want the DEFLATE tag", data[len(fileMagic)])
+	}
+	expectDeflateRemoved(t, "sequential", sequentialErr(data))
+
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := stream.NewPairWindow(1 << 12)
+	if v, iv, _, ok := r.DecodeInto(w); ok || v+iv != 0 {
+		t.Fatalf("DecodeInto delivered %d packets (ok=%v) from a DEFLATE block", v+iv, ok)
+	}
+	expectDeflateRemoved(t, "fused", r.Err())
+
+	expectDeflateRemoved(t, "info", infoErr(data))
+}
+
+// TestIndexCodecSection pins the index's codec section: a one-run
+// packed section parses, while a missing section (an all-DEFLATE
+// archive), a DEFLATE run (a mixed archive) and an unknown codec id
+// are rejected.
+func TestIndexCodecSection(t *testing.T) {
+	blocks := []blockInfo{{packets: 10, valid: 9, rawLen: 30, compLen: 12}, {packets: 5, valid: 5, rawLen: 15, compLen: 8}}
+	entries := encodeIndexPayload(blocks, 15, 14)
+	if _, err := parseIndexPayload(entries, -1); err != nil {
+		t.Fatalf("packed index rejected: %v", err)
+	}
+	body := entries[:len(entries)-2] // entries without the (2, packed) section
+	with := func(section ...byte) []byte { return append(append([]byte(nil), body...), section...) }
+	_, err := parseIndexPayload(body, -1)
+	expectDeflateRemoved(t, "no codec section", err)
+	_, err = parseIndexPayload(with(1, codecPacked, 1, codecDeflate), -1)
+	expectDeflateRemoved(t, "mixed codecs", err)
+	_, err = parseIndexPayload(with(2, 7), -1)
+	expectCorrupt(t, "unknown codec", err)
+	_, err = parseIndexPayload(with(3, codecPacked), -1)
+	expectCorrupt(t, "codec run past the last block", err)
 }

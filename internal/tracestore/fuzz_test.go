@@ -12,11 +12,6 @@ import (
 
 // fuzzArchive builds a small valid PTRC archive for the fuzz corpus.
 func fuzzArchive(tb testing.TB, packets int, blockSize int) []byte {
-	return fuzzCodecArchive(tb, packets, blockSize, CodecDeflate)
-}
-
-// fuzzCodecArchive is fuzzArchive with a codec choice.
-func fuzzCodecArchive(tb testing.TB, packets, blockSize int, codec Codec) []byte {
 	tb.Helper()
 	r := xrand.New(7)
 	ps := make([]stream.Packet, packets)
@@ -28,9 +23,7 @@ func fuzzCodecArchive(tb testing.TB, packets, blockSize int, codec Codec) []byte
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{
-		BlockSize: blockSize, Codec: codec,
-	}); err != nil {
+	if _, err := Record(&buf, stream.NewSliceSource(ps), WriterOptions{BlockSize: blockSize}); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -57,15 +50,15 @@ func FuzzReader(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/3] ^= 0x40 // bit flip in a block payload
 	f.Add(flipped)
-	packed := fuzzCodecArchive(f, 2000, 256, CodecPacked)
-	f.Add(packed)                   // packed-column archive
-	f.Add(packed[:len(packed)*2/3]) // truncated packed archive
-	pflipped := append([]byte(nil), packed...)
-	pflipped[len(pflipped)/2] ^= 0x08 // bit flip in a packed payload
-	f.Add(pflipped)
-	retag := append([]byte(nil), packed...)
-	retag[len(fileMagic)] = tagBlock // packed block wearing the DEFLATE tag
+	f.Add(fuzzArchive(f, 600, 100)) // many small blocks
+	f.Add(valid[:len(valid)*2/3])   // truncated later in the stream
+	vflipped := append([]byte(nil), valid...)
+	vflipped[len(vflipped)/2] ^= 0x08 // bit flip in a later payload
+	f.Add(vflipped)
+	retag := append([]byte(nil), valid...)
+	retag[len(fileMagic)] = tagDeflateBlock // packed block wearing the DEFLATE tag
 	f.Add(retag)
+	f.Add(legacyDeflateArchive(f)) // archive of the removed DEFLATE codec
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Sequential reader: pure io.Reader path.
@@ -76,7 +69,7 @@ func FuzzReader(f *testing.F) {
 					break
 				}
 				n++
-				if n > int64(len(data))*maxDeflateRatio {
+				if n > int64(len(data))*maxPackedRatio {
 					t.Fatalf("sequential reader delivered %d packets from %d input bytes", n, len(data))
 				}
 			}
@@ -98,7 +91,7 @@ func FuzzReader(f *testing.F) {
 				if !ok {
 					break
 				}
-				if n > int64(len(data))*maxDeflateRatio {
+				if n > int64(len(data))*maxPackedRatio {
 					t.Fatalf("fused reader delivered %d packets from %d input bytes", n, len(data))
 				}
 			}
@@ -114,45 +107,6 @@ func FuzzReader(f *testing.F) {
 		}
 		if minRec := int64(1 + blockHeaderLen + 1); int64(info.Blocks)*minRec > int64(len(data)) {
 			t.Fatalf("Info claims %d blocks in %d input bytes", info.Blocks, len(data))
-		}
-	})
-}
-
-// FuzzDecodeUvarint is the differential fuzz of the branch-reduced
-// inline varint decoder against the standard library: at every position
-// of arbitrary input, uvarintFast must either return exactly
-// binary.Uvarint's (value, width) or signal failure (next <= pos)
-// exactly when binary.Uvarint does. The fused hot path's correctness on
-// corrupt archives reduces to this equivalence.
-func FuzzDecodeUvarint(f *testing.F) {
-	f.Add([]byte{0x00}, 0)
-	f.Add([]byte{0x7f}, 0)
-	f.Add([]byte{0x80, 0x01}, 0)                                                       // 2-byte fast path
-	f.Add([]byte{0xff, 0x7f}, 0)                                                       // 2-byte max
-	f.Add([]byte{0x80, 0x80, 0x80, 0x80, 0x01}, 0)                                     // slow path
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0)       // max uint64
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 0) // overlong
-	f.Add([]byte{0x80}, 0)                                                             // truncated
-	f.Add([]byte{}, 0)
-	f.Add(fuzzArchive(f, 100, 32), 11) // mid-archive offsets
-
-	f.Fuzz(func(t *testing.T, data []byte, pos int) {
-		if pos < 0 {
-			pos = -(pos + 1)
-		}
-		pos %= len(data) + 1 // any position in [0, len(data)]
-		v, next := uvarintFast(data, pos)
-		want, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			if next > pos {
-				t.Fatalf("pos %d: uvarintFast decoded (%d, width %d), binary.Uvarint failed (k=%d)",
-					pos, v, next-pos, k)
-			}
-			return
-		}
-		if v != want || next != pos+k {
-			t.Fatalf("pos %d: uvarintFast = (%d, next %d), binary.Uvarint = (%d, next %d)",
-				pos, v, next, want, pos+k)
 		}
 	})
 }

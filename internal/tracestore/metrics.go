@@ -1,10 +1,10 @@
 package tracestore
 
 // PTRC observability (DESIGN.md §11). A Metrics bundle instruments the
-// archive codecs at block granularity: the single choke point on the
-// read side is blockDecoder.decompress (every block the Reader stages
-// passes through it), and on the write side blockEncoder.encodeRecord.
-// A nil *Metrics strips everything to inert branches.
+// block codec at block granularity: the single choke point on the read
+// side is verifyBlock (every block the Reader stages passes through
+// it), and on the write side Writer.flushBlock. A nil *Metrics strips
+// everything to inert branches.
 
 import "hybridplaw/internal/obs"
 
@@ -13,13 +13,13 @@ import "hybridplaw/internal/obs"
 type Metrics struct {
 	reg *obs.Registry
 
-	// BlocksRead counts blocks CRC-checked and inflated;
-	// BlocksWritten counts blocks deflated and flushed.
+	// BlocksRead counts blocks CRC-checked and staged;
+	// BlocksWritten counts blocks packed and flushed.
 	BlocksRead    *obs.Counter
 	BlocksWritten *obs.Counter
 
-	// Read/Write byte totals measure the block payloads crossing the
-	// codecs, before and after compression (headers excluded).
+	// Read/Write byte totals measure the block payloads in their
+	// canonical raw encoding and as stored (headers excluded).
 	ReadCompressedBytes  *obs.Counter
 	ReadRawBytes         *obs.Counter
 	WriteRawBytes        *obs.Counter
@@ -28,29 +28,9 @@ type Metrics struct {
 	// CRCFailures counts blocks rejected by the Castagnoli check.
 	CRCFailures *obs.Counter
 
-	// RawBufReuse / RawBufAlloc split DEFLATE inflate target buffers
-	// into warm reuses and fresh (or grown) allocations. Packed blocks
-	// decode straight from the read buffer and count in neither.
-	RawBufReuse *obs.Counter
-	RawBufAlloc *obs.Counter
-
-	// InflateTime spans one DEFLATE block decompression (CRC check
-	// included); DeflateTime spans one DEFLATE block compression.
-	InflateTime *obs.Timer
-	DeflateTime *obs.Timer
-
-	// PackedBlocksRead / PackedBlocksWritten count the packed-column
-	// subset of BlocksRead / BlocksWritten; the DEFLATE counts are the
-	// difference. PackedReadBytes / PackedWrittenBytes total the stored
-	// packed payload bytes, the packed subset of the compressed totals.
-	PackedBlocksRead    *obs.Counter
-	PackedBlocksWritten *obs.Counter
-	PackedReadBytes     *obs.Counter
-	PackedWrittenBytes  *obs.Counter
-
-	// UnpackTime spans one packed block's CRC check and staging (the
+	// UnpackTime spans one block's CRC check and staging (the
 	// bit-unpack itself is fused into the consumer's decode walk);
-	// PackTime spans one packed block encode.
+	// PackTime spans one block encode.
 	UnpackTime *obs.Timer
 	PackTime   *obs.Timer
 }
@@ -65,39 +45,23 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		reg: reg,
 		BlocksRead: reg.Counter("palu_ptrc_blocks_read_total",
-			"archive blocks CRC-checked and inflated"),
+			"archive blocks CRC-checked and staged"),
 		BlocksWritten: reg.Counter("palu_ptrc_blocks_written_total",
-			"archive blocks deflated and flushed"),
+			"archive blocks packed and flushed"),
 		ReadCompressedBytes: reg.Counter("palu_ptrc_read_compressed_bytes_total",
-			"compressed block payload bytes read"),
+			"stored block payload bytes read"),
 		ReadRawBytes: reg.Counter("palu_ptrc_read_raw_bytes_total",
-			"raw block payload bytes produced by inflate"),
+			"canonical raw-encoding bytes of the blocks read"),
 		WriteRawBytes: reg.Counter("palu_ptrc_write_raw_bytes_total",
-			"raw block payload bytes fed to deflate"),
+			"canonical raw-encoding bytes of the blocks written"),
 		WriteCompressedBytes: reg.Counter("palu_ptrc_write_compressed_bytes_total",
-			"compressed block payload bytes written"),
+			"stored block payload bytes written"),
 		CRCFailures: reg.Counter("palu_ptrc_crc_failures_total",
 			"blocks rejected by the CRC check"),
-		RawBufReuse: reg.Counter("palu_ptrc_rawbuf_reuse_total",
-			"DEFLATE inflate target buffers reused warm"),
-		RawBufAlloc: reg.Counter("palu_ptrc_rawbuf_alloc_total",
-			"DEFLATE inflate target buffers allocated or grown"),
-		InflateTime: reg.Timer("palu_ptrc_inflate_ns",
-			"DEFLATE block CRC check + decompression time"),
-		DeflateTime: reg.Timer("palu_ptrc_deflate_ns",
-			"DEFLATE block compression time"),
-		PackedBlocksRead: reg.Counter("palu_ptrc_packed_blocks_read_total",
-			"packed-column blocks CRC-checked and staged"),
-		PackedBlocksWritten: reg.Counter("palu_ptrc_packed_blocks_written_total",
-			"packed-column blocks encoded and flushed"),
-		PackedReadBytes: reg.Counter("palu_ptrc_packed_read_bytes_total",
-			"stored packed-column payload bytes read"),
-		PackedWrittenBytes: reg.Counter("palu_ptrc_packed_written_bytes_total",
-			"stored packed-column payload bytes written"),
 		UnpackTime: reg.Timer("palu_ptrc_unpack_ns",
-			"packed block CRC check + staging time"),
+			"block CRC check + staging time"),
 		PackTime: reg.Timer("palu_ptrc_pack_ns",
-			"packed block encode time"),
+			"block encode time"),
 	}
 }
 
@@ -110,7 +74,7 @@ func (m *Metrics) Registry() *obs.Registry {
 	return m.reg
 }
 
-// The nil-safe hooks below are what the codecs call; each is an inert
+// The nil-safe hooks below are what the codec calls; each is an inert
 // branch on a nil bundle.
 
 func (m *Metrics) crcFailure() {
@@ -119,64 +83,36 @@ func (m *Metrics) crcFailure() {
 	}
 }
 
-// decodeStart opens the per-codec decode span: InflateTime for DEFLATE
-// blocks, UnpackTime for packed blocks.
-func (m *Metrics) decodeStart(codec Codec) obs.Span {
+// unpackStart opens a block's read-side span.
+func (m *Metrics) unpackStart() obs.Span {
 	if m == nil {
 		return obs.Span{}
 	}
-	if codec == CodecPacked {
-		return m.UnpackTime.Start()
-	}
-	return m.InflateTime.Start()
+	return m.UnpackTime.Start()
 }
 
-// encodeStart opens the per-codec encode span: DeflateTime for DEFLATE
-// blocks, PackTime for packed blocks.
-func (m *Metrics) encodeStart(codec Codec) obs.Span {
+// packStart opens a block's encode span.
+func (m *Metrics) packStart() obs.Span {
 	if m == nil {
 		return obs.Span{}
 	}
-	if codec == CodecPacked {
-		return m.PackTime.Start()
-	}
-	return m.DeflateTime.Start()
+	return m.PackTime.Start()
 }
 
-func (m *Metrics) blockRead(codec Codec, compLen, rawLen int) {
+func (m *Metrics) blockRead(compLen, rawLen int) {
 	if m == nil {
 		return
 	}
 	m.BlocksRead.Inc()
 	m.ReadCompressedBytes.Add(int64(compLen))
 	m.ReadRawBytes.Add(int64(rawLen))
-	if codec == CodecPacked {
-		m.PackedBlocksRead.Inc()
-		m.PackedReadBytes.Add(int64(compLen))
-	}
 }
 
-// rawBuf counts one DEFLATE inflate target, warm or freshly allocated.
-func (m *Metrics) rawBuf(reused bool) {
-	if m == nil {
-		return
-	}
-	if reused {
-		m.RawBufReuse.Inc()
-	} else {
-		m.RawBufAlloc.Inc()
-	}
-}
-
-func (m *Metrics) blockWritten(codec Codec, rawLen, compLen int) {
+func (m *Metrics) blockWritten(rawLen, compLen int) {
 	if m == nil {
 		return
 	}
 	m.BlocksWritten.Inc()
 	m.WriteRawBytes.Add(int64(rawLen))
 	m.WriteCompressedBytes.Add(int64(compLen))
-	if codec == CodecPacked {
-		m.PackedBlocksWritten.Inc()
-		m.PackedWrittenBytes.Add(int64(compLen))
-	}
 }

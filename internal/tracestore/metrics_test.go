@@ -39,8 +39,8 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.WriteCompressedBytes.Value(); got != info.CompressedBytes {
 		t.Errorf("write compressed bytes = %d, index says %d", got, info.CompressedBytes)
 	}
-	if got := m.DeflateTime.Spans(); got != int64(info.Blocks) {
-		t.Errorf("deflate spans = %d, want %d", got, info.Blocks)
+	if got := m.PackTime.Spans(); got != int64(info.Blocks) {
+		t.Errorf("pack spans = %d, want %d", got, info.Blocks)
 	}
 
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
@@ -70,16 +70,11 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.ReadRawBytes.Value(); got != info.RawBytes {
 		t.Errorf("read raw bytes = %d, want %d", got, info.RawBytes)
 	}
-	if got := m.InflateTime.Spans(); got != int64(info.Blocks) {
-		t.Errorf("inflate spans = %d, want %d", got, info.Blocks)
+	if got := m.UnpackTime.Spans(); got != int64(info.Blocks) {
+		t.Errorf("unpack spans = %d, want %d", got, info.Blocks)
 	}
 	if got := m.CRCFailures.Value(); got != 0 {
 		t.Errorf("CRC failures = %d on a clean archive", got)
-	}
-	// The sequential reader inflates every DEFLATE block into one reused
-	// raw buffer: first block (or a growth) allocates, the rest reuse.
-	if alloc, reuse := m.RawBufAlloc.Value(), m.RawBufReuse.Value(); alloc+reuse != int64(info.Blocks) || alloc < 1 {
-		t.Errorf("rawbuf alloc=%d reuse=%d, want alloc+reuse=%d with alloc>=1", alloc, reuse, info.Blocks)
 	}
 }
 
@@ -89,7 +84,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 func TestMetricsCRCFailure(t *testing.T) {
 	ps := synthPackets(17, 600, 50, 0)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 1024})
-	// Flip one byte inside the first block's compressed payload.
+	// Flip one byte inside the first block's stored payload.
 	data[len(fileMagic)+1+blockHeaderLen+3] ^= 0xff
 	m := NewMetrics(obs.NewRegistry())
 	r, err := NewReader(bytes.NewReader(data))

@@ -1,18 +1,16 @@
 package tracestore
 
-// PTRC2 packed-column block codec (DESIGN.md §12). The DEFLATE codec
-// made archives small, but PR 7's instrumented replays showed inflate
-// as the single largest timer in the fused hot path — the replay was
-// decompress-bound, not I/O-bound. The packed codec removes the
-// general-purpose entropy coder entirely: (src, dst) pairs are split
-// into two columns and each column is frame-of-reference bit-packed in
-// 256-value miniblocks with a per-miniblock width and an exception
-// list for heavy-tail outliers (PFOR-style). Decode is a mask-and-
-// shift walk over 64-bit words — no inflate, no uvarint walk — so the
-// fused DecodeInto path deposits src<<32|dst link keys straight from
-// the packed words.
+// PTRC packed-column block codec (DESIGN.md §12), the format's only
+// block codec. It replaced DEFLATE, whose inflate was the single
+// largest timer in the fused replay hot path (the history is in git):
+// (src, dst) pairs are split into two columns and each column is
+// frame-of-reference bit-packed in 256-value miniblocks with a
+// per-miniblock width and an exception list for heavy-tail outliers
+// (PFOR-style). Decode is a mask-and-shift walk over 64-bit words — no
+// entropy decoder, no uvarint walk — so the fused DecodeInto path
+// deposits src<<32|dst link keys straight from the packed words.
 //
-// # Block payload layout (tag 0x03, same 16-byte header as DEFLATE)
+// # Block payload layout (tag 0x03, after the 16-byte block header)
 //
 //	validity: mode byte (0 = raw bitmap, 1 = RLE), then
 //	          raw:  ceil(n/8) bytes, LSB-first
@@ -36,18 +34,17 @@ package tracestore
 // Word-aligned packing wastes at most 7 bytes per miniblock and buys
 // exact-bounds 64-bit loads in the decoder.
 //
-// Frame-of-reference beats delta encoding here for the same reason
-// direct varints beat zigzag deltas under DEFLATE (see encodeBlockRaw):
-// observatory traffic is shuffled, so consecutive packets share no
-// locality and successive deltas are as wide as the ids themselves,
-// while the per-miniblock minimum tracks the id range actually in use
-// and heavy-tailed popularity keeps most deltas narrow with a short
-// exception tail — exactly the split PFOR encodes cheaply.
+// Frame-of-reference beats delta encoding here: observatory traffic is
+// shuffled, so consecutive packets share no locality and successive
+// deltas are as wide as the ids themselves, while the per-miniblock
+// minimum tracks the id range actually in use and heavy-tailed
+// popularity keeps most deltas narrow with a short exception tail —
+// exactly the split PFOR encodes cheaply.
 //
 // The block header's rawLen field stores the length of the canonical
-// raw encoding (bitmap + uvarint pairs) of the same packets, not the
-// packed payload length: RawBytes totals then mean the same thing for
-// every codec and per-block compression ratios stay comparable.
+// raw encoding (validity bitmap + uvarint (src, dst) pairs) of the same
+// packets, not the packed payload length, so RawBytes/CompressedBytes
+// is a compression ratio against a fixed baseline.
 
 import (
 	"encoding/binary"
@@ -64,8 +61,9 @@ const packedGroup = 256
 // the header plausibility check. The sparsest legal payload spends ~6
 // bytes per 256-packet group (two width-0 miniblocks) while the
 // canonical raw form of 256 packets is at most 256*(5+5) varint bytes
-// plus the bitmap — a ratio under 440; 512 leaves slack without letting
-// a corrupt header inflate allocations much past the DEFLATE cap.
+// plus the bitmap — a ratio under 440; 512 leaves slack while keeping
+// what a corrupt header can make a reader allocate proportional to the
+// bytes present.
 const maxPackedRatio = 512
 
 // validityRaw / validityRLE are the validity section mode bytes.
@@ -141,11 +139,11 @@ func decodeValidity(raw []byte, n int, scratch []byte) (bitmap []byte, pos int, 
 		return raw[1 : 1+nb], 1 + nb, scratch, nil
 	case validityRLE:
 		pos = 1
-		runCount, next := uvarintFast(raw, pos)
-		if next <= pos {
+		runCount, k := binary.Uvarint(raw[pos:])
+		if k <= 0 {
 			return nil, 0, scratch, corruptf("truncated validity run count")
 		}
-		pos = next
+		pos += k
 		if runCount == 0 || runCount > uint64(n)+1 {
 			return nil, 0, scratch, corruptf("validity run count %d out of range for %d packets", runCount, n)
 		}
@@ -158,11 +156,11 @@ func decodeValidity(raw []byte, n int, scratch []byte) (bitmap []byte, pos int, 
 		}
 		at, valid := 0, true
 		for r := uint64(0); r < runCount; r++ {
-			run, next := uvarintFast(raw, pos)
-			if next <= pos {
+			run, k := binary.Uvarint(raw[pos:])
+			if k <= 0 {
 				return nil, 0, scratch, corruptf("truncated validity run %d", r)
 			}
-			pos = next
+			pos += k
 			if run == 0 && r != 0 {
 				return nil, 0, scratch, corruptf("empty validity run %d", r)
 			}
@@ -295,11 +293,11 @@ func decodeMiniblock(raw []byte, pos, m int, out []uint32) (int, error) {
 	if b > 32 {
 		return pos, corruptf("miniblock width %d exceeds 32 bits", b)
 	}
-	ref, next := uvarintFast(raw, pos)
-	if next <= pos {
+	ref, k := binary.Uvarint(raw[pos:])
+	if k <= 0 {
 		return pos, corruptf("truncated miniblock reference")
 	}
-	pos = next
+	pos += k
 	if ref > uint64(^uint32(0)) {
 		return pos, corruptf("miniblock reference out of uint32 range")
 	}
@@ -326,11 +324,11 @@ func decodeMiniblock(raw []byte, pos, m int, out []uint32) (int, error) {
 	// Exception deltas are applied after the unpack below.
 	exStart := pos
 	for i := 0; i < nEx; i++ {
-		_, next := uvarintFast(raw, pos)
-		if next <= pos {
+		_, k := binary.Uvarint(raw[pos:])
+		if k <= 0 {
 			return pos, corruptf("truncated miniblock exception delta %d", i)
 		}
-		pos = next
+		pos += k
 	}
 
 	wb := 8 * ((m*b + 63) / 64)
@@ -356,8 +354,8 @@ func decodeMiniblock(raw []byte, pos, m int, out []uint32) (int, error) {
 
 	ep := exStart
 	for _, p := range exPos {
-		d, next := uvarintFast(raw, ep)
-		ep = next // widths validated above
+		d, k := binary.Uvarint(raw[ep:])
+		ep += k // widths validated above
 		v := ref + d
 		if v > uint64(^uint32(0)) {
 			return pos, corruptf("miniblock exception value out of uint32 range")
@@ -425,8 +423,7 @@ func unpackBitsChecked(words []byte, m int, b uint, ref uint64, out []uint32) er
 
 // encodeBlockPacked appends the packed-column encoding of packets to
 // dst and returns the canonical raw-encoding length of the same packets
-// (the rawLen the block header stores, keeping size accounting
-// comparable across codecs).
+// (the rawLen the block header stores).
 func encodeBlockPacked(dst []byte, packets []stream.Packet) ([]byte, int) {
 	n := len(packets)
 	rawLen := (n + 7) / 8
@@ -482,8 +479,14 @@ func decodeBlockPacked(raw []byte, n int, out []stream.Packet) ([]stream.Packet,
 	return out, nil
 }
 
-// packedWalker is the resumable state of a fused packed-block decode:
-// the counterpart of encWalker for the packed codec. Groups of 256
+// decodeBatch is the stack batch size of the fused decoder: pairs are
+// deposited into the window in runs of this size so the flat tables (or
+// the window's key buffer) work on whole batches.
+const decodeBatch = 256
+
+// packedWalker is the resumable state of a fused block decode: one
+// walk over a packed payload, never materialized as []stream.Packet.
+// Groups of 256
 // packets are unpacked into two column buffers and deposited as packed
 // src<<32|dst link keys; a window boundary suspends the walk between
 // deposits and the next decodeInto call resumes it.

@@ -17,20 +17,19 @@ import (
 // its index — always surfaces as an error rather than a silently short
 // trace.
 type Reader struct {
-	r       io.Reader
-	dec     blockDecoder
-	hdr     [1 + blockHeaderLen]byte
-	comp    []byte
-	buf     []stream.Packet
-	walk    blockWalker
-	i       int
-	off     int64 // bytes consumed from r
-	read    int64
-	valid   int64
-	blocks  int64
-	byCodec [numCodecs]int64 // blocks read per codec, checked vs index
-	err     error
-	done    bool
+	r      io.Reader
+	m      *Metrics
+	hdr    [1 + blockHeaderLen]byte
+	comp   []byte
+	buf    []stream.Packet
+	walk   packedWalker
+	i      int
+	off    int64 // bytes consumed from r
+	read   int64
+	valid  int64
+	blocks int64
+	err    error
+	done   bool
 }
 
 // NewReader checks the file magic and returns a sequential reader over
@@ -47,10 +46,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 }
 
 // SetMetrics attaches an instrument bundle (nil = stripped) to the
-// reader's block decoder. Call it before the first read; the sequential
+// reader's block checks. Call it before the first read; the sequential
 // reader decodes on the caller's goroutine, so attaching mid-stream is
 // safe but splits the accounting.
-func (r *Reader) SetMetrics(m *Metrics) { r.dec.m = m }
+func (r *Reader) SetMetrics(m *Metrics) { r.m = m }
 
 // readFull wraps io.ReadFull with offset accounting.
 func (r *Reader) readFull(b []byte) error {
@@ -104,10 +103,10 @@ func (r *Reader) NextBlock() ([]stream.Packet, bool) {
 }
 
 // readRecord reads the next record's tag, header and stored payload
-// (into r.comp), returning the header and the codec named by the tag.
-// ok = false at end of stream — the index record was consumed and
-// verified by finish — or on error (r.err set).
-func (r *Reader) readRecord() (blockHeader, Codec, bool) {
+// (into r.comp) and verifies the payload's length and CRC. ok = false
+// at end of stream — the index record was consumed and verified by
+// finish — or on error (r.err set).
+func (r *Reader) readRecord() (blockHeader, bool) {
 	tagOff := r.off
 	if err := r.readFull(r.hdr[:1]); err != nil {
 		if err == io.EOF {
@@ -115,25 +114,28 @@ func (r *Reader) readRecord() (blockHeader, Codec, bool) {
 		} else {
 			r.err = err
 		}
-		return blockHeader{}, 0, false
+		return blockHeader{}, false
 	}
-	if r.hdr[0] == tagIndex {
+	switch r.hdr[0] {
+	case tagBlock:
+	case tagIndex:
 		r.finish(tagOff)
-		return blockHeader{}, 0, false
-	}
-	codec, ok := codecForTag(r.hdr[0])
-	if !ok {
+		return blockHeader{}, false
+	case tagDeflateBlock:
+		r.err = errDeflateRemoved()
+		return blockHeader{}, false
+	default:
 		r.err = corruptf("unknown record tag 0x%02x after %d blocks", r.hdr[0], r.blocks)
-		return blockHeader{}, 0, false
+		return blockHeader{}, false
 	}
 	if err := r.readFull(r.hdr[1:]); err != nil {
 		r.err = corruptf("truncated block header: %v", err)
-		return blockHeader{}, 0, false
+		return blockHeader{}, false
 	}
-	h, err := parseBlockHeader(r.hdr[1:], codec)
+	h, err := parseBlockHeader(r.hdr[1:])
 	if err != nil {
 		r.err = err
-		return blockHeader{}, 0, false
+		return blockHeader{}, false
 	}
 	if cap(r.comp) < h.compLen {
 		r.comp = make([]byte, h.compLen)
@@ -141,22 +143,25 @@ func (r *Reader) readRecord() (blockHeader, Codec, bool) {
 	r.comp = r.comp[:h.compLen]
 	if err := r.readFull(r.comp); err != nil {
 		r.err = corruptf("truncated block payload: %v", err)
-		return blockHeader{}, 0, false
+		return blockHeader{}, false
 	}
 	r.blocks++
-	r.byCodec[codec]++
-	return h, codec, true
+	if err := verifyBlock(h, r.comp, r.m); err != nil {
+		r.err = err
+		return blockHeader{}, false
+	}
+	return h, true
 }
 
 // nextBlock reads the next record: a block refills the packet buffer; the
 // index record ends the stream after verifying the totals and footer.
 func (r *Reader) nextBlock() {
-	h, codec, ok := r.readRecord()
+	h, ok := r.readRecord()
 	if !ok {
 		return
 	}
 	var err error
-	r.buf, err = r.dec.decode(codec, h, r.comp, r.buf[:0])
+	r.buf, err = decodeBlockPacked(r.comp, h.packets, r.buf[:0])
 	if err != nil {
 		r.err = err
 		r.buf = r.buf[:0]
@@ -168,23 +173,17 @@ func (r *Reader) nextBlock() {
 // DecodeInto implements stream.EncodedBlockSource: it stages the next
 // block (or resumes the current one) and decodes its pairs directly
 // into w — the fused one-pass replay path, no []stream.Packet
-// materialization. DEFLATE blocks walk uvarint pairs; packed blocks
-// deposit keys straight from the bit-packed columns. DecodeInto must
-// not be interleaved with Next or NextBlock on the same Reader: both
-// paths consume the same underlying record sequence but buffer
-// independently.
+// materialization: keys are deposited straight from the bit-packed
+// columns. DecodeInto must not be interleaved with Next or NextBlock on
+// the same Reader: both paths consume the same underlying record
+// sequence but buffer independently.
 func (r *Reader) DecodeInto(w *stream.PairWindow) (valid, invalid int64, full, ok bool) {
 	if r.walk.exhausted() {
-		h, codec, okr := r.readRecord()
+		h, okr := r.readRecord()
 		if !okr {
 			return 0, 0, false, false
 		}
-		raw, err := r.dec.decompress(codec, h, r.comp)
-		if err != nil {
-			r.err = err
-			return 0, 0, false, false
-		}
-		if err := r.walk.init(codec, raw, h.packets); err != nil {
+		if err := r.walk.init(r.comp, h.packets); err != nil {
 			r.err = err
 			return 0, 0, false, false
 		}
@@ -240,14 +239,6 @@ func (r *Reader) finish(tagOff int64) {
 	if int64(len(idx.blocks)) != r.blocks || idx.total != r.read || idx.valid != r.valid {
 		r.err = corruptf("index claims %d blocks / %d packets (%d valid), stream delivered %d / %d (%d)",
 			len(idx.blocks), idx.total, idx.valid, r.blocks, r.read, r.valid)
-		return
-	}
-	var idxByCodec [numCodecs]int64
-	for _, bl := range idx.blocks {
-		idxByCodec[bl.codec]++
-	}
-	if idxByCodec != r.byCodec {
-		r.err = corruptf("index codec mix %v disagrees with stream %v", idxByCodec, r.byCodec)
 		return
 	}
 	var footer [footerLen]byte

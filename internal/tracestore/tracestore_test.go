@@ -2,10 +2,9 @@ package tracestore
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
-	"io"
-	"os"
-	"path/filepath"
+	"fmt"
 	"testing"
 
 	"hybridplaw/internal/stream"
@@ -202,6 +201,32 @@ func TestEmptyArchive(t *testing.T) {
 	}
 }
 
+// TestArchiveBytesPinned pins the writer's output byte for byte: a
+// fixed two-block trace (one full default-size block and a partial one)
+// and the empty archive, both under zero-value options. The digests
+// were taken from the packed-codec archives of the writer that still
+// had DEFLATE, so every packed archive it wrote — window caches
+// included — is what this writer produces.
+func TestArchiveBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ps     []stream.Packet
+		size   int
+		sha256 string
+	}{
+		{"two blocks", synthPackets(29, DefaultBlockSize+4000, 5000, 9), 236453,
+			"36656b39b3bee2ecd473adb09e5c0ebbf955fb594e22e528ea803fe3d003c668"},
+		{"empty", nil, 44,
+			"224a995322eec76c9ad0859b5ccc1045e568f3e51929570dca5310d0428341f6"},
+	} {
+		data := writeArchive(t, c.ps, WriterOptions{})
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != c.size || got != c.sha256 {
+			t.Errorf("%s: archive is %d bytes with SHA-256 %s, want %d bytes with %s",
+				c.name, len(data), got, c.size, c.sha256)
+		}
+	}
+}
+
 // TestPipelineReplayEquivalence runs the same trace through the pipeline
 // from the original slice and from the reader, and requires
 // float-identical ensembles.
@@ -276,149 +301,8 @@ func TestWriterConcatenatesSources(t *testing.T) {
 }
 
 func TestWriterOptionValidation(t *testing.T) {
-	if _, err := NewWriter(&bytes.Buffer{}, WriterOptions{Level: 42}); err == nil {
-		t.Error("expected error for invalid compression level")
-	}
 	if _, err := NewWriter(&bytes.Buffer{}, WriterOptions{BlockSize: maxBlockPackets + 1}); err == nil {
 		t.Error("expected error for oversized block")
-	}
-}
-
-// TestWriterSetCodecMidBlock pins SetCodec's promise that packets
-// already buffered flush under the new codec: with flips in the middle
-// of blocks, each block carries the codec in effect when its last
-// packet was written, and the archive still round-trips.
-func TestWriterSetCodecMidBlock(t *testing.T) {
-	const n, block = 2000, 257
-	flips := map[int]Codec{300: CodecPacked, 1000: CodecDeflate, 1700: CodecPacked}
-	ps := synthPackets(11, n, 500, 7)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, WriterOptions{BlockSize: block})
-	if err != nil {
-		t.Fatal(err)
-	}
-	codecAt := make([]Codec, n)
-	codec := CodecDeflate
-	for i, p := range ps {
-		if c, ok := flips[i]; ok {
-			if err := w.SetCodec(c); err != nil {
-				t.Fatal(err)
-			}
-			codec = c
-		}
-		codecAt[i] = codec
-		if err := w.Write(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameTrace(t, drain(t, r), ps)
-
-	path := filepath.Join(t.TempDir(), "mixed.ptrc")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, blocks, err := InfoFileBlocks(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (n + block - 1) / block; len(blocks) != want {
-		t.Fatalf("%d blocks, want %d", len(blocks), want)
-	}
-	// Block 1 holds packets 257..513; the flip at 300 lands inside it.
-	if blocks[1].Codec != CodecPacked {
-		t.Errorf("block 1 codec %v, want packed", blocks[1].Codec)
-	}
-	for k, bl := range blocks {
-		last := min((k+1)*block, n) - 1
-		if bl.Codec != codecAt[last] {
-			t.Errorf("block %d codec %v, want %v", k, bl.Codec, codecAt[last])
-		}
-	}
-}
-
-// TestRecordBlocksFromMatchesPerPacket pins the bulk ingest path: a
-// BlockSource drained via RecordBlocksFrom yields the identical archive
-// to writing the same packets one at a time, even when source block
-// boundaries disagree with the writer's.
-func TestRecordBlocksFromMatchesPerPacket(t *testing.T) {
-	ps := synthPackets(5, 4000, 300, 9)
-	src := writeArchive(t, ps, WriterOptions{BlockSize: 333})
-	opts := WriterOptions{BlockSize: 512, Codec: CodecPacked}
-
-	var want bytes.Buffer
-	w, err := NewWriter(&want, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		if err := w.Write(p); err != nil {
-			t.Fatalf("Write packet %d: %v", i, err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	r, err := NewReader(bytes.NewReader(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if w, err = NewWriter(&buf, opts); err != nil {
-		t.Fatal(err)
-	}
-	n, err := w.RecordBlocksFrom(r)
-	if err != nil {
-		t.Fatalf("RecordBlocksFrom: %v", err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(ps)) {
-		t.Fatalf("bulk path wrote %d packets, want %d", n, len(ps))
-	}
-	if !bytes.Equal(want.Bytes(), buf.Bytes()) {
-		t.Fatal("bulk archive differs from per-packet archive")
-	}
-}
-
-// packetOnly hides a Reader's BlockSource interface, forcing the
-// per-packet RecordFrom drain.
-type packetOnly struct{ r *Reader }
-
-func (s packetOnly) Next() (stream.Packet, bool) { return s.r.Next() }
-func (s packetOnly) Err() error                  { return s.r.Err() }
-
-// TestRecordFromPrefersBlockDrain pins that RecordFrom routes
-// BlockSources through the bulk path and that both drains produce the
-// same archive.
-func TestRecordFromPrefersBlockDrain(t *testing.T) {
-	ps := synthPackets(17, 3000, 250, 8)
-	src := writeArchive(t, ps, WriterOptions{BlockSize: 400})
-	record := func(wrap bool) []byte {
-		r, err := NewReader(bytes.NewReader(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var s stream.PacketSource = r
-		if wrap {
-			s = packetOnly{r}
-		}
-		var buf bytes.Buffer
-		if _, err := Record(&buf, s, WriterOptions{BlockSize: 512}); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if !bytes.Equal(record(false), record(true)) {
-		t.Fatal("block drain and per-packet drain disagree")
 	}
 }
 
@@ -464,35 +348,3 @@ func TestWriterCommitError(t *testing.T) {
 		t.Fatal("Write after failed Close must error")
 	}
 }
-
-// The transcode benchmark pair documents the RecordFrom fix: the bulk
-// block drain vs the same source with its BlockSource interface hidden.
-// The per-packet variant pays one interface call per packet and
-// re-buffers each one; the bulk variant appends whole blocks.
-func benchmarkTranscode(b *testing.B, perPacket bool) {
-	opts := WriterOptions{BlockSize: 1 << 13, Codec: CodecPacked}
-	var buf bytes.Buffer
-	if _, err := Record(&buf, stream.NewSliceSource(synthPackets(9, 1<<16, 600, 7)), opts); err != nil {
-		b.Fatal(err)
-	}
-	src := buf.Bytes()
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r, err := NewReader(bytes.NewReader(src))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s stream.PacketSource = r
-		if perPacket {
-			s = packetOnly{r}
-		}
-		if _, err := Record(io.Discard, s, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTranscodePTRCBulk(b *testing.B)      { benchmarkTranscode(b, false) }
-func BenchmarkTranscodePTRCPerPacket(b *testing.B) { benchmarkTranscode(b, true) }
