@@ -6,8 +6,8 @@
 //
 // Usage:
 //
-//	palu-figures -out ./out                    # full suite, serial
-//	palu-figures -out ./out -parallel          # independent scenarios concurrently
+//	palu-figures -out ./out                    # full suite, GOMAXPROCS scenarios at once
+//	GOMAXPROCS=1 palu-figures -out ./out       # serial suite, same artifacts (for profiling)
 //	palu-figures -out ./out -cache-dir ./ptrc  # record windows once, replay thereafter
 //	palu-figures -only fig3 -only table1       # subsets by name or prefix
 //	palu-figures -list                         # print the experiment index (EXPERIMENTS.md)
@@ -21,7 +21,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"hybridplaw/internal/experiments"
@@ -47,7 +46,6 @@ func (f *onlyFlags) Set(v string) error {
 type options struct {
 	out        string
 	seed       uint64
-	parallel   bool
 	cacheDir   string
 	list       bool
 	only       onlyFlags
@@ -63,7 +61,6 @@ func main() {
 	var o options
 	flag.StringVar(&o.out, "out", "out", "output directory")
 	flag.Uint64Var(&o.seed, "seed", 1, "random seed for the suite-seeded experiments")
-	flag.BoolVar(&o.parallel, "parallel", false, "run independent scenarios concurrently (one worker per CPU)")
 	flag.StringVar(&o.cacheDir, "cache-dir", "", "PTRC window cache directory: traffic windows are recorded once and replayed thereafter")
 	flag.BoolVar(&o.list, "list", false, "print the experiment index (the content of EXPERIMENTS.md) and exit")
 	flag.StringVar(&o.metrics, "metrics", "", "write a metrics snapshot (JSON) here after the run (- = stdout)")
@@ -110,12 +107,7 @@ func run(o options) error {
 		defer stop()
 	}
 
-	workers := 1
-	if o.parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	eng, err := scenario.NewEngine(reg, scenario.Config{
-		Workers:  workers,
 		OutDir:   o.out,
 		CacheDir: o.cacheDir,
 		Metrics:  obsReg,

@@ -18,8 +18,9 @@
 // between the trace CSV and PTRC (direction inferred from the -in file's
 // magic). info prints the archive summary from its index without
 // decoding any block. replay streams an archive through the Section II
-// measurement pipeline. cache summarizes a scenario-engine window cache
-// (the -cache-dir of palu-figures), one line per cached window.
+// measurement pipeline (GOMAXPROCS workers). cache summarizes a
+// scenario-engine window cache (the -cache-dir of palu-figures), one
+// line per cached window.
 package main
 
 import (
@@ -326,10 +327,10 @@ func cmdCache(args []string) error {
 // replayEnsemble streams a PacketSource through the measurement pipeline
 // and returns the pooled ensemble of q. windows <= 0 replays the whole
 // source; m (nil = uninstrumented) collects the pipeline's metrics.
-func replayEnsemble(src stream.PacketSource, nv int64, windows, workers int, q stream.Quantity, m *stream.Metrics) (*stream.EnsembleSink, stream.PipelineStats, error) {
+func replayEnsemble(src stream.PacketSource, nv int64, windows int, q stream.Quantity, m *stream.Metrics) (*stream.EnsembleSink, stream.PipelineStats, error) {
 	sink := stream.NewEnsembleSink(q)
 	stats, err := stream.Run(src, stream.PipelineConfig{
-		NV: nv, Workers: workers, MaxWindows: windows, Metrics: m,
+		NV: nv, MaxWindows: windows, Metrics: m,
 	}, sink)
 	if err != nil {
 		return nil, stats, err
@@ -346,7 +347,6 @@ func cmdReplay(args []string) error {
 		in       = fs.String("in", "", "PTRC archive (required)")
 		nv       = fs.Int64("nv", 100000, "valid packets per window NV")
 		windows  = fs.Int("windows", 0, "max windows (0 = replay the whole archive)")
-		workers  = fs.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS)")
 		quantity = fs.String("quantity", "fan-out", "quantity: source-packets|fan-out|link-packets|fan-in|dest-packets")
 		metrics  = fs.String("metrics", "", "write a metrics snapshot (JSON) here after the replay (- = stdout)")
 	)
@@ -379,7 +379,7 @@ func cmdReplay(args []string) error {
 	}
 	src.SetMetrics(tm)
 
-	sink, stats, err := replayEnsemble(src, *nv, *windows, *workers, q, sm)
+	sink, stats, err := replayEnsemble(src, *nv, *windows, q, sm)
 	if err != nil {
 		return err
 	}

@@ -59,7 +59,7 @@ func TestRecordReplayMatchesDirectGeneration(t *testing.T) {
 	// pipeline, no archive involved.
 	for _, q := range stream.Quantities {
 		direct, directStats, err := replayEnsemble(testSite(t).PacketSource(),
-			testNV, testWindows, 2, q, nil)
+			testNV, testWindows, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func TestRecordReplayMatchesDirectGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		replayed, replayStats, err := replayEnsemble(src, testNV, testWindows, 2, q, nil)
+		replayed, replayStats, err := replayEnsemble(src, testNV, testWindows, q, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,8 +4,8 @@
 // windows on the fly, prints the Table I aggregates per window, and
 // reports the pooled differential cumulative distribution of a chosen
 // Fig. 1 quantity with its cross-window ±1σ band and modified
-// Zipf–Mandelbrot fit. Memory stays bounded by the worker pool no matter
-// how long the trace is.
+// Zipf–Mandelbrot fit. Memory stays bounded by the worker pool
+// (GOMAXPROCS workers) no matter how long the trace is.
 //
 // Usage:
 //
@@ -44,7 +44,6 @@ func main() {
 		p        = flag.Float64("p", 0.5, "edge observation probability")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		quantity = flag.String("quantity", "fan-out", "quantity: source-packets|fan-out|link-packets|fan-in|dest-packets")
-		workers  = flag.Int("workers", 0, "pipeline worker pool size (0 = GOMAXPROCS)")
 		plot     = flag.Bool("plot", false, "render ASCII log-log plot")
 		trace    = flag.String("trace", "", "replay a packet trace CSV (src,dst,valid) instead of synthesizing traffic")
 	)
@@ -90,7 +89,7 @@ func main() {
 	ensSink := hybridplaw.NewEnsembleSink(q)
 
 	stats, err := hybridplaw.RunPipeline(src, hybridplaw.PipelineConfig{
-		NV: *nv, Workers: *workers, MaxWindows: *windows,
+		NV: *nv, MaxWindows: *windows,
 	}, tableSink, ensSink)
 	if err != nil {
 		log.Fatal(err)

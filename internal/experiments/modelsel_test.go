@@ -121,8 +121,8 @@ func TestModelSelScenariosShareFig3Windows(t *testing.T) {
 }
 
 // TestModelSelectionSummaryDeterministic reruns the reference selection
-// and requires byte-identical summaries (the CI serial-vs-parallel
-// diff -r depends on it).
+// and requires byte-identical summaries (the CI determinism diff -r of
+// a GOMAXPROCS=1 run against default-width runs depends on it).
 func TestModelSelectionSummaryDeterministic(t *testing.T) {
 	a, err := RunModelSelectionPALU(3, 60000)
 	if err != nil {

@@ -48,7 +48,8 @@ type Report struct {
 	// Err is the scenario's failure (an error or a recovered panic), or
 	// nil.
 	Err error
-	// Duration is the wall-clock run time.
+	// Start and Duration are the wall-clock start and run time.
+	Start    time.Time
 	Duration time.Duration
 	// Artifacts lists the artifact files actually written.
 	Artifacts []string
@@ -185,10 +186,10 @@ func (e *Engine) resolve(names []string) ([]Scenario, error) {
 func (e *Engine) runOne(s Scenario, pipeWorkers int) (rep Report) {
 	rep.Scenario = s
 	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers}
-	start := time.Now()
+	rep.Start = time.Now()
 	sp := e.m.runStart()
 	defer func() {
-		rep.Duration = time.Since(start)
+		rep.Duration = time.Since(rep.Start)
 		rep.Artifacts = ctx.writtenNames()
 		if p := recover(); p != nil {
 			rep.Result = nil

@@ -15,8 +15,8 @@ func ListMarkdown(reg *Registry) string {
 	b.WriteString("Every table, figure and ablation of the paper, as registered in the\n")
 	b.WriteString("declarative scenario engine (`internal/scenario`, DESIGN.md §7).\n")
 	b.WriteString("Regenerate this file with `go run ./cmd/palu-figures -list > EXPERIMENTS.md`;\n")
-	b.WriteString("run any subset with `palu-figures -only <name|prefix>`, in parallel with\n")
-	b.WriteString("`-parallel`, and with the PTRC window cache via `-cache-dir`.\n\n")
+	b.WriteString("run any subset with `palu-figures -only <name|prefix>`, serially with\n")
+	b.WriteString("`GOMAXPROCS=1`, and with the PTRC window cache via `-cache-dir`.\n\n")
 	b.WriteString("| scenario | summary section | cached windows | artifacts | purpose |\n")
 	b.WriteString("|---|---|---|---|---|\n")
 	for _, s := range reg.Scenarios() {

@@ -92,11 +92,13 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 }
 
 // TestTimingsCSV pins the timings.csv shape: header, one row per report
-// in order, closing suite row carrying totals and cache counters.
+// in order, closing suite row carrying the wall time and cache counters.
 func TestTimingsCSV(t *testing.T) {
+	t0 := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
 	reports := []Report{
-		{Scenario: Scenario{Name: "a"}, Duration: 1500 * time.Millisecond},
-		{Scenario: Scenario{Name: "b"}, Duration: 250 * time.Millisecond, Err: errors.New("x")},
+		{Scenario: Scenario{Name: "a"}, Start: t0, Duration: 1500 * time.Millisecond},
+		{Scenario: Scenario{Name: "b"}, Start: t0.Add(1500 * time.Millisecond),
+			Duration: 250 * time.Millisecond, Err: errors.New("x")},
 	}
 	got := Timings(reports, CacheStats{Hits: 3, Misses: 1})
 	want := "scenario,status,seconds,cache_hits,cache_misses\n" +
@@ -117,5 +119,27 @@ func TestTimingsSuiteRowUnchanged(t *testing.T) {
 	out := Timings(nil, CacheStats{Hits: 3, Misses: 1, DeliveredWindows: 4})
 	if !strings.Contains(out, "suite,,0.000,3,1\n") {
 		t.Errorf("suite row changed: %q", out)
+	}
+}
+
+// TestTimingsSuiteRowIsWallSpan pins the suite row of a concurrent run
+// to its wall-clock span, from the earliest start to the latest end,
+// not to the sum of the overlapping scenario durations. Reports arrive
+// in registration order, which need not be start order.
+func TestTimingsSuiteRowIsWallSpan(t *testing.T) {
+	t0 := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
+	reports := []Report{
+		{Scenario: Scenario{Name: "a"}, Start: t0.Add(200 * time.Millisecond), Duration: 3 * time.Second},
+		{Scenario: Scenario{Name: "b"}, Start: t0, Duration: 1 * time.Second},
+		{Scenario: Scenario{Name: "c"}, Start: t0.Add(1 * time.Second), Duration: 1500 * time.Millisecond},
+	}
+	got := Timings(reports, CacheStats{Hits: 2})
+	want := "scenario,status,seconds,cache_hits,cache_misses\n" +
+		"a,ok,3.000,,\n" +
+		"b,ok,1.000,,\n" +
+		"c,ok,1.500,,\n" +
+		"suite,,3.200,2,0\n"
+	if got != want {
+		t.Errorf("timings mismatch:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
