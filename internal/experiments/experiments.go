@@ -211,10 +211,23 @@ func RunFigure3Panel(spec netgen.PanelSpec) (Figure3PanelResult, error) {
 	return runFigure3Panel(scenario.Standalone(), spec)
 }
 
-func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3PanelResult, error) {
-	sink := stream.NewEnsembleSink(spec.Quantity)
+// panelEnsemble streams a Fig. 3 panel's windows into a cross-window
+// ensemble of its quantity, once per engine run: fig3/<panel> and
+// modelsel/<panel> both read it.
+func panelEnsemble(ctx *scenario.Context, spec netgen.PanelSpec) (*stream.EnsembleSink, error) {
 	req := scenario.WindowReq{Site: spec.Site, NV: spec.NV, Windows: spec.Windows}
-	if _, err := ctx.Stream(req, stream.PipelineConfig{}, sink); err != nil {
+	return scenario.Memo(ctx, req, "ensemble/"+spec.Quantity.String(), func() (*stream.EnsembleSink, error) {
+		sink := stream.NewEnsembleSink(spec.Quantity)
+		if _, err := ctx.Stream(req, stream.PipelineConfig{}, sink); err != nil {
+			return nil, err
+		}
+		return sink, nil
+	})
+}
+
+func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3PanelResult, error) {
+	sink, err := panelEnsemble(ctx, spec)
+	if err != nil {
 		return Figure3PanelResult{}, err
 	}
 	ens, merged := sink.Ensemble(spec.Quantity), sink.Merged(spec.Quantity)

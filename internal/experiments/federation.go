@@ -128,7 +128,8 @@ func (r FederationSiteResult) Summary() string {
 // returning its per-window partials (only when keepPartials — the
 // per-site scenarios skip the per-window canonicalization sort they
 // would never use), per-window aggregates, and the model selection on
-// its merged source-packets histogram.
+// its merged source-packets histogram. The selection is computed once
+// per engine run: federation/<id> and federation/backbone share it.
 func streamFederationSite(ctx *scenario.Context, s FederationSite, keepPartials bool) (*stream.PartialSink, []spmat.Aggregates, *FederationSiteResult, error) {
 	ens := stream.NewEnsembleSink(stream.SourcePackets)
 	var aggs []spmat.Aggregates
@@ -145,8 +146,11 @@ func streamFederationSite(ctx *scenario.Context, s FederationSite, keepPartials 
 	if _, err := ctx.Stream(federationReq(s), cfg, sinks...); err != nil {
 		return nil, nil, nil, fmt.Errorf("site %s: %w", s.ID, err)
 	}
-	sel, err := selectModels("federation site "+s.ID, stream.SourcePackets.String(),
-		ens.Merged(stream.SourcePackets), model.Default(), approximatingFitters())
+	q, fitters := stream.SourcePackets.String(), approximatingFitters()
+	sel, err := scenario.Memo(ctx, federationReq(s), "selection/"+q+"/"+strings.Join(fitters, ","),
+		func() (ModelSelectionResult, error) {
+			return selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets), model.Default(), fitters)
+		})
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("site %s: %w", s.ID, err)
 	}
@@ -182,8 +186,8 @@ type FederationBackboneResult struct {
 	SiteIDs []string
 	// PerWindow tabulates each backbone window against its members.
 	PerWindow []FederationWindowRow
-	// SiteSelections are the members' selection tables, in site order
-	// (recomputed here on the identical replayed windows).
+	// SiteSelections are the members' selection tables, in site order:
+	// in an engine run, the ones federation/<id> computed.
 	SiteSelections []ModelSelectionResult
 	// Backbone ranks the approximating families on the merged backbone
 	// source-packets histogram.

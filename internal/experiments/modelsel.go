@@ -19,7 +19,6 @@ import (
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/scenario"
-	"hybridplaw/internal/stream"
 	"hybridplaw/internal/xrand"
 )
 
@@ -150,9 +149,8 @@ func selectModels(name, quantity string, h *hist.Histogram, reg *model.Registry,
 // fits every registered family to one Fig. 3 panel's merged
 // cross-window histogram and ranks them.
 func runModelSelectionPanel(ctx *scenario.Context, spec netgen.PanelSpec) (ModelSelectionResult, error) {
-	sink := stream.NewEnsembleSink(spec.Quantity)
-	req := scenario.WindowReq{Site: spec.Site, NV: spec.NV, Windows: spec.Windows}
-	if _, err := ctx.Stream(req, stream.PipelineConfig{}, sink); err != nil {
+	sink, err := panelEnsemble(ctx, spec)
+	if err != nil {
 		return ModelSelectionResult{}, err
 	}
 	reg := model.Default()

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/hist"
@@ -125,21 +126,44 @@ func (r *Registry) Names() []string {
 // empty) against the histogram. results and errs are parallel to the
 // resolved name list: a failed fit leaves a zero FitResult and its error
 // so one thin tail does not hide the other families. An unknown name is
-// an immediate error.
+// an immediate error. When zm runs before zm-mle, zm-mle starts from
+// zm's least-squares fit instead of recomputing it; with equal options
+// that is the same fit, so every result equals the fitter's own Fit.
 func (r *Registry) FitAll(h *hist.Histogram, names ...string) (results []FitResult, errs []error, err error) {
 	if len(names) == 0 {
 		names = r.Names()
 	}
 	results = make([]FitResult, len(names))
 	errs = make([]error, len(names))
+	var ls *lsFit // zm's least-squares outcome on h, for zm-mle
 	for i, name := range names {
 		f, ok := r.Lookup(name)
 		if !ok {
 			return nil, nil, fmt.Errorf("model: unknown fitter %q (have: %v)", name, r.Names())
 		}
-		results[i], errs[i] = f.Fit(h)
+		switch f := f.(type) {
+		case ZMFitter:
+			results[i], ls, errs[i] = f.fit(h)
+		case ZMMLEFitter:
+			results[i], errs[i] = f.fit(h, ls)
+		default:
+			results[i], errs[i] = f.Fit(h)
+		}
 	}
 	return results, errs, nil
+}
+
+// lsFit is the least-squares zm fit (zipfmand.FitHistogram) of one
+// histogram under opts, failure included.
+type lsFit struct {
+	opts zipfmand.FitOptions
+	fit  zipfmand.FitResult
+	err  error
+}
+
+func leastSquares(h *hist.Histogram, opts zipfmand.FitOptions) *lsFit {
+	fr, _, err := zipfmand.FitHistogram(h, opts)
+	return &lsFit{opts: opts, fit: fr, err: err}
 }
 
 // Default returns a fresh registry holding every built-in fitter in
@@ -167,17 +191,26 @@ func (ZMFitter) Name() string { return "zm" }
 
 // Fit implements Fitter.
 func (f ZMFitter) Fit(h *hist.Histogram) (FitResult, error) {
+	res, _, err := f.fit(h)
+	return res, err
+}
+
+// fit is Fit that also returns its least-squares outcome (nil when h is
+// rejected before fitting).
+func (f ZMFitter) fit(h *hist.Histogram) (FitResult, *lsFit, error) {
 	if err := validateHist(h); err != nil {
-		return FitResult{}, err
+		return FitResult{}, nil, err
 	}
-	fr, _, err := zipfmand.FitHistogram(h, f.Opts)
-	if err != nil {
-		return FitResult{}, err
+	ls := leastSquares(h, f.Opts)
+	if ls.err != nil {
+		return FitResult{}, ls, ls.err
 	}
+	fr := ls.fit
 	m := &ZM{ZM: fr.Model, SupportMax: h.MaxDegree()}
-	return finish(f.Name(), m, 2, h, map[string]float64{
+	res, err := finish(f.Name(), m, 2, h, map[string]float64{
 		"sse": fr.SSE, "ks": fr.KS, "iters": float64(fr.Iters),
 	})
+	return res, ls, err
 }
 
 // ZMMLEFitter refines the modified Zipf–Mandelbrot family by maximum
@@ -199,6 +232,12 @@ func (ZMMLEFitter) Name() string { return "zm-mle" }
 
 // Fit implements Fitter.
 func (f ZMMLEFitter) Fit(h *hist.Histogram) (FitResult, error) {
+	return f.fit(h, nil)
+}
+
+// fit is Fit seeded by ls, zm's least-squares outcome on the same h;
+// it recomputes the fit when ls is nil or ran under other options.
+func (f ZMMLEFitter) fit(h *hist.Histogram, ls *lsFit) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
@@ -215,8 +254,11 @@ func (f ZMMLEFitter) Fit(h *hist.Histogram) (FitResult, error) {
 		return -ll
 	}
 	starts := [][]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}}
-	if ls, _, err := zipfmand.FitHistogram(h, f.LSOpts); err == nil {
-		starts = append([][]float64{{ls.Alpha, ls.Delta}}, starts...)
+	if ls == nil || !reflect.DeepEqual(ls.opts, f.LSOpts) {
+		ls = leastSquares(h, f.LSOpts)
+	}
+	if ls.err == nil {
+		starts = append([][]float64{{ls.fit.Alpha, ls.fit.Delta}}, starts...)
 	}
 	res, err := stats.MultiStartNelderMead(objective, starts, 0.25, 1e-10, 2000)
 	if err != nil {

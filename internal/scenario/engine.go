@@ -125,7 +125,8 @@ func (e *Engine) pipelineBudget(n int) int {
 // min(Workers, n) goroutines, and returns one report per scenario in
 // registration order. The scenarios are independent: each reads only
 // its own declared windows, and scenarios sharing a window meet in the
-// cache's single-flight, so any interleaving is correct. The first
+// cache's single-flight, and scenarios sharing a finished value meet in
+// the run's value memo (Memo), so any interleaving is correct. The first
 // scenario error in registration order is returned, with every other
 // report still populated; an unknown name fails the whole run.
 func (e *Engine) Run(names ...string) ([]Report, error) {
@@ -135,6 +136,7 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 	}
 	n := len(scens)
 	budget := e.pipelineBudget(n)
+	values := newMemo(e.m)
 	reports := make([]Report, n)
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -143,7 +145,7 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				reports[i] = e.runOne(scens[i], budget)
+				reports[i] = e.runOne(scens[i], budget, values)
 			}
 		}()
 	}
@@ -182,10 +184,10 @@ func (e *Engine) resolve(names []string) ([]Scenario, error) {
 }
 
 // runOne executes a single scenario with panic isolation. pipeWorkers
-// is the scenario's inner worker budget.
-func (e *Engine) runOne(s Scenario, pipeWorkers int) (rep Report) {
+// is the scenario's inner worker budget; values is the run's memo.
+func (e *Engine) runOne(s Scenario, pipeWorkers int, values *memo) (rep Report) {
 	rep.Scenario = s
-	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers}
+	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers, memo: values}
 	rep.Start = time.Now()
 	sp := e.m.runStart()
 	defer func() {
@@ -224,7 +226,8 @@ func Summarize(reports []Report) string {
 type Context struct {
 	eng         *Engine
 	scen        Scenario
-	pipeWorkers int // inner worker budget; 0 = full width (standalone)
+	pipeWorkers int   // inner worker budget; 0 = full width (standalone)
+	memo        *memo // the run's value memo; nil standalone
 
 	mu      sync.Mutex
 	written []string
@@ -245,16 +248,17 @@ func (c *Context) writtenNames() []string {
 	return out
 }
 
-// declared reports whether req matches a declared window of the running
-// scenario (by cache key).
-func (c *Context) declared(req WindowReq) bool {
+// checkDeclared fails unless req matches a declared window of the
+// running scenario (by cache key).
+func (c *Context) checkDeclared(req WindowReq) error {
 	key := req.Key()
 	for _, w := range c.scen.Windows {
 		if w.Key() == key {
-			return true
+			return nil
 		}
 	}
-	return false
+	return fmt.Errorf("scenario %q: window (site %q, %d×%d) not declared in Windows",
+		c.scen.Name, req.Site.Name, req.Windows, req.NV)
 }
 
 // Stream runs the scenario's declared traffic window set through the
@@ -270,10 +274,8 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 	}
 	cfg.NV, cfg.MaxWindows = req.NV, req.Windows
 	if c.eng != nil {
-		if !c.declared(req) {
-			return stream.PipelineStats{}, fmt.Errorf(
-				"scenario %q: window (site %q, %d×%d) not declared in Windows",
-				c.scen.Name, req.Site.Name, req.Windows, req.NV)
+		if err := c.checkDeclared(req); err != nil {
+			return stream.PipelineStats{}, err
 		}
 		if cfg.Workers <= 0 {
 			cfg.Workers = c.pipeWorkers

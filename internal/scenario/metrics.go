@@ -3,7 +3,7 @@ package scenario
 // Scenario-engine observability (DESIGN.md §11). A Metrics bundle
 // instruments the suite's worker pool (per-scenario spans, worker
 // occupancy, failure counts), mirrors the window-cache counters into
-// the registry, and carries the stream and tracestore bundles the
+// the registry, counts value-memo hits and misses, and carries the stream and tracestore bundles the
 // engine injects into every inner pipeline and archive codec — so one
 // registry snapshot covers the whole stack of a suite run.
 
@@ -40,6 +40,11 @@ type Metrics struct {
 	CacheRecordedPackets *obs.Counter
 	CacheReplayedPackets *obs.Counter
 
+	// MemoHits counts value-memo lookups served by a finished or
+	// in-flight compute; MemoMisses counts the lookups that computed.
+	MemoHits   *obs.Counter
+	MemoMisses *obs.Counter
+
 	// Stream and Trace are the nested bundles the engine injects into
 	// inner pipelines and archive codecs.
 	Stream *stream.Metrics
@@ -71,6 +76,10 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"packets archived on cache misses"),
 		CacheReplayedPackets: reg.Counter("palu_scenario_cache_replayed_packets_total",
 			"packets replayed out of cached archives"),
+		MemoHits: reg.Counter("palu_scenario_memo_hits_total",
+			"value-memo lookups served by a finished or in-flight compute"),
+		MemoMisses: reg.Counter("palu_scenario_memo_misses_total",
+			"value-memo lookups that computed the value"),
 		Stream: stream.NewMetrics(reg),
 		Trace:  tracestore.NewMetrics(reg),
 	}
@@ -129,6 +138,16 @@ func (m *Metrics) cacheRecorded(n int64) {
 func (m *Metrics) cacheReplayed(n int64) {
 	if m != nil {
 		m.CacheReplayedPackets.Add(n)
+	}
+}
+
+func (m *Metrics) memoLookup(hit bool) {
+	switch {
+	case m == nil:
+	case hit:
+		m.MemoHits.Inc()
+	default:
+		m.MemoMisses.Inc()
 	}
 }
 

@@ -5,7 +5,8 @@
 // registration order on a bounded worker pool, and a content-addressed
 // PTRC window cache records each generated traffic window once so every
 // later consumer replays it through the streaming pipeline instead of
-// regenerating it.
+// regenerating it. Within one run, a single-flight value memo (Memo)
+// computes each finished value that several scenarios read only once.
 package scenario
 
 import (
