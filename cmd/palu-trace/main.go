@@ -18,7 +18,7 @@
 // between the trace CSV and PTRC (direction inferred from the -in file's
 // magic). info prints the archive summary from its index without
 // decoding any block. replay streams an archive through the Section II
-// measurement pipeline (GOMAXPROCS workers). cache summarizes a
+// measurement pipeline, one window at a time. cache summarizes a
 // scenario-engine window cache (the -cache-dir of palu-figures), one
 // line per cached window.
 package main

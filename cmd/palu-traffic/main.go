@@ -4,8 +4,8 @@
 // windows on the fly, prints the Table I aggregates per window, and
 // reports the pooled differential cumulative distribution of a chosen
 // Fig. 1 quantity with its cross-window ±1σ band and modified
-// Zipf–Mandelbrot fit. Memory stays bounded by the worker pool
-// (GOMAXPROCS workers) no matter how long the trace is.
+// Zipf–Mandelbrot fit. The pipeline runs on one goroutine with one
+// window in memory, no matter how long the trace is.
 //
 // Usage:
 //

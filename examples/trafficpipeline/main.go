@@ -1,9 +1,9 @@
 // Trafficpipeline demonstrates the full Section II measurement path on
 // synthetic observatory traffic, using the single-pass streaming engine:
-// packet source → fixed-NV windows on a bounded worker pool → Table I
-// aggregates and all five Fig. 1 network quantities per window → pooled
-// distributions with cross-window error bars, all in one pass over the
-// stream with at most workers+1 windows in memory.
+// packet source → fixed-NV windows → Table I aggregates and all five
+// Fig. 1 network quantities per window → pooled distributions with
+// cross-window error bars, all in one pass over the stream with one
+// window in memory.
 package main
 
 import (

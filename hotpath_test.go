@@ -1,6 +1,6 @@
-// Pinned hot-path workloads: the streaming window reduce at {1,2,4}
-// pipeline workers, PTRC replay and record, an engine suite over a warm
-// window cache, and the model fits. BenchmarkHotPath times them at full size;
+// Pinned hot-path workloads: the streaming window reduce, PTRC replay
+// and record, an engine suite over a warm window cache, and the model
+// fits. BenchmarkHotPath times them at full size;
 // TestHotPathAllocs pins their allocation counts at small size, which
 // are hardware-independent and so gate on every host. Run with:
 //
@@ -55,9 +55,7 @@ var hotPath = []struct {
 	maxAllocs float64
 	prepare   func(tb testing.TB, sz hotPathSize) func() error
 }{
-	{"pipeline-w1", 339, pipelineOp(1)},              // 226
-	{"pipeline-w2", 399, pipelineOp(2)},              // 266
-	{"pipeline-w4", 471, pipelineOp(4)},              // 314
+	{"pipeline-w1", 339, pipelineOp},                 // 226
 	{"ptrc-replay-sequential-packed", 357, replayOp}, // 238
 	{"ptrc-record-w1-packed", 51, recordOp},          // 34
 	{"engine-suite-replay", 1302, engineOp},          // 868
@@ -93,17 +91,13 @@ func (s *synthTrace) Err() error { return nil }
 // windowNV is the window size that cuts n packets into eight windows.
 func windowNV(n int64) int64 { return max(n/8, 1) }
 
-// pipelineOp reduces a synthetic trace at the given worker count (w1 is
-// the fused serial pipeline). Results are identical at any count; only
-// the wall time moves.
-func pipelineOp(workers int) func(testing.TB, hotPathSize) func() error {
-	return func(_ testing.TB, sz hotPathSize) func() error {
-		sm := stream.NewMetrics(obs.NewRegistry())
-		return func() error {
-			src := newSynthTrace(2, sz.packets, hotPathNodes)
-			_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Workers: workers, Metrics: sm})
-			return err
-		}
+// pipelineOp reduces a synthetic trace through the fused pipeline.
+func pipelineOp(_ testing.TB, sz hotPathSize) func() error {
+	sm := stream.NewMetrics(obs.NewRegistry())
+	return func() error {
+		src := newSynthTrace(2, sz.packets, hotPathNodes)
+		_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Metrics: sm})
+		return err
 	}
 }
 
@@ -124,7 +118,7 @@ func replayOp(tb testing.TB, sz hotPathSize) func() error {
 			return err
 		}
 		src.SetMetrics(tm)
-		_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Workers: 1, Metrics: sm})
+		_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Metrics: sm})
 		return err
 	}
 }

@@ -348,8 +348,8 @@ type CSVSource = stream.CSVSource
 
 // RunPipeline executes the single-pass streaming pipeline: packets are
 // pulled from src, cut into fixed-NV windows, reduced to all five Fig. 1
-// histograms on a bounded worker pool, and delivered to the sinks in
-// window order. At most Workers+1 windows are resident at any time.
+// histograms, and delivered to the sinks in window order, all on the
+// calling goroutine. One window is resident at a time.
 func RunPipeline(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, error) {
 	return stream.Run(src, cfg, sinks...)
 }

@@ -205,7 +205,7 @@ type Figure3PanelResult struct {
 
 // RunFigure3Panel regenerates one panel as a single streaming pass:
 // synthetic packet source → pipeline → cross-window ensemble sink → ZM
-// fit. Only one window is ever resident per worker. Standalone wrapper
+// fit. Only one window is ever resident. Standalone wrapper
 // over the "fig3/<id>" scenarios' compute.
 func RunFigure3Panel(spec netgen.PanelSpec) (Figure3PanelResult, error) {
 	return runFigure3Panel(scenario.Standalone(), spec)

@@ -25,13 +25,36 @@ type Metric struct {
 	// Help is the registration help text.
 	Help string `json:"help,omitempty"`
 	// Value is the counter or gauge value (absent for histograms).
-	Value int64 `json:"value,omitempty"`
+	Value int64 `json:"value"`
 	// Count and Sum summarize a histogram's observations.
-	Count int64 `json:"count,omitempty"`
-	Sum   int64 `json:"sum,omitempty"`
+	Count int64 `json:"count"`
+	Sum   int64 `json:"sum"`
 	// Buckets are a histogram's cumulative buckets in ascending bound
 	// order; the last bucket's bound is math.MaxInt64 (+Inf).
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Buckets []Bucket `json:"buckets"`
+}
+
+// MarshalJSON encodes exactly the fields of m's type, zeros included: a
+// counter or gauge always carries value, and a histogram always carries
+// count, sum and buckets and never value. A reader of a zero counter
+// gets 0, not a missing key.
+func (m Metric) MarshalJSON() ([]byte, error) {
+	if m.Type == "histogram" {
+		return json.Marshal(struct {
+			Name    string   `json:"name"`
+			Type    string   `json:"type"`
+			Help    string   `json:"help,omitempty"`
+			Count   int64    `json:"count"`
+			Sum     int64    `json:"sum"`
+			Buckets []Bucket `json:"buckets"`
+		}{m.Name, m.Type, m.Help, m.Count, m.Sum, m.Buckets})
+	}
+	return json.Marshal(struct {
+		Name  string `json:"name"`
+		Type  string `json:"type"`
+		Help  string `json:"help,omitempty"`
+		Value int64  `json:"value"`
+	}{m.Name, m.Type, m.Help, m.Value})
 }
 
 // Bucket is one cumulative histogram bucket: the count of observations

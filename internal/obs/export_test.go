@@ -1,8 +1,11 @@
 package obs
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -82,6 +85,53 @@ func TestWriteJSONGolden(t *testing.T) {
 	}
 	if sb.String() != goldenJSON {
 		t.Errorf("JSON export mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), goldenJSON)
+	}
+}
+
+// TestWriteJSONZeroValues pins that zeros survive JSON export: a zero
+// counter and a zero gauge still carry "value", and an empty histogram
+// carries "count", "sum" and "buckets" but no "value".
+func TestWriteJSONZeroValues(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("palu_z_events_total", "")
+	r.Gauge("palu_z_depth", "")
+	r.Histogram("palu_z_wait_ns", "", []int64{10})
+	var sb strings.Builder
+	if err := r.Snapshot().WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Metrics []map[string]json.RawMessage `json:"metrics"`
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"palu_z_depth":        {"name", "type", "value"},
+		"palu_z_events_total": {"name", "type", "value"},
+		"palu_z_wait_ns":      {"buckets", "count", "name", "sum", "type"},
+	}
+	if len(decoded.Metrics) != len(want) {
+		t.Fatalf("decoded %d metrics, want %d:\n%s", len(decoded.Metrics), len(want), sb.String())
+	}
+	for _, m := range decoded.Metrics {
+		var name string
+		if err := json.Unmarshal(m["name"], &name); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if !reflect.DeepEqual(keys, want[name]) {
+			t.Errorf("%s: keys %v, want %v", name, keys, want[name])
+		}
+		for _, k := range []string{"value", "count", "sum"} {
+			if v, ok := m[k]; ok && string(v) != "0" {
+				t.Errorf("%s: %s = %s, want 0", name, k, v)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -150,12 +149,9 @@ func (c *WindowCache) ensure(req WindowReq) (string, error) {
 // Stream satisfies req through the cache: it ensures the archive exists
 // (recording on first use) and replays it through the streaming
 // pipeline. cfg.NV and cfg.MaxWindows must already carry the
-// requirement's window geometry. cfg.Workers is the scenario's whole
-// inner budget (<= 0 selects GOMAXPROCS). Replay goes through the
-// sequential reader, whose blocks the ingest goroutine decodes inline —
-// that goroutine is the decode half of the budget, and the pipeline gets
-// the other half (budget − budget/2 reduce workers), so the replay stays
-// inside the budget. The width never changes results.
+// requirement's window geometry. Replay goes through the sequential
+// reader, whose packed blocks the pipeline decodes straight into its
+// window on the calling goroutine.
 func (c *WindowCache) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stream.Sink) (stream.PipelineStats, error) {
 	path, err := c.ensure(req)
 	if err != nil {
@@ -166,11 +162,6 @@ func (c *WindowCache) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...
 		return stream.PipelineStats{}, fmt.Errorf("scenario: opening cached window: %w", err)
 	}
 	defer f.Close()
-	budget := cfg.Workers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	cfg.Workers = budget - budget/2
 	src, err := tracestore.NewReader(f)
 	if err != nil {
 		return stream.PipelineStats{}, err

@@ -17,7 +17,7 @@ import (
 // cacheCfg is the pipeline geometry for a direct WindowCache.Stream call
 // (Context.Stream normally fills these from the requirement).
 func cacheCfg(req WindowReq) stream.PipelineConfig {
-	return stream.PipelineConfig{NV: req.NV, MaxWindows: req.Windows, Workers: 1}
+	return stream.PipelineConfig{NV: req.NV, MaxWindows: req.Windows}
 }
 
 // TestWindowCacheTornArchive: a truncated but otherwise genuine archive
@@ -179,11 +179,12 @@ func TestWindowCacheSameKeyDifferentGeometry(t *testing.T) {
 }
 
 // TestWindowCacheStreamBudgets pins the cache's one replay path: a cached
-// window replayed at inner budgets 1, 2 and 4 delivers window aggregates
-// and ensemble histograms identical to uncached generation through
-// Context.Stream. A DEFLATE archive at the key's path — recorded for
-// this very requirement by a writer that still had the codec — is a
-// miss: it is re-recorded and the replays match too.
+// window, replayed by the call that records it and again from the warm
+// archive, delivers window aggregates and ensemble histograms identical
+// to uncached generation through Context.Stream. A DEFLATE archive at
+// the key's path — recorded for this very requirement by a writer that
+// still had the codec — is a miss: it is re-recorded and the replays
+// match too.
 func TestWindowCacheStreamBudgets(t *testing.T) {
 	req := WindowReq{Site: testSite(59), NV: 1500, Windows: 3}
 	type replay struct {
@@ -211,21 +212,19 @@ func TestWindowCacheStreamBudgets(t *testing.T) {
 	})
 	check := func(name string, c *WindowCache) {
 		t.Helper()
-		for _, budget := range []int{1, 2, 4} {
-			cfg := cacheCfg(req)
-			cfg.Workers = budget
+		for i := 1; i <= 2; i++ {
 			got := collect(func(sinks ...stream.Sink) (stream.PipelineStats, error) {
-				return c.Stream(req, cfg, sinks...)
+				return c.Stream(req, cacheCfg(req), sinks...)
 			})
 			if !reflect.DeepEqual(got.aggs, direct.aggs) {
-				t.Errorf("%s cache, budget %d: aggregates %v, uncached %v", name, budget, got.aggs, direct.aggs)
+				t.Errorf("%s cache, replay %d: aggregates %v, uncached %v", name, i, got.aggs, direct.aggs)
 			}
 			if !reflect.DeepEqual(got.ens, direct.ens) {
-				t.Errorf("%s cache, budget %d: ensemble histograms diverge from uncached", name, budget)
+				t.Errorf("%s cache, replay %d: ensemble histograms diverge from uncached", name, i)
 			}
 		}
-		if cs := c.Stats(); cs.Misses != 1 || cs.Hits != 2 {
-			t.Errorf("%s cache: hits=%d misses=%d, want 2/1", name, cs.Hits, cs.Misses)
+		if cs := c.Stats(); cs.Misses != 1 || cs.Hits != 1 {
+			t.Errorf("%s cache: hits=%d misses=%d, want 1/1", name, cs.Hits, cs.Misses)
 		}
 		if info, err := tracestore.InfoFile(c.path(req.Key())); err != nil || info.ValidPackets != req.ValidPackets() {
 			t.Errorf("%s cache: entry holds %d valid packets (err %v), want %d", name, info.ValidPackets, err, req.ValidPackets())

@@ -20,10 +20,9 @@ import (
 // Config configures an Engine.
 type Config struct {
 	// Workers bounds how many scenarios run concurrently; <= 0 selects
-	// GOMAXPROCS, 1 runs the suite serially. Each scenario's inner
-	// streaming pipeline gets GOMAXPROCS divided by the scenarios that
-	// can run at once, so a parallel suite does not oversubscribe the
-	// machine.
+	// GOMAXPROCS, 1 runs the suite serially. It is the run's one width
+	// control: each scenario's streaming pipeline runs on the scenario's
+	// own goroutine.
 	Workers int
 	// OutDir is where Context.WriteArtifact renders artifact files;
 	// created on demand. Empty forbids artifact writes.
@@ -100,26 +99,6 @@ func (e *Engine) CacheStats() CacheStats {
 	return e.cache.Stats()
 }
 
-// pipelineBudget is the per-scenario inner worker budget for a run of
-// n scenarios: the machine divided by the scenarios that can actually
-// run at once — min(Workers, n), not the configured pool size, so a
-// small -only selection under a wide pool still gets full-width
-// pipelines.
-func (e *Engine) pipelineBudget(n int) int {
-	concurrent := e.cfg.Workers
-	if n < concurrent {
-		concurrent = n
-	}
-	if concurrent < 1 {
-		concurrent = 1
-	}
-	w := runtime.GOMAXPROCS(0) / concurrent
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Run executes the named scenarios (all, when names is empty; a
 // repeated name runs once) in registration order on a pool of
 // min(Workers, n) goroutines, and returns one report per scenario in
@@ -135,7 +114,6 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 		return nil, err
 	}
 	n := len(scens)
-	budget := e.pipelineBudget(n)
 	values := newMemo(e.m)
 	reports := make([]Report, n)
 	var wg sync.WaitGroup
@@ -145,7 +123,7 @@ func (e *Engine) Run(names ...string) ([]Report, error) {
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				reports[i] = e.runOne(scens[i], budget, values)
+				reports[i] = e.runOne(scens[i], values)
 			}
 		}()
 	}
@@ -183,11 +161,11 @@ func (e *Engine) resolve(names []string) ([]Scenario, error) {
 	return out, nil
 }
 
-// runOne executes a single scenario with panic isolation. pipeWorkers
-// is the scenario's inner worker budget; values is the run's memo.
-func (e *Engine) runOne(s Scenario, pipeWorkers int, values *memo) (rep Report) {
+// runOne executes a single scenario with panic isolation; values is the
+// run's memo.
+func (e *Engine) runOne(s Scenario, values *memo) (rep Report) {
 	rep.Scenario = s
-	ctx := &Context{eng: e, scen: s, pipeWorkers: pipeWorkers, memo: values}
+	ctx := &Context{eng: e, scen: s, memo: values}
 	rep.Start = time.Now()
 	sp := e.m.runStart()
 	defer func() {
@@ -224,20 +202,18 @@ func Summarize(reports []Report) string {
 // the scenario's declarations while providing streaming and artifact
 // output.
 type Context struct {
-	eng         *Engine
-	scen        Scenario
-	pipeWorkers int   // inner worker budget; 0 = full width (standalone)
-	memo        *memo // the run's value memo; nil standalone
+	eng  *Engine
+	scen Scenario
+	memo *memo // the run's value memo; nil standalone
 
 	mu      sync.Mutex
 	written []string
 }
 
 // Standalone returns a context detached from any engine: Stream
-// generates traffic directly (no cache, no declaration checks, inner
-// pipeline at full width) and WriteArtifact is unavailable. It backs the
-// thin compatibility wrappers around the legacy Run* experiment
-// functions.
+// generates traffic directly (no cache, no declaration checks) and
+// WriteArtifact is unavailable. It backs the thin compatibility wrappers
+// around the legacy Run* experiment functions.
 func Standalone() *Context { return &Context{} }
 
 func (c *Context) writtenNames() []string {
@@ -276,9 +252,6 @@ func (c *Context) Stream(req WindowReq, cfg stream.PipelineConfig, sinks ...stre
 	if c.eng != nil {
 		if err := c.checkDeclared(req); err != nil {
 			return stream.PipelineStats{}, err
-		}
-		if cfg.Workers <= 0 {
-			cfg.Workers = c.pipeWorkers
 		}
 		if cfg.Metrics == nil {
 			cfg.Metrics = c.eng.m.streamMetrics()

@@ -7,8 +7,8 @@ package stream
 //
 //	go test ./internal/stream -bench 'BatchVsPipeline' -benchtime 1x
 //
-// The pipeline target is ≥2× batch throughput with O(workers) window
-// residency; the batch path holds every window's matrix concurrently.
+// The pipeline target is ≥2× batch throughput with one window resident;
+// the batch path holds every window's matrix concurrently.
 
 import (
 	"fmt"
@@ -97,24 +97,6 @@ func BenchmarkBatchVsPipeline(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(cfg.packets)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
-		})
-	}
-}
-
-// BenchmarkPipelineWorkers shows throughput scaling with the worker pool
-// (and therefore with the windows+1 memory bound).
-func BenchmarkPipelineWorkers(b *testing.B) {
-	ps := benchTrace(2_000_000)
-	const nv = 100_000
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sink := NewEnsembleSink()
-				if _, err := Run(NewSliceSource(ps), PipelineConfig{NV: nv, Workers: workers}, sink); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(ps))*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
 		})
 	}
 }

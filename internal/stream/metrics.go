@@ -9,10 +9,9 @@ package stream
 // obs_test.go pins this).
 //
 // Every instrument is registered eagerly by NewMetrics, so the metric
-// key set of a snapshot is identical across worker counts
-// and across the serial and parallel engines; only the deterministic
-// quantities (packets, windows) are guaranteed value-equal between
-// configurations.
+// key set of a snapshot is the same for every run; the counters and the
+// timers' span counts are exactly equal between runs of one trace, and
+// only the timers' durations vary.
 
 import "hybridplaw/internal/obs"
 
@@ -24,32 +23,21 @@ type Metrics struct {
 	// PacketsValid / PacketsInvalid count ingested packets; Windows
 	// counts windows delivered to the sinks; TailDiscarded counts valid
 	// packets dropped in the trailing incomplete window. All four are
-	// settled from PipelineStats at end of run, so they are exactly
-	// equal across worker counts.
+	// settled from PipelineStats at end of run.
 	PacketsValid   *obs.Counter
 	PacketsInvalid *obs.Counter
 	Windows        *obs.Counter
 	TailDiscarded  *obs.Counter
 
-	// WindowPoolAlloc / WindowPoolReuse count pooled PairWindow
-	// allocations and re-acquisitions; BuilderAlloc / BuilderReuse do
-	// the same for spmat builders (a "reuse" is a warm Reset). The
-	// serial engine has no window pool, so those two stay zero there.
-	WindowPoolAlloc *obs.Counter
-	WindowPoolReuse *obs.Counter
-	BuilderAlloc    *obs.Counter
-	BuilderReuse    *obs.Counter
-
-	// QueueWindows is the number of windows handed off to the worker
-	// pool and not yet reduced — the pipeline's in-flight depth.
-	QueueWindows *obs.Gauge
+	// BuilderAlloc counts spmat builders allocated (one per Run);
+	// BuilderReuse counts their warm Resets (one per window).
+	BuilderAlloc *obs.Counter
+	BuilderReuse *obs.Counter
 
 	// IngestTime spans one DecodeInto call (a source block, or one
-	// stack batch of a per-packet source); ReduceTime spans one window's
-	// key-buffer replay (parallel engine only); WindowCloseTime spans reduceWindow;
-	// SinkTime spans one window's in-order sink delivery.
+	// stack batch of a per-packet source); WindowCloseTime spans
+	// reduceWindow; SinkTime spans one window's in-order sink delivery.
 	IngestTime      *obs.Timer
-	ReduceTime      *obs.Timer
 	WindowCloseTime *obs.Timer
 	SinkTime        *obs.Timer
 }
@@ -71,20 +59,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"complete windows delivered to the sinks"),
 		TailDiscarded: reg.Counter("palu_stream_tail_discarded_packets_total",
 			"valid packets discarded in trailing incomplete windows"),
-		WindowPoolAlloc: reg.Counter("palu_stream_window_pool_alloc_total",
-			"pooled pair windows allocated"),
-		WindowPoolReuse: reg.Counter("palu_stream_window_pool_reuse_total",
-			"pooled pair windows re-acquired after a reduce"),
 		BuilderAlloc: reg.Counter("palu_stream_builder_alloc_total",
 			"spmat builders allocated"),
 		BuilderReuse: reg.Counter("palu_stream_builder_reuse_total",
 			"spmat builder warm resets"),
-		QueueWindows: reg.Gauge("palu_stream_queue_windows",
-			"windows handed off and not yet reduced"),
 		IngestTime: reg.Timer("palu_stream_ingest_ns",
 			"source block read/decode time"),
-		ReduceTime: reg.Timer("palu_stream_reduce_ns",
-			"window key-buffer replay time (parallel engine)"),
 		WindowCloseTime: reg.Timer("palu_stream_window_close_ns",
 			"window close (builder state to WindowResult) time"),
 		SinkTime: reg.Timer("palu_stream_sink_ns",
@@ -112,13 +92,6 @@ func (m *Metrics) ingestTimer() *obs.Timer {
 	return m.IngestTime
 }
 
-func (m *Metrics) reduceTimer() *obs.Timer {
-	if m == nil {
-		return nil
-	}
-	return m.ReduceTime
-}
-
 func (m *Metrics) windowCloseTimer() *obs.Timer {
 	if m == nil {
 		return nil
@@ -131,20 +104,6 @@ func (m *Metrics) sinkTimer() *obs.Timer {
 		return nil
 	}
 	return m.SinkTime
-}
-
-func (m *Metrics) queueGauge() *obs.Gauge {
-	if m == nil {
-		return nil
-	}
-	return m.QueueWindows
-}
-
-func (m *Metrics) windowPoolCounters() (alloc, reuse *obs.Counter) {
-	if m == nil {
-		return nil, nil
-	}
-	return m.WindowPoolAlloc, m.WindowPoolReuse
 }
 
 func (m *Metrics) builderCounters() (alloc, reuse *obs.Counter) {

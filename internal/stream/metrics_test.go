@@ -1,71 +1,54 @@
 package stream
 
 import (
+	"reflect"
 	"testing"
 
 	"hybridplaw/internal/obs"
 )
 
 // TestMetricsExactCounters pins the deterministic counters: packets,
-// windows and tail must exactly match PipelineStats for both engines,
-// and stay equal across worker counts.
+// windows and tail must exactly match PipelineStats, and the window
+// close and sink timers must span once per window.
 func TestMetricsExactCounters(t *testing.T) {
 	ps := mkPackets(7, 5000, 64, 10) // every 10th packet invalid
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 2},
-		{"workers4", 4},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			m := NewMetrics(obs.NewRegistry())
-			stats, err := Run(NewSliceSource(ps), PipelineConfig{
-				NV: 1000, Workers: cfg.workers, Metrics: m,
-			}, &ResultCollector{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := m.PacketsValid.Value(); got != stats.ValidPackets {
-				t.Errorf("valid counter = %d, stats %d", got, stats.ValidPackets)
-			}
-			if got := m.PacketsInvalid.Value(); got != stats.InvalidPackets {
-				t.Errorf("invalid counter = %d, stats %d", got, stats.InvalidPackets)
-			}
-			if got := m.Windows.Value(); got != int64(stats.Windows) {
-				t.Errorf("windows counter = %d, stats %d", got, stats.Windows)
-			}
-			if got := m.TailDiscarded.Value(); got != stats.DiscardedTail {
-				t.Errorf("tail counter = %d, stats %d", got, stats.DiscardedTail)
-			}
-			if stats.ValidPackets != 4500 || stats.Windows != 4 {
-				t.Errorf("unexpected stats %+v (trace should give 4500 valid, 4 windows)", stats)
-			}
-			// Stage timers saw work: window close spans once per window
-			// in both engines; sink spans once per delivered window.
-			if got := m.WindowCloseTime.Spans(); got != int64(stats.Windows) {
-				t.Errorf("window close spans = %d, want %d", got, stats.Windows)
-			}
-			if got := m.SinkTime.Spans(); got != int64(stats.Windows) {
-				t.Errorf("sink spans = %d, want %d", got, stats.Windows)
-			}
-			// In-flight depth settles to zero after the run.
-			if got := m.QueueWindows.Value(); got != 0 {
-				t.Errorf("queue gauge = %d after run, want 0", got)
-			}
-		})
+	m := NewMetrics(obs.NewRegistry())
+	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 1000, Metrics: m}, &ResultCollector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.PacketsValid.Value(); got != stats.ValidPackets {
+		t.Errorf("valid counter = %d, stats %d", got, stats.ValidPackets)
+	}
+	if got := m.PacketsInvalid.Value(); got != stats.InvalidPackets {
+		t.Errorf("invalid counter = %d, stats %d", got, stats.InvalidPackets)
+	}
+	if got := m.Windows.Value(); got != int64(stats.Windows) {
+		t.Errorf("windows counter = %d, stats %d", got, stats.Windows)
+	}
+	if got := m.TailDiscarded.Value(); got != stats.DiscardedTail {
+		t.Errorf("tail counter = %d, stats %d", got, stats.DiscardedTail)
+	}
+	if stats.ValidPackets != 4500 || stats.Windows != 4 {
+		t.Errorf("unexpected stats %+v (trace should give 4500 valid, 4 windows)", stats)
+	}
+	if got := m.WindowCloseTime.Spans(); got != int64(stats.Windows) {
+		t.Errorf("window close spans = %d, want %d", got, stats.Windows)
+	}
+	if got := m.SinkTime.Spans(); got != int64(stats.Windows) {
+		t.Errorf("sink spans = %d, want %d", got, stats.Windows)
 	}
 }
 
-// TestMetricsKeySetIdenticalAcrossEngines pins the snapshot-equivalence
-// contract: the registered metric names are identical whatever the
-// worker count, because NewMetrics registers everything
-// eagerly.
+// TestMetricsKeySetIdenticalAcrossEngines pins that the deprecated
+// PipelineConfig.Workers field is inert: runs at Workers 1, 2 and 4
+// leave snapshots with the same metric names and, instrument by
+// instrument, the same counter and gauge values and the same timer
+// observation counts. Only the timers' durations may differ.
 func TestMetricsKeySetIdenticalAcrossEngines(t *testing.T) {
 	ps := mkPackets(3, 2000, 32, 0)
-	var names []string
-	for _, workers := range []int{1, 2} {
+	var base obs.Snapshot
+	for i, workers := range []int{1, 2, 4} {
 		reg := obs.NewRegistry()
 		_, err := Run(NewSliceSource(ps), PipelineConfig{
 			NV: 500, Workers: workers, Metrics: NewMetrics(reg),
@@ -73,17 +56,19 @@ func TestMetricsKeySetIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := reg.Snapshot().Names()
-		if names == nil {
-			names = got
+		snap := reg.Snapshot()
+		if i == 0 {
+			base = snap
 			continue
 		}
-		if len(got) != len(names) {
-			t.Fatalf("metric key set differs: %v vs %v", got, names)
+		if got, want := snap.Names(), base.Names(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: metric key set %v, want %v", workers, got, want)
 		}
-		for i := range names {
-			if got[i] != names[i] {
-				t.Fatalf("metric key set differs at %d: %q vs %q", i, got[i], names[i])
+		for j, m := range snap.Metrics {
+			b := base.Metrics[j]
+			if m.Type != b.Type || m.Value != b.Value || m.Count != b.Count {
+				t.Errorf("workers=%d: %s = %s value %d count %d, workers=1 %s value %d count %d",
+					workers, m.Name, m.Type, m.Value, m.Count, b.Type, b.Value, b.Count)
 			}
 		}
 	}
@@ -96,7 +81,7 @@ func TestMetricsSharedRegistryAggregates(t *testing.T) {
 	reg := obs.NewRegistry()
 	for i := 0; i < 2; i++ {
 		m := NewMetrics(reg)
-		if _, err := Run(NewSliceSource(ps), PipelineConfig{NV: 500, Workers: 1, Metrics: m},
+		if _, err := Run(NewSliceSource(ps), PipelineConfig{NV: 500, Metrics: m},
 			&ResultCollector{}); err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +99,7 @@ func TestMetricsNilIsInert(t *testing.T) {
 	if m.Registry() != nil {
 		t.Fatal("nil bundle should have nil registry")
 	}
-	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 250, Workers: 2}, &ResultCollector{})
+	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 250}, &ResultCollector{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,28 +18,19 @@ package stream
 // PacketSource is adapted by packetDecoder, which batches keys on the
 // stack so the flat tables can overlap their cache misses.
 //
-// With Workers == 1 the pipeline runs fully fused on the calling
-// goroutine: valid packets accumulate straight into one pooled
-// spmat.Builder, windows reduce and feed the sinks inline, and no
-// intermediate buffer of any kind exists between the source and the
-// flat tables. Otherwise the ingest loop fills the key buffer of a
-// pooled PairWindow and hands each completed window to a fixed worker
-// pool: a worker owns one spmat.Builder for its lifetime, replays the
-// buffer through Builder.AddPairs, converts the state into the five
-// Fig. 1 quantity histograms, resets the builder with its tables still
-// warm, and returns the window to the pool. A consumer goroutine
-// re-orders completed windows and feeds each Sink in strict window
-// order, so every sink observes exactly the sequence a serial pass
-// would produce — byte-identical at any worker count, because every
-// reduction is an order-independent integer accumulation. At no point
-// are more than workers+1 windows resident in memory, regardless of
-// trace length.
+// The pipeline runs fully fused on the calling goroutine: valid packets
+// accumulate straight into the window's spmat.Builder, each completed
+// window reduces into the five Fig. 1 quantity histograms and feeds the
+// sinks inline, and the builder resets with its tables still warm for
+// the next window. No intermediate buffer of any kind exists between
+// the source and the flat tables, and one window is resident at a time,
+// regardless of trace length. Parallelism lives one level up: the
+// scenario engine runs whole scenarios, each with its own pipeline, on
+// its worker pool.
 
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/hist"
@@ -262,10 +253,11 @@ func (c *ResultCollector) ConsumeWindow(res *WindowResult) error {
 type PipelineConfig struct {
 	// NV is the window size in valid packets (required, positive).
 	NV int64
-	// Workers bounds the worker pool; <= 0 selects GOMAXPROCS. Window
-	// residency is bounded by Workers+1. Workers == 1 selects the fully
-	// fused serial pipeline: ingest, reduce and sinks share the calling
-	// goroutine and no handoff buffers exist.
+	// Workers is ignored: the pipeline always runs on the calling
+	// goroutine.
+	//
+	// Deprecated: ignored. Run more pipelines at once (the scenario
+	// engine's Config.Workers) to use more CPUs.
 	Workers int
 	// MaxWindows stops the pipeline after that many complete windows;
 	// <= 0 streams until the source is exhausted. With a MaxWindows
@@ -282,7 +274,7 @@ type PipelineConfig struct {
 	// per-site windows into a backbone view.
 	KeepPartials bool
 	// Metrics, when non-nil, instruments the run: stage timers at block
-	// and window granularity, queue/pool accounting, and exact packet
+	// and window granularity, builder accounting, and exact packet
 	// counters settled from the run's stats (see NewMetrics). Nil
 	// strips instrumentation to inert nil-receiver branches.
 	Metrics *Metrics
@@ -327,24 +319,11 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	if cfg.NV <= 0 {
 		return stats, errors.New("stream: window size NV must be positive")
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.MaxWindows > 0 && workers > cfg.MaxWindows {
-		workers = cfg.MaxWindows // never more workers than windows to reduce
-	}
 	dec, ok := src.(EncodedBlockSource)
 	if !ok {
 		dec = packetDecoder{src}
 	}
-
-	var err error
-	if workers == 1 {
-		err = runSerial(dec, cfg, &stats, sinks)
-	} else {
-		err = runParallel(dec, cfg, workers, &stats, sinks)
-	}
+	err := run(dec, cfg, &stats, sinks)
 	if c, ok := src.(PacketCounter); ok {
 		stats.SourcePacketsRead = c.PacketsRead()
 	}
@@ -355,13 +334,12 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 	return stats, src.Err()
 }
 
-// runSerial is the fully fused single-worker pipeline: ingest, window
-// reduce and sink delivery share the calling goroutine, and valid
-// packets accumulate straight into one pooled builder — no chunk
-// buffers, no channels, no goroutines. Over the PTRC reader this is the
-// one-pass hot path: compressed payloads decode directly into the
-// builder's flat tables.
-func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
+// run is Run's ingest loop: ingest, window reduce and sink delivery
+// share the calling goroutine, and valid packets accumulate straight
+// into the window's builder — no buffers, no channels, no goroutines.
+// Over the PTRC reader this is the one-pass hot path: packed payloads
+// decode directly into the builder's flat tables.
+func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
 	// are nil and every Start/Inc below is an inert branch.
 	ingestT := cfg.Metrics.ingestTimer()
@@ -369,9 +347,8 @@ func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats,
 	sinkT := cfg.Metrics.sinkTimer()
 	bAlloc, bReuse := cfg.Metrics.builderCounters()
 
-	b := spmat.NewBuilder()
+	w := NewPairWindow(cfg.NV)
 	bAlloc.Inc()
-	w := &PairWindow{direct: b, nv: cfg.NV}
 	for t := 0; cfg.MaxWindows <= 0 || t < cfg.MaxWindows; {
 		isp := ingestT.Start()
 		valid, invalid, full, ok := src.DecodeInto(w)
@@ -380,7 +357,7 @@ func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats,
 		stats.InvalidPackets += invalid
 		if full {
 			csp := closeT.Start()
-			res, err := reduceWindow(t, b, cfg)
+			res, err := reduceWindow(t, w.b, cfg)
 			csp.Stop()
 			if err != nil {
 				return err
@@ -395,9 +372,8 @@ func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats,
 			ssp.Stop()
 			stats.Windows++
 			t++
-			b.Reset()
-			bReuse.Inc()
 			w.Reset()
+			bReuse.Inc()
 		}
 		if !ok {
 			break
@@ -407,178 +383,21 @@ func runSerial(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats,
 	return nil
 }
 
-// runParallel is the worker-pool pipeline: the ingest loop (on the
-// calling goroutine) fills the key buffers of pooled PairWindows,
-// completed windows reduce on a bounded worker pool, and a consumer
-// goroutine re-orders completions so sinks observe strict window order.
-func runParallel(src EncodedBlockSource, cfg PipelineConfig, workers int, stats *PipelineStats, sinks []Sink) error {
-	type job struct {
-		t     int
-		chunk *PairWindow // exactly NV valid packets
-	}
-	type outcome struct {
-		t   int
-		res *WindowResult
-		err error
-	}
-
-	// Instrument handles are pulled once; with cfg.Metrics == nil they
-	// are nil and every Start/Inc/Add below is an inert branch.
-	ingestT := cfg.Metrics.ingestTimer()
-	reduceT := cfg.Metrics.reduceTimer()
-	closeT := cfg.Metrics.windowCloseTimer()
-	sinkT := cfg.Metrics.sinkTimer()
-	queueG := cfg.Metrics.queueGauge()
-	wAlloc, wReuse := cfg.Metrics.windowPoolCounters()
-	bAlloc, bReuse := cfg.Metrics.builderCounters()
-
-	// The window pool is the memory bound: workers+1 window-sized key
-	// buffers exist for the lifetime of the run (one filling, up to
-	// workers being reduced).
-	free := make(chan *PairWindow, workers+1)
-	for i := 0; i < workers+1; i++ {
-		free <- NewPairWindow(cfg.NV)
-	}
-	wAlloc.Add(int64(workers + 1))
-	jobs := make(chan job)
-	results := make(chan outcome, workers)
-	stop := make(chan struct{}) // closed once on the first consumer-side error
-
-	// Each worker owns one builder for the whole run; Reset keeps its
-	// table storage warm across windows, killing per-window allocation
-	// churn.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := spmat.NewBuilder()
-			bAlloc.Inc()
-			for j := range jobs {
-				rsp := reduceT.Start()
-				b.AddPairs(j.chunk.keys)
-				rsp.Stop()
-				csp := closeT.Start()
-				res, err := reduceWindow(j.t, b, cfg)
-				csp.Stop()
-				b.Reset()
-				bReuse.Inc()
-				j.chunk.Reset()
-				free <- j.chunk // capacity workers+1: never blocks
-				queueG.Add(-1)
-				results <- outcome{t: j.t, res: res, err: err}
-			}
-		}()
-	}
-
-	// The consumer re-orders worker completions into window order and
-	// feeds the sinks sequentially, so sinks observe windows exactly as
-	// a serial pass would. At most `workers` results are pending.
-	var consumeErr error
-	delivered := 0
-	consumerDone := make(chan struct{})
-	go func() {
-		defer close(consumerDone)
-		pending := make(map[int]*WindowResult, workers)
-		next := 0
-		for r := range results {
-			if consumeErr != nil {
-				continue // drain so workers never block
-			}
-			if r.err != nil {
-				consumeErr = r.err
-				close(stop)
-				continue
-			}
-			pending[r.t] = r.res
-			for consumeErr == nil {
-				res, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				next++
-				ssp := sinkT.Start()
-				for _, s := range sinks {
-					if err := s.ConsumeWindow(res); err != nil {
-						consumeErr = err
-						close(stop)
-						break
-					}
-				}
-				ssp.Stop()
-				if consumeErr == nil {
-					delivered++
-				}
-			}
-		}
-	}()
-
-	// Ingest loop, on the caller's goroutine: fill a window, hand it off
-	// to the worker pool, acquire a fresh buffer. It stops at end of
-	// stream, on a consumer-side error, or once MaxWindows are handed off.
-	chunk := <-free
-ingest:
-	for t := 0; ; {
-		isp := ingestT.Start()
-		valid, invalid, full, ok := src.DecodeInto(chunk)
-		isp.Stop()
-		stats.ValidPackets += valid
-		stats.InvalidPackets += invalid
-		if full {
-			select {
-			case jobs <- job{t: t, chunk: chunk}:
-				queueG.Add(1)
-			case <-stop:
-				break ingest
-			}
-			chunk = nil
-			t++
-			if cfg.MaxWindows > 0 && t >= cfg.MaxWindows {
-				break
-			}
-			select {
-			case chunk = <-free:
-				wReuse.Inc()
-			case <-stop:
-				break ingest
-			}
-		}
-		if !ok {
-			break
-		}
-	}
-	if chunk != nil {
-		stats.DiscardedTail = chunk.n
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-consumerDone
-
-	stats.Windows = delivered // reading after consumerDone: no race
-	return consumeErr
-}
-
-// PairWindow is one window's valid packets as packed (src<<32 | dst)
-// link keys: the handoff unit between ingest and the reduce stage, and
-// the deposit target of DecodeInto. In buffering mode the keys collect
-// in one buffer for a worker to reduce; in direct mode (the fully fused
-// serial pipeline) every deposit goes straight into a spmat.Builder and
-// no buffer exists.
+// PairWindow is one window under construction: the deposit target of
+// DecodeInto. Every deposit of packed (src<<32 | dst) link keys goes
+// straight into the window's spmat.Builder; no key buffer exists.
 type PairWindow struct {
-	keys   []uint64       // packed keys (buffering mode)
-	direct *spmat.Builder // non-nil: fused serial mode, keys bypass buffering
-	n      int64          // valid packets deposited
-	nv     int64          // window size
+	b  *spmat.Builder
+	n  int64 // valid packets deposited
+	nv int64 // window size
 }
 
-// NewPairWindow allocates a buffering window sized for nv valid packets.
-// The pipeline pools its own windows; the exported constructor exists
+// NewPairWindow returns an empty window of nv valid packets backed by
+// its own builder. Run makes its own; the exported constructor exists
 // for direct consumers of EncodedBlockSource (tests, custom replay
 // tools).
 func NewPairWindow(nv int64) *PairWindow {
-	return &PairWindow{keys: make([]uint64, 0, nv), nv: nv}
+	return &PairWindow{b: spmat.NewBuilder(), nv: nv}
 }
 
 // Remaining returns the number of valid packets the window still
@@ -589,16 +408,12 @@ func (w *PairWindow) Remaining() int64 { return w.nv - w.n }
 // len(keys) must not exceed Remaining(); the keys slice is not retained.
 func (w *PairWindow) AddPairs(keys []uint64) {
 	w.n += int64(len(keys))
-	if w.direct != nil {
-		w.direct.AddPairs(keys)
-		return
-	}
-	w.keys = append(w.keys, keys...)
+	w.b.AddPairs(keys)
 }
 
-// Reset empties the window for reuse, retaining buffer capacity.
+// Reset empties the window for reuse, keeping the builder's tables warm.
 func (w *PairWindow) Reset() {
-	w.keys = w.keys[:0]
+	w.b.Reset()
 	w.n = 0
 }
 

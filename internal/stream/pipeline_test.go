@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"hybridplaw/internal/hist"
+	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -109,27 +110,6 @@ func TestPipelineMatchesBatchReference(t *testing.T) {
 	}
 }
 
-func TestPipelineWorkerCountsAgree(t *testing.T) {
-	ps := mkPackets(11, 20000, 128, 5)
-	const nv = 500
-	var baseline *EnsembleSink
-	for _, workers := range []int{1, 2, 3, 8} {
-		sink := NewEnsembleSink()
-		if _, err := Run(NewSliceSource(ps), PipelineConfig{NV: nv, Workers: workers}, sink); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if baseline == nil {
-			baseline = sink
-			continue
-		}
-		for _, q := range Quantities {
-			if !reflect.DeepEqual(baseline.Ensemble(q).Mean(), sink.Ensemble(q).Mean()) {
-				t.Errorf("workers=%d: %v ensemble differs from workers=1", workers, q)
-			}
-		}
-	}
-}
-
 func TestPipelineStats(t *testing.T) {
 	// 1000 packets, every 2nd invalid: 500 valid. NV=200 -> 2 windows,
 	// 100 valid packets discarded in the tail.
@@ -150,10 +130,9 @@ func TestPipelineStats(t *testing.T) {
 }
 
 // TestPipelineMaxWindowsStopsReading pins the no-read-ahead contract of
-// the per-packet ingest in both run modes: a MaxWindows-bounded run
-// stops exactly at the packet that closes its final window, with
-// invalid packets interleaved so that position differs from NV ×
-// MaxWindows.
+// the per-packet ingest: a MaxWindows-bounded run stops exactly at the
+// packet that closes its final window, with invalid packets interleaved
+// so that position differs from NV × MaxWindows.
 func TestPipelineMaxWindowsStopsReading(t *testing.T) {
 	const (
 		nv         = 1000
@@ -169,33 +148,28 @@ func TestPipelineMaxWindowsStopsReading(t *testing.T) {
 		}
 		closing++
 	}
-	for _, workers := range []int{1, 2} {
-		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
-			src := NewSliceSource(ps)
-			stats, err := Run(src, PipelineConfig{NV: nv, MaxWindows: maxWindows, Workers: workers},
-				&ResultCollector{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Windows != maxWindows {
-				t.Fatalf("windows = %d, want %d", stats.Windows, maxWindows)
-			}
-			// The source must not be consumed past the packet that closed
-			// the final window: bounded read-ahead, no draining.
-			if src.i != closing {
-				t.Errorf("source consumed %d packets, want exactly %d", src.i, closing)
-			}
-			if stats.SourcePacketsRead != int64(closing) {
-				t.Errorf("SourcePacketsRead = %d, want %d", stats.SourcePacketsRead, closing)
-			}
-			if stats.ValidPackets+stats.InvalidPackets != int64(closing) {
-				t.Errorf("ingested %d+%d packets, want %d",
-					stats.ValidPackets, stats.InvalidPackets, closing)
-			}
-			if stats.DiscardedTail != 0 {
-				t.Errorf("discarded tail = %d, want 0 under MaxWindows", stats.DiscardedTail)
-			}
-		})
+	src := NewSliceSource(ps)
+	stats, err := Run(src, PipelineConfig{NV: nv, MaxWindows: maxWindows}, &ResultCollector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Windows != maxWindows {
+		t.Fatalf("windows = %d, want %d", stats.Windows, maxWindows)
+	}
+	// The source must not be consumed past the packet that closed the
+	// final window: bounded read-ahead, no draining.
+	if src.i != closing {
+		t.Errorf("source consumed %d packets, want exactly %d", src.i, closing)
+	}
+	if stats.SourcePacketsRead != int64(closing) {
+		t.Errorf("SourcePacketsRead = %d, want %d", stats.SourcePacketsRead, closing)
+	}
+	if stats.ValidPackets+stats.InvalidPackets != int64(closing) {
+		t.Errorf("ingested %d+%d packets, want %d",
+			stats.ValidPackets, stats.InvalidPackets, closing)
+	}
+	if stats.DiscardedTail != 0 {
+		t.Errorf("discarded tail = %d, want 0 under MaxWindows", stats.DiscardedTail)
 	}
 }
 
@@ -438,5 +412,213 @@ func TestTakeValid(t *testing.T) {
 	}
 	if n != 10 || short.Err() != nil {
 		t.Errorf("short stream: delivered %d, err %v", n, short.Err())
+	}
+}
+
+// synthSource deterministically generates a bounded random trace:
+// replaying the same seed yields the identical packet sequence, so the
+// pipeline and its references consume the same trace without
+// materializing it.
+type synthSource struct {
+	r     *xrand.RNG
+	n, i  int64
+	nodes int
+	// invalidEvery > 0 marks every k-th packet invalid.
+	invalidEvery int64
+}
+
+func newSynthSource(seed uint64, n int64, nodes int, invalidEvery int64) *synthSource {
+	return &synthSource{r: xrand.New(seed), n: n, nodes: nodes, invalidEvery: invalidEvery}
+}
+
+func (s *synthSource) Next() (Packet, bool) {
+	if s.i >= s.n {
+		return Packet{}, false
+	}
+	s.i++
+	p := Packet{
+		Src:   uint32(s.r.Intn(s.nodes)),
+		Dst:   uint32(s.r.Intn(s.nodes)),
+		Valid: true,
+	}
+	// A light heavy-tail: a quarter of traffic converges on a small hub
+	// set, so link counts exceed one and fan histograms have structure.
+	if s.r.Intn(4) == 0 {
+		p.Dst = uint32(s.r.Intn(16))
+	}
+	if s.invalidEvery > 0 && s.i%s.invalidEvery == 0 {
+		p.Valid = false
+	}
+	return p, true
+}
+
+func (s *synthSource) Err() error { return nil }
+
+// mapReduceWindows is the pre-refactor reduction kept as a behavioral
+// reference: one goroutine, Go maps, window by window. It returns the
+// five quantity histograms and aggregates of every complete window.
+func mapReduceWindows(src PacketSource, nv int64, maxWindows int) []*WindowResult {
+	type mapWin struct {
+		counts map[[2]uint32]int64
+		srcPk  map[uint32]int64
+		dstPk  map[uint32]int64
+		fanOut map[uint32]int64
+		fanIn  map[uint32]int64
+		total  int64
+	}
+	fresh := func() *mapWin {
+		return &mapWin{
+			counts: make(map[[2]uint32]int64),
+			srcPk:  make(map[uint32]int64),
+			dstPk:  make(map[uint32]int64),
+			fanOut: make(map[uint32]int64),
+			fanIn:  make(map[uint32]int64),
+		}
+	}
+	histOf := func(m map[uint32]int64) *hist.Histogram {
+		h := hist.New()
+		for _, v := range m {
+			if err := h.AddN(int(v), 1); err != nil {
+				panic(err)
+			}
+		}
+		return h
+	}
+	var out []*WindowResult
+	w := fresh()
+	for {
+		p, ok := src.Next()
+		if !ok {
+			break
+		}
+		if !p.Valid {
+			continue
+		}
+		k := [2]uint32{p.Src, p.Dst}
+		c := w.counts[k]
+		w.counts[k] = c + 1
+		if c == 0 {
+			w.fanOut[p.Src]++
+			w.fanIn[p.Dst]++
+		}
+		w.srcPk[p.Src]++
+		w.dstPk[p.Dst]++
+		w.total++
+		if w.total < nv {
+			continue
+		}
+		res := &WindowResult{T: len(out), NV: w.total}
+		res.Aggregates.ValidPackets = w.total
+		res.Aggregates.UniqueLinks = int64(len(w.counts))
+		res.Aggregates.UniqueSources = int64(len(w.srcPk))
+		res.Aggregates.UniqueDestinations = int64(len(w.dstPk))
+		res.Hists[SourcePackets] = histOf(w.srcPk)
+		res.Hists[SourceFanOut] = histOf(w.fanOut)
+		res.Hists[DestinationFanIn] = histOf(w.fanIn)
+		res.Hists[DestinationPackets] = histOf(w.dstPk)
+		lp := hist.New()
+		for _, v := range w.counts {
+			if err := lp.AddN(int(v), 1); err != nil {
+				panic(err)
+			}
+		}
+		res.Hists[LinkPackets] = lp
+		out = append(out, res)
+		if maxWindows > 0 && len(out) >= maxWindows {
+			return out
+		}
+		w = fresh()
+	}
+	return out
+}
+
+// renderWindows serializes window results into the byte form a sink
+// artifact would carry: aggregates plus every histogram's full
+// (degree, count) support, in order. Byte equality here is the
+// acceptance bar for "sinks observe byte-identical sequences".
+func renderWindows(wins []*WindowResult) []byte {
+	var b bytes.Buffer
+	for _, w := range wins {
+		fmt.Fprintf(&b, "t=%d nv=%d agg=%+v\n", w.T, w.NV, w.Aggregates)
+		for _, q := range Quantities {
+			h := w.Hists[q]
+			fmt.Fprintf(&b, "%v total=%d dmax=%d:", q, h.Total(), h.MaxDegree())
+			for _, d := range h.Support() {
+				fmt.Fprintf(&b, " %d=%d", d, h.Count(d))
+			}
+			b.WriteByte('\n')
+			p, err := h.Pool()
+			if err != nil {
+				panic(err)
+			}
+			fmt.Fprintf(&b, "pooled=%v\n", p.D)
+		}
+	}
+	return b.Bytes()
+}
+
+// TestPipelineMatchesMapReference pins the pipeline against the
+// pre-refactor map-based reduction: for random traces with interleaved
+// invalid packets, all five quantity histograms, the aggregates, and
+// the serialized sink artifact must be byte-identical.
+func TestPipelineMatchesMapReference(t *testing.T) {
+	const (
+		n  = 120000
+		nv = 10000
+	)
+	for seed := uint64(1); seed <= 3; seed++ {
+		ref := mapReduceWindows(newSynthSource(seed, n, 3000, 37), nv, 0)
+		var col ResultCollector
+		stats, err := Run(newSynthSource(seed, n, 3000, 37), PipelineConfig{NV: nv}, &col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Windows != len(col.Results) || len(col.Results) != len(ref) {
+			t.Fatalf("seed %d: stats.Windows=%d, collected %d, reference %d",
+				seed, stats.Windows, len(col.Results), len(ref))
+		}
+		if !bytes.Equal(renderWindows(col.Results), renderWindows(ref)) {
+			t.Fatalf("seed %d: pipeline diverges from map reference", seed)
+		}
+	}
+}
+
+// TestPartialsUnderSharding pins that ReducePartial round-trips each
+// KeepPartials window to its exact aggregates and histograms, and that
+// a PartialSink without KeepPartials fails fast.
+func TestPartialsUnderSharding(t *testing.T) {
+	const (
+		n  = 60000
+		nv = 15000
+	)
+	parts := &PartialSink{}
+	if _, err := Run(newSynthSource(5, n, 2000, 0), PipelineConfig{NV: nv, KeepPartials: true}, parts); err != nil {
+		t.Fatal(err)
+	}
+	if len(parts.Partials) == 0 {
+		t.Fatal("no partials collected")
+	}
+	// Round-trip: reduce the partial and compare to the pipeline window.
+	var col ResultCollector
+	src := newSynthSource(5, n, 2000, 0)
+	if _, err := Run(src, PipelineConfig{NV: nv}, &col); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts.Partials {
+		res, err := ReducePartial(i, p, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := col.Results[i]
+		if res.Aggregates != want.Aggregates || res.NV != want.NV {
+			t.Fatalf("window %d: reduced partial aggregates diverge", i)
+		}
+		if !bytes.Equal(renderWindows([]*WindowResult{res}), renderWindows([]*WindowResult{want})) {
+			t.Fatalf("window %d: reduced partial histograms diverge", i)
+		}
+	}
+	// A PartialSink without KeepPartials must fail fast.
+	if _, err := Run(newSynthSource(5, nv+1, 2000, 0), PipelineConfig{NV: nv}, &PartialSink{}); err == nil {
+		t.Fatal("PartialSink without KeepPartials should error")
 	}
 }

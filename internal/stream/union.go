@@ -11,9 +11,7 @@ import (
 // consumers of one window sequence cut it identically. The
 // retention flags are OR-ed (a consumer that asked for matrices or
 // partials gets them; the others simply ignore the extra fields), and
-// Workers takes the widest request: it is result-invariant by the
-// pipeline's own contract, so the union changes wall time only, never
-// bytes. Metrics takes the first non-nil bundle.
+// Metrics takes the first non-nil bundle.
 func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
 	if len(cfgs) == 0 {
 		return PipelineConfig{}, errors.New("stream: union of zero pipeline configs")
@@ -27,23 +25,9 @@ func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
 		}
 		u.KeepMatrices = u.KeepMatrices || c.KeepMatrices
 		u.KeepPartials = u.KeepPartials || c.KeepPartials
-		u.Workers = unionWidth(u.Workers, c.Workers)
 		if u.Metrics == nil {
 			u.Metrics = c.Metrics
 		}
 	}
 	return u, nil
-}
-
-// unionWidth merges two worker requests: any non-positive request
-// means "the widest default", which dominates; otherwise the larger
-// explicit width wins.
-func unionWidth(a, b int) int {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	if b > a {
-		return b
-	}
-	return a
 }

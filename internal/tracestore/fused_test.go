@@ -1,9 +1,8 @@
 package tracestore
 
 // The fused-replay property pin: the one-pass DecodeInto path must be
-// byte-identical to the per-packet decode→reduce path at every worker
-// count, including the KeepPartials/PartialSink
-// products. The unfused reference is obtained by wrapping a reader so
+// byte-identical to the per-packet decode→reduce path, including the
+// KeepPartials/PartialSink products. The unfused reference is obtained by wrapping a reader so
 // the pipeline cannot see its EncodedBlockSource implementation and
 // reads it one packet at a time through Next.
 
@@ -33,7 +32,7 @@ func (u unfusedSource) PacketsRead() int64          { return u.src.PacketsRead()
 // renderResults serializes window results into the byte form a sink
 // artifact would carry: aggregates plus every histogram's full
 // (degree, count) support, in order. Byte equality is the acceptance
-// bar for "sinks byte-identical at every worker count".
+// bar for "sinks byte-identical on both paths".
 func renderResults(wins []*stream.WindowResult) []byte {
 	var b bytes.Buffer
 	for _, w := range wins {
@@ -54,9 +53,9 @@ func renderResults(wins []*stream.WindowResult) []byte {
 }
 
 // TestFusedReplayEquivalence pins the fused decode→reduce path against
-// the unfused per-packet path at {1,2,4} workers. Every configuration must yield
-// byte-identical window artifacts, identical pipeline stats, and (via
-// PartialSink) identical canonical partials.
+// the unfused per-packet path: both must yield byte-identical window
+// artifacts, identical pipeline stats, and (via PartialSink) identical
+// canonical partials.
 func TestFusedReplayEquivalence(t *testing.T) {
 	const (
 		n     = 60000
@@ -71,21 +70,17 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		rendered []byte
 		partials []stream.WindowResult
 	}
-	run := func(src stream.PacketSource, workers int) capture {
+	run := func(src stream.PacketSource) capture {
 		t.Helper()
 		var col stream.ResultCollector
 		sink := &stream.PartialSink{}
-		cfg := stream.PipelineConfig{
-			NV: nv, Workers: workers,
-			KeepMatrices: true, KeepPartials: true,
-		}
+		cfg := stream.PipelineConfig{NV: nv, KeepMatrices: true, KeepPartials: true}
 		stats, err := stream.Run(src, cfg, &col, sink)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatal(err)
 		}
 		if len(sink.Partials) != len(col.Results) {
-			t.Fatalf("workers=%d: %d partials, %d windows",
-				workers, len(sink.Partials), len(col.Results))
+			t.Fatalf("%d partials, %d windows", len(sink.Partials), len(col.Results))
 		}
 		c := capture{stats: stats, rendered: renderResults(col.Results)}
 		for i, p := range sink.Partials {
@@ -114,28 +109,20 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		return unfusedSource{src: r}
 	}
 
-	ref := run(newSeqUnfused(), 1)
+	ref := run(newSeqUnfused())
 	if ref.stats.Windows == 0 {
 		t.Fatal("reference run produced no windows")
 	}
-	for _, workers := range []int{1, 2, 4} {
-		for name, mk := range map[string]func() stream.PacketSource{
-			"seq-fused":   newSeq,
-			"seq-unfused": newSeqUnfused,
-		} {
-			got := run(mk(), workers)
-			if got.stats != ref.stats {
-				t.Errorf("%s workers=%d: stats %+v, want %+v", name, workers, got.stats, ref.stats)
-			}
-			if !bytes.Equal(got.rendered, ref.rendered) {
-				t.Errorf("%s workers=%d: window artifacts diverge from unfused serial reference",
-					name, workers)
-			}
-			for i := range ref.partials {
-				if !reflect.DeepEqual(ref.partials[i].Partial.Entries(), got.partials[i].Partial.Entries()) {
-					t.Fatalf("%s workers=%d window %d: partial entries diverge", name, workers, i)
-				}
-			}
+	got := run(newSeq())
+	if got.stats != ref.stats {
+		t.Errorf("fused stats %+v, want %+v", got.stats, ref.stats)
+	}
+	if !bytes.Equal(got.rendered, ref.rendered) {
+		t.Error("fused window artifacts diverge from the unfused reference")
+	}
+	for i := range ref.partials {
+		if !reflect.DeepEqual(ref.partials[i].Partial.Entries(), got.partials[i].Partial.Entries()) {
+			t.Fatalf("window %d: fused partial entries diverge", i)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 // Root-level acceptance tests for internal/obs (DESIGN.md §11): the
-// snapshot of an instrumented replay must be identically keyed across
-// pipeline worker counts with exact equality for every
-// deterministic quantity, and instruments must fire per block or
+// snapshot of an instrumented replay must not depend on the deprecated
+// PipelineConfig.Workers field, and instruments must fire per block or
 // window, never per packet.
 package hybridplaw
 
@@ -54,29 +53,16 @@ func buildObsTrace(t *testing.T) ([]byte, tracestore.ArchiveInfo) {
 	return buf.Bytes(), info
 }
 
-// TestObsSnapshotEquivalenceAcrossConfigs replays one archive at
-// {1,2,4} pipeline workers, each run against a fresh registry, and requires (a) byte-identical snapshot key sets and
-// (b) exact equality for the deterministic quantities — packet counts,
-// windows, tail, blocks, bytes, and the per-window span counters. Times
-// and pool/queue traffic legitimately vary with the engine; counts of
-// work done must not.
+// TestObsSnapshotEquivalenceAcrossConfigs replays one archive with
+// PipelineConfig.Workers at 1, 2 and 4, each run against a fresh
+// registry. The field is deprecated and ignored, so every snapshot must
+// carry the same instruments with exactly the same counter and gauge
+// values and the same timer observation counts; only the timers'
+// durations vary. The first run's deterministic quantities are also
+// checked against the pipeline stats and the archive index.
 func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 	raw, info := buildObsTrace(t)
-	deterministic := []string{
-		"palu_stream_packets_valid_total",
-		"palu_stream_packets_invalid_total",
-		"palu_stream_windows_total",
-		"palu_stream_tail_discarded_packets_total",
-		"palu_stream_ingest_spans_total",
-		"palu_stream_window_close_spans_total",
-		"palu_stream_sink_spans_total",
-		"palu_ptrc_blocks_read_total",
-		"palu_ptrc_read_raw_bytes_total",
-		"palu_ptrc_read_compressed_bytes_total",
-		"palu_ptrc_crc_failures_total",
-	}
-	var baseNames []string
-	baseVals := map[string]int64{}
+	var base obs.Snapshot
 	for i, workers := range []int{1, 2, 4} {
 		reg := obs.NewRegistry()
 		sm := stream.NewMetrics(reg)
@@ -96,17 +82,15 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 			t.Fatalf("w=%d: %d windows", workers, stats.Windows)
 		}
 		snap := reg.Snapshot()
-		names := snap.Names()
-		if !sort.StringsAreSorted(names) {
+		if !sort.StringsAreSorted(snap.Names()) {
 			t.Fatalf("w=%d: snapshot names not sorted", workers)
 		}
 		if i == 0 {
-			baseNames = names
+			base = snap
 			// Pin the absolute values once (ingest spans count DecodeInto
 			// calls, per block run *and* per mid-block window boundary;
-			// TestMetricsInstrumentCountPin pins them exactly, here they
-			// are only held identical across configs);
-			// later configs then compare against numbers already checked
+			// TestMetricsInstrumentCountPin pins them exactly); later
+			// configs then compare against numbers already checked
 			// against the pipeline stats and the archive index.
 			checks := map[string]int64{
 				"palu_stream_packets_valid_total":          stats.ValidPackets,
@@ -120,31 +104,26 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 				"palu_ptrc_read_compressed_bytes_total":    info.CompressedBytes,
 				"palu_ptrc_crc_failures_total":             0,
 			}
-			for _, name := range deterministic {
+			for name, want := range checks {
 				m, ok := snap.Get(name)
 				if !ok {
 					t.Fatalf("snapshot missing %s", name)
 				}
-				if want, pinned := checks[name]; pinned && m.Value != want {
+				if m.Value != want {
 					t.Errorf("baseline %s = %d, want %d", name, m.Value, want)
 				}
-				baseVals[name] = m.Value
 			}
 			continue
 		}
-		if !reflect.DeepEqual(names, baseNames) {
-			t.Errorf("w=%d: snapshot key set diverges from baseline:\n%v\n%v",
-				workers, names, baseNames)
+		if !reflect.DeepEqual(snap.Names(), base.Names()) {
+			t.Fatalf("w=%d: snapshot key set diverges from baseline:\n%v\n%v",
+				workers, snap.Names(), base.Names())
 		}
-		for _, name := range deterministic {
-			m, ok := snap.Get(name)
-			if !ok {
-				t.Errorf("w=%d: snapshot missing %s", workers, name)
-				continue
-			}
-			if m.Value != baseVals[name] {
-				t.Errorf("w=%d: %s = %d, baseline %d",
-					workers, name, m.Value, baseVals[name])
+		for j, m := range snap.Metrics {
+			b := base.Metrics[j]
+			if m.Type != b.Type || m.Value != b.Value || m.Count != b.Count {
+				t.Errorf("w=%d: %s = %s value %d count %d, baseline %s value %d count %d",
+					workers, m.Name, m.Type, m.Value, m.Count, b.Type, b.Value, b.Count)
 			}
 		}
 	}
@@ -153,9 +132,9 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 // obsReplayNV cuts the shared 1M-valid-packet archive into ten windows.
 const obsReplayNV = 100_000
 
-// obsReplayOnce replays the shared 1M-packet archive over the fused
-// serial hot path (sequential reader, one worker) with the given
-// instrumentation (nil = stripped) and returns the pipeline stats.
+// obsReplayOnce replays the shared 1M-packet archive over the fused hot
+// path (sequential reader) with the given instrumentation (nil =
+// stripped) and returns the pipeline stats.
 func obsReplayOnce(t testing.TB, sm *stream.Metrics, tm *tracestore.Metrics) stream.PipelineStats {
 	src, err := tracestore.NewReader(bytes.NewReader(replayTrace.ptrc))
 	if err != nil {
@@ -163,7 +142,7 @@ func obsReplayOnce(t testing.TB, sm *stream.Metrics, tm *tracestore.Metrics) str
 	}
 	src.SetMetrics(tm)
 	stats, err := stream.Run(src, stream.PipelineConfig{
-		NV: obsReplayNV, Workers: 1, Metrics: sm,
+		NV: obsReplayNV, Metrics: sm,
 	}, stream.NewEnsembleSink())
 	if err != nil {
 		t.Fatal(err)
@@ -238,15 +217,10 @@ func TestMetricsInstrumentCountPin(t *testing.T) {
 		"palu_stream_packets_invalid_total":        info.Packets - info.ValidPackets,
 		"palu_stream_windows_total":                windows,
 		"palu_stream_tail_discarded_packets_total": 0,
-		"palu_stream_window_pool_alloc_total":      0,
-		"palu_stream_window_pool_reuse_total":      0,
 		"palu_stream_builder_alloc_total":          1,
 		"palu_stream_builder_reuse_total":          windows,
-		"palu_stream_queue_windows":                0,
 		"palu_stream_ingest_ns":                    ingest,
 		"palu_stream_ingest_spans_total":           ingest,
-		"palu_stream_reduce_ns":                    0,
-		"palu_stream_reduce_spans_total":           0,
 		"palu_stream_window_close_ns":              windows,
 		"palu_stream_window_close_spans_total":     windows,
 		"palu_stream_sink_ns":                      windows,
