@@ -12,32 +12,35 @@ import (
 // close and sink timers must span once per window.
 func TestMetricsExactCounters(t *testing.T) {
 	ps := mkPackets(7, 5000, 64, 10) // every 10th packet invalid
-	m := NewMetrics(obs.NewRegistry())
-	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 1000, Metrics: m}, &ResultCollector{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.PacketsValid.Value(); got != stats.ValidPackets {
-		t.Errorf("valid counter = %d, stats %d", got, stats.ValidPackets)
-	}
-	if got := m.PacketsInvalid.Value(); got != stats.InvalidPackets {
-		t.Errorf("invalid counter = %d, stats %d", got, stats.InvalidPackets)
-	}
-	if got := m.Windows.Value(); got != int64(stats.Windows) {
-		t.Errorf("windows counter = %d, stats %d", got, stats.Windows)
-	}
-	if got := m.TailDiscarded.Value(); got != stats.DiscardedTail {
-		t.Errorf("tail counter = %d, stats %d", got, stats.DiscardedTail)
-	}
-	if stats.ValidPackets != 4500 || stats.Windows != 4 {
-		t.Errorf("unexpected stats %+v (trace should give 4500 valid, 4 windows)", stats)
-	}
-	if got := m.WindowCloseTime.Spans(); got != int64(stats.Windows) {
-		t.Errorf("window close spans = %d, want %d", got, stats.Windows)
-	}
-	if got := m.SinkTime.Spans(); got != int64(stats.Windows) {
-		t.Errorf("sink spans = %d, want %d", got, stats.Windows)
-	}
+	// Run is the one serial engine; the subtest keeps its historic name.
+	t.Run("serial", func(t *testing.T) {
+		m := NewMetrics(obs.NewRegistry())
+		stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 1000, Metrics: m}, &ResultCollector{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.PacketsValid.Value(); got != stats.ValidPackets {
+			t.Errorf("valid counter = %d, stats %d", got, stats.ValidPackets)
+		}
+		if got := m.PacketsInvalid.Value(); got != stats.InvalidPackets {
+			t.Errorf("invalid counter = %d, stats %d", got, stats.InvalidPackets)
+		}
+		if got := m.Windows.Value(); got != int64(stats.Windows) {
+			t.Errorf("windows counter = %d, stats %d", got, stats.Windows)
+		}
+		if got := m.TailDiscarded.Value(); got != stats.DiscardedTail {
+			t.Errorf("tail counter = %d, stats %d", got, stats.DiscardedTail)
+		}
+		if stats.ValidPackets != 4500 || stats.Windows != 4 {
+			t.Errorf("unexpected stats %+v (trace should give 4500 valid, 4 windows)", stats)
+		}
+		if got := m.WindowCloseTime.Spans(); got != int64(stats.Windows) {
+			t.Errorf("window close spans = %d, want %d", got, stats.Windows)
+		}
+		if got := m.SinkTime.Spans(); got != int64(stats.Windows) {
+			t.Errorf("sink spans = %d, want %d", got, stats.Windows)
+		}
+	})
 }
 
 // TestMetricsKeySetIdenticalAcrossEngines pins that the deprecated
