@@ -18,6 +18,7 @@ import (
 	"hybridplaw/internal/experiments"
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
+	"hybridplaw/internal/scenario"
 	"hybridplaw/internal/spmat"
 	"hybridplaw/internal/stream"
 	"hybridplaw/internal/tracestore"
@@ -25,31 +26,43 @@ import (
 	"hybridplaw/internal/zipfmand"
 )
 
-// BenchmarkTableI regenerates Table I: aggregate network properties of a
-// traffic window, verifying the summation and matrix notations agree.
-func BenchmarkTableI(b *testing.B) {
+// benchScenario runs the registered suite scenario name (seed 1) b.N
+// times through an uncached engine, the way palu-figures -only runs it,
+// and returns the last run's result.
+func benchScenario(b *testing.B, name string) scenario.Result {
+	b.Helper()
+	reg := experiments.MustRegistry(1)
+	out := b.TempDir()
+	var res scenario.Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunTableI(uint64(i)+1, 50000)
+		eng, err := scenario.NewEngine(reg, scenario.Config{OutDir: out})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.TransposeConsistent || !res.ParallelConsistent {
-			b.Fatal("Table I identities violated")
+		reports, err := eng.Run(name)
+		if err != nil {
+			b.Fatal(err)
 		}
+		res = reports[0].Result
+	}
+	return res
+}
+
+// BenchmarkTableI regenerates Table I: aggregate network properties of a
+// traffic window, verifying the summation and matrix notations agree.
+func BenchmarkTableI(b *testing.B) {
+	res := benchScenario(b, "table1").(experiments.TableIResult)
+	if !res.TransposeConsistent || !res.ParallelConsistent {
+		b.Fatal("Table I identities violated")
 	}
 }
 
 // BenchmarkFigure1 regenerates the Fig. 1 streaming quantities of a
 // window.
 func BenchmarkFigure1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunFigure1(uint64(i)+1, 50000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Quantity) != 5 {
-			b.Fatal("missing quantities")
-		}
+	res := benchScenario(b, "fig1").(experiments.Figure1Result)
+	if len(res.Quantity) != 5 {
+		b.Fatal("missing quantities")
 	}
 }
 
@@ -74,18 +87,11 @@ func BenchmarkFigure3(b *testing.B) {
 	for _, spec := range netgen.Figure3Panels() {
 		spec := spec
 		b.Run(spec.ID, func(b *testing.B) {
-			var last experiments.Figure3PanelResult
-			for i := 0; i < b.N; i++ {
-				res, err := experiments.RunFigure3Panel(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.FitAlpha, "fit-alpha")
-			b.ReportMetric(last.FitDelta, "fit-delta")
-			b.ReportMetric(last.Spec.PaperAlpha, "paper-alpha")
-			b.ReportMetric(last.Spec.PaperDelta, "paper-delta")
+			res := benchScenario(b, "fig3/"+spec.ID).(experiments.Figure3PanelResult)
+			b.ReportMetric(res.FitAlpha, "fit-alpha")
+			b.ReportMetric(res.FitDelta, "fit-delta")
+			b.ReportMetric(res.Spec.PaperAlpha, "paper-alpha")
+			b.ReportMetric(res.Spec.PaperDelta, "paper-delta")
 		})
 	}
 }

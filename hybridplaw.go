@@ -249,7 +249,7 @@ type ZMConfidenceIntervals = zipfmand.ConfidenceIntervals
 
 // BootstrapPALU resamples the histogram and re-runs the Section IV.B
 // pipeline on the shared parallel bootstrap engine (deterministic
-// per-replicate RNG streams; results are worker-count independent).
+// per-replicate RNG streams; results are the same at every GOMAXPROCS).
 func BootstrapPALU(h *Histogram, reps int, level float64, rng *RNG) (PALUConfidenceIntervals, error) {
 	return estimate.BootstrapEstimate(h, estimate.DefaultOptions(), reps, level, rng)
 }
@@ -257,7 +257,7 @@ func BootstrapPALU(h *Histogram, reps int, level float64, rng *RNG) (PALUConfide
 // BootstrapZipfMandelbrot bootstraps (α, δ) percentile intervals for
 // the default least-squares ZM fit.
 func BootstrapZipfMandelbrot(h *Histogram, reps int, level float64, rng *RNG) (ZMConfidenceIntervals, error) {
-	return zipfmand.BootstrapCI(h, zipfmand.DefaultFitOptions(), reps, level, 0, rng)
+	return zipfmand.BootstrapCI(h, zipfmand.DefaultFitOptions(), reps, level, rng)
 }
 
 // BootstrapPowerLawPValue runs the CSN parametric bootstrap

@@ -30,21 +30,22 @@ func benchHistogram(b *testing.B) *hist.Histogram {
 }
 
 // BenchmarkBootstrap measures the parallel bootstrap consumers at the
-// machine's worker count and serially, so the recorded ratio tracks the
-// engine's scaling.
+// benchmark's GOMAXPROCS and at GOMAXPROCS=1, so the recorded ratio
+// tracks the engine's scaling.
 func BenchmarkBootstrap(b *testing.B) {
 	h := benchHistogram(b)
 	for _, bench := range []struct {
-		name    string
-		workers int
+		name  string
+		procs int
 	}{
 		{"estimate/serial", 1},
 		{"estimate/parallel", runtime.GOMAXPROCS(0)},
 	} {
 		b.Run(bench.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(bench.procs))
 			for i := 0; i < b.N; i++ {
-				if _, err := estimate.BootstrapEstimateWorkers(
-					h, estimate.DefaultOptions(), 20, 0.9, bench.workers, xrand.New(7)); err != nil {
+				if _, err := estimate.BootstrapEstimate(
+					h, estimate.DefaultOptions(), 20, 0.9, xrand.New(7)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -53,7 +54,7 @@ func BenchmarkBootstrap(b *testing.B) {
 	b.Run("zipfmand/ci", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := zipfmand.BootstrapCI(
-				h, zipfmand.DefaultFitOptions(), 10, 0.9, 0, xrand.New(7)); err != nil {
+				h, zipfmand.DefaultFitOptions(), 10, 0.9, xrand.New(7)); err != nil {
 				b.Fatal(err)
 			}
 		}

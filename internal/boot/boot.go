@@ -4,13 +4,13 @@
 // (powerlaw.BootstrapPValue), and the modified Zipf–Mandelbrot
 // confidence intervals (zipfmand.BootstrapCI).
 //
-// The engine runs replicates on a bounded worker pool with deterministic
-// per-replicate RNG streams: before any work starts, one child generator
-// per replicate is split from the caller's generator in replicate order
-// (each Split advances the parent by exactly one draw), so replicate r
-// always sees the same stream no matter how many workers run or how the
-// scheduler interleaves them. Serial (workers=1) and parallel runs are
-// replicate-identical by construction.
+// The engine runs replicates on a pool of GOMAXPROCS goroutines with
+// deterministic per-replicate RNG streams: before any work starts, one
+// child generator per replicate is split from the caller's generator in
+// replicate order (each Split advances the parent by exactly one draw),
+// so replicate r always sees the same stream no matter how many
+// goroutines run or how the scheduler interleaves them. Runs at every
+// GOMAXPROCS, 1 included, are replicate-identical by construction.
 package boot
 
 import (
@@ -29,14 +29,14 @@ import (
 // (0-based) and rng its private deterministic stream.
 type Replicate[T any] func(rep int, rng *xrand.RNG) (T, error)
 
-// Run executes reps replicates of fn on a worker pool. workers <= 0
-// selects GOMAXPROCS; workers = 1 is fully serial. The returned slices
-// are indexed by replicate: values[r] holds fn's result and errs[r] its
-// error (nil on success), so output order is independent of scheduling.
+// Run executes reps replicates of fn on min(GOMAXPROCS, reps)
+// goroutines. The returned slices are indexed by replicate: values[r]
+// holds fn's result and errs[r] its error (nil on success), so output
+// order is independent of scheduling.
 //
 // Every replicate's RNG is split from rng upfront in replicate order;
-// rng therefore advances by exactly reps draws regardless of workers.
-func Run[T any](reps, workers int, rng *xrand.RNG, fn Replicate[T]) (values []T, errs []error, err error) {
+// rng therefore advances by exactly reps draws at any pool width.
+func Run[T any](reps int, rng *xrand.RNG, fn Replicate[T]) (values []T, errs []error, err error) {
 	if reps <= 0 {
 		return nil, nil, errors.New("boot: reps must be positive")
 	}
@@ -46,32 +46,24 @@ func Run[T any](reps, workers int, rng *xrand.RNG, fn Replicate[T]) (values []T,
 	if fn == nil {
 		return nil, nil, errors.New("boot: nil replicate function")
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > reps {
-		workers = reps
-	}
 	rngs := make([]*xrand.RNG, reps)
 	for r := range rngs {
 		rngs[r] = rng.Split()
 	}
 	values = make([]T, reps)
 	errs = make([]error, reps)
-	if workers == 1 {
-		for r := 0; r < reps; r++ {
-			values[r], errs[r] = fn(r, rngs[r])
-		}
-		return values, errs, nil
-	}
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(runtime.GOMAXPROCS(0), reps); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for r := range next {
-				values[r], errs[r] = fn(r, rngs[r])
+				// Split allocates the generators back to back, two to
+				// a cache line: a copy made by the running goroutine
+				// keeps two replicates' draws off one line.
+				local := *rngs[r]
+				values[r], errs[r] = fn(r, &local)
 			}
 		}()
 	}

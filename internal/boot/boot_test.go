@@ -3,6 +3,7 @@ package boot
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"hybridplaw/internal/hist"
@@ -21,33 +22,39 @@ func replicateDraws(rep int, rng *xrand.RNG) (float64, error) {
 
 func TestRunSerialParallelReplicateIdentical(t *testing.T) {
 	const reps = 64
-	serialVals, serialErrs, err := Run(reps, 1, xrand.New(7), replicateDraws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8, 0} {
-		vals, errs, err := Run(reps, workers, xrand.New(7), replicateDraws)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var serialVals []float64
+	var serialErrs []error
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		vals, errs, err := Run(reps, xrand.New(7), replicateDraws)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if procs == 1 {
+			serialVals, serialErrs = vals, errs
+			continue
+		}
 		for r := range vals {
 			if vals[r] != serialVals[r] {
-				t.Fatalf("workers=%d: replicate %d = %v, serial %v",
-					workers, r, vals[r], serialVals[r])
+				t.Fatalf("GOMAXPROCS=%d: replicate %d = %v, serial %v",
+					procs, r, vals[r], serialVals[r])
 			}
 			if (errs[r] == nil) != (serialErrs[r] == nil) {
-				t.Fatalf("workers=%d: replicate %d error mismatch", workers, r)
+				t.Fatalf("GOMAXPROCS=%d: replicate %d error mismatch", procs, r)
 			}
 		}
 	}
 }
 
 func TestRunAdvancesParentIdentically(t *testing.T) {
-	// The parent generator must advance by exactly reps draws regardless
-	// of worker count, so code after a bootstrap stays deterministic.
-	after := func(workers int) uint64 {
+	// The parent generator must advance by exactly reps draws at any
+	// pool width, so code after a bootstrap stays deterministic.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	after := func(procs int) uint64 {
+		runtime.GOMAXPROCS(procs)
 		rng := xrand.New(99)
-		if _, _, err := Run(10, workers, rng, replicateDraws); err != nil {
+		if _, _, err := Run(10, rng, replicateDraws); err != nil {
 			t.Fatal(err)
 		}
 		return rng.Uint64()
@@ -59,7 +66,7 @@ func TestRunAdvancesParentIdentically(t *testing.T) {
 }
 
 func TestRunCollectsPerReplicateErrors(t *testing.T) {
-	vals, errs, err := Run(5, 2, xrand.New(1), func(rep int, rng *xrand.RNG) (int, error) {
+	vals, errs, err := Run(5, xrand.New(1), func(rep int, rng *xrand.RNG) (int, error) {
 		if rep%2 == 1 {
 			return 0, fmt.Errorf("rep %d failed", rep)
 		}
@@ -81,13 +88,13 @@ func TestRunCollectsPerReplicateErrors(t *testing.T) {
 
 func TestRunArgumentErrors(t *testing.T) {
 	fn := func(int, *xrand.RNG) (int, error) { return 0, nil }
-	if _, _, err := Run(0, 1, xrand.New(1), fn); err == nil {
+	if _, _, err := Run(0, xrand.New(1), fn); err == nil {
 		t.Error("reps=0: expected error")
 	}
-	if _, _, err := Run(5, 1, nil, fn); err == nil {
+	if _, _, err := Run(5, nil, fn); err == nil {
 		t.Error("nil rng: expected error")
 	}
-	if _, _, err := Run[int](5, 1, xrand.New(1), nil); err == nil {
+	if _, _, err := Run[int](5, xrand.New(1), nil); err == nil {
 		t.Error("nil fn: expected error")
 	}
 }
@@ -140,7 +147,7 @@ func TestPercentileInterval(t *testing.T) {
 var errSentinel = errors.New("sentinel")
 
 func TestRunErrorDoesNotCancelOthers(t *testing.T) {
-	vals, errs, err := Run(8, 4, xrand.New(5), func(rep int, rng *xrand.RNG) (int, error) {
+	vals, errs, err := Run(8, xrand.New(5), func(rep int, rng *xrand.RNG) (int, error) {
 		if rep == 3 {
 			return 0, errSentinel
 		}

@@ -29,18 +29,10 @@ type ConfidenceIntervals struct {
 // Replicates whose estimation fails (e.g. degenerate resampled tails)
 // are skipped; at least half must succeed.
 //
-// Replicates run on the shared boot worker pool (GOMAXPROCS workers)
-// with deterministic per-replicate RNG streams, so the intervals are
-// identical to a serial run: see BootstrapEstimateWorkers to pin the
-// pool size.
+// Replicates run on the shared boot pool (GOMAXPROCS goroutines) with
+// deterministic per-replicate RNG streams, so the intervals are identical
+// at every GOMAXPROCS, 1 included.
 func BootstrapEstimate(h *hist.Histogram, opts Options, reps int, level float64, rng *xrand.RNG) (ConfidenceIntervals, error) {
-	return BootstrapEstimateWorkers(h, opts, reps, level, 0, rng)
-}
-
-// BootstrapEstimateWorkers is BootstrapEstimate with an explicit worker
-// count (<= 0 selects GOMAXPROCS, 1 is fully serial). Results are
-// replicate-identical for every worker count.
-func BootstrapEstimateWorkers(h *hist.Histogram, opts Options, reps int, level float64, workers int, rng *xrand.RNG) (ConfidenceIntervals, error) {
 	if h == nil || h.Total() == 0 {
 		return ConfidenceIntervals{}, errors.New("estimate: empty histogram")
 	}
@@ -50,7 +42,7 @@ func BootstrapEstimateWorkers(h *hist.Histogram, opts Options, reps int, level f
 	if level <= 0 || level >= 1 {
 		return ConfidenceIntervals{}, errors.New("estimate: level must be in (0,1)")
 	}
-	results, errs, err := boot.Run(reps, workers, rng,
+	results, errs, err := boot.Run(reps, rng,
 		func(rep int, rng *xrand.RNG) (Result, error) {
 			hb, err := boot.ResampleHistogram(h, rng)
 			if err != nil {

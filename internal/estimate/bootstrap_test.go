@@ -1,6 +1,7 @@
 package estimate
 
 import (
+	"runtime"
 	"testing"
 
 	"hybridplaw/internal/hist"
@@ -68,8 +69,8 @@ func TestBootstrapEstimateErrors(t *testing.T) {
 
 // TestBootstrapEstimateParallelSerialIdentical is the hardware-aware
 // equivalence pin: deterministic per-replicate RNG streams make the
-// intervals identical for every worker count, on any machine (speedup
-// itself is asserted only on >= 4 cores, in internal/boot).
+// intervals identical at every GOMAXPROCS, on any machine (speedup
+// itself is asserted in internal/testenv).
 func TestBootstrapEstimateParallelSerialIdentical(t *testing.T) {
 	params, err := palu.FromWeights(2, 2, 1.5, 2.5, 2.0)
 	if err != nil {
@@ -79,17 +80,18 @@ func TestBootstrapEstimateParallelSerialIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := BootstrapEstimateWorkers(h, DefaultOptions(), 12, 0.9, 1, xrand.New(77))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		par, err := BootstrapEstimateWorkers(h, DefaultOptions(), 12, 0.9, workers, xrand.New(77))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var serial ConfidenceIntervals
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ci, err := BootstrapEstimate(h, DefaultOptions(), 12, 0.9, xrand.New(77))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par != serial {
-			t.Errorf("workers=%d: CI %+v != serial %+v", workers, par, serial)
+		if procs == 1 {
+			serial = ci
+		} else if ci != serial {
+			t.Errorf("GOMAXPROCS=%d: CI %+v != serial %+v", procs, ci, serial)
 		}
 	}
 }

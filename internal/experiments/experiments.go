@@ -1,9 +1,7 @@
 // Package experiments regenerates every table and figure of the paper
 // (see DESIGN.md §2 for the experiment index). Each experiment is
 // registered as a declarative scenario (see Scenarios) consumed by the
-// scenario engine behind cmd/palu-figures and EXPERIMENTS.md; the legacy
-// Run* functions remain as thin standalone wrappers for the root
-// benchmarks and direct library use.
+// scenario engine behind cmd/palu-figures and EXPERIMENTS.md.
 package experiments
 
 import (
@@ -55,14 +53,10 @@ type spmatAggregates struct {
 	ValidPackets, UniqueLinks, UniqueSources, UniqueDestinations int64
 }
 
-// RunTableI streams one traffic window through the pipeline and evaluates
-// Table I three ways: incremental (builder), summation/matrix notation
-// (frozen matrix), and the parallel shard-merge rebuild. It is the
-// standalone wrapper over the registered "table1" scenario's compute.
-func RunTableI(seed uint64, nv int64) (TableIResult, error) {
-	return runTableI(scenario.Standalone(), seed, nv)
-}
-
+// runTableI is the "table1" scenario compute: it streams one traffic
+// window through the pipeline and evaluates Table I three ways:
+// incremental (builder), summation/matrix notation (frozen matrix), and
+// the parallel shard-merge rebuild.
 func runTableI(ctx *scenario.Context, seed uint64, nv int64) (TableIResult, error) {
 	win, err := pipelineWindow(ctx, tableISite(seed), nv, true)
 	if err != nil {
@@ -120,13 +114,8 @@ type Figure1Result struct {
 	FracD1    []float64
 }
 
-// RunFigure1 computes all five Fig. 1 quantities on one window, in one
-// streaming pass through the pipeline. Standalone wrapper over the
-// "fig1" scenario's compute.
-func RunFigure1(seed uint64, nv int64) (Figure1Result, error) {
-	return runFigure1(scenario.Standalone(), seed, nv)
-}
-
+// runFigure1 is the "fig1" scenario compute: all five Fig. 1 quantities
+// of one window, in one streaming pass through the pipeline.
 func runFigure1(ctx *scenario.Context, seed uint64, nv int64) (Figure1Result, error) {
 	win, err := pipelineWindow(ctx, tableISite(seed), nv, false)
 	if err != nil {
@@ -203,14 +192,6 @@ type Figure3PanelResult struct {
 	FracD1 float64
 }
 
-// RunFigure3Panel regenerates one panel as a single streaming pass:
-// synthetic packet source → pipeline → cross-window ensemble sink → ZM
-// fit. Only one window is ever resident. Standalone wrapper
-// over the "fig3/<id>" scenarios' compute.
-func RunFigure3Panel(spec netgen.PanelSpec) (Figure3PanelResult, error) {
-	return runFigure3Panel(scenario.Standalone(), spec)
-}
-
 // panelEnsemble streams a Fig. 3 panel's windows into a cross-window
 // ensemble of its quantity, once per engine run: fig3/<panel> and
 // modelsel/<panel> both read it.
@@ -225,6 +206,9 @@ func panelEnsemble(ctx *scenario.Context, spec netgen.PanelSpec) (*stream.Ensemb
 	})
 }
 
+// runFigure3Panel is the "fig3/<id>" scenario compute: the panel's
+// cross-window ensemble (synthetic packet source → pipeline → ensemble
+// sink, one window resident at a time) and its ZM fit.
 func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3PanelResult, error) {
 	sink, err := panelEnsemble(ctx, spec)
 	if err != nil {
@@ -243,19 +227,6 @@ func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3Panel
 		FitAlpha: fit.Alpha, FitDelta: fit.Delta, FitSSE: fit.SSE, FitKS: fit.KS,
 		DMax: dmax, FracD1: mean[0],
 	}, nil
-}
-
-// RunFigure3 regenerates all six panels.
-func RunFigure3() ([]Figure3PanelResult, error) {
-	var out []Figure3PanelResult
-	for _, spec := range netgen.Figure3Panels() {
-		r, err := RunFigure3Panel(spec)
-		if err != nil {
-			return nil, fmt.Errorf("panel %s: %w", spec.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // Figure4Panel is one Fig. 4 sub-figure specification.
@@ -321,19 +292,6 @@ func RunFigure4Panel(panel Figure4Panel, dmax int) (Figure4PanelResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// RunFigure4 regenerates all five panels.
-func RunFigure4(dmax int) ([]Figure4PanelResult, error) {
-	var out []Figure4PanelResult
-	for _, panel := range Figure4Spec() {
-		r, err := RunFigure4Panel(panel, dmax)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // ValidationRow compares one analytic prediction with simulation (E-V1).

@@ -3,10 +3,12 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"hybridplaw/internal/scenario"
 )
 
 func TestRunTableI(t *testing.T) {
-	res, err := RunTableI(1, 20000)
+	res, err := runTableI(scenario.Standalone(), 1, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +37,7 @@ func TestRunTableI(t *testing.T) {
 }
 
 func TestRunFigure1(t *testing.T) {
-	res, err := RunFigure1(2, 20000)
+	res, err := runFigure1(scenario.Standalone(), 2, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,10 +205,10 @@ func TestRunBaselineComparison(t *testing.T) {
 }
 
 func TestRunFigure3SinglePanel(t *testing.T) {
-	// Full RunFigure3 is exercised by the bench harness; one panel here
-	// keeps the unit-test cycle fast.
+	// The full-size panels run in the root BenchmarkFigure3; one
+	// scaled-down panel here keeps the unit-test cycle fast.
 	spec := netgenPanel(t)
-	res, err := RunFigure3Panel(spec)
+	res, err := runFigure3Panel(scenario.Standalone(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,47 +124,41 @@ func (r FederationSiteResult) Summary() string {
 	return b.String()
 }
 
-// streamFederationSite replays one member site through the pipeline,
-// returning its per-window partials (only when keepPartials — the
-// per-site scenarios skip the per-window canonicalization sort they
-// would never use), per-window aggregates, and the model selection on
-// its merged source-packets histogram. The selection is computed once
-// per engine run: federation/<id> and federation/backbone share it.
-func streamFederationSite(ctx *scenario.Context, s FederationSite, keepPartials bool) (*stream.PartialSink, []spmat.Aggregates, *FederationSiteResult, error) {
-	ens := stream.NewEnsembleSink(stream.SourcePackets)
-	var aggs []spmat.Aggregates
-	collect := stream.FuncSink(func(res *stream.WindowResult) error {
-		aggs = append(aggs, res.Aggregates)
-		return nil
-	})
-	sinks := []stream.Sink{ens, collect}
-	partials := &stream.PartialSink{}
-	if keepPartials {
-		sinks = append(sinks, partials)
-	}
-	cfg := stream.PipelineConfig{KeepPartials: keepPartials}
-	if _, err := ctx.Stream(federationReq(s), cfg, sinks...); err != nil {
-		return nil, nil, nil, fmt.Errorf("site %s: %w", s.ID, err)
-	}
+// federationSite is the per-site result: one replay of the member
+// site into its per-window aggregates and the model selection on its
+// merged source-packets histogram. It is computed once per engine run:
+// federation/<id> returns it and federation/backbone reads its
+// selection.
+func federationSite(ctx *scenario.Context, s FederationSite) (FederationSiteResult, error) {
 	q, fitters := stream.SourcePackets.String(), approximatingFitters()
-	sel, err := scenario.Memo(ctx, federationReq(s), "selection/"+q+"/"+strings.Join(fitters, ","),
-		func() (ModelSelectionResult, error) {
-			return selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets), model.Default(), fitters)
+	return scenario.Memo(ctx, federationReq(s), "site/"+q+"/"+strings.Join(fitters, ","),
+		func() (FederationSiteResult, error) {
+			ens := stream.NewEnsembleSink(stream.SourcePackets)
+			var aggs []spmat.Aggregates
+			collect := stream.FuncSink(func(res *stream.WindowResult) error {
+				aggs = append(aggs, res.Aggregates)
+				return nil
+			})
+			if _, err := ctx.Stream(federationReq(s), stream.PipelineConfig{}, ens, collect); err != nil {
+				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
+			}
+			sel, err := selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets), model.Default(), fitters)
+			if err != nil {
+				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
+			}
+			return FederationSiteResult{ID: s.ID, PerWindow: aggs, Selection: sel}, nil
 		})
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("site %s: %w", s.ID, err)
-	}
-	res := &FederationSiteResult{ID: s.ID, PerWindow: aggs, Selection: sel}
-	return partials, aggs, res, nil
 }
 
-// runFederationSite is the "federation/<id>" scenario compute.
-func runFederationSite(ctx *scenario.Context, s FederationSite) (FederationSiteResult, error) {
-	_, _, res, err := streamFederationSite(ctx, s, false)
-	if err != nil {
-		return FederationSiteResult{}, err
+// federationPartials replays one member site for its per-window
+// partials alone: only the backbone needs them, so the per-site
+// scenarios skip the per-window canonicalization sort.
+func federationPartials(ctx *scenario.Context, s FederationSite) ([]spmat.WindowPartial, error) {
+	partials := &stream.PartialSink{}
+	if _, err := ctx.Stream(federationReq(s), stream.PipelineConfig{KeepPartials: true}, partials); err != nil {
+		return nil, fmt.Errorf("site %s: %w", s.ID, err)
 	}
-	return *res, nil
+	return partials.Partials, nil
 }
 
 // FederationWindowRow is one backbone window in the per-window table:
@@ -218,19 +212,23 @@ func runFederationBackbone(ctx *scenario.Context, sites []FederationSite) (Feder
 	res := FederationBackboneResult{}
 	rebased := make([][]spmat.WindowPartial, len(sites))
 	for i, s := range sites {
-		partials, _, siteRes, err := streamFederationSite(ctx, s, true)
+		siteRes, err := federationSite(ctx, s)
 		if err != nil {
 			return FederationBackboneResult{}, err
 		}
-		if len(partials.Partials) != federationWindows {
+		partials, err := federationPartials(ctx, s)
+		if err != nil {
+			return FederationBackboneResult{}, err
+		}
+		if len(partials) != federationWindows {
 			return FederationBackboneResult{}, fmt.Errorf(
-				"site %s replayed %d windows, need %d", s.ID, len(partials.Partials), federationWindows)
+				"site %s replayed %d windows, need %d", s.ID, len(partials), federationWindows)
 		}
 		res.SiteIDs = append(res.SiteIDs, s.ID)
 		res.SiteSelections = append(res.SiteSelections, siteRes.Selection)
 		rebased[i] = make([]spmat.WindowPartial, federationWindows)
 		offset := uint32(i) * federationIDStride
-		for t, p := range partials.Partials {
+		for t, p := range partials {
 			rp, err := p.Rebase(offset)
 			if err != nil {
 				return FederationBackboneResult{}, fmt.Errorf("site %s window %d: %w", s.ID, t, err)

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"hybridplaw/internal/obs"
+	"hybridplaw/internal/scenario"
 )
 
 func TestFederationSitesValid(t *testing.T) {
@@ -98,5 +102,53 @@ func TestFederationBackbone(t *testing.T) {
 	sum := res.Summary()
 	if !strings.Contains(sum, "backbone") || !strings.HasSuffix(sum, "\n") {
 		t.Error("summary malformed")
+	}
+}
+
+// TestFederationBackboneMemoPaths runs federation/backbone through one
+// uncached engine twice: alone, where every site lookup misses the
+// value memo and the backbone replays each site for its result, and
+// with the member scenarios, where the lookups share the members'
+// results. Both paths must give the same backbone, and every member's
+// result must equal what the backbone read for it.
+func TestFederationBackboneMemoPaths(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	reg := obs.NewRegistry()
+	eng, err := scenario.NewEngine(MustRegistry(1), scenario.Config{OutDir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.Metrics()
+	alone, err := eng.Run("federation/backbone")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := FederationSites()
+	if h, ms := m.MemoHits.Value(), m.MemoMisses.Value(); h != 0 || ms != int64(len(sites)) {
+		t.Fatalf("backbone alone: memo hits/misses %d/%d, want 0/%d", h, ms, len(sites))
+	}
+	var names []string
+	for _, s := range sites {
+		names = append(names, "federation/"+s.ID)
+	}
+	withSites, err := eng.Run(append(names, "federation/backbone")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, ms := m.MemoHits.Value(), m.MemoMisses.Value(); h != int64(len(sites)) || ms != int64(2*len(sites)) {
+		t.Fatalf("with members: memo hits/misses %d/%d, want %d/%d", h, ms, len(sites), 2*len(sites))
+	}
+	want := alone[0].Result.(FederationBackboneResult)
+	got := withSites[len(sites)].Result.(FederationBackboneResult)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("backbone differs between the memo-miss and memo-hit paths:\n%s\nvs\n%s", got.Summary(), want.Summary())
+	}
+	for i, s := range sites {
+		site := withSites[i].Result.(FederationSiteResult)
+		if site.ID != s.ID || !reflect.DeepEqual(site.Selection, want.SiteSelections[i]) {
+			t.Errorf("site %s: member selection differs from the backbone's memo-miss read", s.ID)
+		}
 	}
 }

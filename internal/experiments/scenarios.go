@@ -268,7 +268,7 @@ func Scenarios(seed uint64) []scenario.Scenario {
 			Outputs: []string{csvName},
 			Windows: []scenario.WindowReq{federationReq(fs)},
 			Run: func(ctx *scenario.Context) (scenario.Result, error) {
-				res, err := runFederationSite(ctx, fs)
+				res, err := federationSite(ctx, fs)
 				if err != nil {
 					return nil, err
 				}

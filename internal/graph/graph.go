@@ -135,12 +135,11 @@ func (g *Graph) Subsample(p float64, rng *xrand.RNG) (*Graph, error) {
 type UnionFind struct {
 	parent []int32
 	size   []int32
-	comps  int
 }
 
 // NewUnionFind returns a forest of n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{parent: make([]int32, n), size: make([]int32, n), comps: n}
+	uf := &UnionFind{parent: make([]int32, n), size: make([]int32, n)}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 		uf.size[i] = 1
@@ -172,15 +171,8 @@ func (uf *UnionFind) Union(a, b int32) bool {
 	}
 	uf.parent[rb] = ra
 	uf.size[ra] += uf.size[rb]
-	uf.comps--
 	return true
 }
-
-// NumComponents returns the current number of disjoint sets.
-func (uf *UnionFind) NumComponents() int { return uf.comps }
-
-// ComponentSize returns the size of x's component.
-func (uf *UnionFind) ComponentSize(x int32) int32 { return uf.size[uf.Find(x)] }
 
 // Components returns the connected components of g as slices of node ids,
 // sorted by decreasing size (ties by smallest member id). Isolated nodes

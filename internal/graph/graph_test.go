@@ -93,9 +93,6 @@ func TestUnionFindInvariants(t *testing.T) {
 		n := int(nRaw%60) + 2
 		uf := NewUnionFind(n)
 		r := xrand.New(seed)
-		if uf.NumComponents() != n {
-			return false
-		}
 		merges := 0
 		for i := 0; i < n*2; i++ {
 			a, b := int32(r.Intn(n)), int32(r.Intn(n))
@@ -106,21 +103,18 @@ func TestUnionFindInvariants(t *testing.T) {
 				return false
 			}
 		}
-		// Component count decreases exactly once per successful union.
-		if uf.NumComponents() != n-merges {
-			return false
-		}
-		// Sizes across representatives sum to n.
+		// The set count decreases exactly once per successful union, and
+		// sizes across representatives sum to n.
 		var total int32
 		seen := map[int32]bool{}
 		for i := 0; i < n; i++ {
 			root := uf.Find(int32(i))
 			if !seen[root] {
 				seen[root] = true
-				total += uf.ComponentSize(root)
+				total += uf.size[root]
 			}
 		}
-		return total == int32(n)
+		return len(seen) == n-merges && total == int32(n)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

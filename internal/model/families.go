@@ -367,11 +367,6 @@ func (m *PALU) Sample(n int, rng *xrand.RNG) ([]int64, error) {
 	return sampleFromPMF(pmf, n, rng)
 }
 
-// stdNormalCDF is Φ, the standard normal CDF.
-func stdNormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 // stdNormalCDFDiff returns Φ(b) − Φ(a) for a <= b in whichever
 // complementary form avoids catastrophic cancellation: far in the upper
 // tail both Φ values round to 1 and the naive difference vanishes, while

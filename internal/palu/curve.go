@@ -180,42 +180,3 @@ func DeltaFromObservation(o Observation) (float64, error) {
 	// (1+δ)^{−α} = rhs  →  δ = rhs^{−1/α} − 1.
 	return math.Pow(rhs, -1/o.Alpha) - 1, nil
 }
-
-// UOverCFromObservation returns u/c = (U/C) e^{−λp} ζ(α) / p^α for the
-// observation, the left side of the Section VI bridge.
-func UOverCFromObservation(o Observation) (float64, error) {
-	if o.Params.C <= 0 {
-		return 0, errors.New("palu: u/c requires C > 0")
-	}
-	if o.P <= 0 {
-		return 0, errors.New("palu: u/c requires p > 0")
-	}
-	z := specialfn.MustZeta(o.Alpha)
-	return (o.Params.U / o.Params.C) * math.Exp(-o.Mu()) * z * math.Pow(o.P, -o.Alpha), nil
-}
-
-// GeometricRFromMu returns the r that makes the geometric tail r^{(1−d)}
-// match the Poisson form (Λ/d)^d at a reference degree dref (erratum E2:
-// Λ = e·μ). It gives a principled default for the free parameter r when
-// rendering Eq. (5) against a concrete observation.
-func GeometricRFromMu(mu float64, dref int) (float64, error) {
-	if mu <= 0 {
-		return 0, errors.New("palu: geometric r requires mu > 0")
-	}
-	if dref < 2 {
-		return 0, errors.New("palu: reference degree must be >= 2")
-	}
-	// Solve r^{1-dref} = Po-form(dref)/Po-form(1), i.e. match the decay
-	// between d=1 and d=dref of the Poisson pmf ratio.
-	p1 := specialfn.PoissonPMF(1, mu)
-	pd := specialfn.PoissonPMF(dref, mu)
-	if p1 <= 0 || pd <= 0 {
-		return 0, errors.New("palu: degenerate Poisson mass for geometric match")
-	}
-	ratio := pd / p1
-	r := math.Pow(ratio, 1/float64(1-dref))
-	if r <= 1 {
-		return 0, fmt.Errorf("palu: matched r=%v <= 1 (mu too large for geometric tail)", r)
-	}
-	return r, nil
-}

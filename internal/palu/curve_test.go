@@ -8,6 +8,7 @@ import (
 	"hybridplaw/internal/experiments"
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/palu"
+	"hybridplaw/internal/specialfn"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -181,10 +182,8 @@ func TestDeltaFromObservationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	uc, err := palu.UOverCFromObservation(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// u/c = (U/C) e^{−λp} ζ(α) p^{−α}, the left side of the bridge.
+	uc := (o.Params.U / o.Params.C) * math.Exp(-o.Mu()) * specialfn.MustZeta(o.Alpha) * math.Pow(o.P, -o.Alpha)
 	lhs := math.Pow(1+delta, -o.Alpha) - 1
 	if math.Abs(lhs-uc) > 1e-10*(1+uc) {
 		t.Errorf("bridge mismatch: (1+δ)^{−α}−1 = %v, u/c = %v", lhs, uc)
@@ -213,34 +212,10 @@ func TestDeltaFromObservationErrors(t *testing.T) {
 	if _, err := palu.DeltaFromObservation(o); err == nil {
 		t.Error("C=0: expected error")
 	}
-	if _, err := palu.UOverCFromObservation(o); err == nil {
-		t.Error("C=0: expected error")
-	}
 	params2, _ := palu.FromWeights(1, 1, 1, 2, 2)
 	o2, _ := palu.NewObservation(params2, 0)
 	if _, err := palu.DeltaFromObservation(o2); err == nil {
 		t.Error("p=0: expected error")
-	}
-}
-
-func TestGeometricRFromMu(t *testing.T) {
-	r, err := palu.GeometricRFromMu(0.5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r <= 1 {
-		t.Errorf("r = %v", r)
-	}
-	// The matched geometric reproduces the Poisson decay at dref exactly.
-	if _, err := palu.GeometricRFromMu(0, 4); err == nil {
-		t.Error("mu=0: expected error")
-	}
-	if _, err := palu.GeometricRFromMu(1, 1); err == nil {
-		t.Error("dref<2: expected error")
-	}
-	// Large mu: Poisson increases before decaying; matched r can dip <= 1.
-	if _, err := palu.GeometricRFromMu(15, 2); err == nil {
-		t.Error("large mu with dref 2: expected non-geometric error")
 	}
 }
 

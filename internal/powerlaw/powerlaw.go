@@ -202,17 +202,10 @@ func (f Fit) draw(rng *xrand.RNG) int64 {
 // statistic exceeds the observed one. reps around 100 gives ±0.05
 // resolution; the paper's threshold for "plausible" is p > 0.1.
 //
-// Replicates run on the shared boot worker pool (GOMAXPROCS workers)
-// with deterministic per-replicate RNG streams; see
-// BootstrapPValueWorkers to pin the pool size. The p-value is
-// replicate-identical for every worker count.
+// Replicates run on the shared boot pool (GOMAXPROCS goroutines) with
+// deterministic per-replicate RNG streams, so the p-value is identical
+// at every GOMAXPROCS, 1 included.
 func BootstrapPValue(h *hist.Histogram, f Fit, reps int, rng *xrand.RNG) (float64, error) {
-	return BootstrapPValueWorkers(h, f, reps, 0, rng)
-}
-
-// BootstrapPValueWorkers is BootstrapPValue with an explicit worker
-// count (<= 0 selects GOMAXPROCS, 1 is fully serial).
-func BootstrapPValueWorkers(h *hist.Histogram, f Fit, reps, workers int, rng *xrand.RNG) (float64, error) {
 	if reps <= 0 {
 		return 0, errors.New("powerlaw: reps must be positive")
 	}
@@ -244,7 +237,7 @@ func BootstrapPValueWorkers(h *hist.Histogram, f Fit, reps, workers int, rng *xr
 	// exceeds the observed one. Refit failures (degenerate resampled
 	// tails) are skipped, matching the serial behaviour.
 	type verdict struct{ exceed, skipped bool }
-	results, errs, err := boot.Run(reps, workers, rng,
+	results, errs, err := boot.Run(reps, rng,
 		func(rep int, rng *xrand.RNG) (verdict, error) {
 			synth := hist.New()
 			for i := int64(0); i < n; i++ {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"hybridplaw/internal/hist"
@@ -559,18 +560,20 @@ func TestBootstrapPValuePinned(t *testing.T) {
 		{"zeta-2.3", zetaSampleHistogram(t, 2.3, 2000, 11), 0.675},
 		{"contaminated", contaminatedHistogram(t, 600, 1200, 99), 0.3},
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, c := range cases {
 		f, err := FitScan(c.h, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			p, err := BootstrapPValueWorkers(c.h, f, 40, workers, xrand.New(5))
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			p, err := BootstrapPValue(c.h, f, 40, xrand.New(5))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p != c.want {
-				t.Errorf("%s workers=%d: p = %v, want %v", c.name, workers, p, c.want)
+				t.Errorf("%s GOMAXPROCS=%d: p = %v, want %v", c.name, procs, p, c.want)
 			}
 		}
 	}

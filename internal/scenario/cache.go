@@ -71,9 +71,6 @@ func NewWindowCache(dir string) (*WindowCache, error) {
 	return &WindowCache{dir: dir, locks: make(map[string]*sync.Mutex)}, nil
 }
 
-// Dir returns the cache root.
-func (c *WindowCache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of the cache counters.
 func (c *WindowCache) Stats() CacheStats {
 	return CacheStats{

@@ -100,27 +100,6 @@ func MustZeta(s float64) float64 {
 	return z
 }
 
-// ZetaDeriv returns dζ(s,q)/ds computed by central finite differences with
-// Richardson extrapolation. It is used by likelihood optimizers in the
-// power-law baseline where an analytic derivative is inconvenient.
-func ZetaDeriv(s, q float64) (float64, error) {
-	if s <= 1.0005 {
-		return math.NaN(), ErrDomain
-	}
-	h := 1e-5 * math.Max(1, math.Abs(s))
-	f := func(x float64) float64 {
-		v, err := HurwitzZeta(x, q)
-		if err != nil {
-			return math.NaN()
-		}
-		return v
-	}
-	d1 := (f(s+h) - f(s-h)) / (2 * h)
-	d2 := (f(s+h/2) - f(s-h/2)) / h
-	// Richardson: error O(h^2) → combine.
-	return (4*d2 - d1) / 3, nil
-}
-
 // LogFactorial returns ln(d!) using math.Lgamma. Exact for d ≤ 20 via a
 // precomputed table to avoid rounding in the Poisson pmf at small degrees.
 func LogFactorial(d int) float64 {
@@ -157,24 +136,6 @@ func PoissonPMF(k int, mu float64) float64 {
 		return 0
 	}
 	return math.Exp(float64(k)*math.Log(mu) - mu - LogFactorial(k))
-}
-
-// PoissonTail returns P[Po(mu) >= k] by direct summation from the mode,
-// adequate for the moderate mu (λp ≤ 20·1) used by the PALU model.
-func PoissonTail(k int, mu float64) float64 {
-	if k <= 0 {
-		return 1
-	}
-	// P[X >= k] = 1 - Σ_{j<k} pmf(j); sum smallest terms first when the
-	// head is long to limit cancellation.
-	var cdf float64
-	for j := k - 1; j >= 0; j-- {
-		cdf += PoissonPMF(j, mu)
-	}
-	if cdf > 1 {
-		cdf = 1
-	}
-	return 1 - cdf
 }
 
 // Expm1Ratio returns (1 + x - e^{-x}), the expected observed size factor of

@@ -36,36 +36,6 @@ func KSDiscrete(obsCounts []float64, modelCDF []float64) float64 {
 	return maxD
 }
 
-// KSTwoSample returns the two-sample KS distance between empirical samples
-// a and b. The inputs need not be sorted.
-func KSTwoSample(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return math.NaN()
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var i, j int
-	var maxD float64
-	for i < len(as) && j < len(bs) {
-		// Advance past ties on both sides together so that equal values
-		// contribute a single CDF step on each sample.
-		x := math.Min(as[i], bs[j])
-		for i < len(as) && as[i] == x {
-			i++
-		}
-		for j < len(bs) && bs[j] == x {
-			j++
-		}
-		d := math.Abs(float64(i)/float64(len(as)) - float64(j)/float64(len(bs)))
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
 // Resampler draws bootstrap resamples of an integer-weighted empirical
 // distribution. Source abstracts the RNG so stats does not depend on xrand.
 type Source interface {

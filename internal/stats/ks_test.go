@@ -38,27 +38,6 @@ func TestKSDiscreteInvalid(t *testing.T) {
 	}
 }
 
-func TestKSTwoSampleIdentical(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if d := KSTwoSample(a, a); d > 1e-12 {
-		t.Errorf("identical samples KS = %v", d)
-	}
-}
-
-func TestKSTwoSampleDisjoint(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{10, 11, 12}
-	if d := KSTwoSample(a, b); math.Abs(d-1) > 1e-12 {
-		t.Errorf("disjoint samples KS = %v want 1", d)
-	}
-}
-
-func TestKSTwoSampleEmpty(t *testing.T) {
-	if !math.IsNaN(KSTwoSample(nil, []float64{1})) {
-		t.Error("empty sample: want NaN")
-	}
-}
-
 func TestBootstrapCountsPreservesTotal(t *testing.T) {
 	r := xrand.New(77)
 	counts := []float64{10, 40, 0, 50}

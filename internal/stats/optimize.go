@@ -5,112 +5,9 @@ import (
 	"math"
 )
 
-// ErrNoBracket indicates the supplied interval does not bracket a root.
-var ErrNoBracket = errors.New("stats: interval does not bracket a root")
-
 // ErrNoConverge indicates an iterative method exhausted its iteration
 // budget without meeting its tolerance.
 var ErrNoConverge = errors.New("stats: failed to converge")
-
-// Bisect finds a root of f on [a, b] where f(a) and f(b) have opposite
-// signs, to absolute x-tolerance tol.
-func Bisect(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if math.IsNaN(fa) || math.IsNaN(fb) {
-		return math.NaN(), ErrNumeric
-	}
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return math.NaN(), ErrNoBracket
-	}
-	for i := 0; i < 300; i++ {
-		m := 0.5 * (a + b)
-		fm := f(m)
-		if fm == 0 || (b-a)/2 < tol {
-			return m, nil
-		}
-		if fa*fm < 0 {
-			b, fb = m, fm
-		} else {
-			a, fa = m, fm
-		}
-	}
-	_ = fb
-	return 0.5 * (a + b), nil
-}
-
-// Brent finds a root of f on a bracketing interval [a, b] using Brent's
-// method (inverse quadratic interpolation with bisection fallback).
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	fa, fb := f(a), f(b)
-	if math.IsNaN(fa) || math.IsNaN(fb) {
-		return math.NaN(), ErrNumeric
-	}
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if fa*fb > 0 {
-		return math.NaN(), ErrNoBracket
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b = b, a
-		fa, fb = fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < 200; i++ {
-		if fb == 0 || math.Abs(b-a) < tol {
-			return b, nil
-		}
-		var s float64
-		if fa != fc && fb != fc {
-			// inverse quadratic interpolation
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// secant
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < tol) ||
-			(!mflag && math.Abs(c-d) < tol)
-		if cond {
-			s = 0.5 * (a + b)
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		d = c
-		c, fc = b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b = b, a
-			fa, fb = fb, fa
-		}
-	}
-	return b, ErrNoConverge
-}
 
 // GoldenSection minimizes a unimodal function on [a, b] to x-tolerance tol,
 // returning the minimizing x.

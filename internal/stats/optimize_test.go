@@ -5,70 +5,6 @@ import (
 	"testing"
 )
 
-func TestBisectSimpleRoots(t *testing.T) {
-	cases := []struct {
-		f    func(float64) float64
-		a, b float64
-		want float64
-	}{
-		{func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2},
-		{func(x float64) float64 { return math.Cos(x) }, 0, 3, math.Pi / 2},
-		{func(x float64) float64 { return x }, -1, 1, 0},
-	}
-	for i, c := range cases {
-		got, err := Bisect(c.f, c.a, c.b, 1e-12)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if math.Abs(got-c.want) > 1e-10 {
-			t.Errorf("case %d: root = %v want %v", i, got, c.want)
-		}
-	}
-}
-
-func TestBisectNoBracket(t *testing.T) {
-	if _, err := Bisect(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-9); err != ErrNoBracket {
-		t.Errorf("expected ErrNoBracket, got %v", err)
-	}
-	if _, err := Bisect(func(x float64) float64 { return math.NaN() }, -1, 1, 1e-9); err != ErrNumeric {
-		t.Errorf("expected ErrNumeric, got %v", err)
-	}
-}
-
-func TestBisectEndpointRoots(t *testing.T) {
-	got, err := Bisect(func(x float64) float64 { return x - 1 }, 1, 2, 1e-9)
-	if err != nil || got != 1 {
-		t.Errorf("endpoint root: %v, %v", got, err)
-	}
-}
-
-func TestBrentAgreesWithBisect(t *testing.T) {
-	fns := []struct {
-		f    func(float64) float64
-		a, b float64
-	}{
-		{func(x float64) float64 { return x*x*x - x - 2 }, 1, 2},
-		{func(x float64) float64 { return math.Exp(x) - 5 }, 0, 3},
-		{func(x float64) float64 { return math.Log(x) - 1 }, 1, 5},
-	}
-	for i, c := range fns {
-		rb, err1 := Bisect(c.f, c.a, c.b, 1e-13)
-		rB, err2 := Brent(c.f, c.a, c.b, 1e-13)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("case %d: %v %v", i, err1, err2)
-		}
-		if math.Abs(rb-rB) > 1e-9 {
-			t.Errorf("case %d: bisect %v vs brent %v", i, rb, rB)
-		}
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return 1 + x*x }, -1, 1, 1e-9); err != ErrNoBracket {
-		t.Errorf("expected ErrNoBracket, got %v", err)
-	}
-}
-
 func TestGoldenSection(t *testing.T) {
 	// min of (x-1.7)^2 + 3
 	got, err := GoldenSection(func(x float64) float64 { return (x-1.7)*(x-1.7) + 3 }, -10, 10, 1e-10)
@@ -275,15 +211,6 @@ func BenchmarkNelderMead2D(b *testing.B) {
 	}
 	for i := 0; i < b.N; i++ {
 		if _, err := NelderMead(f, []float64{0, 0}, 1, 1e-10, 500); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkBrent(b *testing.B) {
-	f := func(x float64) float64 { return math.Exp(x) - 5 }
-	for i := 0; i < b.N; i++ {
-		if _, err := Brent(f, 0, 3, 1e-12); err != nil {
 			b.Fatal(err)
 		}
 	}

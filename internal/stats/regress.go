@@ -1,7 +1,7 @@
 // Package stats provides the small statistics and optimization toolkit the
-// reproduction needs: ordinary and weighted least squares, robust root
-// finding (bisection, Brent), derivative-free minimization (golden section,
-// Nelder–Mead with restarts), Kolmogorov–Smirnov distances, bootstrap
+// reproduction needs: ordinary and weighted least squares,
+// derivative-free minimization (golden section, Nelder–Mead with
+// restarts), the discrete Kolmogorov–Smirnov distance, bootstrap
 // resampling, and streaming summaries.
 //
 // gonum is unavailable offline (repro band: "gonum limited for heavy-tail

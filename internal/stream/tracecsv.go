@@ -2,7 +2,6 @@ package stream
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -157,25 +156,4 @@ func parseTraceLine(text string, line int) (Packet, bool, error) {
 		return Packet{}, false, fmt.Errorf("stream: line %d: valid flag %d not 0/1", line, val)
 	}
 	return Packet{Src: uint32(src), Dst: uint32(dst), Valid: val == 1}, true, nil
-}
-
-// ReadTraceCSV parses a whole trace into memory; it is the batch
-// counterpart of NewCSVSource.
-func ReadTraceCSV(r io.Reader) ([]Packet, error) {
-	src := NewCSVSource(r)
-	var out []Packet
-	for {
-		p, ok := src.Next()
-		if !ok {
-			break
-		}
-		out = append(out, p)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	if len(out) == 0 {
-		return nil, errors.New("stream: empty trace")
-	}
-	return out, nil
 }

@@ -20,10 +20,12 @@ import (
 // TestRunParallelSpeedup asserts a wall-clock speedup of boot.Run
 // wherever there is a second core to overlap on; a single-core machine
 // skips it, and the replicate-identity checks in internal/boot cover
-// correctness everywhere. The median of five serial/4-worker pairs that
-// no other process slowed (testenv.MedianSpeedup) must clear 1.15x,
-// above timing noise and below the 1.26–2.04x measured at 2 CPUs, so a
-// Run that ignored its worker count fails. Each pair is short (~0.2 s)
+// correctness everywhere. The median of five pairs, each a run at
+// GOMAXPROCS=1 against one at the test's GOMAXPROCS, that no other
+// process slowed (testenv.MedianSpeedup) must clear 1.15x, above timing
+// noise and below the 1.65–2.34x measured at 2 CPUs, so a Run that
+// stayed serial, or whose goroutines shared a cache line of generator
+// state (0.7–1.4x), fails. Each pair is short (~0.2 s)
 // and its ratio swings widely on a shared host, hence five pairs, not
 // three. A machine that stays busy for the whole wait skips the gate
 // below 4 CPUs and is judged on every pair measured from 4 up.
@@ -41,17 +43,20 @@ func TestRunParallelSpeedup(t *testing.T) {
 		}
 		return s, nil
 	}
-	const reps, workers = 16, 4
-	timed := func(workers int) time.Duration {
+	const reps = 16
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	timed := func(p int) time.Duration {
+		runtime.GOMAXPROCS(p)
 		start := time.Now()
-		if _, _, err := boot.Run(reps, workers, xrand.New(3), work); err != nil {
+		if _, _, err := boot.Run(reps, xrand.New(3), work); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
 	}
 	const want = 1.15
 	speedup, uncontended := testenv.MedianSpeedup(t, 5, func() float64 {
-		return float64(timed(1)) / float64(timed(workers))
+		return float64(timed(1)) / float64(timed(procs))
 	})
 	if !uncontended && runtime.NumCPU() < 4 {
 		t.Skipf("other processes held the CPUs throughout; median %.2fx not judged", speedup)

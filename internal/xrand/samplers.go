@@ -291,6 +291,3 @@ func (a *Alias) Draw(r *RNG) int {
 	}
 	return a.alias[i]
 }
-
-// Len returns the support size of the table.
-func (a *Alias) Len() int { return len(a.prob) }

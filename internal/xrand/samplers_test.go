@@ -254,8 +254,8 @@ func TestAliasMatchesWeights(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != len(weights) {
-		t.Fatalf("Len = %d", a.Len())
+	if len(a.prob) != len(weights) {
+		t.Fatalf("table size = %d", len(a.prob))
 	}
 	r := New(4242)
 	const n = 210000

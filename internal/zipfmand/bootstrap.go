@@ -30,9 +30,9 @@ type ConfidenceIntervals struct {
 // BootstrapCI resamples the histogram (nonparametric multinomial
 // bootstrap), refits (α, δ) on each replicate, and returns percentile
 // intervals. Replicates whose fit fails are skipped; at least half must
-// succeed. workers <= 0 selects GOMAXPROCS; results are
-// replicate-identical for every worker count.
-func BootstrapCI(h *hist.Histogram, opts FitOptions, reps int, level float64, workers int, rng *xrand.RNG) (ConfidenceIntervals, error) {
+// succeed. Replicates run on the shared boot pool, so results are
+// identical at every GOMAXPROCS.
+func BootstrapCI(h *hist.Histogram, opts FitOptions, reps int, level float64, rng *xrand.RNG) (ConfidenceIntervals, error) {
 	if h == nil || h.Total() == 0 {
 		return ConfidenceIntervals{}, errors.New("zipfmand: empty histogram")
 	}
@@ -42,7 +42,7 @@ func BootstrapCI(h *hist.Histogram, opts FitOptions, reps int, level float64, wo
 	if level <= 0 || level >= 1 {
 		return ConfidenceIntervals{}, errors.New("zipfmand: level must be in (0,1)")
 	}
-	results, errs, err := boot.Run(reps, workers, rng,
+	results, errs, err := boot.Run(reps, rng,
 		func(rep int, rng *xrand.RNG) (Model, error) {
 			hb, err := boot.ResampleHistogram(h, rng)
 			if err != nil {

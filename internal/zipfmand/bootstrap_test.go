@@ -1,6 +1,7 @@
 package zipfmand
 
 import (
+	"runtime"
 	"testing"
 
 	"hybridplaw/internal/hist"
@@ -32,7 +33,7 @@ func zmSampledHistogram(t *testing.T, m Model, n, dmax int, seed uint64) *hist.H
 func TestBootstrapCICoversTruth(t *testing.T) {
 	truth := Model{Alpha: 2.1, Delta: 0.4}
 	h := zmSampledHistogram(t, truth, 120000, 4000, 3)
-	ci, err := BootstrapCI(h, DefaultFitOptions(), 30, 0.9, 0, xrand.New(5))
+	ci, err := BootstrapCI(h, DefaultFitOptions(), 30, 0.9, xrand.New(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,38 +58,39 @@ func TestBootstrapCICoversTruth(t *testing.T) {
 
 // TestBootstrapCIParallelSerialIdentical is the hardware-aware
 // equivalence pin: per-replicate RNG streams make the intervals
-// identical for every worker count, on any machine.
+// identical at every GOMAXPROCS, on any machine.
 func TestBootstrapCIParallelSerialIdentical(t *testing.T) {
 	truth := Model{Alpha: 1.9, Delta: -0.3}
 	h := zmSampledHistogram(t, truth, 30000, 2000, 9)
-	serial, err := BootstrapCI(h, DefaultFitOptions(), 12, 0.9, 1, xrand.New(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 0} {
-		par, err := BootstrapCI(h, DefaultFitOptions(), 12, 0.9, workers, xrand.New(21))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var serial ConfidenceIntervals
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		ci, err := BootstrapCI(h, DefaultFitOptions(), 12, 0.9, xrand.New(21))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if par != serial {
-			t.Errorf("workers=%d: CI %+v != serial %+v", workers, par, serial)
+		if procs == 1 {
+			serial = ci
+		} else if ci != serial {
+			t.Errorf("GOMAXPROCS=%d: CI %+v != serial %+v", procs, ci, serial)
 		}
 	}
 }
 
 func TestBootstrapCIErrors(t *testing.T) {
 	rng := xrand.New(1)
-	if _, err := BootstrapCI(nil, DefaultFitOptions(), 20, 0.9, 1, rng); err == nil {
+	if _, err := BootstrapCI(nil, DefaultFitOptions(), 20, 0.9, rng); err == nil {
 		t.Error("nil histogram: expected error")
 	}
-	if _, err := BootstrapCI(hist.New(), DefaultFitOptions(), 20, 0.9, 1, rng); err == nil {
+	if _, err := BootstrapCI(hist.New(), DefaultFitOptions(), 20, 0.9, rng); err == nil {
 		t.Error("empty histogram: expected error")
 	}
 	h, _ := hist.FromCounts(map[int]int64{1: 100, 2: 40, 4: 20, 8: 10})
-	if _, err := BootstrapCI(h, DefaultFitOptions(), 5, 0.9, 1, rng); err == nil {
+	if _, err := BootstrapCI(h, DefaultFitOptions(), 5, 0.9, rng); err == nil {
 		t.Error("reps<10: expected error")
 	}
-	if _, err := BootstrapCI(h, DefaultFitOptions(), 20, 0, 1, rng); err == nil {
+	if _, err := BootstrapCI(h, DefaultFitOptions(), 20, 0, rng); err == nil {
 		t.Error("level=0: expected error")
 	}
 }
