@@ -45,14 +45,15 @@ func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
 	if xmin < 1 {
 		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
 	}
-	return fitAt(h, h.Support(), xmin)
+	return fitAt(h, h.Support(), xmin, math.Inf(1))
 }
 
 // fitAt is FitAtXmin over the histogram's sorted support. The CSN log
 // likelihood −n·ln ζ(α, xmin) − α Σ c·ln d depends on α only through ζ,
 // so n and Σ c·ln d over d >= xmin are summed once, in ascending d, and
-// each golden-section step costs one Hurwitz zeta.
-func fitAt(h *hist.Histogram, support []int, xmin int) (Fit, error) {
+// each golden-section step costs one Hurwitz zeta at the fixed q = xmin.
+// ksBound is ksDistance's bound: the returned KS is exact when below it.
+func fitAt(h *hist.Histogram, support []int, xmin int, ksBound float64) (Fit, error) {
 	var nTail int64
 	var sumLog float64
 	for _, d := range support {
@@ -66,9 +67,10 @@ func fitAt(h *hist.Histogram, support []int, xmin int) (Fit, error) {
 	if nTail < 2 {
 		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
 	}
+	zeta := specialfn.NewHurwitz(float64(xmin))
 	// neg is the negated log likelihood.
 	neg := func(alpha float64) float64 {
-		z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
+		z, err := zeta.Zeta(alpha)
 		if err != nil {
 			return math.Inf(1)
 		}
@@ -79,7 +81,7 @@ func fitAt(h *hist.Histogram, support []int, xmin int) (Fit, error) {
 		return Fit{}, err
 	}
 	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
-	fit.KS, err = ksDistance(h, support, fit)
+	fit.KS, err = ksDistance(h, support, fit, ksBound)
 	if err != nil {
 		return Fit{}, err
 	}
@@ -93,7 +95,9 @@ const ksMargin = 1e-6
 
 // ksDistance computes the KS statistic between the empirical tail
 // distribution (d >= xmin) and the fitted model. support is h.Support().
-func ksDistance(h *hist.Histogram, support []int, f Fit) (float64, error) {
+// The walk stops once the running maximum reaches bound, so a result
+// below bound is the exact KS and any other result is >= bound.
+func ksDistance(h *hist.Histogram, support []int, f Fit, bound float64) (float64, error) {
 	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
 	if err != nil {
 		return 0, err
@@ -111,7 +115,8 @@ func ksDistance(h *hist.Histogram, support []int, f Fit) (float64, error) {
 	// model CDF accumulates correctly across gaps. Both CDFs only grow and
 	// stay below 1 + ksMargin, so no later support point can differ by
 	// more than 1 + ksMargin − min(cum, modelCum); once maxDiff exceeds
-	// that, the walk cannot change it.
+	// that, the walk cannot change it. maxDiff never falls, so once it
+	// reaches bound the result is >= bound whatever the rest would add.
 	var cum, modelCum, maxDiff float64
 	maxD := support[len(support)-1]
 	for d := f.Xmin; d <= maxD; d++ {
@@ -124,7 +129,7 @@ func ksDistance(h *hist.Histogram, support []int, f Fit) (float64, error) {
 		if diff := math.Abs(cum - modelCum); diff > maxDiff {
 			maxDiff = diff
 		}
-		if maxDiff > 1+ksMargin-math.Min(cum, modelCum) {
+		if maxDiff >= bound || maxDiff > 1+ksMargin-math.Min(cum, modelCum) {
 			break
 		}
 	}
@@ -145,13 +150,16 @@ func FitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
 			maxXmin = 1
 		}
 	}
+	// A candidate is kept only if its KS is below best.KS, so its KS walk
+	// can stop at best.KS: a walk cut there loses, and the winner's
+	// running maximum stays below the bound all the way.
 	best := Fit{KS: math.Inf(1)}
 	found := false
 	for _, xmin := range support {
 		if xmin > maxXmin {
 			break
 		}
-		f, err := fitAt(h, support, xmin)
+		f, err := fitAt(h, support, xmin, best.KS)
 		if err != nil {
 			continue // tails can become too thin; skip
 		}

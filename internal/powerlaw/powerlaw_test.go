@@ -237,12 +237,30 @@ func TestCompareOnPurePowerLaw(t *testing.T) {
 }
 
 func BenchmarkFitScan(b *testing.B) {
-	h := zetaSampleHistogram(b, 2.2, 50000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitScan(h, 0); err != nil {
-			b.Fatal(err)
-		}
+	// The KS bound cuts walks differently on a pure ζ sample and on the
+	// suite's leaf-heavy PALU shape, so both are timed.
+	params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	leafHeavy, err := palu.FastObservedHistogram(params, 50000, 0.7, xrand.New(21))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		h    *hist.Histogram
+	}{
+		{"zeta-2.2", zetaSampleHistogram(b, 2.2, 50000, 1)},
+		{"palu-leaf-heavy", leafHeavy},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := FitScan(c.h, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -507,7 +525,7 @@ func TestKSDistanceMatchesFullWalk(t *testing.T) {
 				if f.NTail == 0 {
 					continue
 				}
-				got, err := ksDistance(h, support, f)
+				got, err := ksDistance(h, support, f, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -529,6 +547,100 @@ func TestKSDistanceMatchesFullWalk(t *testing.T) {
 	t.Logf("early exit fired in %d cases, full walk in %d", fired, walked)
 	if fired == 0 || walked == 0 {
 		t.Errorf("early exit fired in %d cases and not in %d; both must be covered", fired, walked)
+	}
+}
+
+func TestKSDistanceBound(t *testing.T) {
+	for name, h := range bitIdentityCases(t) {
+		support := h.Support()
+		for _, xmin := range []int{1, 2, 4} {
+			for _, alpha := range []float64{1.2, 2, 2.5, 4} {
+				f := Fit{Alpha: alpha, Xmin: xmin}
+				for _, d := range support {
+					if d >= xmin {
+						f.NTail += h.Count(d)
+					}
+				}
+				if f.NTail == 0 {
+					continue
+				}
+				want, err := refKSDistance(h, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := ksDistance(h, support, f, math.Inf(1))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(full) != math.Float64bits(want) {
+					t.Errorf("%s xmin=%d alpha=%v: unbounded KS %v, full walk %v", name, xmin, alpha, full, want)
+				}
+				above := []float64{math.Nextafter(want, 2), want * 1.5, want + 0.1, 1, 2}
+				for _, bound := range above {
+					if bound <= want {
+						continue
+					}
+					got, err := ksDistance(h, support, f, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s xmin=%d alpha=%v bound=%v: KS %v, full walk %v", name, xmin, alpha, bound, got, want)
+					}
+				}
+				atOrBelow := []float64{want, math.Nextafter(want, 0), want / 2, want / 100, 0}
+				for _, bound := range atOrBelow {
+					got, err := ksDistance(h, support, f, bound)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !(got >= bound) {
+						t.Errorf("%s xmin=%d alpha=%v bound=%v: cut KS %v is below the bound", name, xmin, alpha, bound, got)
+					}
+				}
+			}
+		}
+	}
+
+	// FitScan passes the best KS so far as the bound. Count the scan
+	// candidates whose walk it cuts on the suite's leaf-heavy shape, so
+	// the pins above are known to cover the cut FitScan makes.
+	params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := palu.FastObservedHistogram(params, 20000, 0.7, xrand.New(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	support := h.Support()
+	maxXmin := support[int(0.9*float64(len(support)-1))]
+	best := math.Inf(1)
+	var candidates, cut int
+	for _, xmin := range support {
+		if xmin > maxXmin {
+			break
+		}
+		full, err := fitAt(h, support, xmin, math.Inf(1))
+		if err != nil {
+			continue
+		}
+		bounded, err := fitAt(h, support, xmin, best)
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates++
+		if bounded.KS != full.KS {
+			cut++
+			if !(bounded.KS >= best) {
+				t.Errorf("xmin=%d: cut KS %v is below the bound %v", xmin, bounded.KS, best)
+			}
+		}
+		best = math.Min(best, full.KS)
+	}
+	t.Logf("the bound cut %d of %d scan candidates", cut, candidates)
+	if cut == 0 {
+		t.Errorf("the bound cut none of %d scan candidates", candidates)
 	}
 }
 

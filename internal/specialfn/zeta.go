@@ -53,30 +53,55 @@ func Zeta(s float64) (float64, error) {
 //
 // for s > 1 and q > 0. ζ(s, 1) is the Riemann zeta function. The modified
 // Zipf–Mandelbrot normalization over infinite support is ζ(α, 1+δ), and the
-// CSN discrete MLE uses ζ(α, xmin).
+// CSN discrete MLE uses ζ(α, xmin). It is a one-shot call of NewHurwitz.
 func HurwitzZeta(s, q float64) (float64, error) {
-	if math.IsNaN(s) || math.IsNaN(q) || s <= 1 || q <= 0 {
+	h := NewHurwitz(q)
+	return h.Zeta(s)
+}
+
+// Hurwitz evaluates ζ(s, q) for a fixed q at many s, as a likelihood
+// maximization over α does. It caches the base-only work of math.Pow for
+// the emCutoff+1 bases q+n it raises, so each s pays only the
+// exponent-dependent part of each power, and every power is math.Pow's
+// result bit for bit.
+type Hurwitz struct {
+	q    float64
+	base [emCutoff + 1]powBase // q+0, ..., q+emCutoff
+}
+
+// NewHurwitz returns the fixed-q form of HurwitzZeta. A q outside the
+// domain is reported by Zeta.
+func NewHurwitz(q float64) Hurwitz {
+	h := Hurwitz{q: q}
+	for n := range h.base {
+		h.base[n] = newPowBase(q + float64(n))
+	}
+	return h
+}
+
+// Zeta returns ζ(s, q) for s > 1.
+func (h *Hurwitz) Zeta(s float64) (float64, error) {
+	if math.IsNaN(s) || math.IsNaN(h.q) || s <= 1 || h.q <= 0 {
 		return math.NaN(), ErrDomain
 	}
 	// Direct summation of the head.
 	var head float64
-	n := 0
-	for ; n < emCutoff; n++ {
-		head += math.Pow(q+float64(n), -s)
+	for n := 0; n < emCutoff; n++ {
+		head += h.base[n].pow(-s)
 	}
-	a := q + float64(n) // first point not in the head
+	a := &h.base[emCutoff] // first point not in the head
 	// Euler–Maclaurin tail:
 	//   Σ_{n=N}^∞ (q+n)^{-s} ≈ a^{1-s}/(s-1) + a^{-s}/2 + Σ_k corr_k
 	// with corr_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * a^{-s-2k+1}.
-	tail := math.Pow(a, 1-s)/(s-1) + 0.5*math.Pow(a, -s)
+	tail := a.pow(1-s)/(s-1) + 0.5*a.pow(-s)
 	// rising factorial s(s+1)...(s+2k-2) built incrementally; the (2k)!
 	// denominator is folded into the coefficient table below.
 	fact := []float64{
 		2, 24, 720, 40320, 3628800, 479001600, 87178291200, 20922789888000,
 	} // (2k)! for k=1..8
 	rising := s // k=1: product of 1 term
-	pw := math.Pow(a, -s-1)
-	inva2 := 1 / (a * a)
+	pw := a.pow(-s - 1)
+	inva2 := 1 / (a.x * a.x)
 	for k := 0; k < len(bernoulli2k); k++ {
 		term := bernoulli2k[k] / fact[k] * rising * pw
 		tail += term
@@ -88,6 +113,79 @@ func HurwitzZeta(s, q float64) (float64, error) {
 		pw *= inva2
 	}
 	return head + tail, nil
+}
+
+// powBase is math.Pow with its base fixed. On every platform but s390x
+// (amd64 included) math.Pow is the stdlib's pure-Go pow, and for a finite
+// base x > 0, x ≠ 1,
+// its general path spends Log(x) and Frexp(x) on the base alone. powBase
+// computes those once; pow runs the rest of that algorithm unchanged, so
+// it returns math.Pow(x, y) bit for bit.
+type powBase struct {
+	x       float64
+	logx    float64 // math.Log(x)
+	frac    float64 // x = frac · 2^exp (math.Frexp)
+	exp     int
+	general bool // x takes pow's general path: finite, > 0 and ≠ 1
+}
+
+func newPowBase(x float64) powBase {
+	b := powBase{x: x, general: x > 0 && x != 1 && !math.IsInf(x, 1)}
+	if b.general {
+		b.logx = math.Log(x)
+		b.frac, b.exp = math.Frexp(x)
+	}
+	return b
+}
+
+// pow returns math.Pow(b.x, y). Exponents pow answers before its general
+// path (0, 1, ±0.5, NaN, ±Inf, |y| ≥ 2^63) go to math.Pow itself.
+func (b *powBase) pow(y float64) float64 {
+	if !b.general || y == 0 || y == 1 || y == 0.5 || y == -0.5 || math.IsNaN(y) || math.IsInf(y, 0) {
+		return math.Pow(b.x, y)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	if yi >= 1<<63 {
+		return math.Pow(b.x, y)
+	}
+	// ans = a1 * 2**ae (= 1 for now).
+	a1 := 1.0
+	ae := 0
+	// ans *= x**yf
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * b.logx)
+	}
+	// ans *= x**yi by successive squarings of x according to the bits of
+	// yi, accumulating powers of two into ae.
+	x1, xe := b.frac, b.exp
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// xe would overflow the shift below; ae += xe is already a
+			// lower bound beyond a float64 exponent, so Ldexp gives 0/Inf.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+	// ans = a1*2**ae; for y < 0 invert a1 and negate ae first.
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
 }
 
 // MustZeta is Zeta for statically known in-domain arguments; it panics on a
