@@ -43,14 +43,6 @@ import (
 	"hybridplaw/internal/zipfmand"
 )
 
-var quantityByName = map[string]stream.Quantity{
-	"source-packets": stream.SourcePackets,
-	"fan-out":        stream.SourceFanOut,
-	"link-packets":   stream.LinkPackets,
-	"fan-in":         stream.DestinationFanIn,
-	"dest-packets":   stream.DestinationPackets,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("palu-trace: ")
@@ -347,16 +339,16 @@ func cmdReplay(args []string) error {
 		in       = fs.String("in", "", "PTRC archive (required)")
 		nv       = fs.Int64("nv", 100000, "valid packets per window NV")
 		windows  = fs.Int("windows", 0, "max windows (0 = replay the whole archive)")
-		quantity = fs.String("quantity", "fan-out", "quantity: source-packets|fan-out|link-packets|fan-in|dest-packets")
+		quantity = fs.String("quantity", "fan-out", "quantity: "+strings.Join(stream.QuantityFlagNames[:], "|"))
 		metrics  = fs.String("metrics", "", "write a metrics snapshot (JSON) here after the replay (- = stdout)")
 	)
 	fs.Parse(args)
 	if *in == "" {
 		return fmt.Errorf("replay: -in is required")
 	}
-	q, ok := quantityByName[*quantity]
-	if !ok {
-		return fmt.Errorf("replay: unknown quantity %q", *quantity)
+	q, err := stream.ParseQuantity(*quantity)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
 	}
 	var (
 		obsReg *obs.Registry

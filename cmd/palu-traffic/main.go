@@ -26,14 +26,6 @@ import (
 	"hybridplaw/internal/zipfmand"
 )
 
-var quantityByName = map[string]hybridplaw.Quantity{
-	"source-packets": hybridplaw.SourcePackets,
-	"fan-out":        hybridplaw.SourceFanOut,
-	"link-packets":   hybridplaw.LinkPackets,
-	"fan-in":         hybridplaw.DestinationFanIn,
-	"dest-packets":   hybridplaw.DestinationPackets,
-}
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("palu-traffic: ")
@@ -43,15 +35,15 @@ func main() {
 		nodes    = flag.Int("nodes", 50000, "underlying node budget")
 		p        = flag.Float64("p", 0.5, "edge observation probability")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		quantity = flag.String("quantity", "fan-out", "quantity: source-packets|fan-out|link-packets|fan-in|dest-packets")
+		quantity = flag.String("quantity", "fan-out", "quantity: "+strings.Join(stream.QuantityFlagNames[:], "|"))
 		plot     = flag.Bool("plot", false, "render ASCII log-log plot")
 		trace    = flag.String("trace", "", "replay a packet trace CSV (src,dst,valid) instead of synthesizing traffic")
 	)
 	flag.Parse()
 
-	q, ok := quantityByName[*quantity]
-	if !ok {
-		log.Fatalf("unknown quantity %q (want one of %s)", *quantity, strings.Join(quantityNames(), "|"))
+	q, err := stream.ParseQuantity(*quantity)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var src hybridplaw.PacketSource
@@ -129,12 +121,4 @@ func main() {
 		fmt.Println()
 		fmt.Println(chart)
 	}
-}
-
-func quantityNames() []string {
-	names := make([]string, 0, len(quantityByName))
-	for n := range quantityByName {
-		names = append(names, n)
-	}
-	return names
 }

@@ -23,7 +23,6 @@ import (
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/stream"
 	"hybridplaw/internal/xrand"
-	"hybridplaw/internal/zipfmand"
 )
 
 // SiteConfig describes a synthetic observatory site.
@@ -68,8 +67,6 @@ func (c SiteConfig) Validate() error {
 		return errors.New("netgen: Nodes must be positive")
 	case c.P <= 0 || c.P > 1 || math.IsNaN(c.P):
 		return fmt.Errorf("netgen: P=%v outside (0,1]", c.P)
-	case c.MaxWeight < 1:
-		return errors.New("netgen: MaxWeight must be >= 1")
 	case c.InvalidFraction < 0 || c.InvalidFraction >= 1:
 		return fmt.Errorf("netgen: InvalidFraction=%v outside [0,1)", c.InvalidFraction)
 	case c.HubOrientation < 0 || c.HubOrientation > 1 || math.IsNaN(c.HubOrientation):
@@ -77,11 +74,15 @@ func (c SiteConfig) Validate() error {
 	case c.CoreDegreeFloor < 0:
 		return fmt.Errorf("netgen: CoreDegreeFloor=%d must be non-negative", c.CoreDegreeFloor)
 	}
-	wm := zipfmand.Model{Alpha: c.WeightAlpha, Delta: c.WeightDelta}
-	if err := wm.Validate(); err != nil {
+	if err := c.weightModel().Validate(); err != nil {
 		return fmt.Errorf("netgen: weight model: %w", err)
 	}
 	return nil
+}
+
+// weightModel is the site's packet-multiplicity law for observed links.
+func (c SiteConfig) weightModel() palu.WeightModel {
+	return palu.WeightModel{Alpha: c.WeightAlpha, Delta: c.WeightDelta, MaxWeight: c.MaxWeight}
 }
 
 // fingerprintVersion is bumped whenever the meaning of a SiteConfig
@@ -150,12 +151,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	wm := zipfmand.Model{Alpha: cfg.WeightAlpha, Delta: cfg.WeightDelta}
-	pmf, err := wm.PMF(cfg.MaxWeight)
-	if err != nil {
-		return nil, err
-	}
-	alias, err := xrand.NewAlias(pmf)
+	alias, err := cfg.weightModel().Sampler()
 	if err != nil {
 		return nil, err
 	}

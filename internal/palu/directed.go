@@ -36,18 +36,9 @@ type DirectedHistograms struct {
 }
 
 // FastDirectedHistograms samples a directed observation of the PALU model:
-// the fast generator draws each node's observed total degree and splits it
-// binomially with out-probability q.
+// the fast generator (sampleObserved) draws each node's observed total
+// degree, and each visible node then draws its Bin(k, q) out-degree.
 func FastDirectedHistograms(params Params, n int, p, q float64, rng *xrand.RNG) (DirectedHistograms, error) {
-	if err := params.Validate(); err != nil {
-		return DirectedHistograms{}, err
-	}
-	if n <= 0 {
-		return DirectedHistograms{}, errors.New("palu: node budget must be positive")
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return DirectedHistograms{}, fmt.Errorf("palu: sampling probability p=%v outside [0,1]", p)
-	}
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return DirectedHistograms{}, fmt.Errorf("palu: orientation probability q=%v outside [0,1]", q)
 	}
@@ -55,71 +46,30 @@ func FastDirectedHistograms(params Params, n int, p, q float64, rng *xrand.RNG) 
 		Total: hist.New(), In: hist.New(), Out: hist.New(),
 		OutProbability: q,
 	}
-	addSplit := func(k int) error {
-		if k <= 0 {
-			return nil
-		}
-		if err := out.Total.Add(k); err != nil {
+	err := sampleObserved(params, n, p, rng, func(k, count int) error {
+		if err := out.Total.AddN(k, int64(count)); err != nil {
 			return err
 		}
-		kOut, err := rng.Binomial(k, q)
-		if err != nil {
-			return err
-		}
-		if kOut > 0 {
-			if err := out.Out.Add(kOut); err != nil {
+		for ; count > 0; count-- {
+			kOut, err := rng.Binomial(k, q)
+			if err != nil {
 				return err
 			}
-		}
-		if kIn := k - kOut; kIn > 0 {
-			if err := out.In.Add(kIn); err != nil {
-				return err
+			if kOut > 0 {
+				if err := out.Out.Add(kOut); err != nil {
+					return err
+				}
+			}
+			if kIn := k - kOut; kIn > 0 {
+				if err := out.In.Add(kIn); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
-	}
-	coreN := int(math.Round(params.C * float64(n)))
-	leafN := int(math.Round(params.L * float64(n)))
-	starN := int(math.Round(params.U * float64(n)))
-	for i := 0; i < coreN; i++ {
-		d, err := rng.Zeta(params.Alpha)
-		if err != nil {
-			return DirectedHistograms{}, err
-		}
-		k, err := rng.Binomial(d, p)
-		if err != nil {
-			return DirectedHistograms{}, err
-		}
-		if err := addSplit(k); err != nil {
-			return DirectedHistograms{}, err
-		}
-	}
-	visLeaves, err := rng.Binomial(leafN, p)
+	})
 	if err != nil {
 		return DirectedHistograms{}, err
-	}
-	for i := 0; i < visLeaves; i++ {
-		if err := addSplit(1); err != nil {
-			return DirectedHistograms{}, err
-		}
-	}
-	mu := params.Lambda * p
-	for i := 0; i < starN; i++ {
-		k, err := rng.Poisson(mu)
-		if err != nil {
-			return DirectedHistograms{}, err
-		}
-		if k == 0 {
-			continue
-		}
-		if err := addSplit(k); err != nil { // the center
-			return DirectedHistograms{}, err
-		}
-		for j := 0; j < k; j++ { // its leaves
-			if err := addSplit(1); err != nil {
-				return DirectedHistograms{}, err
-			}
-		}
 	}
 	return out, nil
 }

@@ -245,70 +245,91 @@ func (u *Underlying) CountObserved(obs *graph.Graph) (ObservedCategoryCounts, er
 	return out, nil
 }
 
-// FastObservedHistogram samples the observed degree histogram directly
-// from the model's probabilistic description without materializing a
-// graph, following the Section V independence derivation:
+// sampleObserved draws one Section V observation of the model without
+// materializing a graph and reports its visible nodes to visit: each call
+// visit(k, count) stands for count visible nodes of observed degree k
+// (k, count >= 1). The draws follow the Section V independence derivation
+// in a fixed order, which every figure built on these samplers depends on:
 //
-//   - each of round(C·N) core nodes draws an underlying zeta(α) degree d
-//     and an observed Bin(d, p) degree;
-//   - each of round(L·N) leaves is visible (degree 1) with probability p;
-//   - each of round(U·N) star centers draws Po(λp) observed leaves, every
-//     observed leaf contributing a degree-1 node.
+//   - each of round(C·N) core nodes draws an underlying zeta(α) degree d,
+//     then an observed Bin(d, p) degree k, and is visited as (k, 1) if
+//     k > 0;
+//   - one Bin(round(L·N), p) draw counts the visible degree-1 leaves,
+//     visited together as (1, count);
+//   - each of round(U·N) star centers draws Po(λp) observed leaves k and,
+//     if k > 0, is visited as (k, 1), followed by its leaves as (1, k).
 //
-// This scales to underlying networks orders of magnitude larger than the
-// graph-based path and is the generator behind the large-NV experiments.
-func FastObservedHistogram(params Params, n int, p float64, rng *xrand.RNG) (*hist.Histogram, error) {
+// A visitor that draws from rng itself (an orientation split, link
+// weights) does so inside visit, so its draws fall between the loop's at
+// exactly these points.
+func sampleObserved(params Params, n int, p float64, rng *xrand.RNG, visit func(k, count int) error) error {
 	if err := params.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if n <= 0 {
-		return nil, errors.New("palu: node budget must be positive")
+		return errors.New("palu: node budget must be positive")
 	}
 	if p < 0 || p > 1 || math.IsNaN(p) {
-		return nil, fmt.Errorf("palu: sampling probability p=%v outside [0,1]", p)
+		return fmt.Errorf("palu: sampling probability p=%v outside [0,1]", p)
 	}
-	h := hist.New()
 	coreN := int(math.Round(params.C * float64(n)))
 	leafN := int(math.Round(params.L * float64(n)))
 	starN := int(math.Round(params.U * float64(n)))
 	for i := 0; i < coreN; i++ {
 		d, err := rng.Zeta(params.Alpha)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		k, err := rng.Binomial(d, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if k > 0 {
-			if err := h.Add(k); err != nil {
-				return nil, err
+			if err := visit(k, 1); err != nil {
+				return err
 			}
 		}
 	}
-	// Leaves: Bin(leafN, p) visible degree-1 nodes.
 	visLeaves, err := rng.Binomial(leafN, p)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := h.AddN(1, int64(visLeaves)); err != nil {
-		return nil, err
+	if visLeaves > 0 {
+		if err := visit(1, visLeaves); err != nil {
+			return err
+		}
 	}
 	mu := params.Lambda * p
 	for i := 0; i < starN; i++ {
 		k, err := rng.Poisson(mu)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if k == 0 {
 			continue
 		}
-		if err := h.Add(k); err != nil { // the center
-			return nil, err
+		if err := visit(k, 1); err != nil { // the center
+			return err
 		}
-		if err := h.AddN(1, int64(k)); err != nil { // its k leaves
-			return nil, err
+		if err := visit(1, k); err != nil { // its k leaves
+			return err
 		}
+	}
+	return nil
+}
+
+// FastObservedHistogram samples the observed degree histogram directly
+// from the model's probabilistic description (sampleObserved) without
+// materializing a graph. This scales to underlying networks orders of
+// magnitude larger than the graph-based path and is the generator behind
+// the large-NV experiments.
+func FastObservedHistogram(params Params, n int, p float64, rng *xrand.RNG) (*hist.Histogram, error) {
+	h := hist.New()
+	err := sampleObserved(params, n, p, rng, func(k, count int) error {
+		return h.AddN(k, int64(count))
+	})
+	if err != nil {
+		return nil, err
 	}
 	return h, nil
 }

@@ -2,7 +2,6 @@ package palu
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"hybridplaw/internal/hist"
@@ -53,8 +52,12 @@ func (w WeightModel) Mean() (float64, error) {
 	return mean, nil
 }
 
-// sampler builds an alias table over the weight pmf.
-func (w WeightModel) sampler() (*xrand.Alias, error) {
+// Sampler validates w and builds an alias table over its pmf; a draw d
+// from the table is the link weight d + 1.
+func (w WeightModel) Sampler() (*xrand.Alias, error) {
+	if err := w.Validate(); err != nil {
+		return nil, err
+	}
 	pmf, err := zipfmand.Model{Alpha: w.Alpha, Delta: w.Delta}.PMF(w.MaxWeight)
 	if err != nil {
 		return nil, err
@@ -80,19 +83,7 @@ type WeightedHistograms struct {
 // assumptions of Section V apply unchanged; the packet degree of a node
 // with observed degree k is the sum of k i.i.d. weights.
 func FastWeightedHistograms(params Params, n int, p float64, wm WeightModel, rng *xrand.RNG) (WeightedHistograms, error) {
-	if err := params.Validate(); err != nil {
-		return WeightedHistograms{}, err
-	}
-	if err := wm.Validate(); err != nil {
-		return WeightedHistograms{}, err
-	}
-	if n <= 0 {
-		return WeightedHistograms{}, errors.New("palu: node budget must be positive")
-	}
-	if p < 0 || p > 1 || math.IsNaN(p) {
-		return WeightedHistograms{}, fmt.Errorf("palu: sampling probability p=%v outside [0,1]", p)
-	}
-	alias, err := wm.sampler()
+	alias, err := wm.Sampler()
 	if err != nil {
 		return WeightedHistograms{}, err
 	}
@@ -101,72 +92,27 @@ func FastWeightedHistograms(params Params, n int, p float64, wm WeightModel, rng
 		PacketDegree: hist.New(),
 		LinkWeight:   hist.New(),
 	}
-	drawWeights := func(k int) (int64, error) {
-		var sum int64
-		for i := 0; i < k; i++ {
-			w := int64(alias.Draw(rng)) + 1
-			sum += w
-			if err := out.LinkWeight.Add(int(w)); err != nil {
-				return 0, err
+	err = sampleObserved(params, n, p, rng, func(k, count int) error {
+		if err := out.Degree.AddN(k, int64(count)); err != nil {
+			return err
+		}
+		for ; count > 0; count-- {
+			wsum := 0
+			for i := 0; i < k; i++ {
+				w := alias.Draw(rng) + 1
+				wsum += w
+				if err := out.LinkWeight.Add(w); err != nil {
+					return err
+				}
+			}
+			if err := out.PacketDegree.Add(wsum); err != nil {
+				return err
 			}
 		}
-		return sum, nil
-	}
-	addNode := func(k int) error {
-		if k <= 0 {
-			return nil
-		}
-		if err := out.Degree.Add(k); err != nil {
-			return err
-		}
-		wsum, err := drawWeights(k)
-		if err != nil {
-			return err
-		}
-		return out.PacketDegree.Add(int(wsum))
-	}
-	coreN := int(math.Round(params.C * float64(n)))
-	leafN := int(math.Round(params.L * float64(n)))
-	starN := int(math.Round(params.U * float64(n)))
-	for i := 0; i < coreN; i++ {
-		d, err := rng.Zeta(params.Alpha)
-		if err != nil {
-			return WeightedHistograms{}, err
-		}
-		k, err := rng.Binomial(d, p)
-		if err != nil {
-			return WeightedHistograms{}, err
-		}
-		if err := addNode(k); err != nil {
-			return WeightedHistograms{}, err
-		}
-	}
-	visLeaves, err := rng.Binomial(leafN, p)
+		return nil
+	})
 	if err != nil {
 		return WeightedHistograms{}, err
-	}
-	for i := 0; i < visLeaves; i++ {
-		if err := addNode(1); err != nil {
-			return WeightedHistograms{}, err
-		}
-	}
-	mu := params.Lambda * p
-	for i := 0; i < starN; i++ {
-		k, err := rng.Poisson(mu)
-		if err != nil {
-			return WeightedHistograms{}, err
-		}
-		if k == 0 {
-			continue
-		}
-		if err := addNode(k); err != nil { // the center
-			return WeightedHistograms{}, err
-		}
-		for j := 0; j < k; j++ { // its leaves, degree 1 each
-			if err := addNode(1); err != nil {
-				return WeightedHistograms{}, err
-			}
-		}
 	}
 	return out, nil
 }

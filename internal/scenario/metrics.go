@@ -21,8 +21,6 @@ import (
 // PTRC bundles, all registered against one registry. A nil *Metrics
 // disables instrumentation.
 type Metrics struct {
-	reg *obs.Registry
-
 	// Runs counts scenarios executed; Failures counts executions that
 	// returned an error or panicked.
 	Runs     *obs.Counter
@@ -59,7 +57,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		reg = obs.Default()
 	}
 	return &Metrics{
-		reg: reg,
 		Runs: reg.Counter("palu_scenario_runs_total",
 			"scenarios executed"),
 		Failures: reg.Counter("palu_scenario_failures_total",
@@ -83,15 +80,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		Stream: stream.NewMetrics(reg),
 		Trace:  tracestore.NewMetrics(reg),
 	}
-}
-
-// Registry returns the registry the instruments live in (nil for a nil
-// bundle).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // The nil-safe hooks below are what the engine and cache call; each is

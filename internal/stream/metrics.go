@@ -18,8 +18,6 @@ import "hybridplaw/internal/obs"
 // Metrics holds the pipeline's instruments, all registered against one
 // registry. A nil *Metrics disables instrumentation.
 type Metrics struct {
-	reg *obs.Registry
-
 	// PacketsValid / PacketsInvalid count ingested packets; Windows
 	// counts windows delivered to the sinks; TailDiscarded counts valid
 	// packets dropped in the trailing incomplete window. All four are
@@ -50,7 +48,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		reg = obs.Default()
 	}
 	return &Metrics{
-		reg: reg,
 		PacketsValid: reg.Counter("palu_stream_packets_valid_total",
 			"valid packets ingested by the pipeline"),
 		PacketsInvalid: reg.Counter("palu_stream_packets_invalid_total",
@@ -70,15 +67,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		SinkTime: reg.Timer("palu_stream_sink_ns",
 			"in-order sink delivery time per window"),
 	}
-}
-
-// Registry returns the registry the instruments live in (nil for a nil
-// bundle).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // The unexported accessors below let the pipeline pull instruments off

@@ -98,10 +98,6 @@ func TestMetricsSharedRegistryAggregates(t *testing.T) {
 // uninstrumented path unchanged.
 func TestMetricsNilIsInert(t *testing.T) {
 	ps := mkPackets(9, 1000, 32, 0)
-	var m *Metrics
-	if m.Registry() != nil {
-		t.Fatal("nil bundle should have nil registry")
-	}
 	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 250}, &ResultCollector{})
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/spmat"
@@ -69,6 +70,24 @@ func (q Quantity) String() string {
 	default:
 		return fmt.Sprintf("Quantity(%d)", int(q))
 	}
+}
+
+// QuantityFlagNames are the command-line names of the five quantities,
+// indexed by Quantity (the paper's Fig. 1 order).
+var QuantityFlagNames = [NumQuantities]string{
+	"source-packets", "fan-out", "link-packets", "fan-in", "dest-packets",
+}
+
+// ParseQuantity returns the quantity whose command-line name is name.
+// Its error lists the names in Fig. 1 order.
+func ParseQuantity(name string) (Quantity, error) {
+	for q, n := range QuantityFlagNames {
+		if n == name {
+			return Quantity(q), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown quantity %q (want one of %s)",
+		name, strings.Join(QuantityFlagNames[:], "|"))
 }
 
 // ErrShortStream indicates the stream ended before a full window of NV

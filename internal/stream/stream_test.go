@@ -118,6 +118,20 @@ func TestQuantityNames(t *testing.T) {
 	}
 }
 
+func TestParseQuantity(t *testing.T) {
+	for i, name := range QuantityFlagNames {
+		q, err := ParseQuantity(name)
+		if err != nil || q != Quantities[i] {
+			t.Errorf("ParseQuantity(%q) = %v, %v; want %v", name, q, err, Quantities[i])
+		}
+	}
+	_, err := ParseQuantity("bogus")
+	const want = `unknown quantity "bogus" (want one of source-packets|fan-out|link-packets|fan-in|dest-packets)`
+	if err == nil || err.Error() != want {
+		t.Errorf("ParseQuantity(bogus) error = %v, want %s", err, want)
+	}
+}
+
 func TestQuantityHistogramIdentities(t *testing.T) {
 	ps := mkPackets(5, 5000, 100, 0)
 	wins, err := Cut(ps, 5000)

@@ -11,8 +11,6 @@ import "hybridplaw/internal/obs"
 // Metrics holds the PTRC instruments, all registered against one
 // registry. A nil *Metrics disables instrumentation.
 type Metrics struct {
-	reg *obs.Registry
-
 	// BlocksRead counts blocks CRC-checked and staged;
 	// BlocksWritten counts blocks packed and flushed.
 	BlocksRead    *obs.Counter
@@ -43,7 +41,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		reg = obs.Default()
 	}
 	return &Metrics{
-		reg: reg,
 		BlocksRead: reg.Counter("palu_ptrc_blocks_read_total",
 			"archive blocks CRC-checked and staged"),
 		BlocksWritten: reg.Counter("palu_ptrc_blocks_written_total",
@@ -63,15 +60,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PackTime: reg.Timer("palu_ptrc_pack_ns",
 			"block encode time"),
 	}
-}
-
-// Registry returns the registry the instruments live in (nil for a nil
-// bundle).
-func (m *Metrics) Registry() *obs.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
 }
 
 // The nil-safe hooks below are what the codec calls; each is an inert
