@@ -59,8 +59,8 @@ var hotPath = []struct {
 	{"ptrc-replay-sequential-packed", 357, replayOp}, // 238
 	{"ptrc-record-w1-packed", 51, recordOp},          // 34
 	{"engine-suite-replay", 1302, engineOp},          // 868
-	{"fit-zm", 786, fitZMOp},                         // 524
-	{"fit-registry", 14727, fitRegistryOp},           // 9818
+	{"fit-zm", 143, fitZMOp},                         // 95
+	{"fit-registry", 3390, fitRegistryOp},            // 2260
 }
 
 // synthTrace deterministically generates a hub-skewed random trace.

@@ -23,17 +23,24 @@ func benchHistogram(b *testing.B) *hist.Histogram {
 }
 
 // BenchmarkFit measures each registered fitter on a 200k-observation
-// PALU histogram (the CI fit-performance record).
+// PALU histogram (the CI fit-performance record). Fitters that run
+// stats.MinimizeBox also report its objective evaluations per fit.
 func BenchmarkFit(b *testing.B) {
 	h := benchHistogram(b)
 	reg := Default()
 	for _, name := range reg.Names() {
 		f, _ := reg.Lookup(name)
 		b.Run(name, func(b *testing.B) {
+			var evals float64
 			for i := 0; i < b.N; i++ {
-				if _, err := f.Fit(h); err != nil {
+				res, err := f.Fit(h)
+				if err != nil {
 					b.Fatal(err)
 				}
+				evals += res.Diag["evals"]
+			}
+			if evals > 0 {
+				b.ReportMetric(evals/float64(b.N), "evals/op")
 			}
 		})
 	}

@@ -109,9 +109,10 @@ func TestFitAllZMMLEBitExactOnFig3Panels(t *testing.T) {
 // TestFitAllZMMLEFallbackWhenZMFails: when zm's least-squares fit fails,
 // zm-mle inside FitAll falls back to its fixed starts exactly as it does
 // on its own; when only one of the two fitters' options fails, zm-mle
-// fits its own least squares. On this histogram zm-mle's winning start
-// is the least-squares one, so a start dropped or taken from zm's other
-// options changes the fit.
+// fits its own least squares. zm-mle runs one solve from the best of
+// its starts, and on this histogram that is the least-squares one, so a
+// start dropped or taken from zm's other options starts the solve
+// elsewhere and changes the fit's bits.
 func TestFitAllZMMLEFallbackWhenZMFails(t *testing.T) {
 	params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
 	if err != nil {

@@ -4,9 +4,11 @@ package model
 // one entry point. The zm/csn/palu fitters delegate to the untouched
 // legacy estimators (zipfmand.Fit, powerlaw.FitScan, estimate.Estimate),
 // so registry-routed fits are numerically identical to direct calls —
-// the equivalence pin the refactor preserves. The lognormal and
-// truncplaw fitters are maximum-likelihood via Nelder–Mead on the
-// shared finite-support log-likelihood.
+// the equivalence pin the refactor preserves. The zm-mle, lognormal and
+// truncplaw fitters are maximum likelihood on the shared finite-support
+// log-likelihood, each one projected Newton solve (stats.MinimizeBox)
+// over the box where its family is defined, started from the best of a
+// short candidate list.
 
 import (
 	"errors"
@@ -208,7 +210,8 @@ func (f ZMFitter) fit(h *hist.Histogram) (FitResult, *lsFit, error) {
 	fr := ls.fit
 	m := &ZM{ZM: fr.Model, SupportMax: h.MaxDegree()}
 	res, err := finish(f.Name(), m, 2, h, map[string]float64{
-		"sse": fr.SSE, "ks": fr.KS, "iters": float64(fr.Iters),
+		"sse": fr.SSE, "ks": fr.KS,
+		"iters": float64(fr.Iters), "evals": float64(fr.Evals),
 	})
 	return res, ls, err
 }
@@ -218,9 +221,9 @@ func (f ZMFitter) fit(h *hist.Histogram) (FitResult, *lsFit, error) {
 // equally in log space (the Fig. 3 plotting objective), which can give
 // up large amounts of likelihood at the mass-dominant low degrees;
 // likelihood-based selection should judge each family by its best
-// likelihood, so this fitter starts Nelder–Mead from the legacy
-// least-squares optimum (plus fixed fallback starts) and maximizes the
-// multinomial likelihood directly. Registered as "zm-mle"; the model
+// likelihood, so this fitter maximizes the multinomial likelihood
+// directly, over zipfmand.FitBox, from the best of the least-squares
+// optimum and three fixed starts. Registered as "zm-mle"; the model
 // family is still "zm".
 type ZMMLEFitter struct {
 	// LSOpts configures the least-squares fit seeding the starts.
@@ -241,32 +244,47 @@ func (f ZMMLEFitter) fit(h *hist.Histogram, ls *lsFit) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	dmax := h.MaxDegree()
-	objective := func(x []float64) float64 {
-		m := ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}}
-		if m.ZM.Alpha <= 0.05 || m.ZM.Alpha > 12 || m.ZM.Delta <= -0.999 || m.ZM.Delta > 50 {
-			return math.NaN()
-		}
-		ll, err := m.LogLik(h)
+	return f.problem(h, ls).fit(f.Name(), h)
+}
+
+// problem is zm-mle's likelihood problem on h, seeded as fit describes.
+func (f ZMMLEFitter) problem(h *hist.Histogram, ls *lsFit) mleProblem {
+	starts := [][2]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}}
+	if ls == nil || !reflect.DeepEqual(ls.opts, f.LSOpts) {
+		ls = leastSquares(h, f.LSOpts)
+	}
+	if ls.err == nil {
+		starts = append([][2]float64{{ls.fit.Alpha, ls.fit.Delta}}, starts...)
+	}
+	return mleProblem{box: zipfmand.FitBox, starts: starts, model: func(x [2]float64) Model {
+		return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}, SupportMax: h.MaxDegree()}
+	}}
+}
+
+// mleProblem is one 2-parameter maximum-likelihood fit: the family
+// model(x), the box where it is fitted and the candidate starts.
+type mleProblem struct {
+	box    stats.Box
+	starts [][2]float64
+	model  func(x [2]float64) Model
+}
+
+// fit maximizes the log-likelihood on h, one stats.MinimizeBox solve
+// from the best of the starts, and finishes the fit at the optimum.
+func (p mleProblem) fit(name string, h *hist.Histogram) (FitResult, error) {
+	objective := func(x [2]float64) float64 {
+		ll, err := p.model(x).LogLik(h)
 		if err != nil || math.IsInf(ll, 0) || math.IsNaN(ll) {
 			return math.NaN()
 		}
 		return -ll
 	}
-	starts := [][]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}}
-	if ls == nil || !reflect.DeepEqual(ls.opts, f.LSOpts) {
-		ls = leastSquares(h, f.LSOpts)
-	}
-	if ls.err == nil {
-		starts = append([][]float64{{ls.fit.Alpha, ls.fit.Delta}}, starts...)
-	}
-	res, err := stats.MultiStartNelderMead(objective, starts, 0.25, 1e-10, 2000)
+	res, err := stats.MinimizeBox(objective, p.box, p.starts)
 	if err != nil {
-		return FitResult{}, fmt.Errorf("model: zm-mle fit failed: %w", err)
+		return FitResult{}, fmt.Errorf("model: %s fit failed: %w", name, err)
 	}
-	m := &ZM{ZM: zipfmand.Model{Alpha: res.X[0], Delta: res.X[1]}, SupportMax: dmax}
-	return finish(f.Name(), m, 2, h, map[string]float64{
-		"iters": float64(res.Iters),
+	return finish(name, p.model(res.X), 2, h, map[string]float64{
+		"iters": float64(res.Iters), "evals": float64(res.Evals),
 	})
 }
 
@@ -347,8 +365,7 @@ func (f PALUFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	})
 }
 
-// LognormalFitter fits the discrete lognormal by maximum likelihood
-// (multi-start Nelder–Mead from moment-based starts).
+// LognormalFitter fits the discrete lognormal by maximum likelihood.
 type LognormalFitter struct{}
 
 // Name implements Fitter.
@@ -359,31 +376,21 @@ func (f LognormalFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	dmax := h.MaxDegree()
-	// Moment-based starts from the count-weighted log-degree sample.
+	return f.problem(h).fit(f.Name(), h)
+}
+
+// problem is the lognormal likelihood problem on h: (μ, σ) over
+// [−40, 40] × [0.05, 20], with moment-based starts from the
+// count-weighted log-degree sample.
+func (LognormalFitter) problem(h *hist.Histogram) mleProblem {
 	mu0, sd0 := logMoments(h)
-	objective := func(x []float64) float64 {
-		m := Lognormal{Mu: x[0], Sigma: x[1]}
-		if m.Sigma < 0.05 || m.Sigma > 20 || math.Abs(m.Mu) > 40 {
-			return math.NaN()
-		}
-		ll, err := m.LogLik(h)
-		if err != nil || math.IsInf(ll, 0) || math.IsNaN(ll) {
-			return math.NaN()
-		}
-		return -ll
+	return mleProblem{
+		box:    stats.Box{Lo: [2]float64{-40, 0.05}, Hi: [2]float64{40, 20}},
+		starts: [][2]float64{{mu0, sd0}, {mu0, 2 * sd0}, {mu0 - 1, sd0 + 0.5}},
+		model: func(x [2]float64) Model {
+			return &Lognormal{Mu: x[0], Sigma: x[1], SupportMax: h.MaxDegree()}
+		},
 	}
-	starts := [][]float64{
-		{mu0, sd0}, {mu0, 2 * sd0}, {mu0 - 1, sd0 + 0.5},
-	}
-	res, err := stats.MultiStartNelderMead(objective, starts, 0.25, 1e-10, 2000)
-	if err != nil {
-		return FitResult{}, fmt.Errorf("model: lognormal fit failed: %w", err)
-	}
-	m := &Lognormal{Mu: res.X[0], Sigma: res.X[1], SupportMax: dmax}
-	return finish(f.Name(), m, 2, h, map[string]float64{
-		"iters": float64(res.Iters),
-	})
 }
 
 // logMoments returns the count-weighted mean and standard deviation of
@@ -407,7 +414,7 @@ func logMoments(h *hist.Histogram) (mean, sd float64) {
 }
 
 // TruncPowerLawFitter fits the truncated (exponential-cutoff) power law
-// by maximum likelihood.
+// by maximum likelihood. The pure power law is its face λ = 0.
 type TruncPowerLawFitter struct{}
 
 // Name implements Fitter.
@@ -418,27 +425,17 @@ func (f TruncPowerLawFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	dmax := h.MaxDegree()
-	objective := func(x []float64) float64 {
-		m := TruncPowerLaw{Alpha: x[0], Lambda: x[1]}
-		if m.Alpha < 0.05 || m.Alpha > 12 || m.Lambda < 0 || m.Lambda > 2 {
-			return math.NaN()
-		}
-		ll, err := m.LogLik(h)
-		if err != nil || math.IsInf(ll, 0) || math.IsNaN(ll) {
-			return math.NaN()
-		}
-		return -ll
+	return f.problem(h).fit(f.Name(), h)
+}
+
+// problem is the truncated power-law likelihood problem on h: (α, λ)
+// over [0.05, 12] × [0, 2].
+func (TruncPowerLawFitter) problem(h *hist.Histogram) mleProblem {
+	return mleProblem{
+		box:    stats.Box{Lo: [2]float64{0.05, 0}, Hi: [2]float64{12, 2}},
+		starts: [][2]float64{{1.5, 1e-4}, {2.2, 1e-3}, {2.8, 1e-2}, {1.2, 0.1}},
+		model: func(x [2]float64) Model {
+			return &TruncPowerLaw{Alpha: x[0], Lambda: x[1], SupportMax: h.MaxDegree()}
+		},
 	}
-	starts := [][]float64{
-		{1.5, 1e-4}, {2.2, 1e-3}, {2.8, 1e-2}, {1.2, 0.1},
-	}
-	res, err := stats.MultiStartNelderMead(objective, starts, 0.2, 1e-10, 2000)
-	if err != nil {
-		return FitResult{}, fmt.Errorf("model: truncated power-law fit failed: %w", err)
-	}
-	m := &TruncPowerLaw{Alpha: res.X[0], Lambda: res.X[1], SupportMax: dmax}
-	return finish(f.Name(), m, 2, h, map[string]float64{
-		"iters": float64(res.Iters),
-	})
 }

@@ -1,8 +1,8 @@
 // Package stats provides the small statistics and optimization toolkit the
 // reproduction needs: ordinary and weighted least squares,
-// derivative-free minimization (golden section, Nelder–Mead with
-// restarts), the discrete Kolmogorov–Smirnov distance, bootstrap
-// resampling, and streaming summaries.
+// minimization (golden section in one parameter, a projected Newton
+// solve over a box in two), the discrete Kolmogorov–Smirnov distance,
+// bootstrap resampling, and streaming summaries.
 //
 // gonum is unavailable offline (repro band: "gonum limited for heavy-tail
 // MLE fitting"), so everything here is implemented from scratch against the

@@ -149,12 +149,21 @@ type FitOptions struct {
 	// Sigma, when non-nil, supplies per-bin standard deviations used as
 	// inverse weights (bins with sigma 0 get weight 1).
 	Sigma []float64
-	// Starts overrides the default multi-start grid of (alpha, delta).
+	// Starts overrides the default candidate starts, each an
+	// (alpha, delta) pair; the fit runs from the best of them.
 	Starts [][]float64
 }
 
 // DefaultFitOptions returns the options used by the paper-style fits.
-func DefaultFitOptions() FitOptions { return FitOptions{LogSpace: true} }
+func DefaultFitOptions() FitOptions {
+	return FitOptions{LogSpace: true, Starts: defaultStarts()}
+}
+
+// defaultStarts returns the candidate (α, δ) starts of the paper-style
+// fits, which Fit also uses when FitOptions.Starts is nil.
+func defaultStarts() [][]float64 {
+	return [][]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}, {1.2, 0.5}, {3.0, -0.3}}
+}
 
 // FitResult is a fitted modified Zipf–Mandelbrot model with diagnostics.
 type FitResult struct {
@@ -164,9 +173,14 @@ type FitResult struct {
 	// KS is the Kolmogorov–Smirnov distance between the observed pooled
 	// distribution and the fitted model's pooled distribution.
 	KS float64
-	// Iters counts optimizer iterations.
-	Iters int
+	// Iters counts the optimizer's accepted Newton steps and Evals its
+	// objective evaluations (stats.MinimizeBox).
+	Iters, Evals int
 }
+
+// FitBox is the closed (α, δ) box Fit and the zm-mle fitter search:
+// α ∈ [0.05, 12], δ ∈ [−0.999, 50].
+var FitBox = stats.Box{Lo: [2]float64{0.05, -0.999}, Hi: [2]float64{12, 50}}
 
 // Fit estimates (α, δ) from an observed pooled differential cumulative
 // distribution by minimizing the squared differences to the model's pooled
@@ -190,12 +204,18 @@ func Fit(obs *hist.Pooled, dmax int, opts FitOptions) (FitResult, error) {
 			weights[i] = 1 / (opts.Sigma[i] * opts.Sigma[i])
 		}
 	}
-	objective := func(x []float64) float64 {
-		m := Model{Alpha: x[0], Delta: x[1]}
-		if m.Alpha <= 0.05 || m.Alpha > 12 || m.Delta <= -0.999 || m.Delta > 50 {
-			return math.NaN()
+	if opts.Starts == nil {
+		opts.Starts = defaultStarts()
+	}
+	starts := make([][2]float64, len(opts.Starts))
+	for i, s := range opts.Starts {
+		if len(s) != 2 {
+			return FitResult{}, fmt.Errorf("zipfmand: start %v is not an (alpha, delta) pair", s)
 		}
-		md, err := m.PooledD(dmax)
+		starts[i] = [2]float64{s[0], s[1]}
+	}
+	objective := func(x [2]float64) float64 {
+		md, err := Model{Alpha: x[0], Delta: x[1]}.PooledD(dmax)
 		if err != nil {
 			return math.NaN()
 		}
@@ -221,13 +241,7 @@ func Fit(obs *hist.Pooled, dmax int, opts FitOptions) (FitResult, error) {
 		}
 		return sse
 	}
-	starts := opts.Starts
-	if starts == nil {
-		starts = [][]float64{
-			{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}, {1.2, 0.5}, {3.0, -0.3},
-		}
-	}
-	res, err := stats.MultiStartNelderMead(objective, starts, 0.25, 1e-10, 4000)
+	res, err := stats.MinimizeBox(objective, FitBox, starts)
 	if err != nil {
 		return FitResult{}, fmt.Errorf("zipfmand: fit failed: %w", err)
 	}
@@ -235,6 +249,7 @@ func Fit(obs *hist.Pooled, dmax int, opts FitOptions) (FitResult, error) {
 		Model: Model{Alpha: res.X[0], Delta: res.X[1]},
 		SSE:   res.F,
 		Iters: res.Iters,
+		Evals: res.Evals,
 	}
 	// KS diagnostic between observed and fitted pooled distributions.
 	md, err := fit.PooledD(dmax)

@@ -262,6 +262,9 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit(obs, 4, FitOptions{Sigma: []float64{1}}); err == nil {
 		t.Error("sigma length mismatch: expected error")
 	}
+	if _, err := Fit(obs, 4, FitOptions{Starts: [][]float64{{2, 0}, {2}}}); err == nil {
+		t.Error("start that is not an (alpha, delta) pair: expected error")
+	}
 }
 
 func TestFitWithSigmaWeights(t *testing.T) {
@@ -315,6 +318,8 @@ func BenchmarkPooledD(b *testing.B) {
 	}
 }
 
+// BenchmarkFit fits exact model data and reports the objective
+// evaluations per fit.
 func BenchmarkFit(b *testing.B) {
 	truth := Model{Alpha: 2.0, Delta: -0.5}
 	pd, err := truth.PooledD(1 << 15)
@@ -323,9 +328,13 @@ func BenchmarkFit(b *testing.B) {
 	}
 	obs := &hist.Pooled{D: pd, Total: 1 << 20}
 	b.ResetTimer()
+	var evals int
 	for i := 0; i < b.N; i++ {
-		if _, err := Fit(obs, 1<<15, DefaultFitOptions()); err != nil {
+		fit, err := Fit(obs, 1<<15, DefaultFitOptions())
+		if err != nil {
 			b.Fatal(err)
 		}
+		evals += fit.Evals
 	}
+	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
 }
