@@ -8,39 +8,30 @@ import (
 	"log"
 
 	"hybridplaw"
+	"hybridplaw/internal/experiments"
 	"hybridplaw/internal/plotio"
 )
 
 func main() {
 	log.SetFlags(0)
-	panels := []struct {
-		alpha, delta float64
-		rs           []float64
-	}{
-		{1.1, -0.5, []float64{1.01, 1.1, 1.2, 1.4, 1.8, 2, 3, 5}},
-		{1.5, -0.6, []float64{1.01, 1.1, 1.2, 1.5, 2, 4, 11}},
-		{2.0, -0.75, []float64{1.05, 1.2, 1.8, 3, 6, 12, 35}},
-		{2.5, -0.75, []float64{1.01, 1.05, 1.2, 1.8, 5, 20, 70}},
-		{2.9, -0.8, []float64{1.01, 1.05, 1.2, 1.8, 5, 30, 200}},
-	}
-	const dmax = 1 << 16 // 65536 degrees renders quickly; the paper uses 1e6
+	const dmax = 1 << 20 // the paper's 10^6 degrees, in binary-log bins
 
-	for _, panel := range panels {
-		zm := hybridplaw.ZipfMandelbrot{Alpha: panel.alpha, Delta: panel.delta}
+	for _, panel := range experiments.Figure4Spec() {
+		zm := hybridplaw.ZipfMandelbrot{Alpha: panel.Alpha, Delta: panel.Delta}
 		zmD, err := zm.PooledD(dmax)
 		if err != nil {
 			log.Fatal(err)
 		}
 		series := []plotio.Series{plotio.PooledSeries("ZM", zmD, 'z')}
 		// Render the extreme family members; intermediate r interpolate.
-		for _, r := range []float64{panel.rs[0], panel.rs[len(panel.rs)-1]} {
-			c := hybridplaw.PALUCurve{Alpha: panel.alpha, Delta: panel.delta, R: r}
+		for _, r := range []float64{panel.Rs[0], panel.Rs[len(panel.Rs)-1]} {
+			c := hybridplaw.PALUCurve{Alpha: panel.Alpha, Delta: panel.Delta, R: r}
 			pd, err := c.PooledD(dmax)
 			if err != nil {
 				log.Fatal(err)
 			}
 			marker := '.'
-			if r == panel.rs[len(panel.rs)-1] {
+			if r == panel.Rs[len(panel.Rs)-1] {
 				marker = '+'
 			}
 			series = append(series, plotio.PooledSeries(
@@ -50,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("Example: alpha = %g; delta = %g; r = %v\n", panel.alpha, panel.delta, panel.rs)
+		fmt.Printf("Example: alpha = %g; delta = %g; r = %v\n", panel.Alpha, panel.Delta, panel.Rs)
 		fmt.Println(chart)
 	}
 }

@@ -271,9 +271,13 @@ func RunFigure4Panel(panel Figure4Panel, dmax int) (Figure4PanelResult, error) {
 	if err != nil {
 		return Figure4PanelResult{}, err
 	}
-	family, err := palu.PooledFamily(panel.Alpha, panel.Delta, panel.Rs, dmax)
-	if err != nil {
-		return Figure4PanelResult{}, err
+	family := make([][]float64, len(panel.Rs))
+	for i, r := range panel.Rs {
+		pd, err := palu.Curve{Alpha: panel.Alpha, Delta: panel.Delta, R: r}.PooledD(dmax)
+		if err != nil {
+			return Figure4PanelResult{}, fmt.Errorf("r=%v: %w", r, err)
+		}
+		family[i] = pd
 	}
 	res := Figure4PanelResult{Panel: panel, DMax: dmax, ZM: zmD, PALU: family, BestSupLog10: math.Inf(1)}
 	for _, pd := range family {

@@ -84,6 +84,16 @@ func TestRunFigure2(t *testing.T) {
 	}
 }
 
+func TestRunFigure4PanelErrorNamesR(t *testing.T) {
+	// δ > 0 makes u/c negative, and at r = 1.01 PALU(2) < 0; the panel's
+	// error names the r whose curve failed.
+	const want = "r=1.01: palu: PALU(2) = -0.4658333561888045 not a density (delta 0.9 gives negative star weight)"
+	_, err := RunFigure4Panel(Figure4Panel{Alpha: 2, Delta: 0.9, Rs: []float64{1.01}}, 1000)
+	if err == nil || err.Error() != want {
+		t.Errorf("error %v, want %q", err, want)
+	}
+}
+
 func TestRunFigure4PanelShapes(t *testing.T) {
 	panels := Figure4Spec()
 	if len(panels) != 5 {

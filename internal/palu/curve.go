@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/specialfn"
+	"hybridplaw/internal/zipfmand"
 )
 
 // Curve is the one-parameter PALU degree law of Section VI, Eq. (5):
@@ -28,8 +30,8 @@ func (c Curve) Validate() error {
 	switch {
 	case math.IsNaN(c.Alpha) || math.IsNaN(c.Delta) || math.IsNaN(c.R):
 		return errors.New("palu: NaN curve parameter")
-	case c.Alpha <= 0:
-		return fmt.Errorf("palu: curve alpha %v must be positive", c.Alpha)
+	case c.Alpha <= 0 || math.IsInf(c.Alpha, 1):
+		return fmt.Errorf("palu: curve alpha %v must be positive and finite", c.Alpha)
 	case c.Delta <= -1:
 		return fmt.Errorf("palu: curve delta %v must exceed -1", c.Delta)
 	case c.R <= 1:
@@ -48,14 +50,16 @@ func (c Curve) Eval(d int) float64 {
 	return math.Pow(float64(d), -c.Alpha) + math.Pow(c.R, float64(1-d))*c.UOverC()
 }
 
-// PMF returns the normalized PALU(d) probabilities for d = 1..dmax.
+// PMF returns the normalized PALU(d) probabilities for d = 1..dmax:
+// Eval(d)/z, with the normalizer z of PooledD.
 func (c Curve) PMF(dmax int) ([]float64, error) {
-	if err := c.check(dmax); err != nil {
+	_, z, err := c.binSums(dmax)
+	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, dmax)
-	if err := c.accumulate(powTable(c.Alpha, dmax), out, false); err != nil {
-		return nil, err
+	for d := 1; d <= dmax; d++ {
+		out[d-1] = c.Eval(d) / z
 	}
 	return out, nil
 }
@@ -64,40 +68,50 @@ func (c Curve) PMF(dmax int) ([]float64, error) {
 // probabilities of the normalized curve over 1..dmax, the quantity plotted
 // in Fig. 4.
 func (c Curve) PooledD(dmax int) ([]float64, error) {
+	out, z, err := c.binSums(dmax)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		out[i] /= z
+	}
+	return out, nil
+}
+
+// binSums returns Σ PALU(d) over each binary-log bin of package hist,
+// (2^{k−1}, 2^k] cut at dmax, unnormalized, and their sum z, the
+// normalizer. Over a bin [a, b] of n degrees the two terms of Eq. (5)
+// have closed forms:
+//
+//	Σ d^{−α}    = zipfmand.Model{Alpha: α}.BinSum(a, b)  (ζ(α, a) − ζ(α, b+1) on long bins)
+//	Σ r^{(1−d)} = r^{(1−a)} · (1 − r^{−n}) / (1 − r^{−1})
+//
+// so a curve costs a few zeta evaluations per bin instead of a Pow per
+// degree. The geometric ratio is taken as expm1(−n·ln r)/expm1(−ln r),
+// which stays accurate as r → 1.
+func (c Curve) binSums(dmax int) ([]float64, float64, error) {
 	if err := c.check(dmax); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
+	power := zipfmand.Model{Alpha: c.Alpha}
+	uc := c.UOverC()
+	lnr := math.Log(c.R)
+	den := math.Expm1(-lnr)
 	out := make([]float64, hist.BinIndex(dmax)+1)
-	if err := c.accumulate(powTable(c.Alpha, dmax), out, true); err != nil {
-		return nil, err
+	var z float64
+	for i := range out {
+		a, b := hist.BinLower(i)+1, min(hist.BinUpper(i), dmax)
+		star := math.Pow(c.R, float64(1-a)) * (math.Expm1(-float64(b-a+1)*lnr) / den)
+		out[i] = power.BinSum(a, b) + star*uc
+		z += out[i]
 	}
-	return out, nil
+	return out, z, nil
 }
 
-// PooledFamily returns the pooled curves of one Fig. 4 panel: out[i] is
-// Curve{alpha, delta, rs[i]}.PooledD(dmax), bit for bit. The d^{−α} table
-// does not depend on r, so it is built once and shared by every curve. An
-// error names the r it came from.
-func PooledFamily(alpha, delta float64, rs []float64, dmax int) ([][]float64, error) {
-	var pow []float64
-	out := make([][]float64, len(rs))
-	for i, r := range rs {
-		c := Curve{Alpha: alpha, Delta: delta, R: r}
-		if err := c.check(dmax); err != nil {
-			return nil, fmt.Errorf("r=%v: %w", r, err)
-		}
-		if pow == nil {
-			pow = powTable(alpha, dmax)
-		}
-		out[i] = make([]float64, hist.BinIndex(dmax)+1)
-		if err := c.accumulate(pow, out[i], true); err != nil {
-			return nil, fmt.Errorf("r=%v: %w", r, err)
-		}
-	}
-	return out, nil
-}
-
-// check validates the curve and the degree range of PMF and PooledD.
+// check validates the curve and the degree range of PMF and PooledD, and
+// that Eq. (5) is a density on 1..dmax: u/c is finite and no PALU(d) is
+// negative. An error names the first negative degree, as a scan over
+// every d would.
 func (c Curve) check(dmax int) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -105,60 +119,55 @@ func (c Curve) check(dmax int) error {
 	if dmax < 1 {
 		return errors.New("palu: dmax must be >= 1")
 	}
-	return nil
-}
-
-// powTable returns d^{−α} for d = 1..dmax (index 0 holds d=1).
-func powTable(alpha float64, dmax int) []float64 {
-	pow := make([]float64, dmax)
-	for i := range pow {
-		pow[i] = math.Pow(float64(i+1), -alpha)
-	}
-	return pow
-}
-
-// accumulate is the one evaluation of Eq. (5) behind PMF and PooledD. Over
-// d = 1..len(pow) it sums z = Σ PALU(d), then makes a second pass that
-// stores PALU(d)/z in out[d−1] (pooled false) or adds it to the
-// binary-log bin of d (pooled true), in ascending d. PALU(d) is
-// pow[d−1] + r^{(1−d)}·u/c, the same expression as Eval. The star term
-// r^{(1−d)} only shrinks with d, and once it is exactly 0 every later
-// PALU(d) is pow[d−1] + 0·u/c = pow[d−1] bit for bit (u/c finite), so Pow
-// is not called for it again.
-func (c Curve) accumulate(pow, out []float64, pooled bool) error {
 	uc := c.UOverC()
-	cut := len(pow) // star terms from index cut on are exactly 0
-	var z float64
-	for i, p := range pow {
-		v := p
-		if i < cut {
-			s := math.Pow(c.R, float64(-i))
-			v = p + s*uc
-			if s == 0 && !math.IsInf(uc, 0) {
-				cut = i + 1
-			}
-		}
-		if v < 0 || math.IsNaN(v) {
-			return fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", i+1, v, c.Delta)
-		}
-		z += v
+	if math.IsInf(uc, 0) || math.IsNaN(uc) {
+		return fmt.Errorf("palu: u/c = (1+delta)^-alpha - 1 = %v is not finite (alpha %v, delta %v)", uc, c.Alpha, c.Delta)
 	}
-	bin, upper := 0, 1 // bin i of package hist covers (2^{i−1}, 2^i]
-	for i, p := range pow {
-		v := p
-		if i < cut {
-			v = p + math.Pow(c.R, float64(-i))*uc
-		}
-		if !pooled {
-			out[i] = v / z
-			continue
-		}
-		if i+1 > upper {
-			bin, upper = bin+1, upper<<1
-		}
-		out[bin] += v / z
+	if d := c.firstNegative(dmax, uc); d > 0 {
+		return fmt.Errorf("palu: PALU(%d) = %v not a density (delta %v gives negative star weight)", d, c.Eval(d), c.Delta)
 	}
 	return nil
+}
+
+// firstNegative returns the smallest d in 1..dmax with Eval(d) < 0, or 0
+// if there is none. Only u/c < 0 (δ > 0) can make PALU(d) negative, and
+// then PALU(d) < 0 exactly when
+//
+//	g(d) = α·ln d − (d−1)·ln r  >  −ln|u/c|.
+//
+// g is concave with its maximum at d* = α/ln r, so the negative degrees
+// form one run around d*. Past the degree where r^{(1−d)}·u/c rounds to 0
+// no PALU(d) is negative in floating point, so the run ends by dcut, the
+// last degree up to dmax with a nonzero star term. If the cut run is not empty it holds ⌊d*⌋ or ⌈d*⌉ clamped
+// to [1, dcut]; g increases below d*, so the first negative degree up to
+// the one found is located by bisection.
+func (c Curve) firstNegative(dmax int, uc float64) int {
+	if uc >= 0 {
+		return 0
+	}
+	neg := func(d int) bool { return c.Eval(d) < 0 }
+	// The star term at d = i+1 is r^{−i}·u/c, and it is not 0 at d = 1.
+	dcut := sort.Search(dmax, func(i int) bool { return math.Pow(c.R, float64(-i))*uc == 0 })
+	peak := c.Alpha / math.Log(c.R)
+	hi := clampDegree(math.Floor(peak), dcut)
+	if !neg(hi) {
+		hi = clampDegree(math.Ceil(peak), dcut)
+		if !neg(hi) {
+			return 0
+		}
+	}
+	return sort.Search(hi, func(i int) bool { return neg(i + 1) }) + 1
+}
+
+// clampDegree returns x as a degree in [1, dmax].
+func clampDegree(x float64, dmax int) int {
+	switch {
+	case !(x >= 1): // also NaN
+		return 1
+	case x >= float64(dmax):
+		return dmax
+	}
+	return int(x)
 }
 
 // DeltaFromObservation inverts the Section VI parameter bridge

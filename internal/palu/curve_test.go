@@ -20,7 +20,7 @@ func TestCurveValidate(t *testing.T) {
 		}
 	}
 	bad := []palu.Curve{{0, -0.5, 2}, {2, -1, 2}, {2, -0.5, 1}, {2, -0.5, 0.5},
-		{math.NaN(), 0, 2}}
+		{math.NaN(), 0, 2}, {math.Inf(1), 0, 2}}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("Validate(%+v): expected error", c)
@@ -98,8 +98,71 @@ func TestCurvePMFErrors(t *testing.T) {
 	if _, err := (palu.Curve{Alpha: 2, Delta: 0.9, R: 1.01}).PooledD(1000); err == nil || err.Error() != negText {
 		t.Errorf("negative density (pooled): error %v, want %q", err, negText)
 	}
-	if _, err := palu.PooledFamily(2, 0.9, []float64{1.01}, 1000); err == nil || err.Error() != "r=1.01: "+negText {
-		t.Errorf("negative density (family): error %v, want r=1.01: %q", err, negText)
+}
+
+func TestCurveRejectsInfiniteUOverC(t *testing.T) {
+	// (1+δ)^{−α} overflows, so u/c = +Inf and Eq. (5) is Inf or NaN at
+	// every d. The check names u/c, at any dmax, instead of returning a
+	// NaN curve (dmax 1000) or blaming a negative star weight (dmax 4096).
+	c := palu.Curve{Alpha: 200, Delta: -0.99999, R: 2}
+	const want = "palu: u/c = (1+delta)^-alpha - 1 = +Inf is not finite (alpha 200, delta -0.99999)"
+	for _, dmax := range []int{1000, 4096} {
+		if pd, err := c.PooledD(dmax); err == nil || err.Error() != want {
+			t.Errorf("PooledD(%d) = %v, %v; want error %q", dmax, pd[:min(len(pd), 3)], err, want)
+		}
+		if _, err := c.PMF(dmax); err == nil || err.Error() != want {
+			t.Errorf("PMF(%d): error %v, want %q", dmax, err, want)
+		}
+	}
+}
+
+func TestCurveDensityCheckMatchesScan(t *testing.T) {
+	// The density check evaluates PALU(d) near d* = α/ln r and bisects;
+	// it must name the same first negative degree as a scan over every d
+	// (refPMF), or pass where the scan passes.
+	var failing, passing int
+	for _, alpha := range []float64{1.1, 2, 2.9} {
+		for _, r := range []float64{1.0001, 1.001, 1.01, 1.05, 1.2, 1.5, 2, 5, 50} {
+			deltas := []float64{0.05, 0.3, 0.9, 3, 40}
+			// Also δ just past the onset of negativity, where the run of
+			// negative degrees around d* = α/ln r is a few degrees wide
+			// or narrower than one: −ln|u/c| = g(d*) − w.
+			peak := alpha / math.Log(r)
+			gPeak := alpha*math.Log(peak) - (peak-1)*math.Log(r)
+			for _, w := range []float64{1e-2, 1e-4, 1e-6} {
+				if peak >= 2 && gPeak > w {
+					deltas = append(deltas, math.Pow(-math.Expm1(-(gPeak-w)), -1/alpha)-1)
+				}
+			}
+			for _, delta := range deltas {
+				for _, dmax := range []int{1, 2, 1000, 1 << 16} {
+					c := palu.Curve{Alpha: alpha, Delta: delta, R: r}
+					_, wantErr := refPMF(c, dmax)
+					_, err := c.PooledD(dmax)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Errorf("%+v dmax=%d: error %v, want %v", c, dmax, err, wantErr)
+					}
+					if wantErr != nil {
+						failing++
+					} else {
+						passing++
+					}
+				}
+			}
+		}
+	}
+	// Huge α, where d^{−α} and, past some degree, r^{(1−d)}·u/c round
+	// to 0, so floating point cuts the run of negative degrees short.
+	for _, c := range []palu.Curve{{1000, 0.5, 2}, {800, 1e-3, 1.5}, {300, 0.01, 1.0001}, {750, 0.2, 1.0001}} {
+		_, wantErr := refPMF(c, 4096)
+		if _, err := c.PooledD(4096); fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%+v dmax=4096: error %v, want %v", c, err, wantErr)
+		}
+	}
+	t.Logf("%d cases fail the check, %d pass", failing, passing)
+	// The grid must exercise both outcomes.
+	if failing == 0 || passing == 0 {
+		t.Errorf("grid has %d failing and %d passing cases; want both", failing, passing)
 	}
 }
 
@@ -123,29 +186,19 @@ func TestFigure4FamiliesApproachZM(t *testing.T) {
 	// family brings the pooled PALU curve within a modest log distance of
 	// the pooled ZM curve ("the PALU model can be made to fit a
 	// Zipf-Mandlebrot distribution ... by varying r").
-	panels := []struct {
-		alpha, delta float64
-		rs           []float64
-	}{
-		{1.1, -0.5, []float64{1.01, 1.1, 1.2, 1.4, 1.8, 2, 3, 5}},
-		{1.5, -0.6, []float64{1.01, 1.1, 1.2, 1.5, 2, 4, 11}},
-		{2.0, -0.75, []float64{1.05, 1.2, 1.8, 3, 6, 12, 35}},
-		{2.5, -0.75, []float64{1.01, 1.05, 1.2, 1.8, 5, 20, 70}},
-		{2.9, -0.8, []float64{1.01, 1.05, 1.2, 1.8, 5, 30, 200}},
-	}
 	const dmax = 1 << 16
-	for _, panel := range panels {
-		zm := zipfmand.Model{Alpha: panel.alpha, Delta: panel.delta}
+	for _, panel := range experiments.Figure4Spec() {
+		zm := zipfmand.Model{Alpha: panel.Alpha, Delta: panel.Delta}
 		zmD, err := zm.PooledD(dmax)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := math.Inf(1)
-		for _, r := range panel.rs {
-			c := palu.Curve{Alpha: panel.alpha, Delta: panel.delta, R: r}
+		for _, r := range panel.Rs {
+			c := palu.Curve{Alpha: panel.Alpha, Delta: panel.Delta, R: r}
 			pd, err := c.PooledD(dmax)
 			if err != nil {
-				t.Fatalf("panel α=%v r=%v: %v", panel.alpha, r, err)
+				t.Fatalf("panel α=%v r=%v: %v", panel.Alpha, r, err)
 			}
 			var worst float64
 			for i := range pd {
@@ -163,7 +216,7 @@ func TestFigure4FamiliesApproachZM(t *testing.T) {
 		}
 		// Within half a decade across all bins for the best family member.
 		if best > 0.5 {
-			t.Errorf("panel α=%v δ=%v: best sup log10 distance %v", panel.alpha, panel.delta, best)
+			t.Errorf("panel α=%v δ=%v: best sup log10 distance %v", panel.Alpha, panel.Delta, best)
 		}
 	}
 }
@@ -220,9 +273,9 @@ func TestDeltaFromObservationErrors(t *testing.T) {
 }
 
 // refPMF and refPooledD are the Fig. 4 curve as it was evaluated before
-// the shared d^{−α} table: Eq. (5) with three Pow calls per degree, a
-// stored PMF, then the binary-log pool. PMF, PooledD and PooledFamily
-// must match them bit for bit.
+// the closed forms: Eq. (5) summed term by term over every degree, a
+// stored PMF, then the binary-log pool. The scan in refPMF is the density
+// check the closed-form check must agree with.
 func refPMF(c palu.Curve, dmax int) ([]float64, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -258,106 +311,135 @@ func refPooledD(c palu.Curve, dmax int) ([]float64, error) {
 	return out, nil
 }
 
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
+// neumaier is a Kahan–Babuška (Neumaier) compensated running sum.
+type neumaier struct{ sum, comp float64 }
+
+func (n *neumaier) add(x float64) {
+	t := n.sum + x
+	if math.Abs(n.sum) >= math.Abs(x) {
+		n.comp += (n.sum - t) + x
+	} else {
+		n.comp += (x - t) + n.sum
 	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
+	n.sum = t
 }
 
-// checkFamily asserts PooledFamily, PooledD and PMF against the
-// references for every r of one (α, δ) family at dmax.
-func checkFamily(t *testing.T, alpha, delta float64, rs []float64, dmax int, withPMF bool) {
-	t.Helper()
-	family, err := palu.PooledFamily(alpha, delta, rs, dmax)
-	if err != nil {
-		t.Fatalf("α=%v δ=%v dmax=%d: %v", alpha, delta, dmax, err)
+func (n *neumaier) value() float64 { return n.sum + n.comp }
+
+// compensatedPooledD is the pooled curve summed term by term with
+// compensated bin sums and normalizer: accurate to a few ulps per bin, so
+// it measures the closed forms' error rather than its own. pow holds
+// d^{−α} for d = 1..dmax.
+func compensatedPooledD(c palu.Curve, pow []float64) []float64 {
+	uc := c.UOverC()
+	bins := make([]neumaier, hist.BinIndex(len(pow))+1)
+	var z neumaier
+	for i, p := range pow {
+		v := p + math.Pow(c.R, float64(-i))*uc
+		bins[hist.BinIndex(i+1)].add(v)
+		z.add(v)
 	}
-	for i, r := range rs {
-		c := palu.Curve{Alpha: alpha, Delta: delta, R: r}
-		want, err := refPooledD(c, dmax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sameBits(family[i], want) {
-			t.Errorf("%+v dmax=%d: PooledFamily differs from the reference", c, dmax)
-		}
-		got, err := c.PooledD(dmax)
-		if err != nil || !sameBits(got, want) {
-			t.Errorf("%+v dmax=%d: PooledD differs from the reference (err %v)", c, dmax, err)
-		}
-		if !withPMF {
-			continue
-		}
-		wantPMF, err := refPMF(c, dmax)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotPMF, err := c.PMF(dmax)
-		if err != nil || !sameBits(gotPMF, wantPMF) {
-			t.Errorf("%+v dmax=%d: PMF differs from the reference (err %v)", c, dmax, err)
-		}
+	out := make([]float64, len(bins))
+	for i := range bins {
+		out[i] = bins[i].value() / z.value()
 	}
+	return out
 }
 
-func TestFigure4CurvesBitIdentical(t *testing.T) {
+// maxRelErr returns the largest per-bin |got − want|/want.
+func maxRelErr(got, want []float64) float64 {
+	if len(got) != len(want) {
+		return math.Inf(1)
+	}
+	var worst float64
+	for i := range want {
+		if e := math.Abs(got[i]-want[i]) / want[i]; !(e <= worst) {
+			worst = e
+		}
+	}
+	return worst
+}
+
+func TestFigure4CurvesWithinTolerance(t *testing.T) {
+	// Every Fig. 4 curve against a compensated term-by-term sum. The
+	// α = 1.1 panel (Euler–Maclaurin close to s = 1) and the α = 2.5
+	// panel run the paper's full 2^20 range; the others run 2^16.
+	const tolCompensated, tolDirect, tolMass = 1e-13, 1e-10, 1e-12
 	for _, panel := range experiments.Figure4Spec() {
-		for _, dmax := range []int{1, 2, 1000} {
-			checkFamily(t, panel.Alpha, panel.Delta, panel.Rs, dmax, true)
+		dmax := 1 << 16
+		if panel.Alpha == 1.1 || panel.Alpha == 2.5 {
+			dmax = 1 << 20
 		}
-	}
-	// r = 1e4 drives the star term r^{(1−d)} to exactly 0 by d ≈ 82, so
-	// most degrees take the no-Pow path.
-	if s := math.Pow(1e4, -99); s != 0 {
-		t.Fatalf("star term at d=100 is %v, want 0", s)
-	}
-	checkFamily(t, 2.9, -0.8, []float64{1e4, 2000}, 1000, true)
-	checkFamily(t, 1.5, -0.6, []float64{1e4}, 1<<12, true)
-	// One full paper-range panel. Its r = 1.01 keeps the star term nonzero
-	// the longest (to d ≈ 75k) of every Fig. 4 curve.
-	panel := experiments.Figure4Spec()[0]
-	checkFamily(t, panel.Alpha, panel.Delta, panel.Rs, 1<<20, false)
-}
-
-func TestFigure4StarTermStaysZero(t *testing.T) {
-	// The no-Pow path assumes that once r^{(1−d)} rounds to 0 it stays 0
-	// for every larger d. Check it over the paper's whole degree range for
-	// every Fig. 4 r that the full-range pin above does not already cover.
-	const dmax = 1 << 20
-	panels := experiments.Figure4Spec()
-	seen := map[float64]bool{}
-	for _, r := range panels[0].Rs {
-		seen[r] = true
-	}
-	for _, panel := range panels[1:] {
+		pow := make([]float64, dmax)
+		for i := range pow {
+			pow[i] = math.Pow(float64(i+1), -panel.Alpha)
+		}
+		var worst, worstDirect float64
 		for _, r := range panel.Rs {
-			if seen[r] {
-				continue
+			c := palu.Curve{Alpha: panel.Alpha, Delta: panel.Delta, R: r}
+			got, err := c.PooledD(dmax)
+			if err != nil {
+				t.Fatalf("%+v: %v", c, err)
 			}
-			seen[r] = true
-			d := 1
-			for ; d <= dmax && math.Pow(r, float64(1-d)) != 0; d++ {
+			e := maxRelErr(got, compensatedPooledD(c, pow))
+			if e > tolCompensated {
+				t.Errorf("%+v dmax=%d: per-bin relative error %.3g against the compensated sum, want <= %g", c, dmax, e, tolCompensated)
 			}
-			for ; d <= dmax; d++ {
-				if s := math.Pow(r, float64(1-d)); s != 0 {
-					t.Fatalf("r=%v: star term %v at d=%d after it reached 0", r, s, d)
+			worst = max(worst, e)
+			full, err := c.PooledD(1 << 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mass float64
+			for _, v := range full {
+				mass += v
+			}
+			if math.Abs(mass-1) > tolMass {
+				t.Errorf("%+v: pooled mass %v", c, mass)
+			}
+			// The term-by-term sum these curves replaced, PMF included.
+			for _, small := range []int{1, 2, 1000} {
+				want, err := refPooledD(c, small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := c.PooledD(small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e := maxRelErr(got, want)
+				if e > tolDirect {
+					t.Errorf("%+v dmax=%d: PooledD relative error %.3g against the direct sum", c, small, e)
+				}
+				worstDirect = max(worstDirect, e)
+				wantPMF, err := refPMF(c, small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotPMF, err := c.PMF(small)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if e := maxRelErr(gotPMF, wantPMF); e > tolDirect {
+					t.Errorf("%+v dmax=%d: PMF relative error %.3g against the direct sum", c, small, e)
 				}
 			}
 		}
+		t.Logf("α=%v: worst per-bin relative error %.2g against the compensated sum (dmax %d), %.2g against the direct sum (dmax <= 1000)",
+			panel.Alpha, worst, dmax, worstDirect)
 	}
 }
 
 func BenchmarkCurvePooledD(b *testing.B) {
-	c := palu.Curve{Alpha: 2, Delta: -0.75, R: 3}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PooledD(1 << 20); err != nil {
-			b.Fatal(err)
-		}
+	// α = 1.1, r = 1.01 kept the term-by-term sum's star term nonzero the
+	// longest of every Fig. 4 curve (to d ≈ 75k).
+	for _, c := range []palu.Curve{{Alpha: 2, Delta: -0.75, R: 3}, {Alpha: 1.1, Delta: -0.5, R: 1.01}} {
+		b.Run(fmt.Sprintf("alpha=%v/r=%v", c.Alpha, c.R), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.PooledD(1 << 20); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

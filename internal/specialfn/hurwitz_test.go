@@ -102,6 +102,18 @@ func TestHurwitzFixedQEdgeCases(t *testing.T) {
 	}
 }
 
+func TestHurwitzHugeSIsZero(t *testing.T) {
+	// Every power underflows to 0; the Euler–Maclaurin loop must stop
+	// before its rising factorial overflows and 0·Inf gives NaN.
+	for _, s := range []float64{1e20, 1e25, 1e300} {
+		for _, q := range []float64{2, 1025} {
+			if got, err := HurwitzZeta(s, q); got != 0 || err != nil {
+				t.Errorf("HurwitzZeta(%v, %v) = %v, %v; want 0", s, q, got, err)
+			}
+		}
+	}
+}
+
 func TestPowBaseMatchesMathPow(t *testing.T) {
 	bases := []float64{
 		2, 3, 10, 33, 1024, 1025, 123456, 1 << 20, 1e6 + 0.5, 0.5, 1 + 0x1p-52,

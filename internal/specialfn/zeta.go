@@ -105,7 +105,9 @@ func (h *Hurwitz) Zeta(s float64) (float64, error) {
 	for k := 0; k < len(bernoulli2k); k++ {
 		term := bernoulli2k[k] / fact[k] * rising * pw
 		tail += term
-		if math.Abs(term) < 1e-18*math.Abs(tail) {
+		// <= also stops a tail that underflowed to 0 (huge s), before the
+		// rising factorial overflows and 0·Inf turns it into NaN.
+		if math.Abs(term) <= 1e-18*math.Abs(tail) {
 			break
 		}
 		// extend rising factorial by two more terms for the next k

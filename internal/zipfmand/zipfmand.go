@@ -56,10 +56,12 @@ func (m Model) GradDelta(d int) float64 {
 	return -m.Alpha * Model{Alpha: m.Alpha + 1, Delta: m.Delta}.Rho(d)
 }
 
-// binSum returns Σ_{d=a}^{b} (d+δ)^{-α} using Hurwitz-zeta differences
+// BinSum returns Σ_{d=a}^{b} (d+δ)^{-α} using Hurwitz-zeta differences
 // when the range is long and α > 1 (exact: ζ(α, a+δ) − ζ(α, b+1+δ)), and
-// direct summation otherwise.
-func (m Model) binSum(a, b int) float64 {
+// direct summation otherwise. It is the one rule for a sum of d^{−α}-type
+// terms over a degree range: the ZM normalizer and pooled bins use it, and
+// so does the power term of the Fig. 4 PALU curve (palu.Curve, δ = 0).
+func (m Model) BinSum(a, b int) float64 {
 	if b < a {
 		return 0
 	}
@@ -86,7 +88,7 @@ func (m Model) Normalization(dmax int) (float64, error) {
 	if dmax < 1 {
 		return 0, errors.New("zipfmand: dmax must be >= 1")
 	}
-	return m.binSum(1, dmax), nil
+	return m.BinSum(1, dmax), nil
 }
 
 // PMF returns the normalized probabilities p(d; α, δ) for d = 1..dmax
@@ -136,7 +138,7 @@ func (m Model) PooledD(dmax int) ([]float64, error) {
 		if hi > dmax {
 			hi = dmax
 		}
-		out[i] = m.binSum(lo, hi) / z
+		out[i] = m.BinSum(lo, hi) / z
 	}
 	return out, nil
 }
