@@ -2,7 +2,7 @@
 // histogram given as CSV (degree,count; header optional) and ranks them
 // by likelihood (AIC/BIC + Vuong LLR). It is a thin driver over the
 // model registry: every family — the modified Zipf–Mandelbrot
-// (Section II.B), its maximum-likelihood refinement, the
+// (Section II.B), its maximum-likelihood fit, the
 // Clauset–Shalizi–Newman and pure power-law baselines, the Section IV.B
 // PALU constants, the discrete lognormal and the truncated power law —
 // is one registry entry.

@@ -11,7 +11,6 @@ import (
 
 	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/graph"
-	"hybridplaw/internal/hist"
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/powerlaw"
@@ -214,18 +213,16 @@ func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3Panel
 	if err != nil {
 		return Figure3PanelResult{}, err
 	}
-	ens, merged := sink.Ensemble(spec.Quantity), sink.Merged(spec.Quantity)
-	mean, sigma := ens.Mean(), ens.Sigma()
-	dmax := merged.MaxDegree()
-	fit, err := zipfmand.Fit(&hist.Pooled{D: mean, Total: merged.Total()}, dmax,
-		zipfmand.FitOptions{LogSpace: true, Sigma: nil})
+	fit, err := sink.FitZM(spec.Quantity, zipfmand.DefaultFitOptions())
 	if err != nil {
 		return Figure3PanelResult{}, err
 	}
+	ens := sink.Ensemble(spec.Quantity)
+	mean := ens.Mean()
 	return Figure3PanelResult{
-		Spec: spec, MeanD: mean, SigmaD: sigma,
+		Spec: spec, MeanD: mean, SigmaD: ens.Sigma(),
 		FitAlpha: fit.Alpha, FitDelta: fit.Delta, FitSSE: fit.SSE, FitKS: fit.KS,
-		DMax: dmax, FracD1: mean[0],
+		DMax: sink.Merged(spec.Quantity).MaxDegree(), FracD1: mean[0],
 	}, nil
 }
 

@@ -23,7 +23,7 @@ func FitFromEachStart(f Fitter, h *hist.Histogram) (starts [][2]float64, fits []
 		}
 		return starts, fits, errs
 	case ZMMLEFitter:
-		p = f.problem(h, nil)
+		p = f.problem(h)
 	case LognormalFitter:
 		p = f.problem(h)
 	case TruncPowerLawFitter:

@@ -87,7 +87,7 @@ func (m *PowerLaw) PMF(dmax int) ([]float64, error) {
 	if dmax < m.Xmin {
 		return nil, fmt.Errorf("model: dmax %d below xmin %d", dmax, m.Xmin)
 	}
-	z := powSum(m.Alpha, m.Xmin, dmax)
+	z := zipfmand.Model{Alpha: m.Alpha}.BinSum(m.Xmin, dmax)
 	out := make([]float64, dmax)
 	for d := m.Xmin; d <= dmax; d++ {
 		out[d-1] = math.Pow(float64(d), -m.Alpha) / z
@@ -113,7 +113,7 @@ func (m *PowerLaw) LogLik(h *hist.Histogram) (float64, error) {
 	if dmax < m.Xmin {
 		return math.Inf(-1), nil
 	}
-	logZ := math.Log(powSum(m.Alpha, m.Xmin, dmax))
+	logZ := math.Log(zipfmand.Model{Alpha: m.Alpha}.BinSum(m.Xmin, dmax))
 	ll := logLikOverSupport(h, func(d int) float64 {
 		if d < m.Xmin {
 			return math.Inf(-1)
@@ -200,7 +200,7 @@ func (m *CSN) PMF(dmax int) ([]float64, error) {
 			out[d-1] = m.headProbs[i]
 		}
 	}
-	z := powSum(m.Fit.Alpha, m.Fit.Xmin, dmax)
+	z := zipfmand.Model{Alpha: m.Fit.Alpha}.BinSum(m.Fit.Xmin, dmax)
 	for d := m.Fit.Xmin; d <= dmax; d++ {
 		out[d-1] = m.PTail * math.Pow(float64(d), -m.Fit.Alpha) / z
 	}
@@ -229,7 +229,7 @@ func (m *CSN) LogLik(h *hist.Histogram) (float64, error) {
 	for i, d := range m.headDegrees {
 		head[d] = m.headProbs[i]
 	}
-	logZ := math.Log(powSum(m.Fit.Alpha, m.Fit.Xmin, dmax))
+	logZ := math.Log(zipfmand.Model{Alpha: m.Fit.Alpha}.BinSum(m.Fit.Xmin, dmax))
 	logPTail := math.Log(m.PTail)
 	ll := logLikOverSupport(h, func(d int) float64 {
 		if d < m.Fit.Xmin {
@@ -308,7 +308,7 @@ func (m *PALU) normalization(dmax int) (float64, error) {
 	z := m.ratioAt(1)
 	if dmax > 1 {
 		if k.C > 0 {
-			z += k.C * powSum(k.Alpha, 2, dmax)
+			z += k.C * zipfmand.Model{Alpha: k.Alpha}.BinSum(2, dmax)
 		}
 		if k.U > 0 && k.Mu > 0 {
 			z += k.U * poissonSum(k.Mu, 2, dmax)

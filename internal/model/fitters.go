@@ -8,13 +8,14 @@ package model
 // truncplaw fitters are maximum likelihood on the shared finite-support
 // log-likelihood, each one projected Newton solve (stats.MinimizeBox)
 // over the box where its family is defined, started from the best of a
-// short candidate list.
+// short fixed candidate list; plaw maximizes the same likelihood over
+// its one parameter by golden section. Each fitter fits alone, so FitAll
+// is a plain loop over Fit.
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 
 	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/hist"
@@ -128,44 +129,21 @@ func (r *Registry) Names() []string {
 // empty) against the histogram. results and errs are parallel to the
 // resolved name list: a failed fit leaves a zero FitResult and its error
 // so one thin tail does not hide the other families. An unknown name is
-// an immediate error. When zm runs before zm-mle, zm-mle starts from
-// zm's least-squares fit instead of recomputing it; with equal options
-// that is the same fit, so every result equals the fitter's own Fit.
+// an immediate error.
 func (r *Registry) FitAll(h *hist.Histogram, names ...string) (results []FitResult, errs []error, err error) {
 	if len(names) == 0 {
 		names = r.Names()
 	}
 	results = make([]FitResult, len(names))
 	errs = make([]error, len(names))
-	var ls *lsFit // zm's least-squares outcome on h, for zm-mle
 	for i, name := range names {
 		f, ok := r.Lookup(name)
 		if !ok {
 			return nil, nil, fmt.Errorf("model: unknown fitter %q (have: %v)", name, r.Names())
 		}
-		switch f := f.(type) {
-		case ZMFitter:
-			results[i], ls, errs[i] = f.fit(h)
-		case ZMMLEFitter:
-			results[i], errs[i] = f.fit(h, ls)
-		default:
-			results[i], errs[i] = f.Fit(h)
-		}
+		results[i], errs[i] = f.Fit(h)
 	}
 	return results, errs, nil
-}
-
-// lsFit is the least-squares zm fit (zipfmand.FitHistogram) of one
-// histogram under opts, failure included.
-type lsFit struct {
-	opts zipfmand.FitOptions
-	fit  zipfmand.FitResult
-	err  error
-}
-
-func leastSquares(h *hist.Histogram, opts zipfmand.FitOptions) *lsFit {
-	fr, _, err := zipfmand.FitHistogram(h, opts)
-	return &lsFit{opts: opts, fit: fr, err: err}
 }
 
 // Default returns a fresh registry holding every built-in fitter in
@@ -173,7 +151,7 @@ func leastSquares(h *hist.Histogram, opts zipfmand.FitOptions) *lsFit {
 func Default() *Registry {
 	r := NewRegistry()
 	r.MustRegister(ZMFitter{Opts: zipfmand.DefaultFitOptions()})
-	r.MustRegister(ZMMLEFitter{LSOpts: zipfmand.DefaultFitOptions()})
+	r.MustRegister(ZMMLEFitter{})
 	r.MustRegister(CSNFitter{})
 	r.MustRegister(PowerLawFitter{})
 	r.MustRegister(PALUFitter{Opts: estimate.DefaultOptions()})
@@ -193,72 +171,51 @@ func (ZMFitter) Name() string { return "zm" }
 
 // Fit implements Fitter.
 func (f ZMFitter) Fit(h *hist.Histogram) (FitResult, error) {
-	res, _, err := f.fit(h)
-	return res, err
-}
-
-// fit is Fit that also returns its least-squares outcome (nil when h is
-// rejected before fitting).
-func (f ZMFitter) fit(h *hist.Histogram) (FitResult, *lsFit, error) {
 	if err := validateHist(h); err != nil {
-		return FitResult{}, nil, err
+		return FitResult{}, err
 	}
-	ls := leastSquares(h, f.Opts)
-	if ls.err != nil {
-		return FitResult{}, ls, ls.err
+	fr, _, err := zipfmand.FitHistogram(h, f.Opts)
+	if err != nil {
+		return FitResult{}, err
 	}
-	fr := ls.fit
 	m := &ZM{ZM: fr.Model, SupportMax: h.MaxDegree()}
-	res, err := finish(f.Name(), m, 2, h, map[string]float64{
+	return finish(f.Name(), m, 2, h, map[string]float64{
 		"sse": fr.SSE, "ks": fr.KS,
 		"iters": float64(fr.Iters), "evals": float64(fr.Evals),
 	})
-	return res, ls, err
 }
 
-// ZMMLEFitter refines the modified Zipf–Mandelbrot family by maximum
+// ZMMLEFitter fits the modified Zipf–Mandelbrot family by maximum
 // likelihood. The Section II.B least-squares fit weights pooled bins
 // equally in log space (the Fig. 3 plotting objective), which can give
 // up large amounts of likelihood at the mass-dominant low degrees;
 // likelihood-based selection should judge each family by its best
 // likelihood, so this fitter maximizes the multinomial likelihood
-// directly, over zipfmand.FitBox, from the best of the least-squares
-// optimum and three fixed starts. Registered as "zm-mle"; the model
-// family is still "zm".
-type ZMMLEFitter struct {
-	// LSOpts configures the least-squares fit seeding the starts.
-	LSOpts zipfmand.FitOptions
-}
+// directly, over zipfmand.FitBox, from the best of three fixed starts.
+// Registered as "zm-mle"; the model family is still "zm".
+type ZMMLEFitter struct{}
 
 // Name implements Fitter.
 func (ZMMLEFitter) Name() string { return "zm-mle" }
 
 // Fit implements Fitter.
 func (f ZMMLEFitter) Fit(h *hist.Histogram) (FitResult, error) {
-	return f.fit(h, nil)
-}
-
-// fit is Fit seeded by ls, zm's least-squares outcome on the same h;
-// it recomputes the fit when ls is nil or ran under other options.
-func (f ZMMLEFitter) fit(h *hist.Histogram, ls *lsFit) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	return f.problem(h, ls).fit(f.Name(), h)
+	return f.problem(h).fit(f.Name(), h)
 }
 
-// problem is zm-mle's likelihood problem on h, seeded as fit describes.
-func (f ZMMLEFitter) problem(h *hist.Histogram, ls *lsFit) mleProblem {
-	starts := [][2]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}}
-	if ls == nil || !reflect.DeepEqual(ls.opts, f.LSOpts) {
-		ls = leastSquares(h, f.LSOpts)
+// problem is zm-mle's likelihood problem on h: (α, δ) over
+// zipfmand.FitBox.
+func (ZMMLEFitter) problem(h *hist.Histogram) mleProblem {
+	return mleProblem{
+		box:    zipfmand.FitBox,
+		starts: [][2]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}},
+		model: func(x [2]float64) Model {
+			return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}, SupportMax: h.MaxDegree()}
+		},
 	}
-	if ls.err == nil {
-		starts = append([][2]float64{{ls.fit.Alpha, ls.fit.Delta}}, starts...)
-	}
-	return mleProblem{box: zipfmand.FitBox, starts: starts, model: func(x [2]float64) Model {
-		return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}, SupportMax: h.MaxDegree()}
-	}}
 }
 
 // mleProblem is one 2-parameter maximum-likelihood fit: the family
@@ -320,25 +277,36 @@ func (f CSNFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	})
 }
 
-// PowerLawFitter is the single-parameter whole-distribution power law:
-// the xmin=1 MLE the deprecated powerlaw.Compare baseline uses —
-// numerically identical to powerlaw.FitAtXmin(h, 1).
+// PowerLawFitter is the single-parameter whole-distribution power law
+// p(d) ∝ d^{−α} on 1..dmax: the finite-support maximum-likelihood α,
+// found by golden section over truncplaw's α range [0.05, 12], so plaw
+// is truncplaw's λ = 0 face fitted on its own.
 type PowerLawFitter struct{}
 
 // Name implements Fitter.
 func (PowerLawFitter) Name() string { return "plaw" }
 
-// Fit implements Fitter.
+// Fit implements Fitter. The log-likelihood −α·Σc·ln d − n·ln Z(α),
+// Z(α) = Σ_{d=1}^{dmax} d^{−α}, depends on the data only through n and
+// Σc·ln d, which are summed once.
 func (f PowerLawFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	fit, err := powerlaw.FitAtXmin(h, 1)
-	if err != nil {
-		return FitResult{}, err
+	var sumLog float64
+	for _, d := range h.Support() {
+		sumLog += float64(h.Count(d)) * math.Log(float64(d))
 	}
-	m := &PowerLaw{Alpha: fit.Alpha, Xmin: 1, SupportMax: h.MaxDegree()}
-	return finish(f.Name(), m, 1, h, map[string]float64{"ks": fit.KS})
+	n, dmax := float64(h.Total()), h.MaxDegree()
+	negLL := func(alpha float64) float64 {
+		return alpha*sumLog + n*math.Log(zipfmand.Model{Alpha: alpha}.BinSum(1, dmax))
+	}
+	alpha, err := stats.GoldenSection(negLL, 0.05, 12, 1e-8)
+	if err != nil {
+		return FitResult{}, fmt.Errorf("model: %s fit failed: %w", f.Name(), err)
+	}
+	m := &PowerLaw{Alpha: alpha, Xmin: 1, SupportMax: dmax}
+	return finish(f.Name(), m, 1, h, nil)
 }
 
 // PALUFitter wraps the Section IV.B estimation pipeline

@@ -32,6 +32,7 @@ import (
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/specialfn"
 	"hybridplaw/internal/xrand"
+	"hybridplaw/internal/zipfmand"
 )
 
 // Param is one named model parameter.
@@ -117,26 +118,6 @@ func logLikOverSupport(h *hist.Histogram, logpmf func(d int) float64) float64 {
 	return ll
 }
 
-// powSum returns Σ_{d=a}^{b} d^{-α}, via Hurwitz-zeta differences when
-// the range is long and α > 1, and direct summation otherwise.
-func powSum(alpha float64, a, b int) float64 {
-	if b < a || a < 1 {
-		return 0
-	}
-	if alpha > 1.02 && b-a > 512 {
-		hi, err1 := specialfn.HurwitzZeta(alpha, float64(a))
-		lo, err2 := specialfn.HurwitzZeta(alpha, float64(b+1))
-		if err1 == nil && err2 == nil {
-			return hi - lo
-		}
-	}
-	var s float64
-	for d := a; d <= b; d++ {
-		s += math.Pow(float64(d), -alpha)
-	}
-	return s
-}
-
 // poissonSum returns Σ_{d=a}^{b} μ^d/d!. The sum is truncated where the
 // terms fall below machine noise relative to the accumulated mass.
 func poissonSum(mu float64, a, b int) float64 {
@@ -171,7 +152,7 @@ func cutoffSum(alpha, lambda float64, a, b int) float64 {
 		return 0
 	}
 	if lambda == 0 {
-		return powSum(alpha, a, b)
+		return zipfmand.Model{Alpha: alpha}.BinSum(a, b)
 	}
 	const exactSpan = 4096
 	exactEnd := b

@@ -76,18 +76,6 @@ func TestRegistryEquivalencePins(t *testing.T) {
 	if pm.Constants != legacyEst.Constants() {
 		t.Errorf("palu registry constants %+v != legacy %+v", pm.Constants, legacyEst.Constants())
 	}
-
-	plawRes, errs, err := reg.FitAll(h, "plaw")
-	if err != nil || errs[0] != nil {
-		t.Fatalf("plaw fit: %v %v", err, errs)
-	}
-	legacyPL, err := powerlaw.FitAtXmin(h, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := plawRes[0].Model.(*PowerLaw).Alpha; got != legacyPL.Alpha {
-		t.Errorf("plaw registry alpha %v != legacy %v", got, legacyPL.Alpha)
-	}
 }
 
 // TestFamiliesPMFAndLogLikConsistency checks, for every fitted family:
@@ -226,8 +214,9 @@ func TestCSNSemiparametricHead(t *testing.T) {
 	}
 }
 
-// TestPowSumAndCutoffSumAgainstDirect pins the fast normalizers against
-// direct summation.
+// TestPowSumAndCutoffSumAgainstDirect pins cutoffSum, the truncated
+// power-law normalizer, against direct summation; its λ = 0 cases are
+// the pure power sum, zipfmand.Model.BinSum.
 func TestPowSumAndCutoffSumAgainstDirect(t *testing.T) {
 	direct := func(alpha, lambda float64, a, b int) float64 {
 		var s float64
@@ -248,12 +237,7 @@ func TestPowSumAndCutoffSumAgainstDirect(t *testing.T) {
 		{3.0, 0.3, 1, 5000},
 	} {
 		want := direct(tc.alpha, tc.lambda, tc.a, tc.b)
-		var got float64
-		if tc.lambda == 0 {
-			got = powSum(tc.alpha, tc.a, tc.b)
-		} else {
-			got = cutoffSum(tc.alpha, tc.lambda, tc.a, tc.b)
-		}
+		got := cutoffSum(tc.alpha, tc.lambda, tc.a, tc.b)
 		if rel := math.Abs(got-want) / want; rel > 2e-5 {
 			t.Errorf("sum(alpha=%v lambda=%v %d..%d) = %v, direct %v (rel %v)",
 				tc.alpha, tc.lambda, tc.a, tc.b, got, want, rel)

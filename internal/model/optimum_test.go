@@ -93,8 +93,26 @@ var nelderMeadOptimum = map[string]map[string]float64{
 
 var optimumFitters = []string{"zm", "zm-mle", "lognormal", "truncplaw"}
 
+// zetaPlawLogLik holds, per input, plaw's log-likelihood at the
+// infinite-support (ζ-normalized) MLE of α that plaw was fitted by
+// before it maximized its own finite-support likelihood (printed with
+// %.17g). On bench-palu that α already sits at the finite-support
+// optimum (its log-likelihood equals truncplaw's at λ = 0), so the pin
+// allows 1e-14 relative for rounding in the log-likelihood sums.
+var zetaPlawLogLik = map[string]float64{
+	"tokyo2015-source-packets":     -481751.17522750667,
+	"tokyo2017-source-fanout":      -132215.80101142294,
+	"chicagoA2016jan-link-packets": -274187.33411676949,
+	"chicagoB2016mar-dest-fanin":   -353867.61802790128,
+	"chicagoA2016feb-dest-packets": -876488.84262992069,
+	"tokyo2017-dest-packets":       -466109.46661221527,
+	"bench-palu":                   -80867.313543912009,
+}
+
 // TestFitOptimumPins: on each input, every solver-backed fitter ends at
-// an objective no worse than Nelder–Mead's best plus 1e-9 relative.
+// an objective no worse than Nelder–Mead's best plus 1e-9 relative, and
+// plaw's log-likelihood is at least the one at the ζ-normalized α, less
+// 1e-14 relative.
 func TestFitOptimumPins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams every Fig. 3 panel")
@@ -117,6 +135,16 @@ func TestFitOptimumPins(t *testing.T) {
 				t.Errorf("%s %s: objective %.17g above Nelder–Mead's %.17g", in.id, name, got, pin)
 			}
 		}
+		plaw, _ := reg.Lookup("plaw")
+		pl, err := plaw.Fit(in.h)
+		if err != nil {
+			t.Fatalf("%s plaw: %v", in.id, err)
+		}
+		pin := zetaPlawLogLik[in.id]
+		t.Logf("%s plaw: loglik %.17g (%+.2g above the ζ-normalized α's) %s", in.id, pl.LogLik, pl.LogLik-pin, pl.ParamString())
+		if pl.LogLik < pin-1e-14*math.Abs(pin) {
+			t.Errorf("%s plaw: loglik %.17g below the ζ-normalized α's %.17g", in.id, pl.LogLik, pin)
+		}
 	}
 }
 
@@ -135,7 +163,8 @@ var onBound = map[string]map[string]struct {
 // TestFitStartIndependenceAndBounds: every candidate start, run alone,
 // ends within 1e-12 relative of the fitter's own fit, and an optimum on
 // a face of the box sits on the bound exactly with the objective rising
-// into the box (the KKT sign).
+// into the box (the KKT sign). On truncplaw's λ = 0 face, plaw fitted on
+// its own reaches the same log-likelihood within 1e-12 relative.
 func TestFitStartIndependenceAndBounds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("streams every Fig. 3 panel")
@@ -186,6 +215,17 @@ func TestFitStartIndependenceAndBounds(t *testing.T) {
 			if -ll <= fb {
 				t.Errorf("%s %s: objective %.17g one step into the box is not above the bound's %.17g",
 					in.id, name, -ll, fb)
+			}
+			if name == "truncplaw" {
+				plaw, _ := reg.Lookup("plaw")
+				pl, err := plaw.Fit(in.h)
+				if err != nil {
+					t.Fatalf("%s plaw: %v", in.id, err)
+				}
+				if d := math.Abs(pl.LogLik-best.LogLik) / math.Abs(best.LogLik); d > 1e-12 {
+					t.Errorf("%s plaw: loglik %.17g, %.2g relative from truncplaw's %.17g at λ = 0",
+						in.id, pl.LogLik, d, best.LogLik)
+				}
 			}
 		}
 	}

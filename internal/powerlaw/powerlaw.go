@@ -334,9 +334,10 @@ func PooledLogSSE(obs, model []float64) float64 {
 // the whole distribution, as a webcrawl-era analysis would) and contrasts
 // its pooled log error with a competitor's.
 //
-// Deprecated: see Comparison. The xmin=1 MLE it reports is exactly the
-// "plaw" registry entry of internal/model, where the same contrast is
-// available as a likelihood ratio with a significance level.
+// Deprecated: see Comparison. Its α is the infinite-support (ζ) MLE at
+// xmin=1; the "plaw" registry entry of internal/model fits the same
+// single power law by its finite-support likelihood, where the contrast
+// is available as a likelihood ratio with a significance level.
 func Compare(h *hist.Histogram, competitorLogSSE float64) (Comparison, error) {
 	f, err := FitAtXmin(h, 1)
 	if err != nil {
