@@ -91,12 +91,18 @@ func (s *synthTrace) Err() error { return nil }
 // windowNV is the window size that cuts n packets into eight windows.
 func windowNV(n int64) int64 { return max(n/8, 1) }
 
+// fullReadSink is a sink that declares no read set and does nothing, so
+// every window of its run pays the full reduce (a run with no sinks
+// reduces nothing) and nothing else.
+var fullReadSink = stream.FuncSink(func(*stream.WindowResult) error { return nil })
+
 // pipelineOp reduces a synthetic trace through the fused pipeline.
 func pipelineOp(_ testing.TB, sz hotPathSize) func() error {
 	sm := stream.NewMetrics(obs.NewRegistry())
 	return func() error {
 		src := newSynthTrace(2, sz.packets, hotPathNodes)
-		_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Metrics: sm})
+		_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Metrics: sm},
+			fullReadSink)
 		return err
 	}
 }
@@ -118,7 +124,8 @@ func replayOp(tb testing.TB, sz hotPathSize) func() error {
 			return err
 		}
 		src.SetMetrics(tm)
-		_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Metrics: sm})
+		_, err = stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.replayPackets), Metrics: sm},
+			fullReadSink)
 		return err
 	}
 }
@@ -174,8 +181,7 @@ func engineOp(tb testing.TB, sz hotPathSize) func() error {
 			reg.MustRegister(scenario.Scenario{
 				Name: name, Title: name, Windows: []scenario.WindowReq{req},
 				Run: func(ctx *scenario.Context) (scenario.Result, error) {
-					_, err := ctx.Stream(req, stream.PipelineConfig{},
-						stream.FuncSink(func(*stream.WindowResult) error { return nil }))
+					_, err := ctx.Stream(req, stream.PipelineConfig{}, fullReadSink)
 					return hotPathResult{}, err
 				},
 			})

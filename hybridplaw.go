@@ -308,8 +308,9 @@ type Sink = stream.Sink
 // FuncSink adapts a function to the Sink interface.
 type FuncSink = stream.FuncSink
 
-// WindowResult is one completed pipeline window: Table I aggregates plus
-// all five Fig. 1 quantity histograms.
+// WindowResult is one completed pipeline window: the Table I aggregates
+// and Fig. 1 quantity histograms its run's sinks read (all of them when
+// any sink does not declare its reads, as FuncSink does not).
 type WindowResult = stream.WindowResult
 
 // PipelineConfig configures a streaming pipeline run.
@@ -347,9 +348,9 @@ type SliceSource = stream.SliceSource
 type CSVSource = stream.CSVSource
 
 // RunPipeline executes the single-pass streaming pipeline: packets are
-// pulled from src, cut into fixed-NV windows, reduced to all five Fig. 1
-// histograms, and delivered to the sinks in window order, all on the
-// calling goroutine. One window is resident at a time.
+// pulled from src, cut into fixed-NV windows, reduced to what the sinks
+// read, and delivered to the sinks in window order, all on the calling
+// goroutine. One window is resident at a time.
 func RunPipeline(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, error) {
 	return stream.Run(src, cfg, sinks...)
 }

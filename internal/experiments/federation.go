@@ -134,19 +134,15 @@ func federationSite(ctx *scenario.Context, s FederationSite) (FederationSiteResu
 	return scenario.Memo(ctx, federationReq(s), "site/"+q+"/"+strings.Join(fitters, ","),
 		func() (FederationSiteResult, error) {
 			ens := stream.NewEnsembleSink(stream.SourcePackets)
-			var aggs []spmat.Aggregates
-			collect := stream.FuncSink(func(res *stream.WindowResult) error {
-				aggs = append(aggs, res.Aggregates)
-				return nil
-			})
-			if _, err := ctx.Stream(federationReq(s), stream.PipelineConfig{}, ens, collect); err != nil {
+			aggs := &stream.AggregatesSink{}
+			if _, err := ctx.Stream(federationReq(s), stream.PipelineConfig{}, ens, aggs); err != nil {
 				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
 			}
 			sel, err := selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets), model.Default(), fitters)
 			if err != nil {
 				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
 			}
-			return FederationSiteResult{ID: s.ID, PerWindow: aggs, Selection: sel}, nil
+			return FederationSiteResult{ID: s.ID, PerWindow: aggs.Aggregates, Selection: sel}, nil
 		})
 }
 

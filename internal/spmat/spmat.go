@@ -38,14 +38,17 @@ type Entry struct {
 // The hot path maintains exactly one reduction while packets arrive: the
 // per-link packet counts, one flat-table accumulation per packet (see
 // AddPairs for the bulk fused-decode entry point). Every other Fig. 1
-// reduction — per-source and per-destination packet totals, fan-out and
-// fan-in — plus the Table I aggregates is *derived* from the link table
-// in a single pass the first time it is asked for after an accumulation.
-// A window closes once, so the streaming pipeline pays the derivation
-// exactly once per window while its per-packet loop stays a single hash,
-// probe and add; the derived tables are identical to what incremental
-// maintenance would have produced, because every reduction is an
-// order-independent integer accumulation over the same link counts.
+// reduction is *derived* from the link table the first time it is asked
+// for after an accumulation, one side at a time: the source side
+// (per-source packet totals and fan-out) for ForEachSource* and the
+// snapshots of those, the destination side (per-destination packet
+// totals and fan-in) for ForEachDestination*, and both sides, in one
+// pass, for the Table I aggregates. A window closes once, so the
+// streaming pipeline pays each side it reads at most once per window
+// while its per-packet loop stays a single hash, probe and add; the
+// derived tables are identical to what incremental maintenance would
+// have produced, because every reduction is an order-independent
+// integer accumulation over the same link counts.
 //
 // A Reset lets one builder be pooled across windows without reallocating
 // any of its tables. Builder is not safe for concurrent use: the
@@ -58,14 +61,16 @@ type Entry struct {
 // key/count slots and an in-place add.
 type Builder struct {
 	counts flatTable[uint64] // packets per (src, dst) link — the hot path
-	// Derived from counts on demand (see derive); valid while derived.
-	// Each node table interleaves both reductions keyed by that endpoint
-	// — packet totals (row/column sums) with fan-out/fan-in — so derive
-	// pays one probe per link endpoint instead of two.
-	srcTab  nodeTable // per source: packets sent, unique destinations
-	dstTab  nodeTable // per destination: packets received, unique sources
-	total   int64
-	derived bool
+	// Derived from counts on demand (see derive); each side is valid
+	// while its flag is set. Each node table interleaves both reductions
+	// keyed by that endpoint — packet totals (row/column sums) with
+	// fan-out/fan-in — so derive pays one probe per link endpoint
+	// instead of two.
+	srcTab     nodeTable // per source: packets sent, unique destinations
+	dstTab     nodeTable // per destination: packets received, unique sources
+	total      int64
+	srcDerived bool
+	dstDerived bool
 }
 
 // NewBuilder returns an empty accumulation builder.
@@ -89,7 +94,7 @@ func (b *Builder) AddPacket(src, dst uint32) { b.addN(src, dst, 1) }
 func (b *Builder) addN(src, dst uint32, n int64) {
 	b.counts.add(linkKey(src, dst), n)
 	b.total += n
-	b.derived = false
+	b.srcDerived, b.dstDerived = false, false
 }
 
 // AddPairs bulk-accumulates packed (src<<32 | dst) link keys, one packet
@@ -103,26 +108,39 @@ func (b *Builder) AddPairs(keys []uint64) {
 	}
 	b.counts.addBatch(keys)
 	b.total += int64(len(keys))
-	b.derived = false
+	b.srcDerived, b.dstDerived = false, false
 }
 
-// derive materializes the four node reductions from the link counts in
-// one pass: each unique link contributes its count and one fan unit to
-// its source's and destination's interleaved node slots. Each reduction
-// is an order-independent integer accumulation, so the result is
-// identical to incremental per-packet maintenance regardless of the
-// order packets (or merged shards) arrived in.
-func (b *Builder) derive() {
-	if b.derived {
+// derive materializes the requested sides of the node reductions that
+// are not derived yet, in one pass over the link counts: each unique
+// link contributes its count and one fan unit to its source's and/or
+// destination's interleaved node slots. Each reduction is an
+// order-independent integer accumulation, so the result is identical
+// to incremental per-packet maintenance regardless of the order packets
+// (or merged shards) arrived in, and regardless of which side was
+// derived first.
+func (b *Builder) derive(src, dst bool) {
+	src = src && !b.srcDerived
+	dst = dst && !b.dstDerived
+	if !src && !dst {
 		return
 	}
-	b.srcTab.reset()
-	b.dstTab.reset()
+	if src {
+		b.srcTab.reset()
+	}
+	if dst {
+		b.dstTab.reset()
+	}
 	b.counts.forEach(func(k uint64, v int64) {
-		b.srcTab.add(uint32(k>>32), v)
-		b.dstTab.add(uint32(k), v)
+		if src {
+			b.srcTab.add(uint32(k>>32), v)
+		}
+		if dst {
+			b.dstTab.add(uint32(k), v)
+		}
 	})
-	b.derived = true
+	b.srcDerived = b.srcDerived || src
+	b.dstDerived = b.dstDerived || dst
 }
 
 // Merge folds another builder's link counts into b. The other builder
@@ -135,7 +153,7 @@ func (b *Builder) Merge(other *Builder) {
 		b.counts.add(k, v)
 	})
 	b.total += other.total
-	b.derived = false
+	b.srcDerived, b.dstDerived = false, false
 }
 
 // Reset empties the builder for reuse, retaining the allocated table
@@ -145,7 +163,7 @@ func (b *Builder) Reset() {
 	b.srcTab.reset()
 	b.dstTab.reset()
 	b.total = 0
-	b.derived = false
+	b.srcDerived, b.dstDerived = false, false
 }
 
 // NNZ returns the number of distinct (src, dst) links accumulated so far.
@@ -156,10 +174,10 @@ func (b *Builder) NNZ() int { return b.counts.len() }
 func (b *Builder) Total() int64 { return b.total }
 
 // Aggregates returns the Table I aggregate properties of the accumulated
-// window: O(1) once the node reductions are derived, one pass over the
-// link table the first time after an accumulation.
+// window: O(1) once both sides of the node reductions are derived, one
+// pass over the link table the first time after an accumulation.
 func (b *Builder) Aggregates() Aggregates {
-	b.derive()
+	b.derive(true, true)
 	return Aggregates{
 		ValidPackets:       b.total,
 		UniqueLinks:        int64(b.counts.len()),
@@ -171,28 +189,28 @@ func (b *Builder) Aggregates() Aggregates {
 // ForEachSourcePacket calls f for every source and its packet total (the
 // "source packets" reduction of Fig. 1), in unspecified order.
 func (b *Builder) ForEachSourcePacket(f func(id uint32, n int64)) {
-	b.derive()
+	b.derive(true, false)
 	b.srcTab.forEachPk(f)
 }
 
 // ForEachSourceFanOut calls f for every source and its unique-destination
 // count ("source fan-out"), in unspecified order.
 func (b *Builder) ForEachSourceFanOut(f func(id uint32, n int64)) {
-	b.derive()
+	b.derive(true, false)
 	b.srcTab.forEachFan(f)
 }
 
 // ForEachDestinationFanIn calls f for every destination and its
 // unique-source count ("destination fan-in"), in unspecified order.
 func (b *Builder) ForEachDestinationFanIn(f func(id uint32, n int64)) {
-	b.derive()
+	b.derive(false, true)
 	b.dstTab.forEachFan(f)
 }
 
 // ForEachDestinationPacket calls f for every destination and its packet
 // total ("destination packets"), in unspecified order.
 func (b *Builder) ForEachDestinationPacket(f func(id uint32, n int64)) {
-	b.derive()
+	b.derive(false, true)
 	b.dstTab.forEachPk(f)
 }
 
@@ -200,28 +218,28 @@ func (b *Builder) ForEachDestinationPacket(f func(id uint32, n int64)) {
 // (the "source packets" reduction of Fig. 1). O(n); streaming consumers
 // should prefer ForEachSourcePacket.
 func (b *Builder) SourcePackets() map[uint32]int64 {
-	b.derive()
+	b.derive(true, false)
 	return nodeSnapshot(b.srcTab.len(), b.srcTab.forEachPk)
 }
 
 // SourceFanOut returns a fresh snapshot of the per-source
 // unique-destination counts ("source fan-out").
 func (b *Builder) SourceFanOut() map[uint32]int64 {
-	b.derive()
+	b.derive(true, false)
 	return nodeSnapshot(b.srcTab.len(), b.srcTab.forEachFan)
 }
 
 // DestinationFanIn returns a fresh snapshot of the per-destination
 // unique-source counts ("destination fan-in").
 func (b *Builder) DestinationFanIn() map[uint32]int64 {
-	b.derive()
+	b.derive(false, true)
 	return nodeSnapshot(b.dstTab.len(), b.dstTab.forEachFan)
 }
 
 // DestinationPackets returns a fresh snapshot of the per-destination
 // packet totals ("destination packets").
 func (b *Builder) DestinationPackets() map[uint32]int64 {
-	b.derive()
+	b.derive(false, true)
 	return nodeSnapshot(b.dstTab.len(), b.dstTab.forEachPk)
 }
 

@@ -274,3 +274,101 @@ func BenchmarkTableIAggregates(b *testing.B) {
 		_ = m.TableI()
 	}
 }
+
+// TestBuilderSplitDerive pins the one-side-at-a-time derivation: the
+// source side and the destination side each carry their own derived
+// flag, and every accumulation (AddPairs, Add, Merge, Reset) must clear
+// both. Reads alternate between one side only and both sides in either
+// order, so a flag left set on one side after an accumulation shows up
+// as a stale reduction against a Matrix frozen from the same counts.
+func TestBuilderSplitDerive(t *testing.T) {
+	const universe = 60
+	r := xrand.New(17)
+	b := NewBuilder()
+	var entries []Entry // every count b has accumulated since its last Reset
+	collect := func(forEach func(func(id uint32, n int64))) map[uint32]int64 {
+		out := map[uint32]int64{}
+		forEach(func(id uint32, n int64) { out[id] = n })
+		return out
+	}
+	for step := 0; step < 48; step++ {
+		switch step % 4 {
+		case 0:
+			keys := make([]uint64, 1+r.Intn(300))
+			for i := range keys {
+				src, dst := uint32(r.Intn(universe)), uint32(r.Intn(universe))
+				keys[i] = uint64(src)<<32 | uint64(dst)
+				entries = append(entries, Entry{Src: src, Dst: dst, Count: 1})
+			}
+			b.AddPairs(keys)
+		case 1:
+			e := Entry{Src: uint32(r.Intn(universe)), Dst: uint32(r.Intn(universe)), Count: int64(1 + r.Intn(9))}
+			if err := b.Add(e.Src, e.Dst, e.Count); err != nil {
+				t.Fatal(err)
+			}
+			entries = append(entries, e)
+		case 2:
+			other := NewBuilder()
+			for _, e := range randomEntries(uint64(step), 1+r.Intn(200), universe) {
+				if err := other.Add(e.Src, e.Dst, e.Count); err != nil {
+					t.Fatal(err)
+				}
+				entries = append(entries, e)
+			}
+			b.Merge(other)
+		case 3:
+			if step%8 == 7 {
+				b.Reset()
+				entries = nil
+			}
+		}
+		m := FromEntries(entries)
+		src := func() {
+			if got, want := collect(b.ForEachSourcePacket), m.SourcePackets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: ForEachSourcePacket = %v, want %v", step, got, want)
+			}
+			if got, want := collect(b.ForEachSourceFanOut), m.SourceFanOut(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: ForEachSourceFanOut = %v, want %v", step, got, want)
+			}
+			if got, want := b.SourcePackets(), m.SourcePackets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: SourcePackets = %v, want %v", step, got, want)
+			}
+			if got, want := b.SourceFanOut(), m.SourceFanOut(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: SourceFanOut = %v, want %v", step, got, want)
+			}
+		}
+		dst := func() {
+			if got, want := collect(b.ForEachDestinationFanIn), m.DestinationFanIn(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: ForEachDestinationFanIn = %v, want %v", step, got, want)
+			}
+			if got, want := collect(b.ForEachDestinationPacket), m.DestinationPackets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: ForEachDestinationPacket = %v, want %v", step, got, want)
+			}
+			if got, want := b.DestinationFanIn(), m.DestinationFanIn(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: DestinationFanIn = %v, want %v", step, got, want)
+			}
+			if got, want := b.DestinationPackets(), m.DestinationPackets(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d: DestinationPackets = %v, want %v", step, got, want)
+			}
+		}
+		// Steps cycle through source only, destination only, source
+		// then destination, destination then source, and the aggregates
+		// alone; against the 4-step accumulation cycle, every read
+		// pattern follows every kind of accumulation.
+		switch step % 5 {
+		case 0:
+			src()
+		case 1:
+			dst()
+		case 2:
+			src()
+			dst()
+		case 3:
+			dst()
+			src()
+		}
+		if got, want := b.Aggregates(), m.TableI(); got != want {
+			t.Fatalf("step %d: Aggregates = %+v, want %+v", step, got, want)
+		}
+	}
+}

@@ -63,6 +63,9 @@ func (s *FitSink) Fitters() []string { return append([]string(nil), s.fitters...
 // ConsumeWindow implements Sink.
 func (s *FitSink) ConsumeWindow(res *WindowResult) error {
 	h := res.Hists[s.q]
+	if h == nil {
+		return fmt.Errorf("stream: window %d has no %v histogram (not in the run's read set)", res.T, s.q)
+	}
 	results, errs, err := s.reg.FitAll(h, s.fitters...)
 	if err != nil {
 		return fmt.Errorf("stream: window %d: %w", res.T, err)
@@ -70,6 +73,9 @@ func (s *FitSink) ConsumeWindow(res *WindowResult) error {
 	s.Windows = append(s.Windows, WindowFits{T: res.T, Results: results, Errs: errs})
 	return nil
 }
+
+// Reads implements DeclaredSink: the fitted quantity's histogram.
+func (s *FitSink) Reads() ReadSet { return ReadHists(s.q) }
 
 // Fit returns fitter name's fit of window index t, or an error when the
 // fit failed or the window/fitter is unknown.

@@ -1,10 +1,11 @@
 package stream
 
-// Federation support: collecting per-window mergeable partials out of a
-// pipeline run, and re-deriving full WindowResults from merged
-// partials. Both directions go through the same reduceWindow code as
-// the live pipeline, so a backbone window merged from per-site partials
-// is measured by byte-identical machinery to a directly observed one.
+// Federation support: collecting per-window mergeable partials and
+// Table I aggregates out of a pipeline run, and re-deriving full
+// WindowResults from merged partials. Both directions go through the
+// same reduceWindow code as the live pipeline, so a backbone window
+// merged from per-site partials is measured by byte-identical machinery
+// to a directly observed one.
 
 import (
 	"errors"
@@ -31,11 +32,34 @@ func (s *PartialSink) ConsumeWindow(res *WindowResult) error {
 	return nil
 }
 
+// Reads implements DeclaredSink: a partial is a retained product that
+// KeepPartials controls, so the sink reads nothing a read set names.
+func (s *PartialSink) Reads() ReadSet { return 0 }
+
+// AggregatesSink is a Sink collecting each window's Table I aggregates,
+// in window order. It reads nothing else, so a run that pairs it with a
+// one-quantity EnsembleSink reduces that histogram and the aggregates
+// alone.
+type AggregatesSink struct {
+	// Aggregates holds one entry per completed window.
+	Aggregates []spmat.Aggregates
+}
+
+// ConsumeWindow implements Sink.
+func (s *AggregatesSink) ConsumeWindow(res *WindowResult) error {
+	s.Aggregates = append(s.Aggregates, res.Aggregates)
+	return nil
+}
+
+// Reads implements DeclaredSink.
+func (s *AggregatesSink) Reads() ReadSet { return ReadAggregates }
+
 // ReducePartial re-derives a full WindowResult (Table I aggregates and
-// all five Fig. 1 histograms) from a window partial — typically one
-// merged from several sites' windows. t is the window index to stamp;
-// keepMatrix additionally freezes the spmat.Matrix. The reduction runs
-// through the identical code path as the live pipeline.
+// all five Fig. 1 histograms, whatever its caller reads) from a window
+// partial — typically one merged from several sites' windows. t is the
+// window index to stamp; keepMatrix additionally freezes the
+// spmat.Matrix. The reduction runs through the identical code path as
+// the live pipeline.
 func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool) (*WindowResult, error) {
 	b := spmat.NewBuilder()
 	var addErr error
@@ -47,5 +71,5 @@ func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool) (*WindowResult
 	if addErr != nil {
 		return nil, addErr
 	}
-	return reduceWindow(t, b, PipelineConfig{KeepMatrices: keepMatrix})
+	return reduceWindow(t, b, PipelineConfig{KeepMatrices: keepMatrix}, readAll)
 }

@@ -20,7 +20,7 @@ package stream
 //
 // The pipeline runs fully fused on the calling goroutine: valid packets
 // accumulate straight into the window's spmat.Builder, each completed
-// window reduces into the five Fig. 1 quantity histograms and feeds the
+// window reduces into what its sinks read (see ReadSet) and feeds the
 // sinks inline, and the builder resets with its tables still warm for
 // the next window. No intermediate buffer of any kind exists between
 // the source and the flat tables, and one window is resident at a time,
@@ -194,17 +194,21 @@ func (s *takeValidSource) Err() error { return s.src.Err() }
 func (s *takeValidSource) PacketsRead() int64 { return s.read }
 
 // WindowResult is one completed window as produced by the pipeline: the
-// Table I aggregates and all five Fig. 1 quantity histograms, computed in
-// a single pass over the window's incremental builder state.
+// Table I aggregates and the Fig. 1 quantity histograms its run's sinks
+// read, reduced from the window's builder state. A run whose sinks all
+// declare their reads (DeclaredSink) builds only the union of those
+// declarations; every field outside it is zero (Aggregates) or nil
+// (Hists). A run with any undeclared sink builds every field.
 type WindowResult struct {
 	// T is the window index (the paper's time t).
 	T int
 	// NV is the number of valid packets aggregated.
 	NV int64
-	// Aggregates are the Table I aggregate properties.
+	// Aggregates are the Table I aggregate properties; zero unless the
+	// run reads ReadAggregates.
 	Aggregates spmat.Aggregates
 	// Hists holds the degree histogram of each Fig. 1 quantity, indexed
-	// by Quantity.
+	// by Quantity; nil for a quantity the run does not read.
 	Hists [NumQuantities]*hist.Histogram
 	// Matrix is the frozen sparse traffic matrix At, populated only when
 	// PipelineConfig.KeepMatrices is set (it is the one per-window
@@ -216,7 +220,8 @@ type WindowResult struct {
 	Partial *spmat.WindowPartial
 }
 
-// Hist returns the histogram of quantity q, or nil for an invalid q.
+// Hist returns the histogram of quantity q, or nil for an invalid or
+// unread q.
 func (r *WindowResult) Hist(q Quantity) *hist.Histogram {
 	if q < 0 || int(q) >= NumQuantities {
 		return nil
@@ -230,7 +235,50 @@ type Sink interface {
 	ConsumeWindow(*WindowResult) error
 }
 
-// FuncSink adapts a function to the Sink interface.
+// ReadSet names the parts of a WindowResult that a sink reads: bit q for
+// the histogram of Quantity q, and ReadAggregates for the Table I
+// aggregates. T, NV and the retained products (Matrix, Partial, which
+// PipelineConfig's Keep flags control) are outside it and always set.
+type ReadSet uint8
+
+const (
+	// ReadAggregates marks WindowResult.Aggregates as read.
+	ReadAggregates ReadSet = 1 << NumQuantities
+	// readAll is every field a read set can name: what an undeclared
+	// sink is assumed to read.
+	readAll ReadSet = ReadAggregates<<1 - 1
+)
+
+// ReadHists returns the read set of the given quantities' histograms.
+// Invalid quantities panic.
+func ReadHists(qs ...Quantity) ReadSet {
+	var r ReadSet
+	for _, q := range qs {
+		if q < 0 || int(q) >= NumQuantities {
+			panic(fmt.Sprintf("stream: invalid quantity %d", int(q)))
+		}
+		r |= 1 << q
+	}
+	return r
+}
+
+// has reports whether r includes the histogram of q.
+func (r ReadSet) has(q Quantity) bool { return r&(1<<q) != 0 }
+
+// DeclaredSink is a Sink that declares what it reads of every
+// WindowResult. Run reduces only the union of its sinks' declarations,
+// so a sink must not read outside its own: an unread histogram is nil
+// and unread aggregates are zero. A Sink that does not implement
+// DeclaredSink reads everything.
+type DeclaredSink interface {
+	Sink
+	// Reads returns the sink's read set. Run calls it once, before the
+	// first window.
+	Reads() ReadSet
+}
+
+// FuncSink adapts a function to the Sink interface. It declares no read
+// set, so a run with one builds every WindowResult field.
 type FuncSink func(*WindowResult) error
 
 // ConsumeWindow implements Sink.
@@ -238,7 +286,8 @@ func (f FuncSink) ConsumeWindow(res *WindowResult) error { return f(res) }
 
 // ResultCollector is a Sink that retains every WindowResult. It is the
 // bridge back to batch-style code and is inherently O(windows) memory —
-// prefer streaming sinks for long traces.
+// prefer streaming sinks for long traces. It declares no read set, so
+// every retained result carries every field.
 type ResultCollector struct {
 	Results []*WindowResult
 }
@@ -308,9 +357,11 @@ const pairBatch = 256
 
 // Run executes the streaming pipeline: it ingests packets from src on
 // the calling goroutine, cuts fixed-NV windows, reduces each completed
-// window, and feeds the results to the sinks in window order. It returns
-// when the source is exhausted, MaxWindows is reached, the source fails,
-// or a sink returns an error.
+// window to the union of what the sinks read, and feeds the results to
+// the sinks in window order. With no sinks a window reduces to nothing
+// but the products the Keep flags ask for. It returns when the source
+// is exhausted, MaxWindows is reached, the source fails, or a sink
+// returns an error.
 func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, error) {
 	stats := PipelineStats{SourcePacketsRead: -1}
 	if src == nil {
@@ -346,6 +397,7 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 	closeT := cfg.Metrics.windowCloseTimer()
 	sinkT := cfg.Metrics.sinkTimer()
 	bAlloc, bReuse := cfg.Metrics.builderCounters()
+	reads := unionReads(sinks...)
 
 	w := NewPairWindow(cfg.NV)
 	bAlloc.Inc()
@@ -357,7 +409,7 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 		stats.InvalidPackets += invalid
 		if full {
 			csp := closeT.Start()
-			res, err := reduceWindow(t, w.b, cfg)
+			res, err := reduceWindow(t, w.b, cfg, reads)
 			csp.Stop()
 			if err != nil {
 				return err
@@ -418,34 +470,50 @@ func (w *PairWindow) Reset() {
 }
 
 // reduceWindow converts a closed window's builder state into a
-// WindowResult: all five Fig. 1 histograms in one pass over the
-// incremental reductions, no intermediate Matrix required. When both
-// the partial and the matrix are kept they share one canonicalization.
-func reduceWindow(t int, b *spmat.Builder, cfg PipelineConfig) (*WindowResult, error) {
-	res := &WindowResult{T: t, NV: b.Total(), Aggregates: b.Aggregates()}
+// WindowResult holding the fields in reads, with no intermediate Matrix:
+// the Table I aggregates derive both node sides of the builder in one
+// pass, a source-side or destination-side histogram derives only its
+// side, and the link-packets histogram reads the link table directly.
+// When both the partial and the matrix are kept they share one
+// canonicalization.
+func reduceWindow(t int, b *spmat.Builder, cfg PipelineConfig, reads ReadSet) (*WindowResult, error) {
+	res := &WindowResult{T: t, NV: b.Total()}
+	if reads&ReadAggregates != 0 {
+		res.Aggregates = b.Aggregates()
+	}
 	var err error
-	if res.Hists[SourcePackets], err = histFromIter(b.ForEachSourcePacket); err != nil {
-		return nil, err
-	}
-	if res.Hists[SourceFanOut], err = histFromIter(b.ForEachSourceFanOut); err != nil {
-		return nil, err
-	}
-	if res.Hists[DestinationFanIn], err = histFromIter(b.ForEachDestinationFanIn); err != nil {
-		return nil, err
-	}
-	if res.Hists[DestinationPackets], err = histFromIter(b.ForEachDestinationPacket); err != nil {
-		return nil, err
-	}
-	lp := hist.New()
-	b.ForEachLink(func(_, _ uint32, n int64) {
-		if e := lp.AddN(int(n), 1); e != nil && err == nil {
-			err = e
+	if reads.has(SourcePackets) {
+		if res.Hists[SourcePackets], err = histFromIter(b.ForEachSourcePacket); err != nil {
+			return nil, err
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.Hists[LinkPackets] = lp
+	if reads.has(SourceFanOut) {
+		if res.Hists[SourceFanOut], err = histFromIter(b.ForEachSourceFanOut); err != nil {
+			return nil, err
+		}
+	}
+	if reads.has(DestinationFanIn) {
+		if res.Hists[DestinationFanIn], err = histFromIter(b.ForEachDestinationFanIn); err != nil {
+			return nil, err
+		}
+	}
+	if reads.has(DestinationPackets) {
+		if res.Hists[DestinationPackets], err = histFromIter(b.ForEachDestinationPacket); err != nil {
+			return nil, err
+		}
+	}
+	if reads.has(LinkPackets) {
+		lp := hist.New()
+		b.ForEachLink(func(_, _ uint32, n int64) {
+			if e := lp.AddN(int(n), 1); e != nil && err == nil {
+				err = e
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.Hists[LinkPackets] = lp
+	}
 	if cfg.KeepPartials {
 		p := b.Partial()
 		res.Partial = &p
@@ -519,6 +587,11 @@ func NewEnsembleSink(qs ...Quantity) *EnsembleSink {
 // ConsumeWindow implements Sink.
 func (s *EnsembleSink) ConsumeWindow(res *WindowResult) error {
 	for _, q := range s.qs {
+		if res.Hists[q] == nil {
+			return fmt.Errorf("stream: window %d has no %v histogram (not in the run's read set)", res.T, q)
+		}
+	}
+	for _, q := range s.qs {
 		h := res.Hists[q]
 		s.merged[q].Merge(h)
 		p, err := h.Pool()
@@ -529,6 +602,10 @@ func (s *EnsembleSink) ConsumeWindow(res *WindowResult) error {
 	}
 	return nil
 }
+
+// Reads implements DeclaredSink: the histograms of the accumulated
+// quantities.
+func (s *EnsembleSink) Reads() ReadSet { return ReadHists(s.qs...) }
 
 // Ensemble returns the cross-window ensemble of q (nil if q was not
 // accumulated).

@@ -31,3 +31,19 @@ func UnionConfigs(cfgs ...PipelineConfig) (PipelineConfig, error) {
 	}
 	return u, nil
 }
+
+// unionReads merges the read sets of the sinks of one run, the way
+// UnionConfigs merges their retention flags: the union of every
+// DeclaredSink's Reads, or readAll as soon as one sink declares nothing.
+// Zero sinks read nothing.
+func unionReads(sinks ...Sink) ReadSet {
+	var u ReadSet
+	for _, s := range sinks {
+		d, ok := s.(DeclaredSink)
+		if !ok {
+			return readAll
+		}
+		u |= d.Reads()
+	}
+	return u
+}
