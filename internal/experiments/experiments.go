@@ -57,7 +57,7 @@ type spmatAggregates struct {
 // incremental (builder), summation/matrix notation (frozen matrix), and
 // the parallel shard-merge rebuild.
 func runTableI(ctx *scenario.Context, seed uint64, nv int64) (TableIResult, error) {
-	win, err := pipelineWindow(ctx, tableISite(seed), nv, true)
+	win, err := pipelineWindow(ctx, tableISite(seed), nv, true, stream.ReadAggregates)
 	if err != nil {
 		return TableIResult{}, err
 	}
@@ -81,11 +81,22 @@ func runTableI(ctx *scenario.Context, seed uint64, nv int64) (TableIResult, erro
 	return res, nil
 }
 
+// windowCollector retains every WindowResult of a run, as
+// stream.ResultCollector does, and declares what its caller reads of
+// them, so the run reduces only that.
+type windowCollector struct {
+	stream.ResultCollector
+	reads stream.ReadSet
+}
+
+// Reads implements stream.DeclaredSink.
+func (c *windowCollector) Reads() stream.ReadSet { return c.reads }
+
 // pipelineWindow streams exactly one window of nv valid packets off a
 // site through the pipeline (via the context's window cache when the
-// scenario engine provides one).
-func pipelineWindow(ctx *scenario.Context, site netgen.SiteConfig, nv int64, keepMatrix bool) (*stream.WindowResult, error) {
-	collector := &stream.ResultCollector{}
+// scenario engine provides one), reducing only what reads names.
+func pipelineWindow(ctx *scenario.Context, site netgen.SiteConfig, nv int64, keepMatrix bool, reads stream.ReadSet) (*stream.WindowResult, error) {
+	collector := &windowCollector{reads: reads}
 	req := scenario.WindowReq{Site: site, NV: nv, Windows: 1}
 	if _, err := ctx.Stream(req, stream.PipelineConfig{KeepMatrices: keepMatrix}, collector); err != nil {
 		return nil, err
@@ -116,7 +127,7 @@ type Figure1Result struct {
 // runFigure1 is the "fig1" scenario compute: all five Fig. 1 quantities
 // of one window, in one streaming pass through the pipeline.
 func runFigure1(ctx *scenario.Context, seed uint64, nv int64) (Figure1Result, error) {
-	win, err := pipelineWindow(ctx, tableISite(seed), nv, false)
+	win, err := pipelineWindow(ctx, tableISite(seed), nv, false, stream.ReadHists(stream.Quantities...))
 	if err != nil {
 		return Figure1Result{}, err
 	}

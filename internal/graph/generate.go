@@ -65,13 +65,14 @@ func ZetaDegreeSequence(n int, alpha float64, maxD int, rng *xrand.RNG) ([]int64
 		return nil, errors.New("graph: negative sequence length")
 	}
 	out := make([]int64, n)
+	zeta := xrand.NewZetaSampler(alpha)
 	for i := range out {
 		var d int
 		var err error
 		if maxD > 0 {
-			d, err = rng.ZetaCapped(alpha, maxD)
+			d, err = zeta.DrawCapped(rng, maxD)
 		} else {
-			d, err = rng.Zeta(alpha)
+			d, err = zeta.Draw(rng)
 		}
 		if err != nil {
 			return nil, err

@@ -1,10 +1,11 @@
 package model
 
 // The Fitter registry: every fitting procedure in the repository behind
-// one entry point. The zm/csn/palu fitters delegate to the untouched
-// legacy estimators (zipfmand.Fit, powerlaw.FitScan, estimate.Estimate),
-// so registry-routed fits are numerically identical to direct calls —
-// the equivalence pin the refactor preserves. The zm-mle, lognormal and
+// one entry point. The zm/csn/palu fitters delegate to the package
+// estimators (zipfmand.Fit, powerlaw.FitScan, estimate.Estimate), so
+// registry-routed fits are numerically identical to direct calls; csn's
+// FitScan picks xmin by KS and solves the likelihood score for α by
+// safeguarded Newton steps at each candidate. The zm-mle, lognormal and
 // truncplaw fitters are maximum likelihood on the shared finite-support
 // log-likelihood, each one projected Newton solve (stats.MinimizeBox)
 // over the box where its family is defined, started from the best of a
@@ -246,9 +247,9 @@ func (p mleProblem) fit(name string, h *hist.Histogram) (FitResult, error) {
 }
 
 // CSNFitter wraps the Clauset–Shalizi–Newman procedure
-// (powerlaw.FitScan: KS-optimal xmin, MLE exponent) — numerically
-// identical to the legacy path. MaxXmin caps the scan (0: the legacy
-// 90th-percentile default).
+// (powerlaw.FitScan: KS-optimal xmin, MLE exponent by a Newton solve of
+// the likelihood score) — numerically identical to calling FitScan.
+// MaxXmin caps the scan (0: the 90th-percentile default).
 type CSNFitter struct {
 	MaxXmin int
 }

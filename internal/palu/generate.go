@@ -275,8 +275,9 @@ func sampleObserved(params Params, n int, p float64, rng *xrand.RNG, visit func(
 	coreN := int(math.Round(params.C * float64(n)))
 	leafN := int(math.Round(params.L * float64(n)))
 	starN := int(math.Round(params.U * float64(n)))
+	zeta := xrand.NewZetaSampler(params.Alpha)
 	for i := 0; i < coreN; i++ {
-		d, err := rng.Zeta(params.Alpha)
+		d, err := zeta.Draw(rng)
 		if err != nil {
 			return err
 		}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"hybridplaw/internal/boot"
 	"hybridplaw/internal/hist"
@@ -36,8 +37,9 @@ type Fit struct {
 	NTail int64
 }
 
-// FitAtXmin computes the MLE exponent for a fixed cutoff xmin by golden-
-// section maximization of the likelihood over α ∈ (1.01, 6).
+// FitAtXmin computes the MLE exponent for a fixed cutoff xmin over
+// α ∈ [1.01, 6]: a safeguarded Newton solve of the likelihood score
+// (fitAt).
 func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
 	if h == nil || h.Total() == 0 {
 		return Fit{}, errors.New("powerlaw: empty histogram")
@@ -45,47 +47,124 @@ func FitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
 	if xmin < 1 {
 		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
 	}
-	return fitAt(h, h.Support(), xmin, math.Inf(1))
+	support := h.Support()
+	nTail, sumLog := tailSums(h, support)
+	var n int64
+	var sl float64
+	if i := sort.SearchInts(support, xmin); i < len(support) { // first d >= xmin
+		n, sl = nTail[i], sumLog[i]
+	}
+	return fitAt(h, support, xmin, n, sl, math.Inf(1))
 }
 
-// fitAt is FitAtXmin over the histogram's sorted support. The CSN log
-// likelihood −n·ln ζ(α, xmin) − α Σ c·ln d depends on α only through ζ,
-// so n and Σ c·ln d over d >= xmin are summed once, in ascending d, and
-// each golden-section step costs one Hurwitz zeta at the fixed q = xmin.
-// ksBound is ksDistance's bound: the returned KS is exact when below it.
-func fitAt(h *hist.Histogram, support []int, xmin int, ksBound float64) (Fit, error) {
-	var nTail int64
-	var sumLog float64
-	for _, d := range support {
-		if d < xmin {
-			continue
-		}
+// tailSums returns, for every index i of the sorted support, the count
+// n and Σ c·ln d of the tail d >= support[i], from one pass down the
+// support. The CSN log likelihood depends on the data above a cutoff
+// only through these two sums.
+func tailSums(h *hist.Histogram, support []int) (nTail []int64, sumLog []float64) {
+	nTail = make([]int64, len(support))
+	sumLog = make([]float64, len(support))
+	var n int64
+	var sl float64
+	for i := len(support) - 1; i >= 0; i-- {
+		d := support[i]
 		c := h.Count(d)
-		nTail += c
-		sumLog += float64(c) * math.Log(float64(d))
+		n += c
+		sl += float64(c) * math.Log(float64(d))
+		nTail[i], sumLog[i] = n, sl
 	}
+	return nTail, sumLog
+}
+
+// The CSN exponent is searched on [alphaLo, alphaHi], and the score
+// solve stops once a Newton step is below alphaTol.
+const (
+	alphaLo, alphaHi float64 = 1.01, 6
+	alphaTol                 = 1e-9
+)
+
+// fitAt is FitAtXmin over the histogram's sorted support, given the
+// tail's count nTail and Σ c·ln d (tailSums). The α it returns
+// maximizes the CSN log likelihood −n·ln ζ(α, xmin) − α·Σ c·ln d
+// (csnAlpha). ksBound is ksDistance's bound: the returned KS is exact
+// when below it.
+func fitAt(h *hist.Histogram, support []int, xmin int, nTail int64, sumLog, ksBound float64) (Fit, error) {
 	if nTail < 2 {
 		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
 	}
 	zeta := specialfn.NewHurwitz(float64(xmin))
-	// neg is the negated log likelihood.
-	neg := func(alpha float64) float64 {
-		z, err := zeta.Zeta(alpha)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return -(-float64(nTail)*math.Log(z) - alpha*sumLog)
-	}
-	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
+	alpha, err := csnAlpha(&zeta, float64(nTail), sumLog, float64(xmin))
 	if err != nil {
 		return Fit{}, err
 	}
 	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
-	fit.KS, err = ksDistance(h, support, fit, ksBound)
+	fit.KS, err = ksDistance(h, support, fit, &zeta, ksBound)
 	if err != nil {
 		return Fit{}, err
 	}
 	return fit, nil
+}
+
+// csnAlpha maximizes ℓ(α) = −n·ln ζ(α, xmin) − α·sumLog over
+// [alphaLo, alphaHi], where zeta is ζ(·, xmin). ℓ is concave (ln ζ is
+// convex in α), so its score
+//
+//	g(α) = ℓ′(α) = −n·ζ′/ζ − sumLog,  g′(α) = −n·(ζ″/ζ − (ζ′/ζ)²) < 0
+//
+// falls through at most one root. The solve starts at the CSN
+// closed-form estimate 1 + n / Σ c·ln(d/(xmin − ½)), clamped into the
+// bracket, and takes Newton steps on g. The sign of g at each iterate
+// shrinks the bracket to the side that holds the root. A step that
+// leaves the bracket is replaced by the bracket's midpoint, or by the
+// bound it crossed while g there is unknown; g pointing out of the
+// bracket at a bound means the optimum lies beyond it, and the fit ends
+// on the bound.
+func csnAlpha(zeta *specialfn.Hurwitz, n, sumLog, xmin float64) (float64, error) {
+	lo, hi := alphaLo, alphaHi
+	var loSeen, hiSeen bool // g has been evaluated at lo, at hi
+	alpha := alphaLo
+	if start := 1 + n/(sumLog-n*math.Log(xmin-0.5)); start > alphaLo {
+		alpha = math.Min(start, alphaHi)
+	}
+	for iter := 0; iter < 200; iter++ {
+		z, dz, d2z, err := zeta.ZetaDerivs(alpha)
+		if err != nil {
+			return 0, err
+		}
+		r := dz / z
+		g := -n*r - sumLog
+		switch {
+		case g > 0: // the root lies above alpha
+			if alpha == hi {
+				return hi, nil
+			}
+			lo, loSeen = alpha, true
+		case g < 0:
+			if alpha == lo {
+				return lo, nil
+			}
+			hi, hiSeen = alpha, true
+		default:
+			return alpha, nil
+		}
+		step := g / (n * (d2z/z - r*r)) // −g/g′
+		next := alpha + step
+		switch {
+		case next <= lo && !loSeen:
+			next = lo
+		case next >= hi && !hiSeen:
+			next = hi
+		case !(next > lo && next < hi):
+			next = 0.5 * (lo + hi)
+		case math.Abs(step) <= alphaTol:
+			return next, nil
+		}
+		if hi-lo <= alphaTol {
+			return 0.5 * (lo + hi), nil
+		}
+		alpha = next
+	}
+	return 0, errors.New("powerlaw: CSN score solve did not converge")
 }
 
 // ksMargin bounds how far either CDF in ksDistance may exceed 1: rounding
@@ -94,23 +173,21 @@ func fitAt(h *hist.Histogram, support []int, xmin int, ksBound float64) (Fit, er
 const ksMargin = 1e-6
 
 // ksDistance computes the KS statistic between the empirical tail
-// distribution (d >= xmin) and the fitted model. support is h.Support().
-// The walk stops once the running maximum reaches bound, so a result
-// below bound is the exact KS and any other result is >= bound.
-func ksDistance(h *hist.Histogram, support []int, f Fit, bound float64) (float64, error) {
-	z, err := specialfn.HurwitzZeta(f.Alpha, float64(f.Xmin))
+// distribution (d >= xmin) and the fitted model. support is h.Support()
+// and zeta is ζ(·, f.Xmin). The walk stops once the running maximum
+// reaches bound, so a result below bound is the exact KS and any other
+// result is >= bound.
+func ksDistance(h *hist.Histogram, support []int, f Fit, zeta *specialfn.Hurwitz, bound float64) (float64, error) {
+	z, err := zeta.Zeta(f.Alpha)
 	if err != nil {
 		return 0, err
 	}
-	var total float64
-	for _, d := range support {
-		if d >= f.Xmin {
-			total += float64(h.Count(d))
-		}
-	}
-	if total == 0 {
+	if f.NTail == 0 {
 		return 0, errors.New("powerlaw: empty tail")
 	}
+	// Every partial sum of the counts is an integer below 2^53, so this
+	// is the float64 sum of the tail's counts exactly.
+	total := float64(f.NTail)
 	// Walk the full integer range from xmin to the max support so the
 	// model CDF accumulates correctly across gaps. Both CDFs only grow and
 	// stay below 1 + ksMargin, so no later support point can differ by
@@ -153,13 +230,14 @@ func FitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
 	// A candidate is kept only if its KS is below best.KS, so its KS walk
 	// can stop at best.KS: a walk cut there loses, and the winner's
 	// running maximum stays below the bound all the way.
+	nTail, sumLog := tailSums(h, support)
 	best := Fit{KS: math.Inf(1)}
 	found := false
-	for _, xmin := range support {
+	for i, xmin := range support {
 		if xmin > maxXmin {
 			break
 		}
-		f, err := fitAt(h, support, xmin, best.KS)
+		f, err := fitAt(h, support, xmin, nTail[i], sumLog[i], best.KS)
 		if err != nil {
 			continue // tails can become too thin; skip
 		}

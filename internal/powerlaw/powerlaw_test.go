@@ -238,12 +238,17 @@ func TestCompareOnPurePowerLaw(t *testing.T) {
 
 func BenchmarkFitScan(b *testing.B) {
 	// The KS bound cuts walks differently on a pure ζ sample and on the
-	// suite's leaf-heavy PALU shape, so both are timed.
+	// suite's leaf-heavy PALU shape, so both are timed; palu-400k is that
+	// shape at 400k nodes (131 xmin candidates).
 	params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	leafHeavy, err := palu.FastObservedHistogram(params, 50000, 0.7, xrand.New(21))
+	if err != nil {
+		b.Fatal(err)
+	}
+	palu400k, err := palu.FastObservedHistogram(params, 400000, 0.7, xrand.New(21))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -253,6 +258,7 @@ func BenchmarkFitScan(b *testing.B) {
 	}{
 		{"zeta-2.2", zetaSampleHistogram(b, 2.2, 50000, 1)},
 		{"palu-leaf-heavy", leafHeavy},
+		{"palu-400k", palu400k},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -274,12 +280,14 @@ func BenchmarkFitAtXmin(b *testing.B) {
 	}
 }
 
-// The ref* functions are the CSN scan as it was before the α-free sums
-// were hoisted and the KS walk learned to stop early. They re-sort the
-// support and re-sum Σc·ln d on every likelihood call and walk every
-// degree up to the maximum; FitScan must match them bit for bit.
+// The golden* functions are the CSN scan as it was before the score
+// solve: for each xmin, n and Σ c·ln d summed in ascending d, and α by
+// golden section on [1.01, 6] to 1e-8. FitScan must choose the same
+// xmin and reach at least their log likelihood.
 
-func refLogLikelihood(h *hist.Histogram, xmin int, alpha float64) float64 {
+// logLik is the CSN log likelihood −n·ln ζ(α, xmin) − α·Σ c·ln d over
+// the tail d >= xmin, summed in ascending d.
+func logLik(h *hist.Histogram, xmin int, alpha float64) float64 {
 	z, err := specialfn.HurwitzZeta(alpha, float64(xmin))
 	if err != nil {
 		return math.Inf(-1)
@@ -294,39 +302,80 @@ func refLogLikelihood(h *hist.Histogram, xmin int, alpha float64) float64 {
 		n += c
 		sumLog += float64(c) * math.Log(float64(d))
 	}
-	if n == 0 {
-		return math.Inf(-1)
-	}
 	return -float64(n)*math.Log(z) - alpha*sumLog
 }
 
-func refFitAtXmin(h *hist.Histogram, xmin int) (Fit, error) {
-	if h == nil || h.Total() == 0 {
-		return Fit{}, errors.New("powerlaw: empty histogram")
-	}
-	if xmin < 1 {
-		return Fit{}, errors.New("powerlaw: xmin must be >= 1")
-	}
+// goldenAlpha is the golden-section α at one xmin, with its tail count.
+func goldenAlpha(h *hist.Histogram, support []int, xmin int) (float64, int64, error) {
 	var nTail int64
-	for _, d := range h.Support() {
-		if d >= xmin {
-			nTail += h.Count(d)
+	var sumLog float64
+	for _, d := range support {
+		if d < xmin {
+			continue
 		}
+		c := h.Count(d)
+		nTail += c
+		sumLog += float64(c) * math.Log(float64(d))
 	}
 	if nTail < 2 {
-		return Fit{}, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
+		return 0, nTail, fmt.Errorf("powerlaw: only %d observations above xmin=%d", nTail, xmin)
 	}
-	neg := func(alpha float64) float64 { return -refLogLikelihood(h, xmin, alpha) }
+	zeta := specialfn.NewHurwitz(float64(xmin))
+	neg := func(alpha float64) float64 {
+		z, err := zeta.Zeta(alpha)
+		if err != nil {
+			return math.Inf(1)
+		}
+		return float64(nTail)*math.Log(z) + alpha*sumLog
+	}
 	alpha, err := stats.GoldenSection(neg, 1.01, 6, 1e-8)
+	return alpha, nTail, err
+}
+
+func goldenFitAt(h *hist.Histogram, support []int, xmin int, ksBound float64) (Fit, error) {
+	alpha, nTail, err := goldenAlpha(h, support, xmin)
 	if err != nil {
 		return Fit{}, err
 	}
 	fit := Fit{Alpha: alpha, Xmin: xmin, NTail: nTail}
-	fit.KS, err = refKSDistance(h, fit)
+	zeta := specialfn.NewHurwitz(float64(xmin))
+	fit.KS, err = ksDistance(h, support, fit, &zeta, ksBound)
 	if err != nil {
 		return Fit{}, err
 	}
 	return fit, nil
+}
+
+func goldenFitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
+	if h == nil || h.Total() == 0 {
+		return Fit{}, errors.New("powerlaw: empty histogram")
+	}
+	support := h.Support()
+	if maxXmin <= 0 {
+		maxXmin = support[int(0.9*float64(len(support)-1))]
+		if maxXmin < 1 {
+			maxXmin = 1
+		}
+	}
+	best := Fit{KS: math.Inf(1)}
+	found := false
+	for _, xmin := range support {
+		if xmin > maxXmin {
+			break
+		}
+		f, err := goldenFitAt(h, support, xmin, best.KS)
+		if err != nil {
+			continue
+		}
+		if f.KS < best.KS {
+			best = f
+			found = true
+		}
+	}
+	if !found {
+		return Fit{}, errors.New("powerlaw: no viable xmin")
+	}
+	return best, nil
 }
 
 func refKSDistance(h *hist.Histogram, f Fit) (float64, error) {
@@ -366,38 +415,6 @@ func refKSDistance(h *hist.Histogram, f Fit) (float64, error) {
 	return maxDiff, nil
 }
 
-func refFitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
-	if h == nil || h.Total() == 0 {
-		return Fit{}, errors.New("powerlaw: empty histogram")
-	}
-	support := h.Support()
-	if maxXmin <= 0 {
-		maxXmin = support[int(0.9*float64(len(support)-1))]
-		if maxXmin < 1 {
-			maxXmin = 1
-		}
-	}
-	best := Fit{KS: math.Inf(1)}
-	found := false
-	for _, xmin := range support {
-		if xmin > maxXmin {
-			break
-		}
-		f, err := refFitAtXmin(h, xmin)
-		if err != nil {
-			continue
-		}
-		if f.KS < best.KS {
-			best = f
-			found = true
-		}
-	}
-	if !found {
-		return Fit{}, errors.New("powerlaw: no viable xmin")
-	}
-	return best, nil
-}
-
 // contaminatedHistogram is power law above 4 with a uniform head below:
 // the case where the scan's xmin matters.
 func contaminatedHistogram(t testing.TB, nHead, nTail int, seed uint64) *hist.Histogram {
@@ -421,8 +438,8 @@ func contaminatedHistogram(t testing.TB, nHead, nTail int, seed uint64) *hist.Hi
 	return h
 }
 
-// bitIdentityCases are the histograms the CSN bit-identity pins run on.
-func bitIdentityCases(t *testing.T) map[string]*hist.Histogram {
+// scanCases are the histograms the CSN scan pins run on.
+func scanCases(t *testing.T) map[string]*hist.Histogram {
 	t.Helper()
 	cases := map[string]*hist.Histogram{}
 	for i, seed := range []uint64{21, 33} {
@@ -438,7 +455,7 @@ func bitIdentityCases(t *testing.T) map[string]*hist.Histogram {
 	}
 	// The KS reference walks every degree up to the maximum, which at
 	// α = 1.5 grows like n²: 300 draws at seed 5 top out near 35k degrees,
-	// which keeps the reference scan quick.
+	// which keeps the reference walk quick.
 	cases["zeta-1.5"] = zetaSampleHistogram(t, 1.5, 300, 5)
 	for _, alpha := range []float64{2, 2.5, 3} {
 		cases[fmt.Sprintf("zeta-%v", alpha)] = zetaSampleHistogram(t, alpha, 5000, uint64(alpha*100))
@@ -459,27 +476,159 @@ func bitIdentityCases(t *testing.T) map[string]*hist.Histogram {
 	return cases
 }
 
-func TestFitScanBitIdentical(t *testing.T) {
-	for name, h := range bitIdentityCases(t) {
+// benchPALUHistogram is the 200k-observation PALU histogram of the
+// model package's BenchmarkFit.
+func benchPALUHistogram(t testing.TB) *hist.Histogram {
+	t.Helper()
+	params, err := palu.FromWeights(1, 3, 2, 1.5, 2.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := palu.FastObservedHistogram(params, 200000, 0.7, xrand.New(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// The score solve against golden section. Golden section stops on a
+// 1e-8 bracket, so its α is within about 5e-9 of the optimum; the score
+// solve's is within rounding of it. The KS statistic moves with α.
+const (
+	goldenAlphaTol  = 1e-7  // |Δα|
+	goldenLogLikTol = 1e-12 // log L may fall this far below golden section's, relative
+	goldenKSTol     = 1e-7  // |ΔKS|
+)
+
+// toleranceStats accumulates the largest differences a tolerance check
+// saw, for the test log.
+type toleranceStats struct {
+	candidates         int
+	maxCandidateDAlpha float64 // over every candidate xmin
+	maxDAlpha          float64 // over the returned fits
+	maxLogLikDeficit   float64 // relative; negative when every log L rose
+	maxDKS             float64
+}
+
+func (s *toleranceStats) String() string {
+	return fmt.Sprintf("%d candidates (max |Δα| %.3g), returned fits max |Δα| %.3g, max |ΔKS| %.3g, max relative log L deficit %.3g",
+		s.candidates, s.maxCandidateDAlpha, s.maxDAlpha, s.maxDKS, s.maxLogLikDeficit)
+}
+
+// checkLogLik compares the log likelihood of one α with golden
+// section's at the same xmin, and returns |Δα|.
+func (s *toleranceStats) checkLogLik(t testing.TB, what string, h *hist.Histogram, xmin int, got, want float64) float64 {
+	t.Helper()
+	gotLL, wantLL := logLik(h, xmin, got), logLik(h, xmin, want)
+	deficit := (wantLL - gotLL) / math.Abs(wantLL)
+	s.maxLogLikDeficit = math.Max(s.maxLogLikDeficit, deficit)
+	if deficit > goldenLogLikTol {
+		t.Errorf("%s: log L %.17g, golden section %.17g (%.3g relative below)", what, gotLL, wantLL, deficit)
+	}
+	return math.Abs(got - want)
+}
+
+// checkAlpha is checkLogLik for a returned fit, which also holds α
+// within goldenAlphaTol of golden section's.
+func (s *toleranceStats) checkAlpha(t testing.TB, what string, h *hist.Histogram, xmin int, got, want float64) {
+	t.Helper()
+	dAlpha := s.checkLogLik(t, what, h, xmin, got, want)
+	s.maxDAlpha = math.Max(s.maxDAlpha, dAlpha)
+	if dAlpha > goldenAlphaTol {
+		t.Errorf("%s: α %.17g, golden section %.17g (|Δα| %.3g)", what, got, want, dAlpha)
+	}
+}
+
+// checkWithinTolerance pins the score solve on h against golden section:
+// the α of every candidate xmin of the default scan, FitScan at each
+// scan cap in maxXmins, and FitAtXmin at each xmin in xmins. FitScan
+// must choose golden section's xmin (a KS near-tie that flips it is
+// reported with both KS values) and return FitAtXmin's fit there.
+func checkWithinTolerance(t testing.TB, name string, h *hist.Histogram, maxXmins, xmins []int) *toleranceStats {
+	t.Helper()
+	s := &toleranceStats{maxLogLikDeficit: math.Inf(-1)}
+	support := h.Support()
+	maxXmin := support[int(0.9*float64(len(support)-1))]
+	nTail, sumLog := tailSums(h, support)
+	for i, xmin := range support {
+		if xmin > maxXmin {
+			break
+		}
+		want, wantN, wantErr := goldenAlpha(h, support, xmin)
+		if wantN != nTail[i] {
+			t.Fatalf("%s xmin=%d: tail count %d, golden section %d", name, xmin, nTail[i], wantN)
+		}
+		if wantErr != nil {
+			continue
+		}
+		zeta := specialfn.NewHurwitz(float64(xmin))
+		got, err := csnAlpha(&zeta, float64(nTail[i]), sumLog[i], float64(xmin))
+		if err != nil {
+			t.Fatalf("%s xmin=%d: %v", name, xmin, err)
+		}
+		dAlpha := s.checkLogLik(t, fmt.Sprintf("%s xmin=%d", name, xmin), h, xmin, got, want)
+		s.maxCandidateDAlpha = math.Max(s.maxCandidateDAlpha, dAlpha)
+		s.candidates++
+	}
+	for _, maxXmin := range maxXmins {
+		got, gotErr := FitScan(h, maxXmin)
+		want, wantErr := goldenFitScan(h, maxXmin)
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s maxXmin=%d: error %v, golden section %v", name, maxXmin, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			continue
+		}
+		what := fmt.Sprintf("%s maxXmin=%d", name, maxXmin)
+		if got.Xmin != want.Xmin || got.NTail != want.NTail {
+			t.Errorf("%s: xmin %d (KS %.17g, ntail %d), golden section xmin %d (KS %.17g, ntail %d)",
+				what, got.Xmin, got.KS, got.NTail, want.Xmin, want.KS, want.NTail)
+			continue
+		}
+		s.checkAlpha(t, what, h, got.Xmin, got.Alpha, want.Alpha)
+		dKS := math.Abs(got.KS - want.KS)
+		s.maxDKS = math.Max(s.maxDKS, dKS)
+		if dKS > goldenKSTol {
+			t.Errorf("%s: KS %.17g, golden section %.17g", what, got.KS, want.KS)
+		}
+		if at, err := FitAtXmin(h, got.Xmin); err != nil || at != got {
+			t.Errorf("%s: FitScan %+v, FitAtXmin at its xmin %+v, %v", what, got, at, err)
+		}
+	}
+	for _, xmin := range xmins {
+		got, gotErr := FitAtXmin(h, xmin)
+		want, wantErr := goldenFitAt(h, support, xmin, math.Inf(1))
+		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Errorf("%s xmin=%d: FitAtXmin error %v, golden section %v", name, xmin, gotErr, wantErr)
+			continue
+		}
+		if gotErr != nil {
+			continue
+		}
+		what := fmt.Sprintf("%s FitAtXmin(%d)", name, xmin)
+		if got.Xmin != want.Xmin || got.NTail != want.NTail {
+			t.Errorf("%s: %+v, golden section %+v", what, got, want)
+		}
+		s.checkAlpha(t, what, h, xmin, got.Alpha, want.Alpha)
+		if dKS := math.Abs(got.KS - want.KS); dKS > goldenKSTol {
+			t.Errorf("%s: KS %.17g, golden section %.17g", what, got.KS, want.KS)
+		}
+	}
+	return s
+}
+
+// TestFitScanWithinTolerance: the score solve chooses golden section's
+// xmin on every case and cap, and its α is within goldenAlphaTol of
+// golden section's, at no lower log likelihood, at every candidate.
+func TestFitScanWithinTolerance(t *testing.T) {
+	cases := scanCases(t)
+	cases["bench-palu"] = benchPALUHistogram(t)
+	for name, h := range cases {
 		support := h.Support()
 		maxXmins := []int{0, 1, 2, 5, support[len(support)/2], support[len(support)-1], 1 << 30}
-		for _, maxXmin := range maxXmins {
-			got, gotErr := FitScan(h, maxXmin)
-			want, wantErr := refFitScan(h, maxXmin)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-				t.Fatalf("%s maxXmin=%d: error %v, reference %v", name, maxXmin, gotErr, wantErr)
-			}
-			if got != want {
-				t.Errorf("%s maxXmin=%d: FitScan = %+v, reference %+v", name, maxXmin, got, want)
-			}
-		}
-		for _, xmin := range []int{1, 2, 4, support[len(support)-1]} {
-			got, gotErr := FitAtXmin(h, xmin)
-			want, wantErr := refFitAtXmin(h, xmin)
-			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got != want {
-				t.Errorf("%s xmin=%d: FitAtXmin = %+v, %v; reference %+v, %v", name, xmin, got, gotErr, want, wantErr)
-			}
-		}
+		xmins := []int{1, 2, 4, support[len(support)-1], support[len(support)-1] + 1}
+		s := checkWithinTolerance(t, name, h, maxXmins, xmins)
+		t.Logf("%s: %v", name, s)
 	}
 }
 
@@ -512,9 +661,10 @@ func ksExitsEarly(t *testing.T, h *hist.Histogram, f Fit) bool {
 
 func TestKSDistanceMatchesFullWalk(t *testing.T) {
 	var fired, walked int
-	for name, h := range bitIdentityCases(t) {
+	for name, h := range scanCases(t) {
 		support := h.Support()
 		for _, xmin := range []int{1, 2, 4} {
+			zeta := specialfn.NewHurwitz(float64(xmin))
 			for _, alpha := range []float64{1.2, 2, 2.5, 4} {
 				f := Fit{Alpha: alpha, Xmin: xmin}
 				for _, d := range support {
@@ -525,7 +675,7 @@ func TestKSDistanceMatchesFullWalk(t *testing.T) {
 				if f.NTail == 0 {
 					continue
 				}
-				got, err := ksDistance(h, support, f, math.Inf(1))
+				got, err := ksDistance(h, support, f, &zeta, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -551,9 +701,10 @@ func TestKSDistanceMatchesFullWalk(t *testing.T) {
 }
 
 func TestKSDistanceBound(t *testing.T) {
-	for name, h := range bitIdentityCases(t) {
+	for name, h := range scanCases(t) {
 		support := h.Support()
 		for _, xmin := range []int{1, 2, 4} {
+			zeta := specialfn.NewHurwitz(float64(xmin))
 			for _, alpha := range []float64{1.2, 2, 2.5, 4} {
 				f := Fit{Alpha: alpha, Xmin: xmin}
 				for _, d := range support {
@@ -568,7 +719,7 @@ func TestKSDistanceBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				full, err := ksDistance(h, support, f, math.Inf(1))
+				full, err := ksDistance(h, support, f, &zeta, math.Inf(1))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -580,7 +731,7 @@ func TestKSDistanceBound(t *testing.T) {
 					if bound <= want {
 						continue
 					}
-					got, err := ksDistance(h, support, f, bound)
+					got, err := ksDistance(h, support, f, &zeta, bound)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -590,7 +741,7 @@ func TestKSDistanceBound(t *testing.T) {
 				}
 				atOrBelow := []float64{want, math.Nextafter(want, 0), want / 2, want / 100, 0}
 				for _, bound := range atOrBelow {
-					got, err := ksDistance(h, support, f, bound)
+					got, err := ksDistance(h, support, f, &zeta, bound)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -615,17 +766,18 @@ func TestKSDistanceBound(t *testing.T) {
 	}
 	support := h.Support()
 	maxXmin := support[int(0.9*float64(len(support)-1))]
+	nTail, sumLog := tailSums(h, support)
 	best := math.Inf(1)
 	var candidates, cut int
-	for _, xmin := range support {
+	for i, xmin := range support {
 		if xmin > maxXmin {
 			break
 		}
-		full, err := fitAt(h, support, xmin, math.Inf(1))
+		full, err := fitAt(h, support, xmin, nTail[i], sumLog[i], math.Inf(1))
 		if err != nil {
 			continue
 		}
-		bounded, err := fitAt(h, support, xmin, best)
+		bounded, err := fitAt(h, support, xmin, nTail[i], sumLog[i], best)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,8 @@ func refHurwitzZeta(s, q float64) (float64, error) {
 }
 
 // goldenSectionPoints returns every α that golden-section searches over
-// the CSN MLE's bracket [1.01, 6] visit, for optima spread across it.
+// the CSN bracket [1.01, 6] visit, for optima spread across it: a dense,
+// irregular grid of the exponents the CSN fit evaluates.
 func goldenSectionPoints(t *testing.T) []float64 {
 	t.Helper()
 	var pts []float64
@@ -164,14 +165,86 @@ func TestPowBaseMatchesMathPow(t *testing.T) {
 	}
 }
 
+// richardsonDerivs returns ∂ζ/∂s and ∂²ζ/∂s² of h.Zeta at s by central
+// differences with Richardson extrapolation: the recipe of the seed's
+// finite-difference ZetaDeriv, applied to the first and the second
+// difference. Both errors are O(step⁴) against rounding of O(ε/step)
+// and O(ε/step²), so the steps shrink with s − 1 toward the pole.
+func richardsonDerivs(t *testing.T, h *Hurwitz, s float64) (d1, d2 float64) {
+	t.Helper()
+	f := func(x float64) float64 {
+		z, err := h.Zeta(x)
+		if err != nil {
+			t.Fatalf("Zeta(%v): %v", x, err)
+		}
+		return z
+	}
+	first := func(step float64) float64 { return (f(s+step) - f(s-step)) / (2 * step) }
+	f0 := f(s)
+	second := func(step float64) float64 { return (f(s+step) - 2*f0 + f(s-step)) / (step * step) }
+	h1, h2 := math.Min(1e-3, 1e-4*(s-1)), math.Min(1e-2, 1e-3*(s-1))
+	return (4*first(h1/2) - first(h1)) / 3, (4*second(h2/2) - second(h2)) / 3
+}
+
+// TestHurwitzDerivs: ZetaDerivs' ζ is the math.Pow reference's bit for
+// bit, and its ∂ζ/∂s and ∂²ζ/∂s² agree with a Richardson central
+// difference of Zeta to 1e-8 and 1e-7 relative, over the CSN exponent
+// range and cutoffs up to the suite's largest scan candidate. The
+// difference itself is good to about 2e-10 and 1.3e-8 there.
+func TestHurwitzDerivs(t *testing.T) {
+	const tol1, tol2 = 1e-8, 1e-7
+	var worst1, worst2 float64
+	for _, q := range []float64{1, 2, 9, 33, 749} {
+		h := NewHurwitz(q)
+		for _, s := range []float64{1.01, 1.05, 1.5, 2, 3, 6} {
+			z, dz, d2z, err := h.ZetaDerivs(s)
+			if err != nil {
+				t.Fatalf("ZetaDerivs(%v, %v): %v", s, q, err)
+			}
+			if want, _ := refHurwitzZeta(s, q); math.Float64bits(z) != math.Float64bits(want) {
+				t.Errorf("q=%v s=%v: ZetaDerivs ζ %v, reference %v", q, s, z, want)
+			}
+			if one, _ := h.Zeta(s); math.Float64bits(z) != math.Float64bits(one) {
+				t.Errorf("q=%v s=%v: ZetaDerivs ζ %v, Zeta %v", q, s, z, one)
+			}
+			if !(dz < 0 && d2z > 0 && d2z*z > dz*dz) {
+				t.Errorf("q=%v s=%v: ζ=%v ζ′=%v ζ″=%v: want ζ′ < 0 < ζ″ and ln ζ convex", q, s, z, dz, d2z)
+			}
+			want1, want2 := richardsonDerivs(t, &h, s)
+			e1, e2 := math.Abs(dz-want1)/math.Abs(want1), math.Abs(d2z-want2)/math.Abs(want2)
+			worst1, worst2 = math.Max(worst1, e1), math.Max(worst2, e2)
+			if e1 > tol1 || e2 > tol2 {
+				t.Errorf("q=%v s=%v: ζ′ %v (difference %v, %.2g relative), ζ″ %v (difference %v, %.2g relative)",
+					q, s, dz, want1, e1, d2z, want2, e2)
+			}
+		}
+	}
+	t.Logf("largest relative difference: ζ′ %.2g, ζ″ %.2g", worst1, worst2)
+	h := NewHurwitz(2)
+	for _, s := range []float64{1, 0.5, math.NaN()} {
+		if _, _, _, err := h.ZetaDerivs(s); err != ErrDomain {
+			t.Errorf("ZetaDerivs(%v) error %v, want ErrDomain", s, err)
+		}
+	}
+}
+
 func BenchmarkHurwitz(b *testing.B) {
-	// One CSN likelihood maximization: a fixed q, the golden-section α.
+	// Many exponents at one fixed q, as a CSN fit at one xmin evaluates.
 	const q = 5
 	ss := []float64{2.9, 3.0901699, 2.7082039, 2.8541020, 2.9442719}
 	b.Run("fixed-q", func(b *testing.B) {
 		h := NewHurwitz(q)
 		for i := 0; i < b.N; i++ {
 			if _, err := h.Zeta(ss[i%len(ss)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// One step of the CSN score solve: ζ, ∂ζ/∂s and ∂²ζ/∂s² at once.
+	b.Run("fixed-q-derivs", func(b *testing.B) {
+		h := NewHurwitz(q)
+		for i := 0; i < b.N; i++ {
+			if _, _, _, err := h.ZetaDerivs(ss[i%len(ss)]); err != nil {
 				b.Fatal(err)
 			}
 		}

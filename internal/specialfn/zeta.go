@@ -81,40 +81,78 @@ func NewHurwitz(q float64) Hurwitz {
 
 // Zeta returns ζ(s, q) for s > 1.
 func (h *Hurwitz) Zeta(s float64) (float64, error) {
+	z, _, _, err := h.ZetaDerivs(s)
+	return z, err
+}
+
+// factorial2k holds (2k)! for k = 1..8, the denominators of the
+// Euler–Maclaurin corrections.
+var factorial2k = [len(bernoulli2k)]float64{
+	2, 24, 720, 40320, 3628800, 479001600, 87178291200, 20922789888000,
+}
+
+// ZetaDerivs returns ζ(s, q) and its first two derivatives in s, ∂ζ/∂s
+// and ∂²ζ/∂s², for s > 1, from one Euler–Maclaurin pass. Each head
+// term (q+n)^{-s} contributes −ln(q+n)·(q+n)^{-s} and ln²(q+n)·(q+n)^{-s}
+// through the cached ln(q+n); the tail and Bernoulli corrections are
+// differentiated in s through their powers of a = q+emCutoff and the
+// rising factorial. z is Zeta(s): Zeta is this pass with the
+// derivatives dropped.
+func (h *Hurwitz) ZetaDerivs(s float64) (z, dz, d2z float64, err error) {
 	if math.IsNaN(s) || math.IsNaN(h.q) || s <= 1 || h.q <= 0 {
-		return math.NaN(), ErrDomain
+		return math.NaN(), math.NaN(), math.NaN(), ErrDomain
 	}
 	// Direct summation of the head.
-	var head float64
+	var head, head1, head2 float64
 	for n := 0; n < emCutoff; n++ {
-		head += h.base[n].pow(-s)
+		b := &h.base[n]
+		p := b.pow(-s)
+		head += p
+		lp := b.logx * p // logx is 0 for the base 1, as ln 1 is
+		head1 -= lp
+		head2 += b.logx * lp
 	}
 	a := &h.base[emCutoff] // first point not in the head
+	L := a.logx
 	// Euler–Maclaurin tail:
 	//   Σ_{n=N}^∞ (q+n)^{-s} ≈ a^{1-s}/(s-1) + a^{-s}/2 + Σ_k corr_k
 	// with corr_k = B_{2k}/(2k)! * s(s+1)...(s+2k-2) * a^{-s-2k+1}.
-	tail := a.pow(1-s)/(s-1) + 0.5*a.pow(-s)
-	// rising factorial s(s+1)...(s+2k-2) built incrementally; the (2k)!
-	// denominator is folded into the coefficient table below.
-	fact := []float64{
-		2, 24, 720, 40320, 3628800, 479001600, 87178291200, 20922789888000,
-	} // (2k)! for k=1..8
-	rising := s // k=1: product of 1 term
+	// With u = 1/(s−1), d/ds[a^{1-s}·u] = −a^{1-s}·(L·u + u²) and
+	// d²/ds² = a^{1-s}·(L²·u + 2L·u² + 2u³), L = ln a.
+	p1, p0 := a.pow(1-s), a.pow(-s)
+	tail := p1/(s-1) + 0.5*p0
+	u := 1 / (s - 1)
+	tail1 := -p1*(L*u+u*u) - 0.5*L*p0
+	tail2 := p1*(L*L*u+2*L*u*u+2*u*u*u) + 0.5*L*L*p0
+	// rising factorial R = s(s+1)...(s+2k-2) and its derivatives R′, R″,
+	// built incrementally; the (2k)! denominator is in factorial2k. A
+	// correction C·R·a^{-s-2k+1} has derivatives C·(R′ − L·R)·a^{...} and
+	// C·(R″ − 2L·R′ + L²·R)·a^{...}.
+	rising, rising1, rising2 := s, 1.0, 0.0 // k=1: product of 1 term
 	pw := a.pow(-s - 1)
 	inva2 := 1 / (a.x * a.x)
 	for k := 0; k < len(bernoulli2k); k++ {
-		term := bernoulli2k[k] / fact[k] * rising * pw
+		c := bernoulli2k[k] / factorial2k[k]
+		term := c * rising * pw
 		tail += term
+		tail1 += c * (rising1 - L*rising) * pw
+		tail2 += c * (rising2 - 2*L*rising1 + L*L*rising) * pw
 		// <= also stops a tail that underflowed to 0 (huge s), before the
 		// rising factorial overflows and 0·Inf turns it into NaN.
 		if math.Abs(term) <= 1e-18*math.Abs(tail) {
 			break
 		}
-		// extend rising factorial by two more terms for the next k
-		rising *= (s + float64(2*k+1)) * (s + float64(2*k+2))
+		// extend the rising factorial by two more factors m = m1·m2 for
+		// the next k: (Rm)′ = R′m + R·m′ and (Rm)″ = R″m + 2R′m′ + 2R,
+		// with m′ = m1 + m2 and m″ = 2.
+		m1, m2 := s+float64(2*k+1), s+float64(2*k+2)
+		m, dm := m1*m2, m1+m2
+		rising2 = rising2*m + 2*rising1*dm + 2*rising
+		rising1 = rising1*m + rising*dm
+		rising *= m
 		pw *= inva2
 	}
-	return head + tail, nil
+	return head + tail, head1 + tail1, head2 + tail2, nil
 }
 
 // powBase is math.Pow with its base fixed. On every platform but s390x

@@ -21,6 +21,15 @@ func (s *spySink) ConsumeWindow(res *WindowResult) error {
 
 func (s *spySink) Reads() ReadSet { return 0 }
 
+// declaredCollector is a ResultCollector with a declared read set, as
+// the table1 and fig1 scenarios collect their window.
+type declaredCollector struct {
+	ResultCollector
+	reads ReadSet
+}
+
+func (c *declaredCollector) Reads() ReadSet { return c.reads }
+
 // underDeclared wraps a sink with a read set that omits what it reads.
 type underDeclared struct{ Sink }
 
@@ -101,8 +110,11 @@ func TestReadSetPins(t *testing.T) {
 			[]Sink{NewEnsembleSink(SourcePackets), &AggregatesSink{}}, ReadHists(SourcePackets) | ReadAggregates},
 		combo{"federation partials", PipelineConfig{KeepPartials: true},
 			[]Sink{&PartialSink{}}, 0},
-		combo{"table1", PipelineConfig{KeepMatrices: true}, []Sink{&ResultCollector{}}, readAll},
-		combo{"fig1", PipelineConfig{}, []Sink{&ResultCollector{}}, readAll},
+		combo{"table1", PipelineConfig{KeepMatrices: true},
+			[]Sink{&declaredCollector{reads: ReadAggregates}}, ReadAggregates},
+		combo{"fig1", PipelineConfig{},
+			[]Sink{&declaredCollector{reads: ReadHists(Quantities...)}}, ReadHists(Quantities...)},
+		combo{"undeclared collector", PipelineConfig{}, []Sink{&ResultCollector{}}, readAll},
 		combo{"no sinks", PipelineConfig{}, nil, 0},
 		combo{"undeclared beside declared", PipelineConfig{},
 			[]Sink{NewEnsembleSink(LinkPackets), FuncSink(func(*WindowResult) error { return nil })}, readAll},

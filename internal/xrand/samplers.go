@@ -12,40 +12,75 @@ var errParam = errors.New("xrand: distribution parameter out of range")
 // distribution with pmf P[X=d] = d^{-alpha}/zeta(alpha), d >= 1, for
 // alpha > 1. This is Devroye's rejection algorithm (Non-Uniform Random
 // Variate Generation, 1986, ch. X.6): O(1) expected time for all alpha.
+// It is a one-shot call of NewZetaSampler.
 //
 // The PALU core degree distribution (Section V: "the number of core nodes
 // ... having degree d follows a power-law distribution of the form
 // d^{-alpha}/zeta(alpha)") is sampled with this routine.
 func (r *RNG) Zeta(alpha float64) (int, error) {
-	if !(alpha > 1) || math.IsInf(alpha, 1) {
+	z := NewZetaSampler(alpha)
+	return z.Draw(r)
+}
+
+// ZetaCapped draws from the zeta(alpha) distribution conditioned on
+// X <= maxD, by rejection against the unconditional sampler. Used to keep
+// configuration-model degree sequences graphical on finite node sets.
+// It is a one-shot call of NewZetaSampler.
+func (r *RNG) ZetaCapped(alpha float64, maxD int) (int, error) {
+	z := NewZetaSampler(alpha)
+	return z.DrawCapped(r, maxD)
+}
+
+// ZetaSampler draws from the zeta distribution at one fixed alpha, as a
+// loop of draws at one exponent does. It holds the per-alpha constants
+// of Devroye's algorithm, α − 1, −1/(α − 1) and 2^(α−1), so each draw
+// pays only for its own two powers. Its draws are RNG.Zeta's bit for bit
+// and consume the RNG identically.
+type ZetaSampler struct {
+	alpha  float64
+	am1    float64 // α − 1
+	negInv float64 // −1/(α − 1)
+	b, bm1 float64 // 2^(α−1) and 2^(α−1) − 1
+}
+
+// NewZetaSampler returns the fixed-alpha form of RNG.Zeta. An alpha
+// outside the domain is reported by Draw.
+func NewZetaSampler(alpha float64) ZetaSampler {
+	z := ZetaSampler{alpha: alpha, am1: alpha - 1}
+	z.negInv = -1 / z.am1
+	z.b = math.Pow(2, z.am1)
+	z.bm1 = z.b - 1
+	return z
+}
+
+// Draw returns one zeta(alpha) draw from r.
+func (z *ZetaSampler) Draw(r *RNG) (int, error) {
+	if !(z.alpha > 1) || math.IsInf(z.alpha, 1) {
 		return 0, errParam
 	}
-	am1 := alpha - 1
-	b := math.Pow(2, am1)
 	for i := 0; i < 1<<20; i++ {
 		u := r.Float64Open()
 		v := r.Float64()
-		x := math.Floor(math.Pow(u, -1/am1))
+		x := math.Floor(math.Pow(u, z.negInv))
 		if x < 1 || x > math.MaxInt64/2 || math.IsInf(x, 0) {
 			continue // numeric underflow of u; retry
 		}
-		t := math.Pow(1+1/x, am1)
-		if v*x*(t-1)/(b-1) <= t/b {
+		t := math.Pow(1+1/x, z.am1)
+		if v*x*(t-1)/z.bm1 <= t/z.b {
 			return int(x), nil
 		}
 	}
 	return 0, errors.New("xrand: zeta sampler failed to accept")
 }
 
-// ZetaCapped draws from the zeta(alpha) distribution conditioned on
-// X <= maxD, by rejection against the unconditional sampler. Used to keep
-// configuration-model degree sequences graphical on finite node sets.
-func (r *RNG) ZetaCapped(alpha float64, maxD int) (int, error) {
+// DrawCapped returns one zeta(alpha) draw from r conditioned on
+// X <= maxD (RNG.ZetaCapped).
+func (z *ZetaSampler) DrawCapped(r *RNG, maxD int) (int, error) {
 	if maxD < 1 {
 		return 0, errParam
 	}
 	for i := 0; i < 1<<20; i++ {
-		d, err := r.Zeta(alpha)
+		d, err := z.Draw(r)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -74,6 +75,64 @@ func TestZetaParamErrors(t *testing.T) {
 	for _, a := range []float64{1, 0.5, -1, math.NaN(), math.Inf(1)} {
 		if _, err := r.Zeta(a); err == nil {
 			t.Errorf("Zeta(%v): expected error", a)
+		}
+	}
+}
+
+// refZeta is RNG.Zeta as it was before ZetaSampler: every draw
+// recomputes 2^(α−1) and −1/(α−1).
+func refZeta(r *RNG, alpha float64) (int, error) {
+	if !(alpha > 1) || math.IsInf(alpha, 1) {
+		return 0, errParam
+	}
+	am1 := alpha - 1
+	b := math.Pow(2, am1)
+	for i := 0; i < 1<<20; i++ {
+		u := r.Float64Open()
+		v := r.Float64()
+		x := math.Floor(math.Pow(u, -1/am1))
+		if x < 1 || x > math.MaxInt64/2 || math.IsInf(x, 0) {
+			continue
+		}
+		t := math.Pow(1+1/x, am1)
+		if v*x*(t-1)/(b-1) <= t/b {
+			return int(x), nil
+		}
+	}
+	return 0, errors.New("xrand: zeta sampler failed to accept")
+}
+
+// TestZetaSamplerMatchesPerDrawConstants: a ZetaSampler built once per α
+// returns the per-draw reference's draws and leaves the RNG in the same
+// state, capped draws included.
+func TestZetaSamplerMatchesPerDrawConstants(t *testing.T) {
+	for _, alpha := range []float64{1.01, 1.3, 1.5, 2, 2.2, 2.5, 3, 6, 40} {
+		a, b := New(7), New(7)
+		z := NewZetaSampler(alpha)
+		for i := 0; i < 20000; i++ {
+			got, gotErr := z.Draw(a)
+			want, wantErr := refZeta(b, alpha)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("α=%v draw %d: %d, %v; reference %d, %v", alpha, i, got, gotErr, want, wantErr)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			got, err := z.DrawCapped(a, 50)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 51
+			for want > 50 {
+				if want, err = refZeta(b, alpha); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got != want {
+				t.Fatalf("α=%v capped draw %d: %d, reference %d", alpha, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("α=%v: sampler and reference leave the RNG in different states", alpha)
 		}
 	}
 }
