@@ -31,7 +31,7 @@ func main() {
 	log.SetPrefix("palu-traffic: ")
 	var (
 		nv       = flag.Int64("nv", 100000, "valid packets per window NV")
-		windows  = flag.Int("windows", 4, "number of consecutive windows")
+		windows  = flag.Int("windows", 4, "number of consecutive windows (<= 0 with -trace: every window of the trace)")
 		nodes    = flag.Int("nodes", 50000, "underlying node budget")
 		p        = flag.Float64("p", 0.5, "edge observation probability")
 		seed     = flag.Uint64("seed", 1, "random seed")
@@ -44,6 +44,14 @@ func main() {
 	q, err := stream.ParseQuantity(*quantity)
 	if err != nil {
 		log.Fatal(err)
+	}
+	if *nv <= 0 {
+		log.Fatalf("-nv must be positive, got %d", *nv)
+	}
+	// Synthesized traffic never ends, so only a trace replay may run
+	// until its source is exhausted.
+	if *windows <= 0 && *trace == "" {
+		log.Fatalf("-windows must be positive without -trace, got %d", *windows)
 	}
 
 	var src hybridplaw.PacketSource

@@ -269,12 +269,6 @@ func BootstrapPowerLawPValue(h *Histogram, f PowerLawFit, reps int, rng *RNG) (f
 // Packet is one observed packet in a traffic stream.
 type Packet = stream.Packet
 
-// Window is an aggregated traffic window At of exactly NV valid packets.
-type Window = stream.Window
-
-// Windower cuts streams into fixed-NV windows.
-type Windower = stream.Windower
-
 // Quantity enumerates the five Fig. 1 network quantities.
 type Quantity = stream.Quantity
 
@@ -289,14 +283,6 @@ const (
 
 // NumQuantities is the number of Fig. 1 network quantities.
 const NumQuantities = stream.NumQuantities
-
-// NewWindower returns a windower with window size nv.
-func NewWindower(nv int64) (*Windower, error) { return stream.NewWindower(nv) }
-
-// CutWindows cuts a packet slice into complete fixed-NV windows.
-func CutWindows(packets []Packet, nv int64) ([]*Window, error) {
-	return stream.Cut(packets, nv)
-}
 
 // PacketSource is a pull iterator over a packet trace; the input side of
 // the streaming pipeline.
@@ -338,7 +324,7 @@ func NewFitSink(q Quantity, reg *ModelRegistry, fitters ...string) (*FitSink, er
 }
 
 // ResultCollector is a Sink retaining every WindowResult (O(windows)
-// memory; the batch-compatibility bridge).
+// memory; with KeepMatrices, each window's frozen matrix too).
 type ResultCollector = stream.ResultCollector
 
 // SliceSource replays an in-memory packet slice through the pipeline.
@@ -353,12 +339,6 @@ type CSVSource = stream.CSVSource
 // goroutine. One window is resident at a time.
 func RunPipeline(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, error) {
 	return stream.Run(src, cfg, sinks...)
-}
-
-// CollectPipelineWindows runs the pipeline and returns the frozen
-// windows, the batch-compatibility path.
-func CollectPipelineWindows(src PacketSource, cfg PipelineConfig) ([]*Window, PipelineStats, error) {
-	return stream.CollectWindows(src, cfg)
 }
 
 // NewSliceSource returns a source replaying the slice once.
@@ -442,11 +422,6 @@ func TakeValidPackets(src PacketSource, n int64) PacketSource {
 // NewEnsembleSink returns a sink accumulating the given quantities (all
 // five when called with no arguments).
 func NewEnsembleSink(qs ...Quantity) *EnsembleSink { return stream.NewEnsembleSink(qs...) }
-
-// QuantityHistogram reduces a window to one quantity's degree histogram.
-func QuantityHistogram(w *Window, q Quantity) (*Histogram, error) {
-	return stream.QuantityHistogram(w, q)
-}
 
 // TrafficMatrix is a sparse traffic matrix At.
 type TrafficMatrix = spmat.Matrix

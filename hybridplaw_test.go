@@ -49,22 +49,22 @@ func TestFacadeStreamPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, err := site.GenerateWindows(2, 20000)
+	var col ResultCollector
+	stats, err := RunPipeline(site.PacketSource(), PipelineConfig{NV: 20000, MaxWindows: 2}, &col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.Windows != 2 || len(col.Results) != 2 {
+		t.Fatalf("windows = %d, collected %d, want 2", stats.Windows, len(col.Results))
+	}
+	win := col.Results[0]
 	for _, q := range []Quantity{SourcePackets, SourceFanOut, LinkPackets, DestinationFanIn, DestinationPackets} {
-		h, err := QuantityHistogram(wins[0], q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Total() == 0 {
+		if h := win.Hist(q); h == nil || h.Total() == 0 {
 			t.Errorf("%v: empty histogram", q)
 		}
 	}
-	agg := wins[0].Matrix.TableI()
-	if agg.ValidPackets != 20000 {
-		t.Errorf("NV = %d", agg.ValidPackets)
+	if win.Aggregates.ValidPackets != 20000 {
+		t.Errorf("NV = %d", win.Aggregates.ValidPackets)
 	}
 }
 
@@ -166,35 +166,6 @@ func TestFacadePowerLawBaseline(t *testing.T) {
 	}
 	if math.Abs(f.Alpha-2.3) > 0.15 {
 		t.Errorf("baseline alpha = %v", f.Alpha)
-	}
-}
-
-func TestFacadeWindower(t *testing.T) {
-	w, err := NewWindower(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wins []*Window
-	rng := NewRNG(2)
-	for i := 0; i < 350; i++ {
-		pkt := Packet{Src: uint32(rng.Intn(50)), Dst: uint32(rng.Intn(50)), Valid: true}
-		if win := w.Push(pkt); win != nil {
-			wins = append(wins, win)
-		}
-	}
-	if len(wins) != 3 {
-		t.Errorf("windows = %d", len(wins))
-	}
-	ps := make([]Packet, 500)
-	for i := range ps {
-		ps[i] = Packet{Src: 1, Dst: 2, Valid: true}
-	}
-	cut, err := CutWindows(ps, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cut) != 5 {
-		t.Errorf("cut windows = %d", len(cut))
 	}
 }
 

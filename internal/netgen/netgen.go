@@ -225,8 +225,10 @@ type siteSource struct {
 // with stream.PipelineConfig.MaxWindows. The stream terminates with an
 // error if a pass produces no valid packets (degenerate configuration).
 //
-// The source draws from the site's RNG state: interleaving two sources
-// of one site, or a source with GenerateWindows calls, interleaves their
+// The source is lazy: a run bounded by MaxWindows advances the site's
+// RNG only as far as its windows need, and a second run on the same
+// source resumes at the next packet. The source draws from the site's
+// RNG state: interleaving two sources of one site interleaves their
 // sampling.
 func (s *Site) PacketSource() stream.PacketSource {
 	return &siteSource{site: s}
@@ -258,28 +260,6 @@ func (ss *siteSource) Next() (stream.Packet, bool) {
 
 // Err implements stream.PacketSource.
 func (ss *siteSource) Err() error { return ss.err }
-
-// GenerateWindows runs observation passes until numWindows windows of
-// exactly nv valid packets have been cut, and returns them. It fails if a
-// single pass produces no valid packets (degenerate configuration).
-//
-// It is a batch wrapper over PacketSource and the streaming pipeline;
-// passes beyond the one that closes the final window are not generated,
-// so the site's RNG advances exactly as far as the returned windows
-// require.
-func (s *Site) GenerateWindows(numWindows int, nv int64) ([]*stream.Window, error) {
-	if numWindows <= 0 {
-		return nil, errors.New("netgen: numWindows must be positive")
-	}
-	wins, _, err := stream.CollectWindows(s.PacketSource(), stream.PipelineConfig{
-		NV:         nv,
-		MaxWindows: numWindows,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return wins, nil
-}
 
 // PanelSpec records one Fig. 3 panel: the site preset, the network
 // quantity displayed, the window size, and the paper's published fit.

@@ -106,15 +106,25 @@ func TestObservationPassProperties(t *testing.T) {
 	}
 }
 
+// collect runs src through the pipeline for maxWindows windows of nv
+// valid packets, matrices kept, and returns them.
+func collect(t *testing.T, src stream.PacketSource, nv int64, maxWindows int) []*stream.WindowResult {
+	t.Helper()
+	var col stream.ResultCollector
+	if _, err := stream.Run(src, stream.PipelineConfig{
+		NV: nv, MaxWindows: maxWindows, KeepMatrices: true,
+	}, &col); err != nil {
+		t.Fatal(err)
+	}
+	return col.Results
+}
+
 func TestGenerateWindows(t *testing.T) {
 	s, err := NewSite(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, err := s.GenerateWindows(3, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins := collect(t, s.PacketSource(), 5000, 3)
 	if len(wins) != 3 {
 		t.Fatalf("windows = %d", len(wins))
 	}
@@ -126,18 +136,13 @@ func TestGenerateWindows(t *testing.T) {
 			t.Errorf("window %d matrix packets = %d", i, w.Matrix.ValidPackets())
 		}
 	}
-	if _, err := s.GenerateWindows(0, 100); err == nil {
-		t.Error("numWindows=0: expected error")
-	}
-	if _, err := s.GenerateWindows(1, 0); err == nil {
-		t.Error("nv=0: expected error")
-	}
 }
 
-func TestPacketSourceMatchesGenerateWindows(t *testing.T) {
-	// Two identically-seeded sites: one consumed via the batch
-	// GenerateWindows wrapper, one via the raw PacketSource through the
-	// pipeline. The cut windows must be identical.
+func TestPacketSourceIsLazy(t *testing.T) {
+	// Two identically seeded sites. Site a's source is run for three
+	// windows and then for one more; site b's runs four windows in one go.
+	// A run that consumed packets past its final window's closing packet
+	// would skew a's fourth window.
 	a, err := NewSite(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -146,33 +151,25 @@ func TestPacketSourceMatchesGenerateWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	winsA, err := a.GenerateWindows(3, 5000)
-	if err != nil {
-		t.Fatal(err)
+	srcA := a.PacketSource()
+	if got := len(collect(t, srcA, 5000, 3)); got != 3 {
+		t.Fatalf("first run cut %d windows, want 3", got)
 	}
-	winsB, stats, err := stream.CollectWindows(b.PacketSource(), stream.PipelineConfig{
-		NV: 5000, MaxWindows: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	fourthA := collect(t, srcA, 5000, 1)
+	winsB := collect(t, b.PacketSource(), 5000, 4)
+	if len(fourthA) != 1 || len(winsB) != 4 {
+		t.Fatalf("cut %d and %d windows, want 1 and 4", len(fourthA), len(winsB))
 	}
-	if stats.Windows != 3 || len(winsB) != len(winsA) {
-		t.Fatalf("pipeline cut %d windows, batch cut %d", len(winsB), len(winsA))
+	if fourthA[0].NV != winsB[3].NV ||
+		!reflect.DeepEqual(fourthA[0].Matrix.Entries(), winsB[3].Matrix.Entries()) {
+		t.Error("window 4 of the resumed source differs from window 4 of one run")
 	}
-	for i := range winsA {
-		if winsA[i].T != winsB[i].T || winsA[i].NV != winsB[i].NV {
-			t.Errorf("window %d: T/NV mismatch", i)
-		}
-		ea, eb := winsA[i].Matrix.Entries(), winsB[i].Matrix.Entries()
-		if !reflect.DeepEqual(ea, eb) {
-			t.Errorf("window %d: matrices differ", i)
-		}
-	}
-	// Both sites must end in the same RNG state: the next pass agrees.
-	pa := a.ObservationPass(xrand.New(99))
-	pb := b.ObservationPass(xrand.New(99))
-	if len(pa) != len(pb) {
-		t.Errorf("post-consumption passes diverge: %d vs %d packets", len(pa), len(pb))
+	// Both sites generated the same passes, so their RNGs agree: fresh
+	// sources of each cut the same next window.
+	nextA := collect(t, a.PacketSource(), 5000, 1)
+	nextB := collect(t, b.PacketSource(), 5000, 1)
+	if !reflect.DeepEqual(nextA[0].Matrix.Entries(), nextB[0].Matrix.Entries()) {
+		t.Error("post-consumption windows diverge")
 	}
 }
 
@@ -183,14 +180,7 @@ func TestWindowDistributionHasLeafExcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, err := s.GenerateWindows(2, 20000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := stream.QuantityHistogram(wins[0], stream.SourceFanOut)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := collect(t, s.PacketSource(), 20000, 1)[0].Hists[stream.SourceFanOut]
 	p, err := h.Pool()
 	if err != nil {
 		t.Fatal(err)
@@ -238,14 +228,7 @@ func TestLinkPacketsPanelMatchesWeightModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins, err := site.GenerateWindows(2, panel.NV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := stream.QuantityHistogram(wins[0], stream.LinkPackets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := collect(t, site.PacketSource(), panel.NV, 1)[0].Hists[stream.LinkPackets]
 	fit, _, err := zipfmand.FitHistogram(h, zipfmand.DefaultFitOptions())
 	if err != nil {
 		t.Fatal(err)

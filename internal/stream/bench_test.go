@@ -1,15 +1,11 @@
 package stream
 
-// Benchmarks contrasting the legacy batch path (serial windower → frozen
-// matrices → per-quantity post-hoc reductions → ensembles) with the
-// single-pass streaming pipeline on multi-million-packet synthetic
-// traces. Run with:
+// Streaming-pipeline throughput on multi-million-packet synthetic
+// traces, one window resident. Run with:
 //
-//	go test ./internal/stream -bench 'BatchVsPipeline' -benchtime 1x
+//	go test ./internal/stream -run '^$' -bench BenchmarkPipeline -benchtime 1x
 //
-// The pipeline target is ≥2× batch throughput with one window resident;
-// the batch path holds every window's matrix concurrently. The
-// pipeline runs twice per size: pipeline-<size> reads all five
+// The pipeline runs twice per size: pipeline-<size> reads all five
 // quantities, and pipeline-1q-<size> reads one, as a Fig. 3 panel does,
 // so each window derives only the source side of the builder.
 
@@ -17,43 +13,8 @@ import (
 	"fmt"
 	"testing"
 
-	"hybridplaw/internal/hist"
 	"hybridplaw/internal/xrand"
 )
-
-// legacyBatch is the pre-pipeline measurement path, reproduced verbatim:
-// cut every window into a frozen matrix, then reduce each quantity from
-// the matrices, then pool the ensembles.
-func legacyBatch(b *testing.B, ps []Packet, nv int64) [NumQuantities]*hist.Ensemble {
-	w, err := NewWindower(nv)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var wins []*Window
-	for _, p := range ps {
-		if win := w.Push(p); win != nil {
-			wins = append(wins, win)
-		}
-	}
-	var ens [NumQuantities]*hist.Ensemble
-	for _, q := range Quantities {
-		ens[q] = hist.NewEnsemble()
-	}
-	for _, win := range wins {
-		for _, q := range Quantities {
-			h, err := QuantityHistogram(win, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, err := h.Pool()
-			if err != nil {
-				b.Fatal(err)
-			}
-			ens[q].Add(p)
-		}
-	}
-	return ens
-}
 
 // benchTrace synthesizes a heavy-tailed-ish trace: sources and
 // destinations drawn from a large sparse id space with a hot head, 2%
@@ -74,7 +35,7 @@ func benchTrace(n int) []Packet {
 	return ps
 }
 
-func BenchmarkBatchVsPipeline(b *testing.B) {
+func BenchmarkPipeline(b *testing.B) {
 	for _, cfg := range []struct {
 		packets int
 		nv      int64
@@ -84,13 +45,6 @@ func BenchmarkBatchVsPipeline(b *testing.B) {
 	} {
 		ps := benchTrace(cfg.packets)
 		label := fmt.Sprintf("%dM", cfg.packets/1_000_000)
-		b.Run("batch-"+label, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				legacyBatch(b, ps, cfg.nv)
-			}
-			b.ReportMetric(float64(cfg.packets)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
-		})
 		for _, p := range []struct {
 			name string
 			qs   []Quantity

@@ -1,9 +1,8 @@
 package stream
 
-// The single-pass streaming pipeline engine. The batch helpers of
-// stream.go materialize every window; this file is the bounded-memory
-// path the paper's premise ("large scale streaming network data")
-// actually demands:
+// The single-pass streaming pipeline engine, the package's one path
+// from packets to windows: it runs in the bounded memory the paper's
+// premise ("large scale streaming network data") demands:
 //
 //	PacketSource → fixed-NV windower → reduce → Sinks
 //
@@ -284,8 +283,9 @@ type FuncSink func(*WindowResult) error
 // ConsumeWindow implements Sink.
 func (f FuncSink) ConsumeWindow(res *WindowResult) error { return f(res) }
 
-// ResultCollector is a Sink that retains every WindowResult. It is the
-// bridge back to batch-style code and is inherently O(windows) memory —
+// ResultCollector is a Sink that retains every WindowResult, for
+// callers that want all windows at once (with KeepMatrices, each
+// window's frozen matrix too). It is inherently O(windows) memory —
 // prefer streaming sinks for long traces. It declares no read set, so
 // every retained result carries every field.
 type ResultCollector struct {
@@ -539,22 +539,6 @@ func histFromIter(iter func(func(id uint32, n int64))) (*hist.Histogram, error) 
 		return nil, err
 	}
 	return h, nil
-}
-
-// CollectWindows runs the pipeline with a window-collecting sink and
-// returns the frozen windows: the batch-compatibility path (O(windows)
-// memory, matrices retained).
-func CollectWindows(src PacketSource, cfg PipelineConfig) ([]*Window, PipelineStats, error) {
-	cfg.KeepMatrices = true
-	var wins []*Window
-	stats, err := Run(src, cfg, FuncSink(func(res *WindowResult) error {
-		wins = append(wins, &Window{T: res.T, Matrix: res.Matrix, NV: res.NV})
-		return nil
-	}))
-	if err != nil {
-		return nil, stats, err
-	}
-	return wins, stats, nil
 }
 
 // EnsembleSink accumulates, per selected quantity, the cross-window

@@ -2,113 +2,19 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"hybridplaw/internal/hist"
+	"hybridplaw/internal/spmat"
 	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
-
-// referenceWindows is the legacy serial batch path: one windower, one
-// Push per packet. The pipeline must reproduce it exactly.
-func referenceWindows(t testing.TB, ps []Packet, nv int64) []*Window {
-	t.Helper()
-	w, err := NewWindower(nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wins []*Window
-	for _, p := range ps {
-		if win := w.Push(p); win != nil {
-			wins = append(wins, win)
-		}
-	}
-	return wins
-}
-
-// referenceEnsembles builds the per-quantity ensembles and merged
-// histograms the way the legacy batch code did: window by window, in
-// order, from the frozen matrices.
-func referenceEnsembles(t testing.TB, wins []*Window) (ens [NumQuantities]*hist.Ensemble, merged [NumQuantities]*hist.Histogram) {
-	t.Helper()
-	for _, q := range Quantities {
-		ens[q] = hist.NewEnsemble()
-		merged[q] = hist.New()
-	}
-	for _, w := range wins {
-		for _, q := range Quantities {
-			h, err := QuantityHistogram(w, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			merged[q].Merge(h)
-			p, err := h.Pool()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ens[q].Add(p)
-		}
-	}
-	return ens, merged
-}
-
-func TestPipelineMatchesBatchReference(t *testing.T) {
-	const nv = 1000
-	for seed := uint64(1); seed <= 5; seed++ {
-		ps := mkPackets(seed, 30000, 200, 7)
-		refWins := referenceWindows(t, ps, nv)
-		refEns, refMerged := referenceEnsembles(t, refWins)
-
-		collector := &ResultCollector{}
-		ensSink := NewEnsembleSink()
-		stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: nv, KeepMatrices: true},
-			collector, ensSink)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Windows != len(refWins) {
-			t.Fatalf("seed %d: pipeline windows = %d, reference = %d",
-				seed, stats.Windows, len(refWins))
-		}
-		for i, res := range collector.Results {
-			ref := refWins[i]
-			if res.T != ref.T || res.NV != ref.NV {
-				t.Fatalf("seed %d window %d: T/NV mismatch", seed, i)
-			}
-			if !reflect.DeepEqual(res.Matrix.Entries(), ref.Matrix.Entries()) {
-				t.Fatalf("seed %d window %d: matrices differ", seed, i)
-			}
-			if res.Aggregates != ref.Matrix.TableI() {
-				t.Fatalf("seed %d window %d: incremental aggregates %+v != matrix %+v",
-					seed, i, res.Aggregates, ref.Matrix.TableI())
-			}
-			refAll, err := AllQuantities(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, q := range Quantities {
-				if !histEqual(refAll[q], res.Hists[q]) {
-					t.Fatalf("seed %d window %d: %v histogram differs", seed, i, q)
-				}
-			}
-		}
-		for _, q := range Quantities {
-			if !reflect.DeepEqual(refEns[q].Mean(), ensSink.Ensemble(q).Mean()) {
-				t.Fatalf("seed %d: %v ensemble mean differs", seed, q)
-			}
-			if !reflect.DeepEqual(refEns[q].Sigma(), ensSink.Ensemble(q).Sigma()) {
-				t.Fatalf("seed %d: %v ensemble sigma differs", seed, q)
-			}
-			if !histEqual(refMerged[q], ensSink.Merged(q)) {
-				t.Fatalf("seed %d: %v merged histogram differs", seed, q)
-			}
-		}
-	}
-}
 
 func TestPipelineStats(t *testing.T) {
 	// 1000 packets, every 2nd invalid: 500 valid. NV=200 -> 2 windows,
@@ -288,72 +194,6 @@ func TestEnsembleSinkFitters(t *testing.T) {
 	}
 }
 
-func TestWindowerFlush(t *testing.T) {
-	w, err := NewWindower(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		w.Push(Packet{Src: 1, Dst: 2, Valid: true})
-	}
-	win := w.Flush()
-	if win == nil {
-		t.Fatal("Flush returned nil with 7 pending packets")
-	}
-	if win.NV != 7 || win.T != 0 {
-		t.Errorf("flushed window NV=%d T=%d", win.NV, win.T)
-	}
-	if w.Pending() != 0 {
-		t.Errorf("Pending = %d after Flush", w.Pending())
-	}
-	if w.Flush() != nil {
-		t.Error("second Flush should return nil")
-	}
-	// The next complete window continues the index sequence.
-	for i := 0; i < 10; i++ {
-		if win := w.Push(Packet{Src: 1, Dst: 2, Valid: true}); win != nil && win.T != 1 {
-			t.Errorf("post-flush window T = %d, want 1", win.T)
-		}
-	}
-}
-
-func TestWindowerResetIsolatesTraces(t *testing.T) {
-	w, err := NewWindower(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Leave 73 packets of trace A pending, then reset and run trace B.
-	for _, p := range mkPackets(10, 73, 16, 0) {
-		w.Push(p)
-	}
-	if w.Pending() != 73 {
-		t.Fatalf("Pending = %d", w.Pending())
-	}
-	w.Reset()
-	if w.Pending() != 0 {
-		t.Errorf("Pending = %d after Reset", w.Pending())
-	}
-	traceB := mkPackets(11, 250, 16, 0)
-	var reused []*Window
-	for _, p := range traceB {
-		if win := w.Push(p); win != nil {
-			reused = append(reused, win)
-		}
-	}
-	fresh := referenceWindows(t, traceB, 100)
-	if len(reused) != len(fresh) {
-		t.Fatalf("reused windower cut %d windows, fresh cut %d", len(reused), len(fresh))
-	}
-	for i := range fresh {
-		if reused[i].T != fresh[i].T {
-			t.Errorf("window %d: T=%d, want %d (stale index)", i, reused[i].T, fresh[i].T)
-		}
-		if !reflect.DeepEqual(reused[i].Matrix.Entries(), fresh[i].Matrix.Entries()) {
-			t.Errorf("window %d: reused windower leaked trace A state", i)
-		}
-	}
-}
-
 // TestTakeValid pins the recording contract: TakeValid(src, NV×W) yields
 // exactly the prefix a MaxWindows-bounded pipeline run consumes, so an
 // archive recorded through it replays bit-identically.
@@ -457,10 +297,11 @@ func (s *synthSource) Next() (Packet, bool) {
 
 func (s *synthSource) Err() error { return nil }
 
-// mapReduceWindows is the pre-refactor reduction kept as a behavioral
-// reference: one goroutine, Go maps, window by window. It returns the
-// five quantity histograms and aggregates of every complete window.
-func mapReduceWindows(src PacketSource, nv int64, maxWindows int) []*WindowResult {
+// mapReduceWindows is the pipeline's behavioral reference: one
+// goroutine, Go maps, window by window. It returns the five quantity
+// histograms and aggregates of every complete window, and each window's
+// link counts sorted by (src, dst).
+func mapReduceWindows(src PacketSource, nv int64, maxWindows int) ([]*WindowResult, [][]spmat.Entry) {
 	type mapWin struct {
 		counts map[[2]uint32]int64
 		srcPk  map[uint32]int64
@@ -487,7 +328,10 @@ func mapReduceWindows(src PacketSource, nv int64, maxWindows int) []*WindowResul
 		}
 		return h
 	}
-	var out []*WindowResult
+	var (
+		out   []*WindowResult
+		links [][]spmat.Entry
+	)
 	w := fresh()
 	for {
 		p, ok := src.Next()
@@ -527,12 +371,23 @@ func mapReduceWindows(src PacketSource, nv int64, maxWindows int) []*WindowResul
 		}
 		res.Hists[LinkPackets] = lp
 		out = append(out, res)
+		es := make([]spmat.Entry, 0, len(w.counts))
+		for k, c := range w.counts {
+			es = append(es, spmat.Entry{Src: k[0], Dst: k[1], Count: c})
+		}
+		slices.SortFunc(es, func(a, b spmat.Entry) int {
+			if c := cmp.Compare(a.Src, b.Src); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.Dst, b.Dst)
+		})
+		links = append(links, es)
 		if maxWindows > 0 && len(out) >= maxWindows {
-			return out
+			break
 		}
 		w = fresh()
 	}
-	return out
+	return out, links
 }
 
 // renderWindows serializes window results into the byte form a sink
@@ -560,28 +415,81 @@ func renderWindows(wins []*WindowResult) []byte {
 	return b.Bytes()
 }
 
-// TestPipelineMatchesMapReference pins the pipeline against the
-// pre-refactor map-based reduction: for random traces with interleaved
-// invalid packets, all five quantity histograms, the aggregates, and
-// the serialized sink artifact must be byte-identical.
+// TestPipelineMatchesMapReference pins the pipeline against the map
+// reference on random traces with interleaved invalid packets: per
+// window T and NV, the kept matrix's entries, the aggregates (against
+// the reference and the matrix), all five quantity histograms and the
+// serialized sink artifact must be identical, and an EnsembleSink
+// beside the collector must hold the reference's ensembles, pooled
+// window by window in order, and its merged histograms.
 func TestPipelineMatchesMapReference(t *testing.T) {
-	const (
-		n  = 120000
-		nv = 10000
-	)
+	type trace struct {
+		name string
+		src  func() PacketSource
+		nv   int64
+	}
+	var traces []trace
+	// Sparse: a large id space with a hub set, 12 windows of 10k packets.
 	for seed := uint64(1); seed <= 3; seed++ {
-		ref := mapReduceWindows(newSynthSource(seed, n, 3000, 37), nv, 0)
+		traces = append(traces, trace{fmt.Sprintf("synth-%d", seed), func() PacketSource {
+			return newSynthSource(seed, 120000, 3000, 37)
+		}, 10000})
+	}
+	// Dense: 200 ids, so links repeat often; ~25 windows of 1k packets.
+	for seed := uint64(1); seed <= 5; seed++ {
+		ps := mkPackets(seed, 30000, 200, 7)
+		traces = append(traces, trace{fmt.Sprintf("dense-%d", seed), func() PacketSource {
+			return NewSliceSource(ps)
+		}, 1000})
+	}
+	for _, tr := range traces {
+		ref, refLinks := mapReduceWindows(tr.src(), tr.nv, 0)
 		var col ResultCollector
-		stats, err := Run(newSynthSource(seed, n, 3000, 37), PipelineConfig{NV: nv}, &col)
+		ensSink := NewEnsembleSink()
+		stats, err := Run(tr.src(), PipelineConfig{NV: tr.nv, KeepMatrices: true}, &col, ensSink)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Windows != len(col.Results) || len(col.Results) != len(ref) {
-			t.Fatalf("seed %d: stats.Windows=%d, collected %d, reference %d",
-				seed, stats.Windows, len(col.Results), len(ref))
+			t.Fatalf("%s: stats.Windows=%d, collected %d, reference %d",
+				tr.name, stats.Windows, len(col.Results), len(ref))
 		}
 		if !bytes.Equal(renderWindows(col.Results), renderWindows(ref)) {
-			t.Fatalf("seed %d: pipeline diverges from map reference", seed)
+			t.Fatalf("%s: pipeline diverges from map reference", tr.name)
+		}
+		var refEns [NumQuantities]*hist.Ensemble
+		var refMerged [NumQuantities]*hist.Histogram
+		for _, q := range Quantities {
+			refEns[q], refMerged[q] = hist.NewEnsemble(), hist.New()
+		}
+		for i, res := range col.Results {
+			if !reflect.DeepEqual(res.Matrix.Entries(), refLinks[i]) {
+				t.Fatalf("%s window %d: matrix entries differ from reference links", tr.name, i)
+			}
+			if res.Aggregates != res.Matrix.TableI() {
+				t.Fatalf("%s window %d: aggregates %+v != matrix %+v",
+					tr.name, i, res.Aggregates, res.Matrix.TableI())
+			}
+			for _, q := range Quantities {
+				h := ref[i].Hists[q]
+				refMerged[q].Merge(h)
+				p, err := h.Pool()
+				if err != nil {
+					t.Fatal(err)
+				}
+				refEns[q].Add(p)
+			}
+		}
+		for _, q := range Quantities {
+			if !reflect.DeepEqual(refEns[q].Mean(), ensSink.Ensemble(q).Mean()) {
+				t.Fatalf("%s: %v ensemble mean differs", tr.name, q)
+			}
+			if !reflect.DeepEqual(refEns[q].Sigma(), ensSink.Ensemble(q).Sigma()) {
+				t.Fatalf("%s: %v ensemble sigma differs", tr.name, q)
+			}
+			if !histEqual(refMerged[q], ensSink.Merged(q)) {
+				t.Fatalf("%s: %v merged histogram differs", tr.name, q)
+			}
 		}
 	}
 }

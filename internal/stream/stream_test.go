@@ -20,12 +20,24 @@ func mkPackets(seed uint64, n, universe int, invalidEvery int) []Packet {
 	return ps
 }
 
-func TestWindowerExactNV(t *testing.T) {
-	ps := mkPackets(1, 1000, 50, 0)
-	wins, err := Cut(ps, 100)
+// collect runs ps through the pipeline with matrices kept and returns
+// every window with the run's stats.
+func collect(t *testing.T, ps []Packet, nv int64) ([]*WindowResult, PipelineStats) {
+	t.Helper()
+	var col ResultCollector
+	stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: nv, KeepMatrices: true}, &col)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if stats.Windows != len(col.Results) {
+		t.Fatalf("stats.Windows = %d, collected %d", stats.Windows, len(col.Results))
+	}
+	return col.Results, stats
+}
+
+func TestWindowerExactNV(t *testing.T) {
+	ps := mkPackets(1, 1000, 50, 0)
+	wins, stats := collect(t, ps, 100)
 	if len(wins) != 10 {
 		t.Fatalf("windows = %d, want 10", len(wins))
 	}
@@ -40,63 +52,87 @@ func TestWindowerExactNV(t *testing.T) {
 			t.Errorf("window %d matrix total=%d", i, w.Matrix.ValidPackets())
 		}
 	}
+	if stats.DiscardedTail != 0 {
+		t.Errorf("discarded tail = %d, want 0", stats.DiscardedTail)
+	}
 }
 
 func TestWindowerSkipsInvalid(t *testing.T) {
 	// Every 2nd packet invalid: 1000 packets -> 500 valid -> 5 windows of 100.
 	ps := mkPackets(2, 1000, 50, 2)
-	wins, err := Cut(ps, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins, stats := collect(t, ps, 100)
 	if len(wins) != 5 {
 		t.Fatalf("windows = %d, want 5", len(wins))
+	}
+	if stats.InvalidPackets != 500 {
+		t.Errorf("invalid packets = %d, want 500", stats.InvalidPackets)
+	}
+	for i, w := range wins {
+		if w.Matrix.ValidPackets() != 100 {
+			t.Errorf("window %d matrix total=%d, want 100", i, w.Matrix.ValidPackets())
+		}
 	}
 }
 
 func TestWindowerPartialDiscarded(t *testing.T) {
 	ps := mkPackets(3, 250, 20, 0)
-	wins, err := Cut(ps, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wins, stats := collect(t, ps, 100)
 	if len(wins) != 2 {
 		t.Errorf("windows = %d, want 2 (50 trailing packets discarded)", len(wins))
+	}
+	if stats.DiscardedTail != 50 {
+		t.Errorf("discarded tail = %d, want 50", stats.DiscardedTail)
 	}
 }
 
 func TestWindowerShortStream(t *testing.T) {
-	ps := mkPackets(4, 50, 20, 0)
-	if _, err := Cut(ps, 100); err != ErrShortStream {
-		t.Errorf("expected ErrShortStream, got %v", err)
+	// Too few valid packets for one window, whether the stream is short
+	// or mostly invalid: the run succeeds with zero windows, and callers
+	// that need a window report ErrShortStream themselves.
+	for _, ps := range [][]Packet{
+		mkPackets(4, 50, 20, 0),
+		mkPackets(4, 5000, 20, 1), // every packet invalid
+	} {
+		wins, stats := collect(t, ps, 100)
+		if len(wins) != 0 {
+			t.Errorf("windows = %d, want 0", len(wins))
+		}
+		if stats.ValidPackets != stats.DiscardedTail {
+			t.Errorf("valid %d != discarded tail %d", stats.ValidPackets, stats.DiscardedTail)
+		}
 	}
 }
 
 func TestWindowerBadNV(t *testing.T) {
-	if _, err := NewWindower(0); err == nil {
-		t.Error("NV=0: expected error")
-	}
-	if _, err := NewWindower(-5); err == nil {
-		t.Error("NV<0: expected error")
+	for _, nv := range []int64{0, -5} {
+		called := false
+		_, err := Run(NewSliceSource(mkPackets(5, 100, 10, 0)), PipelineConfig{NV: nv},
+			FuncSink(func(*WindowResult) error { called = true; return nil }))
+		if err == nil {
+			t.Errorf("NV=%d: expected error", nv)
+		}
+		if called {
+			t.Errorf("NV=%d: a sink received a window", nv)
+		}
 	}
 }
 
 func TestWindowerPending(t *testing.T) {
-	w, err := NewWindower(10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Seven valid packets and one invalid one, NV=10: no window closes,
+	// the seven are the discarded tail, and the invalid packet did not
+	// advance the window.
+	ps := make([]Packet, 0, 8)
 	for i := 0; i < 7; i++ {
-		if win := w.Push(Packet{Src: 1, Dst: 2, Valid: true}); win != nil {
-			t.Fatal("window completed early")
-		}
+		ps = append(ps, Packet{Src: 1, Dst: 2, Valid: true})
 	}
-	if w.Pending() != 7 {
-		t.Errorf("Pending = %d", w.Pending())
+	ps = append(ps, Packet{Src: 1, Dst: 2, Valid: false})
+	wins, stats := collect(t, ps, 10)
+	if len(wins) != 0 {
+		t.Fatal("window completed early")
 	}
-	w.Push(Packet{Src: 1, Dst: 2, Valid: false})
-	if w.Pending() != 7 {
-		t.Error("invalid packet advanced the window")
+	if stats.DiscardedTail != 7 || stats.ValidPackets != 7 || stats.InvalidPackets != 1 {
+		t.Errorf("tail/valid/invalid = %d/%d/%d, want 7/7/1",
+			stats.DiscardedTail, stats.ValidPackets, stats.InvalidPackets)
 	}
 }
 
@@ -134,56 +170,41 @@ func TestParseQuantity(t *testing.T) {
 
 func TestQuantityHistogramIdentities(t *testing.T) {
 	ps := mkPackets(5, 5000, 100, 0)
-	wins, err := Cut(ps, 5000)
-	if err != nil {
-		t.Fatal(err)
+	wins, _ := collect(t, ps, 5000)
+	if len(wins) != 1 {
+		t.Fatalf("windows = %d, want 1", len(wins))
 	}
 	w := wins[0]
-	hists, err := AllQuantities(w)
-	if err != nil {
-		t.Fatal(err)
+	if w.Aggregates != w.Matrix.TableI() {
+		t.Errorf("aggregates %+v != matrix %+v", w.Aggregates, w.Matrix.TableI())
 	}
-	// Total of source packets histogram values weighted by degree == NV.
-	var weighted int64
-	for _, d := range hists[SourcePackets].Support() {
-		weighted += int64(d) * hists[SourcePackets].Count(d)
+	// Total of the packet histograms' values weighted by degree == NV.
+	for _, q := range []Quantity{SourcePackets, DestinationPackets} {
+		var weighted int64
+		for _, d := range w.Hists[q].Support() {
+			weighted += int64(d) * w.Hists[q].Count(d)
+		}
+		if weighted != w.NV {
+			t.Errorf("sum d*n(d) over %v = %d, want NV=%d", q, weighted, w.NV)
+		}
 	}
-	if weighted != w.NV {
-		t.Errorf("sum d*n(d) over source packets = %d, want NV=%d", weighted, w.NV)
+	// Each histogram's number of observations == its unique entities.
+	for _, c := range []struct {
+		q    Quantity
+		want int64
+	}{
+		{LinkPackets, w.Matrix.UniqueLinks()},
+		{SourceFanOut, w.Matrix.UniqueSources()},
+		{DestinationFanIn, w.Matrix.UniqueDestinations()},
+	} {
+		if got := w.Hists[c.q].Total(); got != c.want {
+			t.Errorf("%v total = %d, want %d unique", c.q, got, c.want)
+		}
 	}
-	// Number of link-packet observations == unique links.
-	if hists[LinkPackets].Total() != w.Matrix.UniqueLinks() {
-		t.Errorf("link packets total = %d, unique links = %d",
-			hists[LinkPackets].Total(), w.Matrix.UniqueLinks())
-	}
-	// Source fan-out histogram total == unique sources.
-	if hists[SourceFanOut].Total() != w.Matrix.UniqueSources() {
-		t.Errorf("fan-out total = %d, unique sources = %d",
-			hists[SourceFanOut].Total(), w.Matrix.UniqueSources())
-	}
-	// Destination fan-in histogram total == unique destinations.
-	if hists[DestinationFanIn].Total() != w.Matrix.UniqueDestinations() {
-		t.Errorf("fan-in total = %d, unique destinations = %d",
-			hists[DestinationFanIn].Total(), w.Matrix.UniqueDestinations())
-	}
-	// Weighted destination packets == NV.
-	weighted = 0
-	for _, d := range hists[DestinationPackets].Support() {
-		weighted += int64(d) * hists[DestinationPackets].Count(d)
-	}
-	if weighted != w.NV {
-		t.Errorf("sum d*n(d) over destination packets = %d, want NV=%d", weighted, w.NV)
-	}
-}
-
-func TestQuantityHistogramNilWindow(t *testing.T) {
-	if _, err := QuantityHistogram(nil, SourcePackets); err == nil {
-		t.Error("nil window: expected error")
-	}
-	ps := mkPackets(6, 100, 10, 0)
-	wins, _ := Cut(ps, 100)
-	if _, err := QuantityHistogram(wins[0], Quantity(42)); err == nil {
-		t.Error("unknown quantity: expected error")
+	for _, q := range []Quantity{-1, NumQuantities, 42} {
+		if w.Hist(q) != nil {
+			t.Errorf("Hist(%d) = non-nil for an unknown quantity", int(q))
+		}
 	}
 }
 
@@ -197,28 +218,4 @@ func histEqual(a, b *hist.Histogram) bool {
 		}
 	}
 	return true
-}
-
-func BenchmarkWindowCut(b *testing.B) {
-	ps := mkPackets(1, 1<<17, 1024, 5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Cut(ps, 1<<14); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAllQuantities(b *testing.B) {
-	ps := mkPackets(1, 1<<16, 1024, 0)
-	wins, err := Cut(ps, 1<<16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AllQuantities(wins[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
