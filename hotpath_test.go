@@ -1,4 +1,5 @@
-// Pinned hot-path workloads: the streaming window reduce, PTRC replay
+// Pinned hot-path workloads: the streaming window reduce (the full
+// read set, and one Fig. 3 panel's packets-only one), PTRC replay
 // and record, an engine suite over a warm window cache, and the model
 // fits. BenchmarkHotPath times them at full size;
 // TestHotPathAllocs pins their allocation counts at small size, which
@@ -56,6 +57,7 @@ var hotPath = []struct {
 	prepare   func(tb testing.TB, sz hotPathSize) func() error
 }{
 	{"pipeline-w1", 339, pipelineOp},                 // 226
+	{"pipeline-1q-w1", 146, pipelineOneQuantityOp},   // 97
 	{"ptrc-replay-sequential-packed", 357, replayOp}, // 238
 	{"ptrc-record-w1-packed", 51, recordOp},          // 34
 	{"engine-suite-replay", 1302, engineOp},          // 868
@@ -103,6 +105,19 @@ func pipelineOp(_ testing.TB, sz hotPathSize) func() error {
 		src := newSynthTrace(2, sz.packets, hotPathNodes)
 		_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Metrics: sm},
 			fullReadSink)
+		return err
+	}
+}
+
+// pipelineOneQuantityOp reduces the same trace through one Fig. 3
+// panel's read set, source packets alone: the run counts per-node
+// packets without building the link table.
+func pipelineOneQuantityOp(_ testing.TB, sz hotPathSize) func() error {
+	sm := stream.NewMetrics(obs.NewRegistry())
+	return func() error {
+		src := newSynthTrace(2, sz.packets, hotPathNodes)
+		_, err := stream.Run(src, stream.PipelineConfig{NV: windowNV(sz.packets), Metrics: sm},
+			stream.NewEnsembleSink(stream.SourcePackets))
 		return err
 	}
 }

@@ -234,7 +234,9 @@ func runFederationBackbone(ctx *scenario.Context, sites []FederationSite) (Feder
 	}
 
 	// Merge per window in fixed site order and measure each backbone
-	// window through the same reduction machinery as the live pipeline.
+	// window through the same reduction machinery as the live pipeline,
+	// reducing only what is read here: the source-packets histogram and
+	// the aggregates of the link check below.
 	backboneEns := stream.NewEnsembleSink(stream.SourcePackets)
 	for t := 0; t < federationWindows; t++ {
 		merged := rebased[0][t]
@@ -244,7 +246,8 @@ func runFederationBackbone(ctx *scenario.Context, sites []FederationSite) (Feder
 			merged = merged.Merge(rebased[i][t])
 			siteLinks = append(siteLinks, int64(rebased[i][t].NNZ()))
 		}
-		win, err := stream.ReducePartial(t, merged, false)
+		win, err := stream.ReducePartial(t, merged, false,
+			backboneEns.Reads()|stream.ReadAggregates)
 		if err != nil {
 			return FederationBackboneResult{}, fmt.Errorf("backbone window %d: %w", t, err)
 		}

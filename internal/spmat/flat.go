@@ -94,13 +94,16 @@ func (t *flatTable[K]) addFrom(i uint64, key K, n int64, mask uint64) int64 {
 // enough to live in registers and L1.
 const addBatchStride = 8
 
-// addBatch accumulates +1 for every key (duplicates welcome — they
-// accumulate like repeated add calls). Keys are processed in strides:
-// all first-probe slots of a stride are hashed and touched before any
-// key is resolved, so their cache misses overlap instead of serializing.
-// The touch is a pure prefetch — resolution re-reads each slot, which
-// keeps batch-internal duplicates and insertions correct.
-func (t *flatTable[K]) addBatch(keys []K) {
+// addBatch accumulates +1 for the key K(k >> shift) of every packed
+// (src<<32 | dst) link key k: shift 0 keys a uint64 table by the whole
+// link and a uint32 table by the destination, shift 32 keys a uint32
+// table by the source. Duplicates are welcome — they accumulate like
+// repeated add calls. Keys are processed in strides: all first-probe
+// slots of a stride are hashed and touched before any key is resolved,
+// so their cache misses overlap instead of serializing. The touch is a
+// pure prefetch — resolution re-reads each slot, which keeps
+// batch-internal duplicates and insertions correct.
+func (t *flatTable[K]) addBatch(keys []uint64, shift uint) {
 	i := 0
 	for ; i+addBatchStride <= len(keys); i += addBatchStride {
 		if 4*(t.n+addBatchStride) > 3*len(t.slots) {
@@ -109,7 +112,7 @@ func (t *flatTable[K]) addBatch(keys []K) {
 		mask := uint64(len(t.slots) - 1)
 		var idx [addBatchStride]uint64
 		for j := range idx {
-			idx[j] = mix64(uint64(keys[i+j])) & mask
+			idx[j] = mix64(uint64(K(keys[i+j]>>shift))) & mask
 		}
 		var touch int64
 		for j := range idx {
@@ -121,11 +124,11 @@ func (t *flatTable[K]) addBatch(keys []K) {
 			panic("spmat: impossible flat-table state")
 		}
 		for j := range idx {
-			t.addFrom(idx[j], keys[i+j], 1, mask)
+			t.addFrom(idx[j], K(keys[i+j]>>shift), 1, mask)
 		}
 	}
 	for ; i < len(keys); i++ {
-		t.add(keys[i], 1)
+		t.add(K(keys[i]>>shift), 1)
 	}
 }
 

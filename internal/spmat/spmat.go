@@ -50,6 +50,11 @@ type Entry struct {
 // have produced, because every reduction is an order-independent
 // integer accumulation over the same link counts.
 //
+// A Builder always holds the link table: every answer it gives is read
+// from, or derived from, the links it accumulated. A window whose
+// readers want only per-node packet totals, which need no link table,
+// accumulates into a NodeCounter instead of a Builder.
+//
 // A Reset lets one builder be pooled across windows without reallocating
 // any of its tables. Builder is not safe for concurrent use: the
 // accessor methods (Aggregates, ForEach*, snapshots) may materialize the
@@ -106,7 +111,7 @@ func (b *Builder) AddPairs(keys []uint64) {
 	if len(keys) == 0 {
 		return
 	}
-	b.counts.addBatch(keys)
+	b.counts.addBatch(keys, 0)
 	b.total += int64(len(keys))
 	b.srcDerived, b.dstDerived = false, false
 }

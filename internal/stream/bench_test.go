@@ -7,7 +7,7 @@ package stream
 //
 // The pipeline runs twice per size: pipeline-<size> reads all five
 // quantities, and pipeline-1q-<size> reads one, as a Fig. 3 panel does,
-// so each window derives only the source side of the builder.
+// so each window counts per-source packets and builds no link table.
 
 import (
 	"fmt"

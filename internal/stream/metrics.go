@@ -27,8 +27,9 @@ type Metrics struct {
 	Windows        *obs.Counter
 	TailDiscarded  *obs.Counter
 
-	// BuilderAlloc counts spmat builders allocated (one per Run);
-	// BuilderReuse counts their warm Resets (one per window).
+	// BuilderAlloc counts window accumulators allocated (one per Run:
+	// an spmat.Builder, or an spmat.NodeCounter in a packets-only
+	// run); BuilderReuse counts their warm Resets (one per window).
 	BuilderAlloc *obs.Counter
 	BuilderReuse *obs.Counter
 

@@ -1,7 +1,7 @@
 package stream
 
 // Federation support: collecting per-window mergeable partials and
-// Table I aggregates out of a pipeline run, and re-deriving full
+// Table I aggregates out of a pipeline run, and re-deriving
 // WindowResults from merged partials. Both directions go through the
 // same reduceWindow code as the live pipeline, so a backbone window
 // merged from per-site partials is measured by byte-identical machinery
@@ -54,13 +54,15 @@ func (s *AggregatesSink) ConsumeWindow(res *WindowResult) error {
 // Reads implements DeclaredSink.
 func (s *AggregatesSink) Reads() ReadSet { return ReadAggregates }
 
-// ReducePartial re-derives a full WindowResult (Table I aggregates and
-// all five Fig. 1 histograms, whatever its caller reads) from a window
-// partial — typically one merged from several sites' windows. t is the
-// window index to stamp; keepMatrix additionally freezes the
-// spmat.Matrix. The reduction runs through the identical code path as
-// the live pipeline.
-func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool) (*WindowResult, error) {
+// ReducePartial re-derives a WindowResult from a window partial —
+// typically one merged from several sites' windows. t is the window
+// index to stamp; keepMatrix additionally freezes the spmat.Matrix.
+// reads names what the caller reads of the result, as a DeclaredSink's
+// Reads would: only their union is built. With no read set it builds
+// the Table I aggregates and all five Fig. 1 histograms, as for an
+// undeclared sink. The reduction runs through the identical code path
+// as the live pipeline.
+func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool, reads ...ReadSet) (*WindowResult, error) {
 	b := spmat.NewBuilder()
 	var addErr error
 	p.ForEachLink(func(src, dst uint32, n int64) {
@@ -71,5 +73,12 @@ func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool) (*WindowResult
 	if addErr != nil {
 		return nil, addErr
 	}
-	return reduceWindow(t, b, PipelineConfig{KeepMatrices: keepMatrix}, readAll)
+	u := readAll
+	if len(reads) > 0 {
+		u = 0
+		for _, r := range reads {
+			u |= r
+		}
+	}
+	return reduceWindow(t, &PairWindow{b: b}, PipelineConfig{KeepMatrices: keepMatrix}, u)
 }

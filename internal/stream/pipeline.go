@@ -18,10 +18,14 @@ package stream
 // stack so the flat tables can overlap their cache misses.
 //
 // The pipeline runs fully fused on the calling goroutine: valid packets
-// accumulate straight into the window's spmat.Builder, each completed
+// accumulate straight into the window's accumulator, each completed
 // window reduces into what its sinks read (see ReadSet) and feeds the
-// sinks inline, and the builder resets with its tables still warm for
-// the next window. No intermediate buffer of any kind exists between
+// sinks inline, and the accumulator resets with its tables still warm
+// for the next window. The read set also picks the accumulator, once
+// per run: an spmat.Builder, whose link table every link-level
+// reduction and retained product comes from, or an spmat.NodeCounter
+// that counts only the per-node packet totals a packets-only run reads
+// (see newRunWindow). No intermediate buffer of any kind exists between
 // the source and the flat tables, and one window is resident at a time,
 // regardless of trace length. Parallelism lives one level up: the
 // scenario engine runs whole scenarios, each with its own pipeline, on
@@ -315,7 +319,8 @@ type PipelineConfig struct {
 	MaxWindows int
 	// KeepMatrices populates WindowResult.Matrix with the frozen
 	// spmat.Matrix of each window. Off by default: the matrix is the one
-	// product that requires a sort and a fresh allocation per window.
+	// product that requires a sort and a fresh allocation per window,
+	// and it makes the run build the link table whatever its sinks read.
 	KeepMatrices bool
 	// KeepPartials populates WindowResult.Partial with the window's
 	// deterministic mergeable partial aggregate (same per-window sort
@@ -387,9 +392,9 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 
 // run is Run's ingest loop: ingest, window reduce and sink delivery
 // share the calling goroutine, and valid packets accumulate straight
-// into the window's builder — no buffers, no channels, no goroutines.
-// Over the PTRC reader this is the one-pass hot path: packed payloads
-// decode directly into the builder's flat tables.
+// into the window's accumulator — no buffers, no channels, no
+// goroutines. Over the PTRC reader this is the one-pass hot path:
+// packed payloads decode directly into the accumulator's flat tables.
 func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
 	// are nil and every Start/Inc below is an inert branch.
@@ -399,7 +404,7 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 	bAlloc, bReuse := cfg.Metrics.builderCounters()
 	reads := unionReads(sinks...)
 
-	w := NewPairWindow(cfg.NV)
+	w := newRunWindow(cfg.NV, reads, cfg)
 	bAlloc.Inc()
 	for t := 0; cfg.MaxWindows <= 0 || t < cfg.MaxWindows; {
 		isp := ingestT.Start()
@@ -409,7 +414,7 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 		stats.InvalidPackets += invalid
 		if full {
 			csp := closeT.Start()
-			res, err := reduceWindow(t, w.b, cfg, reads)
+			res, err := reduceWindow(t, w, cfg, reads)
 			csp.Stop()
 			if err != nil {
 				return err
@@ -437,17 +442,40 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 
 // PairWindow is one window under construction: the deposit target of
 // DecodeInto. Every deposit of packed (src<<32 | dst) link keys goes
-// straight into the window's spmat.Builder; no key buffer exists.
+// straight into the window's accumulator, with no key buffer: its
+// spmat.Builder or, in a run that reads per-node packet totals and
+// nothing else, its spmat.NodeCounter (see newRunWindow). Both are
+// called concretely rather than through an interface, so a decoder's
+// stack batch of keys does not escape to the heap.
 type PairWindow struct {
-	b  *spmat.Builder
-	n  int64 // valid packets deposited
-	nv int64 // window size
+	b  *spmat.Builder     // the link table; nil in a packets-only run
+	c  *spmat.NodeCounter // per-node packet totals when b is nil
+	n  int64              // valid packets deposited
+	nv int64              // window size
+}
+
+// linkReads are the read-set fields reduced from the link table: the
+// Table I aggregates (unique links, sources and destinations), the
+// link-packets histogram, and the fan histograms (unique peers).
+const linkReads = ReadAggregates | 1<<LinkPackets | 1<<SourceFanOut | 1<<DestinationFanIn
+
+// newRunWindow returns the window of a run that reads reads under cfg.
+// The link table is built exactly when something needs it: a read in
+// linkReads, or a retained Matrix or Partial. Otherwise valid packets
+// count straight into per-node packet tables, for the sides read only;
+// a run that reads neither side (no sinks, say) counts its total alone.
+func newRunWindow(nv int64, reads ReadSet, cfg PipelineConfig) *PairWindow {
+	if reads&linkReads != 0 || cfg.KeepMatrices || cfg.KeepPartials {
+		return NewPairWindow(nv)
+	}
+	c := spmat.NewNodeCounter(reads.has(SourcePackets), reads.has(DestinationPackets))
+	return &PairWindow{c: c, nv: nv}
 }
 
 // NewPairWindow returns an empty window of nv valid packets backed by
-// its own builder. Run makes its own; the exported constructor exists
-// for direct consumers of EncodedBlockSource (tests, custom replay
-// tools).
+// its own spmat.Builder. Run makes its own; the exported constructor
+// exists for direct consumers of EncodedBlockSource (tests, custom
+// replay tools).
 func NewPairWindow(nv int64) *PairWindow {
 	return &PairWindow{b: spmat.NewBuilder(), nv: nv}
 }
@@ -460,30 +488,55 @@ func (w *PairWindow) Remaining() int64 { return w.nv - w.n }
 // len(keys) must not exceed Remaining(); the keys slice is not retained.
 func (w *PairWindow) AddPairs(keys []uint64) {
 	w.n += int64(len(keys))
-	w.b.AddPairs(keys)
+	if w.b != nil {
+		w.b.AddPairs(keys)
+	} else {
+		w.c.AddPairs(keys)
+	}
 }
 
-// Reset empties the window for reuse, keeping the builder's tables warm.
+// Reset empties the window for reuse, keeping the accumulator's tables
+// warm.
 func (w *PairWindow) Reset() {
-	w.b.Reset()
+	if w.b != nil {
+		w.b.Reset()
+	} else {
+		w.c.Reset()
+	}
 	w.n = 0
 }
 
-// reduceWindow converts a closed window's builder state into a
-// WindowResult holding the fields in reads, with no intermediate Matrix:
-// the Table I aggregates derive both node sides of the builder in one
-// pass, a source-side or destination-side histogram derives only its
-// side, and the link-packets histogram reads the link table directly.
-// When both the partial and the matrix are kept they share one
-// canonicalization.
-func reduceWindow(t int, b *spmat.Builder, cfg PipelineConfig, reads ReadSet) (*WindowResult, error) {
-	res := &WindowResult{T: t, NV: b.Total()}
+// nodePackets is what the packet histograms read: per-node packet
+// totals, derived from a Builder's link table or counted by a
+// NodeCounter.
+type nodePackets interface {
+	Total() int64
+	ForEachSourcePacket(f func(id uint32, n int64))
+	ForEachDestinationPacket(f func(id uint32, n int64))
+}
+
+// reduceWindow converts a closed window's accumulator state into a
+// WindowResult holding the fields in reads, with no intermediate Matrix.
+// The packet histograms read whichever accumulator the run chose. The
+// fields that need the link table (linkReads, and the Keep products)
+// read the builder, which newRunWindow guarantees is there: the Table I
+// aggregates derive both node sides of it in one pass, a fan histogram
+// derives only its side, and the link-packets histogram reads the link
+// table directly. When both the partial and the matrix are kept they
+// share one canonicalization.
+func reduceWindow(t int, w *PairWindow, cfg PipelineConfig, reads ReadSet) (*WindowResult, error) {
+	b := w.b // nil in a packets-only run
+	var acc nodePackets = w.c
+	if b != nil {
+		acc = b
+	}
+	res := &WindowResult{T: t, NV: acc.Total()}
 	if reads&ReadAggregates != 0 {
 		res.Aggregates = b.Aggregates()
 	}
 	var err error
 	if reads.has(SourcePackets) {
-		if res.Hists[SourcePackets], err = histFromIter(b.ForEachSourcePacket); err != nil {
+		if res.Hists[SourcePackets], err = histFromIter(acc.ForEachSourcePacket); err != nil {
 			return nil, err
 		}
 	}
@@ -498,7 +551,7 @@ func reduceWindow(t int, b *spmat.Builder, cfg PipelineConfig, reads ReadSet) (*
 		}
 	}
 	if reads.has(DestinationPackets) {
-		if res.Hists[DestinationPackets], err = histFromIter(b.ForEachDestinationPacket); err != nil {
+		if res.Hists[DestinationPackets], err = histFromIter(acc.ForEachDestinationPacket); err != nil {
 			return nil, err
 		}
 	}

@@ -495,8 +495,9 @@ func TestPipelineMatchesMapReference(t *testing.T) {
 }
 
 // TestPartialsUnderSharding pins that ReducePartial round-trips each
-// KeepPartials window to its exact aggregates and histograms, and that
-// a PartialSink without KeepPartials fails fast.
+// KeepPartials window to its exact aggregates and histograms, in full
+// and under a declared read set, and that a PartialSink without
+// KeepPartials fails fast.
 func TestPartialsUnderSharding(t *testing.T) {
 	const (
 		n  = 60000
@@ -527,6 +528,14 @@ func TestPartialsUnderSharding(t *testing.T) {
 		if !bytes.Equal(renderWindows([]*WindowResult{res}), renderWindows([]*WindowResult{want})) {
 			t.Fatalf("window %d: reduced partial histograms diverge", i)
 		}
+		// A declared reduce builds the union of its read sets alone,
+		// each field equal to the full one (the backbone's reads).
+		reads := []ReadSet{ReadHists(SourcePackets), ReadAggregates}
+		res, err = ReducePartial(i, p, false, reads...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkReadFields(t, "declared partial reduce", PipelineConfig{}, reads[0]|reads[1], res, want)
 	}
 	// A PartialSink without KeepPartials must fail fast.
 	if _, err := Run(newSynthSource(5, nv+1, 2000, 0), PipelineConfig{NV: nv}, &PartialSink{}); err == nil {

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -105,6 +106,19 @@ func TestReadSetPins(t *testing.T) {
 		combos = append(combos, combo{"ensemble/" + q.String(), PipelineConfig{},
 			[]Sink{NewEnsembleSink(q)}, ReadHists(q)})
 	}
+	// Packets-only runs skip the link table unless a Keep flag needs it.
+	packets := ReadHists(SourcePackets, DestinationPackets)
+	combos = append(combos,
+		combo{"source and destination packets", PipelineConfig{},
+			[]Sink{NewEnsembleSink(SourcePackets, DestinationPackets)}, packets},
+		combo{"source packets beside destination packets", PipelineConfig{},
+			[]Sink{NewEnsembleSink(SourcePackets), NewEnsembleSink(DestinationPackets)}, packets},
+		combo{"source packets, KeepMatrices", PipelineConfig{KeepMatrices: true},
+			[]Sink{NewEnsembleSink(SourcePackets)}, ReadHists(SourcePackets)},
+		combo{"destination packets, KeepPartials", PipelineConfig{KeepPartials: true},
+			[]Sink{NewEnsembleSink(DestinationPackets)}, ReadHists(DestinationPackets)},
+		combo{"no sinks, KeepMatrices", PipelineConfig{KeepMatrices: true}, nil, 0},
+	)
 	combos = append(combos,
 		combo{"federation site", PipelineConfig{},
 			[]Sink{NewEnsembleSink(SourcePackets), &AggregatesSink{}}, ReadHists(SourcePackets) | ReadAggregates},
@@ -152,6 +166,42 @@ func TestReadSetPins(t *testing.T) {
 	}
 	for i, got := range seen {
 		checkReadFields(t, "FuncSink", PipelineConfig{}, readAll, got, full.Results[i])
+	}
+}
+
+// TestLinkTableRule pins which accumulator a run's windows fill, for
+// every read set under every retention flag: the link table (a Builder)
+// exactly when the run reads the aggregates, the link-packets or a fan
+// histogram, or keeps matrices or partials; per-node packet counts
+// otherwise. Each run's windows must equal the full reduce field by
+// field, so a run that needs the link table and lost it fails here too.
+func TestLinkTableRule(t *testing.T) {
+	trace := func() PacketSource { return newSynthSource(5, 9000, 900, 23) }
+	const nv = 2000
+	var full ResultCollector
+	if _, err := Run(trace(), PipelineConfig{NV: nv, KeepMatrices: true, KeepPartials: true}, &full); err != nil {
+		t.Fatal(err)
+	}
+	linkQuantities := ReadHists(LinkPackets, SourceFanOut, DestinationFanIn)
+	for _, cfg := range []PipelineConfig{{}, {KeepMatrices: true}, {KeepPartials: true}} {
+		for reads := ReadSet(0); reads <= readAll; reads++ {
+			wantLinks := reads&ReadAggregates != 0 || reads&linkQuantities != 0 ||
+				cfg.KeepMatrices || cfg.KeepPartials
+			if links := newRunWindow(nv, reads, cfg).b != nil; links != wantLinks {
+				t.Errorf("reads %#x, %+v: link table built = %v, want %v", reads, cfg, links, wantLinks)
+			}
+			cfg.NV = nv
+			sink := &declaredCollector{reads: reads}
+			if _, err := Run(trace(), cfg, sink); err != nil {
+				t.Fatalf("reads %#x, %+v: %v", reads, cfg, err)
+			}
+			if len(sink.Results) != len(full.Results) {
+				t.Fatalf("reads %#x: %d windows, full reduce %d", reads, len(sink.Results), len(full.Results))
+			}
+			for i, got := range sink.Results {
+				checkReadFields(t, fmt.Sprintf("reads %#x", reads), cfg, reads, got, full.Results[i])
+			}
+		}
 	}
 }
 

@@ -83,15 +83,17 @@ func WriteTraceCSV(w io.Writer, packets []Packet) error {
 // error carrying the line number rather than silently dropping packets
 // (a trace with holes would bias every downstream distribution).
 type CSVSource struct {
-	sc   *bufio.Scanner
-	line int
-	read int64
-	err  error
-	done bool
+	sc     *bufio.Scanner
+	line   int
+	read   int64
+	err    error
+	done   bool
+	record bool // a non-blank line has been read
 }
 
 // NewCSVSource returns a streaming reader over a trace written by
-// WriteTraceCSV (header optional).
+// WriteTraceCSV. The header is optional: the first non-blank line is
+// taken for one only when its first field is not an unsigned integer.
 func NewCSVSource(r io.Reader) *CSVSource {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -109,7 +111,8 @@ func (s *CSVSource) Next() (Packet, bool) {
 		if text == "" {
 			continue
 		}
-		p, ok, err := parseTraceLine(text, s.line)
+		p, ok, err := parseTraceLine(text, s.line, !s.record)
+		s.record = true
 		if err != nil {
 			s.err = err
 			s.done = true
@@ -136,20 +139,23 @@ func (s *CSVSource) Err() error { return s.err }
 // archives.
 func (s *CSVSource) PacketsRead() int64 { return s.read }
 
-// parseTraceLine parses one non-empty trace line. ok = false with a nil
-// error marks the header line.
-func parseTraceLine(text string, line int) (Packet, bool, error) {
+// parseTraceLine parses one non-empty trace line; first marks the
+// trace's first non-blank line. ok = false with a nil error marks the
+// header: a first line whose first field is not an unsigned integer.
+// Any other unparseable line, the first included, is an error.
+func parseTraceLine(text string, line int, first bool) (Packet, bool, error) {
 	parts := strings.Split(text, ",")
 	if len(parts) != 3 {
 		return Packet{}, false, fmt.Errorf("stream: line %d: want 3 fields, got %d", line, len(parts))
 	}
-	src, err1 := strconv.ParseUint(strings.TrimSpace(parts[0]), 10, 32)
+	field := strings.TrimSpace(parts[0])
+	if _, err := strconv.ParseUint(field, 10, 64); err != nil && first {
+		return Packet{}, false, nil // header
+	}
+	src, err1 := strconv.ParseUint(field, 10, 32)
 	dst, err2 := strconv.ParseUint(strings.TrimSpace(parts[1]), 10, 32)
 	val, err3 := strconv.Atoi(strings.TrimSpace(parts[2]))
 	if err1 != nil || err2 != nil || err3 != nil {
-		if line == 1 {
-			return Packet{}, false, nil // header
-		}
 		return Packet{}, false, fmt.Errorf("stream: line %d: unparseable %q", line, text)
 	}
 	if val != 0 && val != 1 {

@@ -46,13 +46,19 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadTraceCSVHeaderOptional(t *testing.T) {
-	noHeader := "1,2,1\n3,4,0\n"
-	out, err := readTraceCSV(strings.NewReader(noHeader))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 || !out[0].Valid || out[1].Valid {
-		t.Errorf("parsed %+v", out)
+	for _, body := range []string{
+		"1,2,1\n3,4,0\n",                      // no header
+		"src,dst,valid\n1,2,1\n3,4,0\n",       // header
+		"\n  \nsrc,dst,valid\n1,2,1\n3,4,0\n", // header after blank lines
+	} {
+		out, err := readTraceCSV(strings.NewReader(body))
+		if err != nil {
+			t.Errorf("%q: %v", body, err)
+			continue
+		}
+		if len(out) != 2 || out[0] != (Packet{Src: 1, Dst: 2, Valid: true}) || out[1] != (Packet{Src: 3, Dst: 4}) {
+			t.Errorf("%q: parsed %+v", body, out)
+		}
 	}
 }
 
@@ -65,16 +71,20 @@ func TestReadTraceCSVErrors(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name, body string
+		name, body, line string
 	}{
-		{"wrong fields", "src,dst,valid\n1,2\n"},
-		{"bad number", "src,dst,valid\n1,x,1\n"},
-		{"bad flag", "src,dst,valid\n1,2,5\n"},
-		{"mid-file garbage", "1,2,1\nnot,a,packet\n"},
+		{"wrong fields", "src,dst,valid\n1,2\n", "line 2"},
+		{"bad number", "src,dst,valid\n1,x,1\n", "line 2"},
+		{"bad flag", "src,dst,valid\n1,2,5\n", "line 2"},
+		{"mid-file garbage", "1,2,1\nnot,a,packet\n", "line 2"},
+		{"malformed first record", "68,291,false\n1,2,1\n", "line 1"},
+		{"malformed first record after a blank line", "\n68,291,false\n", "line 2"},
+		{"second header", "src,dst,valid\nsrc,dst,valid\n", "line 2"},
 	}
 	for _, c := range cases {
-		if _, err := readTraceCSV(strings.NewReader(c.body)); err == nil {
-			t.Errorf("%s: expected error", c.name)
+		_, err := readTraceCSV(strings.NewReader(c.body))
+		if err == nil || !strings.Contains(err.Error(), c.line+":") {
+			t.Errorf("%s: error %v, want one naming %s", c.name, err, c.line)
 		}
 	}
 }
