@@ -351,13 +351,15 @@ func writePlot(w io.Writer, h *hybridplaw.Histogram, sel model.Selection) error 
 	return nil
 }
 
-// readHistogram parses "degree,count" lines, tolerating a header row,
-// blank lines, and surrounding whitespace.
+// readHistogram parses "degree,count" lines, tolerating blank lines,
+// surrounding whitespace and a header: the first non-blank line is one
+// only when its first field does not parse as an integer. Any other bad
+// line, the first included, is an error naming its line.
 func readHistogram(r io.Reader) (*hybridplaw.Histogram, error) {
 	h := hybridplaw.NewHistogram()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	line := 0
+	line, first := 0, true
 	for sc.Scan() {
 		line++
 		text := strings.TrimSpace(sc.Text())
@@ -369,11 +371,13 @@ func readHistogram(r io.Reader) (*hybridplaw.Histogram, error) {
 			return nil, fmt.Errorf("line %d: want 2 fields, got %d", line, len(parts))
 		}
 		d, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
+		header := err1 != nil && first
+		first = false
+		if header {
+			continue
+		}
 		c, err2 := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 64)
 		if err1 != nil || err2 != nil {
-			if line == 1 {
-				continue // header row
-			}
 			return nil, fmt.Errorf("line %d: unparseable %q", line, text)
 		}
 		if err := h.AddN(d, c); err != nil {

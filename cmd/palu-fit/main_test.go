@@ -93,13 +93,18 @@ func TestRunFitFailureExitsNonzero(t *testing.T) {
 }
 
 func TestRunBadInputExitsNonzero(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run(nil, strings.NewReader("1,5\nnot,a,row\n"), &out, &errOut)
-	if code == 0 {
-		t.Fatal("expected nonzero exit on unparseable input")
-	}
-	if !strings.Contains(errOut.String(), "line 2") {
-		t.Errorf("stderr does not locate the bad line:\n%s", errOut.String())
+	for _, c := range []struct{ in, line string }{
+		{"1,5\nnot,a,row\n", "line 2"},
+		{"2,x\n1,5\n", "line 1"},
+	} {
+		var out, errOut strings.Builder
+		code := run(nil, strings.NewReader(c.in), &out, &errOut)
+		if code == 0 {
+			t.Fatalf("%q: expected nonzero exit on unparseable input", c.in)
+		}
+		if !strings.Contains(errOut.String(), c.line) {
+			t.Errorf("%q: stderr does not locate the bad line (%s):\n%s", c.in, c.line, errOut.String())
+		}
 	}
 }
 
@@ -189,12 +194,17 @@ func TestReadHistogramNoHeader(t *testing.T) {
 }
 
 func TestReadHistogramBlankLines(t *testing.T) {
-	h, err := readHistogram(strings.NewReader("degree,count\n\n1,5\n\n2,1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Total() != 6 {
-		t.Errorf("total = %d", h.Total())
+	for _, in := range []string{
+		"degree,count\n\n1,5\n\n2,1\n",
+		"\n\ndegree,count\n1,5\n2,1\n", // the header is the first non-blank line
+	} {
+		h, err := readHistogram(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if h.Total() != 6 {
+			t.Errorf("%q: total = %d", in, h.Total())
+		}
 	}
 }
 
@@ -204,6 +214,7 @@ func TestReadHistogramErrors(t *testing.T) {
 		{"header only", "degree,count\n"},
 		{"wrong fields", "1,2,3\n"},
 		{"garbage mid-file", "1,5\nx,y\n"},
+		{"second header", "degree,count\ndegree,count\n1,5\n"},
 		{"negative count", "1,-5\n"},
 		{"zero degree", "0,5\n"},
 	}

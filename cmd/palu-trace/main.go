@@ -385,7 +385,7 @@ func cmdReplay(args []string) error {
 	for i := range mean {
 		fmt.Printf("%8d %14.6g %14.6g\n", hist.BinUpper(i), mean[i], sigma[i])
 	}
-	fit, err := sink.FitZM(q, zipfmand.DefaultFitOptions())
+	fit, err := zipfmand.FitEnsemble(ens, sink.Merged(q), zipfmand.DefaultFitOptions())
 	if err != nil {
 		return err
 	}

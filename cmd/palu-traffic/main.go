@@ -106,7 +106,7 @@ func main() {
 		fmt.Printf("%8d %14.6g %14.6g\n", hist.BinUpper(i), mean[i], sigma[i])
 	}
 
-	fit, err := ensSink.FitZM(q, zipfmand.DefaultFitOptions())
+	fit, err := zipfmand.FitEnsemble(ens, merged, zipfmand.DefaultFitOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func FitPowerLaw(h *Histogram) (PowerLawFit, error) {
 // Model is a fitted degree distribution behind the unified model layer:
 // every family (modified Zipf–Mandelbrot, power laws, PALU constants,
 // discrete lognormal, truncated power law) implements
-// Name/Params/LogLik/PMF/CDF/Sample.
+// Name/Params/LogLik/PMF.
 type Model = model.Model
 
 // ModelParam is one named fitted parameter.
@@ -306,22 +306,8 @@ type PipelineConfig = stream.PipelineConfig
 type PipelineStats = stream.PipelineStats
 
 // EnsembleSink accumulates per-quantity cross-window ensembles and merged
-// histograms in O(log dmax) memory, with ZM/CSN/PALU fit finishers.
+// histograms in O(log dmax) memory.
 type EnsembleSink = stream.EnsembleSink
-
-// FitSink runs registered model fitters on one quantity's histogram of
-// every window inside the pipeline, in window order.
-type FitSink = stream.FitSink
-
-// WindowFits holds one window's model fits (parallel to the sink's
-// fitter names).
-type WindowFits = stream.WindowFits
-
-// NewFitSink returns a sink fitting the named registry fitters (all of
-// them when none are given) to each window's histogram of q.
-func NewFitSink(q Quantity, reg *ModelRegistry, fitters ...string) (*FitSink, error) {
-	return stream.NewFitSink(q, reg, fitters...)
-}
 
 // ResultCollector is a Sink retaining every WindowResult (O(windows)
 // memory; with KeepMatrices, each window's frozen matrix too).

@@ -107,9 +107,6 @@ type Interval struct {
 // Contains reports whether x lies in [Lo, Hi].
 func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
 
-// Width returns Hi − Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
 // PercentileInterval returns the two-sided percentile interval of xs at
 // the given nominal coverage level (e.g. 0.9 keeps the central 90%).
 // A zero Interval is returned when xs is empty or the quantiles are NaN.

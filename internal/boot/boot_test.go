@@ -136,9 +136,6 @@ func TestPercentileInterval(t *testing.T) {
 	if !iv.Contains(50) || iv.Contains(-1) {
 		t.Error("Contains wrong")
 	}
-	if got := (Interval{Lo: 1, Hi: 3}).Width(); got != 2 {
-		t.Errorf("Width = %v", got)
-	}
 	if iv := PercentileInterval(nil, 0.9); iv != (Interval{}) {
 		t.Errorf("empty input: %+v", iv)
 	}

@@ -41,11 +41,11 @@ func TestBootstrapEstimateCoversTruth(t *testing.T) {
 	for name, iv := range map[string]Interval{
 		"alpha": ci.Alpha, "c": ci.C, "l": ci.L, "u": ci.U, "mu": ci.Mu,
 	} {
-		if iv.Width() < 0 {
+		if iv.Hi < iv.Lo {
 			t.Errorf("%s: inverted interval %+v", name, iv)
 		}
 	}
-	if ci.Alpha.Width() > 0.5 {
+	if ci.Alpha.Hi-ci.Alpha.Lo > 0.5 {
 		t.Errorf("alpha CI suspiciously wide: %+v", ci.Alpha)
 	}
 }
@@ -100,8 +100,5 @@ func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 3}
 	if !iv.Contains(2) || iv.Contains(0.5) || iv.Contains(3.5) {
 		t.Error("Contains wrong")
-	}
-	if iv.Width() != 2 {
-		t.Errorf("Width = %v", iv.Width())
 	}
 }

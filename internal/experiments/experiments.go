@@ -224,16 +224,16 @@ func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3Panel
 	if err != nil {
 		return Figure3PanelResult{}, err
 	}
-	fit, err := sink.FitZM(spec.Quantity, zipfmand.DefaultFitOptions())
+	ens, merged := sink.Ensemble(spec.Quantity), sink.Merged(spec.Quantity)
+	fit, err := zipfmand.FitEnsemble(ens, merged, zipfmand.DefaultFitOptions())
 	if err != nil {
 		return Figure3PanelResult{}, err
 	}
-	ens := sink.Ensemble(spec.Quantity)
 	mean := ens.Mean()
 	return Figure3PanelResult{
 		Spec: spec, MeanD: mean, SigmaD: ens.Sigma(),
 		FitAlpha: fit.Alpha, FitDelta: fit.Delta, FitSSE: fit.SSE, FitKS: fit.KS,
-		DMax: sink.Merged(spec.Quantity).MaxDegree(), FracD1: mean[0],
+		DMax: merged.MaxDegree(), FracD1: mean[0],
 	}, nil
 }
 

@@ -6,7 +6,7 @@
 //
 // The paper treats traffic networks as undirected ("for the sake of the
 // model we will consider this undirected", Section III); edges here are
-// unordered pairs and self-loops are permitted but tracked.
+// unordered pairs and self-loops are permitted.
 package graph
 
 import (
@@ -27,7 +27,6 @@ type Graph struct {
 	n     int
 	edges []Edge
 	deg   []int64
-	loops int
 }
 
 // New returns an empty graph with n nodes and no edges.
@@ -43,9 +42,6 @@ func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of edges (multi-edges counted individually).
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// NumSelfLoops returns the number of self-loop edges.
-func (g *Graph) NumSelfLoops() int { return g.loops }
 
 // AddNode appends an isolated node and returns its id.
 func (g *Graph) AddNode() int32 {
@@ -63,19 +59,11 @@ func (g *Graph) AddEdge(u, v int32) error {
 	g.edges = append(g.edges, Edge{U: u, V: v})
 	g.deg[u]++
 	g.deg[v]++
-	if u == v {
-		g.loops++
-	}
 	return nil
 }
 
 // Degree returns the degree of node u.
 func (g *Graph) Degree(u int32) int64 { return g.deg[u] }
-
-// Degrees returns a copy of the degree sequence.
-func (g *Graph) Degrees() []int64 {
-	return append([]int64(nil), g.deg...)
-}
 
 // Edges returns the edge list. The slice is shared; callers must not
 // modify it.

@@ -21,8 +21,8 @@ func TestAddEdgeDegrees(t *testing.T) {
 	mustAdd(0, 1)
 	mustAdd(0, 2)
 	mustAdd(3, 3) // self loop
-	if g.NumEdges() != 3 || g.NumSelfLoops() != 1 {
-		t.Errorf("edges=%d loops=%d", g.NumEdges(), g.NumSelfLoops())
+	if g.NumEdges() != 3 {
+		t.Errorf("edges=%d", g.NumEdges())
 	}
 	wantDeg := []int64{2, 1, 1, 2}
 	for i, w := range wantDeg {

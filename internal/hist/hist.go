@@ -171,17 +171,6 @@ func (h *Histogram) Probability(d int) float64 {
 	return float64(h.Count(d)) / float64(h.total)
 }
 
-// Probabilities returns the (degree, p(d)) pairs over the support, sorted
-// by degree.
-func (h *Histogram) Probabilities() (degrees []int, probs []float64) {
-	degrees = h.Support()
-	probs = make([]float64, len(degrees))
-	for i, d := range degrees {
-		probs[i] = h.Probability(d)
-	}
-	return degrees, probs
-}
-
 // CumulativeAt returns P(d) = Σ_{i<=d} p(i).
 func (h *Histogram) CumulativeAt(d int) float64 {
 	if h.total == 0 {

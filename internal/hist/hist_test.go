@@ -201,10 +201,9 @@ func TestSupportSorted(t *testing.T) {
 
 func TestProbabilitiesSumToOne(t *testing.T) {
 	h, _ := FromCounts(map[int]int64{1: 3, 4: 9, 77: 8})
-	_, probs := h.Probabilities()
 	var sum float64
-	for _, p := range probs {
-		sum += p
+	for _, d := range h.Support() {
+		sum += h.Probability(d)
 	}
 	if math.Abs(sum-1) > 1e-12 {
 		t.Errorf("probabilities sum to %v", sum)

@@ -12,7 +12,6 @@ import (
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/powerlaw"
-	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -20,8 +19,6 @@ import (
 // (Section II.B), wrapping zipfmand.Model.
 type ZM struct {
 	ZM zipfmand.Model
-	// SupportMax is the fitted support bound (the observed dmax).
-	SupportMax int
 }
 
 // Name implements Model.
@@ -34,9 +31,6 @@ func (m *ZM) Params() []Param {
 
 // PMF implements Model via zipfmand.Model.PMF.
 func (m *ZM) PMF(dmax int) ([]float64, error) { return m.ZM.PMF(dmax) }
-
-// CDF implements Model via zipfmand.Model.CDF.
-func (m *ZM) CDF(dmax int) ([]float64, error) { return m.ZM.CDF(dmax) }
 
 // LogLik implements Model: Σ n(d)(−α ln(d+δ)) − n ln Z over the observed
 // support, with Z the 1..dmax normalizer.
@@ -55,23 +49,13 @@ func (m *ZM) LogLik(h *hist.Histogram) (float64, error) {
 	return ll, nil
 }
 
-// Sample implements Model over the fitted support.
-func (m *ZM) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	pmf, err := m.PMF(m.SupportMax)
-	if err != nil {
-		return nil, err
-	}
-	return sampleFromPMF(pmf, n, rng)
-}
-
 // PowerLaw is the pure discrete power law p(d) ∝ d^{-α} for d >= Xmin,
 // truncated and renormalized to the finite support — with Xmin = 1 it is
 // the single-parameter whole-distribution description a webcrawl-era
 // analysis would fit (the δ=0 modified Zipf–Mandelbrot).
 type PowerLaw struct {
-	Alpha      float64
-	Xmin       int
-	SupportMax int
+	Alpha float64
+	Xmin  int
 }
 
 // Name implements Model.
@@ -95,15 +79,6 @@ func (m *PowerLaw) PMF(dmax int) ([]float64, error) {
 	return out, nil
 }
 
-// CDF implements Model.
-func (m *PowerLaw) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	return cdfFromPMF(pmf), nil
-}
-
 // LogLik implements Model. Observations below Xmin make it -Inf.
 func (m *PowerLaw) LogLik(h *hist.Histogram) (float64, error) {
 	if err := validateHist(h); err != nil {
@@ -123,15 +98,6 @@ func (m *PowerLaw) LogLik(h *hist.Histogram) (float64, error) {
 	return ll, nil
 }
 
-// Sample implements Model over the fitted support.
-func (m *PowerLaw) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	pmf, err := m.PMF(m.SupportMax)
-	if err != nil {
-		return nil, err
-	}
-	return sampleFromPMF(pmf, n, rng)
-}
-
 // CSN is the Clauset–Shalizi–Newman semiparametric model: the empirical
 // distribution below the scanned cutoff Xmin combined with the MLE power
 // law on the tail — exactly the construction powerlaw.BootstrapPValue
@@ -140,8 +106,7 @@ func (m *PowerLaw) Sample(n int, rng *xrand.RNG) ([]int64, error) {
 // tail exponent and cutoff).
 type CSN struct {
 	// Fit is the untouched legacy powerlaw.FitScan result.
-	Fit        powerlaw.Fit
-	SupportMax int
+	Fit powerlaw.Fit
 	// headDegrees/headProbs hold the empirical distribution below Xmin;
 	// probabilities are unconditional (they sum to 1 − PTail).
 	headDegrees []int
@@ -156,7 +121,7 @@ func NewCSN(f powerlaw.Fit, h *hist.Histogram) (*CSN, error) {
 	if err := validateHist(h); err != nil {
 		return nil, err
 	}
-	m := &CSN{Fit: f, SupportMax: h.MaxDegree()}
+	m := &CSN{Fit: f}
 	total := float64(h.Total())
 	var headMass float64
 	for _, d := range h.Support() {
@@ -207,15 +172,6 @@ func (m *CSN) PMF(dmax int) ([]float64, error) {
 	return out, nil
 }
 
-// CDF implements Model.
-func (m *CSN) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	return cdfFromPMF(pmf), nil
-}
-
 // LogLik implements Model.
 func (m *CSN) LogLik(h *hist.Histogram) (float64, error) {
 	if err := validateHist(h); err != nil {
@@ -240,42 +196,12 @@ func (m *CSN) LogLik(h *hist.Histogram) (float64, error) {
 	return ll, nil
 }
 
-// Sample implements Model: head cells by the alias method with
-// probability 1−PTail, the CSN inverse-CDF tail otherwise.
-func (m *CSN) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	if n < 0 {
-		return nil, errors.New("model: negative sample size")
-	}
-	var headAlias *xrand.Alias
-	if len(m.headDegrees) > 0 {
-		var err error
-		headAlias, err = xrand.NewAlias(m.headProbs)
-		if err != nil {
-			return nil, err
-		}
-	}
-	out := make([]int64, n)
-	for i := range out {
-		if headAlias == nil || rng.Float64() < m.PTail {
-			s, err := m.Fit.Sample(1, rng)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = s[0]
-		} else {
-			out[i] = int64(m.headDegrees[headAlias.Draw(rng)])
-		}
-	}
-	return out, nil
-}
-
 // PALU is the Section IV.B reduced degree law
 // ratio(d) = c·d^{-α} + u·μ^d/d! + l·δ_{d,1}-style (Eqs. (2)-(4)),
 // renormalized to a proper distribution over the finite support. Degrees
 // where the estimated law goes non-positive carry zero probability.
 type PALU struct {
-	Constants  palu.Constants
-	SupportMax int
+	Constants palu.Constants
 }
 
 // Name implements Model.
@@ -333,15 +259,6 @@ func (m *PALU) PMF(dmax int) ([]float64, error) {
 	return out, nil
 }
 
-// CDF implements Model.
-func (m *PALU) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	return cdfFromPMF(pmf), nil
-}
-
 // LogLik implements Model.
 func (m *PALU) LogLik(h *hist.Histogram) (float64, error) {
 	if err := validateHist(h); err != nil {
@@ -356,15 +273,6 @@ func (m *PALU) LogLik(h *hist.Histogram) (float64, error) {
 		return math.Log(m.ratioAt(d)) - logZ
 	})
 	return ll, nil
-}
-
-// Sample implements Model over the fitted support.
-func (m *PALU) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	pmf, err := m.PMF(m.SupportMax)
-	if err != nil {
-		return nil, err
-	}
-	return sampleFromPMF(pmf, n, rng)
 }
 
 // stdNormalCDFDiff returns Φ(b) − Φ(a) for a <= b in whichever
@@ -387,8 +295,7 @@ func stdNormalCDFDiff(a, b float64) float64 {
 // the standard discretization in heavy-tail model comparisons; the
 // closed form keeps every evaluation O(1) per degree.
 type Lognormal struct {
-	Mu, Sigma  float64
-	SupportMax int
+	Mu, Sigma float64
 }
 
 // Name implements Model.
@@ -435,15 +342,6 @@ func (m *Lognormal) PMF(dmax int) ([]float64, error) {
 	return out, nil
 }
 
-// CDF implements Model.
-func (m *Lognormal) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	return cdfFromPMF(pmf), nil
-}
-
 // LogLik implements Model.
 func (m *Lognormal) LogLik(h *hist.Histogram) (float64, error) {
 	if err := validateHist(h); err != nil {
@@ -460,22 +358,12 @@ func (m *Lognormal) LogLik(h *hist.Histogram) (float64, error) {
 	return ll, nil
 }
 
-// Sample implements Model over the fitted support.
-func (m *Lognormal) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	pmf, err := m.PMF(m.SupportMax)
-	if err != nil {
-		return nil, err
-	}
-	return sampleFromPMF(pmf, n, rng)
-}
-
 // TruncPowerLaw is the truncated power law p(d) ∝ d^{-α} e^{-λd}
 // (power law with exponential cutoff), the heavy-tail alternative the
 // mixed-fractal traffic literature carries alongside the pure law.
 // λ = 0 degenerates to the pure power law.
 type TruncPowerLaw struct {
 	Alpha, Lambda float64
-	SupportMax    int
 }
 
 // Name implements Model.
@@ -514,15 +402,6 @@ func (m *TruncPowerLaw) PMF(dmax int) ([]float64, error) {
 	return out, nil
 }
 
-// CDF implements Model.
-func (m *TruncPowerLaw) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	return cdfFromPMF(pmf), nil
-}
-
 // LogLik implements Model.
 func (m *TruncPowerLaw) LogLik(h *hist.Histogram) (float64, error) {
 	if err := validateHist(h); err != nil {
@@ -537,13 +416,4 @@ func (m *TruncPowerLaw) LogLik(h *hist.Histogram) (float64, error) {
 		return -m.Alpha*math.Log(float64(d)) - m.Lambda*float64(d) - logZ
 	})
 	return ll, nil
-}
-
-// Sample implements Model over the fitted support.
-func (m *TruncPowerLaw) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	pmf, err := m.PMF(m.SupportMax)
-	if err != nil {
-		return nil, err
-	}
-	return sampleFromPMF(pmf, n, rng)
 }

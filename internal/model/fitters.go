@@ -179,7 +179,7 @@ func (f ZMFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err != nil {
 		return FitResult{}, err
 	}
-	m := &ZM{ZM: fr.Model, SupportMax: h.MaxDegree()}
+	m := &ZM{ZM: fr.Model}
 	return finish(f.Name(), m, 2, h, map[string]float64{
 		"sse": fr.SSE, "ks": fr.KS,
 		"iters": float64(fr.Iters), "evals": float64(fr.Evals),
@@ -214,7 +214,7 @@ func (ZMMLEFitter) problem(h *hist.Histogram) mleProblem {
 		box:    zipfmand.FitBox,
 		starts: [][2]float64{{1.5, -0.5}, {2.0, 0.0}, {2.5, -0.8}},
 		model: func(x [2]float64) Model {
-			return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}, SupportMax: h.MaxDegree()}
+			return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}}
 		},
 	}
 }
@@ -306,7 +306,7 @@ func (f PowerLawFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err != nil {
 		return FitResult{}, fmt.Errorf("model: %s fit failed: %w", f.Name(), err)
 	}
-	m := &PowerLaw{Alpha: alpha, Xmin: 1, SupportMax: dmax}
+	m := &PowerLaw{Alpha: alpha, Xmin: 1}
 	return finish(f.Name(), m, 1, h, nil)
 }
 
@@ -328,7 +328,7 @@ func (f PALUFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err != nil {
 		return FitResult{}, err
 	}
-	m := &PALU{Constants: res.Constants(), SupportMax: h.MaxDegree()}
+	m := &PALU{Constants: res.Constants()}
 	return finish(f.Name(), m, 5, h, map[string]float64{
 		"tail_r2": res.TailR2, "tail_points": float64(res.TailPoints),
 	})
@@ -357,7 +357,7 @@ func (LognormalFitter) problem(h *hist.Histogram) mleProblem {
 		box:    stats.Box{Lo: [2]float64{-40, 0.05}, Hi: [2]float64{40, 20}},
 		starts: [][2]float64{{mu0, sd0}, {mu0, 2 * sd0}, {mu0 - 1, sd0 + 0.5}},
 		model: func(x [2]float64) Model {
-			return &Lognormal{Mu: x[0], Sigma: x[1], SupportMax: h.MaxDegree()}
+			return &Lognormal{Mu: x[0], Sigma: x[1]}
 		},
 	}
 }
@@ -404,7 +404,7 @@ func (TruncPowerLawFitter) problem(h *hist.Histogram) mleProblem {
 		box:    stats.Box{Lo: [2]float64{0.05, 0}, Hi: [2]float64{12, 2}},
 		starts: [][2]float64{{1.5, 1e-4}, {2.2, 1e-3}, {2.8, 1e-2}, {1.2, 0.1}},
 		model: func(x [2]float64) Model {
-			return &TruncPowerLaw{Alpha: x[0], Lambda: x[1], SupportMax: h.MaxDegree()}
+			return &TruncPowerLaw{Alpha: x[0], Lambda: x[1]}
 		},
 	}
 }

@@ -21,7 +21,6 @@
 //     p normalized over 1..h.MaxDegree(), so likelihoods of different
 //     families on the same histogram are directly comparable. A model
 //     assigning zero probability to any observed degree returns -Inf.
-//   - Sample draws from the family over its fitted support (SupportMax).
 package model
 
 import (
@@ -31,7 +30,6 @@ import (
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/specialfn"
-	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -54,10 +52,6 @@ type Model interface {
 	// PMF returns the probabilities for d = 1..dmax (index 0 holds d=1),
 	// normalized over that support.
 	PMF(dmax int) ([]float64, error)
-	// CDF returns the cumulative probabilities for d = 1..dmax.
-	CDF(dmax int) ([]float64, error)
-	// Sample draws n degrees from the fitted distribution.
-	Sample(n int, rng *xrand.RNG) ([]int64, error)
 }
 
 // ErrEmptyHistogram indicates a nil or observation-free histogram.
@@ -69,37 +63,6 @@ func validateHist(h *hist.Histogram) error {
 		return ErrEmptyHistogram
 	}
 	return nil
-}
-
-// cdfFromPMF accumulates a PMF into a CDF, clamping the terminal bin.
-func cdfFromPMF(pmf []float64) []float64 {
-	out := make([]float64, len(pmf))
-	var cum float64
-	for i, p := range pmf {
-		cum += p
-		out[i] = cum
-	}
-	if len(out) > 0 {
-		out[len(out)-1] = 1
-	}
-	return out
-}
-
-// sampleFromPMF draws n degrees from a finite-support PMF (index 0 is
-// d=1) with the alias method.
-func sampleFromPMF(pmf []float64, n int, rng *xrand.RNG) ([]int64, error) {
-	if n < 0 {
-		return nil, errors.New("model: negative sample size")
-	}
-	alias, err := xrand.NewAlias(pmf)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(alias.Draw(rng)) + 1
-	}
-	return out, nil
 }
 
 // logLikOverSupport evaluates Σ n(d)·logpmf(d) over the histogram

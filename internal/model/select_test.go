@@ -61,10 +61,18 @@ func TestSelectZMFamilyWinsOnPALUTraffic(t *testing.T) {
 // TestSelectRecoversGeneratingFamily samples from a known ZM model and
 // verifies selection identifies the family against the alternatives.
 func TestSelectRecoversGeneratingFamily(t *testing.T) {
-	gen := &ZM{ZM: zipfmand.Model{Alpha: 2.2, Delta: 1.5}, SupportMax: 5000}
-	xs, err := gen.Sample(150000, xrand.New(23))
+	pmf, err := zipfmand.Model{Alpha: 2.2, Delta: 1.5}.PMF(5000)
 	if err != nil {
 		t.Fatal(err)
+	}
+	alias, err := xrand.NewAlias(pmf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(23)
+	xs := make([]int64, 150000)
+	for i := range xs {
+		xs[i] = int64(alias.Draw(rng)) + 1
 	}
 	h, err := hist.FromValues(xs)
 	if err != nil {
@@ -97,8 +105,8 @@ func TestSelectRecoversGeneratingFamily(t *testing.T) {
 
 func TestVuongAntisymmetryAndSelfComparison(t *testing.T) {
 	h := paluHistogram(t, 50000, 13)
-	a := &ZM{ZM: zipfmand.Model{Alpha: 2.0, Delta: 0.5}, SupportMax: h.MaxDegree()}
-	b := &PowerLaw{Alpha: 2.5, Xmin: 1, SupportMax: h.MaxDegree()}
+	a := &ZM{ZM: zipfmand.Model{Alpha: 2.0, Delta: 0.5}}
+	b := &PowerLaw{Alpha: 2.5, Xmin: 1}
 	ab, err := Vuong(h, a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -127,8 +135,8 @@ func TestVuongSupportMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := &PowerLaw{Alpha: 2, Xmin: 1, SupportMax: 8}
-	tailOnly := &PowerLaw{Alpha: 2, Xmin: 2, SupportMax: 8}
+	full := &PowerLaw{Alpha: 2, Xmin: 1}
+	tailOnly := &PowerLaw{Alpha: 2, Xmin: 2}
 	if _, err := Vuong(h, full, tailOnly); err == nil {
 		t.Error("expected error for zero-probability observed degree")
 	}
@@ -142,8 +150,8 @@ func TestSelectExcludesInfiniteLogLik(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okModel := &PowerLaw{Alpha: 2, Xmin: 1, SupportMax: 50}
-	badModel := &PowerLaw{Alpha: 2, Xmin: 5, SupportMax: 50}
+	okModel := &PowerLaw{Alpha: 2, Xmin: 1}
+	badModel := &PowerLaw{Alpha: 2, Xmin: 5}
 	mk := func(m Model) FitResult {
 		r, err := finish(m.Name(), m, 1, h, nil)
 		if err != nil {

@@ -158,13 +158,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	return &Site{cfg: cfg, underlying: u, weights: alias, rng: rng}, nil
 }
 
-// Config returns the site configuration.
-func (s *Site) Config() SiteConfig { return s.cfg }
-
-// Underlying exposes the generated underlying network (for topology
-// decomposition experiments).
-func (s *Site) Underlying() *palu.Underlying { return s.underlying }
-
 // ObservationPass performs one edge-sampling pass over the underlying
 // network and returns the resulting packets in randomized order. The
 // expected packet count is E[weight] · p · |underlying edges| /

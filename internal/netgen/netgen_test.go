@@ -100,7 +100,7 @@ func TestObservationPassProperties(t *testing.T) {
 	for d, p := range pmf {
 		ew += float64(d+1) * p
 	}
-	want := ew * 0.5 * float64(s.Underlying().G.NumEdges())
+	want := ew * 0.5 * float64(s.underlying.G.NumEdges())
 	if math.Abs(float64(valid)-want) > 0.15*want {
 		t.Errorf("valid packets = %d, want ~%v", valid, want)
 	}

@@ -15,7 +15,7 @@ import (
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("palu_g_events_total", "events seen").Add(42)
-	r.Gauge("palu_g_depth", "queue depth").Set(-3)
+	r.Gauge("palu_g_depth", "queue depth").Add(-3)
 	h := r.Histogram("palu_g_wait_ns", "wait time", []int64{10, 100})
 	h.Observe(5)
 	h.Observe(10)

@@ -60,13 +60,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g != nil {
-		g.v.Store(v)
-	}
-}
-
 // Add adds n (may be negative).
 func (g *Gauge) Add(n int64) {
 	if g != nil {

@@ -16,7 +16,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Fatalf("counter = %d, want 42", got)
 	}
 	g := r.Gauge("palu_test_depth", "depth")
-	g.Set(7)
+	g.Add(7)
 	g.Add(-3)
 	if got := g.Value(); got != 4 {
 		t.Fatalf("gauge = %d, want 4", got)
@@ -37,7 +37,6 @@ func TestNilInstrumentsAreInert(t *testing.T) {
 	var tm *Timer
 	c.Inc()
 	c.Add(5)
-	g.Set(1)
 	g.Add(1)
 	h.Observe(3)
 	sp := tm.Start()

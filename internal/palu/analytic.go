@@ -250,8 +250,3 @@ func (k Constants) DegreeRatio(d int) (float64, error) {
 		return k.C*math.Pow(float64(d), -k.Alpha) + star, nil
 	}
 }
-
-// TailRatio evaluates the d >= 10 pure power-law simplification (Eq. (4)).
-func (k Constants) TailRatio(d int) float64 {
-	return k.C * math.Pow(float64(d), -k.Alpha)
-}

@@ -140,7 +140,7 @@ func TestTailDominatedByPowerLaw(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tail := k.TailRatio(d)
+		tail := k.C * math.Pow(float64(d), -k.Alpha)
 		if math.Abs(full-tail) > 0.01*tail {
 			t.Errorf("d=%d: full %v vs tail %v differ by more than 1%%", d, full, tail)
 		}

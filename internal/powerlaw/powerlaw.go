@@ -252,26 +252,11 @@ func FitScan(h *hist.Histogram, maxXmin int) (Fit, error) {
 	return best, nil
 }
 
-// Sample draws n observations from the fitted discrete power law using the
-// CSN inverse-CDF approximation d = round((xmin − 1/2)(1−u)^{−1/(α−1)} + 1/2).
-func (f Fit) Sample(n int, rng *xrand.RNG) ([]int64, error) {
-	if n < 0 {
-		return nil, errors.New("powerlaw: negative sample size")
-	}
-	if f.Alpha <= 1 {
-		return nil, errAlphaRange
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = f.draw(rng)
-	}
-	return out, nil
-}
-
 var errAlphaRange = errors.New("powerlaw: alpha must exceed 1")
 
-// draw is one inverse-CDF draw of Sample; it consumes one rng.Float64.
-// The caller checks f.Alpha > 1.
+// draw is one observation from the fitted discrete power law by the CSN
+// inverse-CDF approximation d = round((xmin − 1/2)(1−u)^{−1/(α−1)} + 1/2);
+// it consumes one rng.Float64. The caller checks f.Alpha > 1.
 func (f Fit) draw(rng *xrand.RNG) int64 {
 	u := rng.Float64()
 	x := (float64(f.Xmin) - 0.5) * math.Pow(1-u, -1/(f.Alpha-1))

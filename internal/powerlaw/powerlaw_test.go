@@ -105,12 +105,9 @@ func TestFitScanErrors(t *testing.T) {
 func TestSampleMatchesModel(t *testing.T) {
 	f := Fit{Alpha: 2.5, Xmin: 2}
 	r := xrand.New(7)
-	xs, err := f.Sample(100000, r)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := hist.New()
-	for _, x := range xs {
+	for range 100000 {
+		x := f.draw(r)
 		if x < int64(f.Xmin) {
 			t.Fatalf("sample %d below xmin", x)
 		}
@@ -125,16 +122,6 @@ func TestSampleMatchesModel(t *testing.T) {
 	}
 	if math.Abs(rf.Alpha-2.5) > 0.08 {
 		t.Errorf("refit alpha = %v", rf.Alpha)
-	}
-}
-
-func TestSampleErrors(t *testing.T) {
-	r := xrand.New(1)
-	if _, err := (Fit{Alpha: 0.5, Xmin: 1}).Sample(10, r); err == nil {
-		t.Error("alpha<=1: expected error")
-	}
-	if _, err := (Fit{Alpha: 2, Xmin: 1}).Sample(-1, r); err == nil {
-		t.Error("n<0: expected error")
 	}
 }
 
@@ -796,26 +783,10 @@ func TestKSDistanceBound(t *testing.T) {
 	}
 }
 
-func TestDrawMatchesSampleStream(t *testing.T) {
-	f := Fit{Alpha: 2.4, Xmin: 3}
-	a, b := xrand.New(17), xrand.New(17)
-	xs, err := f.Sample(1000, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		if d := f.draw(b); d != x {
-			t.Fatalf("draw %d = %d, Sample gave %d", i, d, x)
-		}
-	}
-	if a.Uint64() != b.Uint64() {
-		t.Error("draw and Sample leave the RNG in different states")
-	}
-}
-
 func TestBootstrapPValuePinned(t *testing.T) {
 	// p-values recorded from the implementation that drew each synthetic
-	// tail observation through f.Sample(1, rng).
+	// tail observation through a one-element Sample call, whose stream
+	// draw reproduces.
 	cases := []struct {
 		name string
 		h    *hist.Histogram

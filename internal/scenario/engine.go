@@ -212,8 +212,8 @@ type Context struct {
 
 // Standalone returns a context detached from any engine: Stream
 // generates traffic directly (no cache, no declaration checks) and
-// WriteArtifact is unavailable. It backs the thin compatibility wrappers
-// around the legacy Run* experiment functions.
+// WriteArtifact is unavailable. It backs RunFederationBackbone, which
+// runs the backbone compute outside any engine.
 func Standalone() *Context { return &Context{} }
 
 func (c *Context) writtenNames() []string {

@@ -340,9 +340,6 @@ func FromEntries(entries []Entry) *Matrix {
 // shared; callers must not modify it.
 func (m *Matrix) Entries() []Entry { return m.entries }
 
-// NNZ returns the number of stored nonzero entries (= unique links).
-func (m *Matrix) NNZ() int { return len(m.entries) }
-
 // ValidPackets returns NV = Σi Σj At(i,j) (Table I row 1; matrix form 1ᵀAt1).
 func (m *Matrix) ValidPackets() int64 { return m.total }
 
@@ -456,23 +453,6 @@ func (m *Matrix) Transpose() *Matrix {
 	for i, e := range m.entries {
 		es[i] = Entry{Src: e.Dst, Dst: e.Src, Count: e.Count}
 	}
-	return FromEntries(es)
-}
-
-// ZeroNorm returns |At|₀: the matrix with every nonzero count replaced by 1.
-func (m *Matrix) ZeroNorm() *Matrix {
-	es := make([]Entry, len(m.entries))
-	for i, e := range m.entries {
-		es[i] = Entry{Src: e.Src, Dst: e.Dst, Count: 1}
-	}
-	return FromEntries(es)
-}
-
-// Add returns the entrywise sum At + Bt, the aggregation of two windows.
-func (m *Matrix) Add(other *Matrix) *Matrix {
-	es := make([]Entry, 0, len(m.entries)+len(other.entries))
-	es = append(es, m.entries...)
-	es = append(es, other.entries...)
 	return FromEntries(es)
 }
 

@@ -112,8 +112,8 @@ func TestMergeBuilders(t *testing.T) {
 
 func TestDuplicateCombination(t *testing.T) {
 	m := FromEntries([]Entry{{1, 2, 3}, {1, 2, 4}, {0, 0, 1}})
-	if m.NNZ() != 2 {
-		t.Fatalf("NNZ = %d, want 2", m.NNZ())
+	if m.UniqueLinks() != 2 {
+		t.Fatalf("UniqueLinks = %d, want 2", m.UniqueLinks())
 	}
 	if m.ValidPackets() != 8 {
 		t.Errorf("NV = %d, want 8", m.ValidPackets())
@@ -130,8 +130,8 @@ func TestEmptyMatrix(t *testing.T) {
 	if agg != (Aggregates{}) {
 		t.Errorf("empty matrix aggregates: %+v", agg)
 	}
-	if m.Transpose().NNZ() != 0 || m.ZeroNorm().NNZ() != 0 {
-		t.Error("empty transforms should be empty")
+	if m.Transpose().UniqueLinks() != 0 {
+		t.Error("empty transpose should be empty")
 	}
 }
 
@@ -210,26 +210,6 @@ func TestTransposeIdentities(t *testing.T) {
 	}
 }
 
-func TestZeroNorm(t *testing.T) {
-	m := FromEntries([]Entry{{1, 2, 9}, {3, 4, 1}})
-	zn := m.ZeroNorm()
-	if zn.ValidPackets() != 2 {
-		t.Errorf("|A|0 total = %d, want nnz=2", zn.ValidPackets())
-	}
-	if zn.UniqueLinks() != m.UniqueLinks() {
-		t.Error("zero norm must preserve sparsity pattern")
-	}
-}
-
-func TestMatrixAdd(t *testing.T) {
-	a := FromEntries([]Entry{{1, 2, 1}, {2, 3, 5}})
-	b := FromEntries([]Entry{{1, 2, 2}, {9, 9, 1}})
-	s := a.Add(b)
-	if s.ValidPackets() != 9 || s.NNZ() != 3 {
-		t.Errorf("sum: %+v", s.TableI())
-	}
-}
-
 func TestParallelBuildMatchesSerial(t *testing.T) {
 	es := randomEntries(99, 20000, 500)
 	serial := FromEntries(es)
@@ -242,7 +222,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 }
 
 func TestParallelBuildSmallInputs(t *testing.T) {
-	if m := ParallelBuild(nil, 4); m.NNZ() != 0 {
+	if m := ParallelBuild(nil, 4); m.UniqueLinks() != 0 {
 		t.Error("empty input should build empty matrix")
 	}
 	one := []Entry{{1, 2, 3}}

@@ -35,11 +35,8 @@ import (
 	"errors"
 	"fmt"
 
-	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/hist"
-	"hybridplaw/internal/powerlaw"
 	"hybridplaw/internal/spmat"
-	"hybridplaw/internal/zipfmand"
 )
 
 // PacketSource is a pull iterator over a packet trace. Implementations
@@ -660,35 +657,4 @@ func (s *EnsembleSink) Merged(q Quantity) *hist.Histogram {
 		return nil
 	}
 	return s.merged[q]
-}
-
-// FitZM fits the modified Zipf–Mandelbrot model to the cross-window mean
-// pooled distribution of q (the black fit line of Fig. 3).
-func (s *EnsembleSink) FitZM(q Quantity, opts zipfmand.FitOptions) (zipfmand.FitResult, error) {
-	ens, merged := s.Ensemble(q), s.Merged(q)
-	if ens == nil || ens.Windows() == 0 {
-		return zipfmand.FitResult{}, fmt.Errorf("stream: no windows accumulated for %v", q)
-	}
-	return zipfmand.Fit(&hist.Pooled{D: ens.Mean(), Total: merged.Total()},
-		merged.MaxDegree(), opts)
-}
-
-// FitPowerLaw runs the Clauset–Shalizi–Newman single power-law baseline
-// on the merged histogram of q.
-func (s *EnsembleSink) FitPowerLaw(q Quantity) (powerlaw.Fit, error) {
-	merged := s.Merged(q)
-	if merged == nil || merged.Total() == 0 {
-		return powerlaw.Fit{}, fmt.Errorf("stream: no windows accumulated for %v", q)
-	}
-	return powerlaw.FitScan(merged, 0)
-}
-
-// EstimatePALU runs the Section IV.B estimator pipeline on the merged
-// histogram of q.
-func (s *EnsembleSink) EstimatePALU(q Quantity, opts estimate.Options) (estimate.Result, error) {
-	merged := s.Merged(q)
-	if merged == nil || merged.Total() == 0 {
-		return estimate.Result{}, fmt.Errorf("stream: no windows accumulated for %v", q)
-	}
-	return estimate.Estimate(merged, opts)
 }

@@ -169,28 +169,25 @@ func TestCSVSourceRoundTripThroughPipeline(t *testing.T) {
 	}
 }
 
+// TestEnsembleSinkFitters feeds a pipeline-filled EnsembleSink to the
+// Fig. 3 fit, as the fig3 scenario and the CLIs do; a quantity the sink
+// did not accumulate has no ensemble, and the fit reports it. The fit
+// lives in zipfmand, which the pipeline itself never imports.
 func TestEnsembleSinkFitters(t *testing.T) {
 	ps := mkPackets(9, 40000, 256, 0)
 	sink := NewEnsembleSink(SourceFanOut)
 	if _, err := Run(NewSliceSource(ps), PipelineConfig{NV: 2000}, sink); err != nil {
 		t.Fatal(err)
 	}
-	fit, err := sink.FitZM(SourceFanOut, zipfmand.DefaultFitOptions())
+	fit, err := zipfmand.FitEnsemble(sink.Ensemble(SourceFanOut), sink.Merged(SourceFanOut), zipfmand.DefaultFitOptions())
 	if err != nil {
-		t.Fatalf("FitZM: %v", err)
+		t.Fatalf("FitEnsemble: %v", err)
 	}
 	if fit.Alpha <= 0 {
 		t.Errorf("alpha = %v", fit.Alpha)
 	}
-	if _, err := sink.FitPowerLaw(SourceFanOut); err != nil {
-		t.Errorf("FitPowerLaw: %v", err)
-	}
-	// Quantities that were not accumulated must report cleanly.
-	if _, err := sink.FitZM(LinkPackets, zipfmand.DefaultFitOptions()); err == nil {
-		t.Error("FitZM on unaccumulated quantity: expected error")
-	}
-	if _, err := sink.FitPowerLaw(LinkPackets); err == nil {
-		t.Error("FitPowerLaw on unaccumulated quantity: expected error")
+	if _, err := zipfmand.FitEnsemble(sink.Ensemble(LinkPackets), sink.Merged(LinkPackets), zipfmand.DefaultFitOptions()); err == nil {
+		t.Error("FitEnsemble on unaccumulated quantity: expected error")
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hybridplaw/internal/hist"
-	"hybridplaw/internal/model"
 	"hybridplaw/internal/spmat"
 )
 
@@ -210,10 +209,6 @@ func TestLinkTableRule(t *testing.T) {
 // or an under-declared sink yields an error naming the window and the
 // quantity, not a nil-pointer panic.
 func TestSinksRejectUnreadHistograms(t *testing.T) {
-	fit, err := NewFitSink(DestinationFanIn, model.Default(), "csn")
-	if err != nil {
-		t.Fatal(err)
-	}
 	res := &WindowResult{T: 3}
 	res.Hists[SourcePackets] = hist.New()
 	if err := res.Hists[SourcePackets].AddN(2, 1); err != nil {
@@ -224,7 +219,7 @@ func TestSinksRejectUnreadHistograms(t *testing.T) {
 		want string
 	}{
 		{NewEnsembleSink(SourcePackets, LinkPackets), "window 3 has no link packets histogram"},
-		{fit, "window 3 has no destination fan-in histogram"},
+		{NewEnsembleSink(DestinationFanIn), "window 3 has no destination fan-in histogram"},
 	} {
 		err := c.sink.ConsumeWindow(res)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -232,7 +227,7 @@ func TestSinksRejectUnreadHistograms(t *testing.T) {
 		}
 	}
 
-	_, err = Run(readsTrace(), PipelineConfig{NV: readsNV}, underDeclared{NewEnsembleSink(SourceFanOut)})
+	_, err := Run(readsTrace(), PipelineConfig{NV: readsNV}, underDeclared{NewEnsembleSink(SourceFanOut)})
 	if err == nil || !strings.Contains(err.Error(), "window 0 has no source fan-out histogram") {
 		t.Errorf("under-declared sink: Run = %v, want a missing-histogram error for window 0", err)
 	}

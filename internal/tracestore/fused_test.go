@@ -46,7 +46,7 @@ func renderResults(wins []*stream.WindowResult) []byte {
 			b.WriteByte('\n')
 		}
 		if w.Matrix != nil {
-			fmt.Fprintf(&b, "matrix nnz=%d total=%d\n", w.Matrix.NNZ(), w.Matrix.ValidPackets())
+			fmt.Fprintf(&b, "matrix nnz=%d total=%d\n", w.Matrix.UniqueLinks(), w.Matrix.ValidPackets())
 		}
 	}
 	return b.Bytes()

@@ -8,8 +8,6 @@
 // parallel Monte-Carlo shards do not overlap.
 package xrand
 
-import "math"
-
 // RNG is a xoshiro256** pseudo-random generator with splitmix64 seeding.
 // The zero value is not usable; construct with New.
 type RNG struct {
@@ -107,23 +105,6 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Normal returns a standard normal variate (Marsaglia polar method).
-func (r *RNG) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
-// Exponential returns an Exp(1) variate.
-func (r *RNG) Exponential() float64 {
-	return -math.Log(r.Float64Open())
-}
-
 // Shuffle permutes the first n elements using the Fisher-Yates algorithm,
 // invoking swap(i, j) for each exchange.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
@@ -131,14 +112,4 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

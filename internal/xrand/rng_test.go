@@ -109,44 +109,16 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(5)
-	const n = 1 << 19
-	var sum, sumsq float64
-	for i := 0; i < n; i++ {
-		x := r.Normal()
-		sum += x
-		sumsq += x * x
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean) > 5.0/math.Sqrt(n) {
-		t.Errorf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Errorf("normal variance = %v", variance)
-	}
-}
-
-func TestExponentialMean(t *testing.T) {
-	r := New(17)
-	const n = 1 << 19
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exponential()
-	}
-	if math.Abs(sum/n-1) > 0.01 {
-		t.Errorf("exponential mean = %v", sum/n)
-	}
-}
-
+// TestPermIsPermutation checks that Shuffle of the identity yields a
+// permutation of [0, n).
 func TestPermIsPermutation(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw%50) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
+		p := make([]int, n)
+		for i := range p {
+			p[i] = i
 		}
+		New(seed).Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {

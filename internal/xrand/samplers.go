@@ -241,20 +241,6 @@ func (r *RNG) binomialBTRS(n int, p float64) int {
 	}
 }
 
-// Geometric returns a Geom(p) variate counting trials until first success,
-// support {1, 2, ...}. Used by the geometric reinterpretation of Eq. (5):
-// the r^{1-d} term is the tail shape of a geometric leaf-count law.
-func (r *RNG) Geometric(p float64) (int, error) {
-	if p <= 0 || p > 1 || math.IsNaN(p) {
-		return 0, errParam
-	}
-	if p == 1 {
-		return 1, nil
-	}
-	u := r.Float64Open()
-	return 1 + int(math.Floor(math.Log(u)/math.Log1p(-p))), nil
-}
-
 // Alias is a Walker/Vose alias table for O(1) sampling from an arbitrary
 // finite discrete distribution. It is the ablation counterpart to the
 // Devroye zeta sampler (truncated support) and drives the synthetic

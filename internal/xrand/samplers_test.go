@@ -279,34 +279,6 @@ func TestBinomialEdge(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(8)
-	p := 0.25
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		k, err := r.Geometric(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if k < 1 {
-			t.Fatalf("geometric draw %d < 1", k)
-		}
-		sum += float64(k)
-	}
-	if math.Abs(sum/n-1/p) > 0.05 {
-		t.Errorf("Geom(0.25) mean = %v want 4", sum/n)
-	}
-	if k, err := r.Geometric(1); err != nil || k != 1 {
-		t.Errorf("Geom(1) = %d, %v", k, err)
-	}
-	for _, q := range []float64{0, -1, 1.5, math.NaN()} {
-		if _, err := r.Geometric(q); err == nil {
-			t.Errorf("Geom(%v): expected error", q)
-		}
-	}
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	weights := []float64{1, 0, 3, 6, 0.5}
 	a, err := NewAlias(weights)

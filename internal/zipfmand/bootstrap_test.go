@@ -51,8 +51,8 @@ func TestBootstrapCICoversTruth(t *testing.T) {
 	if !ci.Delta.Contains(point.Delta) {
 		t.Errorf("delta point %v outside CI [%v, %v]", point.Delta, ci.Delta.Lo, ci.Delta.Hi)
 	}
-	if ci.Alpha.Width() <= 0 || ci.Alpha.Width() > 1 {
-		t.Errorf("suspicious alpha CI width %v", ci.Alpha.Width())
+	if w := ci.Alpha.Hi - ci.Alpha.Lo; w <= 0 || w > 1 {
+		t.Errorf("suspicious alpha CI width %v", w)
 	}
 }
 

@@ -6,10 +6,10 @@
 //
 // The offset δ lets the model fit small d accurately (in particular d = 1,
 // the highest-probability point in streaming data) while α controls the
-// large-d tail. The package provides the unnormalized ρ, its δ-gradient,
-// normalized probabilities, cumulative and binary-log-pooled differential
-// cumulative distributions, and least-squares fitting of (α, δ) to
-// observed pooled distributions.
+// large-d tail. The package provides the unnormalized ρ, normalized
+// probabilities, binary-log-pooled differential cumulative
+// distributions, and least-squares fitting of (α, δ) to observed pooled
+// distributions.
 package zipfmand
 
 import (
@@ -48,12 +48,6 @@ func (m Model) Validate() error {
 // Rho returns the unnormalized model value ρ(d; α, δ) = (d+δ)^{-α}.
 func (m Model) Rho(d int) float64 {
 	return math.Pow(float64(d)+m.Delta, -m.Alpha)
-}
-
-// GradDelta returns ∂δ ρ(d; α, δ) = −α ρ(d; α+1, δ), the gradient quoted
-// in Section II.B.
-func (m Model) GradDelta(d int) float64 {
-	return -m.Alpha * Model{Alpha: m.Alpha + 1, Delta: m.Delta}.Rho(d)
 }
 
 // BinSum returns Σ_{d=a}^{b} (d+δ)^{-α} using Hurwitz-zeta differences
@@ -102,23 +96,6 @@ func (m Model) PMF(dmax int) ([]float64, error) {
 	for d := 1; d <= dmax; d++ {
 		out[d-1] = m.Rho(d) / z
 	}
-	return out, nil
-}
-
-// CDF returns the cumulative model probabilities P(d; α, δ) for d=1..dmax.
-func (m Model) CDF(dmax int) ([]float64, error) {
-	pmf, err := m.PMF(dmax)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(pmf))
-	var cum float64
-	for i, p := range pmf {
-		cum += p
-		out[i] = cum
-	}
-	// Clamp terminal rounding.
-	out[len(out)-1] = 1
 	return out, nil
 }
 
@@ -278,4 +255,14 @@ func FitHistogram(h *hist.Histogram, opts FitOptions) (FitResult, *hist.Pooled, 
 	}
 	res, err := Fit(p, h.MaxDegree(), opts)
 	return res, p, err
+}
+
+// FitEnsemble fits the model to a cross-window ensemble's mean pooled
+// distribution (the black fit line of Fig. 3); merged is the histogram
+// of all the ensemble's windows, which supplies the total and dmax.
+func FitEnsemble(ens *hist.Ensemble, merged *hist.Histogram, opts FitOptions) (FitResult, error) {
+	if ens == nil || merged == nil || ens.Windows() == 0 {
+		return FitResult{}, errors.New("zipfmand: no windows in the ensemble")
+	}
+	return Fit(&hist.Pooled{D: ens.Mean(), Total: merged.Total()}, merged.MaxDegree(), opts)
 }

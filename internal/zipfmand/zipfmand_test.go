@@ -35,20 +35,6 @@ func TestRhoDeltaZeroIsPowerLaw(t *testing.T) {
 	}
 }
 
-func TestGradDeltaMatchesFiniteDifference(t *testing.T) {
-	m := Model{Alpha: 2.3, Delta: 0.4}
-	const h = 1e-6
-	for _, d := range []int{1, 2, 5, 50, 1000} {
-		up := Model{Alpha: m.Alpha, Delta: m.Delta + h}.Rho(d)
-		dn := Model{Alpha: m.Alpha, Delta: m.Delta - h}.Rho(d)
-		fd := (up - dn) / (2 * h)
-		got := m.GradDelta(d)
-		if math.Abs(got-fd) > 1e-6*math.Abs(fd)+1e-12 {
-			t.Errorf("GradDelta(%d) = %v, finite diff %v", d, got, fd)
-		}
-	}
-}
-
 func TestNormalizationMatchesDirectSum(t *testing.T) {
 	// Hurwitz fast path must agree with direct summation.
 	for _, m := range []Model{{1.5, -0.5}, {2.01, 0.6}, {2.9, -0.83}, {1.1, 0}} {
@@ -109,22 +95,6 @@ func TestPMFDecreasingForPositiveAlpha(t *testing.T) {
 	for i := 1; i < len(pmf); i++ {
 		if pmf[i] > pmf[i-1] {
 			t.Fatalf("pmf increased at d=%d", i+1)
-		}
-	}
-}
-
-func TestCDFTerminatesAtOne(t *testing.T) {
-	m := Model{Alpha: 2.2, Delta: 0.3}
-	cdf, err := m.CDF(500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cdf[len(cdf)-1] != 1 {
-		t.Errorf("CDF end = %v", cdf[len(cdf)-1])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1]-1e-15 {
-			t.Fatalf("CDF not monotone at %d", i)
 		}
 	}
 }
@@ -245,6 +215,58 @@ func TestFitFromSampledData(t *testing.T) {
 	}
 	if math.Abs(fit.Delta-truth.Delta) > 0.2 {
 		t.Errorf("delta = %v, want ~%v", fit.Delta, truth.Delta)
+	}
+}
+
+// TestFitEnsemble pins the Fig. 3 fit: FitEnsemble fits the ensemble's
+// mean pooled distribution over the merged histogram's dmax, and an
+// ensemble with no windows (or a quantity no sink accumulated) is an
+// error.
+func TestFitEnsemble(t *testing.T) {
+	truth := Model{Alpha: 2.0, Delta: -0.5}
+	pmf, err := truth.PMF(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, err := xrand.NewAlias(pmf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := xrand.New(9)
+	ens, merged := hist.NewEnsemble(), hist.New()
+	for range 3 {
+		h := hist.New()
+		for range 40000 {
+			if err := h.Add(alias.Draw(r) + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := h.Pool()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ens.Add(p)
+		merged.Merge(h)
+	}
+	fit, err := FitEnsemble(ens, merged, DefaultFitOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Fit(&hist.Pooled{D: ens.Mean(), Total: merged.Total()}, merged.MaxDegree(), DefaultFitOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fit != want {
+		t.Errorf("FitEnsemble = %+v, want the mean-pooled fit %+v", fit, want)
+	}
+	if math.Abs(fit.Alpha-truth.Alpha) > 0.15 {
+		t.Errorf("alpha = %v, want ~%v", fit.Alpha, truth.Alpha)
+	}
+	if _, err := FitEnsemble(nil, nil, DefaultFitOptions()); err == nil {
+		t.Error("nil ensemble: expected error")
+	}
+	if _, err := FitEnsemble(hist.NewEnsemble(), hist.New(), DefaultFitOptions()); err == nil {
+		t.Error("empty ensemble: expected error")
 	}
 }
 
