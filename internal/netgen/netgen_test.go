@@ -1,6 +1,9 @@
 package netgen
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -290,5 +293,88 @@ func TestFingerprint(t *testing.T) {
 	c.P = base.P
 	if c.Fingerprint() != base.Fingerprint() {
 		t.Error("identical config fingerprints differ")
+	}
+}
+
+// TestObservationStreamPinned pins the generated packet stream of every
+// Fig. 3 site, and of the test site with hub orientation, by SHA-256:
+// the bytes of the first n packets TakeValid passes through (n valid
+// ones), and the site RNG's next Uint64 afterwards. Each n spans at
+// least three observation passes, so buffer reuse across passes is
+// covered. The stream decides the PTRC archive bytes and every Fig. 3
+// panel, so a change here needs a fingerprintVersion bump.
+func TestObservationStreamPinned(t *testing.T) {
+	hub := testConfig()
+	hub.HubOrientation = 0.7
+	sites := map[string]SiteConfig{"test-hub": hub}
+	for _, p := range Figure3Panels() {
+		sites[p.ID] = p.Site
+	}
+	pins := map[string]struct {
+		n      int64
+		sha256 string
+		next   uint64
+	}{
+		"test-hub":                     {140000, "ea1d2bcc6cef3c7f7963acfc8026eb3c30df5b1a8b0b82d7e359c64aee2a63de", 0xc50da53101795238},
+		"tokyo2015-source-packets":     {220000, "9aceeba9fc014be006873250441995d1245699558fd30de427b526dc56a5648f", 0x52e749a2bcf4ed5d},
+		"tokyo2017-source-fanout":      {2980000, "1728264f1a26d0251ac28f4845feffcc5181fa5629abaa2536bf91271ac4408e", 0x485eb18420d5fc6a},
+		"chicagoA2016jan-link-packets": {440000, "49015900214f139cc3a49189edf8792d7727551b17e1a7ef5b6930566583bbde", 0x91782eaaebf9dc77},
+		"chicagoB2016mar-dest-fanin":   {3220000, "bb47a23cb1df4fb161e58e49cdbe5569b759a4b15d33370b9aadaa8f631ee94f", 0x8663cba4760b7f01},
+		"chicagoA2016feb-dest-packets": {140000, "097dd3d48a3df0d9a511d8c2d41f0574d8b5ce020a61314ae978d3ec9ebbd317", 0x14f89118cfcd5e0b},
+		"tokyo2017-dest-packets":       {430000, "d3e68097842dccf21df1e3c73a34a80eaca5330e0cd0599e83b7dc2e20f481df", 0xb4f4575507113764},
+	}
+	for id, cfg := range sites {
+		id, cfg := id, cfg
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			pin, ok := pins[id]
+			if !ok {
+				t.Fatalf("no pin for site %s", id)
+			}
+			// The first three passes of a twin site must fit in n.
+			twin, err := NewSite(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var firstThree int64
+			for i := 0; i < 3; i++ {
+				for _, p := range twin.ObservationPass(twin.rng.Split()) {
+					if p.Valid {
+						firstThree++
+					}
+				}
+			}
+			if firstThree >= pin.n {
+				t.Fatalf("n=%d does not span three passes (%d valid packets)", pin.n, firstThree)
+			}
+
+			site, err := NewSite(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := stream.TakeValid(site.PacketSource(), pin.n)
+			h := sha256.New()
+			var rec [9]byte
+			for {
+				p, ok := src.Next()
+				if !ok {
+					break
+				}
+				binary.LittleEndian.PutUint32(rec[0:], p.Src)
+				binary.LittleEndian.PutUint32(rec[4:], p.Dst)
+				rec[8] = 0
+				if p.Valid {
+					rec[8] = 1
+				}
+				h.Write(rec[:])
+			}
+			if err := src.Err(); err != nil {
+				t.Fatal(err)
+			}
+			got, next := hex.EncodeToString(h.Sum(nil)), site.rng.Uint64()
+			if got != pin.sha256 || next != pin.next {
+				t.Errorf("stream sha256 %s, next Uint64 %#x; pinned %s, %#x", got, next, pin.sha256, pin.next)
+			}
+		})
 	}
 }
