@@ -3,6 +3,8 @@ package hybridplaw
 import (
 	"math"
 	"testing"
+
+	"hybridplaw/internal/xrand"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -151,8 +153,9 @@ func TestFacadeJointEstimate(t *testing.T) {
 func TestFacadePowerLawBaseline(t *testing.T) {
 	rng := NewRNG(5)
 	h := NewHistogram()
+	zeta := xrand.NewZetaSampler(2.3)
 	for i := 0; i < 50000; i++ {
-		d, err := rng.Zeta(2.3)
+		d, err := zeta.Draw(rng)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func ConfigurationModel(degrees []int64, rng *xrand.RNG) (*Graph, error) {
 			stubs = append(stubs, int32(i))
 		}
 	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
+	xrand.Shuffle(rng, stubs)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		if err := g.AddEdge(stubs[i], stubs[i+1]); err != nil {
 			return nil, err

@@ -283,8 +283,9 @@ func TestEnsembleMassPreserved(t *testing.T) {
 func BenchmarkPool(b *testing.B) {
 	r := xrand.New(1)
 	h := New()
+	z := xrand.NewZetaSampler(2.0)
 	for i := 0; i < 100000; i++ {
-		d, _ := r.Zeta(2.0)
+		d, _ := z.Draw(r)
 		_ = h.Add(d)
 	}
 	b.ResetTimer()

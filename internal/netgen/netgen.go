@@ -136,6 +136,11 @@ type Site struct {
 	underlying *palu.Underlying
 	weights    *xrand.Alias
 	rng        *xrand.RNG
+	// passCap is the capacity a fresh pass buffer starts with: the
+	// expected pass size, invalid packets included, plus 1/8. The Fig. 3
+	// sites' passes land within a few percent of their expectation, so
+	// one pass rarely outgrows its first buffer.
+	passCap int
 }
 
 // NewSite builds the underlying network and weight sampler.
@@ -155,39 +160,59 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Site{cfg: cfg, underlying: u, weights: alias, rng: rng}, nil
+	meanWeight, err := cfg.weightModel().Mean()
+	if err != nil {
+		return nil, err
+	}
+	valid := meanWeight * cfg.P * float64(u.G.NumEdges())
+	passCap := int(valid / (1 - cfg.InvalidFraction) * 9 / 8)
+	return &Site{cfg: cfg, underlying: u, weights: alias, rng: rng, passCap: passCap}, nil
 }
 
 // ObservationPass performs one edge-sampling pass over the underlying
-// network and returns the resulting packets in randomized order. The
-// expected packet count is E[weight] · p · |underlying edges| /
-// (1 − InvalidFraction adjustments excluded).
+// network and returns the resulting packets in randomized order. Each
+// observed link emits weight copies of one packet, E[weight]·p·|E|
+// valid packets in expectation over the |E| underlying edges; invalid
+// packets are then added at f/(1−f) of the valid count, for
+// InvalidFraction f, so that they are a fraction f of the pass.
 func (s *Site) ObservationPass(rng *xrand.RNG) []stream.Packet {
-	edges := s.underlying.G.Edges()
-	var packets []stream.Packet
-	for _, e := range edges {
+	packets, _ := s.observe(rng, nil)
+	return packets
+}
+
+// observe performs ObservationPass into buf's storage, or into a buffer
+// of the expected pass size if buf is nil, and returns the pass with its
+// count of valid packets. The draws and their order are the same either
+// way; only where the packets land differs.
+func (s *Site) observe(rng *xrand.RNG, buf []stream.Packet) ([]stream.Packet, int) {
+	packets := buf[:0]
+	if packets == nil {
+		packets = make([]stream.Packet, 0, s.passCap)
+	}
+	g := s.underlying.G
+	for _, e := range g.Edges() {
 		if !rng.Bernoulli(s.cfg.P) {
 			continue
 		}
 		src, dst := uint32(e.U), uint32(e.V)
 		if s.cfg.HubOrientation > 0 && rng.Bernoulli(s.cfg.HubOrientation) {
 			// Direct toward the higher-degree endpoint (client → server).
-			if s.underlying.G.Degree(e.U) > s.underlying.G.Degree(e.V) {
-				src, dst = uint32(e.V), uint32(e.U)
-			} else {
-				src, dst = uint32(e.U), uint32(e.V)
+			if g.Degree(e.U) > g.Degree(e.V) {
+				src, dst = dst, src
 			}
 		} else if rng.Bernoulli(0.5) {
 			src, dst = dst, src
 		}
 		w := s.weights.Draw(rng) + 1 // weight support is 1..MaxWeight
+		p := stream.Packet{Src: src, Dst: dst, Valid: true}
 		for k := 0; k < w; k++ {
-			packets = append(packets, stream.Packet{Src: src, Dst: dst, Valid: true})
+			packets = append(packets, p)
 		}
 	}
+	valid := len(packets)
 	// Inject invalid packets.
-	if f := s.cfg.InvalidFraction; f > 0 && len(packets) > 0 {
-		nInvalid := int(f * float64(len(packets)) / (1 - f))
+	if f := s.cfg.InvalidFraction; f > 0 && valid > 0 {
+		nInvalid := int(f * float64(valid) / (1 - f))
 		for k := 0; k < nInvalid; k++ {
 			packets = append(packets, stream.Packet{
 				Src:   uint32(rng.Intn(s.cfg.Nodes)),
@@ -196,8 +221,8 @@ func (s *Site) ObservationPass(rng *xrand.RNG) []stream.Packet {
 			})
 		}
 	}
-	rng.Shuffle(len(packets), func(i, j int) { packets[i], packets[j] = packets[j], packets[i] })
-	return packets
+	xrand.Shuffle(rng, packets)
+	return packets, valid
 }
 
 // siteSource lazily replays consecutive observation passes of a Site as
@@ -233,13 +258,9 @@ func (ss *siteSource) Next() (stream.Packet, bool) {
 		if ss.err != nil {
 			return stream.Packet{}, false
 		}
-		pass := ss.site.ObservationPass(ss.site.rng.Split())
-		valid := 0
-		for _, p := range pass {
-			if p.Valid {
-				valid++
-			}
-		}
+		// The next pass overwrites the consumed one's storage: Next hands
+		// packets out by value, so nothing refers to it any more.
+		pass, valid := ss.site.observe(ss.site.rng.Split(), ss.buf)
 		if valid == 0 {
 			ss.err = errors.New("netgen: observation pass produced no valid packets")
 			return stream.Packet{}, false

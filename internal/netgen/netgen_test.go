@@ -244,6 +244,34 @@ func TestLinkPacketsPanelMatchesWeightModel(t *testing.T) {
 	}
 }
 
+// TestPassBufferReused: after a site source's first pass, each pass is
+// generated into the storage of the pass before it. Generating one
+// allocates only the child RNG that Split returns, never a packet
+// buffer, and the buffer stays where the first pass put it.
+func TestPassBufferReused(t *testing.T) {
+	s, err := NewSite(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := s.PacketSource().(*siteSource)
+	if _, ok := src.Next(); !ok {
+		t.Fatal(src.Err())
+	}
+	first := &src.buf[0]
+	nextPass := func() {
+		src.i = len(src.buf) // mark the pass consumed
+		if _, ok := src.Next(); !ok {
+			t.Fatal(src.Err())
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, nextPass); allocs != 1 {
+		t.Errorf("a pass after the first allocates %v times, want 1 (the Split RNG)", allocs)
+	}
+	if &src.buf[0] != first {
+		t.Error("a later pass moved to a new packet buffer")
+	}
+}
+
 func BenchmarkObservationPass(b *testing.B) {
 	s, err := NewSite(testConfig())
 	if err != nil {
@@ -254,6 +282,30 @@ func BenchmarkObservationPass(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ObservationPass(r)
 	}
+}
+
+// BenchmarkPacketSource drains about six observation passes per
+// operation from one site source, as a Fig. 3 ensemble does: the
+// steady state in which each pass reuses the last one's buffer.
+func BenchmarkPacketSource(b *testing.B) {
+	s, err := NewSite(testConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := s.PacketSource()
+	const valid = 250000
+	for b.Loop() {
+		take := stream.TakeValid(src, valid)
+		for {
+			if _, ok := take.Next(); !ok {
+				break
+			}
+		}
+		if err := take.Err(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*valid), "ns/valid-packet")
 }
 
 // TestFingerprint: the content hash is stable for equal configurations

@@ -175,8 +175,9 @@ func Generate(params Params, opts GenerateOptions, rng *xrand.RNG) (*Underlying,
 	for i := range centers {
 		centers[i] = g.AddNode()
 	}
+	stars := xrand.NewPoissonSampler(params.Lambda)
 	for _, c := range centers {
-		k, err := rng.Poisson(params.Lambda)
+		k, err := stars.Draw(rng)
 		if err != nil {
 			return nil, err
 		}
@@ -300,9 +301,9 @@ func sampleObserved(params Params, n int, p float64, rng *xrand.RNG, visit func(
 			return err
 		}
 	}
-	mu := params.Lambda * p
+	stars := xrand.NewPoissonSampler(params.Lambda * p)
 	for i := 0; i < starN; i++ {
-		k, err := rng.Poisson(mu)
+		k, err := stars.Draw(rng)
 		if err != nil {
 			return err
 		}

@@ -19,8 +19,9 @@ func zetaSampleHistogram(t testing.TB, alpha float64, n int, seed uint64) *hist.
 	t.Helper()
 	r := xrand.New(seed)
 	h := hist.New()
+	z := xrand.NewZetaSampler(alpha)
 	for i := 0; i < n; i++ {
-		d, err := r.Zeta(alpha)
+		d, err := z.Draw(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,12 +71,13 @@ func TestFitScanFindsCutoff(t *testing.T) {
 	// Data that is power-law only above d=4: heavy uniform contamination
 	// below. The scan should pick xmin >= 3 and recover alpha.
 	r := xrand.New(99)
+	tail := xrand.NewZetaSampler(2.5)
 	h := hist.New()
 	for i := 0; i < 30000; i++ {
 		_ = h.Add(r.Intn(4) + 1) // uniform 1..4 head
 	}
 	for i := 0; i < 60000; i++ {
-		d, err := r.Zeta(2.5)
+		d, err := tail.Draw(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,6 +409,7 @@ func refKSDistance(h *hist.Histogram, f Fit) (float64, error) {
 func contaminatedHistogram(t testing.TB, nHead, nTail int, seed uint64) *hist.Histogram {
 	t.Helper()
 	r := xrand.New(seed)
+	tail := xrand.NewZetaSampler(2.5)
 	h := hist.New()
 	for i := 0; i < nHead; i++ {
 		if err := h.Add(r.Intn(4) + 1); err != nil {
@@ -414,7 +417,7 @@ func contaminatedHistogram(t testing.TB, nHead, nTail int, seed uint64) *hist.Hi
 		}
 	}
 	for i := 0; i < nTail; i++ {
-		d, err := r.Zeta(2.5)
+		d, err := tail.Draw(r)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,6 +8,11 @@
 // parallel Monte-Carlo shards do not overlap.
 package xrand
 
+import (
+	"math"
+	"math/bits"
+)
+
 // RNG is a xoshiro256** pseudo-random generator with splitmix64 seeding.
 // The zero value is not usable; construct with New.
 type RNG struct {
@@ -75,23 +80,11 @@ func (r *RNG) Intn(n int) int {
 	bound := uint64(n)
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, bound)
+		hi, lo := bits.Mul64(v, bound)
 		if lo >= bound || lo >= (-bound)%bound {
 			return int(hi)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
 }
 
 // Bernoulli returns true with probability p.
@@ -105,11 +98,31 @@ func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Shuffle permutes the first n elements using the Fisher-Yates algorithm,
-// invoking swap(i, j) for each exchange.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
+// shuffleBlock is how many Fisher–Yates draws Shuffle takes before it
+// applies their swaps: enough independent swaps for the CPU to overlap
+// their cache misses, few enough that the indices stay in L1.
+const shuffleBlock = 512
+
+// Shuffle permutes s uniformly in place with the Fisher–Yates algorithm:
+// for i = len(s)−1 down to 1 it draws j = r.Intn(i+1) and swaps s[i] and
+// s[j]. The draws are taken a block at a time, ahead of their swaps, so
+// the swaps' random accesses are not serialized behind the RNG's
+// dependent chain; the draws, their order and the permutation are those
+// of the one-loop form. It panics if len(s) − 1 exceeds math.MaxUint32.
+func Shuffle[T any](r *RNG, s []T) {
+	if uint64(len(s)) > math.MaxUint32+1 {
+		panic("xrand: Shuffle of more than 2^32 elements")
+	}
+	var js [shuffleBlock]uint32
+	for hi := len(s) - 1; hi > 0; {
+		m := min(hi, shuffleBlock)
+		for k := 0; k < m; k++ {
+			js[k] = uint32(r.Intn(hi - k + 1))
+		}
+		for k, j := range js[:m] {
+			i := hi - k
+			s[i], s[j] = s[j], s[i]
+		}
+		hi -= m
 	}
 }

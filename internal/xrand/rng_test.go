@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -118,7 +119,7 @@ func TestPermIsPermutation(t *testing.T) {
 		for i := range p {
 			p[i] = i
 		}
-		New(seed).Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
+		Shuffle(New(seed), p)
 		seen := make([]bool, n)
 		for _, v := range p {
 			if v < 0 || v >= n || seen[v] {
@@ -130,6 +131,73 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refShuffle is the one-loop Fisher–Yates shuffle Shuffle replaced: each
+// draw is followed at once by its swap.
+func refShuffle(r *RNG, n int, swap func(i, j int)) {
+	for i := n - 1; i > 0; i-- {
+		swap(i, r.Intn(i+1))
+	}
+}
+
+// TestShuffleMatchesOneLoop: the block-drawn Shuffle makes the one-loop
+// form's draws, gives its permutation and leaves the RNG in its state,
+// at the edge lengths, at block boundaries and at a large n.
+func TestShuffleMatchesOneLoop(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, shuffleBlock, shuffleBlock + 1, shuffleBlock + 2, 2*shuffleBlock + 1, 1 << 20} {
+		got, want := make([]int32, n), make([]int32, n)
+		for i := range got {
+			got[i], want[i] = int32(i), int32(i)
+		}
+		a, b := New(uint64(n)+5), New(uint64(n)+5)
+		Shuffle(a, got)
+		refShuffle(b, n, func(i, j int) { want[i], want[j] = want[j], want[i] })
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: position %d holds %d, one-loop shuffle %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("n=%d: Shuffle and the one-loop shuffle leave the RNG in different states", n)
+		}
+	}
+}
+
+// refMul64 is the hand-rolled 128-bit product Intn used before
+// bits.Mul64.
+func refMul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	t := a1*b0 + (a0*b0)>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return
+}
+
+// TestMul64MatchesHandRolled: bits.Mul64, which Intn's rejection step
+// uses, gives the hand-rolled product's bits on edge values and a
+// random sweep.
+func TestMul64MatchesHandRolled(t *testing.T) {
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	check := func(a, b uint64) {
+		hi, lo := bits.Mul64(a, b)
+		wantHi, wantLo := refMul64(a, b)
+		if hi != wantHi || lo != wantLo {
+			t.Fatalf("%#x × %#x: bits.Mul64 (%#x, %#x), hand-rolled (%#x, %#x)", a, b, hi, lo, wantHi, wantLo)
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	r := New(11)
+	for i := 0; i < 100000; i++ {
+		check(r.Uint64(), r.Uint64())
 	}
 }
 
@@ -161,4 +229,16 @@ func BenchmarkFloat64(b *testing.B) {
 		sink += r.Float64()
 	}
 	_ = sink
+}
+
+// BenchmarkShuffle shuffles a pass-sized slice of 12-byte records, the
+// shape of netgen's packets.
+func BenchmarkShuffle(b *testing.B) {
+	type rec struct{ a, b, c uint32 }
+	s := make([]rec, 1<<20)
+	r := New(1)
+	b.SetBytes(int64(len(s)) * 12)
+	for b.Loop() {
+		Shuffle(r, s)
+	}
 }

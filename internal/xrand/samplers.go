@@ -8,34 +8,16 @@ import (
 // errParam reports an out-of-range distribution parameter.
 var errParam = errors.New("xrand: distribution parameter out of range")
 
-// Zeta returns an exact draw from the zeta (discrete power-law, Zipf)
-// distribution with pmf P[X=d] = d^{-alpha}/zeta(alpha), d >= 1, for
-// alpha > 1. This is Devroye's rejection algorithm (Non-Uniform Random
-// Variate Generation, 1986, ch. X.6): O(1) expected time for all alpha.
-// It is a one-shot call of NewZetaSampler.
+// ZetaSampler draws from the zeta (discrete power-law, Zipf)
+// distribution with pmf P[X=d] = d^{-alpha}/zeta(alpha), d >= 1, for one
+// fixed alpha > 1. This is Devroye's rejection algorithm (Non-Uniform
+// Random Variate Generation, 1986, ch. X.6): O(1) expected time for all
+// alpha. The sampler holds the per-alpha constants α − 1, −1/(α − 1) and
+// 2^(α−1), so each draw pays only for its own two powers.
 //
 // The PALU core degree distribution (Section V: "the number of core nodes
 // ... having degree d follows a power-law distribution of the form
-// d^{-alpha}/zeta(alpha)") is sampled with this routine.
-func (r *RNG) Zeta(alpha float64) (int, error) {
-	z := NewZetaSampler(alpha)
-	return z.Draw(r)
-}
-
-// ZetaCapped draws from the zeta(alpha) distribution conditioned on
-// X <= maxD, by rejection against the unconditional sampler. Used to keep
-// configuration-model degree sequences graphical on finite node sets.
-// It is a one-shot call of NewZetaSampler.
-func (r *RNG) ZetaCapped(alpha float64, maxD int) (int, error) {
-	z := NewZetaSampler(alpha)
-	return z.DrawCapped(r, maxD)
-}
-
-// ZetaSampler draws from the zeta distribution at one fixed alpha, as a
-// loop of draws at one exponent does. It holds the per-alpha constants
-// of Devroye's algorithm, α − 1, −1/(α − 1) and 2^(α−1), so each draw
-// pays only for its own two powers. Its draws are RNG.Zeta's bit for bit
-// and consume the RNG identically.
+// d^{-alpha}/zeta(alpha)") is sampled with it.
 type ZetaSampler struct {
 	alpha  float64
 	am1    float64 // α − 1
@@ -43,8 +25,8 @@ type ZetaSampler struct {
 	b, bm1 float64 // 2^(α−1) and 2^(α−1) − 1
 }
 
-// NewZetaSampler returns the fixed-alpha form of RNG.Zeta. An alpha
-// outside the domain is reported by Draw.
+// NewZetaSampler returns the sampler for alpha. An alpha outside the
+// domain is reported by Draw.
 func NewZetaSampler(alpha float64) ZetaSampler {
 	z := ZetaSampler{alpha: alpha, am1: alpha - 1}
 	z.negInv = -1 / z.am1
@@ -74,7 +56,8 @@ func (z *ZetaSampler) Draw(r *RNG) (int, error) {
 }
 
 // DrawCapped returns one zeta(alpha) draw from r conditioned on
-// X <= maxD (RNG.ZetaCapped).
+// X <= maxD, by rejection against Draw. Used to keep configuration-model
+// degree sequences graphical on finite node sets.
 func (z *ZetaSampler) DrawCapped(r *RNG, maxD int) (int, error) {
 	if maxD < 1 {
 		return 0, errParam
@@ -101,14 +84,37 @@ func (r *RNG) Poisson(mu float64) (int, error) {
 	case mu == 0:
 		return 0, nil
 	case mu < 30:
-		return r.poissonKnuth(mu), nil
+		return r.poissonKnuth(math.Exp(-mu)), nil
 	default:
 		return r.poissonPTRS(mu), nil
 	}
 }
 
-func (r *RNG) poissonKnuth(mu float64) int {
-	limit := math.Exp(-mu)
+// PoissonSampler draws Po(mu) at one fixed mean, as a loop of draws at
+// one mean does. It holds exp(−mu), the bound of Knuth's product method,
+// so a small-mean draw pays only for its uniforms. Its draws are
+// RNG.Poisson's bit for bit and consume the RNG identically.
+type PoissonSampler struct {
+	mu, limit float64 // limit = exp(−mu)
+}
+
+// NewPoissonSampler returns the fixed-mean form of RNG.Poisson. A mean
+// outside the domain is reported by Draw.
+func NewPoissonSampler(mu float64) PoissonSampler {
+	return PoissonSampler{mu: mu, limit: math.Exp(-mu)}
+}
+
+// Draw returns one Po(mu) draw from r.
+func (p *PoissonSampler) Draw(r *RNG) (int, error) {
+	if p.mu > 0 && p.mu < 30 {
+		return r.poissonKnuth(p.limit), nil
+	}
+	return r.Poisson(p.mu)
+}
+
+// poissonKnuth is Knuth's product method: the number of uniforms
+// multiplied before their product falls to limit = exp(−mu).
+func (r *RNG) poissonKnuth(limit float64) int {
 	k := 0
 	prod := r.Float64()
 	for prod > limit {

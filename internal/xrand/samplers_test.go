@@ -19,9 +19,10 @@ func TestZetaMatchesPMF(t *testing.T) {
 	r := New(1234)
 	const n = 200000
 	alpha := 2.5
+	sampler := NewZetaSampler(alpha)
 	counts := map[int]int{}
 	for i := 0; i < n; i++ {
-		d, err := r.Zeta(alpha)
+		d, err := sampler.Draw(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +57,9 @@ func TestZetaMeanAlpha3(t *testing.T) {
 	r := New(99)
 	const n = 300000
 	var sum float64
+	z := NewZetaSampler(3)
 	for i := 0; i < n; i++ {
-		d, err := r.Zeta(3)
+		d, err := z.Draw(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +75,14 @@ func TestZetaMeanAlpha3(t *testing.T) {
 func TestZetaParamErrors(t *testing.T) {
 	r := New(1)
 	for _, a := range []float64{1, 0.5, -1, math.NaN(), math.Inf(1)} {
-		if _, err := r.Zeta(a); err == nil {
-			t.Errorf("Zeta(%v): expected error", a)
+		z := NewZetaSampler(a)
+		if _, err := z.Draw(r); err == nil {
+			t.Errorf("zeta draw at α=%v: expected error", a)
 		}
 	}
 }
 
-// refZeta is RNG.Zeta as it was before ZetaSampler: every draw
+// refZeta is the one-shot zeta draw ZetaSampler replaced: every draw
 // recomputes 2^(α−1) and −1/(α−1).
 func refZeta(r *RNG, alpha float64) (int, error) {
 	if !(alpha > 1) || math.IsInf(alpha, 1) {
@@ -139,8 +142,9 @@ func TestZetaSamplerMatchesPerDrawConstants(t *testing.T) {
 
 func TestZetaCapped(t *testing.T) {
 	r := New(2)
+	z := NewZetaSampler(1.7)
 	for i := 0; i < 50000; i++ {
-		d, err := r.ZetaCapped(1.7, 100)
+		d, err := z.DrawCapped(r, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,8 +152,30 @@ func TestZetaCapped(t *testing.T) {
 			t.Fatalf("capped draw %d outside [1,100]", d)
 		}
 	}
-	if _, err := r.ZetaCapped(2, 0); err == nil {
-		t.Error("ZetaCapped with maxD=0: expected error")
+	z = NewZetaSampler(2)
+	if _, err := z.DrawCapped(r, 0); err == nil {
+		t.Error("DrawCapped with maxD=0: expected error")
+	}
+}
+
+// TestPoissonSamplerMatchesPoisson: a PoissonSampler built once per μ
+// returns RNG.Poisson's draws and errors and leaves the RNG in the same
+// state, on both sides of the μ = 30 method switch and at the domain's
+// edges.
+func TestPoissonSamplerMatchesPoisson(t *testing.T) {
+	for _, mu := range []float64{0, 1e-9, 0.3, 1, 2.5, 8, 29.999, 30, 75, 400, -1, math.NaN(), math.Inf(1)} {
+		a, b := New(13), New(13)
+		p := NewPoissonSampler(mu)
+		for i := 0; i < 20000; i++ {
+			got, gotErr := p.Draw(a)
+			want, wantErr := b.Poisson(mu)
+			if got != want || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("μ=%v draw %d: %d, %v; RNG.Poisson %d, %v", mu, i, got, gotErr, want, wantErr)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Errorf("μ=%v: sampler and RNG.Poisson leave the RNG in different states", mu)
+		}
 	}
 }
 
@@ -344,8 +370,9 @@ func TestAliasSingleton(t *testing.T) {
 
 func BenchmarkZetaSampler(b *testing.B) {
 	r := New(1)
+	z := NewZetaSampler(2.1)
 	for i := 0; i < b.N; i++ {
-		if _, err := r.Zeta(2.1); err != nil {
+		if _, err := z.Draw(r); err != nil {
 			b.Fatal(err)
 		}
 	}
