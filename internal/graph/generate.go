@@ -49,6 +49,7 @@ func ConfigurationModel(degrees []int64, rng *xrand.RNG) (*Graph, error) {
 		}
 	}
 	xrand.Shuffle(rng, stubs)
+	g.edges = make([]Edge, 0, len(stubs)/2)
 	for i := 0; i+1 < len(stubs); i += 2 {
 		if err := g.AddEdge(stubs[i], stubs[i+1]); err != nil {
 			return nil, err

@@ -40,18 +40,15 @@ func (r *RNG) Split() *RNG {
 	return New(r.Uint64() ^ 0xa3cc1d5f8b3a92d1)
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
-// Uint64 returns the next 64 uniformly distributed bits.
+// Uint64 returns the next 64 uniformly distributed bits. The step works
+// on a local copy of the state, which keeps it within the compiler's
+// inlining budget: a draw in a hot loop costs no call.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	s2 ^= s0
+	s3 ^= s1
+	r.s = [4]uint64{s0 ^ s3, s1 ^ s2, s2 ^ s1<<17, bits.RotateLeft64(s3, 45)}
 	return result
 }
 

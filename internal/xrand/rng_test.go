@@ -134,6 +134,35 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// refUint64 is the xoshiro256** step as its reference implementation
+// writes it, updating the state in place.
+func refUint64(s *[4]uint64) uint64 {
+	rotl := func(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+	result := rotl(s[1]*5, 7) * 9
+	t := s[1] << 17
+	s[2] ^= s[0]
+	s[3] ^= s[1]
+	s[1] ^= s[2]
+	s[0] ^= s[3]
+	s[2] ^= t
+	s[3] = rotl(s[3], 45)
+	return result
+}
+
+// TestUint64MatchesReference: Uint64 gives the reference step's outputs
+// and states, from the reference's own test state and from seeded ones.
+func TestUint64MatchesReference(t *testing.T) {
+	starts := []*RNG{{s: [4]uint64{1, 2, 3, 4}}, New(0), New(42), New(math.MaxUint64)}
+	for _, r := range starts {
+		ref := r.s
+		for i := 0; i < 10000; i++ {
+			if got, want := r.Uint64(), refUint64(&ref); got != want || r.s != ref {
+				t.Fatalf("draw %d: %#x, reference %#x", i, got, want)
+			}
+		}
+	}
+}
+
 // refShuffle is the one-loop Fisher–Yates shuffle Shuffle replaced: each
 // draw is followed at once by its swap.
 func refShuffle(r *RNG, n int, swap func(i, j int)) {
