@@ -8,10 +8,7 @@
 // parallel Monte-Carlo shards do not overlap.
 package xrand
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // RNG is a xoshiro256** pseudo-random generator with splitmix64 seeding.
 // The zero value is not usable; construct with New.
@@ -105,16 +102,13 @@ const shuffleBlock = 512
 // s[j]. The draws are taken a block at a time, ahead of their swaps, so
 // the swaps' random accesses are not serialized behind the RNG's
 // dependent chain; the draws, their order and the permutation are those
-// of the one-loop form. It panics if len(s) − 1 exceeds math.MaxUint32.
+// of the one-loop form.
 func Shuffle[T any](r *RNG, s []T) {
-	if uint64(len(s)) > math.MaxUint32+1 {
-		panic("xrand: Shuffle of more than 2^32 elements")
-	}
-	var js [shuffleBlock]uint32
+	var js [shuffleBlock]int
 	for hi := len(s) - 1; hi > 0; {
 		m := min(hi, shuffleBlock)
 		for k := 0; k < m; k++ {
-			js[k] = uint32(r.Intn(hi - k + 1))
+			js[k] = r.Intn(hi - k + 1)
 		}
 		for k, j := range js[:m] {
 			i := hi - k
