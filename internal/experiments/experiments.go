@@ -11,6 +11,7 @@ import (
 
 	"hybridplaw/internal/estimate"
 	"hybridplaw/internal/graph"
+	"hybridplaw/internal/model"
 	"hybridplaw/internal/netgen"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/powerlaw"
@@ -225,7 +226,9 @@ func runFigure3Panel(ctx *scenario.Context, spec netgen.PanelSpec) (Figure3Panel
 		return Figure3PanelResult{}, err
 	}
 	ens, merged := sink.Ensemble(spec.Quantity), sink.Merged(spec.Quantity)
-	fit, err := zipfmand.FitEnsemble(ens, merged, zipfmand.DefaultFitOptions())
+	fit, err := ctx.FitMetrics().TimeZMFit(func() (zipfmand.FitResult, error) {
+		return zipfmand.FitEnsemble(ens, merged, zipfmand.DefaultFitOptions())
+	})
 	if err != nil {
 		return Figure3PanelResult{}, err
 	}
@@ -464,6 +467,11 @@ type BaselineComparisonResult struct {
 
 // RunBaselineComparison fits both models to a PALU observation.
 func RunBaselineComparison(seed uint64, n int) (BaselineComparisonResult, error) {
+	return baselineComparison(seed, n, nil)
+}
+
+// baselineComparison is RunBaselineComparison with its zm fit timed by m.
+func baselineComparison(seed uint64, n int, m *model.Metrics) (BaselineComparisonResult, error) {
 	if n <= 0 {
 		n = 300000
 	}
@@ -476,7 +484,10 @@ func RunBaselineComparison(seed uint64, n int) (BaselineComparisonResult, error)
 	if err != nil {
 		return BaselineComparisonResult{}, err
 	}
-	zmFit, _, err := zipfmand.FitHistogram(h, zipfmand.DefaultFitOptions())
+	zmFit, err := m.TimeZMFit(func() (zipfmand.FitResult, error) {
+		fit, _, err := zipfmand.FitHistogram(h, zipfmand.DefaultFitOptions())
+		return fit, err
+	})
 	if err != nil {
 		return BaselineComparisonResult{}, err
 	}

@@ -138,7 +138,8 @@ func federationSite(ctx *scenario.Context, s FederationSite) (FederationSiteResu
 			if _, err := ctx.Stream(federationReq(s), stream.PipelineConfig{}, ens, aggs); err != nil {
 				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
 			}
-			sel, err := selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets), model.Default(), fitters)
+			sel, err := selectModels("federation site "+s.ID, q, ens.Merged(stream.SourcePackets),
+				model.Default().Instrument(ctx.FitMetrics()), fitters)
 			if err != nil {
 				return FederationSiteResult{}, fmt.Errorf("site %s: %w", s.ID, err)
 			}
@@ -269,7 +270,7 @@ func runFederationBackbone(ctx *scenario.Context, sites []FederationSite) (Feder
 		})
 	}
 	sel, err := selectModels("federation backbone", stream.SourcePackets.String(),
-		backboneEns.Merged(stream.SourcePackets), model.Default(), approximatingFitters())
+		backboneEns.Merged(stream.SourcePackets), model.Default().Instrument(ctx.FitMetrics()), approximatingFitters())
 	if err != nil {
 		return FederationBackboneResult{}, err
 	}

@@ -153,7 +153,7 @@ func runModelSelectionPanel(ctx *scenario.Context, spec netgen.PanelSpec) (Model
 	if err != nil {
 		return ModelSelectionResult{}, err
 	}
-	reg := model.Default()
+	reg := model.Default().Instrument(ctx.FitMetrics())
 	return selectModels("fig3 panel "+spec.ID, spec.Quantity.String(),
 		sink.Merged(spec.Quantity), reg, modelSelFitters(reg))
 }
@@ -164,6 +164,11 @@ func runModelSelectionPanel(ctx *scenario.Context, spec netgen.PanelSpec) (Model
 // wins on PALU-generated traffic. Standalone wrapper over the
 // "modelsel/palu-observed" scenario's compute.
 func RunModelSelectionPALU(seed uint64, n int) (ModelSelectionResult, error) {
+	return modelSelectionPALU(seed, n, nil)
+}
+
+// modelSelectionPALU is RunModelSelectionPALU with its fits timed by m.
+func modelSelectionPALU(seed uint64, n int, m *model.Metrics) (ModelSelectionResult, error) {
 	if n <= 0 {
 		n = baselineN
 	}
@@ -175,7 +180,7 @@ func RunModelSelectionPALU(seed uint64, n int) (ModelSelectionResult, error) {
 	if err != nil {
 		return ModelSelectionResult{}, err
 	}
-	return selectModels("palu-observed", "", h, model.Default(), approximatingFitters())
+	return selectModels("palu-observed", "", h, model.Default().Instrument(m), approximatingFitters())
 }
 
 // writeModelSelectionCSV renders the selection table as the scenario's

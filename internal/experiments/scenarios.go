@@ -242,7 +242,7 @@ func Scenarios(seed uint64) []scenario.Scenario {
 			"the modified Zipf-Mandelbrot family must win.",
 		Outputs: []string{"modelsel_palu_observed.csv"},
 		Run: func(ctx *scenario.Context) (scenario.Result, error) {
-			res, err := RunModelSelectionPALU(seed, baselineN)
+			res, err := modelSelectionPALU(seed, baselineN, ctx.FitMetrics())
 			if err != nil {
 				return nil, err
 			}
@@ -381,7 +381,7 @@ func Scenarios(seed uint64) []scenario.Scenario {
 		Title:       "E-X2: single power law vs modified Zipf-Mandelbrot",
 		Description: "Clauset–Shalizi–Newman single power law against the modified ZM on leaf-heavy synthetic data.",
 		Run: func(ctx *scenario.Context) (scenario.Result, error) {
-			res, err := RunBaselineComparison(seed, baselineN)
+			res, err := baselineComparison(seed, baselineN, ctx.FitMetrics())
 			if err != nil {
 				return nil, err
 			}

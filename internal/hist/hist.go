@@ -264,15 +264,6 @@ func (h *Histogram) Pool() (*Pooled, error) {
 	return &Pooled{D: d, Total: h.total}, nil
 }
 
-// Mass returns Σi D(di); always 1 within rounding for a valid pooling.
-func (p *Pooled) Mass() float64 {
-	var s float64
-	for _, v := range p.D {
-		s += v
-	}
-	return s
-}
-
 // Ensemble accumulates pooled distributions across consecutive windows t
 // and reports the per-bin mean D(di) and standard deviation σ(di)
 // (Section II.A: "the corresponding mean and standard deviation of Dt(di)

@@ -24,7 +24,7 @@ func benchHistogram(b *testing.B) *hist.Histogram {
 
 // BenchmarkFit measures each registered fitter on a 200k-observation
 // PALU histogram (the CI fit-performance record). Fitters that run
-// stats.MinimizeBox also report its objective evaluations per fit.
+// stats.MinimizeBox also report its oracle calls per fit.
 func BenchmarkFit(b *testing.B) {
 	h := benchHistogram(b)
 	reg := Default()
@@ -64,5 +64,43 @@ func BenchmarkSelect(b *testing.B) {
 		if _, err := Select(h, ok); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOracle times one value-only evaluation of each likelihood
+// family's objective (its model's LogLik, as the solver called it per
+// stencil point) against one oracle call (value, gradient and Hessian)
+// on BenchmarkFit's histogram, at the family's first start; truncplaw
+// also on its λ = 0 face, where its normalizer is summed by Hurwitz
+// zeta differences and its λ-derivatives by the head and tail.
+func BenchmarkOracle(b *testing.B) {
+	h := benchHistogram(b)
+	for _, c := range []struct {
+		name   string
+		fitter Fitter
+		face   bool
+	}{
+		{"zm-mle", ZMMLEFitter{}, false},
+		{"lognormal", LognormalFitter{}, false},
+		{"truncplaw", TruncPowerLawFitter{}, false},
+		{"truncplaw-face", TruncPowerLawFitter{}, true},
+	} {
+		p, _ := problemOf(c.fitter, h)
+		x := p.starts[0]
+		if c.face {
+			x[1] = 0
+		}
+		b.Run(c.name+"/value", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := p.model(x).LogLik(h); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(c.name+"/oracle", func(b *testing.B) {
+			for b.Loop() {
+				p.oracle(x)
+			}
+		})
 	}
 }

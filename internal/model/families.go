@@ -12,6 +12,7 @@ import (
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/powerlaw"
+	"hybridplaw/internal/stats"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -287,6 +288,28 @@ func stdNormalCDFDiff(a, b float64) float64 {
 	return 0.5 * (math.Erfc(-b/math.Sqrt2) - math.Erfc(-a/math.Sqrt2))
 }
 
+// normalCellJet returns Φ(b) − Φ(a) for a = (ln lo − μ)/σ and
+// b = (ln hi − μ)/σ with its gradient and Hessian in (μ, σ). Each
+// endpoint x moves as ∂x/∂μ = −1/σ and ∂x/∂σ = −x/σ, and φ′(x) = −x·φ(x),
+// so every derivative is a φ term at each end: ∂/∂μ = −[φ]/σ,
+// ∂/∂σ = −[xφ]/σ, ∂²/∂μ² = −[xφ]/σ², ∂²/∂μ∂σ = [(1−x²)φ]/σ² and
+// ∂²/∂σ² = [(2x−x³)φ]/σ², with [g] = g(b) − g(a). The value is
+// stdNormalCDFDiff's, on either of its branches.
+func normalCellJet(a, b, sigma float64) stats.Jet {
+	const invSqrt2Pi = 0.3989422804014327
+	pa, pb := invSqrt2Pi*math.Exp(-0.5*a*a), invSqrt2Pi*math.Exp(-0.5*b*b)
+	s2 := sigma * sigma
+	h01 := ((1-b*b)*pb - (1-a*a)*pa) / s2
+	return stats.Jet{
+		F: stdNormalCDFDiff(a, b),
+		G: [2]float64{-(pb - pa) / sigma, -(b*pb - a*pa) / sigma},
+		H: [2][2]float64{
+			{-(b*pb - a*pa) / s2, h01},
+			{h01, ((2*b-b*b*b)*pb - (2*a-a*a*a)*pa) / s2},
+		},
+	}
+}
+
 // Lognormal is the discrete lognormal family defined by interval
 // probabilities of the continuous lognormal:
 //
@@ -382,7 +405,7 @@ func (m *TruncPowerLaw) normalization(dmax int) (float64, error) {
 	if m.Lambda < 0 || math.IsNaN(m.Alpha) {
 		return 0, fmt.Errorf("model: invalid cutoff law (alpha=%v lambda=%v)", m.Alpha, m.Lambda)
 	}
-	z := cutoffSum(m.Alpha, m.Lambda, 1, dmax)
+	z := cutoffJet(m.Alpha, m.Lambda, nil, 1, dmax).F
 	if z <= 0 || math.IsInf(z, 0) {
 		return 0, fmt.Errorf("model: degenerate cutoff normalization %v", z)
 	}

@@ -86,8 +86,9 @@ func finish(name string, m Model, k int, h *hist.Histogram, diag map[string]floa
 // order is the canonical presentation order. Build once at startup;
 // building is not safe for concurrent use, reading is.
 type Registry struct {
-	order  []string
-	byName map[string]Fitter
+	order   []string
+	byName  map[string]Fitter
+	metrics *Metrics
 }
 
 // NewRegistry returns an empty registry.
@@ -115,6 +116,13 @@ func (r *Registry) MustRegister(f Fitter) {
 	}
 }
 
+// Instrument times FitAll's fits with m (nil: untimed) and returns the
+// registry.
+func (r *Registry) Instrument(m *Metrics) *Registry {
+	r.metrics = m
+	return r
+}
+
 // Lookup returns the named fitter.
 func (r *Registry) Lookup(name string) (Fitter, bool) {
 	f, ok := r.byName[name]
@@ -130,7 +138,7 @@ func (r *Registry) Names() []string {
 // empty) against the histogram. results and errs are parallel to the
 // resolved name list: a failed fit leaves a zero FitResult and its error
 // so one thin tail does not hide the other families. An unknown name is
-// an immediate error.
+// an immediate error. An instrumented registry times each fit.
 func (r *Registry) FitAll(h *hist.Histogram, names ...string) (results []FitResult, errs []error, err error) {
 	if len(names) == 0 {
 		names = r.Names()
@@ -142,7 +150,7 @@ func (r *Registry) FitAll(h *hist.Histogram, names ...string) (results []FitResu
 		if !ok {
 			return nil, nil, fmt.Errorf("model: unknown fitter %q (have: %v)", name, r.Names())
 		}
-		results[i], errs[i] = f.Fit(h)
+		results[i], errs[i] = r.metrics.timeFit(name, func() (FitResult, error) { return f.Fit(h) })
 	}
 	return results, errs, nil
 }
@@ -216,28 +224,72 @@ func (ZMMLEFitter) problem(h *hist.Histogram) mleProblem {
 		model: func(x [2]float64) Model {
 			return &ZM{ZM: zipfmand.Model{Alpha: x[0], Delta: x[1]}}
 		},
+		oracle: zmNegLogLik(newSupport(h)),
+	}
+}
+
+// support is a histogram's observed degrees and their counts as
+// float64, read once per fit.
+type support struct {
+	deg, count []float64
+	n          float64
+	dmax       int
+}
+
+func newSupport(h *hist.Histogram) support {
+	ds := h.Support()
+	s := support{
+		deg: make([]float64, len(ds)), count: make([]float64, len(ds)),
+		n: float64(h.Total()), dmax: h.MaxDegree(),
+	}
+	for i, d := range ds {
+		s.deg[i], s.count[i] = float64(d), float64(h.Count(d))
+	}
+	return s
+}
+
+// zmNegLogLik is zm-mle's oracle: −log L = Σ n(d)·(α·ln(d+δ) + ln Z)
+// over the support. The data terms contribute Σ n·ln(d+δ) and α·Σ n/(d+δ)
+// to the gradient; ln Z's jet comes from zipfmand.Model.BinSumJet. The
+// value is −(*ZM).LogLik bit for bit.
+func zmNegLogLik(s support) stats.Oracle {
+	return func(x [2]float64) stats.Jet {
+		alpha := x[0]
+		z := zipfmand.Model{Alpha: alpha, Delta: x[1]}.BinSumJet(1, s.dmax).Log()
+		var ll, sl, sr, srr float64
+		for i, d := range s.deg {
+			l, r := math.Log(d+x[1]), 1/(d+x[1])
+			c := s.count[i]
+			ll += c * (-alpha*l - z.F)
+			sl += c * l
+			sr += c * r
+			srr += c * r * r
+		}
+		j := z.Scale(s.n)
+		j.F = -ll
+		j.G[0] += sl
+		j.G[1] += alpha * sr
+		j.H[0][1] += sr
+		j.H[1][0] += sr
+		j.H[1][1] -= alpha * srr
+		return j
 	}
 }
 
 // mleProblem is one 2-parameter maximum-likelihood fit: the family
-// model(x), the box where it is fitted and the candidate starts.
+// model(x), the oracle of its negated log-likelihood on the histogram,
+// the box where it is fitted and the candidate starts.
 type mleProblem struct {
 	box    stats.Box
 	starts [][2]float64
 	model  func(x [2]float64) Model
+	oracle stats.Oracle
 }
 
 // fit maximizes the log-likelihood on h, one stats.MinimizeBox solve
 // from the best of the starts, and finishes the fit at the optimum.
 func (p mleProblem) fit(name string, h *hist.Histogram) (FitResult, error) {
-	objective := func(x [2]float64) float64 {
-		ll, err := p.model(x).LogLik(h)
-		if err != nil || math.IsInf(ll, 0) || math.IsNaN(ll) {
-			return math.NaN()
-		}
-		return -ll
-	}
-	res, err := stats.MinimizeBox(objective, p.box, p.starts)
+	res, err := stats.MinimizeBox(p.oracle, p.box, p.starts)
 	if err != nil {
 		return FitResult{}, fmt.Errorf("model: %s fit failed: %w", name, err)
 	}
@@ -359,6 +411,33 @@ func (LognormalFitter) problem(h *hist.Histogram) mleProblem {
 		model: func(x [2]float64) Model {
 			return &Lognormal{Mu: x[0], Sigma: x[1]}
 		},
+		oracle: lognormalNegLogLik(newSupport(h)),
+	}
+}
+
+// lognormalNegLogLik is the lognormal's oracle: −log L = Σ n(d)·(ln Z −
+// ln P(d)), each cell mass P(d) and the normalizer Z a normalCellJet.
+// The cell edges ln(d ± ½) are taken once per fit. The value is
+// −(*Lognormal).LogLik bit for bit.
+func lognormalNegLogLik(s support) stats.Oracle {
+	lo, hi := make([]float64, len(s.deg)), make([]float64, len(s.deg))
+	for i, d := range s.deg {
+		lo[i], hi[i] = math.Log(d-0.5), math.Log(d+0.5)
+	}
+	zlo, zhi := math.Log(0.5), math.Log(float64(s.dmax)+0.5)
+	return func(x [2]float64) stats.Jet {
+		mu, sigma := x[0], x[1]
+		z := normalCellJet((zlo-mu)/sigma, (zhi-mu)/sigma, sigma).Log()
+		var ll float64
+		var cells stats.Jet
+		for i, c := range s.count {
+			p := normalCellJet((lo[i]-mu)/sigma, (hi[i]-mu)/sigma, sigma).Log()
+			ll += c * (p.F - z.F)
+			cells = cells.Add(p.Scale(c))
+		}
+		j := z.Scale(s.n).Sub(cells)
+		j.F = -ll
+		return j
 	}
 }
 
@@ -406,5 +485,34 @@ func (TruncPowerLawFitter) problem(h *hist.Histogram) mleProblem {
 		model: func(x [2]float64) Model {
 			return &TruncPowerLaw{Alpha: x[0], Lambda: x[1]}
 		},
+		oracle: truncNegLogLik(newSupport(h)),
+	}
+}
+
+// truncNegLogLik is truncplaw's oracle: −log L = Σ n(d)·(α·ln d + λ·d +
+// ln Z), whose data terms are linear in (α, λ) with the constant
+// gradient (Σ n·ln d, Σ n·d); ln Z's jet is cutoffJet's, over logs taken
+// once per fit. The value is −(*TruncPowerLaw).LogLik bit for bit.
+func truncNegLogLik(s support) stats.Oracle {
+	logs := cutoffLogs(1, s.dmax)
+	lnd := make([]float64, len(s.deg))
+	var sl, sd float64
+	for i, d := range s.deg {
+		lnd[i] = math.Log(d)
+		sl += s.count[i] * lnd[i]
+		sd += s.count[i] * d
+	}
+	return func(x [2]float64) stats.Jet {
+		alpha, lambda := x[0], x[1]
+		z := cutoffJet(alpha, lambda, logs, 1, s.dmax).Log()
+		var ll float64
+		for i, d := range s.deg {
+			ll += s.count[i] * (-alpha*lnd[i] - lambda*d - z.F)
+		}
+		j := z.Scale(s.n)
+		j.F = -ll
+		j.G[0] += sl
+		j.G[1] += sd
+		return j
 	}
 }

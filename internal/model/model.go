@@ -30,6 +30,7 @@ import (
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/specialfn"
+	"hybridplaw/internal/stats"
 	"hybridplaw/internal/zipfmand"
 )
 
@@ -104,57 +105,96 @@ func poissonSum(mu float64, a, b int) float64 {
 	return s
 }
 
-// cutoffSum returns Σ_{d=a}^{b} d^{-α} e^{-λd}, the normalizer of the
-// truncated (exponential-cutoff) power law. The head of the range is
-// summed exactly; the smooth remainder is integrated in log space by
-// composite Simpson (substituting u = ln x turns the sum's integral
-// approximation into ∫ exp((1−α)u − λe^u) du, well-conditioned for any
-// α and λ >= 0).
-func cutoffSum(alpha, lambda float64, a, b int) float64 {
-	if b < a || a < 1 || lambda < 0 {
-		return 0
+// cutoffExactSpan is the number of leading degrees cutoffJet sums
+// exactly.
+const cutoffExactSpan = 4096
+
+// cutoffLogs returns ln d for d = a..min(b, a+cutoffExactSpan−1), the
+// logarithms of cutoffJet's exact head; 1 ≤ a ≤ b.
+func cutoffLogs(a, b int) []float64 {
+	logs := make([]float64, min(b-a+1, cutoffExactSpan))
+	for i := range logs {
+		logs[i] = math.Log(float64(a + i))
 	}
-	if lambda == 0 {
-		return zipfmand.Model{Alpha: alpha}.BinSum(a, b)
-	}
-	const exactSpan = 4096
-	exactEnd := b
-	if b-a+1 > exactSpan {
-		exactEnd = a + exactSpan - 1
-	}
-	var s float64
+	return logs
+}
+
+// cutoffJet returns Σ_{d=a}^{b} d^{-α} e^{-λd}, the normalizer of the
+// truncated (exponential-cutoff) power law, with its gradient and
+// Hessian in (α, λ); logs is cutoffLogs(a, b), taken once per fit, or
+// nil for a one-off sum, which takes each ln d as it goes. The head of
+// the range is summed exactly; the smooth remainder is integrated in
+// log space by composite Simpson (substituting u = ln x turns the sum's
+// integral approximation into ∫ exp((1−α)u − λe^u) du, well-conditioned
+// for any α and λ >= 0). Each term t, head or Simpson node, carries the
+// weights ln d and d of its derivatives: ∂t/∂α = −ln d·t,
+// ∂t/∂λ = −d·t. A λ = 0 law is summed by zipfmand's BinSum rule
+// instead, which also gives its α-derivatives; its λ-derivatives are
+// the head-and-tail sums' at λ = 0, the limit from inside the box.
+func cutoffJet(alpha, lambda float64, logs []float64, a, b int) stats.Jet {
+	var j stats.Jet
+	exactEnd := min(b, a+cutoffExactSpan-1)
 	for d := a; d <= exactEnd; d++ {
-		s += math.Exp(-alpha*math.Log(float64(d)) - lambda*float64(d))
+		x := float64(d)
+		var l float64
+		if i := d - a; i < len(logs) {
+			l = logs[i]
+		} else {
+			l = math.Log(x)
+		}
+		t := math.Exp(-alpha*l - lambda*x)
+		j.F += t
+		j.G[0] -= l * t
+		j.G[1] -= x * t
+		j.H[0][0] += l * l * t
+		j.H[0][1] += l * x * t
+		j.H[1][1] += x * x * t
 	}
-	if exactEnd >= b {
-		return s
+	if exactEnd < b {
+		j = j.Add(cutoffTail(alpha, lambda, float64(exactEnd)+0.5, float64(b)+0.5))
 	}
-	// Remainder over (exactEnd, b]: negligible once λx is large.
-	lo := float64(exactEnd) + 0.5
-	hi := float64(b) + 0.5
+	j.H[1][0] = j.H[0][1]
+	if lambda == 0 {
+		z := zipfmand.Model{Alpha: alpha}.BinSumJet(a, b)
+		j.F, j.G[0], j.H[0][0] = z.F, z.G[0], z.H[0][0]
+	}
+	return j
+}
+
+// cutoffTail is cutoffJet's Simpson remainder over (lo, hi), cut where
+// λx passes 45 and the terms are negligible.
+func cutoffTail(alpha, lambda, lo, hi float64) stats.Jet {
 	if cut := 45.0 / lambda; hi > cut {
 		hi = cut
 	}
 	if hi <= lo {
-		return s
+		return stats.Jet{}
 	}
 	// Composite Simpson on u = ln x with an even panel count.
 	const nPanels = 2048
 	ulo, uhi := math.Log(lo), math.Log(hi)
 	du := (uhi - ulo) / nPanels
-	f := func(u float64) float64 {
-		return math.Exp((1-alpha)*u - lambda*math.Exp(u))
+	var j stats.Jet
+	node := func(u, w float64) {
+		x := math.Exp(u)
+		t := w * math.Exp((1-alpha)*u-lambda*x)
+		j.F += t
+		j.G[0] -= u * t
+		j.G[1] -= x * t
+		j.H[0][0] += u * u * t
+		j.H[0][1] += u * x * t
+		j.H[1][1] += x * x * t
 	}
-	integral := f(ulo) + f(uhi)
+	node(ulo, 1)
+	node(uhi, 1)
 	for i := 1; i < nPanels; i++ {
 		w := 4.0
 		if i%2 == 0 {
 			w = 2.0
 		}
-		integral += w * f(ulo+float64(i)*du)
+		node(ulo+float64(i)*du, w)
 	}
-	integral *= du / 3
-	return s + integral
+	return j.Scale(du / 3)
 }
 
 // paramString renders params compactly ("alpha=2.01 delta=-0.83").

@@ -164,7 +164,7 @@ func TestCSNSemiparametricHead(t *testing.T) {
 	}
 }
 
-// TestPowSumAndCutoffSumAgainstDirect pins cutoffSum, the truncated
+// TestPowSumAndCutoffSumAgainstDirect pins cutoffJet's value, the truncated
 // power-law normalizer, against direct summation; its λ = 0 cases are
 // the pure power sum, zipfmand.Model.BinSum.
 func TestPowSumAndCutoffSumAgainstDirect(t *testing.T) {
@@ -187,7 +187,7 @@ func TestPowSumAndCutoffSumAgainstDirect(t *testing.T) {
 		{3.0, 0.3, 1, 5000},
 	} {
 		want := direct(tc.alpha, tc.lambda, tc.a, tc.b)
-		got := cutoffSum(tc.alpha, tc.lambda, tc.a, tc.b)
+		got := cutoffJet(tc.alpha, tc.lambda, nil, tc.a, tc.b).F
 		if rel := math.Abs(got-want) / want; rel > 2e-5 {
 			t.Errorf("sum(alpha=%v lambda=%v %d..%d) = %v, direct %v (rel %v)",
 				tc.alpha, tc.lambda, tc.a, tc.b, got, want, rel)

@@ -32,12 +32,6 @@ type VuongResult struct {
 	N int64
 }
 
-// Decisive reports whether the comparison favours Ref at the given
-// significance level (e.g. 0.05).
-func (v VuongResult) Decisive(alpha float64) bool {
-	return v.Z > 0 && v.P < alpha
-}
-
 // Vuong computes the normalized log-likelihood-ratio statistic between
 // two models on a histogram: per-observation log-likelihood differences
 // are accumulated degree-by-degree (each of the n(d) observations at

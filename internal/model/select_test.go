@@ -52,7 +52,7 @@ func TestSelectZMFamilyWinsOnPALUTraffic(t *testing.T) {
 			continue
 		}
 		v := sel.Vuong[i]
-		if !v.Decisive(0.01) {
+		if !(v.Z > 0 && v.P < 0.01) { // favours the winner at the 1% level
 			t.Errorf("Vuong vs single power law not decisive: z=%v p=%v", v.Z, v.P)
 		}
 	}

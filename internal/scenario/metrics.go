@@ -3,15 +3,18 @@ package scenario
 // Scenario-engine observability (DESIGN.md §11). A Metrics bundle
 // instruments the suite's worker pool (per-scenario spans, worker
 // occupancy, failure counts), mirrors the window-cache counters into
-// the registry, counts value-memo hits and misses, and carries the stream and tracestore bundles the
-// engine injects into every inner pipeline and archive codec — so one
-// registry snapshot covers the whole stack of a suite run.
+// the registry, counts value-memo hits and misses, and carries the
+// stream and tracestore bundles the engine injects into every inner
+// pipeline and archive codec and the fit bundle its scenarios' fits
+// report to — so one registry snapshot covers the whole stack of a
+// suite run.
 
 import (
 	"fmt"
 	"strings"
 	"time"
 
+	"hybridplaw/internal/model"
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
 	"hybridplaw/internal/tracestore"
@@ -44,13 +47,15 @@ type Metrics struct {
 	MemoMisses *obs.Counter
 
 	// Stream and Trace are the nested bundles the engine injects into
-	// inner pipelines and archive codecs.
+	// inner pipelines and archive codecs; Fit is the fit layer's, which
+	// scenarios take from Context.FitMetrics.
 	Stream *stream.Metrics
 	Trace  *tracestore.Metrics
+	Fit    *model.Metrics
 }
 
 // NewMetrics registers the scenario instrument set (plus the nested
-// stream and PTRC sets) against reg — the process default registry if
+// stream, PTRC and fit sets) against reg — the process default registry if
 // nil — and returns the bundle.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	if reg == nil {
@@ -79,6 +84,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"value-memo lookups that computed the value"),
 		Stream: stream.NewMetrics(reg),
 		Trace:  tracestore.NewMetrics(reg),
+		Fit:    model.NewMetrics(reg),
 	}
 }
 
@@ -144,6 +150,16 @@ func (m *Metrics) streamMetrics() *stream.Metrics {
 		return nil
 	}
 	return m.Stream
+}
+
+// FitMetrics returns the engine's fit-layer instruments for the
+// scenario's fits (nil when the engine is uninstrumented or the context
+// standalone).
+func (c *Context) FitMetrics() *model.Metrics {
+	if c.eng == nil || c.eng.m == nil {
+		return nil
+	}
+	return c.eng.m.Fit
 }
 
 func (m *Metrics) traceMetrics() *tracestore.Metrics {

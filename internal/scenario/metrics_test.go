@@ -84,6 +84,8 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	snap := obsReg.Snapshot()
 	for _, name := range []string{
 		"palu_scenario_runs_total", "palu_stream_windows_total", "palu_ptrc_blocks_read_total",
+		// The fit layer's instruments are registered though no fit ran.
+		"palu_model_fit_zm_mle_ns", "palu_zipfmand_fit_ns", "palu_model_oracle_calls_total",
 	} {
 		if _, ok := snap.Get(name); !ok {
 			t.Errorf("snapshot missing %s", name)

@@ -51,33 +51,125 @@ func (b Box) clamp(x [2]float64) [2]float64 {
 }
 
 // step returns x + t·p for the largest t ≤ 1 that keeps it in the box,
-// and whether a bound cut the step short. The coordinate that meets its
-// bound is set to the bound exactly.
+// and whether a bound cut the step short. A coordinate that meets its
+// bound at that t is set to the bound exactly; so are both when they
+// meet their bounds at the same t, to within rounding (a step aimed at
+// a corner).
 func (b Box) step(x, p [2]float64) (xn [2]float64, blocked bool) {
-	t, block, bound := 1.0, -1, 0.0
+	t := 1.0
+	var reach, bound [2]float64 // the t at which each coordinate meets bound
 	for i := range p {
+		reach[i] = math.Inf(1)
 		switch {
-		case p[i] < 0 && (b.Lo[i]-x[i])/p[i] < t:
-			t, block, bound = (b.Lo[i]-x[i])/p[i], i, b.Lo[i]
-		case p[i] > 0 && (b.Hi[i]-x[i])/p[i] < t:
-			t, block, bound = (b.Hi[i]-x[i])/p[i], i, b.Hi[i]
+		case p[i] < 0:
+			reach[i], bound[i] = (b.Lo[i]-x[i])/p[i], b.Lo[i]
+		case p[i] > 0:
+			reach[i], bound[i] = (b.Hi[i]-x[i])/p[i], b.Hi[i]
 		}
+		t = math.Min(t, reach[i])
 	}
 	for i := range p {
 		xn[i] = x[i] + t*p[i]
+		if reach[i] <= t*(1+1e-12) {
+			xn[i] = bound[i]
+			blocked = true
+		}
 	}
-	if block >= 0 {
-		xn[block] = bound
+	return b.clamp(xn), blocked
+}
+
+// Jet is a 2-parameter function's value at a point with its gradient
+// and Hessian there.
+type Jet struct {
+	F float64
+	G [2]float64
+	H [2][2]float64
+}
+
+// Oracle returns the objective's value, gradient and Hessian at x, from
+// one pass over whatever the objective sums (DESIGN §16).
+type Oracle func(x [2]float64) Jet
+
+// finite reports whether the gradient and Hessian are finite.
+func (j Jet) finite() bool {
+	for i := range j.G {
+		if math.IsNaN(j.G[i]) || math.IsInf(j.G[i], 0) {
+			return false
+		}
+		for k := range j.H[i] {
+			if math.IsNaN(j.H[i][k]) || math.IsInf(j.H[i][k], 0) {
+				return false
+			}
+		}
 	}
-	return b.clamp(xn), block >= 0
+	return true
+}
+
+// Add returns j + k.
+func (j Jet) Add(k Jet) Jet {
+	j.F += k.F
+	for i := range j.G {
+		j.G[i] += k.G[i]
+		for l := range j.H[i] {
+			j.H[i][l] += k.H[i][l]
+		}
+	}
+	return j
+}
+
+// Sub returns j − k.
+func (j Jet) Sub(k Jet) Jet { return j.Add(k.Scale(-1)) }
+
+// Scale returns c·j.
+func (j Jet) Scale(c float64) Jet {
+	j.F *= c
+	for i := range j.G {
+		j.G[i] *= c
+		for l := range j.H[i] {
+			j.H[i][l] *= c
+		}
+	}
+	return j
+}
+
+// Log returns the jet of ln j: ∇j/j and ∇²j/j − ∇j∇jᵀ/j².
+func (j Jet) Log() Jet {
+	var out Jet
+	out.F = math.Log(j.F)
+	for i := range j.G {
+		out.G[i] = j.G[i] / j.F
+	}
+	for i := range j.H {
+		for l := range j.H[i] {
+			out.H[i][l] = j.H[i][l]/j.F - out.G[i]*out.G[l]
+		}
+	}
+	return out
+}
+
+// Div returns the jet of the quotient q = j/k: ∇q = (∇j − q∇k)/k and
+// ∇²q = (∇²j − q∇²k − ∇q∇kᵀ − ∇k∇qᵀ)/k.
+func (j Jet) Div(k Jet) Jet {
+	var q Jet
+	q.F = j.F / k.F
+	for i := range j.G {
+		q.G[i] = (j.G[i] - q.F*k.G[i]) / k.F
+	}
+	for i := range j.H {
+		for l := range j.H[i] {
+			q.H[i][l] = (j.H[i][l] - q.F*k.H[i][l] - q.G[i]*k.G[l] - k.G[i]*q.G[l]) / k.F
+		}
+	}
+	return q
 }
 
 // BoxResult reports the outcome of MinimizeBox.
 type BoxResult struct {
-	X     [2]float64 // minimizer, inside the box
-	F     float64    // objective at X
-	Iters int        // accepted Newton steps
-	Evals int        // objective evaluations, starts included
+	X     [2]float64    // minimizer, inside the box
+	F     float64       // objective at X
+	H     [2][2]float64 // the objective's Hessian at X
+	Iters int           // accepted Newton steps
+	Evals int           // oracle calls, starts included
 }
 
 // The solver's constants (DESIGN §16).
@@ -86,10 +178,6 @@ const (
 	// undamped quadratic model proposes, lowers the objective by less
 	// than this fraction of its magnitude: a few ulps of a float64.
 	boxRelTol = 1e-15
-	// boxStencilRel sizes the difference stencil so that the objective
-	// moves by about this fraction of its magnitude along each axis:
-	// far above rounding (ulps), far below the curvature's own scale.
-	boxStencilRel = 1e-10
 	// boxMinMu is the first damping tried after a rejected undamped
 	// step; damping grows 4× per rejection and falls 4× per accepted
 	// step, back to 0 below this.
@@ -98,14 +186,12 @@ const (
 	boxMaxIter = 200
 )
 
-// MinimizeBox minimizes the 2-parameter objective f over the closed
-// box (DESIGN §16). It evaluates f once at each start (projected onto
-// the box), starts from the best, and takes Newton steps built from a
-// central-difference gradient and Hessian:
+// MinimizeBox minimizes the 2-parameter objective whose oracle is f over
+// the closed box (DESIGN §16). It calls f once at each start (projected
+// onto the box), starts from the best, and takes Newton steps built from
+// the oracle's gradient and Hessian; each trial step costs one oracle
+// call, and an accepted point's derivatives steer the next step:
 //
-//   - Each axis's stencil is centred at x moved inward just far enough
-//     to keep it inside the box; the gradient is carried back to x
-//     through the Hessian.
 //   - A coordinate on a bound whose gradient points out of the box is
 //     held there (the active set). A step that would leave the box is
 //     cut short where it meets a bound, and that coordinate is set to
@@ -117,12 +203,13 @@ const (
 //
 // The solve stops when the relative decrease falls below boxRelTol, when
 // no free coordinate remains, or when the step no longer moves x. f is
-// only evaluated inside the box. A NaN value counts as +Inf, so the
-// solver backs away from regions where f is undefined. ErrNumeric
-// reports that no start has a finite value; ErrNoConverge that the step
-// budget ran out or no finite stencil fits around the current point
-// (the best point found is returned with it).
-func MinimizeBox(f func(x [2]float64) float64, box Box, starts [][2]float64) (BoxResult, error) {
+// only called inside the box. A NaN value counts as +Inf, and a trial
+// point whose derivatives are not finite is rejected, so the solver
+// backs away from regions where f is undefined. ErrNumeric reports that
+// no start has a finite value; ErrNoConverge that the step budget ran
+// out or the derivatives at the best start are not finite (the best
+// point found is returned with it).
+func MinimizeBox(f Oracle, box Box, starts [][2]float64) (BoxResult, error) {
 	if len(starts) == 0 {
 		return BoxResult{}, errors.New("stats: no start points")
 	}
@@ -132,35 +219,31 @@ func MinimizeBox(f func(x [2]float64) float64, box Box, starts [][2]float64) (Bo
 		}
 	}
 	res := BoxResult{F: math.Inf(1)}
-	eval := func(x [2]float64) float64 {
+	eval := func(x [2]float64) Jet {
 		res.Evals++
-		v := f(box.clamp(x))
-		if math.IsNaN(v) || math.IsInf(v, -1) {
-			return math.Inf(1)
+		j := f(x)
+		if math.IsNaN(j.F) || math.IsInf(j.F, -1) {
+			j.F = math.Inf(1)
 		}
-		return v
+		return j
 	}
+	var cur Jet // the oracle at res.X
 	for _, s := range starts {
 		x := box.clamp(s)
-		if v := eval(x); v < res.F {
-			res.X, res.F = x, v
+		if j := eval(x); j.F < res.F {
+			res.X, res.F, cur = x, j.F, j
 		}
 	}
 	if math.IsInf(res.F, 1) {
 		return res, ErrNumeric
 	}
-	var width, h [2]float64
-	for i := range width {
-		width[i] = box.Hi[i] - box.Lo[i]
-		h[i] = 1e-4 * width[i]
+	res.H = cur.H
+	if !cur.finite() {
+		return res, ErrNoConverge
 	}
 	var carry float64 // damping carried from the last accepted step
 	for iter := 0; iter < boxMaxIter; iter++ {
-		x, fx := res.X, res.F
-		g, H, ok := boxStencil(eval, box, x, fx, h)
-		if !ok {
-			return res, ErrNoConverge
-		}
+		x, fx, g, H := res.X, res.F, cur.G, cur.H
 		var free [2]bool
 		nfree := 0
 		for i := range free {
@@ -171,14 +254,6 @@ func MinimizeBox(f func(x [2]float64) float64, box Box, starts [][2]float64) (Bo
 		}
 		if nfree == 0 {
 			return res, nil // a KKT corner
-		}
-		// Next stencil: the step along which f moves by boxStencilRel·|f|
-		// on this Hessian's curvature.
-		for i := range h {
-			h[i] = 1e-4 * width[i]
-			if H[i][i] > 0 {
-				h[i] = math.Min(h[i], math.Max(1e-10*width[i], math.Sqrt(2*boxStencilRel*math.Abs(fx)/H[i][i])))
-			}
 		}
 		mu := math.Max(boxMinDamping(H, free), carry)
 		accepted := false
@@ -210,8 +285,8 @@ func MinimizeBox(f func(x [2]float64) float64, box Box, starts [][2]float64) (Bo
 					return res, nil
 				}
 			}
-			if fn := eval(xn); fn < fx {
-				res.X, res.F = xn, fn
+			if jn := eval(xn); jn.F < fx && jn.finite() {
+				res.X, res.F, res.H, cur = xn, jn.F, jn.H, jn
 				res.Iters++
 				accepted = true
 				if carry = mu / 4; carry < boxMinMu {
@@ -226,45 +301,6 @@ func MinimizeBox(f func(x [2]float64) float64, box Box, starts [][2]float64) (Bo
 		}
 	}
 	return res, ErrNoConverge
-}
-
-// boxStencil returns the central-difference gradient and Hessian of f at
-// x, whose value is fx. Each axis's stencil is centred at c, x moved
-// inward by at most h so that c ± h stays in the box; the gradient at x
-// is g(c) + H·(x − c). A non-finite stencil value halves h, up to 19
-// times; ok is false if no finite stencil was found.
-func boxStencil(eval func([2]float64) float64, box Box, x [2]float64, fx float64, h [2]float64) (g [2]float64, H [2][2]float64, ok bool) {
-	for try := 0; try < 20; try++ {
-		if try > 0 {
-			h[0], h[1] = h[0]/2, h[1]/2
-		}
-		var c [2]float64
-		for i := range c {
-			c[i] = math.Min(math.Max(x[i], box.Lo[i]+h[i]), box.Hi[i]-h[i])
-			h[i] = (c[i] + h[i]) - c[i] // a step exactly representable at c
-		}
-		f0 := fx
-		if c != x {
-			f0 = eval(c)
-		}
-		fp0 := eval([2]float64{c[0] + h[0], c[1]})
-		fm0 := eval([2]float64{c[0] - h[0], c[1]})
-		f0p := eval([2]float64{c[0], c[1] + h[1]})
-		f0m := eval([2]float64{c[0], c[1] - h[1]})
-		fpp := eval([2]float64{c[0] + h[0], c[1] + h[1]})
-		fmm := eval([2]float64{c[0] - h[0], c[1] - h[1]})
-		if math.IsInf(f0+fp0+fm0+f0p+f0m+fpp+fmm, 1) {
-			continue
-		}
-		H[0][0] = (fp0 - 2*f0 + fm0) / (h[0] * h[0])
-		H[1][1] = (f0p - 2*f0 + f0m) / (h[1] * h[1])
-		H[0][1] = (fpp - fp0 - f0p + 2*f0 - fm0 - f0m + fmm) / (2 * h[0] * h[1])
-		H[1][0] = H[0][1]
-		g[0] = (fp0-fm0)/(2*h[0]) + H[0][0]*(x[0]-c[0]) + H[0][1]*(x[1]-c[1])
-		g[1] = (f0p-f0m)/(2*h[1]) + H[1][0]*(x[0]-c[0]) + H[1][1]*(x[1]-c[1])
-		return g, H, true
-	}
-	return g, H, false
 }
 
 // boxScale returns the Marquardt scale of axis i: |H_ii|, or 1 where the

@@ -59,7 +59,7 @@ func (m Model) BinSum(a, b int) float64 {
 	if b < a {
 		return 0
 	}
-	if m.Alpha > 1.02 && b-a > 512 {
+	if m.hurwitzRange(a, b) {
 		hi, err1 := specialfn.HurwitzZeta(m.Alpha, float64(a)+m.Delta)
 		lo, err2 := specialfn.HurwitzZeta(m.Alpha, float64(b+1)+m.Delta)
 		if err1 == nil && err2 == nil {
@@ -71,6 +71,86 @@ func (m Model) BinSum(a, b int) float64 {
 		s += m.Rho(d)
 	}
 	return s
+}
+
+// hurwitzRange reports whether BinSum sums a..b by Hurwitz-zeta
+// differences.
+func (m Model) hurwitzRange(a, b int) bool { return m.Alpha > 1.02 && b-a > 512 }
+
+// BinSumJet returns BinSum(a, b) with its gradient and Hessian in
+// (α, δ), by the same rule. On the Hurwitz path each end is a
+// hurwitzJet; on the direct path each term t = (d+δ)^{-α} contributes
+// −ln(d+δ)·t and −α·t/(d+δ) to the gradient. The value is BinSum's bit
+// for bit.
+func (m Model) BinSumJet(a, b int) stats.Jet {
+	if b < a {
+		return stats.Jet{}
+	}
+	if m.hurwitzRange(a, b) {
+		hi, err1 := hurwitzJet(m.Alpha, float64(a)+m.Delta)
+		lo, err2 := hurwitzJet(m.Alpha, float64(b+1)+m.Delta)
+		if err1 == nil && err2 == nil {
+			return hi.Sub(lo)
+		}
+	}
+	return m.directJet(a, b)
+}
+
+// directJet is BinSumJet's direct path: Σ_{d=a}^{b} of t = (d+δ)^{-α}
+// with ∂t/∂α = −ln(d+δ)·t, ∂t/∂δ = −α·t/(d+δ), and second derivatives
+// ln²(d+δ)·t, (α·ln(d+δ) − 1)·t/(d+δ) and α(α+1)·t/(d+δ)².
+func (m Model) directJet(a, b int) stats.Jet {
+	var j stats.Jet
+	for d := a; d <= b; d++ {
+		x := float64(d) + m.Delta
+		t := math.Pow(x, -m.Alpha) // Rho(d)
+		l, r := math.Log(x), 1/x
+		j.F += t
+		j.G[0] -= l * t
+		j.G[1] -= m.Alpha * r * t
+		j.H[0][0] += l * l * t
+		j.H[0][1] += (m.Alpha*l - 1) * r * t
+		j.H[1][1] += m.Alpha * (m.Alpha + 1) * r * r * t
+	}
+	j.H[1][0] = j.H[0][1]
+	return j
+}
+
+// hurwitzJet returns ζ(s, q) with its gradient and Hessian in (s, q):
+// the s-derivatives come from Hurwitz.ZetaDerivs, and ∂ζ(s, q)/∂q =
+// −s·ζ(s+1, q) gives ∂²ζ/∂s∂q = −ζ(s+1, q) − s·∂ζ(s+1, q)/∂s and
+// ∂²ζ/∂q² = s(s+1)·ζ(s+2, q). Its value is HurwitzZeta(s, q) bit for bit.
+func hurwitzJet(s, q float64) (stats.Jet, error) {
+	h := specialfn.NewHurwitz(q)
+	z, zs, zss, err := h.ZetaDerivs(s)
+	if err != nil {
+		return stats.Jet{}, err
+	}
+	z1, z1s, _, err := h.ZetaDerivs(s + 1)
+	if err != nil {
+		return stats.Jet{}, err
+	}
+	z2, _, _, err := h.ZetaDerivs(s + 2)
+	if err != nil {
+		return stats.Jet{}, err
+	}
+	zsq := -z1 - s*z1s
+	return stats.Jet{
+		F: z,
+		G: [2]float64{zs, -s * z1},
+		H: [2][2]float64{{zss, zsq}, {zsq, s * (s + 1) * z2}},
+	}, nil
+}
+
+// pooledJets fills bins, one per binary-log bin over 1..dmax (bin
+// layout of package hist; len(bins) = hist.BinIndex(dmax)+1), with the
+// jets of PooledD's numerators, and returns the jet of the normalizer
+// Σ_{d=1}^{dmax}.
+func (m Model) pooledJets(dmax int, bins []stats.Jet) (z stats.Jet) {
+	for i := range bins {
+		bins[i] = m.BinSumJet(hist.BinLower(i)+1, min(hist.BinUpper(i), dmax))
+	}
+	return m.BinSumJet(1, dmax)
 }
 
 // Normalization returns Σ_{d=1}^{dmax} ρ(d; α, δ), the paper's
@@ -153,7 +233,7 @@ type FitResult struct {
 	// distribution and the fitted model's pooled distribution.
 	KS float64
 	// Iters counts the optimizer's accepted Newton steps and Evals its
-	// objective evaluations (stats.MinimizeBox).
+	// oracle calls (stats.MinimizeBox).
 	Iters, Evals int
 }
 
@@ -193,34 +273,7 @@ func Fit(obs *hist.Pooled, dmax int, opts FitOptions) (FitResult, error) {
 		}
 		starts[i] = [2]float64{s[0], s[1]}
 	}
-	objective := func(x [2]float64) float64 {
-		md, err := Model{Alpha: x[0], Delta: x[1]}.PooledD(dmax)
-		if err != nil {
-			return math.NaN()
-		}
-		var sse float64
-		for i, o := range obs.D {
-			var mv float64
-			if i < len(md) {
-				mv = md[i]
-			}
-			if opts.LogSpace {
-				if o <= 0 {
-					continue // empty observed bin carries no log information
-				}
-				if mv <= 0 {
-					return math.NaN()
-				}
-				r := math.Log(o) - math.Log(mv)
-				sse += weights[i] * r * r
-			} else {
-				r := o - mv
-				sse += weights[i] * r * r
-			}
-		}
-		return sse
-	}
-	res, err := stats.MinimizeBox(objective, FitBox, starts)
+	res, err := stats.MinimizeBox(sseOracle(obs.D, weights, dmax, opts.LogSpace), FitBox, starts)
 	if err != nil {
 		return FitResult{}, fmt.Errorf("zipfmand: fit failed: %w", err)
 	}
@@ -245,6 +298,45 @@ func Fit(obs *hist.Pooled, dmax int, opts FitOptions) (FitResult, error) {
 	}
 	fit.KS = stats.KSDiscrete(obs.D, cdf)
 	return fit, nil
+}
+
+// sseOracle is Fit's objective, the weighted squared residuals
+// Σ w·r² between the observed pooled distribution obs and the model's,
+// with its exact Hessian 2Σ w·(∇r∇rᵀ + r·∇²r). r = ln o − ln m in log
+// space (empty observed bins skipped) and o − m otherwise, with
+// m = B/Z the bin's model mass from pooledJets. The oracle reuses one
+// bin buffer across calls, so it is not safe for concurrent use.
+func sseOracle(obs, weights []float64, dmax int, logSpace bool) stats.Oracle {
+	bins := make([]stats.Jet, hist.BinIndex(dmax)+1)
+	return func(x [2]float64) stats.Jet {
+		z := Model{Alpha: x[0], Delta: x[1]}.pooledJets(dmax, bins)
+		var f stats.Jet
+		for i, o := range obs {
+			var r float64
+			m := bins[i].Div(z) // ∇r = −∇m in either space, with m → ln m in log space
+			if logSpace {
+				if o <= 0 {
+					continue // empty observed bin carries no log information
+				}
+				if m.F <= 0 {
+					return stats.Jet{F: math.NaN()}
+				}
+				m = m.Log()
+				r = math.Log(o) - m.F
+			} else {
+				r = o - m.F
+			}
+			w := weights[i]
+			f.F += w * r * r
+			for k := range f.G {
+				f.G[k] -= 2 * w * r * m.G[k]
+				for l := range f.H[k] {
+					f.H[k][l] += 2 * w * (m.G[k]*m.G[l] - r*m.H[k][l])
+				}
+			}
+		}
+		return f
+	}
 }
 
 // FitHistogram pools a histogram and fits the model, returning both.

@@ -340,8 +340,8 @@ func BenchmarkPooledD(b *testing.B) {
 	}
 }
 
-// BenchmarkFit fits exact model data and reports the objective
-// evaluations per fit.
+// BenchmarkFit fits exact model data and reports the oracle calls per
+// fit.
 func BenchmarkFit(b *testing.B) {
 	truth := Model{Alpha: 2.0, Delta: -0.5}
 	pd, err := truth.PooledD(1 << 15)
@@ -359,4 +359,41 @@ func BenchmarkFit(b *testing.B) {
 		evals += fit.Evals
 	}
 	b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+}
+
+// BenchmarkOracle times one value-only evaluation of Fit's log-space
+// objective (PooledD and the squared log residuals, as the solver
+// called it per stencil point) against one call of its oracle (value,
+// gradient and exact Hessian), at the default start (2, 0) on
+// BenchmarkFit's observation.
+func BenchmarkOracle(b *testing.B) {
+	const dmax = 1 << 15
+	obs, err := Model{Alpha: 2.0, Delta: -0.5}.PooledD(dmax)
+	if err != nil {
+		b.Fatal(err)
+	}
+	weights := make([]float64, len(obs))
+	for i := range weights {
+		weights[i] = 1
+	}
+	x := [2]float64{2, 0}
+	b.Run("value", func(b *testing.B) {
+		for b.Loop() {
+			md, err := Model{Alpha: x[0], Delta: x[1]}.PooledD(dmax)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sse float64
+			for j, o := range obs {
+				r := math.Log(o) - math.Log(md[j])
+				sse += weights[j] * r * r
+			}
+		}
+	})
+	b.Run("oracle", func(b *testing.B) {
+		f := sseOracle(obs, weights, dmax, true)
+		for b.Loop() {
+			f(x)
+		}
+	})
 }
