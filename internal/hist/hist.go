@@ -171,27 +171,6 @@ func (h *Histogram) Probability(d int) float64 {
 	return float64(h.Count(d)) / float64(h.total)
 }
 
-// CumulativeAt returns P(d) = Σ_{i<=d} p(i).
-func (h *Histogram) CumulativeAt(d int) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	var cum int64
-	top := d
-	if top > len(h.dense) {
-		top = len(h.dense)
-	}
-	for i := 0; i < top; i++ {
-		cum += h.dense[i]
-	}
-	for deg, c := range h.sparse {
-		if deg <= d {
-			cum += c
-		}
-	}
-	return float64(cum) / float64(h.total)
-}
-
 // FractionDegreeOne returns D(d=1) = p(1), the fraction of nodes with only
 // one connection, highlighted by the paper as the leaf/unattached signal.
 func (h *Histogram) FractionDegreeOne() float64 { return h.Probability(1) }

@@ -397,7 +397,9 @@ func (m *TruncPowerLaw) Params() []Param {
 	return []Param{{"alpha", m.Alpha}, {"lambda", m.Lambda}}
 }
 
-// normalization returns Σ_{1..dmax} d^{-α} e^{-λd}.
+// normalization returns Σ_{1..dmax} d^{-α} e^{-λd}. At λ = 0 that is
+// zipfmand's BinSum, the value cutoffJet returns there, taken without
+// cutoffJet's head and tail sums.
 func (m *TruncPowerLaw) normalization(dmax int) (float64, error) {
 	if dmax < 1 {
 		return 0, errors.New("model: dmax must be >= 1")
@@ -405,7 +407,12 @@ func (m *TruncPowerLaw) normalization(dmax int) (float64, error) {
 	if m.Lambda < 0 || math.IsNaN(m.Alpha) {
 		return 0, fmt.Errorf("model: invalid cutoff law (alpha=%v lambda=%v)", m.Alpha, m.Lambda)
 	}
-	z := cutoffJet(m.Alpha, m.Lambda, nil, 1, dmax).F
+	var z float64
+	if m.Lambda == 0 {
+		z = zipfmand.Model{Alpha: m.Alpha}.BinSum(1, dmax)
+	} else {
+		z = cutoffJet(m.Alpha, m.Lambda, nil, 1, dmax).F
+	}
 	if z <= 0 || math.IsInf(z, 0) {
 		return 0, fmt.Errorf("model: degenerate cutoff normalization %v", z)
 	}

@@ -195,6 +195,25 @@ func TestPowSumAndCutoffSumAgainstDirect(t *testing.T) {
 	}
 }
 
+// TestTruncNormalizationAtZeroLambda: a λ = 0 law's normalizer skips
+// cutoffJet's head and Simpson tail but keeps its value bit for bit, on
+// both of BinSum's paths (direct below α = 1.02 or 513 terms, Hurwitz
+// above).
+func TestTruncNormalizationAtZeroLambda(t *testing.T) {
+	for _, alpha := range []float64{0.6, 1.01, 1.5, 2.1, 3} {
+		for _, dmax := range []int{1, 20, 600, 50000} {
+			m := &TruncPowerLaw{Alpha: alpha}
+			got, err := m.normalization(dmax)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := cutoffJet(alpha, 0, nil, 1, dmax).F; math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("α=%v dmax=%d: normalization %v, cutoffJet %v", alpha, dmax, got, want)
+			}
+		}
+	}
+}
+
 func TestPoissonSum(t *testing.T) {
 	// Σ_{d=2}^{∞} μ^d/d! = e^μ − 1 − μ.
 	for _, mu := range []float64{0.3, 1.5, 6.0} {

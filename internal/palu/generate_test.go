@@ -1,6 +1,7 @@
 package palu
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -309,16 +310,22 @@ func BenchmarkGenerateGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkFastObservedHistogram samples at each α the suite draws at;
+// at α = 2 the zeta draw's powers take math.Pow's integer-exponent path.
 func BenchmarkFastObservedHistogram(b *testing.B) {
-	params, err := FromWeights(2, 2, 1.5, 2.5, 2.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := xrand.New(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FastObservedHistogram(params, 100000, 0.4, r); err != nil {
-			b.Fatal(err)
-		}
+	for _, alpha := range []float64{2.0, 2.2, 2.6} {
+		b.Run(fmt.Sprintf("alpha=%.1f", alpha), func(b *testing.B) {
+			params, err := FromWeights(2, 2, 1.5, 2.5, alpha)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := xrand.New(1)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := FastObservedHistogram(params, 100000, 0.4, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -164,7 +164,7 @@ func BenchmarkBuilderAddPacket(b *testing.B) {
 	bld := NewBuilder()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bld.AddPacket(srcs[i&(1<<16-1)], dsts[i&(1<<16-1)])
+		addPacket(bld, srcs[i&(1<<16-1)], dsts[i&(1<<16-1)])
 		if i&(1<<20-1) == 1<<20-1 {
 			bld.Reset()
 		}

@@ -11,7 +11,7 @@ func buildPartial(seed uint64, n, universe int) WindowPartial {
 	b := NewBuilder()
 	r := xrand.New(seed)
 	for i := 0; i < n; i++ {
-		b.AddPacket(uint32(r.Intn(universe)), uint32(r.Intn(universe)))
+		addPacket(b, uint32(r.Intn(universe)), uint32(r.Intn(universe)))
 	}
 	return b.Partial()
 }
@@ -41,11 +41,11 @@ func TestPartialMergeMatchesJointBuild(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		src, dst := uint32(r.Intn(150)), uint32(r.Intn(150))
 		if i%2 == 0 {
-			b1.AddPacket(src, dst)
+			addPacket(b1, src, dst)
 		} else {
-			b2.AddPacket(src, dst)
+			addPacket(b2, src, dst)
 		}
-		joint.AddPacket(src, dst)
+		addPacket(joint, src, dst)
 	}
 	merged := b1.Partial().Merge(b2.Partial())
 	want := joint.Partial()

@@ -92,9 +92,6 @@ func (b *Builder) Add(src, dst uint32, n int64) error {
 	return nil
 }
 
-// AddPacket accumulates a single packet from src to dst.
-func (b *Builder) AddPacket(src, dst uint32) { b.addN(src, dst, 1) }
-
 // addN is the unchecked accumulation core: n > 0.
 func (b *Builder) addN(src, dst uint32, n int64) {
 	b.counts.add(linkKey(src, dst), n)
@@ -106,7 +103,7 @@ func (b *Builder) addN(src, dst uint32, n int64) {
 // each: the fused decode→reduce entry point. Batching lets the flat
 // table overlap the cache misses of several probes (see addBatch), so
 // feeding the builder runs of keys is measurably faster than one
-// AddPacket per packet even before any decode fusion.
+// addN per packet even before any decode fusion.
 func (b *Builder) AddPairs(keys []uint64) {
 	if len(keys) == 0 {
 		return

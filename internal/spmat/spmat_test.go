@@ -74,11 +74,14 @@ func TestBuilderEquivalentToFromEntries(t *testing.T) {
 	}
 }
 
+// addPacket accumulates a single packet from src to dst.
+func addPacket(b *Builder, src, dst uint32) { b.addN(src, dst, 1) }
+
 func TestBuilderAddPacket(t *testing.T) {
 	b := NewBuilder()
-	b.AddPacket(1, 2)
-	b.AddPacket(1, 2)
-	b.AddPacket(2, 1)
+	addPacket(b, 1, 2)
+	addPacket(b, 1, 2)
+	addPacket(b, 2, 1)
 	m := b.Build()
 	if m.ValidPackets() != 3 || m.UniqueLinks() != 2 {
 		t.Errorf("aggregates: %+v", m.TableI())
@@ -100,9 +103,9 @@ func TestBuilderAddRejectsNonPositive(t *testing.T) {
 
 func TestMergeBuilders(t *testing.T) {
 	a, b := NewBuilder(), NewBuilder()
-	a.AddPacket(1, 2)
-	b.AddPacket(1, 2)
-	b.AddPacket(3, 4)
+	addPacket(a, 1, 2)
+	addPacket(b, 1, 2)
+	addPacket(b, 3, 4)
 	a.Merge(b)
 	m := a.Build()
 	if m.ValidPackets() != 3 || m.UniqueLinks() != 2 {

@@ -12,8 +12,16 @@ var errParam = errors.New("xrand: distribution parameter out of range")
 // distribution with pmf P[X=d] = d^{-alpha}/zeta(alpha), d >= 1, for one
 // fixed alpha > 1. This is Devroye's rejection algorithm (Non-Uniform
 // Random Variate Generation, 1986, ch. X.6): O(1) expected time for all
-// alpha. The sampler holds the per-alpha constants α − 1, −1/(α − 1) and
-// 2^(α−1), so each draw pays only for its own two powers.
+// alpha. A trial turns a uniform u into the candidate x = ⌊u^{−1/(α−1)}⌋
+// and accepts it by a test on t = (1+1/x)^(α−1).
+//
+// NewZetaSampler tabulates the small candidates once per alpha: x = k
+// for a u strictly inside (c_{k+1}·(1+g), c_k·(1−g)), where
+// c_k = k^{−(α−1)} and k = 1..zetaTableLen, and the row holds t. The
+// guard g = zetaGuard is far wider than math.Pow's rounding, so a row
+// answers as the two powers would. A u in a guard band or below the
+// table takes the powers. The draws, and the uniforms they consume, are
+// the per-draw algorithm's bit for bit.
 //
 // The PALU core degree distribution (Section V: "the number of core nodes
 // ... having degree d follows a power-law distribution of the form
@@ -23,6 +31,30 @@ type ZetaSampler struct {
 	am1    float64 // α − 1
 	negInv float64 // −1/(α − 1)
 	b, bm1 float64 // 2^(α−1) and 2^(α−1) − 1
+	rows   [zetaTableLen]zetaRow
+	nrows  int // rows in use
+}
+
+const (
+	// zetaTableLen is the largest candidate x the table answers.
+	zetaTableLen = 64
+	// zetaGuard is the relative width of the guard band on each side of
+	// a boundary c_k. It keeps u^{−1/(α−1)} a relative g/(α−1) or more
+	// from the integer k, at least 2⁻³⁶ below c_1 (a tabled c_2 means
+	// α−1 ≤ 60), against math.Pow's few ulps. Next to c_1 = 1 the power
+	// of a u < 1 is never rounded below 1.
+	zetaGuard = 0x1p-30
+	// zetaTableEnd is the smallest lower bound a row may have. The table
+	// ends at the first boundary below it, so each bound it uses is a
+	// normal float, accurate to an ulp after the guard multiply;
+	// Float64Open never returns a u below 2⁻⁵³.
+	zetaTableEnd = 0x1p-60
+)
+
+// zetaRow is the table row of candidate x = k: a u in (lo, hi) has
+// ⌊u^{−1/(α−1)}⌋ = k, and t = (1+1/k)^(α−1).
+type zetaRow struct {
+	lo, hi, t float64
 }
 
 // NewZetaSampler returns the sampler for alpha. An alpha outside the
@@ -32,7 +64,40 @@ func NewZetaSampler(alpha float64) ZetaSampler {
 	z.negInv = -1 / z.am1
 	z.b = math.Pow(2, z.am1)
 	z.bm1 = z.b - 1
+	if !(alpha > 1) || math.IsInf(alpha, 1) {
+		return z
+	}
+	hi := 1.0 // c_1
+	for k := 1; k <= zetaTableLen; k++ {
+		c := math.Pow(float64(k+1), -z.am1) // c_{k+1}
+		z.rows[k-1] = zetaRow{
+			lo: max(c, zetaTableEnd) * (1 + zetaGuard),
+			hi: hi * (1 - zetaGuard),
+			t:  math.Pow(1+1/float64(k), z.am1),
+		}
+		z.nrows = k
+		if c < zetaTableEnd {
+			break
+		}
+		hi = c
+	}
 	return z
+}
+
+// lookup returns ⌊u^{−1/(α−1)}⌋ and its t from the table, or x = 0 when
+// u lies in a guard band or below the table. The rows' bounds fall with
+// k, so the first row whose lo is below u is the only one that can
+// hold it.
+func (z *ZetaSampler) lookup(u float64) (x, t float64) {
+	for i, row := range z.rows[:z.nrows] {
+		if u > row.lo {
+			if u < row.hi {
+				return float64(i + 1), row.t
+			}
+			break
+		}
+	}
+	return 0, 0
 }
 
 // Draw returns one zeta(alpha) draw from r.
@@ -43,11 +108,14 @@ func (z *ZetaSampler) Draw(r *RNG) (int, error) {
 	for i := 0; i < 1<<20; i++ {
 		u := r.Float64Open()
 		v := r.Float64()
-		x := math.Floor(math.Pow(u, z.negInv))
-		if x < 1 || x > math.MaxInt64/2 || math.IsInf(x, 0) {
-			continue // numeric underflow of u; retry
+		x, t := z.lookup(u)
+		if x == 0 {
+			x = math.Floor(math.Pow(u, z.negInv))
+			if x < 1 || x > math.MaxInt64/2 || math.IsInf(x, 0) {
+				continue // numeric underflow of u; retry
+			}
+			t = math.Pow(1+1/x, z.am1)
 		}
-		t := math.Pow(1+1/x, z.am1)
 		if v*x*(t-1)/z.bm1 <= t/z.b {
 			return int(x), nil
 		}

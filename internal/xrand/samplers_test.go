@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -76,14 +77,66 @@ func TestZetaParamErrors(t *testing.T) {
 	r := New(1)
 	for _, a := range []float64{1, 0.5, -1, math.NaN(), math.Inf(1)} {
 		z := NewZetaSampler(a)
-		if _, err := z.Draw(r); err == nil {
-			t.Errorf("zeta draw at α=%v: expected error", a)
+		if _, err := z.Draw(r); !errors.Is(err, errParam) {
+			t.Errorf("zeta draw at α=%v: error %v, want errParam", a, err)
 		}
 	}
 }
 
+// TestZetaTableMatchesPow steps u one ulp at a time through ±20,000 ulps
+// around every boundary c_k = k^{−(α−1)} of the table and around both
+// guard edges of every row. Wherever the table answers, its x is
+// ⌊u^{−1/(α−1)}⌋ and its t is (1+1/x)^(α−1), both as math.Pow gives
+// them; the u just inside each guard edge must be answered. α = 200 has
+// subnormal boundaries below its one row, α = 1.001 sixty-four rows
+// packed just under u = 1.
+func TestZetaTableMatchesPow(t *testing.T) {
+	const span = 20000
+	for _, alpha := range []float64{1.001, 1.01, 1.5, 2, 2.2, 2.6, 3, 6, 40, 200} {
+		z := NewZetaSampler(alpha)
+		rows := z.rows[:z.nrows]
+		if len(rows) == 0 {
+			t.Fatalf("α=%v: empty table", alpha)
+		}
+		answered := 0
+		check := func(u float64) bool {
+			x, tt := z.lookup(u)
+			if x == 0 {
+				return false
+			}
+			answered++
+			if want := math.Floor(math.Pow(u, -1/(alpha-1))); x != want {
+				t.Fatalf("α=%v u=%v (%#x): table x %v, math.Pow %v", alpha, u, math.Float64bits(u), x, want)
+			}
+			if want := math.Pow(1+1/x, alpha-1); math.Float64bits(tt) != math.Float64bits(want) {
+				t.Fatalf("α=%v x=%v: table t %v, math.Pow %v", alpha, x, tt, want)
+			}
+			return true
+		}
+		around := func(c float64) {
+			for u, i := c, 0; i <= span; u, i = math.Nextafter(u, 0), i+1 {
+				check(u)
+			}
+			for u, i := math.Nextafter(c, 2), 0; i < span; u, i = math.Nextafter(u, 2), i+1 {
+				check(u)
+			}
+		}
+		for k := 1; k <= len(rows)+1; k++ {
+			around(math.Pow(float64(k), -(alpha - 1)))
+		}
+		for k, row := range rows {
+			around(row.lo)
+			around(row.hi)
+			if !check(math.Nextafter(row.lo, 2)) || !check(math.Nextafter(row.hi, 0)) {
+				t.Errorf("α=%v: row x=%d does not answer inside (%v, %v)", alpha, k+1, row.lo, row.hi)
+			}
+		}
+		t.Logf("α=%v: %d rows, %d answered u", alpha, len(rows), answered)
+	}
+}
+
 // refZeta is the one-shot zeta draw ZetaSampler replaced: every draw
-// recomputes 2^(α−1) and −1/(α−1).
+// recomputes 2^(α−1) and −1/(α−1) and takes both of its powers.
 func refZeta(r *RNG, alpha float64) (int, error) {
 	if !(alpha > 1) || math.IsInf(alpha, 1) {
 		return 0, errParam
@@ -109,7 +162,7 @@ func refZeta(r *RNG, alpha float64) (int, error) {
 // returns the per-draw reference's draws and leaves the RNG in the same
 // state, capped draws included.
 func TestZetaSamplerMatchesPerDrawConstants(t *testing.T) {
-	for _, alpha := range []float64{1.01, 1.3, 1.5, 2, 2.2, 2.5, 3, 6, 40} {
+	for _, alpha := range []float64{1.01, 1.3, 1.5, 2, 2.2, 2.5, 2.6, 3, 6, 40} {
 		a, b := New(7), New(7)
 		z := NewZetaSampler(alpha)
 		for i := 0; i < 20000; i++ {
@@ -368,13 +421,20 @@ func TestAliasSingleton(t *testing.T) {
 	}
 }
 
+// BenchmarkZetaSampler times one draw at each α the suite draws at. At
+// α = 2 both of the per-draw powers have integer exponents, which
+// math.Pow takes on a cheap path, so it alone would hide their cost.
 func BenchmarkZetaSampler(b *testing.B) {
-	r := New(1)
-	z := NewZetaSampler(2.1)
-	for i := 0; i < b.N; i++ {
-		if _, err := z.Draw(r); err != nil {
-			b.Fatal(err)
-		}
+	for _, alpha := range []float64{2.0, 2.2, 2.6} {
+		b.Run(fmt.Sprintf("alpha=%.1f", alpha), func(b *testing.B) {
+			r := New(1)
+			z := NewZetaSampler(alpha)
+			for i := 0; i < b.N; i++ {
+				if _, err := z.Draw(r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
