@@ -164,21 +164,6 @@ func BenchmarkWindowInvariance(b *testing.B) {
 	b.ReportMetric(math.Abs(last.Joint.Params.Lambda-last.TrueParams.Lambda), "lambda-abs-err")
 }
 
-// BenchmarkBaselineComparison regenerates E-X2: single power law vs
-// modified Zipf–Mandelbrot on leaf-heavy data.
-func BenchmarkBaselineComparison(b *testing.B) {
-	var last experiments.BaselineComparisonResult
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunBaselineComparison(uint64(i)+1, 150000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Comparison.PowerLawLogSSE, "powerlaw-sse")
-	b.ReportMetric(last.Comparison.CompetitorLogSSE, "zm-sse")
-}
-
 // BenchmarkDirectedAblation regenerates E-X3: the Section III claim that
 // directionality has a small impact on the degree-distribution analysis.
 func BenchmarkDirectedAblation(b *testing.B) {
@@ -261,7 +246,7 @@ func BenchmarkScenarioEngine(b *testing.B) {
 		reg := NewScenarioRegistry()
 		for i := 0; i < units; i++ {
 			i := i
-			reg.MustRegister(Scenario{
+			if err := reg.Register(Scenario{
 				Name: fmt.Sprintf("burn%d", i), Title: "burn",
 				Run: func(*ScenarioContext) (ScenarioResult, error) {
 					h := uint64(i) + 0x9e3779b97f4a7c15
@@ -271,7 +256,9 @@ func BenchmarkScenarioEngine(b *testing.B) {
 					}
 					return benchScenarioResult(fmt.Sprintf("%016x", h)), nil
 				},
-			})
+			}); err != nil {
+				b.Fatal(err)
+			}
 		}
 		return reg
 	}

@@ -193,13 +193,15 @@ func engineOp(tb testing.TB, sz hotPathSize) func() error {
 		reg := scenario.NewRegistry()
 		for i := 0; i < fanOut; i++ {
 			name := fmt.Sprintf("consumer%d", i)
-			reg.MustRegister(scenario.Scenario{
+			if err := reg.Register(scenario.Scenario{
 				Name: name, Title: name, Windows: []scenario.WindowReq{req},
 				Run: func(ctx *scenario.Context) (scenario.Result, error) {
 					_, err := ctx.Stream(req, stream.PipelineConfig{}, fullReadSink)
 					return hotPathResult{}, err
 				},
-			})
+			}); err != nil {
+				return err
+			}
 		}
 		eng, err := scenario.NewEngine(reg, scenario.Config{Workers: 1, CacheDir: dir})
 		if err != nil {

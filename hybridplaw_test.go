@@ -26,7 +26,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if fit.Alpha <= 1 || fit.Alpha > 4 {
 		t.Errorf("fit alpha = %v", fit.Alpha)
 	}
-	if pooled.NumBins() == 0 {
+	if len(pooled.D) == 0 {
 		t.Error("empty pooled distribution")
 	}
 	est, err := EstimatePALU(h)
@@ -61,7 +61,7 @@ func TestFacadeStreamPipeline(t *testing.T) {
 	}
 	win := col.Results[0]
 	for _, q := range []Quantity{SourcePackets, SourceFanOut, LinkPackets, DestinationFanIn, DestinationPackets} {
-		if h := win.Hist(q); h == nil || h.Total() == 0 {
+		if h := win.Hists[q]; h == nil || h.Total() == 0 {
 			t.Errorf("%v: empty histogram", q)
 		}
 	}
@@ -110,7 +110,7 @@ func TestFacadeBridgeAndCurve(t *testing.T) {
 		t.Errorf("bridge delta = %v", delta)
 	}
 	c := PALUCurve{Alpha: 2, Delta: delta, R: 2}
-	pmf, err := c.PMF(1024)
+	pmf, err := c.PooledD(1024)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,9 +104,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether x lies in [Lo, Hi].
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
 // PercentileInterval returns the two-sided percentile interval of xs at
 // the given nominal coverage level (e.g. 0.9 keeps the central 90%).
 // A zero Interval is returned when xs is empty or the quantiles are NaN.

@@ -37,7 +37,7 @@ func defaultParams() palu.Params {
 // window: the summation-notation and matrix-notation forms must agree,
 // and the values are reported for the record.
 type TableIResult struct {
-	Aggregates spmatAggregates
+	Aggregates spmat.Aggregates
 	// TransposeConsistent records that unique sources/destinations swap
 	// under transposition.
 	TransposeConsistent bool
@@ -47,10 +47,6 @@ type TableIResult struct {
 	// StreamConsistent records that the pipeline's incrementally
 	// maintained aggregates match the frozen matrix's Table I.
 	StreamConsistent bool
-}
-
-type spmatAggregates struct {
-	ValidPackets, UniqueLinks, UniqueSources, UniqueDestinations int64
 }
 
 // runTableI is the "table1" scenario compute: it streams one traffic
@@ -65,19 +61,12 @@ func runTableI(ctx *scenario.Context, seed uint64, nv int64) (TableIResult, erro
 	m := win.Matrix
 	agg := m.TableI()
 	mt := m.Transpose()
-	var res TableIResult
-	res.Aggregates = spmatAggregates{
-		ValidPackets:       agg.ValidPackets,
-		UniqueLinks:        agg.UniqueLinks,
-		UniqueSources:      agg.UniqueSources,
-		UniqueDestinations: agg.UniqueDestinations,
-	}
+	res := TableIResult{Aggregates: agg}
 	res.TransposeConsistent = mt.UniqueSources() == agg.UniqueDestinations &&
 		mt.UniqueDestinations() == agg.UniqueSources &&
 		mt.ValidPackets() == agg.ValidPackets &&
 		mt.UniqueLinks() == agg.UniqueLinks
-	par := spmatParallelRebuild(m)
-	res.ParallelConsistent = par == res.Aggregates
+	res.ParallelConsistent = spmat.ParallelBuild(m.Entries(), 0).TableI() == agg
 	res.StreamConsistent = win.Aggregates == agg
 	return res, nil
 }
@@ -465,12 +454,8 @@ type BaselineComparisonResult struct {
 	ZMAlpha, ZMDelta float64
 }
 
-// RunBaselineComparison fits both models to a PALU observation.
-func RunBaselineComparison(seed uint64, n int) (BaselineComparisonResult, error) {
-	return baselineComparison(seed, n, nil)
-}
-
-// baselineComparison is RunBaselineComparison with its zm fit timed by m.
+// baselineComparison fits both models to a PALU observation of n
+// draws, with its zm fit timed by m (nil for none).
 func baselineComparison(seed uint64, n int, m *model.Metrics) (BaselineComparisonResult, error) {
 	if n <= 0 {
 		n = 300000
@@ -615,17 +600,4 @@ func ValidationSummary(rows []ValidationRow) string {
 			r.Name, r.Analytic, r.Simulated, r.RelErr)
 	}
 	return b.String()
-}
-
-// spmatParallelRebuild re-aggregates a matrix with the parallel builder to
-// verify shard-merge consistency.
-func spmatParallelRebuild(m *spmat.Matrix) spmatAggregates {
-	rebuilt := spmat.ParallelBuild(m.Entries(), 0)
-	agg := rebuilt.TableI()
-	return spmatAggregates{
-		ValidPackets:       agg.ValidPackets,
-		UniqueLinks:        agg.UniqueLinks,
-		UniqueSources:      agg.UniqueSources,
-		UniqueDestinations: agg.UniqueDestinations,
-	}
 }

@@ -201,7 +201,7 @@ func TestRunWindowInvariance(t *testing.T) {
 }
 
 func TestRunBaselineComparison(t *testing.T) {
-	res, err := RunBaselineComparison(19, 150000)
+	res, err := baselineComparison(19, 150000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +212,21 @@ func TestRunBaselineComparison(t *testing.T) {
 	if res.ZMAlpha <= 1 {
 		t.Errorf("ZM alpha = %v", res.ZMAlpha)
 	}
+}
+
+// BenchmarkBaselineComparison regenerates E-X2: single power law vs
+// modified Zipf–Mandelbrot on leaf-heavy data.
+func BenchmarkBaselineComparison(b *testing.B) {
+	var last BaselineComparisonResult
+	for i := 0; i < b.N; i++ {
+		res, err := baselineComparison(uint64(i)+1, 150000, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		last = res
+	}
+	b.ReportMetric(last.Comparison.PowerLawLogSSE, "powerlaw-sse")
+	b.ReportMetric(last.Comparison.CompetitorLogSSE, "zm-sse")
 }
 
 func TestRunFigure3SinglePanel(t *testing.T) {

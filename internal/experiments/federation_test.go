@@ -120,7 +120,7 @@ func TestFederationBackboneMemoPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := eng.Metrics()
+	m := scenario.NewMetrics(reg) // the engine's own instruments: obs registries get or create
 	alone, err := eng.Run("federation/backbone")
 	if err != nil {
 		t.Fatal(err)

@@ -57,17 +57,6 @@ func FromCounts(counts map[int]int64) (*Histogram, error) {
 	return h, nil
 }
 
-// FromValues tallies a slice of observed degrees.
-func FromValues(values []int64) (*Histogram, error) {
-	h := New()
-	for _, v := range values {
-		if err := h.AddN(int(v), 1); err != nil {
-			return nil, err
-		}
-	}
-	return h, nil
-}
-
 // Add records one observation of degree d.
 func (h *Histogram) Add(d int) error { return h.AddN(d, 1) }
 
@@ -184,9 +173,6 @@ type Pooled struct {
 	// Total is the observation count behind the pooling.
 	Total int64
 }
-
-// NumBins returns the number of pooled bins.
-func (p *Pooled) NumBins() int { return len(p.D) }
 
 // BinUpper returns the inclusive upper degree edge of bin i: 2^i.
 func BinUpper(i int) int { return 1 << uint(i) }

@@ -2,11 +2,13 @@ package model_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"hybridplaw/internal/model"
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/palu"
+	"hybridplaw/internal/testenv"
 	"hybridplaw/internal/xrand"
 	"hybridplaw/internal/zipfmand"
 )
@@ -19,11 +21,7 @@ import (
 func TestFitMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := model.NewMetrics(reg)
-	var names []string
-	for _, s := range reg.Snapshot().Metrics {
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
+	names := testenv.MetricNames(reg.Snapshot())
 	want := []string{"palu_model_oracle_calls_total"}
 	for _, n := range []string{"csn", "lognormal", "palu", "plaw", "truncplaw", "zm", "zm_mle"} {
 		want = append(want, "palu_model_fit_"+n+"_ns", "palu_model_fit_"+n+"_spans_total")
@@ -57,7 +55,8 @@ func TestFitMetrics(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("%s: %v", r.Fitter, errs[i])
 		}
-		if got := m.Fit[r.Fitter].Spans(); got != 1 {
+		spans := "palu_model_fit_" + strings.ReplaceAll(r.Fitter, "-", "_") + "_spans_total"
+		if got := testenv.Metric(t, reg.Snapshot(), spans).Value; got != 1 {
 			t.Errorf("%s: %d spans, want 1", r.Fitter, got)
 		}
 		if r.LogLik != plain[i].LogLik {
@@ -75,9 +74,10 @@ func TestFitMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ZMFit.Spans() != 1 || m.OracleCalls.Value() != evals+int64(fit.Evals) {
+	spans := testenv.Metric(t, reg.Snapshot(), "palu_zipfmand_fit_spans_total").Value
+	if spans != 1 || m.OracleCalls.Value() != evals+int64(fit.Evals) {
 		t.Errorf("zipfmand fit: %d spans, %d oracle calls, want 1 and %d",
-			m.ZMFit.Spans(), m.OracleCalls.Value(), evals+int64(fit.Evals))
+			spans, m.OracleCalls.Value(), evals+int64(fit.Evals))
 	}
 	var none *model.Metrics
 	again, err := none.TimeZMFit(func() (zipfmand.FitResult, error) {

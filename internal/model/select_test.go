@@ -70,13 +70,11 @@ func TestSelectRecoversGeneratingFamily(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := xrand.New(23)
-	xs := make([]int64, 150000)
-	for i := range xs {
-		xs[i] = int64(alias.Draw(rng)) + 1
-	}
-	h, err := hist.FromValues(xs)
-	if err != nil {
-		t.Fatal(err)
+	h := hist.New()
+	for i := 0; i < 150000; i++ {
+		if err := h.Add(alias.Draw(rng) + 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	results, errs, err := Default().FitAll(h, "zm-mle", "plaw", "lognormal", "truncplaw")
 	if err != nil {

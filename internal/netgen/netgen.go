@@ -169,21 +169,15 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	return &Site{cfg: cfg, underlying: u, weights: alias, rng: rng, passCap: passCap}, nil
 }
 
-// ObservationPass performs one edge-sampling pass over the underlying
-// network and returns the resulting packets in randomized order. Each
-// observed link emits weight copies of one packet, E[weight]·p·|E|
-// valid packets in expectation over the |E| underlying edges; invalid
-// packets are then added at f/(1−f) of the valid count, for
-// InvalidFraction f, so that they are a fraction f of the pass.
-func (s *Site) ObservationPass(rng *xrand.RNG) []stream.Packet {
-	packets, _ := s.observe(rng, nil)
-	return packets
-}
-
-// observe performs ObservationPass into buf's storage, or into a buffer
-// of the expected pass size if buf is nil, and returns the pass with its
-// count of valid packets. The draws and their order are the same either
-// way; only where the packets land differs.
+// observe performs one edge-sampling pass over the underlying network
+// and returns the resulting packets in randomized order, with their
+// count of valid packets. Each observed link emits weight copies of one
+// packet, E[weight]·p·|E| valid packets in expectation over the |E|
+// underlying edges; invalid packets are then added at f/(1−f) of the
+// valid count, for InvalidFraction f, so that they are a fraction f of
+// the pass. The pass lands in buf's storage, or in a buffer of the
+// expected pass size if buf is nil; the draws and their order are the
+// same either way.
 func (s *Site) observe(rng *xrand.RNG, buf []stream.Packet) ([]stream.Packet, int) {
 	packets := buf[:0]
 	if packets == nil {

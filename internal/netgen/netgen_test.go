@@ -60,8 +60,8 @@ func TestNewSiteDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pa := a.ObservationPass(xrand.New(7))
-	pb := b.ObservationPass(xrand.New(7))
+	pa, _ := a.observe(xrand.New(7), nil)
+	pb, _ := b.observe(xrand.New(7), nil)
 	if len(pa) != len(pb) {
 		t.Fatalf("same seed, different pass sizes: %d vs %d", len(pa), len(pb))
 	}
@@ -77,7 +77,7 @@ func TestObservationPassProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pass := s.ObservationPass(xrand.New(3))
+	pass, _ := s.observe(xrand.New(3), nil)
 	if len(pass) == 0 {
 		t.Fatal("empty observation pass")
 	}
@@ -280,7 +280,7 @@ func BenchmarkObservationPass(b *testing.B) {
 	r := xrand.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.ObservationPass(r)
+		s.observe(r, nil)
 	}
 }
 
@@ -390,7 +390,8 @@ func TestObservationStreamPinned(t *testing.T) {
 			}
 			var firstThree int64
 			for i := 0; i < 3; i++ {
-				for _, p := range twin.ObservationPass(twin.rng.Split()) {
+				pass, _ := twin.observe(twin.rng.Split(), nil)
+				for _, p := range pass {
 					if p.Valid {
 						firstThree++
 					}

@@ -64,25 +64,6 @@ type Bucket struct {
 	Count      int64 `json:"count"`
 }
 
-// Get returns the named metric of the snapshot.
-func (s Snapshot) Get(name string) (Metric, bool) {
-	for _, m := range s.Metrics {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Metric{}, false
-}
-
-// Names returns the metric names in snapshot (sorted) order.
-func (s Snapshot) Names() []string {
-	out := make([]string, len(s.Metrics))
-	for i, m := range s.Metrics {
-		out[i] = m.Name
-	}
-	return out
-}
-
 // WriteJSON renders the snapshot as indented JSON with a trailing
 // newline. The rendering is deterministic: metric order is the
 // snapshot's sorted order and encoding/json field order is fixed.

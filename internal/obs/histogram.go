@@ -56,27 +56,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the total number of observations: the sum of the
-// buckets.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for i := range h.cnts {
-		n += h.cnts[i].Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // snapshot returns cumulative buckets (le semantics: each bucket's
 // count includes every smaller bucket). The count is the +Inf bucket
 // itself, so the two always agree.

@@ -276,19 +276,3 @@ func (s Span) Stop() {
 	}
 	s.t.h.Observe(time.Since(s.t0).Nanoseconds())
 }
-
-// Hist exposes the timer's underlying histogram (nil for a nil timer).
-func (t *Timer) Hist() *Histogram {
-	if t == nil {
-		return nil
-	}
-	return t.h
-}
-
-// Spans reports how many spans have been started.
-func (t *Timer) Spans() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.spans.Value()
-}

@@ -7,6 +7,65 @@ import (
 	"time"
 )
 
+// The readers below are for these tests; the product reads every
+// instrument through Registry.Snapshot.
+
+// Get returns the named metric of the snapshot.
+func (s Snapshot) Get(name string) (Metric, bool) {
+	for _, m := range s.Metrics {
+		if m.Name == name {
+			return m, true
+		}
+	}
+	return Metric{}, false
+}
+
+// Names returns the metric names in snapshot (sorted) order.
+func (s Snapshot) Names() []string {
+	out := make([]string, len(s.Metrics))
+	for i, m := range s.Metrics {
+		out[i] = m.Name
+	}
+	return out
+}
+
+// Count returns the total number of observations: the sum of the
+// buckets.
+func (h *Histogram) Count() int64 {
+	if h == nil {
+		return 0
+	}
+	var n int64
+	for i := range h.cnts {
+		n += h.cnts[i].Load()
+	}
+	return n
+}
+
+// Sum returns the sum of all observed values.
+func (h *Histogram) Sum() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum.Load()
+}
+
+// Hist exposes the timer's underlying histogram (nil for a nil timer).
+func (t *Timer) Hist() *Histogram {
+	if t == nil {
+		return nil
+	}
+	return t.h
+}
+
+// Spans reports how many spans have been started.
+func (t *Timer) Spans() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.spans.Value()
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("palu_test_events_total", "events")

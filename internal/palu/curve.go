@@ -50,20 +50,6 @@ func (c Curve) Eval(d int) float64 {
 	return math.Pow(float64(d), -c.Alpha) + math.Pow(c.R, float64(1-d))*c.UOverC()
 }
 
-// PMF returns the normalized PALU(d) probabilities for d = 1..dmax:
-// Eval(d)/z, with the normalizer z of PooledD.
-func (c Curve) PMF(dmax int) ([]float64, error) {
-	_, z, err := c.binSums(dmax)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, dmax)
-	for d := 1; d <= dmax; d++ {
-		out[d-1] = c.Eval(d) / z
-	}
-	return out, nil
-}
-
 // PooledD returns the binary-log pooled differential cumulative
 // probabilities of the normalized curve over 1..dmax, the quantity plotted
 // in Fig. 4.
@@ -108,7 +94,7 @@ func (c Curve) binSums(dmax int) ([]float64, float64, error) {
 	return out, z, nil
 }
 
-// check validates the curve and the degree range of PMF and PooledD, and
+// check validates the curve and the degree range of PooledD, and
 // that Eq. (5) is a density on 1..dmax: u/c is finite and no PALU(d) is
 // negative. An error names the first negative degree, as a scan over
 // every d would.

@@ -65,9 +65,11 @@ func TestCurveTailIsPowerLaw(t *testing.T) {
 	}
 }
 
+// TestCurvePMFNormalized: the normalized curve, pooled, has mass 1 and
+// no negative bin.
 func TestCurvePMFNormalized(t *testing.T) {
 	c := palu.Curve{Alpha: 2, Delta: -0.75, R: 1.8}
-	pmf, err := c.PMF(1 << 12)
+	pmf, err := c.PooledD(1 << 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,19 +86,16 @@ func TestCurvePMFNormalized(t *testing.T) {
 }
 
 func TestCurvePMFErrors(t *testing.T) {
-	if _, err := (palu.Curve{Alpha: 2, Delta: -0.5, R: 0.5}).PMF(100); err == nil {
+	if _, err := (palu.Curve{Alpha: 2, Delta: -0.5, R: 0.5}).PooledD(100); err == nil {
 		t.Error("invalid r: expected error")
 	}
-	if _, err := (palu.Curve{Alpha: 2, Delta: -0.5, R: 2}).PMF(0); err == nil {
+	if _, err := (palu.Curve{Alpha: 2, Delta: -0.5, R: 2}).PooledD(0); err == nil {
 		t.Error("dmax=0: expected error")
 	}
 	// delta > 0 makes u/c negative; PALU(d) can go negative for small r.
 	const negText = "palu: PALU(2) = -0.4658333561888045 not a density (delta 0.9 gives negative star weight)"
-	if _, err := (palu.Curve{Alpha: 2, Delta: 0.9, R: 1.01}).PMF(1000); err == nil || err.Error() != negText {
-		t.Errorf("negative density: error %v, want %q", err, negText)
-	}
 	if _, err := (palu.Curve{Alpha: 2, Delta: 0.9, R: 1.01}).PooledD(1000); err == nil || err.Error() != negText {
-		t.Errorf("negative density (pooled): error %v, want %q", err, negText)
+		t.Errorf("negative density: error %v, want %q", err, negText)
 	}
 }
 
@@ -109,9 +108,6 @@ func TestCurveRejectsInfiniteUOverC(t *testing.T) {
 	for _, dmax := range []int{1000, 4096} {
 		if pd, err := c.PooledD(dmax); err == nil || err.Error() != want {
 			t.Errorf("PooledD(%d) = %v, %v; want error %q", dmax, pd[:min(len(pd), 3)], err, want)
-		}
-		if _, err := c.PMF(dmax); err == nil || err.Error() != want {
-			t.Errorf("PMF(%d): error %v, want %q", dmax, err, want)
 		}
 	}
 }
@@ -397,7 +393,7 @@ func TestFigure4CurvesWithinTolerance(t *testing.T) {
 			if math.Abs(mass-1) > tolMass {
 				t.Errorf("%+v: pooled mass %v", c, mass)
 			}
-			// The term-by-term sum these curves replaced, PMF included.
+			// The term-by-term sum these curves replaced.
 			for _, small := range []int{1, 2, 1000} {
 				want, err := refPooledD(c, small)
 				if err != nil {
@@ -412,17 +408,6 @@ func TestFigure4CurvesWithinTolerance(t *testing.T) {
 					t.Errorf("%+v dmax=%d: PooledD relative error %.3g against the direct sum", c, small, e)
 				}
 				worstDirect = max(worstDirect, e)
-				wantPMF, err := refPMF(c, small)
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotPMF, err := c.PMF(small)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if e := maxRelErr(gotPMF, wantPMF); e > tolDirect {
-					t.Errorf("%+v dmax=%d: PMF relative error %.3g against the direct sum", c, small, e)
-				}
 			}
 		}
 		t.Logf("α=%v: worst per-bin relative error %.2g against the compensated sum (dmax %d), %.2g against the direct sum (dmax <= 1000)",

@@ -68,22 +68,6 @@ const (
 	CatStarLeaf
 )
 
-// String names the category.
-func (c Category) String() string {
-	switch c {
-	case CatCore:
-		return "core"
-	case CatCoreLeaf:
-		return "core-leaf"
-	case CatStarCenter:
-		return "star-center"
-	case CatStarLeaf:
-		return "star-leaf"
-	default:
-		return fmt.Sprintf("Category(%d)", int(c))
-	}
-}
-
 // CategoryOf returns the category of node id.
 func (u *Underlying) CategoryOf(id int32) (Category, error) {
 	n := int(id)

@@ -80,11 +80,6 @@ func TestCategoryOf(t *testing.T) {
 	if _, err := u.CategoryOf(int32(u.G.NumNodes())); err == nil {
 		t.Error("out-of-range id: expected error")
 	}
-	for _, c := range []Category{CatCore, CatCoreLeaf, CatStarCenter, CatStarLeaf, Category(9)} {
-		if c.String() == "" {
-			t.Error("empty category name")
-		}
-	}
 }
 
 func TestLeafDegreesAreOne(t *testing.T) {

@@ -161,8 +161,8 @@ func TestWindowCacheSameKeyDifferentGeometry(t *testing.T) {
 	}
 	var sw, sn stream.PipelineStats
 	reg := NewRegistry()
-	reg.MustRegister(windowScenario("wide", wide, &sw))
-	reg.MustRegister(windowScenario("narrow", narrow, &sn))
+	register(t, reg, windowScenario("wide", wide, &sw))
+	register(t, reg, windowScenario("narrow", narrow, &sn))
 	eng, err := NewEngine(reg, Config{Workers: 2, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

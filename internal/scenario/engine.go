@@ -86,10 +86,6 @@ func NewEngine(reg *Registry, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// Metrics returns the engine's instrument bundle (nil when Config.
-// Metrics was nil).
-func (e *Engine) Metrics() *Metrics { return e.m }
-
 // CacheStats snapshots the window-cache counters (zero when caching is
 // disabled).
 func (e *Engine) CacheStats() CacheStats {

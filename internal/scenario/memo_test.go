@@ -123,7 +123,7 @@ func TestMemoContext(t *testing.T) {
 	other := WindowReq{Site: testSite(6), NV: 1000, Windows: 1}
 	seven := func() (int, error) { return 7, nil }
 	reg := NewRegistry()
-	reg.MustRegister(Scenario{
+	register(t, reg, Scenario{
 		Name: "first", Title: "first", Windows: []WindowReq{declared, other},
 		Run: func(ctx *Context) (Result, error) {
 			if _, err := Memo(ctx, declared, "n", seven); err != nil {
@@ -133,7 +133,7 @@ func TestMemoContext(t *testing.T) {
 			return textResult("first"), err
 		},
 	})
-	reg.MustRegister(Scenario{
+	register(t, reg, Scenario{
 		Name: "second", Title: "second", Windows: []WindowReq{declared},
 		Run: func(ctx *Context) (Result, error) {
 			if _, err := Memo(ctx, other, "n", seven); err == nil || !strings.Contains(err.Error(), "not declared") {
@@ -196,7 +196,7 @@ func TestEngineMemoCounts(t *testing.T) {
 			}
 			reg := NewRegistry()
 			for _, name := range []string{"fig/a", "sel/a"} {
-				reg.MustRegister(scen(name, []WindowReq{reqA}, func(ctx *Context) error {
+				register(t, reg, scen(name, []WindowReq{reqA}, func(ctx *Context) error {
 					return value(ctx, name, reqA, "ensemble")
 				}))
 			}
@@ -204,11 +204,11 @@ func TestEngineMemoCounts(t *testing.T) {
 				name string
 				req  WindowReq
 			}{{"site/a", reqA}, {"site/b", reqB}} {
-				reg.MustRegister(scen(site.name, []WindowReq{site.req}, func(ctx *Context) error {
+				register(t, reg, scen(site.name, []WindowReq{site.req}, func(ctx *Context) error {
 					return value(ctx, site.name, site.req, "selection")
 				}))
 			}
-			reg.MustRegister(scen("backbone", []WindowReq{reqA, reqB}, func(ctx *Context) error {
+			register(t, reg, scen("backbone", []WindowReq{reqA, reqB}, func(ctx *Context) error {
 				if err := value(ctx, "backbone", reqA, "selection"); err != nil {
 					return err
 				}
@@ -222,7 +222,7 @@ func TestEngineMemoCounts(t *testing.T) {
 				if _, err := eng.Run(); err != nil {
 					t.Fatal(err)
 				}
-				m := eng.Metrics()
+				m := eng.m
 				if h, ms := m.MemoHits.Value(), m.MemoMisses.Value(); h != int64(3*run) || ms != int64(3*run) {
 					t.Errorf("run %d: memo hits/misses = %d/%d, want %d/%d", run, h, ms, 3*run, 3*run)
 				}

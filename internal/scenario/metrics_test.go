@@ -8,6 +8,7 @@ import (
 
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 )
 
 // TestEngineMetricsEndToEnd runs a cached suite with an instrumented
@@ -18,9 +19,9 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	req := WindowReq{Site: testSite(23), NV: 2000, Windows: 2}
 	var s1, s2 stream.PipelineStats
 	reg := NewRegistry()
-	reg.MustRegister(windowScenario("first", req, &s1))
-	reg.MustRegister(windowScenario("second", req, &s2))
-	reg.MustRegister(Scenario{
+	register(t, reg, windowScenario("first", req, &s1))
+	register(t, reg, windowScenario("second", req, &s2))
+	register(t, reg, Scenario{
 		Name: "boom", Title: "boom",
 		Run: func(*Context) (Result, error) { return nil, errors.New("synthetic failure") },
 	})
@@ -38,9 +39,9 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	if len(reports) != 3 {
 		t.Fatalf("reports = %d, want 3", len(reports))
 	}
-	m := eng.Metrics()
+	m := eng.m
 	if m == nil {
-		t.Fatal("instrumented engine returned nil Metrics")
+		t.Fatal("instrumented engine has no Metrics")
 	}
 	if got := m.Runs.Value(); got != 3 {
 		t.Errorf("runs counter = %d, want 3", got)
@@ -48,7 +49,7 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 	if got := m.Failures.Value(); got != 1 {
 		t.Errorf("failures counter = %d, want 1", got)
 	}
-	if got := m.RunTime.Spans(); got != 3 {
+	if got := testenv.Metric(t, obsReg.Snapshot(), "palu_scenario_run_spans_total").Value; got != 3 {
 		t.Errorf("run spans = %d, want 3", got)
 	}
 	if got := m.WorkersBusy.Value(); got != 0 {
@@ -87,9 +88,7 @@ func TestEngineMetricsEndToEnd(t *testing.T) {
 		// The fit layer's instruments are registered though no fit ran.
 		"palu_model_fit_zm_mle_ns", "palu_zipfmand_fit_ns", "palu_model_oracle_calls_total",
 	} {
-		if _, ok := snap.Get(name); !ok {
-			t.Errorf("snapshot missing %s", name)
-		}
+		testenv.Metric(t, snap, name)
 	}
 }
 

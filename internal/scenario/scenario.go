@@ -167,13 +167,6 @@ func (r *Registry) Register(s Scenario) error {
 	return nil
 }
 
-// MustRegister registers, panicking on error (for static suite tables).
-func (r *Registry) MustRegister(s Scenario) {
-	if err := r.Register(s); err != nil {
-		panic(err)
-	}
-}
-
 // Get returns the named scenario.
 func (r *Registry) Get(name string) (Scenario, bool) {
 	s, ok := r.byName[name]

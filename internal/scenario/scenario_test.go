@@ -22,6 +22,14 @@ type textResult string
 
 func (r textResult) Summary() string { return string(r) + "\n" }
 
+// register adds s to reg, failing t when the registry refuses it.
+func register(t testing.TB, reg *Registry, s Scenario) {
+	t.Helper()
+	if err := reg.Register(s); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // okScenario returns a minimal passing scenario.
 func okScenario(name string) Scenario {
 	return Scenario{
@@ -99,11 +107,11 @@ func TestRegistrySelect(t *testing.T) {
 // error, not a crashed suite.
 func TestSchedulerPanicIsolation(t *testing.T) {
 	reg := NewRegistry()
-	reg.MustRegister(Scenario{
+	register(t, reg, Scenario{
 		Name: "p", Title: "p",
 		Run: func(*Context) (Result, error) { panic("kaboom") },
 	})
-	reg.MustRegister(okScenario("q"))
+	register(t, reg, okScenario("q"))
 	eng, err := NewEngine(reg, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +148,8 @@ func TestParallelOverlap(t *testing.T) {
 			}
 		}
 	}
-	reg.MustRegister(Scenario{Name: "left", Title: "l", Run: meet(0, 1)})
-	reg.MustRegister(Scenario{Name: "right", Title: "r", Run: meet(1, 0)})
+	register(t, reg, Scenario{Name: "left", Title: "l", Run: meet(0, 1)})
+	register(t, reg, Scenario{Name: "right", Title: "r", Run: meet(1, 0)})
 	eng, err := NewEngine(reg, Config{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +171,7 @@ func TestSerialNoOverlap(t *testing.T) {
 	var order []string
 	registered := []string{"d", "b", "a", "c"}
 	for _, name := range registered {
-		reg.MustRegister(Scenario{
+		register(t, reg, Scenario{
 			Name: name, Title: "t",
 			Run: func(*Context) (Result, error) {
 				n := inFlight.Add(1)
@@ -225,7 +233,7 @@ func TestContextDeclarations(t *testing.T) {
 	site := testSite(7)
 	declared := WindowReq{Site: site, NV: 2000, Windows: 1}
 	reg := NewRegistry()
-	reg.MustRegister(Scenario{
+	register(t, reg, Scenario{
 		Name: "strict", Title: "s",
 		Outputs: []string{"ok.txt"},
 		Windows: []WindowReq{declared},
@@ -309,8 +317,8 @@ func TestWindowCacheRecordThenReplay(t *testing.T) {
 	run := func() (stream.PipelineStats, stream.PipelineStats, CacheStats) {
 		var s1, s2 stream.PipelineStats
 		reg := NewRegistry()
-		reg.MustRegister(windowScenario("first", req, &s1))
-		reg.MustRegister(windowScenario("second", req, &s2))
+		register(t, reg, windowScenario("first", req, &s1))
+		register(t, reg, windowScenario("second", req, &s2))
 		eng, err := NewEngine(reg, Config{Workers: 4, CacheDir: cacheDir})
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +378,7 @@ func TestWindowCacheStaleArchive(t *testing.T) {
 	}
 	var s stream.PipelineStats
 	reg := NewRegistry()
-	reg.MustRegister(windowScenario("w", req, &s))
+	register(t, reg, windowScenario("w", req, &s))
 	eng, err := NewEngine(reg, Config{Workers: 1, CacheDir: cacheDir})
 	if err != nil {
 		t.Fatal(err)
@@ -394,14 +402,14 @@ func TestWindowCacheStaleArchive(t *testing.T) {
 func TestWindowShareFailureDoesNotSkipSharers(t *testing.T) {
 	req := WindowReq{Site: testSite(23), NV: 1000, Windows: 1}
 	reg := NewRegistry()
-	reg.MustRegister(Scenario{
+	register(t, reg, Scenario{
 		Name: "flaky", Title: "f", Windows: []WindowReq{req},
 		Run: func(*Context) (Result, error) {
 			return nil, errors.New("analysis failed before streaming")
 		},
 	})
 	var s stream.PipelineStats
-	reg.MustRegister(windowScenario("sharer", req, &s))
+	register(t, reg, windowScenario("sharer", req, &s))
 	eng, err := NewEngine(reg, Config{Workers: 1, CacheDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -426,7 +434,7 @@ func TestCachedMatchesDirect(t *testing.T) {
 	collect := func(cacheDir string) []string {
 		var got []string
 		reg := NewRegistry()
-		reg.MustRegister(Scenario{
+		register(t, reg, Scenario{
 			Name: "w", Title: "w", Windows: []WindowReq{req},
 			Run: func(ctx *Context) (Result, error) {
 				_, err := ctx.Stream(req, stream.PipelineConfig{},

@@ -20,8 +20,6 @@ package spmat
 // would otherwise be a serial chain of cache misses. Reset clears slots
 // in place, keeping a pooled builder's capacity warm across windows.
 
-import "math/bits"
-
 // flatKey constrains the key widths the reduction core uses: uint32
 // node ids and uint64 packed (src, dst) link keys.
 type flatKey interface {
@@ -228,25 +226,6 @@ func (t *nodeTable) reset() {
 // len returns the number of occupied slots.
 func (t *nodeTable) len() int { return t.n }
 
-// get returns key's count (0 when absent).
-func (t *flatTable[K]) get(key K) int64 {
-	if t.n == 0 {
-		return 0
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := mix64(uint64(key)) & mask
-	for {
-		s := &t.slots[i]
-		switch {
-		case s.val == 0:
-			return 0
-		case s.key == key:
-			return s.val
-		}
-		i = (i + 1) & mask
-	}
-}
-
 // grow rehashes into a table twice the current capacity (or the minimum
 // for a fresh table).
 func (t *flatTable[K]) grow() {
@@ -295,16 +274,3 @@ func (t *flatTable[K]) reset() {
 
 // len returns the number of occupied slots.
 func (t *flatTable[K]) len() int { return t.n }
-
-// capHint pre-sizes a fresh table for an expected number of entries.
-func (t *flatTable[K]) capHint(entries int) {
-	if len(t.slots) != 0 || entries <= 0 {
-		return
-	}
-	// Size for a <= 3/4 load factor at the hint.
-	c := flatMinCap
-	if need := entries*4/3 + 1; need > c {
-		c = 1 << bits.Len(uint(need-1))
-	}
-	t.slots = make([]flatSlot[K], c)
-}

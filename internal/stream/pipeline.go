@@ -220,15 +220,6 @@ type WindowResult struct {
 	Partial *spmat.WindowPartial
 }
 
-// Hist returns the histogram of quantity q, or nil for an invalid or
-// unread q.
-func (r *WindowResult) Hist(q Quantity) *hist.Histogram {
-	if q < 0 || int(q) >= NumQuantities {
-		return nil
-	}
-	return r.Hists[q]
-}
-
 // Sink consumes completed windows in strict window order (T = 0, 1, ...).
 // A non-nil error cancels the pipeline.
 type Sink interface {

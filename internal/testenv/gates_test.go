@@ -87,7 +87,7 @@ func TestEngineParallelSpeedup(t *testing.T) {
 		var results [scenarios]string
 		reg := scenario.NewRegistry()
 		for i := 0; i < scenarios; i++ {
-			reg.MustRegister(scenario.Scenario{
+			if err := reg.Register(scenario.Scenario{
 				Name: fmt.Sprintf("burn%d", i), Title: "burn",
 				Run: func(*scenario.Context) (scenario.Result, error) {
 					// Deterministic CPU-bound work (FNV-style mixing).
@@ -99,7 +99,9 @@ func TestEngineParallelSpeedup(t *testing.T) {
 					results[i] = fmt.Sprintf("%016x", h)
 					return textResult(results[i]), nil
 				},
-			})
+			}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return reg, &results
 	}

@@ -1,8 +1,10 @@
-// Package testenv holds helpers for tests whose verdict depends on the
-// machine they run on: wall-clock speedup gates that must tell a slow
-// parallel path from CPUs held by another process. The parallel-speedup
-// gates of internal/boot and internal/scenario live in this package's
-// tests, so they run in one binary, one after another.
+// Package testenv holds helpers that tests of several packages share,
+// and that no product code uses. Most serve tests whose verdict depends
+// on the machine they run on: wall-clock speedup gates that must tell a
+// slow parallel path from CPUs held by another process. The
+// parallel-speedup gates of internal/boot and internal/scenario live in
+// this package's tests, so they run in one binary, one after another.
+// The rest read an obs snapshot (metrics.go).
 package testenv
 
 import (

@@ -121,7 +121,7 @@ func TestFusedReplayEquivalence(t *testing.T) {
 		t.Error("fused window artifacts diverge from the unfused reference")
 	}
 	for i := range ref.partials {
-		if !reflect.DeepEqual(ref.partials[i].Partial.Entries(), got.partials[i].Partial.Entries()) {
+		if !reflect.DeepEqual(ref.partials[i].Partial.Matrix().Entries(), got.partials[i].Partial.Matrix().Entries()) {
 			t.Fatalf("window %d: fused partial entries diverge", i)
 		}
 	}

@@ -9,6 +9,7 @@ import (
 
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 )
 
 // TestMetricsRoundTrip pins the exact block/byte accounting of an
@@ -39,7 +40,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.WriteCompressedBytes.Value(); got != info.CompressedBytes {
 		t.Errorf("write compressed bytes = %d, index says %d", got, info.CompressedBytes)
 	}
-	if got := m.PackTime.Spans(); got != int64(info.Blocks) {
+	if got := testenv.Metric(t, reg.Snapshot(), "palu_ptrc_pack_spans_total").Value; got != int64(info.Blocks) {
 		t.Errorf("pack spans = %d, want %d", got, info.Blocks)
 	}
 
@@ -70,7 +71,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	if got := m.ReadRawBytes.Value(); got != info.RawBytes {
 		t.Errorf("read raw bytes = %d, want %d", got, info.RawBytes)
 	}
-	if got := m.UnpackTime.Spans(); got != int64(info.Blocks) {
+	if got := testenv.Metric(t, reg.Snapshot(), "palu_ptrc_unpack_spans_total").Value; got != int64(info.Blocks) {
 		t.Errorf("unpack spans = %d, want %d", got, info.Blocks)
 	}
 	if got := m.CRCFailures.Value(); got != 0 {

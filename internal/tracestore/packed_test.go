@@ -9,6 +9,7 @@ import (
 
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 	"hybridplaw/internal/xrand"
 )
 
@@ -256,7 +257,7 @@ func TestMetricsPacked(t *testing.T) {
 	if got := m.BlocksWritten.Value(); got != int64(info.Blocks) {
 		t.Errorf("blocks written = %d, want %d", got, info.Blocks)
 	}
-	if got := m.PackTime.Spans(); got != int64(info.Blocks) {
+	if got := testenv.Metric(t, reg.Snapshot(), "palu_ptrc_pack_spans_total").Value; got != int64(info.Blocks) {
 		t.Errorf("pack spans = %d, want %d", got, info.Blocks)
 	}
 
@@ -277,7 +278,7 @@ func TestMetricsPacked(t *testing.T) {
 	if got := m.BlocksRead.Value(); got != int64(info.Blocks) {
 		t.Errorf("blocks read = %d, want %d", got, info.Blocks)
 	}
-	if got := m.UnpackTime.Spans(); got != int64(info.Blocks) {
+	if got := testenv.Metric(t, reg.Snapshot(), "palu_ptrc_unpack_spans_total").Value; got != int64(info.Blocks) {
 		t.Errorf("unpack spans = %d, want %d", got, info.Blocks)
 	}
 	if got := m.ReadRawBytes.Value(); got != info.RawBytes {

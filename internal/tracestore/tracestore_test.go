@@ -290,8 +290,8 @@ func TestWriterConcatenatesSources(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Packets() != int64(len(a)+len(b)) {
-		t.Errorf("Packets() = %d", w.Packets())
+	if w.total != int64(len(a)+len(b)) {
+		t.Errorf("total = %d", w.total)
 	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {

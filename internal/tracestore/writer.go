@@ -49,8 +49,11 @@ type Writer struct {
 	blocks []blockInfo
 	total  int64
 	valid  int64
-	closed bool
-	err    error
+	// flushed is the valid packets of the blocks already written, so a
+	// block's own count is valid − flushed.
+	flushed int64
+	closed  bool
+	err     error
 }
 
 // NewWriter writes the file magic and returns a writer archiving into w.
@@ -119,15 +122,9 @@ func (w *Writer) flushBlock() error {
 	w.recBuf = rec
 
 	comp := rec[1+blockHeaderLen:]
-	var valid int64
-	for _, p := range w.buf {
-		if p.Valid {
-			valid++
-		}
-	}
 	info := blockInfo{
 		packets: len(w.buf),
-		valid:   valid,
+		valid:   w.valid - w.flushed,
 		rawLen:  rawLen,
 		compLen: len(comp),
 	}
@@ -144,6 +141,7 @@ func (w *Writer) flushBlock() error {
 	w.opts.Metrics.blockWritten(info.rawLen, info.compLen)
 	w.blocks = append(w.blocks, info)
 	w.buf = w.buf[:0]
+	w.flushed = w.valid
 	return nil
 }
 
@@ -193,12 +191,6 @@ func (w *Writer) Close() error {
 	}
 	return nil
 }
-
-// Packets reports the number of packets archived so far.
-func (w *Writer) Packets() int64 { return w.total }
-
-// ValidPackets reports the number of valid packets archived so far.
-func (w *Writer) ValidPackets() int64 { return w.valid }
 
 // Record archives an entire packet source into w as one PTRC archive
 // (NewWriter + RecordFrom + Close) and returns the packet count. On a

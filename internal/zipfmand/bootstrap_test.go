@@ -45,10 +45,10 @@ func TestBootstrapCICoversTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ci.Alpha.Contains(point.Alpha) {
+	if point.Alpha < ci.Alpha.Lo || point.Alpha > ci.Alpha.Hi {
 		t.Errorf("alpha point %v outside CI [%v, %v]", point.Alpha, ci.Alpha.Lo, ci.Alpha.Hi)
 	}
-	if !ci.Delta.Contains(point.Delta) {
+	if point.Delta < ci.Delta.Lo || point.Delta > ci.Delta.Hi {
 		t.Errorf("delta point %v outside CI [%v, %v]", point.Delta, ci.Delta.Lo, ci.Delta.Hi)
 	}
 	if w := ci.Alpha.Hi - ci.Alpha.Lo; w <= 0 || w > 1 {

@@ -14,6 +14,7 @@ import (
 
 	"hybridplaw/internal/obs"
 	"hybridplaw/internal/stream"
+	"hybridplaw/internal/testenv"
 	"hybridplaw/internal/tracestore"
 	"hybridplaw/internal/xrand"
 )
@@ -82,7 +83,7 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 			t.Fatalf("w=%d: %d windows", workers, stats.Windows)
 		}
 		snap := reg.Snapshot()
-		if !sort.StringsAreSorted(snap.Names()) {
+		if !sort.StringsAreSorted(testenv.MetricNames(snap)) {
 			t.Fatalf("w=%d: snapshot names not sorted", workers)
 		}
 		if i == 0 {
@@ -105,19 +106,14 @@ func TestObsSnapshotEquivalenceAcrossConfigs(t *testing.T) {
 				"palu_ptrc_crc_failures_total":             0,
 			}
 			for name, want := range checks {
-				m, ok := snap.Get(name)
-				if !ok {
-					t.Fatalf("snapshot missing %s", name)
-				}
-				if m.Value != want {
+				if m := testenv.Metric(t, snap, name); m.Value != want {
 					t.Errorf("baseline %s = %d, want %d", name, m.Value, want)
 				}
 			}
 			continue
 		}
-		if !reflect.DeepEqual(snap.Names(), base.Names()) {
-			t.Fatalf("w=%d: snapshot key set diverges from baseline:\n%v\n%v",
-				workers, snap.Names(), base.Names())
+		if got, want := testenv.MetricNames(snap), testenv.MetricNames(base); !reflect.DeepEqual(got, want) {
+			t.Fatalf("w=%d: snapshot key set diverges from baseline:\n%v\n%v", workers, got, want)
 		}
 		for j, m := range snap.Metrics {
 			b := base.Metrics[j]
