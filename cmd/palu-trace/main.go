@@ -134,16 +134,10 @@ func cmdRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(*out)
+	n, err := writeOutput(*out, func(w io.Writer) (int64, error) {
+		return recordSite(w, site, *windows, *nv, tracestore.WriterOptions{BlockSize: *block})
+	})
 	if err != nil {
-		return err
-	}
-	defer f.Close()
-	n, err := recordSite(f, site, *windows, *nv, tracestore.WriterOptions{BlockSize: *block})
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	st, err := os.Stat(*out)
@@ -153,6 +147,24 @@ func cmdRecord(args []string) error {
 	fmt.Printf("recorded %d packets (%d windows x NV=%d) to %s (%d bytes, %.2f bytes/packet)\n",
 		n, *windows, *nv, *out, st.Size(), float64(st.Size())/float64(n))
 	return nil
+}
+
+// writeOutput creates the file at path and runs write into it. When
+// write or the close fails the file is removed, so a failed record or
+// convert leaves no short trace behind for a later run to replay.
+func writeOutput(path string, write func(io.Writer) (int64, error)) (int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return 0, err
+	}
+	n, err := write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return n, err
 }
 
 // isPTRC sniffs the file magic.
@@ -189,21 +201,20 @@ func cmdConvert(args []string) error {
 		return err
 	}
 	defer src.Close()
-	dst, err := os.Create(*out)
+	// Creating the output truncates it, and a failed convert removes it,
+	// so an -out naming the input would destroy the input.
+	if ost, err := os.Stat(*out); err == nil {
+		if ist, err := src.Stat(); err == nil && os.SameFile(ist, ost) {
+			return fmt.Errorf("convert: -out %s is the input file", *out)
+		}
+	}
+	n, err := writeOutput(*out, func(w io.Writer) (int64, error) {
+		if ptrc {
+			return tracestore.PTRCToCSV(src, w)
+		}
+		return tracestore.CSVToPTRC(src, w, tracestore.WriterOptions{BlockSize: *block})
+	})
 	if err != nil {
-		return err
-	}
-	defer dst.Close()
-	var n int64
-	if ptrc {
-		n, err = tracestore.PTRCToCSV(src, dst)
-	} else {
-		n, err = tracestore.CSVToPTRC(src, dst, tracestore.WriterOptions{BlockSize: *block})
-	}
-	if err != nil {
-		return err
-	}
-	if err := dst.Close(); err != nil {
 		return err
 	}
 	fmt.Printf("converted %d packets: %s -> %s\n", n, *in, *out)

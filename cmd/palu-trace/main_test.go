@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -134,6 +138,44 @@ func TestRecordedArchiveRoundTripsThroughCSV(t *testing.T) {
 	}
 	if a.Err() != nil || b.Err() != nil {
 		t.Fatalf("reader errors: %v, %v", a.Err(), b.Err())
+	}
+}
+
+// TestFailedOutputRemoved pins that a failing convert or record removes
+// its output: converting a truncated archive to CSV fails on the missing
+// index after writing most of its packets, and a short CSV left behind
+// would replay as a silently short trace. A convert whose -out names its
+// input is refused before the input is touched.
+func TestFailedOutputRemoved(t *testing.T) {
+	dir := t.TempDir()
+	var archive bytes.Buffer
+	if _, err := recordSite(&archive, testSite(t), 2, 2000, tracestore.WriterOptions{BlockSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	cut := filepath.Join(dir, "cut.ptrc")
+	if err := os.WriteFile(cut, archive.Bytes()[:archive.Len()/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	csv := filepath.Join(dir, "cut.csv")
+	if err := cmdConvert([]string{"-in", cut, "-out", csv}); !errors.Is(err, tracestore.ErrCorrupt) {
+		t.Fatalf("convert of a truncated archive: error %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(csv); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed convert left %s behind (stat error %v)", csv, err)
+	}
+	if err := cmdConvert([]string{"-in", cut, "-out", cut}); err == nil {
+		t.Fatal("convert onto its own input succeeded")
+	}
+	if st, err := os.Stat(cut); err != nil || st.Size() != int64(archive.Len()/2) {
+		t.Errorf("convert onto its own input damaged it: %v, %v", st, err)
+	}
+
+	out := filepath.Join(dir, "bad.ptrc")
+	if err := cmdRecord([]string{"-out", out, "-nv", "100", "-windows", "1", "-nodes", "500", "-block", "-5"}); err == nil {
+		t.Fatal("record with -block -5 succeeded")
+	}
+	if _, err := os.Stat(out); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("failed record left %s behind (stat error %v)", out, err)
 	}
 }
 

@@ -338,13 +338,6 @@ func NewCSVSource(r io.Reader) *CSVSource { return stream.NewCSVSource(r) }
 // PipelineStats.SourcePacketsRead so truncated traces are detectable.
 type PacketCounter = stream.PacketCounter
 
-// BlockSource is the optional bulk extension of PacketSource: sources
-// holding runs of decoded packets (the PTRC reader) hand them whole to
-// bulk consumers such as the PTRC writer and WriteTraceCSVFrom. The
-// pipeline does not use it; it ingests the PTRC reader through its
-// fused block decode.
-type BlockSource = stream.BlockSource
-
 // WriteTraceCSV archives a packet slice as a trace CSV (src,dst,valid).
 func WriteTraceCSV(w io.Writer, packets []Packet) error {
 	return stream.WriteTraceCSV(w, packets)
@@ -365,7 +358,8 @@ type TraceWriter = tracestore.Writer
 type TraceWriterOptions = tracestore.WriterOptions
 
 // TraceReader replays a PTRC archive sequentially; it implements
-// PacketSource and BlockSource.
+// PacketSource, and the pipeline ingests it through its fused block
+// decode.
 type TraceReader = tracestore.Reader
 
 // TraceArchiveInfo summarizes a PTRC archive from its index.

@@ -5,6 +5,7 @@ import (
 
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/stats"
+	"hybridplaw/internal/zipfmand"
 )
 
 // problemOf returns the likelihood problem of zm-mle, lognormal or
@@ -38,11 +39,12 @@ func NegLogLikJet(f Fitter, h *hist.Histogram, x [2]float64) stats.Jet {
 // their likelihood problem.
 func FitFromEachStart(f Fitter, h *hist.Histogram) (starts [][2]float64, fits []FitResult, errs []error) {
 	if f, ok := f.(ZMFitter); ok {
-		for _, s := range f.Opts.Starts {
+		opts := zipfmand.DefaultFitOptions()
+		for _, s := range opts.Starts {
 			starts = append(starts, [2]float64{s[0], s[1]})
-			one := f
-			one.Opts.Starts = [][]float64{s}
-			fit, err := one.Fit(h)
+			one := opts
+			one.Starts = [][]float64{s}
+			fit, err := f.fit(h, one)
 			fits, errs = append(fits, fit), append(errs, err)
 		}
 		return starts, fits, errs

@@ -159,31 +159,35 @@ func (r *Registry) FitAll(h *hist.Histogram, names ...string) (results []FitResu
 // canonical order: zm, zm-mle, csn, plaw, palu, lognormal, truncplaw.
 func Default() *Registry {
 	r := NewRegistry()
-	r.MustRegister(ZMFitter{Opts: zipfmand.DefaultFitOptions()})
+	r.MustRegister(ZMFitter{})
 	r.MustRegister(ZMMLEFitter{})
 	r.MustRegister(CSNFitter{})
 	r.MustRegister(PowerLawFitter{})
-	r.MustRegister(PALUFitter{Opts: estimate.DefaultOptions()})
+	r.MustRegister(PALUFitter{})
 	r.MustRegister(LognormalFitter{})
 	r.MustRegister(TruncPowerLawFitter{})
 	return r
 }
 
-// ZMFitter wraps the Section II.B least-squares fit (zipfmand.Fit) —
-// numerically identical to the legacy path.
-type ZMFitter struct {
-	Opts zipfmand.FitOptions
-}
+// ZMFitter wraps the Section II.B least-squares fit (zipfmand.Fit)
+// under zipfmand.DefaultFitOptions — numerically identical to the
+// legacy path.
+type ZMFitter struct{}
 
 // Name implements Fitter.
 func (ZMFitter) Name() string { return "zm" }
 
 // Fit implements Fitter.
 func (f ZMFitter) Fit(h *hist.Histogram) (FitResult, error) {
+	return f.fit(h, zipfmand.DefaultFitOptions())
+}
+
+// fit is Fit under opts; tests fit from one start at a time through it.
+func (f ZMFitter) fit(h *hist.Histogram, opts zipfmand.FitOptions) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	fr, _, err := zipfmand.FitHistogram(h, f.Opts)
+	fr, _, err := zipfmand.FitHistogram(h, opts)
 	if err != nil {
 		return FitResult{}, err
 	}
@@ -300,11 +304,9 @@ func (p mleProblem) fit(name string, h *hist.Histogram) (FitResult, error) {
 
 // CSNFitter wraps the Clauset–Shalizi–Newman procedure
 // (powerlaw.FitScan: KS-optimal xmin, MLE exponent by a Newton solve of
-// the likelihood score) — numerically identical to calling FitScan.
-// MaxXmin caps the scan (0: the 90th-percentile default).
-type CSNFitter struct {
-	MaxXmin int
-}
+// the likelihood score) — numerically identical to calling FitScan
+// with the default 90th-percentile cap on the xmin scan.
+type CSNFitter struct{}
 
 // Name implements Fitter.
 func (CSNFitter) Name() string { return "csn" }
@@ -314,7 +316,7 @@ func (f CSNFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	fit, err := powerlaw.FitScan(h, f.MaxXmin)
+	fit, err := powerlaw.FitScan(h, 0)
 	if err != nil {
 		return FitResult{}, err
 	}
@@ -363,10 +365,9 @@ func (f PowerLawFitter) Fit(h *hist.Histogram) (FitResult, error) {
 }
 
 // PALUFitter wraps the Section IV.B estimation pipeline
-// (estimate.Estimate) — numerically identical to the legacy path.
-type PALUFitter struct {
-	Opts estimate.Options
-}
+// (estimate.Estimate under estimate.DefaultOptions) — numerically
+// identical to the legacy path.
+type PALUFitter struct{}
 
 // Name implements Fitter.
 func (PALUFitter) Name() string { return "palu" }
@@ -376,7 +377,7 @@ func (f PALUFitter) Fit(h *hist.Histogram) (FitResult, error) {
 	if err := validateHist(h); err != nil {
 		return FitResult{}, err
 	}
-	res, err := estimate.Estimate(h, f.Opts)
+	res, err := estimate.Estimate(h, estimate.DefaultOptions())
 	if err != nil {
 		return FitResult{}, err
 	}

@@ -10,18 +10,6 @@ import (
 	"hybridplaw/internal/xrand"
 )
 
-// LeafAttachment selects how core leaves pick their host core node.
-type LeafAttachment int
-
-const (
-	// AttachPreferential attaches leaves to core nodes with probability
-	// proportional to core degree, concentrating leaves on supernodes as in
-	// Fig. 2 ("supernode leaves").
-	AttachPreferential LeafAttachment = iota
-	// AttachUniform attaches leaves to uniformly random core nodes.
-	AttachUniform
-)
-
 // GenerateOptions configures the graph-based generator.
 type GenerateOptions struct {
 	// N is the underlying node budget; the three sections receive
@@ -29,12 +17,6 @@ type GenerateOptions struct {
 	// top of the budget, matching the paper's bookkeeping in which U counts
 	// star centers).
 	N int
-	// Attachment selects the leaf attachment rule (default preferential).
-	Attachment LeafAttachment
-	// MaxCoreDegree caps sampled core degrees to keep the configuration
-	// model realizable; 0 selects the core size (an absolute upper bound on
-	// simple-graph degrees; the multigraph tolerates it gracefully).
-	MaxCoreDegree int
 	// MinCoreDegree raises sampled core degrees below the floor up to it
 	// (0 or 1 leaves the pure zeta law). A floor >= 2 models vantage
 	// points that only see established multi-peer infrastructure, which
@@ -104,14 +86,12 @@ func Generate(params Params, opts GenerateOptions, rng *xrand.RNG) (*Underlying,
 	leafN := int(math.Round(params.L * float64(opts.N)))
 	starN := int(math.Round(params.U * float64(opts.N)))
 
-	maxDeg := opts.MaxCoreDegree
-	if maxDeg <= 0 {
-		maxDeg = coreN
-	}
 	var g *graph.Graph
 	var err error
 	if coreN > 0 {
-		degrees, derr := graph.ZetaDegreeSequence(coreN, params.Alpha, maxDeg, rng)
+		// Core degrees are capped at the core size, an absolute upper
+		// bound on simple-graph degrees (the multigraph tolerates it).
+		degrees, derr := graph.ZetaDegreeSequence(coreN, params.Alpha, coreN, rng)
 		if derr != nil {
 			return nil, derr
 		}
@@ -131,8 +111,10 @@ func Generate(params Params, opts GenerateOptions, rng *xrand.RNG) (*Underlying,
 		return nil, err
 	}
 
-	// Core leaves. Preferential attachment samples a uniform edge endpoint
-	// (degree-proportional); uniform picks any core node.
+	// Core leaves attach preferentially: a uniform edge endpoint is a
+	// core node drawn with probability proportional to its degree, which
+	// concentrates leaves on supernodes as in Fig. 2 ("supernode
+	// leaves"). A core with no edges falls back to a uniform core node.
 	endpoints := make([]int32, 0, 2*g.NumEdges())
 	for _, e := range g.Edges() {
 		endpoints = append(endpoints, e.U, e.V)
@@ -143,7 +125,7 @@ func Generate(params Params, opts GenerateOptions, rng *xrand.RNG) (*Underlying,
 			continue // degenerate: leaves with no core stay isolated
 		}
 		var host int32
-		if opts.Attachment == AttachPreferential && len(endpoints) > 0 {
+		if len(endpoints) > 0 {
 			host = endpoints[rng.Intn(len(endpoints))]
 		} else {
 			host = int32(rng.Intn(coreN))

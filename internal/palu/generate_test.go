@@ -103,21 +103,30 @@ func TestLeafDegreesAreOne(t *testing.T) {
 
 func TestUniformVsPreferentialAttachment(t *testing.T) {
 	// Preferential attachment should concentrate leaves on the supernode
-	// far more than uniform attachment.
+	// far beyond the 1/coreN share uniform attachment would give it.
 	params, _ := FromWeights(1, 3, 0, 0, 1.8)
-	concentration := func(att LeafAttachment, seed uint64) float64 {
-		r := xrand.New(seed)
-		u, err := Generate(params, GenerateOptions{N: 30000, Attachment: att}, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, dmax := u.G.MaxDegreeNode()
-		return float64(dmax) / float64(u.LeafN)
+	u, err := Generate(params, GenerateOptions{N: 30000}, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	pref := concentration(AttachPreferential, 5)
-	unif := concentration(AttachUniform, 5)
-	if pref <= unif {
-		t.Errorf("preferential concentration %v <= uniform %v", pref, unif)
+	hub, _ := u.G.MaxDegreeNode()
+	leaves := 0
+	for _, e := range u.G.Edges() {
+		// A core leaf's one edge joins it to its host.
+		leaf := e.V
+		if e.V == hub {
+			leaf = e.U
+		} else if e.U != hub {
+			continue
+		}
+		if int(leaf) >= u.CoreN && int(leaf) < u.CoreN+u.LeafN {
+			leaves++
+		}
+	}
+	share, uniform := float64(leaves)/float64(u.LeafN), 1/float64(u.CoreN)
+	t.Logf("supernode holds %d of %d leaves (share %.4g, uniform %.4g)", leaves, u.LeafN, share, uniform)
+	if share <= 10*uniform {
+		t.Errorf("supernode leaf share %.4g, want > 10 × the uniform share %.4g", share, uniform)
 	}
 }
 

@@ -87,22 +87,6 @@ type PacketCounter interface {
 	PacketsRead() int64
 }
 
-// BlockSource is the optional bulk extension of PacketSource: sources
-// that naturally hold runs of decoded packets (the tracestore block
-// reader) expose them whole, so bulk consumers — WriteTraceCSVFrom —
-// drain them without one interface call per packet. Run does not use
-// it: the PTRC reader is also an EncodedBlockSource, and every other
-// source is read per packet.
-type BlockSource interface {
-	PacketSource
-	// NextBlock returns the next run of packets, or ok = false at end of
-	// stream (then Err reports the cause, as for Next). The returned
-	// slice is only valid until the next NextBlock/Next call: callers
-	// must copy what they keep. Next and NextBlock may be interleaved;
-	// both consume the same underlying sequence.
-	NextBlock() ([]Packet, bool)
-}
-
 // EncodedBlockSource is the fused extension of PacketSource: sources
 // whose blocks exist in an encoded on-disk form (the PTRC reader)
 // decode them directly into the window under construction, with no
@@ -115,8 +99,7 @@ type EncodedBlockSource interface {
 	// valid/invalid split of the packets consumed, full = true when w
 	// reached its window size, and ok = false at end of stream (the
 	// consumer must then check Err). A call consumes at most one block
-	// run; callers loop. DecodeInto must not be interleaved with Next or
-	// NextBlock on the same source.
+	// run; callers loop.
 	DecodeInto(w *PairWindow) (valid, invalid int64, full, ok bool)
 }
 

@@ -15,11 +15,9 @@ import (
 // (source, destination) sequence of valid packets.
 
 // WriteTraceCSVFrom streams packets from src as "src,dst,valid" lines
-// with a header, and returns the number of packets written. Sources that
-// expose whole blocks (BlockSource) are drained block-at-a-time — one
-// interface call per archive block instead of one per packet — but
-// either way packets stream through a small line buffer, so archiving a
-// trace never requires materializing it.
+// with a header, and returns the number of packets written. Packets
+// stream through a small line buffer, so archiving a trace never
+// requires materializing it.
 func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 	bw := bufio.NewWriter(w)
 	if _, err := fmt.Fprintln(bw, "src,dst,valid"); err != nil {
@@ -27,7 +25,7 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 	}
 	var n int64
 	buf := make([]byte, 0, 32)
-	line := func(p Packet) error {
+	for p, ok := src.Next(); ok; p, ok = src.Next() {
 		buf = strconv.AppendUint(buf[:0], uint64(p.Src), 10)
 		buf = append(buf, ',')
 		buf = strconv.AppendUint(buf, uint64(p.Dst), 10)
@@ -36,33 +34,10 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 		} else {
 			buf = append(buf, ",0\n"...)
 		}
-		_, err := bw.Write(buf)
-		return err
-	}
-	if bs, ok := src.(BlockSource); ok {
-		for {
-			blk, ok := bs.NextBlock()
-			if !ok {
-				break
-			}
-			for _, p := range blk {
-				if err := line(p); err != nil {
-					return n, err
-				}
-				n++
-			}
+		if _, err := bw.Write(buf); err != nil {
+			return n, err
 		}
-	} else {
-		for {
-			p, ok := src.Next()
-			if !ok {
-				break
-			}
-			if err := line(p); err != nil {
-				return n, err
-			}
-			n++
-		}
+		n++
 	}
 	if err := src.Err(); err != nil {
 		return n, err

@@ -2,9 +2,9 @@ package tracestore
 
 // The fused-replay property pin: the one-pass DecodeInto path must be
 // byte-identical to the per-packet decode→reduce path, including the
-// KeepPartials/PartialSink products. The unfused reference is obtained by wrapping a reader so
-// the pipeline cannot see its EncodedBlockSource implementation and
-// reads it one packet at a time through Next.
+// KeepPartials/PartialSink products. The per-packet path is obtained by
+// wrapping a reader so the pipeline cannot see its EncodedBlockSource
+// implementation and reads it one packet at a time through Next.
 
 import (
 	"bytes"
@@ -16,8 +16,9 @@ import (
 )
 
 // unfusedSource hides a reader's EncodedBlockSource implementation so
-// stream.Run takes the per-packet Next path: the behavioral reference
-// the fused path is pinned against.
+// stream.Run adapts its Next through packetDecoder. Both paths read the
+// same packedWalker, so the pin is packetDecoder's batching and window
+// closing against DecodeInto's.
 type unfusedSource struct {
 	src interface {
 		stream.PacketSource
@@ -176,5 +177,73 @@ func TestDecodeIntoDirect(t *testing.T) {
 	}
 	if r.PacketsRead() != int64(n) {
 		t.Fatalf("PacketsRead = %d, want %d", r.PacketsRead(), n)
+	}
+}
+
+// TestReaderSurfacesInterleave alternates Next, NextBlock and DecodeInto
+// on one reader across block boundaries: all three advance the same
+// walk, so together they deliver the recorded packets in order, once
+// each, and the index check at the end passes.
+func TestReaderSurfacesInterleave(t *testing.T) {
+	const (
+		n     = 5000
+		block = 256
+		run   = 97  // Next packets per turn, misaligned with the block
+		nv    = 131 // DecodeInto window, misaligned with both
+	)
+	ps := synthPackets(9, n, 500, 5)
+	data := writeArchive(t, ps, WriterOptions{BlockSize: block})
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := stream.NewPairWindow(nv)
+	at := 0
+	for turn, more := 0, true; more; turn++ {
+		switch turn % 3 {
+		case 0:
+			for k := 0; k < run && more; k++ {
+				var p stream.Packet
+				if p, more = r.Next(); more {
+					if at >= n || p != ps[at] {
+						t.Fatalf("Next at packet %d: got %+v", at, p)
+					}
+					at++
+				}
+			}
+		case 1:
+			var blk []stream.Packet
+			if blk, more = r.NextBlock(); more {
+				if at+len(blk) > n || !reflect.DeepEqual(blk, ps[at:at+len(blk)]) {
+					t.Fatalf("NextBlock at packet %d: %d packets differ from the recorded ones", at, len(blk))
+				}
+				at += len(blk)
+			}
+		case 2:
+			w.Reset()
+			var valid, invalid int64
+			var full bool
+			valid, invalid, full, more = r.DecodeInto(w)
+			end := at + int(valid+invalid)
+			if end > n {
+				t.Fatalf("DecodeInto at packet %d consumed %d packets of %d", at, valid+invalid, n)
+			}
+			want := int64(0)
+			for _, p := range ps[at:end] {
+				if p.Valid {
+					want++
+				}
+			}
+			if valid != want || (full && !ps[end-1].Valid) {
+				t.Fatalf("DecodeInto at packet %d: %d valid of %d (full %v), want %d valid", at, valid, valid+invalid, full, want)
+			}
+			at = end
+		}
+	}
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if at != n || r.PacketsRead() != n {
+		t.Fatalf("delivered %d packets, PacketsRead %d, want %d", at, r.PacketsRead(), n)
 	}
 }

@@ -115,8 +115,8 @@ func FuzzReader(f *testing.F) {
 // packed-column block payload: one bit at a time off a flat LSB-first
 // bitstream, uvarints via binary.Uvarint, no batching, no fast paths.
 // It exists only as the differential oracle for FuzzPackedCodec — any
-// divergence from decodeBlockPacked (which value, or whether the
-// payload is corrupt at all) is a bug in the optimized decoder.
+// divergence from packedWalker (which value, or whether the payload is
+// corrupt at all) is a bug in the optimized decoder.
 func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
 	pos := 0
 	uvarint := func() (uint64, bool) {
@@ -254,11 +254,11 @@ func refDecodePacked(raw []byte, n int) ([]stream.Packet, error) {
 var errRef = errors.New("reference decoder: corrupt payload")
 
 // FuzzPackedCodec is the differential fuzz of the packed-column block
-// decoder against refDecodePacked: for arbitrary payload bytes and
-// packet counts, both decoders must agree on corrupt-vs-valid, and on
-// every decoded packet when valid. Seeds cover valid payloads from the
-// real encoder plus bit flips and truncations; the fuzzer mutates from
-// there.
+// walker against refDecodePacked: for arbitrary payload bytes and
+// packet counts, the walker's next and decodeInto must agree with the
+// reference on corrupt-vs-valid, and next on every decoded packet when
+// valid. Seeds cover valid payloads from the real encoder plus bit
+// flips and truncations; the fuzzer mutates from there.
 func FuzzPackedCodec(f *testing.F) {
 	r := xrand.New(11)
 	mkPayload := func(n int, invalidEvery int, wide bool) []byte {
@@ -294,34 +294,46 @@ func FuzzPackedCodec(f *testing.F) {
 		}
 		n %= 1 << 16 // bound the reference decoder's allocation
 
-		got, gotErr := decodeBlockPacked(raw, n, nil)
 		want, wantErr := refDecodePacked(raw, n)
+
+		// next: every packet value, and the corruption verdict.
+		var pw packedWalker
+		var got []stream.Packet
+		gotErr := pw.init(raw, n)
+		for gotErr == nil && !pw.exhausted() {
+			var p stream.Packet
+			if p, gotErr = pw.next(); gotErr == nil {
+				got = append(got, p)
+			}
+		}
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("n=%d: decodeBlockPacked err=%v, reference err=%v", n, gotErr, wantErr)
+			t.Fatalf("n=%d: walker next err=%v, reference err=%v", n, gotErr, wantErr)
 		}
-		if gotErr != nil {
-			checkFuzzErr(t, gotErr)
-			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: decoded %d packets, reference %d", n, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d packet %d: decodeBlockPacked %+v, reference %+v", n, i, got[i], want[i])
+		checkFuzzErr(t, gotErr)
+		if gotErr == nil {
+			if len(got) != len(want) {
+				t.Fatalf("n=%d: decoded %d packets, reference %d", n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d packet %d: walker %+v, reference %+v", n, i, got[i], want[i])
+				}
 			}
 		}
 
-		// The fused walker must agree with the unfused decode on the
-		// same payload: same valid/invalid split, same packed keys.
-		var pw packedWalker
-		if err := pw.init(raw, n); err != nil {
-			t.Fatalf("n=%d: walker init failed on payload decodeBlockPacked accepted: %v", n, err)
+		// decodeInto: the same verdict and the same valid/invalid split.
+		var dw packedWalker
+		var valid, invalid int64
+		err := dw.init(raw, n)
+		if err == nil {
+			valid, invalid, err = dw.decodeInto(stream.NewPairWindow(int64(n) + 1))
 		}
-		sink := stream.NewPairWindow(int64(len(want)) + 1)
-		valid, invalid, err := pw.decodeInto(sink)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("n=%d: walker decodeInto err=%v, reference err=%v", n, err, wantErr)
+		}
+		checkFuzzErr(t, err)
 		if err != nil {
-			t.Fatalf("n=%d: walker failed on payload decodeBlockPacked accepted: %v", n, err)
+			return
 		}
 		var wantValid int64
 		for _, p := range want {

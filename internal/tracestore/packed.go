@@ -446,50 +446,17 @@ func encodeBlockPacked(dst []byte, packets []stream.Packet) ([]byte, int) {
 	return dst, rawLen
 }
 
-// decodeBlockPacked decodes a packed block payload of n packets into
-// out (appended), verifying that the payload is consumed exactly. This
-// is the unfused packet path (Next/NextBlock); the fused path walks the
-// same layout through packedWalker without materializing packets.
-func decodeBlockPacked(raw []byte, n int, out []stream.Packet) ([]stream.Packet, error) {
-	bitmap, pos, _, err := decodeValidity(raw, n, nil)
-	if err != nil {
-		return out, err
-	}
-	base := len(out)
-	for i := 0; i < n; i++ {
-		out = append(out, stream.Packet{Valid: bitmap[i/8]&(1<<uint(i%8)) != 0})
-	}
-	var src, dst [packedGroup]uint32
-	for at := 0; at < n; at += packedGroup {
-		m := min(packedGroup, n-at)
-		if pos, err = decodeMiniblock(raw, pos, m, src[:m]); err != nil {
-			return out, err
-		}
-		if pos, err = decodeMiniblock(raw, pos, m, dst[:m]); err != nil {
-			return out, err
-		}
-		for i := 0; i < m; i++ {
-			out[base+at+i].Src = src[i]
-			out[base+at+i].Dst = dst[i]
-		}
-	}
-	if pos != len(raw) {
-		return out, corruptf("%d trailing bytes after packed columns", len(raw)-pos)
-	}
-	return out, nil
-}
-
 // decodeBatch is the stack batch size of the fused decoder: pairs are
 // deposited into the window in runs of this size so the flat tables (or
 // the window's key buffer) work on whole batches.
 const decodeBatch = 256
 
-// packedWalker is the resumable state of a fused block decode: one
-// walk over a packed payload, never materialized as []stream.Packet.
-// Groups of 256
-// packets are unpacked into two column buffers and deposited as packed
-// src<<32|dst link keys; a window boundary suspends the walk between
-// deposits and the next decodeInto call resumes it.
+// packedWalker is the reader's block state: one resumable walk over a
+// packed payload, never materialized as []stream.Packet. Groups of 256
+// packets are unpacked into two column buffers; next hands them out one
+// packet at a time, and decodeInto deposits them as packed src<<32|dst
+// link keys, suspending between deposits at a window boundary so the
+// next call resumes the walk.
 type packedWalker struct {
 	raw     []byte // packed block payload
 	n       int    // packets in the block
@@ -503,12 +470,16 @@ type packedWalker struct {
 }
 
 // init points the walker at a fresh packed payload, decoding the
-// validity section.
+// validity section. A payload of no packets has no group to carry the
+// trailing-bytes check, so init makes it.
 func (e *packedWalker) init(raw []byte, n int) error {
 	bitmap, pos, scratch, err := decodeValidity(raw, n, e.scratch)
 	e.scratch = scratch
 	if err != nil {
 		return err
+	}
+	if n == 0 && pos != len(raw) {
+		return corruptf("%d trailing bytes after packed columns", len(raw)-pos)
 	}
 	e.raw, e.n, e.i, e.pos = raw, n, 0, pos
 	e.bitmap, e.gi, e.gn = bitmap, 0, 0
@@ -517,6 +488,39 @@ func (e *packedWalker) init(raw []byte, n int) error {
 
 // exhausted reports whether the walker has no packets left.
 func (e *packedWalker) exhausted() bool { return e.i >= e.n }
+
+// group unpacks the next group's src and dst miniblocks. Unpacking the
+// block's last group also checks that the payload is consumed exactly,
+// so trailing bytes fail before that group's packets are handed out.
+func (e *packedWalker) group() error {
+	m := min(packedGroup, e.n-e.i)
+	pos, err := decodeMiniblock(e.raw, e.pos, m, e.src[:m])
+	if err != nil {
+		return err
+	}
+	if pos, err = decodeMiniblock(e.raw, pos, m, e.dst[:m]); err != nil {
+		return err
+	}
+	if e.i+m == e.n && pos != len(e.raw) {
+		return corruptf("%d trailing bytes after packed columns", len(e.raw)-pos)
+	}
+	e.pos, e.gi, e.gn = pos, 0, m
+	return nil
+}
+
+// next returns the block's next packet. The caller checks exhausted
+// first.
+func (e *packedWalker) next() (stream.Packet, error) {
+	if e.gi == e.gn {
+		if err := e.group(); err != nil {
+			return stream.Packet{}, err
+		}
+	}
+	p := stream.Packet{Src: e.src[e.gi], Dst: e.dst[e.gi], Valid: e.bitmap[e.i/8]&(1<<uint(e.i%8)) != 0}
+	e.gi++
+	e.i++
+	return p, nil
+}
 
 // decodeInto decodes packets until the window fills or the block runs
 // out, depositing valid packets as packed link keys and counting
@@ -529,14 +533,9 @@ func (e *packedWalker) decodeInto(w *stream.PairWindow) (valid, invalid int64, e
 	rem := w.Remaining()
 	for e.i < e.n && rem > 0 {
 		if e.gi == e.gn {
-			m := min(packedGroup, e.n-e.i)
-			if e.pos, err = decodeMiniblock(e.raw, e.pos, m, e.src[:m]); err != nil {
+			if err = e.group(); err != nil {
 				break
 			}
-			if e.pos, err = decodeMiniblock(e.raw, e.pos, m, e.dst[:m]); err != nil {
-				break
-			}
-			e.gi, e.gn = 0, m
 		}
 		for e.gi < e.gn && rem > 0 {
 			ok := e.bitmap[e.i/8]&(1<<uint(e.i%8)) != 0
@@ -559,9 +558,6 @@ func (e *packedWalker) decodeInto(w *stream.PairWindow) (valid, invalid int64, e
 	}
 	if k > 0 {
 		w.AddPairs(batch[:k])
-	}
-	if err == nil && e.i == e.n && e.pos != len(e.raw) {
-		err = corruptf("%d trailing bytes after packed columns", len(e.raw)-e.pos)
 	}
 	return valid, invalid, err
 }

@@ -21,10 +21,9 @@ type Reader struct {
 	m      *Metrics
 	hdr    [1 + blockHeaderLen]byte
 	comp   []byte
-	buf    []stream.Packet
 	walk   packedWalker
-	i      int
-	off    int64 // bytes consumed from r
+	block  []stream.Packet // NextBlock's reused result
+	off    int64           // bytes consumed from r
 	read   int64
 	valid  int64
 	blocks int64
@@ -58,25 +57,16 @@ func (r *Reader) readFull(b []byte) error {
 	return err
 }
 
-// fill ensures the packet buffer has unconsumed packets, reading records
-// as needed; false means end of stream or error.
-func (r *Reader) fill() bool {
-	for r.i >= len(r.buf) {
-		if r.done || r.err != nil {
-			return false
-		}
-		r.nextBlock()
-	}
-	return true
-}
-
 // Next implements stream.PacketSource.
 func (r *Reader) Next() (stream.Packet, bool) {
-	if !r.fill() {
+	if !r.stage() {
 		return stream.Packet{}, false
 	}
-	p := r.buf[r.i]
-	r.i++
+	p, err := r.walk.next()
+	if err != nil {
+		r.err = err
+		return stream.Packet{}, false
+	}
 	r.read++
 	if p.Valid {
 		r.valid++
@@ -84,22 +74,21 @@ func (r *Reader) Next() (stream.Packet, bool) {
 	return p, true
 }
 
-// NextBlock implements stream.BlockSource: it returns the unconsumed
-// remainder of the current block. The slice is only valid until the next
-// Next/NextBlock call.
+// NextBlock returns the unconsumed remainder of the current block, read
+// through Next. The slice is only valid until the next NextBlock call.
 func (r *Reader) NextBlock() ([]stream.Packet, bool) {
-	if !r.fill() {
+	if !r.stage() {
 		return nil, false
 	}
-	blk := r.buf[r.i:]
-	r.i = len(r.buf)
-	r.read += int64(len(blk))
-	for _, p := range blk {
-		if p.Valid {
-			r.valid++
+	r.block = r.block[:0]
+	for !r.walk.exhausted() {
+		p, ok := r.Next()
+		if !ok {
+			break
 		}
+		r.block = append(r.block, p)
 	}
-	return blk, true
+	return r.block, len(r.block) > 0
 }
 
 // readRecord reads the next record's tag, header and stored payload
@@ -153,40 +142,28 @@ func (r *Reader) readRecord() (blockHeader, bool) {
 	return h, true
 }
 
-// nextBlock reads the next record: a block refills the packet buffer; the
-// index record ends the stream after verifying the totals and footer.
-func (r *Reader) nextBlock() {
-	h, ok := r.readRecord()
-	if !ok {
-		return
+// stage makes sure the walker has packets left, reading records as
+// needed: a block is handed to the walker, and the index record ends the
+// stream after finish verifies the totals and footer. false means end of
+// stream or error.
+func (r *Reader) stage() bool {
+	for r.err == nil && !r.done && r.walk.exhausted() {
+		if h, ok := r.readRecord(); ok {
+			r.err = r.walk.init(r.comp, h.packets)
+		}
 	}
-	var err error
-	r.buf, err = decodeBlockPacked(r.comp, h.packets, r.buf[:0])
-	if err != nil {
-		r.err = err
-		r.buf = r.buf[:0]
-		return
-	}
-	r.i = 0
+	return r.err == nil && !r.walk.exhausted()
 }
 
 // DecodeInto implements stream.EncodedBlockSource: it stages the next
 // block (or resumes the current one) and decodes its pairs directly
 // into w — the fused one-pass replay path, no []stream.Packet
 // materialization: keys are deposited straight from the bit-packed
-// columns. DecodeInto must not be interleaved with Next or NextBlock on
-// the same Reader: both paths consume the same underlying record
-// sequence but buffer independently.
+// columns. It may be interleaved with Next and NextBlock: all three
+// advance the same walk.
 func (r *Reader) DecodeInto(w *stream.PairWindow) (valid, invalid int64, full, ok bool) {
-	if r.walk.exhausted() {
-		h, okr := r.readRecord()
-		if !okr {
-			return 0, 0, false, false
-		}
-		if err := r.walk.init(r.comp, h.packets); err != nil {
-			r.err = err
-			return 0, 0, false, false
-		}
+	if !r.stage() {
+		return 0, 0, false, false
 	}
 	var err error
 	valid, invalid, err = r.walk.decodeInto(w)

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hybridplaw/internal/stream"
@@ -301,8 +302,11 @@ func TestWriterConcatenatesSources(t *testing.T) {
 }
 
 func TestWriterOptionValidation(t *testing.T) {
-	if _, err := NewWriter(&bytes.Buffer{}, WriterOptions{BlockSize: maxBlockPackets + 1}); err == nil {
-		t.Error("expected error for oversized block")
+	for _, size := range []int{maxBlockPackets + 1, -5} {
+		_, err := NewWriter(&bytes.Buffer{}, WriterOptions{BlockSize: size})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("block size %d ", size)) {
+			t.Errorf("BlockSize %d: error %v, want one naming the block size", size, err)
+		}
 	}
 }
 

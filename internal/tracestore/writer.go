@@ -14,8 +14,8 @@ import (
 // WriterOptions configures a PTRC writer. The zero value selects the
 // defaults.
 type WriterOptions struct {
-	// BlockSize is the number of packets per block; <= 0 selects
-	// DefaultBlockSize.
+	// BlockSize is the number of packets per block; 0 selects
+	// DefaultBlockSize, and a negative size is an error.
 	BlockSize int
 	// Metrics, when non-nil, instruments the writer (blocks written,
 	// per-block encode time, raw/compressed byte totals).
@@ -23,10 +23,12 @@ type WriterOptions struct {
 }
 
 func (o WriterOptions) normalize() (WriterOptions, error) {
-	if o.BlockSize <= 0 {
+	switch {
+	case o.BlockSize < 0:
+		return o, fmt.Errorf("tracestore: block size %d is negative", o.BlockSize)
+	case o.BlockSize == 0:
 		o.BlockSize = DefaultBlockSize
-	}
-	if o.BlockSize > maxBlockPackets {
+	case o.BlockSize > maxBlockPackets:
 		return o, fmt.Errorf("tracestore: block size %d exceeds %d", o.BlockSize, maxBlockPackets)
 	}
 	return o, nil
