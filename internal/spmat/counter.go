@@ -5,16 +5,16 @@ package spmat
 // packets) and/or the column sums 1ᵀAt (destination packets), one
 // flat-table probe per packet for each side it counts. Neither sum needs
 // the link-level matrix At, so a window whose readers want nothing else
-// skips the link table, and the Builder's derive pass over it, entirely.
-// Unique links, fan-out and fan-in are not recoverable from node totals;
-// a window that reads any of them accumulates into a Builder instead.
+// keeps no keys and sorts nothing. Unique links, fan-out and fan-in are
+// not recoverable from node totals; a window that reads any of them
+// accumulates into a Builder instead.
 //
 // Its totals equal the Builder's ForEachSourcePacket and
 // ForEachDestinationPacket reductions of the same packets: both are
 // order-independent integer sums. A Reset keeps the tables' capacity
 // warm across windows. NodeCounter is not safe for concurrent use.
 type NodeCounter struct {
-	src, dst     flatTable[uint32] // packets per source / per destination
+	src, dst     flatTable // packets per source / per destination
 	srcOn, dstOn bool
 	total        int64
 }
@@ -27,7 +27,7 @@ func NewNodeCounter(src, dst bool) *NodeCounter {
 }
 
 // AddPairs accumulates packed (src<<32 | dst) link keys, one packet each,
-// through the same strided-prefetch batch loop as Builder.AddPairs.
+// through the flat tables' strided-prefetch batch loop.
 func (c *NodeCounter) AddPairs(keys []uint64) {
 	if c.srcOn {
 		c.src.addBatch(keys, 32)

@@ -41,13 +41,6 @@ func (p WindowPartial) NNZ() int { return len(p.entries) }
 // Total returns the packet total Σ counts (NV for a single full window).
 func (p WindowPartial) Total() int64 { return p.total }
 
-// ForEachLink calls f for every link in canonical order.
-func (p WindowPartial) ForEachLink(f func(src, dst uint32, count int64)) {
-	for _, e := range p.entries {
-		f(e.Src, e.Dst, e.Count)
-	}
-}
-
 // Merge returns the partial aggregating both operands: link counts of
 // equal (src, dst) keys sum, disjoint keys interleave in canonical
 // order. Neither operand is modified. Merge is associative and

@@ -18,11 +18,11 @@
 package spmat
 
 import (
-	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 )
 
@@ -32,227 +32,261 @@ type Entry struct {
 	Count    int64
 }
 
-// Builder accumulates packet observations into a sparse matrix. It is the
-// COO/DOK accumulation stage; Build freezes it into an immutable Matrix.
+// Builder accumulates one traffic window's packets and answers every
+// Fig. 1 reduction and Table I aggregate of it from one sorted array.
 //
-// The hot path maintains exactly one reduction while packets arrive: the
-// per-link packet counts, one flat-table accumulation per packet (see
-// AddPairs for the bulk fused-decode entry point). Every other Fig. 1
-// reduction is *derived* from the link table the first time it is asked
-// for after an accumulation, one side at a time: the source side
-// (per-source packet totals and fan-out) for ForEachSource* and the
-// snapshots of those, the destination side (per-destination packet
-// totals and fan-in) for ForEachDestination*, and both sides, in one
-// pass, for the Table I aggregates. A window closes once, so the
-// streaming pipeline pays each side it reads at most once per window
-// while its per-packet loop stays a single hash, probe and add; the
-// derived tables are identical to what incremental maintenance would
-// have produced, because every reduction is an order-independent
-// integer accumulation over the same link counts.
+// AddPairs only appends packed (src<<32 | dst) keys to one slice that
+// Reset keeps for the next window. The first read closes the window:
+// the keys are compacted to the bits the window's ids need,
+// radix-sorted once and collapsed into runs. A run of equal keys is a
+// unique link and its packet count; a run of one major id is a node
+// of the major side, whose packets are its links' counts summed and
+// whose fan is its number of links. The other side takes one more sort
+// over the unique links only. The source is major (NewBuilder), so the
+// links come out in the canonical (Src, Dst) order Partial and Build
+// freeze, unless the window is read on its destination side alone
+// (NewDestinationMajorBuilder).
 //
-// A Builder always holds the link table: every answer it gives is read
-// from, or derived from, the links it accumulated. A window whose
-// readers want only per-node packet totals, which need no link table,
-// accumulates into a NodeCounter instead of a Builder.
-//
-// A Reset lets one builder be pooled across windows without reallocating
-// any of its tables. Builder is not safe for concurrent use: the
-// accessor methods (Aggregates, ForEach*) may materialize the
-// derived reductions and therefore also mutate internal state.
-//
-// Storage is the open-addressing flat tables of flat.go, not Go maps:
-// the per-packet accumulation is the hottest loop in the repo, and the
-// flat tables turn it into a hash, a short linear probe over interleaved
-// key/count slots and an in-place add.
+// Every reduction is an integer count over sorted runs, so no answer
+// depends on packet order; ForEach* visit ids in ascending order. A
+// window closes once: AddPairs after a read panics until Reset. A
+// reused builder's later windows of the same shape allocate nothing.
+// Builder is not safe for concurrent use: a read mutates it. A window
+// read only for per-node packet totals uses a NodeCounter instead.
 type Builder struct {
-	counts flatTable[uint64] // packets per (src, dst) link — the hot path
-	// Derived from counts on demand (see derive); each side is valid
-	// while its flag is set. Each node table interleaves both reductions
-	// keyed by that endpoint — packet totals (row/column sums) with
-	// fan-out/fan-in — so derive pays one probe per link endpoint
-	// instead of two.
-	srcTab     nodeTable // per source: packets sent, unique destinations
-	dstTab     nodeTable // per destination: packets received, unique sources
-	total      int64
-	srcDerived bool
-	dstDerived bool
+	keys     []uint64 // the window's packed keys in arrival order until close
+	tmp      []uint64 // radix scratch for keys
+	side     []uint64 // the minor-side sort: ids, counts and their scratch
+	sorter   radixSort
+	or       uint64 // OR of every deposited key: bounds each side's id width
+	total    int64
+	dstMajor bool
+
+	// Once closed: the unique links, keyed major<<minorBits | minor and
+	// ascending, with their packet counts; once minorSorted, the links'
+	// minor ids ascending with the same counts.
+	closed                bool
+	minorBits             uint
+	links, counts         []uint64
+	minorSorted           bool
+	minorIDs, minorCounts []uint64
 }
 
-// NewBuilder returns an empty accumulation builder.
+// NewBuilder returns an empty source-major builder.
 func NewBuilder() *Builder {
 	return &Builder{}
 }
 
-// Add accumulates n packets from src to dst. n must be positive.
-func (b *Builder) Add(src, dst uint32, n int64) error {
-	if n <= 0 {
-		return errors.New("spmat: non-positive packet count")
-	}
-	b.addN(src, dst, n)
-	return nil
+// NewDestinationMajorBuilder returns an empty destination-major
+// builder: its destination side reads off the window's one sort, and
+// its source side takes the extra sort. It has no canonical (Src, Dst)
+// order, so Partial and Build panic.
+func NewDestinationMajorBuilder() *Builder {
+	return &Builder{dstMajor: true}
 }
 
-// addN is the unchecked accumulation core: n > 0.
-func (b *Builder) addN(src, dst uint32, n int64) {
-	b.counts.add(linkKey(src, dst), n)
-	b.total += n
-	b.srcDerived, b.dstDerived = false, false
+// NewBuilderFromPartial returns a closed source-major builder holding
+// p's links: a merged partial re-derives its reductions from its
+// canonical entries, without re-accumulating them.
+func NewBuilderFromPartial(p WindowPartial) *Builder {
+	n := len(p.entries)
+	buf := make([]uint64, 2*n)
+	b := &Builder{closed: true, total: p.total, links: buf[:n], counts: buf[n:]}
+	_, b.minorBits = packEntries(p.entries, b.links, b.counts)
+	return b
 }
 
-// AddPairs bulk-accumulates packed (src<<32 | dst) link keys, one packet
-// each: the fused decode→reduce entry point. Batching lets the flat
-// table overlap the cache misses of several probes (see addBatch), so
-// feeding the builder runs of keys is measurably faster than one
-// addN per packet even before any decode fusion.
+// AddPairs accumulates packed (src<<32 | dst) link keys, one packet
+// each: the fused decode→reduce entry point. It panics once the window
+// has been read (see Reset).
 func (b *Builder) AddPairs(keys []uint64) {
-	if len(keys) == 0 {
-		return
+	if b.closed {
+		panic("spmat: AddPairs on a window that has been read; Reset it first")
 	}
-	b.counts.addBatch(keys, 0)
+	var or uint64
+	for _, k := range keys {
+		or |= k
+	}
+	b.or |= or
+	if n := len(b.keys) + len(keys); n > cap(b.keys) {
+		b.keys = append(make([]uint64, 0, max(n, 2*cap(b.keys))), b.keys...)
+	}
+	b.keys = append(b.keys, keys...)
 	b.total += int64(len(keys))
-	b.srcDerived, b.dstDerived = false, false
 }
 
-// derive materializes the requested sides of the node reductions that
-// are not derived yet, in one pass over the link counts: each unique
-// link contributes its count and one fan unit to its source's and/or
-// destination's interleaved node slots. Each reduction is an
-// order-independent integer accumulation, so the result is identical
-// to incremental per-packet maintenance regardless of the order packets
-// (or merged shards) arrived in, and regardless of which side was
-// derived first.
-func (b *Builder) derive(src, dst bool) {
-	src = src && !b.srcDerived
-	dst = dst && !b.dstDerived
-	if !src && !dst {
+// close sorts the window's keys and collapses them into unique links,
+// once per window: the links keep the sorted buffer's prefix and their
+// counts the prefix of the other.
+func (b *Builder) close() {
+	if b.closed {
 		return
 	}
-	if src {
-		b.srcTab.reset()
+	b.closed = true
+	srcBits, dstBits := uint(bits.Len32(uint32(b.or>>32))), uint(bits.Len32(uint32(b.or)))
+	major, minor := uint(32), uint(0) // each side's shift in a packed key
+	b.minorBits = dstBits
+	if b.dstMajor {
+		major, minor, b.minorBits = 0, 32, srcBits
 	}
-	if dst {
-		b.dstTab.reset()
+	keys := b.keys
+	for i, k := range keys {
+		keys[i] = (k>>major&math.MaxUint32)<<b.minorBits | k>>minor&math.MaxUint32
 	}
-	b.counts.forEach(func(k uint64, v int64) {
-		if src {
-			b.srcTab.add(uint32(k>>32), v)
+	b.tmp = slices.Grow(b.tmp[:0], len(keys))[:len(keys)]
+	sorted, _ := b.sorter.sort(srcBits+dstBits, keys, b.tmp, nil, nil)
+	other := b.tmp
+	if len(keys) > 0 && &sorted[0] != &keys[0] {
+		other = keys
+	}
+	u := 0
+	for i := 0; i < len(sorted); u++ {
+		k, j := sorted[i], i+1
+		for j < len(sorted) && sorted[j] == k {
+			j++
 		}
-		if dst {
-			b.dstTab.add(uint32(k), v)
-		}
-	})
-	b.srcDerived = b.srcDerived || src
-	b.dstDerived = b.dstDerived || dst
+		sorted[u], other[u] = k, uint64(j-i)
+		i = j
+	}
+	b.links, b.counts = sorted[:u], other[:u]
 }
 
-// Merge folds another builder's link counts into b. The other builder
-// remains valid; Merge is the reduction step of ParallelBuild's
-// per-worker builders. It is correct under any packet partitioning: per-link counts
-// combine by addition, and every node reduction re-derives from the
-// merged link table.
-func (b *Builder) Merge(other *Builder) {
-	other.counts.forEach(func(k uint64, v int64) {
-		b.counts.add(k, v)
-	})
-	b.total += other.total
-	b.srcDerived, b.dstDerived = false, false
+// sortMinor regroups the closed window's unique links by their minor
+// id, carrying each link's packet count: the one extra sort of the
+// side that is not major.
+func (b *Builder) sortMinor() {
+	b.close()
+	if b.minorSorted {
+		return
+	}
+	b.minorSorted = true
+	u := len(b.links)
+	mask := uint64(1)<<b.minorBits - 1
+	b.side = slices.Grow(b.side[:0], 4*u)[:4*u]
+	ids, counts := b.side[:u], b.side[u:2*u]
+	for i, k := range b.links {
+		ids[i] = k & mask
+	}
+	copy(counts, b.counts)
+	b.minorIDs, b.minorCounts = b.sorter.sort(b.minorBits, ids, b.side[2*u:3*u], counts, b.side[3*u:])
 }
 
-// Reset empties the builder for reuse, retaining the allocated table
-// capacity: the pipeline's per-window allocation-churn killer.
+// forEachNode calls f for every node of one side (the sources when src
+// is set) with its packet total and fan, in ascending id order: runs of
+// one major id over the links, or of one minor id over the minor sort.
+func (b *Builder) forEachNode(src bool, f func(id uint32, pk, fan int64)) {
+	b.close()
+	ids, counts, shift := b.links, b.counts, b.minorBits
+	if src == b.dstMajor {
+		b.sortMinor()
+		ids, counts, shift = b.minorIDs, b.minorCounts, 0
+	}
+	for i := 0; i < len(ids); {
+		id := ids[i] >> shift
+		pk, j := counts[i], i+1
+		for ; j < len(ids) && ids[j]>>shift == id; j++ {
+			pk += counts[j]
+		}
+		f(uint32(id), int64(pk), int64(j-i))
+		i = j
+	}
+}
+
+// countRuns returns the number of distinct ids >> shift in ascending
+// ids.
+func countRuns(ids []uint64, shift uint) int64 {
+	var n int64
+	for i, k := range ids {
+		if i == 0 || k>>shift != ids[i-1]>>shift {
+			n++
+		}
+	}
+	return n
+}
+
+// Reset empties the builder for the next window, keeping the capacity
+// of every buffer.
 func (b *Builder) Reset() {
-	b.counts.reset()
-	b.srcTab.reset()
-	b.dstTab.reset()
-	b.total = 0
-	b.srcDerived, b.dstDerived = false, false
+	b.keys = b.keys[:0]
+	b.or, b.total = 0, 0
+	b.closed, b.minorSorted = false, false
 }
 
 // Total returns the number of packets accumulated so far (= NV at window
 // close).
 func (b *Builder) Total() int64 { return b.total }
 
-// Aggregates returns the Table I aggregate properties of the accumulated
-// window: O(1) once both sides of the node reductions are derived, one
-// pass over the link table the first time after an accumulation.
+// Aggregates returns the Table I aggregate properties of the window:
+// unique links and the major side's nodes are runs of the sorted links,
+// the other side's nodes runs of the minor sort.
 func (b *Builder) Aggregates() Aggregates {
-	b.derive(true, true)
+	b.sortMinor()
+	src, dst := countRuns(b.links, b.minorBits), countRuns(b.minorIDs, 0)
+	if b.dstMajor {
+		src, dst = dst, src
+	}
 	return Aggregates{
 		ValidPackets:       b.total,
-		UniqueLinks:        int64(b.counts.len()),
-		UniqueSources:      int64(b.srcTab.len()),
-		UniqueDestinations: int64(b.dstTab.len()),
+		UniqueLinks:        int64(len(b.links)),
+		UniqueSources:      src,
+		UniqueDestinations: dst,
 	}
 }
 
 // ForEachSourcePacket calls f for every source and its packet total (the
-// "source packets" reduction of Fig. 1), in unspecified order.
+// "source packets" reduction of Fig. 1), in ascending id order.
 func (b *Builder) ForEachSourcePacket(f func(id uint32, n int64)) {
-	b.derive(true, false)
-	b.srcTab.forEachPk(f)
+	b.forEachNode(true, func(id uint32, pk, _ int64) { f(id, pk) })
 }
 
 // ForEachSourceFanOut calls f for every source and its unique-destination
-// count ("source fan-out"), in unspecified order.
+// count ("source fan-out"), in ascending id order.
 func (b *Builder) ForEachSourceFanOut(f func(id uint32, n int64)) {
-	b.derive(true, false)
-	b.srcTab.forEachFan(f)
+	b.forEachNode(true, func(id uint32, _, fan int64) { f(id, fan) })
 }
 
 // ForEachDestinationFanIn calls f for every destination and its
-// unique-source count ("destination fan-in"), in unspecified order.
+// unique-source count ("destination fan-in"), in ascending id order.
 func (b *Builder) ForEachDestinationFanIn(f func(id uint32, n int64)) {
-	b.derive(false, true)
-	b.dstTab.forEachFan(f)
+	b.forEachNode(false, func(id uint32, _, fan int64) { f(id, fan) })
 }
 
 // ForEachDestinationPacket calls f for every destination and its packet
-// total ("destination packets"), in unspecified order.
+// total ("destination packets"), in ascending id order.
 func (b *Builder) ForEachDestinationPacket(f func(id uint32, n int64)) {
-	b.derive(false, true)
-	b.dstTab.forEachPk(f)
+	b.forEachNode(false, func(id uint32, pk, _ int64) { f(id, pk) })
 }
 
-// ForEachLink calls f for every accumulated unique link and its packet
-// count (the "link packets" reduction of Fig. 1), in unspecified order.
+// ForEachLink calls f for every unique link and its packet count (the
+// "link packets" reduction of Fig. 1), in ascending order of the major
+// id, then the minor one.
 func (b *Builder) ForEachLink(f func(src, dst uint32, count int64)) {
-	b.counts.forEach(func(k uint64, v int64) {
-		f(uint32(k>>32), uint32(k), v)
-	})
-}
-
-// sortedEntries freezes the link counts into canonical (Src, Dst)-sorted
-// entries: the one shared materialization behind Build and Partial. The
-// packed link key orders exactly as the (Src, Dst) lexicographic pair,
-// so a single integer comparison sorts canonically.
-func (b *Builder) sortedEntries() []Entry {
-	entries := make([]Entry, 0, b.counts.len())
-	b.counts.forEach(func(k uint64, v int64) {
-		entries = append(entries, Entry{Src: uint32(k >> 32), Dst: uint32(k), Count: v})
-	})
-	slices.SortFunc(entries, func(a, e Entry) int {
-		ka, ke := linkKey(a.Src, a.Dst), linkKey(e.Src, e.Dst)
-		switch {
-		case ka < ke:
-			return -1
-		case ka > ke:
-			return 1
+	b.close()
+	mask := uint64(1)<<b.minorBits - 1
+	for i, k := range b.links {
+		major, minor := uint32(k>>b.minorBits), uint32(k&mask)
+		if b.dstMajor {
+			major, minor = minor, major
 		}
-		return 0
-	})
-	return entries
+		f(major, minor, int64(b.counts[i]))
+	}
 }
 
-// Build freezes the accumulated counts into an immutable CSR-ordered
-// Matrix. The builder can continue to accumulate afterwards.
-func (b *Builder) Build() *Matrix {
-	return &Matrix{entries: b.sortedEntries(), total: b.total}
-}
-
-// Partial freezes the accumulated state into a deterministic, mergeable
-// WindowPartial. The builder can continue to accumulate afterwards.
+// Partial freezes the window into a deterministic, mergeable
+// WindowPartial: a copy of a source-major window's links, which are
+// already in canonical (Src, Dst) order.
 func (b *Builder) Partial() WindowPartial {
-	return WindowPartial{entries: b.sortedEntries(), total: b.total}
+	if b.dstMajor {
+		panic("spmat: a destination-major window has no canonical (Src, Dst) order")
+	}
+	b.close()
+	return WindowPartial{entries: entriesFromRuns(b.links, b.counts, b.minorBits), total: b.total}
+}
+
+// Build freezes the window into an immutable CSR-ordered Matrix.
+func (b *Builder) Build() *Matrix {
+	p := b.Partial()
+	return &Matrix{entries: p.entries, total: p.total}
 }
 
 // Matrix is an immutable sparse traffic matrix in row-major (CSR-like)
@@ -263,36 +297,51 @@ type Matrix struct {
 	total   int64   // Σ counts = NV
 }
 
-// sortEntries orders entries by (Src, Dst): the canonical row-major
-// entry order shared by Matrix and WindowPartial.
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Src != es[j].Src {
-			return es[i].Src < es[j].Src
-		}
-		return es[i].Dst < es[j].Dst
-	})
-}
-
 // FromEntries builds a Matrix from arbitrary-order entries, combining
-// duplicate (src, dst) keys by summation.
+// duplicate (src, dst) keys by summation. The entries' packed keys go
+// through the package's radix sort, carrying their counts.
 func FromEntries(entries []Entry) *Matrix {
-	es := append([]Entry(nil), entries...)
-	sortEntries(es)
-	// Combine duplicates in place.
-	out := es[:0]
-	for _, e := range es {
-		if n := len(out); n > 0 && out[n-1].Src == e.Src && out[n-1].Dst == e.Dst {
-			out[n-1].Count += e.Count
-		} else {
-			out = append(out, e)
-		}
-	}
+	n := len(entries)
+	buf := make([]uint64, 4*n)
+	width, dstBits := packEntries(entries, buf[:n], buf[n:2*n])
+	var r radixSort
+	keys, vals := r.sort(width, buf[:n], buf[2*n:3*n], buf[n:2*n], buf[3*n:])
+	out := entriesFromRuns(keys, vals, dstBits)
 	var total int64
 	for _, e := range out {
 		total += e.Count
 	}
 	return &Matrix{entries: out, total: total}
+}
+
+// packEntries writes each entry's compacted key, src<<dstBits | dst,
+// and its count into keys and counts. It returns the keys' width and
+// dstBits, the width of the largest Dst.
+func packEntries(entries []Entry, keys, counts []uint64) (width, dstBits uint) {
+	var srcOr, dstOr uint32
+	for _, e := range entries {
+		srcOr, dstOr = srcOr|e.Src, dstOr|e.Dst
+	}
+	dstBits = uint(bits.Len32(dstOr))
+	for i, e := range entries {
+		keys[i], counts[i] = uint64(e.Src)<<dstBits|uint64(e.Dst), uint64(e.Count)
+	}
+	return uint(bits.Len32(srcOr)) + dstBits, dstBits
+}
+
+// entriesFromRuns turns ascending src<<dstBits | dst keys and their
+// counts into canonical entries, summing the counts of equal keys.
+func entriesFromRuns(keys, counts []uint64, dstBits uint) []Entry {
+	out := make([]Entry, 0, countRuns(keys, 0))
+	mask := uint64(1)<<dstBits - 1
+	for i, k := range keys {
+		if n := len(out); i > 0 && k == keys[i-1] {
+			out[n-1].Count += int64(counts[i])
+			continue
+		}
+		out = append(out, Entry{Src: uint32(k >> dstBits), Dst: uint32(k & mask), Count: int64(counts[i])})
+	}
+	return out
 }
 
 // Entries returns the matrix's entries in row-major order. The slice is
@@ -308,13 +357,9 @@ func (m *Matrix) UniqueLinks() int64 { return int64(len(m.entries)) }
 // UniqueSources returns Σi |Σj At(i,j)|₀ (Table I row 3; matrix form 1ᵀ|At·1|₀).
 func (m *Matrix) UniqueSources() int64 {
 	var n int64
-	var prev uint32
-	first := true
-	for _, e := range m.entries {
-		if first || e.Src != prev {
+	for i, e := range m.entries {
+		if i == 0 || e.Src != m.entries[i-1].Src {
 			n++
-			prev = e.Src
-			first = false
 		}
 	}
 	return n
@@ -323,11 +368,16 @@ func (m *Matrix) UniqueSources() int64 {
 // UniqueDestinations returns Σj |Σi At(i,j)|₀ (Table I row 4; matrix form
 // |1ᵀAt|₀1).
 func (m *Matrix) UniqueDestinations() int64 {
-	seen := make(map[uint32]struct{}, len(m.entries))
-	for _, e := range m.entries {
-		seen[e.Dst] = struct{}{}
+	n := len(m.entries)
+	buf := make([]uint64, 2*n)
+	var or uint64
+	for i, e := range m.entries {
+		buf[i] = uint64(e.Dst)
+		or |= buf[i]
 	}
-	return int64(len(seen))
+	var r radixSort
+	ids, _ := r.sort(uint(bits.Len64(or)), buf[:n], buf[n:], nil, nil)
+	return countRuns(ids, 0)
 }
 
 // Aggregates bundles the four Table I aggregate properties of a window.
@@ -365,50 +415,29 @@ func (m *Matrix) Transpose() *Matrix {
 	return FromEntries(es)
 }
 
-// ParallelBuild shards a packet slice across workers, accumulates each
-// shard into a private builder, and merges: the D4M-style parallel
-// aggregation path. workers <= 0 selects GOMAXPROCS.
+// ParallelBuild shards a packet slice across workers, sorts each shard
+// into canonical entries and merges the sorted runs: the D4M-style
+// parallel aggregation path. workers <= 0 selects GOMAXPROCS.
 func ParallelBuild(packets []Entry, workers int) *Matrix {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(packets) {
-		workers = len(packets)
-	}
-	if workers <= 1 {
-		b := NewBuilder()
-		for _, p := range packets {
-			b.addN(p.Src, p.Dst, p.Count)
-		}
-		return b.Build()
-	}
-	shards := make([]*Builder, workers)
+	shards := make([]WindowPartial, max(1, min(workers, len(packets))))
+	chunk := (len(packets) + len(shards) - 1) / len(shards)
 	var wg sync.WaitGroup
-	chunk := (len(packets) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(packets) {
-			hi = len(packets)
-		}
-		if lo >= hi {
-			shards[w] = NewBuilder()
-			continue
-		}
+	for w := range shards {
+		shard := packets[min(w*chunk, len(packets)):min((w+1)*chunk, len(packets))]
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			b := NewBuilder()
-			for _, p := range packets[lo:hi] {
-				b.addN(p.Src, p.Dst, p.Count)
-			}
-			shards[w] = b
-		}(w, lo, hi)
+			m := FromEntries(shard)
+			shards[w] = WindowPartial{entries: m.entries, total: m.total}
+		}()
 	}
 	wg.Wait()
-	root := shards[0]
-	for _, s := range shards[1:] {
-		root.Merge(s)
+	var root WindowPartial
+	for _, s := range shards {
+		root = root.Merge(s)
 	}
-	return root.Build()
+	return &Matrix{entries: root.entries, total: root.total}
 }

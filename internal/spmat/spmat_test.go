@@ -63,9 +63,7 @@ func TestBuilderEquivalentToFromEntries(t *testing.T) {
 	es := randomEntries(7, 2000, 100)
 	b := NewBuilder()
 	for _, e := range es {
-		if err := b.Add(e.Src, e.Dst, e.Count); err != nil {
-			t.Fatal(err)
-		}
+		b.addN(e.Src, e.Dst, e.Count)
 	}
 	got := b.Build().TableI()
 	want := FromEntries(es).TableI()
@@ -135,6 +133,17 @@ func (m *Matrix) DestinationPackets() map[uint32]int64 {
 	return out
 }
 
+// linkKey packs a (src, dst) pair into the key AddPairs takes.
+func linkKey(src, dst uint32) uint64 { return uint64(src)<<32 | uint64(dst) }
+
+// addN deposits n packets of one link, one key each: the unit a
+// Builder accumulates is a packet.
+func (b *Builder) addN(src, dst uint32, n int64) {
+	for ; n > 0; n-- {
+		b.AddPairs([]uint64{linkKey(src, dst)})
+	}
+}
+
 // addPacket accumulates a single packet from src to dst.
 func addPacket(b *Builder, src, dst uint32) { b.addN(src, dst, 1) }
 
@@ -147,30 +156,8 @@ func TestBuilderAddPacket(t *testing.T) {
 	if m.ValidPackets() != 3 || m.UniqueLinks() != 2 {
 		t.Errorf("aggregates: %+v", m.TableI())
 	}
-	if b.counts.len() != 2 {
-		t.Errorf("links = %d", b.counts.len())
-	}
-}
-
-func TestBuilderAddRejectsNonPositive(t *testing.T) {
-	b := NewBuilder()
-	if err := b.Add(1, 2, 0); err == nil {
-		t.Error("Add(count=0): expected error")
-	}
-	if err := b.Add(1, 2, -5); err == nil {
-		t.Error("Add(count<0): expected error")
-	}
-}
-
-func TestMergeBuilders(t *testing.T) {
-	a, b := NewBuilder(), NewBuilder()
-	addPacket(a, 1, 2)
-	addPacket(b, 1, 2)
-	addPacket(b, 3, 4)
-	a.Merge(b)
-	m := a.Build()
-	if m.ValidPackets() != 3 || m.UniqueLinks() != 2 {
-		t.Errorf("merged: %+v", m.TableI())
+	if len(b.links) != 2 {
+		t.Errorf("links = %d", len(b.links))
 	}
 }
 
@@ -319,83 +306,83 @@ func BenchmarkTableIAggregates(b *testing.B) {
 	}
 }
 
-// TestBuilderSplitDerive pins the one-side-at-a-time derivation: the
-// source side and the destination side each carry their own derived
-// flag, and every accumulation (AddPairs, Add, Merge, Reset) must clear
-// both. Reads alternate between one side only and both sides in either
-// order, so a flag left set on one side after an accumulation shows up
-// as a stale reduction against a Matrix frozen from the same counts.
-func TestBuilderSplitDerive(t *testing.T) {
-	const universe = 60
-	r := xrand.New(17)
-	b := NewBuilder()
-	var entries []Entry // every count b has accumulated since its last Reset
-	for step := 0; step < 48; step++ {
-		switch step % 4 {
-		case 0:
-			keys := make([]uint64, 1+r.Intn(300))
-			for i := range keys {
-				src, dst := uint32(r.Intn(universe)), uint32(r.Intn(universe))
-				keys[i] = uint64(src)<<32 | uint64(dst)
-				entries = append(entries, Entry{Src: src, Dst: dst, Count: 1})
-			}
-			b.AddPairs(keys)
-		case 1:
-			e := Entry{Src: uint32(r.Intn(universe)), Dst: uint32(r.Intn(universe)), Count: int64(1 + r.Intn(9))}
-			if err := b.Add(e.Src, e.Dst, e.Count); err != nil {
-				t.Fatal(err)
-			}
-			entries = append(entries, e)
-		case 2:
-			other := NewBuilder()
-			for _, e := range randomEntries(uint64(step), 1+r.Intn(200), universe) {
-				if err := other.Add(e.Src, e.Dst, e.Count); err != nil {
-					t.Fatal(err)
-				}
-				entries = append(entries, e)
-			}
-			b.Merge(other)
-		case 3:
-			if step%8 == 7 {
-				b.Reset()
-				entries = nil
-			}
+// mapBuilder is the pre-refactor map-based reduction, kept verbatim as
+// the behavioral reference: the sorted-window Builder must reproduce every
+// reduction it maintains, on any input.
+type mapBuilder struct {
+	counts map[[2]uint32]int64
+	srcPk  map[uint32]int64
+	dstPk  map[uint32]int64
+	fanOut map[uint32]int64
+	fanIn  map[uint32]int64
+	total  int64
+}
+
+func newMapBuilder() *mapBuilder {
+	return &mapBuilder{
+		counts: make(map[[2]uint32]int64),
+		srcPk:  make(map[uint32]int64),
+		dstPk:  make(map[uint32]int64),
+		fanOut: make(map[uint32]int64),
+		fanIn:  make(map[uint32]int64),
+	}
+}
+
+func (b *mapBuilder) addN(src, dst uint32, n int64) {
+	k := [2]uint32{src, dst}
+	c := b.counts[k]
+	b.counts[k] = c + n
+	if c == 0 {
+		b.fanOut[src]++
+		b.fanIn[dst]++
+	}
+	b.srcPk[src] += n
+	b.dstPk[dst] += n
+	b.total += n
+}
+
+func (b *mapBuilder) aggregates() Aggregates {
+	return Aggregates{
+		ValidPackets:       b.total,
+		UniqueLinks:        int64(len(b.counts)),
+		UniqueSources:      int64(len(b.srcPk)),
+		UniqueDestinations: int64(len(b.dstPk)),
+	}
+}
+
+// TestBuilderVsMapReference is the map-equivalence pin of the
+// builder: every reduction it answers must match the map
+// implementation on random traffic.
+func TestBuilderVsMapReference(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		r := xrand.New(seed)
+		b := NewBuilder()
+		ref := newMapBuilder()
+		for i := 0; i < 50000; i++ {
+			src, dst := uint32(r.Intn(700)), uint32(r.Intn(700))
+			n := int64(r.Intn(3) + 1)
+			b.addN(src, dst, n)
+			ref.addN(src, dst, n)
 		}
-		m := FromEntries(entries)
-		src := func() {
-			if got, want := collect(b.ForEachSourcePacket), m.SourcePackets(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: ForEachSourcePacket = %v, want %v", step, got, want)
-			}
-			if got, want := collect(b.ForEachSourceFanOut), m.SourceFanOut(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: ForEachSourceFanOut = %v, want %v", step, got, want)
-			}
+		if got, want := b.Aggregates(), ref.aggregates(); got != want {
+			t.Fatalf("seed %d: aggregates %+v != reference %+v", seed, got, want)
 		}
-		dst := func() {
-			if got, want := collect(b.ForEachDestinationFanIn), m.DestinationFanIn(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: ForEachDestinationFanIn = %v, want %v", step, got, want)
-			}
-			if got, want := collect(b.ForEachDestinationPacket), m.DestinationPackets(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d: ForEachDestinationPacket = %v, want %v", step, got, want)
-			}
+		if got := collect(b.ForEachSourcePacket); !reflect.DeepEqual(got, ref.srcPk) {
+			t.Fatalf("seed %d: SourcePackets diverge", seed)
 		}
-		// Steps cycle through source only, destination only, source
-		// then destination, destination then source, and the aggregates
-		// alone; against the 4-step accumulation cycle, every read
-		// pattern follows every kind of accumulation.
-		switch step % 5 {
-		case 0:
-			src()
-		case 1:
-			dst()
-		case 2:
-			src()
-			dst()
-		case 3:
-			dst()
-			src()
+		if got := collect(b.ForEachSourceFanOut); !reflect.DeepEqual(got, ref.fanOut) {
+			t.Fatalf("seed %d: SourceFanOut diverge", seed)
 		}
-		if got, want := b.Aggregates(), m.TableI(); got != want {
-			t.Fatalf("step %d: Aggregates = %+v, want %+v", step, got, want)
+		if got := collect(b.ForEachDestinationFanIn); !reflect.DeepEqual(got, ref.fanIn) {
+			t.Fatalf("seed %d: DestinationFanIn diverge", seed)
+		}
+		if got := collect(b.ForEachDestinationPacket); !reflect.DeepEqual(got, ref.dstPk) {
+			t.Fatalf("seed %d: DestinationPackets diverge", seed)
+		}
+		links := make(map[[2]uint32]int64)
+		b.ForEachLink(func(src, dst uint32, n int64) { links[[2]uint32{src, dst}] = n })
+		if !reflect.DeepEqual(links, ref.counts) {
+			t.Fatalf("seed %d: link counts diverge", seed)
 		}
 	}
 }

@@ -60,19 +60,11 @@ func (s *AggregatesSink) Reads() ReadSet { return ReadAggregates }
 // reads names what the caller reads of the result, as a DeclaredSink's
 // Reads would: only their union is built. With no read set it builds
 // the Table I aggregates and all five Fig. 1 histograms, as for an
-// undeclared sink. The reduction runs through the identical code path
-// as the live pipeline.
+// undeclared sink. The partial's canonical entries load as the sorted
+// links of a closed source-major builder, and the reduction runs
+// through the identical code path as the live pipeline.
 func ReducePartial(t int, p spmat.WindowPartial, keepMatrix bool, reads ...ReadSet) (*WindowResult, error) {
-	b := spmat.NewBuilder()
-	var addErr error
-	p.ForEachLink(func(src, dst uint32, n int64) {
-		if err := b.Add(src, dst, n); err != nil && addErr == nil {
-			addErr = err
-		}
-	})
-	if addErr != nil {
-		return nil, addErr
-	}
+	b := spmat.NewBuilderFromPartial(p)
 	u := readAll
 	if len(reads) > 0 {
 		u = 0

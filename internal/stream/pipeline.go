@@ -9,24 +9,26 @@ package stream
 // The unit flowing through the pipeline is the packed (src<<32 | dst)
 // link key of a valid packet, not the Packet struct: invalid packets are
 // filtered (and counted) at ingest, and everything downstream — the
-// spmat flat tables, the handoff buffers — speaks packed keys. Every
-// source fills windows through one surface, DecodeInto. An
+// window's spmat accumulator, the handoff buffers — speaks packed keys.
+// Every source fills windows through one surface, DecodeInto. An
 // EncodedBlockSource (the PTRC reader) decodes its packed blocks
 // directly into the window under construction, with no []Packet
 // materialization at all (see tracestore.Reader.DecodeInto). Any other
 // PacketSource is adapted by packetDecoder, which batches keys on the
-// stack so the flat tables can overlap their cache misses.
+// stack before they reach the accumulator.
 //
 // The pipeline runs fully fused on the calling goroutine: valid packets
 // accumulate straight into the window's accumulator, each completed
 // window reduces into what its sinks read (see ReadSet) and feeds the
-// sinks inline, and the accumulator resets with its tables still warm
-// for the next window. The read set also picks the accumulator, once
-// per run: an spmat.Builder, whose link table every link-level
-// reduction and retained product comes from, or an spmat.NodeCounter
-// that counts only the per-node packet totals a packets-only run reads
-// (see newRunWindow). No intermediate buffer of any kind exists between
-// the source and the flat tables, and one window is resident at a time,
+// sinks inline, and the accumulator resets with its buffers kept for
+// the next window. The read set also picks the accumulator, once
+// per run: an spmat.Builder, which keeps the window's keys and sorts
+// them once at close, so every link-level reduction and retained
+// product reads sorted runs, or an spmat.NodeCounter that counts only
+// the per-node packet totals a packets-only run reads; for a Builder it
+// picks the sort's major side too (see newRunWindow). No buffer exists
+// between the source and the accumulator beyond the window's own keys,
+// and one window is resident at a time,
 // regardless of trace length. Parallelism lives one level up: the
 // scenario engine runs whole scenarios, each with its own pipeline, on
 // its worker pool.
@@ -289,14 +291,15 @@ type PipelineConfig struct {
 	// final window.
 	MaxWindows int
 	// KeepMatrices populates WindowResult.Matrix with the frozen
-	// spmat.Matrix of each window. Off by default: the matrix is the one
-	// product that requires a sort and a fresh allocation per window,
-	// and it makes the run build the link table whatever its sinks read.
+	// spmat.Matrix of each window. Off by default: the matrix is a fresh
+	// allocation per window, and it makes the run keep and sort the
+	// window's keys source-major whatever its sinks read.
 	KeepMatrices bool
 	// KeepPartials populates WindowResult.Partial with the window's
-	// deterministic mergeable partial aggregate (same per-window sort
-	// cost as KeepMatrices). The federation scenarios set it to merge
-	// per-site windows into a backbone view.
+	// deterministic mergeable partial aggregate (the same per-window
+	// cost as KeepMatrices; both read the sorted links, so they share
+	// one copy). The federation scenarios set it to merge per-site
+	// windows into a backbone view.
 	KeepPartials bool
 	// Metrics, when non-nil, instruments the run: stage timers at block
 	// and window granularity, builder accounting, and exact packet
@@ -326,9 +329,9 @@ type PipelineStats struct {
 }
 
 // pairBatch is the stack batch size of packetDecoder: keys are collected
-// in runs of this size before entering the flat tables, so spmat's
-// batched adds can overlap their cache misses. 256 keys = 2 KiB of
-// stack, 32 prefetch strides per flush.
+// in runs of this size before entering the accumulator, so a
+// NodeCounter's batched adds can overlap their cache misses and a
+// Builder appends them in one copy. 256 keys = 2 KiB of stack.
 const pairBatch = 256
 
 // Run executes the streaming pipeline: it ingests packets from src on
@@ -365,7 +368,7 @@ func Run(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineStats, er
 // share the calling goroutine, and valid packets accumulate straight
 // into the window's accumulator — no buffers, no channels, no
 // goroutines. Over the PTRC reader this is the one-pass hot path:
-// packed payloads decode directly into the accumulator's flat tables.
+// packed payloads decode directly into the window's accumulator.
 func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks []Sink) error {
 	// Instrument handles are pulled once; with cfg.Metrics == nil they
 	// are nil and every Start/Inc below is an inert branch.
@@ -413,40 +416,54 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 
 // PairWindow is one window under construction: the deposit target of
 // DecodeInto. Every deposit of packed (src<<32 | dst) link keys goes
-// straight into the window's accumulator, with no key buffer: its
-// spmat.Builder or, in a run that reads per-node packet totals and
-// nothing else, its spmat.NodeCounter (see newRunWindow). Both are
-// called concretely rather than through an interface, so a decoder's
-// stack batch of keys does not escape to the heap.
+// straight into the window's accumulator: its spmat.Builder or, in a
+// run that reads per-node packet totals and nothing else, its
+// spmat.NodeCounter (see newRunWindow). Both are called concretely
+// rather than through an interface, so a decoder's stack batch of keys
+// does not escape to the heap.
 type PairWindow struct {
-	b  *spmat.Builder     // the link table; nil in a packets-only run
+	b  *spmat.Builder     // the sorted window; nil in a packets-only run
 	c  *spmat.NodeCounter // per-node packet totals when b is nil
 	n  int64              // valid packets deposited
 	nv int64              // window size
 }
 
-// linkReads are the read-set fields reduced from the link table: the
+// linkReads are the read-set fields reduced from unique links: the
 // Table I aggregates (unique links, sources and destinations), the
 // link-packets histogram, and the fan histograms (unique peers).
 const linkReads = ReadAggregates | 1<<LinkPackets | 1<<SourceFanOut | 1<<DestinationFanIn
 
+// Each side's node reductions; the aggregates read both sides.
+const (
+	sourceReads      = 1<<SourcePackets | 1<<SourceFanOut
+	destinationReads = 1<<DestinationPackets | 1<<DestinationFanIn
+)
+
 // newRunWindow returns the window of a run that reads reads under cfg.
-// The link table is built exactly when something needs it: a read in
-// linkReads, or a retained Matrix or Partial. Otherwise valid packets
+// The window keeps and sorts its keys exactly when something needs
+// unique links: a read in linkReads, or a retained Matrix or Partial.
+// Its sort is destination-major exactly when the run reads the
+// destination side and nothing that needs source-major order (the
+// source side, or a retained product, which is canonical (Src, Dst)),
+// so that side reads off the window's one sort. Otherwise valid packets
 // count straight into per-node packet tables, for the sides read only;
 // a run that reads neither side (no sinks, say) counts its total alone.
 func newRunWindow(nv int64, reads ReadSet, cfg PipelineConfig) *PairWindow {
-	if reads&linkReads != 0 || cfg.KeepMatrices || cfg.KeepPartials {
-		return NewPairWindow(nv)
+	keep := cfg.KeepMatrices || cfg.KeepPartials
+	switch {
+	case reads&linkReads == 0 && !keep:
+		c := spmat.NewNodeCounter(reads.has(SourcePackets), reads.has(DestinationPackets))
+		return &PairWindow{c: c, nv: nv}
+	case reads&destinationReads != 0 && reads&sourceReads == 0 && !keep:
+		return &PairWindow{b: spmat.NewDestinationMajorBuilder(), nv: nv}
 	}
-	c := spmat.NewNodeCounter(reads.has(SourcePackets), reads.has(DestinationPackets))
-	return &PairWindow{c: c, nv: nv}
+	return NewPairWindow(nv)
 }
 
 // NewPairWindow returns an empty window of nv valid packets backed by
-// its own spmat.Builder. Run makes its own; the exported constructor
-// exists for direct consumers of EncodedBlockSource (tests, custom
-// replay tools).
+// its own source-major spmat.Builder. Run makes its own; the exported
+// constructor exists for direct consumers of EncodedBlockSource (tests,
+// custom replay tools).
 func NewPairWindow(nv int64) *PairWindow {
 	return &PairWindow{b: spmat.NewBuilder(), nv: nv}
 }
@@ -466,8 +483,8 @@ func (w *PairWindow) AddPairs(keys []uint64) {
 	}
 }
 
-// Reset empties the window for reuse, keeping the accumulator's tables
-// warm.
+// Reset empties the window for reuse, keeping the accumulator's
+// buffers.
 func (w *PairWindow) Reset() {
 	if w.b != nil {
 		w.b.Reset()
@@ -478,7 +495,7 @@ func (w *PairWindow) Reset() {
 }
 
 // nodePackets is what the packet histograms read: per-node packet
-// totals, derived from a Builder's link table or counted by a
+// totals, read off a Builder's sorted window or counted by a
 // NodeCounter.
 type nodePackets interface {
 	Total() int64
@@ -489,12 +506,11 @@ type nodePackets interface {
 // reduceWindow converts a closed window's accumulator state into a
 // WindowResult holding the fields in reads, with no intermediate Matrix.
 // The packet histograms read whichever accumulator the run chose. The
-// fields that need the link table (linkReads, and the Keep products)
-// read the builder, which newRunWindow guarantees is there: the Table I
-// aggregates derive both node sides of it in one pass, a fan histogram
-// derives only its side, and the link-packets histogram reads the link
-// table directly. When both the partial and the matrix are kept they
-// share one canonicalization.
+// fields that need unique links (linkReads, and the Keep products)
+// read the builder, which newRunWindow guarantees is there. Every
+// reduction is an integer count, so nothing here depends on the order
+// the builder visits nodes in. When both the partial and the matrix are
+// kept they share one copy of the canonical entries.
 func reduceWindow(t int, w *PairWindow, cfg PipelineConfig, reads ReadSet) (*WindowResult, error) {
 	b := w.b // nil in a packets-only run
 	var acc nodePackets = w.c

@@ -169,11 +169,13 @@ func TestReadSetPins(t *testing.T) {
 }
 
 // TestLinkTableRule pins which accumulator a run's windows fill, for
-// every read set under every retention flag: the link table (a Builder)
-// exactly when the run reads the aggregates, the link-packets or a fan
-// histogram, or keeps matrices or partials; per-node packet counts
-// otherwise. Each run's windows must equal the full reduce field by
-// field, so a run that needs the link table and lost it fails here too.
+// every read set under every retention flag: a Builder exactly when the
+// run reads the aggregates, the link-packets or a fan histogram, or
+// keeps matrices or partials; per-node packet counts otherwise. The
+// Builder's sort is destination-major exactly when the run reads the
+// destination side, not the source side, and keeps nothing. Each run's
+// windows must equal the full reduce field by field, so a run that
+// needs unique links and lost them fails here too.
 func TestLinkTableRule(t *testing.T) {
 	trace := func() PacketSource { return newSynthSource(5, 9000, 900, 23) }
 	const nv = 2000
@@ -186,8 +188,14 @@ func TestLinkTableRule(t *testing.T) {
 		for reads := ReadSet(0); reads <= readAll; reads++ {
 			wantLinks := reads&ReadAggregates != 0 || reads&linkQuantities != 0 ||
 				cfg.KeepMatrices || cfg.KeepPartials
-			if links := newRunWindow(nv, reads, cfg).b != nil; links != wantLinks {
+			w := newRunWindow(nv, reads, cfg)
+			if links := w.b != nil; links != wantLinks {
 				t.Errorf("reads %#x, %+v: link table built = %v, want %v", reads, cfg, links, wantLinks)
+			}
+			wantDst := wantLinks && reads&destinationReads != 0 && reads&sourceReads == 0 &&
+				!cfg.KeepMatrices && !cfg.KeepPartials
+			if w.b != nil && destinationMajor(w.b) != wantDst {
+				t.Errorf("reads %#x, %+v: destination-major = %v, want %v", reads, cfg, !wantDst, wantDst)
 			}
 			cfg.NV = nv
 			sink := &declaredCollector{reads: reads}
@@ -202,6 +210,14 @@ func TestLinkTableRule(t *testing.T) {
 			}
 		}
 	}
+}
+
+// destinationMajor reports whether b sorts its window destination-major:
+// such a builder has no canonical (Src, Dst) order, so Partial panics.
+func destinationMajor(b *spmat.Builder) (dm bool) {
+	defer func() { dm = recover() != nil }()
+	b.Partial()
+	return false
 }
 
 // TestSinksRejectUnreadHistograms pins the loud failure of a sink that

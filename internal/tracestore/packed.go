@@ -447,8 +447,9 @@ func encodeBlockPacked(dst []byte, packets []stream.Packet) ([]byte, int) {
 }
 
 // decodeBatch is the stack batch size of the fused decoder: pairs are
-// deposited into the window in runs of this size so the flat tables (or
-// the window's key buffer) work on whole batches.
+// deposited into the window in runs of this size so its accumulator (a
+// node table's prefetching loop, or the builder's key slice) works on
+// whole batches.
 const decodeBatch = 256
 
 // packedWalker is the reader's block state: one resumable walk over a
