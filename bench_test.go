@@ -243,7 +243,7 @@ func BenchmarkTraceReplay(b *testing.B) {
 func BenchmarkScenarioEngine(b *testing.B) {
 	const units = 8
 	buildRegistry := func() *ScenarioRegistry {
-		reg := NewScenarioRegistry()
+		reg := scenario.NewRegistry()
 		for i := 0; i < units; i++ {
 			i := i
 			if err := reg.Register(Scenario{

@@ -6,24 +6,19 @@
 // pipeline both are fitted against, and the Section IV.B parameter
 // estimators.
 //
-// The package is a façade: it re-exports the supported surface of the
-// internal packages so downstream users never import hybridplaw/internal.
+// The package is a façade over the internal packages, so downstream
+// users never import hybridplaw/internal. It holds an exported function
+// only when a command under cmd/, a program under examples/ or an
+// Example in this package calls it; TestFacadeSurface enforces the rule.
 //
-// # Quick start
-//
-//	params, _ := hybridplaw.PALUFromWeights(2, 2, 1.5, 2.5, 2.0)
-//	rng := hybridplaw.NewRNG(1)
-//	hist, _ := hybridplaw.FastObservedHistogram(params, 1_000_000, 0.5, rng)
-//	fit, _, _ := hybridplaw.FitZipfMandelbrot(hist)
-//	fmt.Printf("alpha=%.2f delta=%.3f\n", fit.Alpha, fit.Delta)
-//
-// See examples/ for runnable programs and DESIGN.md for the experiment
-// index mapping every table and figure of the paper to code.
+// The quick start is the package Example; README.md quotes it and the
+// package's other Examples verbatim. See examples/ for runnable
+// programs and DESIGN.md for the experiment index mapping every table
+// and figure of the paper to code.
 package hybridplaw
 
 import (
 	"io"
-	"net/http"
 
 	"hybridplaw/internal/boot"
 	"hybridplaw/internal/estimate"
@@ -32,7 +27,6 @@ import (
 	"hybridplaw/internal/hist"
 	"hybridplaw/internal/model"
 	"hybridplaw/internal/netgen"
-	"hybridplaw/internal/obs"
 	"hybridplaw/internal/palu"
 	"hybridplaw/internal/powerlaw"
 	"hybridplaw/internal/scenario"
@@ -69,11 +63,6 @@ type PALUUnderlying = palu.Underlying
 // PALUGenerateOptions configures graph-based generation.
 type PALUGenerateOptions = palu.GenerateOptions
 
-// NewPALUParams validates an explicit parameter set.
-func NewPALUParams(c, l, u, lambda, alpha float64) (PALUParams, error) {
-	return palu.NewParams(c, l, u, lambda, alpha)
-}
-
 // PALUFromWeights builds parameters from relative section weights,
 // normalizing to satisfy the model constraint exactly.
 func PALUFromWeights(wc, wl, wu, lambda, alpha float64) (PALUParams, error) {
@@ -97,12 +86,6 @@ func FastObservedHistogram(params PALUParams, n int, p float64, rng *RNG) (*Hist
 	return palu.FastObservedHistogram(params, n, p, rng)
 }
 
-// DeltaFromObservation evaluates the Section VI bridge: the ZM offset δ
-// implied by a PALU observation.
-func DeltaFromObservation(o PALUObservation) (float64, error) {
-	return palu.DeltaFromObservation(o)
-}
-
 // Histogram is a degree histogram n(d) for d >= 1.
 type Histogram = hist.Histogram
 
@@ -120,9 +103,6 @@ func NewHistogram() *Histogram { return hist.New() }
 func HistogramFromCounts(counts map[int]int64) (*Histogram, error) {
 	return hist.FromCounts(counts)
 }
-
-// NewEnsemble returns an empty cross-window ensemble accumulator.
-func NewEnsemble() *Ensemble { return hist.NewEnsemble() }
 
 // ZipfMandelbrot is the modified Zipf–Mandelbrot model p(d) ∝ (d+δ)^{−α}.
 type ZipfMandelbrot = zipfmand.Model
@@ -147,9 +127,6 @@ func FitZipfMandelbrotPooled(obs *Pooled, dmax int, opts ZMFitOptions) (ZMFitRes
 // EstimateResult holds Section IV.B estimates for a single window.
 type EstimateResult = estimate.Result
 
-// EstimateOptions tunes the estimation pipeline.
-type EstimateOptions = estimate.Options
-
 // WindowEstimate pairs a window estimate with its sampling probability.
 type WindowEstimate = estimate.WindowEstimate
 
@@ -159,11 +136,6 @@ type JointEstimate = estimate.JointResult
 // EstimatePALU runs the Section IV.B pipeline with default options.
 func EstimatePALU(h *Histogram) (EstimateResult, error) {
 	return estimate.Estimate(h, estimate.DefaultOptions())
-}
-
-// EstimatePALUWith runs the pipeline with explicit options.
-func EstimatePALUWith(h *Histogram, opts EstimateOptions) (EstimateResult, error) {
-	return estimate.Estimate(h, opts)
 }
 
 // JointEstimatePALU lifts per-window estimates to the underlying
@@ -205,9 +177,6 @@ type ModelRegistry = model.Registry
 // ranking, Akaike weights, and winner-vs-candidate Vuong tests.
 type ModelSelection = model.Selection
 
-// ModelVuongResult is one normalized log-likelihood-ratio comparison.
-type ModelVuongResult = model.VuongResult
-
 // DefaultModelRegistry returns a fresh registry with every built-in
 // fitter. Registry-routed zm/csn/palu fits are numerically identical to
 // FitZipfMandelbrot/FitPowerLaw/EstimatePALU.
@@ -217,22 +186,6 @@ func DefaultModelRegistry() *ModelRegistry { return model.Default() }
 // Vuong LLR test between the winner and every runner-up.
 func SelectModels(h *Histogram, results []ModelFitResult) (ModelSelection, error) {
 	return model.Select(h, results)
-}
-
-// VuongTest computes the normalized log-likelihood-ratio statistic
-// between two fitted models on a histogram.
-func VuongTest(h *Histogram, a, b Model) (ModelVuongResult, error) {
-	return model.Vuong(h, a, b)
-}
-
-// ModelSelectionResult is a per-dataset selection table (the
-// "modelsel/..." scenario family's typed result).
-type ModelSelectionResult = experiments.ModelSelectionResult
-
-// RunModelSelectionPALU ranks the approximating families on
-// PALU-generated reference traffic (n <= 0 selects the suite default).
-func RunModelSelectionPALU(seed uint64, n int) (ModelSelectionResult, error) {
-	return experiments.RunModelSelectionPALU(seed, n)
 }
 
 // BootstrapInterval is a two-sided percentile interval from the shared
@@ -313,9 +266,6 @@ type EnsembleSink = stream.EnsembleSink
 // memory; with KeepMatrices, each window's frozen matrix too).
 type ResultCollector = stream.ResultCollector
 
-// SliceSource replays an in-memory packet slice through the pipeline.
-type SliceSource = stream.SliceSource
-
 // CSVSource streams a trace CSV through the pipeline in bounded memory.
 type CSVSource = stream.CSVSource
 
@@ -327,9 +277,6 @@ func RunPipeline(src PacketSource, cfg PipelineConfig, sinks ...Sink) (PipelineS
 	return stream.Run(src, cfg, sinks...)
 }
 
-// NewSliceSource returns a source replaying the slice once.
-func NewSliceSource(packets []Packet) *SliceSource { return stream.NewSliceSource(packets) }
-
 // NewCSVSource returns a streaming reader over a trace CSV.
 func NewCSVSource(r io.Reader) *CSVSource { return stream.NewCSVSource(r) }
 
@@ -337,21 +284,6 @@ func NewCSVSource(r io.Reader) *CSVSource { return stream.NewCSVSource(r) }
 // counting sources surface their packet totals in
 // PipelineStats.SourcePacketsRead so truncated traces are detectable.
 type PacketCounter = stream.PacketCounter
-
-// WriteTraceCSV archives a packet slice as a trace CSV (src,dst,valid).
-func WriteTraceCSV(w io.Writer, packets []Packet) error {
-	return stream.WriteTraceCSV(w, packets)
-}
-
-// WriteTraceCSVFrom streams a PacketSource into a trace CSV without
-// materializing it, returning the packet count.
-func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
-	return stream.WriteTraceCSVFrom(w, src)
-}
-
-// TraceWriter streams packets into a PTRC packed-column binary trace
-// archive (see internal/tracestore for the format).
-type TraceWriter = tracestore.Writer
 
 // TraceWriterOptions configures PTRC archiving (block size and
 // metrics); the zero value selects the defaults.
@@ -362,18 +294,9 @@ type TraceWriterOptions = tracestore.WriterOptions
 // decode.
 type TraceReader = tracestore.Reader
 
-// TraceArchiveInfo summarizes a PTRC archive from its index.
-type TraceArchiveInfo = tracestore.ArchiveInfo
-
 // ErrCorruptTrace is wrapped by every error caused by a damaged PTRC
 // archive (truncation, checksum mismatch, bad magic).
 var ErrCorruptTrace = tracestore.ErrCorrupt
-
-// NewTraceWriter returns a PTRC writer archiving into w; call Close to
-// finalize the index and footer.
-func NewTraceWriter(w io.Writer, opts TraceWriterOptions) (*TraceWriter, error) {
-	return tracestore.NewWriter(w, opts)
-}
 
 // RecordTrace archives an entire PacketSource into w as one PTRC archive
 // and returns the packet count.
@@ -384,12 +307,6 @@ func RecordTrace(w io.Writer, src PacketSource, opts TraceWriterOptions) (int64,
 // NewTraceReader returns a sequential PTRC reader over r.
 func NewTraceReader(r io.Reader) (*TraceReader, error) {
 	return tracestore.NewReader(r)
-}
-
-// TraceInfo summarizes a PTRC archive from its index without decoding
-// any block.
-func TraceInfo(r io.ReaderAt, size int64) (TraceArchiveInfo, error) {
-	return tracestore.Info(r, size)
 }
 
 // TakeValidPackets limits a source to the prefix ending at its n-th
@@ -414,12 +331,6 @@ type TrafficAggregates = spmat.Aggregates
 // associative and commutative; Rebase separates per-site id spaces.
 type WindowPartial = spmat.WindowPartial
 
-// PartialFromEntries canonicalizes arbitrary-order link entries into a
-// WindowPartial.
-func PartialFromEntries(entries []spmat.Entry) (WindowPartial, error) {
-	return spmat.PartialFromEntries(entries)
-}
-
 // PartialSink is a Sink retaining each window's WindowPartial (requires
 // PipelineConfig.KeepPartials).
 type PartialSink = stream.PartialSink
@@ -429,28 +340,6 @@ type PartialSink = stream.PartialSink
 // typically one merged from several sites.
 func ReduceWindowPartial(t int, p WindowPartial, keepMatrix bool) (*WindowResult, error) {
 	return stream.ReducePartial(t, p, keepMatrix)
-}
-
-// FederationSite is one member observatory of the federation suite.
-type FederationSite = experiments.FederationSite
-
-// FederationSiteResult is one member's merged distribution with its
-// model selection table.
-type FederationSiteResult = experiments.FederationSiteResult
-
-// FederationBackboneResult is the merged-backbone half of the
-// federation contrast.
-type FederationBackboneResult = experiments.FederationBackboneResult
-
-// FederationSites returns the built-in member sites of the federation
-// suite.
-func FederationSites() []FederationSite { return experiments.FederationSites() }
-
-// RunFederationBackbone merges the member sites' window partials into a
-// synthetic backbone and ranks model families on merged vs per-site
-// distributions (the "federation/backbone" scenario's compute).
-func RunFederationBackbone() (FederationBackboneResult, error) {
-	return experiments.RunFederationBackbone()
 }
 
 // Graph is an undirected multigraph.
@@ -468,9 +357,6 @@ type Site = netgen.Site
 
 // NewSite builds an observatory from a configuration.
 func NewSite(cfg SiteConfig) (*Site, error) { return netgen.NewSite(cfg) }
-
-// Figure3Panels returns the six built-in Fig. 3 panel presets.
-func Figure3Panels() []netgen.PanelSpec { return netgen.Figure3Panels() }
 
 // Scenario is one declarative experiment: a named unit of the paper
 // suite with its declared output artifacts and traffic windows.
@@ -506,9 +392,6 @@ type WindowRequirement = scenario.WindowReq
 // WindowCacheStats summarizes PTRC window-cache traffic over a run.
 type WindowCacheStats = scenario.CacheStats
 
-// NewScenarioRegistry returns an empty scenario registry.
-func NewScenarioRegistry() *ScenarioRegistry { return scenario.NewRegistry() }
-
 // NewScenarioEngine validates the configuration and opens the window
 // cache (when configured).
 func NewScenarioEngine(reg *ScenarioRegistry, cfg ScenarioConfig) (*ScenarioEngine, error) {
@@ -521,35 +404,5 @@ func SummarizeScenarioReports(reports []ScenarioReport) string {
 	return scenario.Summarize(reports)
 }
 
-// PaperScenarios returns the full paper suite (every table, figure and
-// ablation) as scenarios in canonical order.
-func PaperScenarios(seed uint64) []Scenario { return experiments.Scenarios(seed) }
-
 // PaperRegistry returns a registry pre-loaded with the full paper suite.
 func PaperRegistry(seed uint64) *ScenarioRegistry { return experiments.MustRegistry(seed) }
-
-// ScenarioIndexMarkdown renders a registry as the experiment index (the
-// content of EXPERIMENTS.md).
-func ScenarioIndexMarkdown(reg *ScenarioRegistry) string { return scenario.ListMarkdown(reg) }
-
-// --- Observability (DESIGN.md §11) ---------------------------------------
-
-// MetricsRegistry is a set of named instruments (counters, gauges,
-// histograms, timers) with deterministic sorted snapshots. Pass one as
-// ScenarioConfig.Metrics (or to the internal layer bundles via the
-// CLIs' -metrics flags) to instrument a run end to end.
-type MetricsRegistry = obs.Registry
-
-// MetricsSnapshot is a point-in-time view of a registry, exportable as
-// JSON (WriteJSON) or Prometheus text (WriteText).
-type MetricsSnapshot = obs.Snapshot
-
-// NewMetricsRegistry returns an empty metrics registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// DefaultMetricsRegistry returns the process-global registry.
-func DefaultMetricsRegistry() *MetricsRegistry { return obs.Default() }
-
-// MetricsHandler returns an http.Handler serving a registry's snapshot
-// (Prometheus text; ?format=json for JSON).
-func MetricsHandler(reg *MetricsRegistry) http.Handler { return obs.Handler(reg) }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"hybridplaw/internal/model"
+	"hybridplaw/internal/palu"
 	"hybridplaw/internal/xrand"
 )
 
@@ -102,7 +104,7 @@ func TestFacadeBridgeAndCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := DeltaFromObservation(o)
+	delta, err := palu.DeltaFromObservation(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +205,7 @@ func TestFacadeModelLayer(t *testing.T) {
 	if !found || best.Model.Name() != "zm" {
 		t.Errorf("winner = %+v, want a zm-family fit", best)
 	}
-	v, err := VuongTest(h, ok[1].Model, ok[2].Model) // zm-mle vs plaw
+	v, err := model.Vuong(h, ok[1].Model, ok[2].Model) // zm-mle vs plaw
 	if err != nil {
 		t.Fatal(err)
 	}

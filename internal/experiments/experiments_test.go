@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunTableI(t *testing.T) {
-	res, err := runTableI(scenario.Standalone(), 1, 20000)
+	res, err := runTableI(&scenario.Context{}, 1, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRunTableI(t *testing.T) {
 }
 
 func TestRunFigure1(t *testing.T) {
-	res, err := runFigure1(scenario.Standalone(), 2, 20000)
+	res, err := runFigure1(&scenario.Context{}, 2, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestRunFigure3SinglePanel(t *testing.T) {
 	// The full-size panels run in the root BenchmarkFigure3; one
 	// scaled-down panel here keeps the unit-test cycle fast.
 	spec := netgenPanel(t)
-	res, err := runFigure3Panel(scenario.Standalone(), spec)
+	res, err := runFigure3Panel(&scenario.Context{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,12 +278,6 @@ func runFederationBackbone(ctx *scenario.Context, sites []FederationSite) (Feder
 	return res, nil
 }
 
-// RunFederationBackbone is the standalone wrapper over the
-// "federation/backbone" scenario's compute.
-func RunFederationBackbone() (FederationBackboneResult, error) {
-	return runFederationBackbone(scenario.Standalone(), FederationSites())
-}
-
 // writeFederationWindowsCSV renders the per-window backbone table.
 func writeFederationWindowsCSV(w io.Writer, r FederationBackboneResult) error {
 	header := "t"

@@ -71,7 +71,7 @@ func TestFederationBackbone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	res, err := RunFederationBackbone()
+	res, err := runFederationBackbone(&scenario.Context{}, FederationSites())
 	if err != nil {
 		t.Fatal(err)
 	}

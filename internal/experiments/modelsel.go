@@ -158,16 +158,11 @@ func runModelSelectionPanel(ctx *scenario.Context, spec netgen.PanelSpec) (Model
 		sink.Merged(spec.Quantity), reg, modelSelFitters(reg))
 }
 
-// RunModelSelectionPALU ranks the approximating families on a
+// modelSelectionPALU ranks the approximating families on a
 // PALU-generated observed histogram (the E-X2 leaf-heavy reference
-// traffic): the acceptance pin that the modified Zipf–Mandelbrot family
-// wins on PALU-generated traffic. Standalone wrapper over the
-// "modelsel/palu-observed" scenario's compute.
-func RunModelSelectionPALU(seed uint64, n int) (ModelSelectionResult, error) {
-	return modelSelectionPALU(seed, n, nil)
-}
-
-// modelSelectionPALU is RunModelSelectionPALU with its fits timed by m.
+// traffic), with its fits timed by m: the "modelsel/palu-observed"
+// scenario's compute and the acceptance pin that the modified
+// Zipf–Mandelbrot family wins on PALU-generated traffic.
 func modelSelectionPALU(seed uint64, n int, m *model.Metrics) (ModelSelectionResult, error) {
 	if n <= 0 {
 		n = baselineN

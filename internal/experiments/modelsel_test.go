@@ -13,7 +13,7 @@ import (
 // likelihood-based selection among the approximating families, and the
 // single power law loses decisively under the Vuong test.
 func TestModelSelectionPALUPinsZMFamily(t *testing.T) {
-	res, err := RunModelSelectionPALU(1, baselineN)
+	res, err := modelSelectionPALU(1, baselineN, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestModelSelectionPanel(t *testing.T) {
 	if !found {
 		t.Fatal("panel tokyo2017-source-fanout missing")
 	}
-	res, err := runModelSelectionPanel(scenario.Standalone(), spec)
+	res, err := runModelSelectionPanel(&scenario.Context{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestModelSelScenariosShareFig3Windows(t *testing.T) {
 // and requires byte-identical summaries (the CI determinism diff -r of
 // a GOMAXPROCS=1 run against default-width runs depends on it).
 func TestModelSelectionSummaryDeterministic(t *testing.T) {
-	a, err := RunModelSelectionPALU(3, 60000)
+	a, err := modelSelectionPALU(3, 60000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunModelSelectionPALU(3, 60000)
+	b, err := modelSelectionPALU(3, 60000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestFitScanWithinToleranceOnSuiteInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// experiments.RunModelSelectionPALU(1, 0): 300k nodes at seed 1.
+	// The "modelsel/palu-observed" scenario: 300k nodes at seed 1.
 	observed, err := palu.FastObservedHistogram(params, 300000, 0.7, xrand.New(1))
 	if err != nil {
 		t.Fatal(err)

@@ -208,7 +208,7 @@ func TestWindowCacheStreamBudgets(t *testing.T) {
 		return r
 	}
 	direct := collect(func(sinks ...stream.Sink) (stream.PipelineStats, error) {
-		return Standalone().Stream(req, stream.PipelineConfig{}, sinks...)
+		return (&Context{}).Stream(req, stream.PipelineConfig{}, sinks...)
 	})
 	check := func(name string, c *WindowCache) {
 		t.Helper()

@@ -206,12 +206,6 @@ type Context struct {
 	written []string
 }
 
-// Standalone returns a context detached from any engine: Stream
-// generates traffic directly (no cache, no declaration checks) and
-// WriteArtifact is unavailable. It backs RunFederationBackbone, which
-// runs the backbone compute outside any engine.
-func Standalone() *Context { return &Context{} }
-
 func (c *Context) writtenNames() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -72,8 +72,8 @@ func (e *memoEntry) fill(key string, compute func() (any, error)) {
 // depends on (quantity, fitter list, ...); one key always holds one
 // type. req must be declared by the running scenario; that is checked
 // before the memo is read, so a hit cannot skip it. Callers share the
-// value and must not modify it. Under a Standalone context Memo just
-// computes.
+// value and must not modify it. Under a context detached from any
+// engine (a zero Context, which tests build) Memo just computes.
 func Memo[T any](c *Context, req WindowReq, name string, compute func() (T, error)) (T, error) {
 	var zero T
 	if c.eng == nil {

@@ -152,7 +152,7 @@ func TestMemoContext(t *testing.T) {
 
 	var runs int
 	for i := 0; i < 2; i++ {
-		if _, err := Memo(Standalone(), declared, "n", func() (int, error) { runs++; return runs, nil }); err != nil {
+		if _, err := Memo(&Context{}, declared, "n", func() (int, error) { runs++; return runs, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -274,7 +274,7 @@ func TestContextDeclarations(t *testing.T) {
 // TestStandaloneContext: Stream generates directly, WriteArtifact is
 // unavailable.
 func TestStandaloneContext(t *testing.T) {
-	ctx := Standalone()
+	ctx := &Context{}
 	var windows int
 	stats, err := ctx.Stream(WindowReq{Site: testSite(3), NV: 1500, Windows: 2},
 		stream.PipelineConfig{}, stream.FuncSink(func(*stream.WindowResult) error { windows++; return nil }))

@@ -22,19 +22,6 @@ type WindowPartial struct {
 	total   int64
 }
 
-// PartialFromEntries canonicalizes arbitrary-order entries (duplicates
-// combined by summation) into a WindowPartial. Entries with
-// non-positive counts are rejected.
-func PartialFromEntries(entries []Entry) (WindowPartial, error) {
-	for _, e := range entries {
-		if e.Count <= 0 {
-			return WindowPartial{}, errors.New("spmat: non-positive partial entry count")
-		}
-	}
-	m := FromEntries(entries)
-	return WindowPartial{entries: m.entries, total: m.total}, nil
-}
-
 // NNZ returns the number of unique links in the partial.
 func (p WindowPartial) NNZ() int { return len(p.entries) }
 

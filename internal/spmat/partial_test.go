@@ -108,19 +108,3 @@ func TestPartialRebase(t *testing.T) {
 		t.Fatal("overflowing rebase must fail")
 	}
 }
-
-func TestPartialFromEntries(t *testing.T) {
-	p, err := PartialFromEntries([]Entry{{3, 4, 2}, {1, 2, 1}, {3, 4, 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(p.entries) != 2 || p.Total() != 8 {
-		t.Fatalf("nnz=%d total=%d", len(p.entries), p.Total())
-	}
-	if es := p.entries; es[0] != (Entry{1, 2, 1}) || es[1] != (Entry{3, 4, 7}) {
-		t.Fatalf("entries: %+v", es)
-	}
-	if _, err := PartialFromEntries([]Entry{{1, 2, 0}}); err == nil {
-		t.Fatal("non-positive count must be rejected")
-	}
-}

@@ -128,7 +128,7 @@ func TestPipelineSinkErrorCancels(t *testing.T) {
 func TestPipelineSourceErrorPropagates(t *testing.T) {
 	// A malformed line mid-trace must surface with its line number.
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, mkPackets(7, 500, 16, 0)); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(mkPackets(7, 500, 16, 0))); err != nil {
 		t.Fatal(err)
 	}
 	corrupted := strings.Replace(buf.String(), "\n", "\nbogus line here\n", 1)
@@ -143,7 +143,7 @@ func TestCSVSourceRoundTripThroughPipeline(t *testing.T) {
 	const nv = 700
 
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, ps); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(ps)); err != nil {
 		t.Fatal(err)
 	}
 

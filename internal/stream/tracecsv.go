@@ -45,13 +45,6 @@ func WriteTraceCSVFrom(w io.Writer, src PacketSource) (int64, error) {
 	return n, bw.Flush()
 }
 
-// WriteTraceCSV writes a packet slice as a trace CSV; it is the thin
-// convenience wrapper over WriteTraceCSVFrom.
-func WriteTraceCSV(w io.Writer, packets []Packet) error {
-	_, err := WriteTraceCSVFrom(w, NewSliceSource(packets))
-	return err
-}
-
 // CSVSource streams packets from a trace CSV one line at a time, so a
 // trace of any length replays through the pipeline in bounded memory. It
 // implements PacketSource; malformed lines terminate the stream with an
@@ -67,7 +60,7 @@ type CSVSource struct {
 }
 
 // NewCSVSource returns a streaming reader over a trace written by
-// WriteTraceCSV. The header is optional: the first non-blank line is
+// WriteTraceCSVFrom. The header is optional: the first non-blank line is
 // taken for one only when its first field is not an unsigned integer.
 func NewCSVSource(r io.Reader) *CSVSource {
 	sc := bufio.NewScanner(r)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
@@ -28,7 +29,7 @@ func TestTraceCSVRoundTrip(t *testing.T) {
 		{Src: 7, Dst: 7, Valid: true},
 	}
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, in); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(in)); err != nil {
 		t.Fatal(err)
 	}
 	out, err := readTraceCSV(&buf)
@@ -90,29 +91,34 @@ func TestReadTraceCSVErrors(t *testing.T) {
 }
 
 func TestWriteTraceCSVFromStreams(t *testing.T) {
-	// The streaming writer must match the slice wrapper byte for byte and
-	// report the packet count.
+	// The streaming writer must render a header and one "src,dst,valid"
+	// line per packet, and report the packet count.
 	ps := mkPackets(3, 1200, 64, 4)
-	var a, b bytes.Buffer
-	if err := WriteTraceCSV(&a, ps); err != nil {
-		t.Fatal(err)
-	}
-	n, err := WriteTraceCSVFrom(&b, NewSliceSource(ps))
+	var got bytes.Buffer
+	n, err := WriteTraceCSVFrom(&got, NewSliceSource(ps))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(ps)) {
 		t.Errorf("wrote %d packets, want %d", n, len(ps))
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("WriteTraceCSVFrom output differs from WriteTraceCSV")
+	want := "src,dst,valid\n"
+	for _, p := range ps {
+		valid := 0
+		if p.Valid {
+			valid = 1
+		}
+		want += fmt.Sprintf("%d,%d,%d\n", p.Src, p.Dst, valid)
+	}
+	if got.String() != want {
+		t.Error("WriteTraceCSVFrom output differs from the per-packet rendering")
 	}
 }
 
 func TestCSVSourcePacketsRead(t *testing.T) {
 	ps := mkPackets(5, 500, 64, 4)
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, ps); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(ps)); err != nil {
 		t.Fatal(err)
 	}
 	src := NewCSVSource(&buf)
@@ -137,7 +143,7 @@ func TestCSVSourcePacketsRead(t *testing.T) {
 func TestPipelineSurfacesSourcePacketsRead(t *testing.T) {
 	ps := mkPackets(6, 3000, 64, 4)
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, ps); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(ps)); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := Run(NewCSVSource(&buf), PipelineConfig{NV: 500}, FuncSink(func(*WindowResult) error { return nil }))
@@ -184,7 +190,7 @@ func TestTraceCSVThroughPipeline(t *testing.T) {
 	// pipeline cuts identical windows from both.
 	ps := mkPackets(9, 3000, 64, 4)
 	var buf bytes.Buffer
-	if err := WriteTraceCSV(&buf, ps); err != nil {
+	if _, err := WriteTraceCSVFrom(&buf, NewSliceSource(ps)); err != nil {
 		t.Fatal(err)
 	}
 	replayed, err := readTraceCSV(&buf)

@@ -48,10 +48,10 @@ func sequentialErr(data []byte) error {
 }
 
 // infoErr reads a (possibly damaged) archive's footer and index through
-// Info — the seekable path, which never decodes a block — and returns
+// the index summary — the path InfoFile takes, which never decodes a block — and returns
 // its error.
 func infoErr(data []byte) error {
-	_, err := Info(bytes.NewReader(data), int64(len(data)))
+	_, err := infoBytes(data)
 	return err
 }
 
@@ -80,7 +80,7 @@ func TestCorruptionTruncated(t *testing.T) {
 func TestCorruptionBitFlips(t *testing.T) {
 	ps := synthPackets(6, 3000, 500, 8)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
-	// index marks the flips the footer/index path can see: Info never
+	// index marks the flips the footer/index path can see: the index summary never
 	// reads a block, so block damage is the readers' to catch.
 	flips := []struct {
 		name  string
@@ -118,7 +118,7 @@ func TestCorruptionIndexPayload(t *testing.T) {
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
 	// The index payload sits between the index record header and the
 	// footer; flip a byte in its middle. The CRC check must reject it on
-	// both paths: the sequential reader and Info via the footer.
+	// both paths: the sequential reader and the index summary via the footer.
 	idxPayloadStart := len(data) - footerLen
 	// Walk back: footer, then payload of length read from footer.
 	n := int(uint32(data[len(data)-16]) | uint32(data[len(data)-15])<<8 |
@@ -132,7 +132,7 @@ func TestCorruptionIndexPayload(t *testing.T) {
 
 // TestCorruptionIndexDroppedBlock rewrites the archive with the last
 // block record removed but the original index intact: the sequential
-// reader must notice the index totals disagree with the stream, and Info
+// reader must notice the index totals disagree with the stream, and the index summary
 // that the footer no longer points at the index record.
 func TestCorruptionIndexDroppedBlock(t *testing.T) {
 	ps := synthPackets(9, 2000, 500, 5)
@@ -201,7 +201,7 @@ func expectDeflateRemoved(t *testing.T, name string, err error) {
 
 // TestLegacyDeflateRejected pins that an archive of the removed DEFLATE
 // codec fails loudly on every read path — the sequential reader, the
-// fused DecodeInto path and Info — rather than reading as some other
+// fused DecodeInto path and the index summary — rather than reading as some other
 // corruption or, worse, as packets.
 func TestLegacyDeflateRejected(t *testing.T) {
 	data := legacyDeflateArchive(t)

@@ -18,7 +18,7 @@
 // payload, so corruption is detected before any decode work. The
 // trailing index lists every block's packet count and byte lengths,
 // then a codec section naming every block packed, so a seekable archive
-// can be summarized (Info) without decoding any block; the footer makes
+// can be summarized (InfoFile) without decoding any block; the footer makes
 // the index discoverable from the end of the file, while the in-stream
 // index record keeps the sequential Reader (which needs only an
 // io.Reader, so a pipe works) self-contained.
@@ -389,7 +389,7 @@ type BlockStat struct {
 	CompressedBytes int
 }
 
-// summary is the one archive summarizer behind Info, InfoFile and
+// summary is the one archive summarizer behind InfoFile and
 // InfoFileBlocks.
 func (idx *archiveIndex) summary(size int64) ArchiveInfo {
 	info := ArchiveInfo{
@@ -403,18 +403,6 @@ func (idx *archiveIndex) summary(size int64) ArchiveInfo {
 		info.CompressedBytes += int64(bl.compLen)
 	}
 	return info
-}
-
-// Info reads the footer and index of a seekable archive and returns its
-// summary. It fails with an error wrapping ErrCorrupt if the archive is
-// truncated or damaged in a way the index can detect, or holds DEFLATE
-// blocks.
-func Info(r io.ReaderAt, size int64) (ArchiveInfo, error) {
-	idx, err := readIndex(r, size)
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	return idx.summary(size), nil
 }
 
 // readIndexFile opens the archive at path and reads its index,

@@ -31,7 +31,7 @@ func fuzzArchive(tb testing.TB, packets int, blockSize int) []byte {
 
 // FuzzReader feeds arbitrary (seeded with valid, truncated and
 // bit-flipped archives) bytes to the PTRC Reader, over both its
-// per-packet and fused paths, and to Info's footer/index path. The
+// per-packet and fused paths, and to the footer/index summary path. The
 // invariant under fuzzing: each either succeeds or fails with a
 // descriptive error wrapping ErrCorrupt (or a plain I/O error) — it
 // must never panic, hang, or allocate unboundedly. The
@@ -98,9 +98,9 @@ func FuzzReader(f *testing.F) {
 			checkFuzzErr(t, r.Err())
 		}
 
-		// Info: footer/index path. An accepted index tiles the file with
+		// Index summary: footer/index path. An accepted index tiles the file with
 		// its blocks, so it cannot claim more blocks than the bytes hold.
-		info, err := Info(bytes.NewReader(data), int64(len(data)))
+		info, err := infoBytes(data)
 		if err != nil {
 			checkFuzzErr(t, err)
 			return

@@ -27,7 +27,7 @@ func TestMetricsRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Info(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	info, err := infoBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

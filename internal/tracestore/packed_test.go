@@ -180,7 +180,7 @@ func TestPackedInfo(t *testing.T) {
 			t.Errorf("block %d: %d packets, %d raw bytes; want %d, %d", i, b.Packets, b.RawBytes, len(pkts), raw)
 		}
 	}
-	got, err := Info(bytes.NewReader(data), int64(len(data)))
+	got, err := infoBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestPackedInfo(t *testing.T) {
 // TestPackedCorruption runs the damaged-archive invariants over the
 // packed payload sections: truncations and bit flips must surface as
 // ErrCorrupt from the reader, never a panic or silent misread, and
-// truncations as ErrCorrupt from Info too.
+// truncations as ErrCorrupt from the index summary too.
 func TestPackedCorruption(t *testing.T) {
 	ps := synthPackets(31, 3000, 500, 8)
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 512})
@@ -250,7 +250,7 @@ func TestMetricsPacked(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Info(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	info, err := infoBytes(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

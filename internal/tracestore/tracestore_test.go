@@ -134,7 +134,7 @@ func TestRoundTripProperty(t *testing.T) {
 func TestCSVToPTRCToCSV(t *testing.T) {
 	ps := synthPackets(9, 2500, 3000, 5)
 	var csv1 bytes.Buffer
-	if err := stream.WriteTraceCSV(&csv1, ps); err != nil {
+	if _, err := stream.WriteTraceCSVFrom(&csv1, stream.NewSliceSource(ps)); err != nil {
 		t.Fatal(err)
 	}
 	var ptrc bytes.Buffer
@@ -157,6 +157,16 @@ func TestCSVToPTRCToCSV(t *testing.T) {
 	}
 }
 
+// infoBytes summarizes an in-memory archive from its index, as
+// InfoFile does for one on disk.
+func infoBytes(data []byte) (ArchiveInfo, error) {
+	idx, err := readIndex(bytes.NewReader(data), int64(len(data)))
+	if err != nil {
+		return ArchiveInfo{}, err
+	}
+	return idx.summary(int64(len(data))), nil
+}
+
 func TestInfo(t *testing.T) {
 	ps := synthPackets(4, 5000, 2000, 6)
 	valid := int64(0)
@@ -166,7 +176,7 @@ func TestInfo(t *testing.T) {
 		}
 	}
 	data := writeArchive(t, ps, WriterOptions{BlockSize: 1024})
-	info, err := Info(bytes.NewReader(data), int64(len(data)))
+	info, err := infoBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +203,7 @@ func TestEmptyArchive(t *testing.T) {
 	if got := drain(t, r); len(got) != 0 {
 		t.Errorf("empty archive yielded %d packets", len(got))
 	}
-	info, err := Info(bytes.NewReader(data), int64(len(data)))
+	info, err := infoBytes(data)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,8 @@ package hybridplaw
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"runtime/debug"
@@ -47,11 +49,22 @@ func buildObsTrace(t *testing.T) ([]byte, tracestore.ArchiveInfo) {
 		tracestore.WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := tracestore.Info(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	return buf.Bytes(), archiveInfo(t, buf.Bytes())
+}
+
+// archiveInfo summarizes an in-memory archive through InfoFile, the
+// product's one summary path, by writing it under t.TempDir.
+func archiveInfo(t *testing.T, data []byte) tracestore.ArchiveInfo {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "trace.ptrc")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := tracestore.InfoFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes(), info
+	return info
 }
 
 // TestObsSnapshotEquivalenceAcrossConfigs replays one archive with
@@ -195,10 +208,7 @@ func TestMetricsInstrumentCountPin(t *testing.T) {
 	if err := buildReplayTrace(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := tracestore.Info(bytes.NewReader(replayTrace.ptrc), int64(len(replayTrace.ptrc)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := archiveInfo(t, replayTrace.ptrc)
 	reg := obs.NewRegistry()
 	sm, tm := stream.NewMetrics(reg), tracestore.NewMetrics(reg)
 	stats := obsReplayOnce(t, sm, tm)
