@@ -52,7 +52,8 @@ type Entry struct {
 // window closes once: AddPairs after a read panics until Reset. A
 // reused builder's later windows of the same shape allocate nothing.
 // Builder is not safe for concurrent use: a read mutates it. A window
-// read only for per-node packet totals uses a NodeCounter instead.
+// read only for per-node packet totals keeps no keys: a NodeCounter
+// counts each packet at its node's id instead.
 type Builder struct {
 	keys     []uint64 // the window's packed keys in arrival order until close
 	tmp      []uint64 // radix scratch for keys

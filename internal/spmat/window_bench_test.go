@@ -58,10 +58,12 @@ func newWindowBuilder(dstMajor bool) *Builder {
 }
 
 // BenchmarkWindow times one 300k-packet window's reduce on a reused
-// builder: the deposit in 256-key batches, then one read set. "all"
+// accumulator: the deposit in 256-key batches, then one read set. "all"
 // reads the aggregates and all five Fig. 1 reductions, as Fig. 1 does;
 // "wide" is the same window with its ids spread over all 32 bits of
-// both sides.
+// both sides. "packets" counts the source side alone in a NodeCounter,
+// as a packets-only Fig. 3 panel does: densely, or in sorted pairs when
+// the ids are wide.
 func BenchmarkWindow(b *testing.B) {
 	const nv = 300_000
 	narrow, wide := windowKeys(1, nv, 17, false), windowKeys(1, nv, 17, true)
@@ -73,6 +75,17 @@ func BenchmarkWindow(b *testing.B) {
 		bl.ForEachDestinationFanIn(node)
 		bl.ForEachDestinationPacket(node)
 		bl.ForEachLink(func(_, _ uint32, n int64) { windowSink += n })
+	}
+	window := func(b *testing.B, keys []uint64, reset func(), add func([]uint64), read func()) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reset()
+			for lo := 0; lo < len(keys); lo += 256 {
+				add(keys[lo:min(lo+256, len(keys))])
+			}
+			read()
+		}
+		b.ReportMetric(float64(nv)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
 	}
 	for _, c := range []struct {
 		name     string
@@ -88,15 +101,16 @@ func BenchmarkWindow(b *testing.B) {
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			bl := newWindowBuilder(c.dstMajor)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bl.Reset()
-				for lo := 0; lo < len(c.keys); lo += 256 {
-					bl.AddPairs(c.keys[lo:min(lo+256, len(c.keys))])
-				}
-				c.read(bl)
-			}
-			b.ReportMetric(float64(nv)*float64(b.N)/b.Elapsed().Seconds(), "packets/s")
+			window(b, c.keys, bl.Reset, bl.AddPairs, func() { c.read(bl) })
+		})
+	}
+	for _, c := range []struct {
+		name string
+		keys []uint64
+	}{{"packets", narrow}, {"packets-wide", wide}} {
+		b.Run(c.name, func(b *testing.B) {
+			nc := NewNodeCounter(nv, true, false)
+			window(b, c.keys, nc.Reset, nc.AddPairs, func() { nc.ForEachSourcePacket(node) })
 		})
 	}
 }

@@ -27,9 +27,10 @@ type Metrics struct {
 	Windows        *obs.Counter
 	TailDiscarded  *obs.Counter
 
-	// BuilderAlloc counts window accumulators allocated (one per Run:
-	// an spmat.Builder, or an spmat.NodeCounter in a packets-only
-	// run); BuilderReuse counts their warm Resets (one per window).
+	// BuilderAlloc counts window accumulators made (one per Run: an
+	// spmat.Builder, or an spmat.NodeCounter in a packets-only run);
+	// BuilderReuse counts their Resets (one per window), each of which
+	// keeps the accumulator's buffers for the next window.
 	BuilderAlloc *obs.Counter
 	BuilderReuse *obs.Counter
 

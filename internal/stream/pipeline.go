@@ -25,11 +25,11 @@ package stream
 // per run: an spmat.Builder, which keeps the window's keys and sorts
 // them once at close, so every link-level reduction and retained
 // product reads sorted runs, or an spmat.NodeCounter that counts only
-// the per-node packet totals a packets-only run reads; for a Builder it
-// picks the sort's major side too (see newRunWindow). No buffer exists
-// between the source and the accumulator beyond the window's own keys,
-// and one window is resident at a time,
-// regardless of trace length. Parallelism lives one level up: the
+// the per-node packet totals a packets-only run reads, each packet at
+// its node's id; for a Builder it picks the sort's major side too (see
+// newRunWindow). No buffer exists between the source and the
+// accumulator beyond the window's own keys, and one window is resident
+// at a time, regardless of trace length. Parallelism lives one level up: the
 // scenario engine runs whole scenarios, each with its own pipeline, on
 // its worker pool.
 
@@ -329,9 +329,9 @@ type PipelineStats struct {
 }
 
 // pairBatch is the stack batch size of packetDecoder: keys are collected
-// in runs of this size before entering the accumulator, so a
-// NodeCounter's batched adds can overlap their cache misses and a
-// Builder appends them in one copy. 256 keys = 2 KiB of stack.
+// in runs of this size before entering the accumulator, which takes
+// each run in one call (a Builder appends it in one copy). 256 keys =
+// 2 KiB of stack.
 const pairBatch = 256
 
 // Run executes the streaming pipeline: it ingests packets from src on
@@ -418,9 +418,10 @@ func run(src EncodedBlockSource, cfg PipelineConfig, stats *PipelineStats, sinks
 // DecodeInto. Every deposit of packed (src<<32 | dst) link keys goes
 // straight into the window's accumulator: its spmat.Builder or, in a
 // run that reads per-node packet totals and nothing else, its
-// spmat.NodeCounter (see newRunWindow). Both are called concretely
-// rather than through an interface, so a decoder's stack batch of keys
-// does not escape to the heap.
+// spmat.NodeCounter, which counts each packet at its node's id (see
+// newRunWindow). Both are called concretely rather than through an
+// interface, so a decoder's stack batch of keys does not escape to the
+// heap.
 type PairWindow struct {
 	b  *spmat.Builder     // the sorted window; nil in a packets-only run
 	c  *spmat.NodeCounter // per-node packet totals when b is nil
@@ -446,13 +447,14 @@ const (
 // destination side and nothing that needs source-major order (the
 // source side, or a retained product, which is canonical (Src, Dst)),
 // so that side reads off the window's one sort. Otherwise valid packets
-// count straight into per-node packet tables, for the sides read only;
+// count straight into per-node packet counts, for the sides read only,
+// dense by node id while the ids are narrow for a window of nv packets;
 // a run that reads neither side (no sinks, say) counts its total alone.
 func newRunWindow(nv int64, reads ReadSet, cfg PipelineConfig) *PairWindow {
 	keep := cfg.KeepMatrices || cfg.KeepPartials
 	switch {
 	case reads&linkReads == 0 && !keep:
-		c := spmat.NewNodeCounter(reads.has(SourcePackets), reads.has(DestinationPackets))
+		c := spmat.NewNodeCounter(nv, reads.has(SourcePackets), reads.has(DestinationPackets))
 		return &PairWindow{c: c, nv: nv}
 	case reads&destinationReads != 0 && reads&sourceReads == 0 && !keep:
 		return &PairWindow{b: spmat.NewDestinationMajorBuilder(), nv: nv}
@@ -496,7 +498,7 @@ func (w *PairWindow) Reset() {
 
 // nodePackets is what the packet histograms read: per-node packet
 // totals, read off a Builder's sorted window or counted by a
-// NodeCounter.
+// NodeCounter. Both visit ids in ascending order.
 type nodePackets interface {
 	Total() int64
 	ForEachSourcePacket(f func(id uint32, n int64))
@@ -508,9 +510,9 @@ type nodePackets interface {
 // The packet histograms read whichever accumulator the run chose. The
 // fields that need unique links (linkReads, and the Keep products)
 // read the builder, which newRunWindow guarantees is there. Every
-// reduction is an integer count, so nothing here depends on the order
-// the builder visits nodes in. When both the partial and the matrix are
-// kept they share one copy of the canonical entries.
+// reduction is an integer count, and both accumulators visit ids in
+// ascending order. When both the partial and the matrix are kept they
+// share one copy of the canonical entries.
 func reduceWindow(t int, w *PairWindow, cfg PipelineConfig, reads ReadSet) (*WindowResult, error) {
 	b := w.b // nil in a packets-only run
 	var acc nodePackets = w.c
